@@ -25,8 +25,8 @@ cargo build --release -p yoloc-bench --bins
 echo "== workspace unit tests and doctests"
 cargo test -q --workspace
 
-echo "== fusion/scheduler parity suite (YOLOC_SMOKE=1)"
-YOLOC_SMOKE=1 cargo test -q --test scheduler_parity
+echo "== fusion parity suite (YOLOC_SMOKE=1)"
+YOLOC_SMOKE=1 cargo test -q --test fusion_parity
 
 echo "== arena-executor parity suite (YOLOC_SMOKE=1)"
 YOLOC_SMOKE=1 cargo test -q --test arena_parity

@@ -14,13 +14,11 @@
 //! architectures (width/resolution-scaled so the functional simulator
 //! executes them in milliseconds) are compiled with
 //! `CompiledNetwork::compile_random` and run end-to-end through
-//! `infer_batch` **and** the tile-parallel scheduler (`infer_tiled`),
-//! producing a per-network scaling table — parameters, MACs, subarray
-//! placement, the pass-pipeline effect (op counts, planned arena vs
-//! per-op allocation), the per-op latency profile, and the intra-sample
-//! scaling of a *single* inference: wall-clock through the scheduler at a
-//! worker sweep plus the host-independent modeled speedup of the
-//! tile-parallel latency model (`ExecutionReport::intra_sample_latency_ns`).
+//! `infer_batch`, producing a per-network scaling table — parameters,
+//! MACs, subarray placement, the pass-pipeline effect (op counts, planned
+//! arena vs per-op allocation), the per-op latency profile, and the
+//! modeled intra-sample scaling of a *single* inference across
+//! macro-cluster lanes (`ExecutionReport::intra_sample_latency_ns`).
 //!
 //! Schema v4 adds the arena-runtime acceptance measurements per zoo
 //! network: a `single_thread` block with the per-inference wall-time
@@ -255,9 +253,8 @@ fn measure_model(
 
 /// Loads the previous committed report (if any) and maps each zoo model
 /// name to its serial single-thread per-inference median: the v3
-/// baseline the v4 acceptance gate measures against. A v3 report
-/// provides `intra_sample.serial_wall_secs` directly; a v4 report
-/// carries the same number forward as `single_thread.v3_serial_wall_secs`.
+/// baseline the v4 acceptance gate measures against, carried forward
+/// from report to report as `single_thread.v3_serial_wall_secs`.
 fn load_v3_baselines(path: &str) -> Vec<(String, f64)> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
@@ -273,13 +270,7 @@ fn load_v3_baselines(path: &str) -> Vec<(String, f64)> {
         let secs = entry
             .get("single_thread")
             .and_then(|s| s.get("v3_serial_wall_secs"))
-            .and_then(Json::as_num)
-            .or_else(|| {
-                entry
-                    .get("intra_sample")
-                    .and_then(|i| i.get("serial_wall_secs"))
-                    .and_then(Json::as_num)
-            });
+            .and_then(Json::as_num);
         if let Some(secs) = secs {
             baselines.push((model.to_string(), secs));
         }
@@ -334,9 +325,9 @@ fn measure_single_thread(
 }
 
 /// Compiles one scaled zoo architecture, runs it end-to-end through the
-/// batched engine and the tile-parallel scheduler, and reports
-/// throughput, intra-sample scaling, arena planning, the zero-allocation
-/// steady state and the live energy breakdown.
+/// batched engine, and reports throughput, modeled intra-sample scaling,
+/// arena planning, the zero-allocation steady state and the live energy
+/// breakdown.
 fn measure_zoo_network(
     desc: &NetworkDesc,
     seed: u64,
@@ -359,33 +350,11 @@ fn measure_zoo_network(
         (report, seconds)
     });
 
-    // Intra-sample scaling: ONE sample through the tile-parallel
-    // scheduler at a worker sweep (wall-clock is host-bound; the modeled
-    // speedup comes from the deterministic tile-parallel latency model
-    // and is what the acceptance gate checks).
-    println!("[zoo:{}] single-sample scheduler sweep ...", desc.name);
+    // Intra-sample scaling of ONE sample is modeled: the report spreads
+    // each CiM op's macro latency over its placement-derived tiles at
+    // 1/2/4/8 macro-cluster lanes. The host runs the sample serially.
     let one = Tensor::rand_uniform(&[1, c, h, w], 0.0, 1.0, &mut rng);
-    let (serial_one, one_report) = net.infer(&one, &mut rng);
-    let serial_one_secs = median_secs(reps, || {
-        std::hint::black_box(net.infer(&one, &mut rng));
-    });
-    let tiled: Vec<(usize, f64)> = worker_sweep()
-        .into_iter()
-        .map(|workers| {
-            WorkerPool::with(workers, |pool| {
-                let (tiled_logits, _) = net.infer_tiled(&one, seed, pool);
-                assert_eq!(
-                    serial_one.data(),
-                    tiled_logits.data(),
-                    "scheduler must be bit-identical to the serial interpreter"
-                );
-                let secs = median_secs(reps, || {
-                    std::hint::black_box(net.infer_tiled(&one, seed, pool));
-                });
-                (workers, secs)
-            })
-        })
-        .collect();
+    let (_, one_report) = net.infer(&one, &mut rng);
     let modeled_speedup_4l = one_report
         .intra_sample_speedup(4)
         .expect("4-lane model present");
@@ -422,21 +391,6 @@ fn measure_zoo_network(
             ),
         ),
         ("speedup_4w", Json::Num(modeled_speedup_4l)),
-        ("serial_wall_secs", Json::Num(serial_one_secs)),
-        (
-            "tiled_wall_secs",
-            Json::Arr(
-                tiled
-                    .iter()
-                    .map(|&(workers, secs)| {
-                        Json::obj([
-                            ("workers", Json::Num(workers as f64)),
-                            ("seconds", Json::Num(secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ]);
     let json = Json::obj([
         ("model", Json::str(desc.name.clone())),
@@ -774,7 +728,7 @@ fn main() {
         zoo_rows.push(row);
     }
     print_table(
-        "Graph-compiled zoo networks (pass pipeline + tile-parallel scheduler)",
+        "Graph-compiled zoo networks (pass pipeline + arena runtime)",
         &[
             "Network",
             "Params",
@@ -879,10 +833,10 @@ fn main() {
          analog path); the batched rows add the popcount fast path and the \
          worker pool on top — all three emit bit-identical logits. The zoo \
          table runs graph-compiled NetworkDesc architectures end-to-end \
-         (epilogue fusion + arena runtime + batched MVM kernel + \
-         tile-parallel scheduler) with live memory-hierarchy energy \
-         accounting; 'vs v3 (1-thread)' is the measured single-thread \
-         speedup of the arena runtime over the committed v3 baseline, \
+         (epilogue fusion + arena runtime + batched MVM kernel) with live \
+         memory-hierarchy energy accounting; 'vs v3 (1-thread)' is the \
+         measured single-thread speedup of the arena runtime over the \
+         committed v3 baseline, \
          'Steady allocs' the heap allocations of a warmed-up inference \
          (gated to zero), and 'Intra-sample x4' the modeled \
          single-inference speedup at 4 macro-cluster lanes."

@@ -243,29 +243,6 @@ pub trait MvmBackend: Send + Sync {
         scratch.acts_rm = acts;
     }
 
-    /// Tile-granular entry: the allocating thin wrapper over
-    /// [`MvmBackend::mvm_batch`], returning the `count * outs`
-    /// accumulators in vector order and the statistics folded **in vector
-    /// order** from a zeroed accumulator.
-    ///
-    /// This is the unit of work the tile-parallel scheduler fans across
-    /// workers: a tile's result (values *and* stats fold) is a pure
-    /// function of its activation slice, never of which worker ran it, so
-    /// tiled execution reassembles bit-identically to a serial walk that
-    /// uses the same tile decomposition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acts.len() != count * ins`.
-    fn mvm_tile(&self, acts: &[i32], count: usize, rng: &mut dyn RngCore) -> (Vec<i64>, MvmStats) {
-        let (outs, _) = self.dims();
-        let mut values = vec![0i64; count * outs];
-        let mut stats = MvmStats::default();
-        let mut scratch = MvmScratch::new();
-        self.mvm_batch(acts, count, &mut values, &mut stats, &mut scratch, rng);
-        (values, stats)
-    }
-
     /// Logical dimensions `(outs, ins)`.
     fn dims(&self) -> (usize, usize);
 
@@ -623,28 +600,6 @@ mod tests {
             rand::Rng::gen_range(&mut rng, 0u64..u64::MAX),
             rand::Rng::gen_range(&mut probe, 0u64..u64::MAX)
         );
-    }
-
-    #[test]
-    fn mvm_tile_matches_per_vector_mvm() {
-        // The tile entry must be exactly the per-vector walk: same values
-        // in vector order, same stats fold from zero.
-        let (codes, _) = test_matrix(3, 64);
-        let params = MacroParams::rom_paper();
-        let b = program_backend(BackendKind::Popcount, params, &codes, 3, 64);
-        let tile: Vec<i32> = (0..4 * 64).map(|i| (i * 31) % 256).collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        let (vals, stats) = b.mvm_tile(&tile, 4, &mut rng);
-        assert_eq!(vals.len(), 4 * 3);
-        let mut expect_vals = Vec::new();
-        let mut expect_stats = MvmStats::default();
-        for v in 0..4 {
-            let (y, s) = b.mvm(&tile[v * 64..(v + 1) * 64], &mut rng);
-            expect_stats.merge(&s);
-            expect_vals.extend_from_slice(&y);
-        }
-        assert_eq!(vals, expect_vals);
-        assert_eq!(stats, expect_stats);
     }
 
     /// The kernel-parity oracle: `mvm_batch` must equal a per-vector

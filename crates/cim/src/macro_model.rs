@@ -1072,8 +1072,7 @@ impl RomMvm {
     /// accumulation is exact under any traversal order, the same ADC
     /// transfer is applied per group evaluation, and the per-vector event
     /// counters are folded through [`RomMvm::finish_stats`] and merged in
-    /// vector order, exactly as [`crate::backend::MvmBackend::mvm_tile`]
-    /// folds a per-vector walk.
+    /// vector order, exactly as a per-vector walk folds them.
     ///
     /// At the paper design point the ADC resolves single discharge events
     /// (`full_scale <= levels`), making the transfer an identity on

@@ -14,11 +14,8 @@
 //! planned arena footprint (`peak_elems`, the sum of slot capacities) and
 //! the naive per-op-allocation footprint it replaces (`naive_elems`).
 //! Both executors report the two footprints in their `ExecutionReport`
-//! (`peak_arena_bytes` vs `naive_arena_bytes`); at run time the
-//! scheduler enforces the same live ranges by dropping each value the
-//! moment its last reader completes (reference counting over the task
-//! graph — the dynamic equivalent of this static slot plan, whose slot
-//! assignments document the layout a fixed-address arena would use).
+//! (`peak_arena_bytes` vs `naive_arena_bytes`); the arena executor
+//! ([`super::arena`]) runs on exactly these slots.
 
 /// A planned activation arena: one slot per concurrently-live output.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

@@ -41,16 +41,14 @@
 //! ```
 //!
 //! The pass framework lives in [`passes`], the arena planner in
-//! [`buffers`], the zero-allocation runtime that *executes on* the
-//! planned arena in [`arena`], and the tile-level task graph the
-//! parallel scheduler executes in [`schedule`]. [`ExecPlan::execute`]
-//! runs on a recycled [`ExecArena`] whenever a buffer plan exists;
+//! [`buffers`], and the zero-allocation runtime that *executes on* the
+//! planned arena in [`arena`]. [`ExecPlan::execute`] runs on a recycled
+//! [`ExecArena`] whenever a buffer plan exists;
 //! [`ExecPlan::execute_cloned`] — the clone-based serial interpreter —
-//! is kept as the **parity oracle**: the arena runtime and the
-//! tile-parallel [`crate::engine::Scheduler`] must reproduce it bit for
-//! bit (logits, stats and energy alike) on the same plan, and a plan
-//! compiled with [`passes::PassPipeline::none`] is the legacy unfused
-//! reference the optimized plan is pinned against (logits and
+//! is kept as the **parity oracle**: the arena runtime must reproduce it
+//! bit for bit (logits, stats and energy alike) on the same plan, and a
+//! plan compiled with [`passes::PassPipeline::none`] is the legacy
+//! unfused reference the optimized plan is pinned against (logits and
 //! [`MvmStats`]).
 //!
 //! Under [`MappingStrategy::Sharded`] the compiled layers are spread
@@ -113,7 +111,6 @@ pub mod arena;
 pub mod buffers;
 pub mod cache;
 pub mod passes;
-pub mod schedule;
 pub mod serial;
 
 pub use arena::ExecArena;
@@ -432,11 +429,11 @@ pub(crate) fn op_subarrays(op: &PlanOp) -> (usize, usize) {
     }
 }
 
-/// Measurements of one executed plan op. The serial interpreter and the
-/// tile-parallel scheduler produce these identically (same per-op stat
-/// folds, same traffic attribution) and both reduce them through
-/// [`ExecPlan::finalize`] — the construction that makes tiled execution
-/// bit-identical to the serial walk.
+/// Measurements of one executed plan op. The arena interpreter and the
+/// clone-based oracle produce these identically (same per-op stat folds,
+/// same traffic attribution) and both reduce them through
+/// [`ExecPlan::finalize_into`] — the construction that makes their
+/// reports bit-identical.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PerOpExec {
     /// ROM-domain stats, folded from zero in the op's canonical order.
@@ -580,10 +577,10 @@ pub struct ExecPlan {
     pub(crate) n_chips: usize,
     /// Arena plan from the buffer-liveness pass (`None` until it runs).
     pub(crate) buffer_plan: Option<BufferPlan>,
-    /// Recycled execution arenas: `execute`/`execute_batch` (and the
-    /// scheduler's kernel staging) draw from and return to this pool, so
-    /// steady-state inference reuses warmed buffers instead of touching
-    /// the allocator. Grows to the peak concurrency ever seen.
+    /// Recycled execution arenas: `execute`/`execute_batch` draw from and
+    /// return to this pool, so steady-state inference reuses warmed
+    /// buffers instead of touching the allocator. Grows to the peak
+    /// concurrency ever seen.
     pub(crate) arena_pool: Mutex<Vec<ExecArena>>,
 }
 
@@ -651,8 +648,8 @@ impl ExecPlan {
 
     /// For each op, the index of the last op that reads its output (its
     /// own index when nothing does): the live ranges the buffer-liveness
-    /// pass and the scheduler's arena eviction share. The final op is
-    /// pinned live to the end of the plan (it is the network output).
+    /// pass plans the arena from. The final op is pinned live to the end
+    /// of the plan (it is the network output).
     pub(crate) fn last_use(&self) -> Vec<usize> {
         let n = self.ops.len();
         let mut last = (0..n).collect::<Vec<_>>();
@@ -727,8 +724,8 @@ impl ExecPlan {
         false
     }
 
-    /// Sets every CiM conv's tile hint (the fan-out the scheduler
-    /// partitions a single inference into) to `tiles`.
+    /// Sets every CiM conv's tile hint (the macro-cluster width the
+    /// intra-sample latency model spreads the conv over) to `tiles`.
     pub(crate) fn set_tile_hints(&mut self, tiles: usize) {
         for op in &mut self.ops {
             match op {
@@ -859,12 +856,10 @@ impl ExecPlan {
         }
     }
 
-    /// Executes one op of the plan serially on the calling thread: the
-    /// parity-oracle implementation [`ExecPlan::execute`] walks op by op,
-    /// and the scheduler reuses verbatim for every non-tiled op (digital
-    /// ops, linears, projected residuals) so the two cannot diverge.
+    /// Executes one op of the plan for the clone-based oracle
+    /// [`ExecPlan::execute_cloned`], returning a freshly allocated output.
     /// `outputs` resolves retained earlier-op outputs.
-    pub(crate) fn run_op_serial<R: Rng + ?Sized>(
+    fn run_op_cloned<R: Rng + ?Sized>(
         &self,
         op_idx: usize,
         h: &Tensor,
@@ -890,9 +885,7 @@ impl ExecPlan {
                 epilogue,
             } => {
                 let (y, s) = conv.forward(h, rng);
-                rec.tiles = conv
-                    .tile_ranges(y.data().len() / conv.out_channels().max(1))
-                    .len();
+                rec.tiles = conv.tile_count(y.data().len() / conv.out_channels().max(1));
                 rec.add(*domain, &s);
                 self.apply_epilogue(epilogue, y, op_idx, x, &resolve, &mut rec)
             }
@@ -904,9 +897,7 @@ impl ExecPlan {
                 epilogue,
             } => {
                 let (t, s1) = trunk.forward(h, rng);
-                rec.tiles = trunk
-                    .tile_ranges(t.data().len() / trunk.out_channels().max(1))
-                    .len();
+                rec.tiles = trunk.tile_count(t.data().len() / trunk.out_channels().max(1));
                 let (c, s2) = compress.forward(h, rng);
                 let (r, s3) = res_conv.forward(&c, rng);
                 let (d, s4) = decompress.forward(&r, rng);
@@ -1015,11 +1006,10 @@ impl ExecPlan {
 
     /// The clone-based serial interpreter: allocates per-op output
     /// tensors like the pre-arena executor did. Kept as the **parity
-    /// oracle** the arena interpreter and the tile-parallel
-    /// [`crate::engine::Scheduler`] are pinned against — all three record
-    /// the same per-op measurements and reduce them through
-    /// `ExecPlan::finalize`, so their full reports agree bit for bit on
-    /// the noiseless datapath.
+    /// oracle** the arena interpreter is pinned against — both record the
+    /// same per-op measurements and reduce them through
+    /// `ExecPlan::finalize_into`, so their full reports agree bit for bit
+    /// on the noiseless datapath.
     #[must_use = "dropping the result discards the logits and the measured execution report"]
     pub fn execute_cloned<R: Rng + ?Sized>(
         &self,
@@ -1038,7 +1028,7 @@ impl ExecPlan {
         let mut h: Option<Tensor> = None;
         for (op_idx, &keep) in retain.iter().enumerate() {
             let input = h.as_ref().unwrap_or(x);
-            let (out, rec) = self.run_op_serial(op_idx, input, x, &outputs, rng);
+            let (out, rec) = self.run_op_cloned(op_idx, input, x, &outputs, rng);
             per_op.push(rec);
             outputs.push((keep && op_idx + 1 < n_ops).then(|| out.clone()));
             h = Some(out);
@@ -1822,22 +1812,6 @@ impl CompiledNetwork {
         self.plan.give_arena(arena)
     }
 
-    /// Runs one inference through the tile-parallel
-    /// [`crate::engine::Scheduler`]: the plan's CiM ops are partitioned
-    /// into placement-derived tiles and fanned across `pool`, so a
-    /// *single* sample scales with worker count while staying
-    /// bit-identical to [`CompiledNetwork::infer`] on the noiseless
-    /// datapath (and bit-identical across worker counts always).
-    #[must_use = "dropping the result discards the logits and the measured execution report"]
-    pub fn infer_tiled<'env>(
-        &'env self,
-        x: &Tensor,
-        seed: u64,
-        pool: &WorkerPool<'env>,
-    ) -> (Tensor, ExecutionReport) {
-        crate::engine::Scheduler::new(&self.plan).infer(x, seed, pool)
-    }
-
     /// Batched inference over a persistent [`WorkerPool`]; see
     /// [`ExecPlan::execute_batch`].
     #[must_use = "dropping the result discards the logits and the measured execution report"]
@@ -2129,10 +2103,10 @@ mod tests {
 
     #[test]
     fn intra_sample_latency_model_scales_with_lanes() {
-        // The acceptance target of the tile-parallel refactor: at 4
-        // macro-cluster lanes a single inference's modeled latency beats
-        // the serial walk by > 1.5x (the conv tiles dominate; NoC/DRAM
-        // transfers stay serial).
+        // At 4 macro-cluster lanes a single inference's modeled latency
+        // beats the one-lane walk by > 1.5x (the conv tiles dominate;
+        // NoC/DRAM transfers stay serial). The host executes serially;
+        // the lanes exist only in the chip model.
         let desc = zoo::scaled(&zoo::vgg8(4), 16, (16, 16));
         let net = CompiledNetwork::compile_random(&desc, 7, small_opts()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
@@ -2159,5 +2133,51 @@ mod tests {
         let net = CompiledNetwork::compile_random(&desc, 61, small_opts()).unwrap();
         assert!(net.mapping.subarrays_packed <= net.mapping.subarrays_naive);
         assert_eq!(net.subarrays(), net.mapping.subarrays_packed);
+    }
+
+    #[test]
+    fn fusion_saves_traffic_and_arena_without_changing_arithmetic() {
+        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
+        let fused = CompiledNetwork::compile_random(&desc, 7, small_opts()).unwrap();
+        let mut raw_opts = small_opts();
+        raw_opts.passes = PassPipeline::none();
+        let raw = CompiledNetwork::compile_random(&desc, 7, raw_opts).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
+        let (y_fused, r_fused) = fused.infer(&x, &mut rng);
+        let (y_raw, r_raw) = raw.infer(&x, &mut rng);
+        // Fusion is arithmetic-transparent: identical logits and stats.
+        assert_eq!(y_fused.data(), y_raw.data());
+        assert_eq!(r_fused.rom, r_raw.rom);
+        assert_eq!(r_fused.sram, r_raw.sram);
+        // And it moves strictly less traffic through the hierarchy.
+        assert!(r_fused.buffer_traffic_bits < r_raw.buffer_traffic_bits);
+        assert!(r_fused.energy.buffer_uj < r_raw.energy.buffer_uj);
+        // The planned arena beats per-op allocation.
+        assert!(r_fused.peak_arena_bytes < r_fused.naive_arena_bytes);
+        assert_eq!(r_raw.peak_arena_bytes, r_raw.naive_arena_bytes);
+    }
+
+    #[test]
+    fn sharded_plan_pays_the_chiplet_link() {
+        use crate::mapping::MappingStrategy;
+        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
+        let mut opts = small_opts();
+        opts.mapping = MappingStrategy::Sharded { chips: 4 };
+        let sharded = CompiledNetwork::compile_random(&desc, 7, opts).unwrap();
+        let single = CompiledNetwork::compile_random(&desc, 7, small_opts()).unwrap();
+        let mut rng = StdRng::seed_from_u64(10);
+        let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
+        let (y_s, r_s) = sharded.infer(&x, &mut rng);
+        let (y_1, r_1) = single.infer(&x, &mut rng);
+        // Sharding is functionally transparent...
+        assert_eq!(y_s.data(), y_1.data());
+        // ...but the shard topology shows up in traffic, energy, latency.
+        assert!(r_s.link_traffic_bits > 0);
+        assert_eq!(r_1.link_traffic_bits, 0);
+        assert!(r_s.energy.link_uj > 0.0);
+        assert_eq!(r_1.energy.link_uj, 0.0);
+        assert!(r_s.latency_ns > r_1.latency_ns);
+        assert!(sharded.plan().chips() == 4);
     }
 }

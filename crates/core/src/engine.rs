@@ -1,6 +1,4 @@
-//! Persistent worker pool behind the batched inference engine, plus the
-//! tile-parallel [`Scheduler`] that scales a *single* inference across
-//! the pool (see the [`Scheduler`] docs for its determinism contract).
+//! Persistent worker pool behind the batched inference engine.
 //!
 //! The pre-engine harness (`yoloc-bench`'s original `run_parallel`)
 //! spawned a fresh set of threads for every call. This module replaces it
@@ -40,17 +38,9 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::compiler::cache::PlanCache;
-use crate::compiler::schedule::{TaskGraph, TaskKind};
-use crate::compiler::{
-    CompileOptions, CompiledNetwork, ExecPlan, ExecutionReport, PerOpExec, PlanOp,
-};
-use yoloc_cim::macro_model::MvmStats;
+use crate::compiler::{CompileOptions, CompiledNetwork};
 use yoloc_models::{NetworkDesc, NetworkError};
-use yoloc_tensor::Tensor;
 
 /// Derives the deterministic RNG stream seed for sample `index` of a
 /// batched inference with base seed `seed`.
@@ -217,354 +207,6 @@ impl<'env> WorkerPool<'env> {
     }
 }
 
-/// Derives the deterministic RNG stream seed for tile `tile` of scheduler
-/// task `task`: the tile-level counterpart of [`sample_stream_seed`], so a
-/// tile's noise stream depends only on `(seed, task, tile)` — never on
-/// which worker executes it or in what order.
-pub fn tile_stream_seed(seed: u64, task: usize, tile: usize) -> u64 {
-    sample_stream_seed(sample_stream_seed(seed, task), tile)
-}
-
-/// What one scheduler job returns.
-enum JobOut {
-    /// A conv tile: `[position][channel]` values plus the tile's stats.
-    Tile(Vec<f32>, MvmStats),
-    /// A whole op executed through the serial oracle implementation.
-    Op(Tensor, PerOpExec),
-}
-
-/// Per-wave bookkeeping for one scheduled task.
-struct Pending {
-    task: usize,
-    jobs: usize,
-    /// Conv-tile assembly target shape (`None` for single-job tasks and
-    /// the job-less ReBranch combine).
-    out_shape: Option<[usize; 4]>,
-    /// Running-activation input bits (result-producing CiM tasks only).
-    input_bits: u64,
-}
-
-/// The tile-parallel scheduler: executes a compiled [`ExecPlan`] by
-/// expanding it into the task graph of [`crate::compiler::schedule`],
-/// partitioning each CiM op into its placement-derived position tiles, and
-/// fanning every ready task's tiles across a [`WorkerPool`] behind a
-/// dependency-aware ready queue.
-///
-/// Determinism contract (pinned by the parity suite):
-///
-/// * results are **bit-identical for any worker count** — tile streams
-///   depend only on `(seed, task, tile)` and assembly follows task/tile
-///   order, never completion order;
-/// * on the noiseless datapath the logits, stats *and* full
-///   [`ExecutionReport`] are **bit-identical to the serial
-///   [`ExecPlan::execute`]** on the same plan: both record the same per-op
-///   measurements and reduce them through the same `finalize`;
-/// * intermediate activations are dropped the moment their last reader
-///   completes (reference counting over the task graph — the same live
-///   ranges the buffer-liveness pass plans its arena from), so a deep
-///   plan's footprint tracks the planned peak instead of growing with
-///   depth.
-pub struct Scheduler<'p> {
-    plan: &'p ExecPlan,
-    graph: TaskGraph,
-}
-
-impl<'p> Scheduler<'p> {
-    /// Builds the task graph for `plan`.
-    pub fn new(plan: &'p ExecPlan) -> Self {
-        Scheduler {
-            plan,
-            graph: TaskGraph::build(plan),
-        }
-    }
-
-    /// Tasks in the schedule (digital ops count one; ReBranch groups
-    /// expand to five).
-    pub fn tasks(&self) -> usize {
-        self.graph.tasks.len()
-    }
-
-    /// Runs one inference through the tile-parallel schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool job panics (propagated by [`WorkerPool::run`]).
-    #[must_use = "dropping the result discards the logits and the measured execution report"]
-    pub fn infer<'env>(
-        &self,
-        x: &Tensor,
-        seed: u64,
-        pool: &WorkerPool<'env>,
-    ) -> (Tensor, ExecutionReport)
-    where
-        'p: 'env,
-    {
-        let plan = self.plan;
-        let n_ops = plan.len();
-        if n_ops == 0 {
-            let report = plan.finalize(x, x, &[]);
-            return (x.clone(), report);
-        }
-        let ab = plan.memory().act_bits as u64;
-        let n_tasks = self.graph.tasks.len();
-        let succ = self.graph.successors();
-        let mut indeg = self.graph.indegrees();
-        // How many later tasks read each task's value (+1 keeps the final
-        // output alive); values are evicted the moment this hits zero —
-        // the run-time half of the planned-arena discipline.
-        let mut uses = vec![0usize; n_tasks];
-        for t in &self.graph.tasks {
-            for &d in &t.deps {
-                uses[d] += 1;
-            }
-        }
-        let final_task = self.graph.result_task_of_op[n_ops - 1];
-        uses[final_task] += 1;
-        let mut values: Vec<Option<Arc<Tensor>>> = (0..n_tasks).map(|_| None).collect();
-        let mut per_op: Vec<PerOpExec> = (0..n_ops).map(|_| PerOpExec::default()).collect();
-        let mut ready: Vec<usize> = (0..n_tasks).filter(|&t| indeg[t] == 0).collect();
-        // The network input, cloned once and shared by reference with
-        // every job that reads it.
-        let x_shared = Arc::new(x.clone());
-        // Resolves the running-activation input of a task (the network
-        // input for op 0).
-        let input_of =
-            |task: usize, values: &[Option<Arc<Tensor>>], graph: &TaskGraph| -> Arc<Tensor> {
-                let t = &graph.tasks[task];
-                let producer = match t.kind {
-                    TaskKind::Whole | TaskKind::RbTrunk | TaskKind::RbCompress => {
-                        match t.op.checked_sub(1) {
-                            None => return Arc::clone(&x_shared),
-                            Some(p) => graph.result_task_of_op[p],
-                        }
-                    }
-                    // Stage chain inside a ReBranch group.
-                    TaskKind::RbRes | TaskKind::RbDecompress => t.deps[0],
-                    TaskKind::RbCombine => unreachable!("combine has no tile input"),
-                };
-                Arc::clone(values[producer].as_ref().expect("producer value live"))
-            };
-        while !ready.is_empty() {
-            // One wave: everything currently ready, in task order.
-            ready.sort_unstable();
-            let wave: Vec<usize> = std::mem::take(&mut ready);
-            let mut jobs: Vec<Box<dyn FnOnce() -> JobOut + Send + 'env>> = Vec::new();
-            let mut pending: Vec<Pending> = Vec::with_capacity(wave.len());
-            for &t in &wave {
-                let task = &self.graph.tasks[t];
-                let op_idx = task.op;
-                // The conv a tiled task drives, if it is a tiled task.
-                let tiled_conv = match (&plan.ops[op_idx], task.kind) {
-                    (PlanOp::Conv { conv, .. }, TaskKind::Whole) => Some(conv),
-                    (PlanOp::ReBranch { trunk, .. }, TaskKind::RbTrunk) => Some(trunk),
-                    (PlanOp::ReBranch { compress, .. }, TaskKind::RbCompress) => Some(compress),
-                    (PlanOp::ReBranch { res_conv, .. }, TaskKind::RbRes) => Some(res_conv),
-                    (PlanOp::ReBranch { decompress, .. }, TaskKind::RbDecompress) => {
-                        Some(decompress)
-                    }
-                    _ => None,
-                };
-                if let Some(conv) = tiled_conv {
-                    let input = input_of(t, &values, &self.graph);
-                    let (h, w) = (input.shape()[2], input.shape()[3]);
-                    let (oh, ow) = conv.output_hw(h, w);
-                    let batch = input.shape()[0];
-                    let cols = Arc::new(conv.lower(&input));
-                    let ranges = conv.tile_ranges(cols.shape()[1]);
-                    let input_bits = input.data().len() as u64 * ab;
-                    pending.push(Pending {
-                        task: t,
-                        jobs: ranges.len(),
-                        out_shape: Some([batch, conv.out_channels(), oh, ow]),
-                        input_bits,
-                    });
-                    for (ti, (lo, hi)) in ranges.into_iter().enumerate() {
-                        let cols = Arc::clone(&cols);
-                        jobs.push(Box::new(move || {
-                            let mut rng = StdRng::seed_from_u64(tile_stream_seed(seed, t, ti));
-                            // Draw kernel staging (codes, accumulators,
-                            // bit-plane masks) from the plan's arena pool
-                            // so repeated tile jobs reuse warmed buffers.
-                            let mut arena = plan.take_arena();
-                            let (vals, stats) = conv.forward_tile_with(
-                                cols.as_ref(),
-                                lo,
-                                hi,
-                                &mut arena.cim,
-                                &mut rng,
-                            );
-                            plan.give_arena(arena);
-                            JobOut::Tile(vals, stats)
-                        }));
-                    }
-                } else if task.kind == TaskKind::RbCombine {
-                    // Assembly-only: merged on the submitting thread.
-                    pending.push(Pending {
-                        task: t,
-                        jobs: 0,
-                        out_shape: None,
-                        input_bits: 0,
-                    });
-                } else {
-                    // Digital op, linear or projected residual: one job
-                    // through the serial-oracle op implementation.
-                    let input = input_of(t, &values, &self.graph);
-                    // Snapshot of the source outputs this op reads.
-                    let mut outputs: Vec<Option<Tensor>> = vec![None; n_ops];
-                    for src in plan.ops[op_idx].sources() {
-                        if let crate::compiler::OpSource::Op(j) = src {
-                            let v = values[self.graph.result_task_of_op[j]]
-                                .as_ref()
-                                .expect("source value live");
-                            outputs[j] = Some(v.as_ref().clone());
-                        }
-                    }
-                    let x_job = Arc::clone(&x_shared);
-                    pending.push(Pending {
-                        task: t,
-                        jobs: 1,
-                        out_shape: None,
-                        input_bits: 0,
-                    });
-                    jobs.push(Box::new(move || {
-                        let mut rng = StdRng::seed_from_u64(tile_stream_seed(seed, t, 0));
-                        let (out, rec) = plan.run_op_serial(
-                            op_idx,
-                            input.as_ref(),
-                            x_job.as_ref(),
-                            &outputs,
-                            &mut rng,
-                        );
-                        JobOut::Op(out, rec)
-                    }));
-                }
-            }
-            let mut results = pool.run(jobs).into_iter();
-            // Assemble in task order, tiles in range order — the exact
-            // reduction the serial interpreter performs.
-            for p in &pending {
-                let t = p.task;
-                let task = &self.graph.tasks[t];
-                let op_idx = task.op;
-                let taken: Vec<JobOut> = (0..p.jobs)
-                    .map(|_| results.next().expect("one result per job"))
-                    .collect();
-                let out = if task.kind == TaskKind::RbCombine {
-                    let trunk: &Tensor = values[task.deps[0]].as_ref().expect("trunk live");
-                    let dec: &Tensor = values[task.deps[1]].as_ref().expect("decompress live");
-                    let y = trunk.add(dec);
-                    let epilogue = plan.ops[op_idx].epilogue().to_vec();
-                    let resolve = |j: usize| -> Tensor {
-                        values[self.graph.result_task_of_op[j]]
-                            .as_ref()
-                            .expect("source value live")
-                            .as_ref()
-                            .clone()
-                    };
-                    let rec = &mut per_op[op_idx];
-                    let y = plan.apply_epilogue(&epilogue, y, op_idx, x, &resolve, rec);
-                    rec.out_bits = y.data().len() as u64 * ab;
-                    y
-                } else if let Some(shape) = p.out_shape {
-                    let conv = match (&plan.ops[op_idx], task.kind) {
-                        (PlanOp::Conv { conv, .. }, TaskKind::Whole) => conv,
-                        (PlanOp::ReBranch { trunk, .. }, TaskKind::RbTrunk) => trunk,
-                        (PlanOp::ReBranch { compress, .. }, TaskKind::RbCompress) => compress,
-                        (PlanOp::ReBranch { res_conv, .. }, TaskKind::RbRes) => res_conv,
-                        (PlanOp::ReBranch { decompress, .. }, TaskKind::RbDecompress) => decompress,
-                        _ => unreachable!("tile results imply a tiled conv"),
-                    };
-                    let mut y = Tensor::zeros(&shape);
-                    let mut stats = MvmStats::default();
-                    let mut lo = 0usize;
-                    for r in &taken {
-                        let JobOut::Tile(vals, s) = r else {
-                            unreachable!("tile job order")
-                        };
-                        stats.merge(s);
-                        conv.scatter_tile(&mut y, lo, vals);
-                        lo += vals.len() / conv.out_channels().max(1);
-                    }
-                    // Fold the stage stats exactly where the serial walk
-                    // folds them.
-                    let is_conv_whole = matches!(&plan.ops[op_idx], PlanOp::Conv { .. })
-                        && task.kind == TaskKind::Whole;
-                    {
-                        let rec = &mut per_op[op_idx];
-                        match (&plan.ops[op_idx], task.kind) {
-                            (PlanOp::Conv { domain, .. }, TaskKind::Whole) => {
-                                rec.in_bits = p.input_bits;
-                                if op_idx > 0 && plan.chip_of[op_idx] != plan.chip_of[op_idx - 1] {
-                                    rec.cross_bits += rec.in_bits;
-                                }
-                                rec.tiles = p.jobs;
-                                rec.add(*domain, &stats);
-                            }
-                            (_, TaskKind::RbTrunk) => {
-                                rec.in_bits = p.input_bits;
-                                if op_idx > 0 && plan.chip_of[op_idx] != plan.chip_of[op_idx - 1] {
-                                    rec.cross_bits += rec.in_bits;
-                                }
-                                rec.tiles = p.jobs;
-                                rec.rom.merge(&stats);
-                            }
-                            (_, TaskKind::RbCompress) => rec.rom.merge(&stats),
-                            (_, TaskKind::RbRes) => rec.sram.merge(&stats),
-                            (_, TaskKind::RbDecompress) => rec.rom.merge(&stats),
-                            _ => unreachable!(),
-                        }
-                    }
-                    // A plain conv's epilogue applies to its own
-                    // (assembled) output.
-                    if is_conv_whole {
-                        let epilogue = plan.ops[op_idx].epilogue().to_vec();
-                        let resolve = |j: usize| -> Tensor {
-                            values[self.graph.result_task_of_op[j]]
-                                .as_ref()
-                                .expect("source value live")
-                                .as_ref()
-                                .clone()
-                        };
-                        let rec = &mut per_op[op_idx];
-                        let y2 = plan.apply_epilogue(&epilogue, y, op_idx, x, &resolve, rec);
-                        rec.out_bits = y2.data().len() as u64 * ab;
-                        y2
-                    } else {
-                        y
-                    }
-                } else {
-                    let Some(JobOut::Op(out, rec)) = taken.into_iter().next() else {
-                        unreachable!("single-job task returns an op result")
-                    };
-                    per_op[op_idx] = rec;
-                    out
-                };
-                values[t] = Some(Arc::new(out));
-                // This task consumed its dependencies: release dead ones.
-                for &d in &self.graph.tasks[t].deps {
-                    uses[d] -= 1;
-                    if uses[d] == 0 {
-                        values[d] = None;
-                    }
-                }
-                for &s in &succ[t] {
-                    indeg[s] -= 1;
-                    if indeg[s] == 0 {
-                        ready.push(s);
-                    }
-                }
-            }
-        }
-        let output = values[final_task]
-            .as_ref()
-            .expect("final output retained")
-            .as_ref()
-            .clone();
-        let report = plan.finalize(x, &output, &per_op);
-        (output, report)
-    }
-}
-
 /// Cache-aware deploy front end for multi-model serving: every deploy
 /// routes through a shared [`PlanCache`], so re-deploying a network this
 /// process (or any earlier process that populated the cache directory)
@@ -706,108 +348,6 @@ mod tests {
         // The shutdown drop guard must release parked workers so the
         // scope's implicit join terminates and the panic propagates.
         WorkerPool::with(3, |_pool| -> () { panic!("body failed") });
-    }
-
-    #[test]
-    fn scheduler_bit_identical_to_serial_interpreter() {
-        // THE parity pin of the tile-parallel scheduler: same plan, same
-        // seed — the full ExecutionReport (logits, stats, energy, per-op
-        // latency, traffic) must equal the serial interpreter's bit for
-        // bit, at every worker count.
-        use crate::compiler::{CompileOptions, CompiledNetwork};
-        use yoloc_models::zoo;
-        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-        let net =
-            CompiledNetwork::compile_random(&desc, 7, CompileOptions::paper_default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (serial, serial_report) = net.infer(&x, &mut rng);
-        for workers in [1, 2, 4] {
-            let (tiled, report) = WorkerPool::with(workers, |pool| net.infer_tiled(&x, 5, pool));
-            assert_eq!(serial.data(), tiled.data(), "workers = {workers}");
-            assert_eq!(serial_report, report, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn scheduler_handles_residual_and_passthrough_graphs() {
-        use crate::compiler::{CompileOptions, CompiledNetwork};
-        use yoloc_models::zoo;
-        for desc in [
-            zoo::scaled(&zoo::resnet18(3), 16, (32, 32)),
-            zoo::scaled(&zoo::yolo_v2(4, 2), 32, (64, 64)),
-        ] {
-            let net = CompiledNetwork::compile_random(&desc, 17, CompileOptions::paper_default())
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(18);
-            let (c, h, w) = net.input_shape();
-            let x = Tensor::rand_uniform(&[1, c, h, w], 0.0, 1.0, &mut rng);
-            let (serial, serial_report) = net.infer(&x, &mut rng);
-            let (tiled, report) = WorkerPool::with(4, |pool| net.infer_tiled(&x, 5, pool));
-            assert_eq!(serial.data(), tiled.data(), "{}", desc.name);
-            assert_eq!(serial_report, report, "{}", desc.name);
-        }
-    }
-
-    #[test]
-    fn scheduler_reports_arena_and_fusion_savings() {
-        use crate::compiler::{CompileOptions, CompiledNetwork, PassPipeline};
-        use yoloc_models::zoo;
-        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-        let fused =
-            CompiledNetwork::compile_random(&desc, 7, CompileOptions::paper_default()).unwrap();
-        let mut raw_opts = CompileOptions::paper_default();
-        raw_opts.passes = PassPipeline::none();
-        let raw = CompiledNetwork::compile_random(&desc, 7, raw_opts).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (y_fused, r_fused) = WorkerPool::with(2, |pool| fused.infer_tiled(&x, 3, pool));
-        let mut rng = StdRng::seed_from_u64(9);
-        let x2 = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (y_raw, r_raw) = raw.infer(&x2, &mut rng);
-        // Fusion is arithmetic-transparent: identical logits and stats.
-        assert_eq!(y_fused.data(), y_raw.data());
-        assert_eq!(r_fused.rom, r_raw.rom);
-        assert_eq!(r_fused.sram, r_raw.sram);
-        // And it moves strictly less traffic through the hierarchy.
-        assert!(r_fused.buffer_traffic_bits < r_raw.buffer_traffic_bits);
-        assert!(r_fused.energy.buffer_uj < r_raw.energy.buffer_uj);
-        // The planned arena beats per-op allocation.
-        assert!(r_fused.peak_arena_bytes < r_fused.naive_arena_bytes);
-        assert_eq!(r_raw.peak_arena_bytes, r_raw.naive_arena_bytes);
-    }
-
-    #[test]
-    fn sharded_plan_pays_the_chiplet_link() {
-        use crate::compiler::{CompileOptions, CompiledNetwork};
-        use crate::mapping::MappingStrategy;
-        use yoloc_models::zoo;
-        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-        let mut opts = CompileOptions::paper_default();
-        opts.mapping = MappingStrategy::Sharded { chips: 4 };
-        let sharded = CompiledNetwork::compile_random(&desc, 7, opts).unwrap();
-        let single =
-            CompiledNetwork::compile_random(&desc, 7, CompileOptions::paper_default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(10);
-        let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (y_s, r_s) = sharded.infer(&x, &mut rng);
-        let (y_1, r_1) = single.infer(&x, &mut rng);
-        // Sharding is functionally transparent...
-        assert_eq!(y_s.data(), y_1.data());
-        // ...but the shard topology shows up in traffic, energy, latency.
-        assert!(r_s.link_traffic_bits > 0);
-        assert_eq!(r_1.link_traffic_bits, 0);
-        assert!(r_s.energy.link_uj > 0.0);
-        assert_eq!(r_1.energy.link_uj, 0.0);
-        assert!(r_s.latency_ns > r_1.latency_ns);
-        assert!(sharded.plan().chips() == 4);
-        // Scheduler parity holds on sharded plans too.
-        let (y_t, r_t) = WorkerPool::with(3, |pool| sharded.infer_tiled(&x, 11, pool));
-        let mut rng = StdRng::seed_from_u64(10);
-        let x3 = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (y_s2, r_s2) = sharded.infer(&x3, &mut rng);
-        assert_eq!(y_t.data(), y_s2.data());
-        assert_eq!(r_t, r_s2);
     }
 
     #[test]

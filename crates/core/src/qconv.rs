@@ -206,8 +206,8 @@ pub struct CimConv2d {
     pub act_params: QuantParams,
     geom: Conv2dGeometry,
     out_channels: usize,
-    /// Target tile count for [`CimConv2d::tile_ranges`] (1 = the whole
-    /// position range as a single tile, the legacy serial walk).
+    /// Target tile count for [`CimConv2d::tile_range_iter`] (1 = the
+    /// whole position range as a single tile).
     par_tiles: usize,
     /// Compile-time programming record, kept for plan serialization.
     program: ProgramSpec,
@@ -303,13 +303,13 @@ impl CimConv2d {
     }
 
     /// Sets the target tile count the layer decomposes its output
-    /// positions into (see [`CimConv2d::tile_ranges`]). The graph compiler
-    /// derives this from the layer's placement (how many macro clusters of
-    /// the mesh — or of its chiplet shard — serve the layer), so a single
-    /// inference can fan across workers. The decomposition is a pure
-    /// function of this hint and the input shape — never of the worker
-    /// count — which is what keeps tiled execution bit-identical to the
-    /// serial walk of the same plan.
+    /// positions into (see [`CimConv2d::tile_range_iter`]). The graph
+    /// compiler derives this from the layer's placement (how many macro
+    /// clusters of the mesh — or of its chiplet shard — serve the layer).
+    /// The tiles are the width the modelled intra-sample latency spreads
+    /// the layer over; the host walks them serially, in order. The output
+    /// bits and the event counters do not depend on the hint; the f64
+    /// energy/latency fold follows the tile order.
     pub fn set_tile_hint(&mut self, tiles: usize) {
         self.par_tiles = tiles.max(1);
     }
@@ -317,18 +317,12 @@ impl CimConv2d {
     /// The contiguous position ranges `forward` folds over: `positions`
     /// output pixels split into (at most) the hinted tile count of
     /// near-equal chunks, in position order.
-    pub fn tile_ranges(&self, positions: usize) -> Vec<(usize, usize)> {
-        split_ranges(positions, self.par_tiles)
-    }
-
-    /// Allocation-free form of [`CimConv2d::tile_ranges`]: the same
-    /// ranges as a lazy iterator (the arena executor's hot path).
     pub fn tile_range_iter(&self, positions: usize) -> impl Iterator<Item = (usize, usize)> {
         split_range_iter(positions, self.par_tiles)
     }
 
-    /// Number of tiles [`CimConv2d::tile_ranges`] decomposes `positions`
-    /// into, without materializing them.
+    /// Number of tiles [`CimConv2d::tile_range_iter`] decomposes
+    /// `positions` into, without walking them.
     pub fn tile_count(&self, positions: usize) -> usize {
         if positions == 0 {
             0
@@ -368,8 +362,7 @@ impl CimConv2d {
 
     /// Lowers `x` (`(N, C, H, W)`) to its im2col activation matrix — the
     /// shared input every tile of this layer reads. Exposed so the
-    /// scheduler can lower once and fan [`CimConv2d::forward_tile`] calls
-    /// over the result.
+    /// staging cost can be measured on its own.
     pub fn lower(&self, x: &Tensor) -> Tensor {
         im2col(x, &self.geom)
     }
@@ -382,49 +375,6 @@ impl CimConv2d {
     /// Output channels.
     pub fn out_channels(&self) -> usize {
         self.out_channels
-    }
-
-    /// Runs output positions `lo..hi` of the lowered activation matrix
-    /// (`cols`, from [`CimConv2d::lower`]) through the backend's
-    /// tile-granular entry, returning the dequantized values in
-    /// `[position][channel]` order plus the tile's statistics (folded from
-    /// zero, in position order).
-    ///
-    /// This is the parallel unit of the tile scheduler; assembling tiles
-    /// in range order reproduces [`CimConv2d::forward`] bit for bit.
-    pub fn forward_tile<R: Rng + ?Sized>(
-        &self,
-        cols: &Tensor,
-        lo: usize,
-        hi: usize,
-        rng: &mut R,
-    ) -> (Vec<f32>, MvmStats) {
-        self.forward_tile_with(cols, lo, hi, &mut CimScratch::new(), rng)
-    }
-
-    /// [`CimConv2d::forward_tile`] with caller-owned staging: the
-    /// quantized codes, accumulators and bit-plane planes live in
-    /// `scratch` and are reused across calls, so only the returned value
-    /// vector is allocated. This is the entry the tile-parallel scheduler
-    /// drives with scratch drawn from the deployment's arena pool.
-    pub fn forward_tile_with<R: Rng + ?Sized>(
-        &self,
-        cols: &Tensor,
-        lo: usize,
-        hi: usize,
-        scratch: &mut CimScratch,
-        rng: &mut R,
-    ) -> (Vec<f32>, MvmStats) {
-        let positions = cols.shape()[1];
-        let mut stats = MvmStats::default();
-        self.run_tile(cols.data(), positions, lo, hi, &mut stats, scratch, rng);
-        let mut vals = Vec::with_capacity((hi - lo) * self.out_channels);
-        for acc in scratch.accs[..(hi - lo) * self.out_channels].chunks_exact(self.out_channels) {
-            for (o, &a) in acc.iter().enumerate() {
-                vals.push(self.dequant.value(o, a, &self.act_params));
-            }
-        }
-        (vals, stats)
     }
 
     /// Quantizes positions `lo..hi` of a patch-major `(patch, positions)`
@@ -499,10 +449,10 @@ impl CimConv2d {
 
     /// Arena forward: runs the convolution on a raw row-major
     /// `(n, C, h, w)` buffer, writing the dequantized `(n, OC, OH, OW)`
-    /// feature map into `out` using only `scratch` storage — the
-    /// allocation-free counterpart of [`CimConv2d::forward`], with the
-    /// identical tile decomposition and per-tile statistics fold, so the
-    /// returned stats (and every output bit) match it exactly.
+    /// feature map into `out` using only `scratch` storage. The output
+    /// positions are walked in [`CimConv2d::tile_range_iter`] order, each
+    /// tile's statistics folded from zero and then merged, so the f64
+    /// energy/latency sums follow the placement's tile decomposition.
     ///
     /// # Panics
     ///
@@ -527,8 +477,8 @@ impl CimConv2d {
             let mut tile_stats = MvmStats::default();
             self.run_tile(&cols, positions, lo, hi, &mut tile_stats, scratch, rng);
             stats.merge(&tile_stats);
-            // Dequantize and scatter, position-major, exactly as
-            // `scatter_tile` lays tiles into the output map.
+            // Dequantize and scatter, position-major, into the
+            // `(n, OC, OH, OW)` output map.
             for (v, acc) in scratch.accs[..(hi - lo) * self.out_channels]
                 .chunks_exact(self.out_channels)
                 .enumerate()
@@ -546,29 +496,11 @@ impl CimConv2d {
         stats
     }
 
-    /// Scatters one tile's `[position][channel]` values (from
-    /// [`CimConv2d::forward_tile`] at range start `lo`) into the `(N, OC,
-    /// OH, OW)` output map.
-    pub fn scatter_tile(&self, out: &mut Tensor, lo: usize, vals: &[f32]) {
-        let (oh, ow) = (out.shape()[2], out.shape()[3]);
-        for (v, chunk) in vals.chunks_exact(self.out_channels).enumerate() {
-            let pos = lo + v;
-            let ni = pos / (oh * ow);
-            let p = pos % (oh * ow);
-            for (o, &val) in chunk.iter().enumerate() {
-                *out.at_mut(&[ni, o, p / ow, p % ow]) = val;
-            }
-        }
-    }
-
     /// Runs the convolution on `x` (`(N, C, H, W)`), returning the output
     /// feature map and the accumulated backend statistics.
     ///
-    /// Execution is tile-structured: the output positions are split by
-    /// [`CimConv2d::tile_ranges`] and folded **in tile order** (each tile
-    /// folding its positions in order), so the serial walk and the
-    /// tile-parallel scheduler perform the exact same floating-point
-    /// reduction and agree bit for bit.
+    /// Allocating wrapper over [`CimConv2d::forward_in`]: the same tile
+    /// walk and statistics fold, so the two agree bit for bit.
     #[must_use = "dropping the result discards the layer output and its measured statistics"]
     pub fn forward<R: Rng + ?Sized>(&self, x: &Tensor, rng: &mut R) -> (Tensor, MvmStats) {
         assert_eq!(x.ndim(), 4, "input must be (N, C, H, W)");
@@ -591,12 +523,6 @@ impl CimConv2d {
 
 /// Splits `0..len` into (at most) `parts` contiguous near-equal ranges in
 /// order; empty when `len == 0`.
-pub fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
-    split_range_iter(len, parts).collect()
-}
-
-/// Lazy form of [`split_ranges`]: the identical ranges in the identical
-/// order, without allocating the vector.
 pub fn split_range_iter(len: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
     let parts = if len == 0 { 0 } else { parts.clamp(1, len) };
     let base = len.checked_div(parts).unwrap_or(0);
@@ -732,8 +658,7 @@ impl CimLinear {
     /// tile-granular entry (the whole batch as one tile), returning the
     /// output and the layer's statistics folded from zero **in sample
     /// order** — the caller merges them into its accumulator exactly once,
-    /// so serial, batched and tile-scheduled executions all perform the
-    /// same reduction.
+    /// so serial and batched executions perform the same reduction.
     ///
     /// # Panics
     ///
@@ -1008,12 +933,13 @@ mod tests {
 
     #[test]
     fn split_ranges_covers_exactly() {
-        assert_eq!(split_ranges(0, 4), vec![]);
-        assert_eq!(split_ranges(5, 1), vec![(0, 5)]);
-        assert_eq!(split_ranges(5, 2), vec![(0, 3), (3, 5)]);
-        assert_eq!(split_ranges(3, 8), vec![(0, 1), (1, 2), (2, 3)]);
+        let split = |len, parts| split_range_iter(len, parts).collect::<Vec<_>>();
+        assert_eq!(split(0, 4), vec![]);
+        assert_eq!(split(5, 1), vec![(0, 5)]);
+        assert_eq!(split(5, 2), vec![(0, 3), (3, 5)]);
+        assert_eq!(split(3, 8), vec![(0, 1), (1, 2), (2, 3)]);
         for (len, parts) in [(17usize, 4usize), (64, 16), (7, 7)] {
-            let r = split_ranges(len, parts);
+            let r = split(len, parts);
             assert_eq!(r.first().unwrap().0, 0);
             assert_eq!(r.last().unwrap().1, len);
             assert!(r.windows(2).all(|w| w[0].1 == w[1].0));
@@ -1022,9 +948,9 @@ mod tests {
 
     #[test]
     fn tiled_forward_bit_identical_for_any_hint() {
-        // The tile decomposition must not change a single bit of the
-        // output or the stats fold relative to the single-tile walk —
-        // the root invariant of the tile-parallel scheduler.
+        // The tile decomposition must not change a single output bit or
+        // event counter relative to the single-tile walk: the hint only
+        // sets the modelled lane width. The tile count matches the walk.
         let mut rng = StdRng::seed_from_u64(9);
         let w = Tensor::randn(&[6, 3, 3, 3], 0.0, 0.4, &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
@@ -1038,6 +964,11 @@ mod tests {
             assert_eq!(base_stats.analog_evaluations, s.analog_evaluations);
             assert_eq!(base_stats.adc_conversions, s.adc_conversions);
             assert_eq!(base_stats.wl_pulses, s.wl_pulses);
+            let positions = 2 * 8 * 8;
+            assert_eq!(
+                conv.tile_count(positions),
+                conv.tile_range_iter(positions).count()
+            );
         }
     }
 }

@@ -289,8 +289,8 @@ pub fn scaled(net: &NetworkDesc, div: usize, hw: (usize, usize)) -> NetworkDesc 
 /// (projected when channel counts change) and an optional GAP + linear
 /// head. The generator is seeded and dependency-free (SplitMix64 inline),
 /// so property tests across crates can sweep "any zoo-shaped graph"
-/// reproducibly — the fusion/scheduler parity suite compiles these and
-/// pins tiled execution against the legacy serial walk.
+/// reproducibly — the fusion parity suite compiles these and pins the
+/// optimized plan against the legacy unfused walk.
 ///
 /// Every returned network passes [`NetworkDesc::analyze`] (asserted by a
 /// unit test over many seeds) and stays small enough to execute on the

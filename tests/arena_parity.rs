@@ -1,9 +1,9 @@
 //! Arena-executor parity suite: the zero-allocation arena interpreter
 //! must be **bit-identical** — logits, `MvmStats`, and the full
 //! `ExecutionReport` — to the clone-based oracle
-//! (`ExecPlan::execute_cloned`), serially and through the tile-parallel
-//! scheduler, across random zoo graphs, worker counts 1/2/8 and all
-//! three mapping strategies.
+//! (`ExecPlan::execute_cloned`), serially and through the batched
+//! engine, across random zoo graphs, worker counts 1/2/8 and all three
+//! mapping strategies.
 //!
 //! This is the acceptance gate of the arena-runtime refactor: running on
 //! pre-materialized slot buffers instead of per-op tensor clones — and
@@ -24,8 +24,8 @@ use common::zoo::{compile, named_zoo_nets, strategies, WORKER_SWEEP};
 
 /// Compiles `desc` once with the full pipeline and checks that the
 /// clone-based oracle, the arena interpreter (both the pooled `infer`
-/// path and an explicit reused arena), the batched engine and the tiled
-/// scheduler all agree bit for bit on the same plan.
+/// path and an explicit reused arena) and the batched engine all agree
+/// bit for bit on the same plan.
 fn assert_arena_parity(desc: &yoloc::models::NetworkDesc, seed: u64, strategy: MappingStrategy) {
     let net = compile(desc, seed, strategy);
 
@@ -68,23 +68,6 @@ fn assert_arena_parity(desc: &yoloc::models::NetworkDesc, seed: u64, strategy: M
     }
     net.give_arena(arena);
 
-    // Tiled scheduler on the arena-planned network.
-    for workers in WORKER_SWEEP {
-        let (logits_tiled, report_tiled) =
-            WorkerPool::with(workers, |pool| net.infer_tiled(&x, seed, pool));
-        assert_eq!(
-            logits_oracle.data(),
-            logits_tiled.data(),
-            "{}: tiled logits diverged at {workers} workers",
-            desc.name
-        );
-        assert_eq!(
-            report_oracle, report_tiled,
-            "{}: tiled report diverged at {workers} workers",
-            desc.name
-        );
-    }
-
     // Batched execution recycles arenas across samples; a 3-sample batch
     // of the same input must reduce to 3x the single-sample stats.
     let mut batch_data = Vec::new();
@@ -92,22 +75,25 @@ fn assert_arena_parity(desc: &yoloc::models::NetworkDesc, seed: u64, strategy: M
         batch_data.extend_from_slice(x.data());
     }
     let xb = Tensor::from_vec(batch_data, &[3, c, h, w]).unwrap();
-    let (logits_batch, report_batch) = WorkerPool::with(2, |pool| net.infer_batch(&xb, seed, pool));
-    for s in 0..3 {
-        let n = logits_oracle.data().len();
+    for workers in WORKER_SWEEP {
+        let (logits_batch, report_batch) =
+            WorkerPool::with(workers, |pool| net.infer_batch(&xb, seed, pool));
+        for s in 0..3 {
+            let n = logits_oracle.data().len();
+            assert_eq!(
+                logits_oracle.data(),
+                &logits_batch.data()[s * n..(s + 1) * n],
+                "{}: batched sample {s} diverged at {workers} workers",
+                desc.name
+            );
+        }
         assert_eq!(
-            logits_oracle.data(),
-            &logits_batch.data()[s * n..(s + 1) * n],
-            "{}: batched sample {s} diverged",
+            report_oracle.rom.analog_evaluations * 3,
+            report_batch.rom.analog_evaluations,
+            "{}: batched stats lost samples at {workers} workers",
             desc.name
         );
     }
-    assert_eq!(
-        report_oracle.rom.analog_evaluations * 3,
-        report_batch.rom.analog_evaluations,
-        "{}: batched stats lost samples",
-        desc.name
-    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Shared zoo-compile helpers for the parity-style suites
-//! (`arena_parity`, `scheduler_parity`, `plan_roundtrip`,
+//! (`arena_parity`, `fusion_parity`, `plan_roundtrip`,
 //! `serve_parity`): one copy of the mapping-strategy sweep, the fixed
 //! representative graphs, and the compile-or-panic boilerplate.
 //!
