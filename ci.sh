@@ -98,4 +98,7 @@ cargo run --release -q -p yoloc-bench --bin bench_faults -- --check-schema BENCH
 echo "== run every bench binary on tiny configs (repro_all --smoke)"
 cargo run --release -q -p yoloc-bench --bin repro_all -- --smoke
 
+echo "== benchmark package gate (fmt, clippy, tests, smoke runs of every workload)"
+benchmark/check.sh
+
 echo "CI green."

@@ -60,10 +60,10 @@
 //! lanes; planned arena strictly below per-op allocation; zero
 //! steady-state allocations; for committed full runs >= 1.5x
 //! single-thread throughput over the v3 baseline; zero warm-deploy
-//! recompiles in the `plan_cache` block; and the `kernel_tier` gates —
-//! bit-identical tiers, speedup >= 1.0 always and >= 2.0 for committed
-//! AVX2 runs), exiting non-zero on any violation — the CI gate for the
-//! baseline.
+//! recompiles in the `plan_cache` block, and for full runs
+//! `warm_speedup >= 1.0`; and the `kernel_tier` gates — bit-identical
+//! tiers, speedup >= 1.0 always and >= 2.0 for committed AVX2 runs),
+//! exiting non-zero on any violation — the CI gate for the baseline.
 
 use std::time::Instant;
 
@@ -594,8 +594,9 @@ fn schema_violations(doc: &Json) -> Vec<String> {
         }
     }
     // v5 gates: the content-addressed plan cache must serve every warm
-    // deploy without recompiling (counted, not timed) and the cached
-    // plan must execute bit-identically to the cold compile.
+    // deploy without recompiling (counted, not timed), the cached plan
+    // must execute bit-identically to the cold compile, and the warm
+    // deploy must be at least as fast as the cold one.
     let plan_cache = doc.get("plan_cache").and_then(Json::as_arr);
     if plan_cache.is_none_or(|a| a.is_empty()) {
         errs.push("plan_cache block must be a non-empty array".to_string());
@@ -646,6 +647,18 @@ fn schema_violations(doc: &Json) -> Vec<String> {
             entry.get("bit_identical").and_then(Json::as_bool) == Some(true),
             "cached plan must execute bit-identically to the cold compile",
         );
+        // A disk tier only pays when restoring a plan beats compiling
+        // it. Smoke configs are single timings of tiny networks, where
+        // compiling costs about as much as parsing, so only full runs
+        // are held to it.
+        let speedup = entry.get("warm_speedup").and_then(Json::as_num);
+        check(speedup.is_some(), "missing warm_speedup");
+        if let Some(s) = speedup.filter(|_| !smoke_doc) {
+            check(
+                s >= 1.0,
+                &format!("warm deploy is {s:.2}x a cold compile, need >= 1.0x"),
+            );
+        }
     }
     // v6 gates: the dispatched kernel tier must be bit-identical to the
     // scalar reference and at least break even (>= 2x on committed AVX2

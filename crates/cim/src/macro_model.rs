@@ -12,6 +12,8 @@
 //!   weights into analog subarrays and executes the bit-serial datapath,
 //!   with energy/latency statistics.
 
+use std::ops::RangeInclusive;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +21,7 @@ use crate::analog::{AdcModel, AnalogArray, AnalogConfig};
 use crate::cells::CellKind;
 use crate::faults::{self, AdcFault, ColumnFaults, FaultContext};
 use crate::kernels::{self, KernelDispatch, KernelKind};
-use yoloc_quant::bitplane::{signed_bitplanes, signed_plane_weight, unsigned_chunks};
+use yoloc_quant::bitplane::{signed_plane_weight, unsigned_chunks};
 
 pub(crate) use crate::kernels::scalar::matmul_into;
 
@@ -185,6 +187,18 @@ impl MacroParams {
             + self.rows as f64 * chunks * self.e_wl_pulse_pj
             + evals * self.weight_bits as f64 * self.e_precharge_pj
             + self.e_shift_add_pj
+    }
+
+    /// The signed code range a `weight_bits`-wide weight holds, or
+    /// `None` for a width [`RomMvm::program`] cannot store: zero, above
+    /// 31 bits (the two's-complement field must fit a `u32`), or wider
+    /// than one subarray's columns.
+    pub fn weight_code_range(&self) -> Option<RangeInclusive<i32>> {
+        let bits = u32::from(self.weight_bits);
+        if bits == 0 || bits > 31 || bits as usize > self.cols {
+            return None;
+        }
+        Some(-(1i32 << (bits - 1))..=(1i32 << (bits - 1)) - 1)
     }
 
     /// The analog configuration of one subarray under these parameters.
@@ -390,11 +404,16 @@ impl RomMvm {
     ///
     /// # Panics
     ///
-    /// Panics if `codes.len() != outs * ins` or any code is out of range.
+    /// Panics if `codes.len() != outs * ins`, `weight_bits` is outside
+    /// [`MacroParams::weight_code_range`], or any code is out of range.
     pub fn program(params: MacroParams, codes: &[i32], outs: usize, ins: usize) -> Self {
         assert_eq!(codes.len(), outs * ins, "weight matrix size mismatch");
-        let outs_per_array = params.cols / params.weight_bits as usize;
-        assert!(outs_per_array > 0, "cols must fit one output");
+        let range = params
+            .weight_code_range()
+            .expect("weight_bits must be 1..=31 and fit one output per subarray");
+        let wb = params.weight_bits as usize;
+        let field = (1u32 << wb) - 1;
+        let outs_per_array = params.cols / wb;
         let row_tiles = ins.div_ceil(params.rows);
         let col_tiles = outs.div_ceil(outs_per_array);
         let cfg = params.analog_config();
@@ -403,50 +422,46 @@ impl RomMvm {
         let build_popcount = rpa <= 64;
         let mut tiles = Vec::with_capacity(row_tiles);
         let mut popcount_tiles = build_popcount.then(|| Vec::with_capacity(row_tiles));
+        // One bit matrix, cleared and refilled for every subarray.
+        let mut bits = vec![false; params.rows * params.cols];
         for rt in 0..row_tiles {
             let mut row = Vec::with_capacity(col_tiles);
             let mut popcount_row = build_popcount.then(|| Vec::with_capacity(col_tiles));
+            let rows_here = params.rows.min(ins - rt * params.rows);
             for ct in 0..col_tiles {
-                // Build the bit matrix for this subarray.
-                let mut bits = vec![false; params.rows * params.cols];
-                for r in 0..params.rows {
-                    let in_idx = rt * params.rows + r;
-                    if in_idx >= ins {
-                        break;
-                    }
-                    for o in 0..outs_per_array {
-                        let out_idx = ct * outs_per_array + o;
-                        if out_idx >= outs {
-                            break;
-                        }
-                        let code = codes[out_idx * ins + in_idx];
-                        let planes = signed_bitplanes(&[code], params.weight_bits);
-                        for (j, plane) in planes.iter().enumerate() {
-                            let col = o * params.weight_bits as usize + j;
-                            bits[r * params.cols + col] = plane[0] == 1;
-                        }
-                    }
-                }
-                if let Some(pr) = popcount_row.as_mut() {
-                    let mut masks = vec![0u64; groups * params.cols];
-                    for r in 0..params.rows {
-                        for c in 0..params.cols {
-                            if bits[r * params.cols + c] {
-                                masks[(r / rpa) * params.cols + c] |= 1u64 << (r % rpa);
+                // Strap the bit-plane columns of every output, setting the
+                // popcount group masks in the same pass: bit `j` of a
+                // code's two's-complement field lands in column
+                // `o * weight_bits + j`.
+                bits.fill(false);
+                let mut masks = build_popcount.then(|| vec![0u64; groups * params.cols]);
+                let outs_here = outs_per_array.min(outs - ct * outs_per_array);
+                for o in 0..outs_here {
+                    let start = (ct * outs_per_array + o) * ins + rt * params.rows;
+                    for (r, &code) in codes[start..start + rows_here].iter().enumerate() {
+                        assert!(
+                            range.contains(&code),
+                            "value {code} outside signed {wb}-bit range"
+                        );
+                        let mut u = (code as u32) & field;
+                        while u != 0 {
+                            let col = o * wb + u.trailing_zeros() as usize;
+                            u &= u - 1;
+                            bits[r * params.cols + col] = true;
+                            if let Some(masks) = masks.as_mut() {
+                                masks[(r / rpa) * params.cols + col] |= 1u64 << (r % rpa);
                             }
                         }
                     }
+                }
+                if let (Some(pr), Some(masks)) = (popcount_row.as_mut(), masks) {
                     // Lane-packed tile-major copy for the batch stream:
                     // only nonzero masks, grouped by activation group.
-                    let wb = params.weight_bits as usize;
                     let mut nz = Vec::new();
                     let mut nz_offsets = Vec::with_capacity(groups + 1);
                     nz_offsets.push(0u32);
                     for g in 0..groups {
-                        for o in 0..outs_per_array {
-                            if ct * outs_per_array + o >= outs {
-                                break;
-                            }
+                        for o in 0..outs_here {
                             for j in 0..wb {
                                 let mask = masks[g * params.cols + o * wb + j];
                                 if mask != 0 {
@@ -1622,6 +1637,64 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let (y, _) = engine.mvm(&acts, &mut rng);
         assert!(y.iter().all(|&v| v == ins as i64));
+    }
+
+    #[test]
+    fn program_straps_signed_bitplanes_with_matching_masks() {
+        // Oracle: the quant crate's plane decomposition. Odd shapes leave
+        // partial row and column tiles; 5-bit codes leave unused columns.
+        use yoloc_quant::bitplane::signed_bitplanes;
+        let mut params = MacroParams::rom_paper();
+        params.weight_bits = 5;
+        let (outs, ins) = (53, 300);
+        let codes: Vec<i32> = (0..outs * ins)
+            .map(|i| ((i * 37) % 32) as i32 - 16)
+            .collect();
+        let engine = RomMvm::program(params, &codes, outs, ins);
+        let planes = signed_bitplanes(&codes, params.weight_bits);
+        let (rows, cols, rpa) = (params.rows, params.cols, params.rows_per_activation);
+        let opa = engine.outs_per_array;
+        let masks = engine.popcount_tiles.as_ref().expect("maskable groups");
+        for (rt, tile_row) in engine.tiles.iter().enumerate() {
+            for (ct, array) in tile_row.iter().enumerate() {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let (i, o, j) = (rt * rows + r, ct * opa + c / 5, c % 5);
+                        let want =
+                            i < ins && o < outs && c < opa * 5 && planes[j][o * ins + i] == 1;
+                        assert_eq!(array.bit(r, c), want, "tile ({rt}, {ct}) cell ({r}, {c})");
+                        let mask = masks[rt][ct].masks[(r / rpa) * cols + c];
+                        assert_eq!(
+                            mask >> (r % rpa) & 1 == 1,
+                            want,
+                            "mask ({rt}, {ct}, {r}, {c})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside signed")]
+    fn program_rejects_codes_outside_the_signed_range() {
+        // 8-bit codes span -128..=127: 128 needs a ninth bit.
+        RomMvm::program(MacroParams::rom_paper(), &[0, 128], 1, 2);
+    }
+
+    #[test]
+    fn weight_code_range_covers_storable_widths_only() {
+        let mut params = MacroParams::rom_paper();
+        assert_eq!(params.weight_code_range(), Some(-128..=127));
+        params.weight_bits = 1;
+        assert_eq!(params.weight_code_range(), Some(-1..=0));
+        for bits in [0, 32, 255] {
+            params.weight_bits = bits;
+            assert_eq!(params.weight_code_range(), None, "{bits} bits");
+        }
+        params.weight_bits = 8;
+        params.cols = 7;
+        assert_eq!(params.weight_code_range(), None, "wider than the columns");
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl Dequant {
 /// and rebuilt bit-identically (the backends themselves own un-walkable
 /// state like the analog array, so layers re-run [`program_backend`] on
 /// deserialization instead of persisting the engine).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) struct ProgramSpec {
     kind: BackendKind,
     params: MacroParams,
@@ -121,6 +121,44 @@ pub(crate) struct LayerFaults {
     pub phys_ids: Vec<u64>,
     /// Evaluation-latency multiplier from degraded links (1.0 = none).
     pub link_slowdown: f64,
+}
+
+/// Deserialization proves what the programmer would otherwise assert
+/// — a supported weight width, one code per matrix cell, every code in
+/// the signed range — so a plan whose checksum is valid but whose
+/// contents are hostile is an error (a plan-cache miss), not a panic.
+impl Deserialize for ProgramSpec {
+    fn from_value(v: &Json) -> Result<Self, String> {
+        let spec = ProgramSpec {
+            kind: json_field(v, "kind")?,
+            params: json_field(v, "params")?,
+            outs: json_field(v, "outs")?,
+            ins: json_field(v, "ins")?,
+            codes: json_field(v, "codes")?,
+            faults: json_field(v, "faults")?,
+        };
+        let bits = spec.params.weight_bits;
+        let range = spec
+            .params
+            .weight_code_range()
+            .ok_or_else(|| format!("unsupported weight_bits {bits}"))?;
+        let cells = spec
+            .outs
+            .checked_mul(spec.ins)
+            .ok_or_else(|| format!("{} x {} matrix overflows", spec.outs, spec.ins))?;
+        if spec.codes.len() != cells {
+            return Err(format!(
+                "{} codes for a {} x {} matrix",
+                spec.codes.len(),
+                spec.outs,
+                spec.ins
+            ));
+        }
+        if let Some(code) = spec.codes.iter().find(|c| !range.contains(c)) {
+            return Err(format!("code {code} outside signed {bits}-bit range"));
+        }
+        Ok(spec)
+    }
 }
 
 impl ProgramSpec {
@@ -929,6 +967,59 @@ mod tests {
         assert_eq!(linear.backend_name(), "software");
         let (_, stats) = linear.forward(&x, &mut rng);
         assert_eq!(stats, MvmStats::default());
+    }
+
+    #[test]
+    fn program_spec_rejects_what_the_programmer_cannot_store() {
+        // A compiled layer's record round-trips; each hostile edit of it
+        // deserializes to an Err instead of panicking in the programmer.
+        fn edited(spec: &Json, key: &str, edit: impl FnOnce(&mut Json)) -> Json {
+            let mut v = spec.clone();
+            if let Json::Obj(fields) = &mut v {
+                if let Some((_, x)) = fields.iter_mut().find(|(k, _)| k == key) {
+                    edit(x);
+                }
+            }
+            v
+        }
+        let mut rng = StdRng::seed_from_u64(6);
+        let w = Tensor::randn(&[4, 16], 0.0, 0.4, &mut rng);
+        let x = Tensor::rand_uniform(&[2, 16], 0.0, 1.0, &mut rng);
+        let linear = CimLinear::compile(&w, None, &[&x], MacroParams::rom_paper());
+        let good = linear.program.to_json();
+        assert_eq!(ProgramSpec::from_value(&good), Ok(linear.program.clone()));
+        let cases = [
+            (
+                edited(&good, "params", |p| {
+                    *p = edited(p, "weight_bits", |b| *b = Json::UInt(0));
+                }),
+                "unsupported weight_bits 0",
+            ),
+            (
+                edited(&good, "outs", |o| *o = Json::UInt(u64::MAX)),
+                "matrix overflows",
+            ),
+            (
+                edited(&good, "codes", |c| {
+                    if let Json::Arr(codes) = c {
+                        codes.pop();
+                    }
+                }),
+                "63 codes for a 4 x 16 matrix",
+            ),
+            (
+                edited(&good, "codes", |c| {
+                    if let Json::Arr(codes) = c {
+                        codes[0] = Json::Int(-129);
+                    }
+                }),
+                "code -129 outside signed 8-bit range",
+            ),
+        ];
+        for (bad, want) in cases {
+            let err = ProgramSpec::from_value(&bad).expect_err(want);
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]

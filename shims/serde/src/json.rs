@@ -253,8 +253,6 @@ impl Value {
     }
 
     fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        let close_pad = "  ".repeat(indent);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => {
@@ -275,11 +273,11 @@ impl Value {
                 }
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
+                    write_indent(out, indent + 1);
                     item.write(out, indent + 1);
                     out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&close_pad);
+                write_indent(out, indent);
                 out.push(']');
             }
             Value::Obj(fields) => {
@@ -289,13 +287,13 @@ impl Value {
                 }
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&pad);
+                    write_indent(out, indent + 1);
                     write_escaped(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                     out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&close_pad);
+                write_indent(out, indent);
                 out.push('}');
             }
         }
@@ -338,6 +336,13 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Writes `depth` two-space indentation steps.
+fn write_indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 
@@ -523,11 +528,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash (or the
+                // end) in one step. Both delimiters are ASCII, so the run
+                // ends on a char boundary and every byte is validated once.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -556,6 +567,16 @@ fn write_escaped(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// SplitMix64 step: the seeded stream the property tests draw from
+    /// (the shim has no proptest dependency).
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 
     #[test]
     fn parse_round_trips_rendered_documents() {
@@ -733,15 +754,8 @@ mod tests {
         // extreme exponents, must survive render→parse bit-exactly; NaNs
         // must stay NaN through the tagged encoding.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         for _ in 0..512 {
-            let v = f64::from_bits(next());
+            let v = f64::from_bits(splitmix64(&mut state));
             let back = Value::parse(&Value::Num(v).render()).expect("parses");
             let got = back.as_num().expect("numeric");
             if v.is_nan() {
@@ -749,6 +763,111 @@ mod tests {
             } else {
                 assert_eq!(got.to_bits(), v.to_bits(), "{v:?} -> {got:?}");
             }
+        }
+    }
+
+    /// A scalar drawn uniformly from `lo..hi`, skipping the surrogate
+    /// block (which holds no chars).
+    fn scalar_in(state: &mut u64, lo: u32, hi: u32) -> char {
+        loop {
+            let c = lo + (splitmix64(state) % u64::from(hi - lo)) as u32;
+            if let Some(c) = char::from_u32(c) {
+                return c;
+            }
+        }
+    }
+
+    /// A random string of pieces: printable ASCII runs (quotes,
+    /// backslashes and slashes included), 2-, 3- and 4-byte UTF-8
+    /// scalars, and every char JSON escapes.
+    fn random_string(state: &mut u64) -> String {
+        const ESCAPED: [char; 10] = [
+            '"', '\\', '/', '\n', '\t', '\r', '\u{8}', '\u{c}', '\u{0}', '\u{1f}',
+        ];
+        let mut s = String::new();
+        for _ in 0..splitmix64(state) % 12 {
+            match splitmix64(state) % 5 {
+                0 => {
+                    for _ in 0..1 + splitmix64(state) % 8 {
+                        s.push(scalar_in(state, 0x20, 0x7F));
+                    }
+                }
+                1 => s.push(scalar_in(state, 0x80, 0x800)),
+                2 => s.push(scalar_in(state, 0x800, 0x1_0000)),
+                3 => s.push(scalar_in(state, 0x1_0000, 0x11_0000)),
+                _ => s.push(ESCAPED[(splitmix64(state) % ESCAPED.len() as u64) as usize]),
+            }
+        }
+        s
+    }
+
+    /// Encodes `s` as a JSON string literal the renderer never emits:
+    /// each char is written raw where JSON allows it, as its short
+    /// escape (`\/`, `\b` and `\f` included), or as `\uXXXX` in
+    /// either hex case — astral chars as a UTF-16 surrogate pair.
+    fn escape_randomly(s: &str, state: &mut u64) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            let raw_ok = !matches!(c, '"' | '\\') && c >= ' ';
+            match (splitmix64(state) % 3, short) {
+                (0, _) if raw_ok => out.push(c),
+                (1, Some(esc)) => out.push_str(esc),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        if splitmix64(state) & 1 == 0 {
+                            let _ = write!(out, "\\u{unit:04x}");
+                        } else {
+                            let _ = write!(out, "\\u{unit:04X}");
+                        }
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn prop_strings_round_trip_through_both_renderers() {
+        // Seeded property test over strings mixing ASCII runs, multi-byte
+        // UTF-8 and escapes, with the edge cases spelled out: the empty
+        // string and strings that start or end with an escape. Each must
+        // parse back exactly from `render`, from `render_compact`, as an
+        // object key, and from an independent escaped spelling.
+        let mut state = 0x5EED_5751_4E65_0F0Fu64;
+        let mut cases: Vec<String> = ["", "\"", "\\", "\"x", "x\\", "\nx\t", "\u{1F600}"]
+            .map(String::from)
+            .to_vec();
+        cases.extend((0..1024).map(|_| random_string(&mut state)));
+        for s in &cases {
+            let v = Value::Str(s.clone());
+            for text in [
+                v.render(),
+                v.render_compact(),
+                escape_randomly(s, &mut state),
+            ] {
+                let back = Value::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+                assert_eq!(back.as_str(), Some(s.as_str()), "{text:?}");
+            }
+            let obj = Value::Obj(vec![(s.clone(), Value::Str(s.clone()))]);
+            assert_eq!(Value::parse(&obj.render()).unwrap(), obj, "key {s:?}");
+            assert_eq!(
+                Value::parse(&obj.render_compact()).unwrap(),
+                obj,
+                "key {s:?}"
+            );
         }
     }
 }

@@ -70,6 +70,38 @@ fn assert_clean_miss(dir: &PathBuf, expected_plan: &str, what: &str) {
     );
 }
 
+/// FNV-1a 64, the checksum the cache frames entries with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Rewrites the body of a framed entry with `edit` and re-frames it with
+/// a *valid* checksum, so only the deserializer can tell it is bad.
+fn reframe(entry: &PathBuf, edit: impl FnOnce(&str) -> String) {
+    let raw = fs::read_to_string(entry).unwrap();
+    let (_, body) = raw.split_once('\n').expect("framed entry");
+    let edited = edit(body);
+    assert_ne!(edited, body, "mutation must apply");
+    fs::write(
+        entry,
+        format!("{:016x}\n{edited}", fnv1a(edited.as_bytes())),
+    )
+    .unwrap();
+}
+
+/// The byte range of the first weight code's line in a plan body
+/// (arrays render one element per line).
+fn first_code_line(body: &str) -> std::ops::Range<usize> {
+    let open = "\"codes\": [\n";
+    let start = body.find(open).expect("plan stores weight codes") + open.len();
+    start..start + body[start..].find('\n').expect("code line") + 1
+}
+
 #[test]
 fn truncated_entry_is_a_clean_miss() {
     let (dir, entry, plan) = seeded_cache("trunc");
@@ -101,21 +133,32 @@ fn bit_flipped_entries_are_clean_misses() {
 #[test]
 fn wrong_schema_entry_is_a_clean_miss() {
     let (dir, entry, plan) = seeded_cache("schema");
-    let raw = fs::read_to_string(&entry).unwrap();
-    let (_, body) = raw.split_once('\n').expect("framed entry");
-    let stale = body.replace("yoloc-plan/2", "yoloc-plan/99");
-    // Re-frame with a *valid* checksum: schema rejection must work even
+    // Re-framed with a valid checksum: schema rejection must work even
     // when the bytes are intact (a genuinely stale format, not damage).
-    let sum = {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in stale.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
-    fs::write(&entry, format!("{sum:016x}\n{stale}")).unwrap();
+    reframe(&entry, |body| body.replace("yoloc-plan/2", "yoloc-plan/99"));
     assert_clean_miss(&dir, &plan, "wrong schema");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_weight_codes_are_clean_misses() {
+    // Checksum-valid entries whose codes the ROM programmer cannot
+    // store: one code out of the signed 8-bit range, and a matrix one
+    // code short. Deserialization must reject both as a miss instead of
+    // panicking while it programs the subarrays.
+    let (dir, entry, plan) = seeded_cache("codes");
+    reframe(&entry, |body| {
+        let line = first_code_line(body);
+        let code = body[line.clone()].trim().trim_end_matches(',');
+        let rest = body[line.start..].replacen(code, "999", 1);
+        format!("{}{rest}", &body[..line.start])
+    });
+    assert_clean_miss(&dir, &plan, "code out of range");
+    reframe(&entry, |body| {
+        let line = first_code_line(body);
+        format!("{}{}", &body[..line.start], &body[line.end..])
+    });
+    assert_clean_miss(&dir, &plan, "one code short");
     let _ = fs::remove_dir_all(&dir);
 }
 
