@@ -25,6 +25,13 @@ cargo build --release -p yoloc-bench --bins
 echo "== workspace unit tests and doctests"
 cargo test -q --workspace
 
+echo "== quantization and lowering arithmetic in release (overflow checks off)"
+# Every other test step builds with overflow checks on, where an integer
+# overflow panics; release builds wrap silently instead, so the
+# saturation properties and the conv staging oracle run here too.
+cargo test -q --release -p yoloc-quant -p yoloc-tensor
+cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
+
 echo "== fusion parity suite (YOLOC_SMOKE=1)"
 YOLOC_SMOKE=1 cargo test -q --test fusion_parity
 

@@ -775,7 +775,7 @@ fn main() {
 
     // v6/v7: the kernel-tier block — scalar vs dispatched `mvm_batch`
     // on the zoo's lowered shapes, bit-identity asserted, speedup gated;
-    // v7 adds the staging split and per-shape time shares.
+    // v7 adds per-shape time shares.
     let kernel_tier = yoloc_bench::kernel_tier::measure_kernel_tier(&zoo_nets, SEED + 13);
     print_table(
         "Kernel tiers on the zoo's lowered MVM shapes (scalar vs dispatched)",
@@ -784,7 +784,6 @@ fn main() {
             "MVMs/pass",
             "Scalar (ns/mvm)",
             "Dispatched (ns/mvm)",
-            "Stage (ns/mvm)",
             "Layout",
             "Time share",
             "Speedup",

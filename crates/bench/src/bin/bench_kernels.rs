@@ -1,14 +1,13 @@
 //! Kernel-tier benchmark and `BENCH_engine.json` patcher.
 //!
 //! Measures the tier-3 kernel work (runtime-dispatched SIMD with the
-//! AVX-512 tier, batch-transposed MVM layouts and vectorized staging in
-//! `yoloc-cim`) on the lowered im2col shapes of the zoo networks the
-//! engine harness runs: per unique `(outs, ins)` shape, `mvm_batch` is
-//! timed under the forced scalar tier and under the runtime-dispatched
-//! tier (asserting bit-identical values and `MvmStats` between the
-//! two), the staging (im2col gather + quantization) cost is measured
-//! separately per shape, and the MVM-weighted aggregate
-//! `speedup_vs_scalar`, the per-shape time shares/layouts and the
+//! AVX-512 tier and batch-transposed MVM layouts in `yoloc-cim`) on the
+//! lowered im2col shapes of the zoo networks the engine harness runs:
+//! per unique `(outs, ins)` shape, `mvm_batch` is timed under the forced
+//! scalar tier and under the runtime-dispatched tier (asserting
+//! bit-identical values and `MvmStats` between the two), and the
+//! MVM-weighted aggregate `speedup_vs_scalar`, the per-shape time
+//! shares/layouts and the
 //! selected ISA are recorded as the schema-v7 `kernel_tier` block. The
 //! measurement lives in [`yoloc_bench::kernel_tier`] and is shared with
 //! `bench_engine`.
@@ -96,7 +95,6 @@ fn main() {
             "MVMs/pass",
             "Scalar (ns/mvm)",
             "Dispatched (ns/mvm)",
-            "Stage (ns/mvm)",
             "Layout",
             "Time share",
             "Speedup",

@@ -25,13 +25,11 @@
 //! selects the scalar tier (no SIMD host), the speedup is 1.0 *by
 //! construction*, not by timing a path against itself.
 //!
-//! Schema v7 adds the where-does-the-time-go fields the gates target:
-//! per shape, `time_share` (this shape's fraction of the zoo's total
-//! dispatched MVM nanoseconds — so gates can hit the heavy tail instead
-//! of the unweighted mean) and `staging_ns_per_mvm` (a layout-matched
-//! quantize-and-stage pass over synthetic im2col data, the work
-//! `qconv` performs to feed the kernel); at block level, the MVM-
-//! weighted `staging_ns` vs `mvm_ns` split.
+//! Schema v7 adds the per-shape `time_share`: this shape's fraction of
+//! the zoo's total dispatched MVM nanoseconds, so gates can hit the heavy
+//! tail instead of the unweighted mean. Staging (quantizing the layer
+//! input and lowering its codes) is measured per layer where inference
+//! runs it, by the host benchmark's traced `qconv.staging_share`.
 //!
 //! An informational `end_to_end` sub-block records the whole-inference
 //! effect on one zoo network (`infer_in` under `YOLOC_KERNEL=scalar` vs
@@ -48,11 +46,10 @@ use rand::{Rng, SeedableRng};
 use crate::report::Json;
 use yoloc_cim::backend::MvmScratch;
 use yoloc_cim::{
-    avx2_available, avx512_available, transposed_pad, KernelDispatch, KernelKind, MacroParams,
-    MatmulLayout, MvmBackend, RomMvm,
+    avx2_available, avx512_available, KernelDispatch, KernelKind, MacroParams, MatmulLayout,
+    MvmBackend, RomMvm,
 };
 use yoloc_models::NetworkDesc;
-use yoloc_quant::QuantParams;
 
 /// One unique lowered matrix shape measured under both kernel tiers.
 pub struct ShapeMeasure {
@@ -67,10 +64,6 @@ pub struct ShapeMeasure {
     pub scalar_ns_per_mvm: f64,
     /// Dispatched-tier nanoseconds per matrix-vector product.
     pub dispatched_ns_per_mvm: f64,
-    /// Layout-matched quantize-and-stage nanoseconds per matrix-vector
-    /// product (the `qconv` feeding cost, measured on synthetic im2col
-    /// data at the same batch size).
-    pub staging_ns_per_mvm: f64,
     /// Layout the backend's crossover picked at this shape and batch.
     pub layout: MatmulLayout,
     /// Whether the two tiers agreed bit-for-bit (values and `MvmStats`).
@@ -106,14 +99,6 @@ impl KernelTier {
         self.shapes
             .iter()
             .map(|s| s.mvms as f64 * s.dispatched_ns_per_mvm)
-            .sum()
-    }
-
-    /// MVM-weighted staging nanoseconds of one full zoo pass.
-    fn total_staging_ns(&self) -> f64 {
-        self.shapes
-            .iter()
-            .map(|s| s.mvms as f64 * s.staging_ns_per_mvm)
             .sum()
     }
 }
@@ -184,49 +169,6 @@ fn median(times: &mut [f64]) -> f64 {
 /// median but rarely every sample).
 fn min_time(times: &[f64]) -> f64 {
     times.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// One timed staging sample: `calls` layout-matched quantize-and-stage
-/// passes over a synthetic patch-major `(patch, positions)` im2col
-/// matrix — the exact loops `qconv::run_tile` runs to feed the kernel —
-/// returning seconds per pass.
-fn sample_staging(
-    cols: &[f32],
-    patch: usize,
-    n: usize,
-    q: &QuantParams,
-    layout: MatmulLayout,
-    codes: &mut Vec<i32>,
-    calls: usize,
-) -> f64 {
-    let positions = n;
-    let t0 = Instant::now();
-    for _ in 0..calls {
-        match layout {
-            MatmulLayout::Transposed => {
-                let n_pad = transposed_pad(n);
-                codes.clear();
-                codes.resize(patch * n_pad, 0);
-                for r in 0..patch {
-                    let src = &cols[r * positions..r * positions + n];
-                    let lane = &mut codes[r * n_pad..r * n_pad + n];
-                    for (c, &v) in lane.iter_mut().zip(src) {
-                        *c = q.quantize_value(v);
-                    }
-                }
-            }
-            MatmulLayout::RowMajor => {
-                codes.clear();
-                for pos in 0..n {
-                    for r in 0..patch {
-                        codes.push(q.quantize_value(cols[r * positions + pos]));
-                    }
-                }
-            }
-        }
-        std::hint::black_box(codes[0]);
-    }
-    t0.elapsed().as_secs_f64() / calls as f64
 }
 
 /// Measures one shape under the forced scalar tier and the dispatched
@@ -315,30 +257,16 @@ fn measure_shape(
         (min_time(&times_s), min_time(&times_d))
     };
 
-    // Staging split: time the layout-matched quantize-and-stage pass
-    // that feeds this shape's batches (synthetic im2col floats, same
-    // batch size, same loops as `qconv::run_tile`).
+    // Record the dispatched tier's layout (the scalar tier is always
+    // row-major).
     engine.set_kernel(selected);
-    let layout = engine.batch_layout(n);
-    let cols: Vec<f32> = (0..ins * n).map(|_| rng.gen_range(0.0..1.0)).collect();
-    let q = QuantParams::affine(0.0, 1.0, 8);
-    let mut codes = Vec::new();
-    let stage_once = sample_staging(&cols, ins, n, &q, layout, &mut codes, 1).max(1e-9);
-    let stage_calls = ((200e-6 / stage_once).ceil() as usize).clamp(1, 20_000);
-    let staging_s = min_time(
-        &(0..reps)
-            .map(|_| sample_staging(&cols, ins, n, &q, layout, &mut codes, stage_calls))
-            .collect::<Vec<_>>(),
-    );
-
     ShapeMeasure {
         outs,
         ins,
         mvms,
         scalar_ns_per_mvm: scalar_s * 1e9 / n as f64,
         dispatched_ns_per_mvm: dispatched_s * 1e9 / n as f64,
-        staging_ns_per_mvm: staging_s * 1e9 / n as f64,
-        layout,
+        layout: engine.batch_layout(n),
         bit_identical,
     }
 }
@@ -455,7 +383,6 @@ impl KernelTier {
     /// Serializes the block for the v7 report.
     pub fn json(&self) -> Json {
         let total_mvm_ns = self.total_mvm_ns();
-        let total_staging_ns = self.total_staging_ns();
         let mut fields = vec![
             ("selected", Json::str(self.selected.label())),
             ("avx2_detected", Json::Bool(self.avx2_detected)),
@@ -464,20 +391,6 @@ impl KernelTier {
             (
                 "bit_identical",
                 Json::Bool(self.shapes.iter().all(|s| s.bit_identical)),
-            ),
-            (
-                // v7: the MVM-weighted staging-vs-kernel time split of
-                // one full zoo pass (where an inference's batch time
-                // actually goes before and inside the kernel).
-                "staging",
-                Json::obj([
-                    ("staging_ns", Json::Num(total_staging_ns)),
-                    ("mvm_ns", Json::Num(total_mvm_ns)),
-                    (
-                        "staging_share",
-                        Json::Num(total_staging_ns / (total_staging_ns + total_mvm_ns).max(1e-12)),
-                    ),
-                ]),
             ),
             (
                 "shapes",
@@ -491,7 +404,6 @@ impl KernelTier {
                                 ("mvms", Json::Num(s.mvms as f64)),
                                 ("scalar_ns_per_mvm", Json::Num(s.scalar_ns_per_mvm)),
                                 ("dispatched_ns_per_mvm", Json::Num(s.dispatched_ns_per_mvm)),
-                                ("staging_ns_per_mvm", Json::Num(s.staging_ns_per_mvm)),
                                 (
                                     "layout",
                                     Json::str(match s.layout {
@@ -531,8 +443,8 @@ impl KernelTier {
         Json::obj(fields)
     }
 
-    /// Table rows (`shape | weight | scalar | dispatched | stage |
-    /// layout | share | speedup | identical`) for
+    /// Table rows (`shape | weight | scalar | dispatched | layout |
+    /// share | speedup | identical`) for
     /// [`crate::print_table`].
     pub fn rows(&self) -> Vec<Vec<String>> {
         let total_mvm_ns = self.total_mvm_ns();
@@ -544,7 +456,6 @@ impl KernelTier {
                     format!("{}", s.mvms),
                     format!("{:.0}", s.scalar_ns_per_mvm),
                     format!("{:.0}", s.dispatched_ns_per_mvm),
-                    format!("{:.0}", s.staging_ns_per_mvm),
                     match s.layout {
                         MatmulLayout::Transposed => "T",
                         MatmulLayout::RowMajor => "rm",
@@ -566,8 +477,7 @@ impl KernelTier {
 /// violation found. Gates: block present with a selected tier in
 /// {scalar, avx2, avx512}, all tiers bit-identical, aggregate
 /// speedup at least 1.0 always, the v7 fields (`avx512_detected`,
-/// the `staging` split, per-shape `time_share` +
-/// `staging_ns_per_mvm`) present, and — for committed full runs that
+/// per-shape `time_share`) present, and — for committed full runs that
 /// selected a SIMD tier — the MVM-weighted aggregate at least 3.0
 /// plus every small shape (`outs <= 4`, where the transposed layout
 /// must engage) at least 2.5 (smoke configs measure tiny shapes and
@@ -601,16 +511,6 @@ pub fn kernel_tier_violations(doc: &Json) -> Vec<String> {
         kt.get("bit_identical").and_then(Json::as_bool) == Some(true),
         "kernel tiers must agree bit-for-bit on every measured shape",
     );
-    let staging = kt.get("staging");
-    check(staging.is_some(), "missing staging split block");
-    if let Some(st) = staging {
-        for field in ["staging_ns", "mvm_ns", "staging_share"] {
-            check(
-                st.get(field).and_then(Json::as_num).is_some(),
-                &format!("staging split missing {field}"),
-            );
-        }
-    }
     let shapes = kt.get("shapes").and_then(Json::as_arr);
     check(
         shapes.is_some_and(|a| !a.is_empty()),
@@ -628,12 +528,6 @@ pub fn kernel_tier_violations(doc: &Json) -> Vec<String> {
                 &format!("shape {label} missing time_share"),
             );
             share_sum += share.unwrap_or(0.0);
-            check(
-                sh.get("staging_ns_per_mvm")
-                    .and_then(Json::as_num)
-                    .is_some(),
-                &format!("shape {label} missing staging_ns_per_mvm"),
-            );
             if !smoke_doc && simd && outs <= 4.0 {
                 let sp = sh.get("speedup").and_then(Json::as_num).unwrap_or(0.0);
                 check(

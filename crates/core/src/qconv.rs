@@ -22,15 +22,15 @@ use yoloc_cim::faults::{FaultContext, FaultPlan, FaultSpec};
 use yoloc_cim::kernels::{transposed_pad, MatmulLayout};
 use yoloc_cim::macro_model::{MacroParams, MvmStats};
 use yoloc_quant::{calibrate_affine, PerChannelQuant, QuantParams};
-use yoloc_tensor::ops::{im2col, im2col_into, Conv2dGeometry};
+use yoloc_tensor::ops::{im2col, im2col_into, Conv2dGeometry, PatchWindow};
 use yoloc_tensor::Tensor;
 
 use serde::json::Value as Json;
 use serde::{Deserialize, Serialize};
 
-/// Reusable staging for one CiM layer execution: the im2col patch matrix,
-/// the quantized activation codes of the tile in flight, the integer MVM
-/// accumulators, and the backend's bit-plane staging.
+/// Reusable staging for one CiM layer execution: the layer input's
+/// activation codes, the lowered codes of the tile in flight, the integer
+/// MVM accumulators, and the backend's bit-plane staging.
 ///
 /// One `CimScratch` serves every layer of a deployment in turn (layers
 /// run serially, and each call fully overwrites what it uses), which is
@@ -39,9 +39,10 @@ use serde::{Deserialize, Serialize};
 /// samples and repeated `infer` calls.
 #[derive(Debug, Default)]
 pub struct CimScratch {
-    /// Lowered `(patch, positions)` im2col matrix (convs only).
-    cols: Vec<f32>,
-    /// Quantized activation codes of the tile in flight, vector-major.
+    /// The conv input quantized once, `(n, C, h, w)` row-major.
+    input_codes: Vec<i32>,
+    /// Activation codes of the tile in flight, in the backend's
+    /// [`MvmBackend::batch_layout`].
     codes: Vec<i32>,
     /// Integer accumulators of the tile in flight, vector-major.
     accs: Vec<i64>,
@@ -398,9 +399,10 @@ impl CimConv2d {
         }
     }
 
-    /// Lowers `x` (`(N, C, H, W)`) to its im2col activation matrix — the
-    /// shared input every tile of this layer reads. Exposed so the
-    /// staging cost can be measured on its own.
+    /// Lowers `x` (`(N, C, H, W)`) to its f32 im2col matrix, through the
+    /// same `im2col_into` walk [`CimConv2d::forward_in`] runs over
+    /// activation codes. Exposed so the lowering cost can be measured on
+    /// its own.
     pub fn lower(&self, x: &Tensor) -> Tensor {
         im2col(x, &self.geom)
     }
@@ -415,82 +417,84 @@ impl CimConv2d {
         self.out_channels
     }
 
-    /// Quantizes positions `lo..hi` of a patch-major `(patch, positions)`
-    /// matrix into `scratch.codes` and batches them through the backend
-    /// into `scratch.accs`, merging the tile's statistics (folded from
-    /// zero in vector order) into `stats`.
+    /// Lowers output positions `lo..hi` of the quantized input
+    /// `scratch.input_codes` (`dims` is its `[n, h, w]`) into
+    /// `scratch.codes` and batches them through the backend into
+    /// `scratch.accs`, merging the tile's statistics (folded from zero in
+    /// vector order) into `stats`.
     ///
-    /// The staging layout follows the backend's
-    /// [`MvmBackend::batch_layout`] choice. The transposed panel is the
-    /// natural fit for the patch-major im2col matrix: each activation
-    /// row `r` quantizes the *contiguous* slice `cols[r*positions +
-    /// lo..hi]` straight into its panel lane — one pass, no
-    /// quantize-then-repack, and no strided gather (which is what the
-    /// vector-major staging below pays per position).
-    #[allow(clippy::too_many_arguments)] // one tile's full dataflow, all borrowed
+    /// The lowering gathers codes straight into the layout the backend's
+    /// [`MvmBackend::batch_layout`] picks for the tile: vector-major rows,
+    /// or the lane-major panel whose rows are the contiguous runs of the
+    /// patch-major im2col matrix. Padded taps take the code of 0.0.
     fn run_tile<R: Rng + ?Sized>(
         &self,
-        cols: &[f32],
-        positions: usize,
-        lo: usize,
-        hi: usize,
+        dims: [usize; 3],
+        (lo, hi): (usize, usize),
         stats: &mut MvmStats,
         scratch: &mut CimScratch,
         rng: &mut R,
     ) {
+        let CimScratch {
+            input_codes,
+            codes,
+            accs,
+            mvm,
+        } = scratch;
         let patch = self.geom.patch_len();
         let count = hi - lo;
-        scratch.accs.clear();
-        scratch.accs.resize(count * self.out_channels, 0);
+        let pad = self.act_params.quantize_value(0.0);
+        accs.clear();
+        accs.resize(count * self.out_channels, 0);
         match self.engine.batch_layout(count) {
             MatmulLayout::Transposed => {
                 let n_pad = transposed_pad(count);
-                scratch.codes.clear();
-                scratch.codes.resize(patch * n_pad, 0);
-                for r in 0..patch {
-                    let src = &cols[r * positions + lo..r * positions + hi];
-                    let lane = &mut scratch.codes[r * n_pad..r * n_pad + count];
-                    for (c, &v) in lane.iter_mut().zip(src) {
-                        *c = self.act_params.quantize_value(v);
-                    }
+                codes.resize(patch * n_pad, 0);
+                let win = PatchWindow {
+                    lo,
+                    hi,
+                    row_stride: n_pad,
+                    col_stride: 1,
+                };
+                im2col_into(input_codes, dims, &self.geom, pad, win, codes);
+                // Padding lanes are never read back; zero them so they
+                // hold valid codes whatever the buffer held before.
+                for lane in codes.chunks_exact_mut(n_pad) {
+                    lane[count..].fill(0);
                 }
                 self.engine.mvm_batch_transposed(
-                    &scratch.codes,
+                    codes,
                     count,
                     n_pad,
-                    &mut scratch.accs,
+                    accs,
                     stats,
-                    &mut scratch.mvm,
+                    mvm,
                     &mut DynRng(rng),
                 );
             }
             MatmulLayout::RowMajor => {
-                scratch.codes.clear();
-                for pos in lo..hi {
-                    for r in 0..patch {
-                        scratch
-                            .codes
-                            .push(self.act_params.quantize_value(cols[r * positions + pos]));
-                    }
-                }
-                self.engine.mvm_batch(
-                    &scratch.codes,
-                    count,
-                    &mut scratch.accs,
-                    stats,
-                    &mut scratch.mvm,
-                    &mut DynRng(rng),
-                );
+                codes.resize(count * patch, 0);
+                let win = PatchWindow {
+                    lo,
+                    hi,
+                    row_stride: 1,
+                    col_stride: patch,
+                };
+                im2col_into(input_codes, dims, &self.geom, pad, win, codes);
+                self.engine
+                    .mvm_batch(codes, count, accs, stats, mvm, &mut DynRng(rng));
             }
         }
     }
 
     /// Arena forward: runs the convolution on a raw row-major
     /// `(n, C, h, w)` buffer, writing the dequantized `(n, OC, OH, OW)`
-    /// feature map into `out` using only `scratch` storage. The output
-    /// positions are walked in [`CimConv2d::tile_range_iter`] order, each
-    /// tile's statistics folded from zero and then merged, so the f64
-    /// energy/latency sums follow the placement's tile decomposition.
+    /// feature map into `out` using only `scratch` storage. Each input
+    /// element is quantized once; every tile then lowers the codes. The
+    /// output positions are walked in [`CimConv2d::tile_range_iter`]
+    /// order, each tile's statistics folded from zero and then merged, so
+    /// the f64 energy/latency sums follow the placement's tile
+    /// decomposition.
     ///
     /// # Panics
     ///
@@ -507,30 +511,32 @@ impl CimConv2d {
         rng: &mut R,
     ) -> MvmStats {
         let (oh, ow) = self.geom.output_hw(h, w);
-        assert_eq!(out.len(), n * self.out_channels * oh * ow, "output length");
-        let mut cols = std::mem::take(&mut scratch.cols);
-        let (_, positions) = im2col_into(x, n, h, w, &self.geom, &mut cols);
+        let (plane, oc) = (oh * ow, self.out_channels);
+        assert_eq!(x.len(), n * self.geom.in_channels * h * w, "input length");
+        assert_eq!(out.len(), n * oc * plane, "output length");
+        scratch.input_codes.clear();
+        scratch
+            .input_codes
+            .extend(x.iter().map(|&v| self.act_params.quantize_value(v)));
         let mut stats = MvmStats::default();
-        for (lo, hi) in self.tile_range_iter(positions) {
+        for (lo, hi) in self.tile_range_iter(n * plane) {
             let mut tile_stats = MvmStats::default();
-            self.run_tile(&cols, positions, lo, hi, &mut tile_stats, scratch, rng);
+            self.run_tile([n, h, w], (lo, hi), &mut tile_stats, scratch, rng);
             stats.merge(&tile_stats);
-            // Dequantize and scatter, position-major, into the
-            // `(n, OC, OH, OW)` output map.
-            for (v, acc) in scratch.accs[..(hi - lo) * self.out_channels]
-                .chunks_exact(self.out_channels)
-                .enumerate()
-            {
-                let pos = lo + v;
-                let ni = pos / (oh * ow);
-                let p = pos % (oh * ow);
+            // Dequantize and scatter, position-major: position
+            // `ni*plane + p` of channel `o` lands at `(ni*OC + o)*plane + p`.
+            let (mut ni, mut p) = (lo / plane, lo % plane);
+            for acc in scratch.accs[..(hi - lo) * oc].chunks_exact(oc) {
+                let base = ni * oc * plane + p;
                 for (o, &a) in acc.iter().enumerate() {
-                    out[((ni * self.out_channels + o) * oh + p / ow) * ow + p % ow] =
-                        self.dequant.value(o, a, &self.act_params);
+                    out[base + o * plane] = self.dequant.value(o, a, &self.act_params);
+                }
+                p += 1;
+                if p == plane {
+                    (ni, p) = (ni + 1, 0);
                 }
             }
         }
-        scratch.cols = cols;
         stats
     }
 
@@ -865,7 +871,122 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use yoloc_cim::{KernelDispatch, KernelKind};
     use yoloc_tensor::ops::conv2d_reference;
+
+    /// Reference staging `forward_in` is pinned to: the f32 im2col
+    /// matrix, each of its elements quantized on its own, row-major
+    /// `mvm_batch` over the same tiles (statistics folded per tile), and
+    /// `Dequant::value` scattered by division.
+    fn forward_reference<R: Rng>(conv: &CimConv2d, x: &Tensor, rng: &mut R) -> (Tensor, MvmStats) {
+        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let (oh, ow) = conv.output_hw(h, w);
+        let oc = conv.out_channels;
+        let cols = im2col(x, &conv.geom);
+        let (patch, positions) = (cols.shape()[0], cols.shape()[1]);
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        let mut stats = MvmStats::default();
+        let mut mvm = MvmScratch::new();
+        for (lo, hi) in conv.tile_range_iter(positions) {
+            let mut codes = Vec::new();
+            for pos in lo..hi {
+                for r in 0..patch {
+                    let v = cols.data()[r * positions + pos];
+                    codes.push(conv.act_params.quantize_value(v));
+                }
+            }
+            let mut accs = vec![0i64; (hi - lo) * oc];
+            let mut tile_stats = MvmStats::default();
+            conv.engine.mvm_batch(
+                &codes,
+                hi - lo,
+                &mut accs,
+                &mut tile_stats,
+                &mut mvm,
+                &mut DynRng(rng),
+            );
+            stats.merge(&tile_stats);
+            for (v, acc) in accs.chunks_exact(oc).enumerate() {
+                let (ni, p) = ((lo + v) / (oh * ow), (lo + v) % (oh * ow));
+                for (o, &a) in acc.iter().enumerate() {
+                    *out.at_mut(&[ni, o, p / ow, p % ow]) =
+                        conv.dequant.value(o, a, &conv.act_params);
+                }
+            }
+        }
+        (out, stats)
+    }
+
+    /// Runs `conv` on `x` through `forward_in` at tile hints 1, 5 and 16
+    /// and asserts each run equals [`forward_reference`] bit for bit, in
+    /// outputs and `MvmStats`; returns the batch layout of every tile.
+    fn assert_matches_oracle(
+        conv: &mut CimConv2d,
+        x: &Tensor,
+        scratch: &mut CimScratch,
+        label: &str,
+    ) -> Vec<MatmulLayout> {
+        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let (oh, ow) = conv.output_hw(h, w);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut layouts = Vec::new();
+        for tiles in [1, 5, 16] {
+            conv.set_tile_hint(tiles);
+            let (want, want_stats) = forward_reference(conv, x, &mut StdRng::seed_from_u64(7));
+            let mut out = vec![f32::NAN; want.len()];
+            let mut rng = StdRng::seed_from_u64(7);
+            let stats = conv.forward_in(x.data(), n, h, w, &mut out, scratch, &mut rng);
+            assert_eq!(bits(&out), bits(want.data()), "{label} tiles {tiles}");
+            assert_eq!(stats, want_stats, "{label} tiles {tiles}");
+            layouts.extend(
+                conv.tile_range_iter(n * oh * ow)
+                    .map(|(lo, hi)| conv.engine.batch_layout(hi - lo)),
+            );
+        }
+        layouts
+    }
+
+    #[test]
+    fn forward_in_matches_staging_oracle() {
+        // Window geometries x batch sizes x tile hints x both batch
+        // layouts x every backend. Inputs dip below zero, so the zero
+        // point — the pad code — is above 0. One scratch serves the
+        // whole grid, as in the arena executor, so stale codes from
+        // earlier layers sit in its buffers.
+        let mut rng = StdRng::seed_from_u64(21);
+        let params = MacroParams::rom_paper();
+        let (c, hw) = (2, 7);
+        let mut scratch = CimScratch::new();
+        let mut layouts = Vec::new();
+        let kinds = [
+            BackendKind::Popcount,
+            BackendKind::Software,
+            BackendKind::Analog,
+        ];
+        for kind in kinds {
+            for kernel in [1, 3, 5] {
+                for (stride, padding) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
+                    // Batches 1 and 3. On the SIMD tiers 4 output
+                    // channels take the transposed panel once a tile
+                    // holds 4+ positions; 48 stay row-major.
+                    for (n, outs) in [(1, 4), (1, 48), (3, 4), (3, 48)] {
+                        let w = Tensor::randn(&[outs, c, kernel, kernel], 0.0, 0.4, &mut rng);
+                        let x = Tensor::rand_uniform(&[n, c, hw, hw], -0.6, 1.0, &mut rng);
+                        let mut conv =
+                            CimConv2d::compile_on(kind, &w, stride, padding, &[&x], params);
+                        assert!(conv.act_params.quantize_value(0.0) > 0);
+                        let label =
+                            format!("{kind:?} k{kernel} s{stride} p{padding} n{n} outs{outs}");
+                        layouts.extend(assert_matches_oracle(&mut conv, &x, &mut scratch, &label));
+                    }
+                }
+            }
+        }
+        assert!(layouts.contains(&MatmulLayout::RowMajor));
+        if KernelDispatch::from_env().resolve() != KernelKind::Scalar {
+            assert!(layouts.contains(&MatmulLayout::Transposed));
+        }
+    }
 
     #[test]
     fn cim_conv_matches_software_within_quantization() {

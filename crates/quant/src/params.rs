@@ -84,11 +84,25 @@ impl QuantParams {
         }
     }
 
-    /// Quantizes a real value to its integer code (round-to-nearest,
-    /// saturating).
+    /// Quantizes a real value to its integer code (round half away from
+    /// zero, saturating; NaN maps to the zero point).
+    ///
+    /// The rounding is built from an exact truncation instead of a
+    /// `roundf` call, so a loop over a whole map makes no call and its
+    /// arithmetic vectorizes: for `|x| < 2^31` the `as` cast truncates
+    /// exactly and `x - t` is the exact fractional part. Larger
+    /// magnitudes and infinities saturate in the cast, NaN casts to 0,
+    /// and the adds saturate too, so no input can wrap past the clamp.
+    #[inline]
     pub fn quantize_value(&self, v: f32) -> i32 {
-        let q = (v / self.scale).round() as i32 + self.zero_point;
-        q.clamp(self.qmin(), self.qmax())
+        let x = v / self.scale;
+        let t = x as i32;
+        let f = x - t as f32;
+        let q = t
+            .saturating_add(i32::from(f >= 0.5))
+            .saturating_sub(i32::from(f <= -0.5));
+        q.saturating_add(self.zero_point)
+            .clamp(self.qmin(), self.qmax())
     }
 
     /// Reconstructs the real value of an integer code.
@@ -288,6 +302,118 @@ mod tests {
         let t = Tensor::from_vec(vec![2.0, 3.0, 4.0], &[3]).unwrap();
         let p = calibrate_affine(&[&t], 8);
         assert!(p.dequantize_value(p.quantize_value(0.0)).abs() <= p.scale / 2.0);
+    }
+
+    /// Reference quantizer: `f32::round` (half away from zero), then a
+    /// saturating zero-point add and the clamp.
+    fn quantize_via_round(p: &QuantParams, v: f32) -> i32 {
+        ((v / p.scale).round() as i32)
+            .saturating_add(p.zero_point)
+            .clamp(p.qmin(), p.qmax())
+    }
+
+    /// SplitMix64 step: the seeded stream the float properties draw from.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn quantize_saturates_at_extremes() {
+        // Affine over [-1, 1] puts the zero point at 127, where an
+        // unsaturated zero-point add wraps for huge inputs: the brightest
+        // pixel would become code 0 (or panic with overflow checks on).
+        let affine = QuantParams::affine(-1.0, 1.0, 8);
+        let symmetric = QuantParams::symmetric(1.0, 8);
+        assert_eq!(affine.zero_point, 127);
+        for p in [affine, symmetric] {
+            let (lo, hi, zp) = (p.qmin(), p.qmax(), p.zero_point);
+            assert_eq!(p.quantize_value(f32::INFINITY), hi);
+            assert_eq!(p.quantize_value(f32::NEG_INFINITY), lo);
+            assert_eq!(p.quantize_value(1e9), hi);
+            assert_eq!(p.quantize_value(1e12), hi);
+            assert_eq!(p.quantize_value(-1e12), lo);
+            assert_eq!(p.quantize_value(f32::MAX), hi);
+            assert_eq!(p.quantize_value(f32::MIN), lo);
+            assert_eq!(p.quantize_value(f32::NAN), zp);
+            assert_eq!(p.quantize_value(-f32::NAN), zp);
+            assert_eq!(p.quantize_value(-0.0), zp);
+            assert_eq!(p.quantize_value(0.0), zp);
+            for sub in [f32::from_bits(1), f32::MIN_POSITIVE / 2.0] {
+                assert_eq!(p.quantize_value(sub), zp, "{sub:e}");
+                assert_eq!(p.quantize_value(-sub), zp, "{:e}", -sub);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_rounds_ties_away_from_zero() {
+        // Power-of-two scales make `k * scale / scale == k` exact, so
+        // these inputs are true ties.
+        let symmetric = QuantParams {
+            scale: 0.25,
+            zero_point: 0,
+            bits: 8,
+            symmetric: true,
+        };
+        let affine = QuantParams {
+            scale: 0.25,
+            zero_point: 100,
+            bits: 8,
+            symmetric: false,
+        };
+        for p in [symmetric, affine] {
+            let zp = p.zero_point;
+            for (steps, want) in [(0.5, 1), (-0.5, -1), (2.5, 3), (-2.5, -3), (1.5, 2)] {
+                assert_eq!(p.quantize_value(steps * p.scale), zp + want, "{steps}");
+            }
+            // Just inside a tie rounds toward the nearer code.
+            let below = f32::from_bits(0.5f32.to_bits() - 1);
+            assert_eq!(p.quantize_value(below * p.scale), zp);
+            assert_eq!(p.quantize_value(-below * p.scale), zp);
+        }
+    }
+
+    #[test]
+    fn quantize_matches_round_on_random_bit_patterns() {
+        // Every f32 bit pattern (subnormals, NaNs and infinities
+        // included) under every width, symmetric and affine: the
+        // truncation-built rounding equals `f32::round`.
+        let mut state = 0x5EED_5EED_5EED_5EEDu64;
+        for bits in 2..=16u8 {
+            let mut params = vec![
+                QuantParams::symmetric(1.0, bits),
+                QuantParams::symmetric(3.7e-3, bits),
+                QuantParams::affine(-1.0, 1.0, bits),
+                QuantParams::affine(-0.37, 2.11, bits),
+                QuantParams::affine(0.0, 6.0, bits),
+            ];
+            // Random scales too, including ones where `v / scale`
+            // overflows or underflows.
+            for _ in 0..4 {
+                let scale = f32::from_bits(splitmix64(&mut state) as u32).abs();
+                if scale.is_finite() && scale > 0.0 {
+                    let mut p = QuantParams::affine(-1.0, 1.0, bits);
+                    p.scale = scale;
+                    params.push(p);
+                }
+            }
+            for p in &params {
+                for _ in 0..2_000 {
+                    let v = f32::from_bits(splitmix64(&mut state) as u32);
+                    assert_eq!(p.quantize_value(v), quantize_via_round(p, v), "{v:e} {p:?}");
+                }
+                // Ties, the top codes and magnitudes past `i32::MAX`.
+                for k in [0.5f32, 2.5, 127.5, 254.5, 8_388_607.5, 3e9] {
+                    for v in [k * p.scale, -k * p.scale] {
+                        assert_eq!(p.quantize_value(v), quantize_via_round(p, v), "{v:e} {p:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

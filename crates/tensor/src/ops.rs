@@ -60,65 +60,293 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     assert_eq!(x.ndim(), 4, "im2col expects (N, C, H, W)");
     let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
     assert_eq!(x.shape()[1], geom.in_channels, "channel mismatch");
-    let mut out = Vec::new();
-    let (rows, cols) = im2col_into(x.data(), n, h, w, geom, &mut out);
+    let (oh, ow) = geom.output_hw(h, w);
+    let (rows, cols) = (geom.patch_len(), n * oh * ow);
+    let mut out = vec![0.0; rows * cols];
+    im2col_into(
+        x.data(),
+        [n, h, w],
+        geom,
+        0.0,
+        PatchWindow::patch_major(cols),
+        &mut out,
+    );
     Tensor::from_vec(out, &[rows, cols]).expect("im2col shape is consistent")
 }
 
-/// Allocation-reusing form of [`im2col`]: lowers a raw row-major
-/// `(N, C, H, W)` buffer into `out` (resized and zeroed in place, so a
-/// warmed buffer is never reallocated) and returns the `(rows, cols)`
-/// dimensions of the patch matrix. [`im2col`] is the allocating wrapper.
+/// The part of a `(C*k*k, N*OH*OW)` patch matrix [`im2col_into`] writes,
+/// and where: columns `lo..hi`, element `(row, col)` at
+/// `out[row * row_stride + (col - lo) * col_stride]`.
+///
+/// [`im2col`] lowers the whole matrix patch-major
+/// ([`PatchWindow::patch_major`]); a tile of output positions can be
+/// lowered vector-major (`row_stride == 1`, `col_stride == rows`) or into
+/// a lane-major panel whose rows are padded past the tile width
+/// (`row_stride >= hi - lo`, `col_stride == 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PatchWindow {
+    /// First column (output position) written.
+    pub lo: usize,
+    /// One past the last column written.
+    pub hi: usize,
+    /// Distance in `out` between consecutive patch rows.
+    pub row_stride: usize,
+    /// Distance in `out` between consecutive columns.
+    pub col_stride: usize,
+}
+
+impl PatchWindow {
+    /// All `cols` columns, patch-major: the layout [`im2col`] returns.
+    pub fn patch_major(cols: usize) -> Self {
+        PatchWindow {
+            lo: 0,
+            hi: cols,
+            row_stride: cols,
+            col_stride: 1,
+        }
+    }
+}
+
+/// Lowers the columns `win` selects of the im2col matrix of a raw
+/// row-major `(N, C, H, W)` buffer (`dims` is `[N, H, W]`) into `out`, in
+/// the layout `win` describes. Every element of the window is written —
+/// out-of-bounds taps take `pad` — and nothing else in `out` is touched.
+///
+/// Generic over the element so the same lowering serves float maps
+/// ([`im2col`], zero padding) and activation codes (padding with the
+/// code of 0.0). The walk follows the layout so that runs of in-bounds
+/// taps land contiguously: along an output row when columns are
+/// adjacent in `out` (a stride-1 run is copied as one slice), along a
+/// kernel row when patch rows are.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != n * in_channels * h * w`.
-pub fn im2col_into(
-    x: &[f32],
-    n: usize,
+/// Panics if `x.len() != N * in_channels * H * W`, if the window exceeds
+/// the `N*OH*OW` columns, or if `out` is too short for it.
+pub fn im2col_into<T: Copy>(
+    x: &[T],
+    dims: [usize; 3],
+    geom: &Conv2dGeometry,
+    pad: T,
+    win: PatchWindow,
+    out: &mut [T],
+) {
+    let [n, h, w] = dims;
+    assert_eq!(
+        x.len(),
+        n * geom.in_channels * h * w,
+        "input buffer length mismatch"
+    );
+    let (oh, ow) = geom.output_hw(h, w);
+    assert!(
+        win.lo <= win.hi && win.hi <= n * oh * ow,
+        "window exceeds the patch matrix"
+    );
+    if win.lo == win.hi {
+        return;
+    }
+    let last = (geom.patch_len() - 1) * win.row_stride + (win.hi - win.lo - 1) * win.col_stride;
+    assert!(last < out.len(), "output buffer too short for the window");
+    let lowering = Lowering {
+        x,
+        geom,
+        h,
+        w,
+        oh,
+        ow,
+        pad,
+        win,
+    };
+    if win.col_stride == 1 {
+        lowering.by_tap(out);
+    } else {
+        lowering.by_position(out);
+    }
+}
+
+/// One [`im2col_into`] call: the input, its geometry and the window.
+///
+/// Patch row `(ci*k + kh)*k + kw` of column `(ni, ohi, owi)` reads
+/// channel `ci` of sample `ni` at `(ohi*s + kh - padding, owi*s + kw -
+/// padding)`. Every channel shares a tap's bounds, so both walks work
+/// those out once and step through the channels by fixed strides.
+struct Lowering<'a, T> {
+    x: &'a [T],
+    geom: &'a Conv2dGeometry,
     h: usize,
     w: usize,
-    geom: &Conv2dGeometry,
-    out: &mut Vec<f32>,
-) -> (usize, usize) {
-    let c = geom.in_channels;
-    assert_eq!(x.len(), n * c * h * w, "input buffer length mismatch");
-    let (oh, ow) = geom.output_hw(h, w);
-    let k = geom.kernel;
-    let cols = n * oh * ow;
-    let rows = geom.patch_len();
-    // Padded positions rely on a fully zeroed buffer; clear-then-resize
-    // zeroes every element while keeping the allocation.
-    out.clear();
-    out.resize(rows * cols, 0.0);
-    let xd = x;
-    for ni in 0..n {
-        for ci in 0..c {
-            let x_base = (ni * c + ci) * h * w;
+    oh: usize,
+    ow: usize,
+    pad: T,
+    win: PatchWindow,
+}
+
+impl<T: Copy> Lowering<'_, T> {
+    /// The input row kernel row `kh` reads for output row `ohi`, if it
+    /// lies inside the map.
+    fn input_row(&self, ohi: usize, kh: usize) -> Option<usize> {
+        (ohi * self.geom.stride + kh)
+            .checked_sub(self.geom.padding)
+            .filter(|&ih| ih < self.h)
+    }
+
+    /// The window's first column as `(sample, output row, output column)`.
+    fn start(&self) -> (usize, usize, usize) {
+        let plane = self.oh * self.ow;
+        let lo = self.win.lo;
+        (lo / plane, lo % plane / self.ow, lo % self.ow)
+    }
+
+    /// Walk for layouts whose columns are adjacent in `out`: per tap,
+    /// output row by output row, each row's in-bounds taps are one run.
+    fn by_tap(&self, out: &mut [T]) {
+        let Conv2dGeometry {
+            in_channels: c,
+            kernel: k,
+            stride: s,
+            padding,
+        } = *self.geom;
+        let PatchWindow {
+            lo,
+            hi,
+            row_stride,
+            col_stride,
+        } = self.win;
+        let (h, w, chan) = (self.h, self.w, self.h * self.w);
+        let start = self.start();
+        for kw in 0..k {
+            // Output columns whose tap `owi*s + kw - padding` lands in
+            // `0..w`, the same for every output row.
+            let first = padding.saturating_sub(kw).div_ceil(s).min(self.ow);
+            let end = (w + padding).saturating_sub(kw).div_ceil(s);
+            let (in_lo, in_hi) = (first, end.clamp(first, self.ow));
             for kh in 0..k {
-                for kw in 0..k {
-                    let row = (ci * k + kh) * k + kw;
-                    let out_base = row * cols + ni * oh * ow;
-                    for ohi in 0..oh {
-                        let ih = (ohi * geom.stride + kh) as isize - geom.padding as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
+                let row = kh * k + kw;
+                let (mut ni, mut ohi, mut owi) = start;
+                let mut col = lo;
+                while col < hi {
+                    let end = self.ow.min(owi + hi - col);
+                    let dst = row * row_stride + (col - lo) * col_stride;
+                    // Pad, then the in-bounds run `a..b`, then pad.
+                    let ih = self.input_row(ohi, kh);
+                    let (a, b) = match ih {
+                        Some(_) => (in_lo.clamp(owi, end), in_hi.clamp(owi, end)),
+                        None => (end, end),
+                    };
+                    let src = ih
+                        .filter(|_| a < b)
+                        .map(|ih| (ni * c * h + ih) * w + a * s + kw - padding);
+                    for ci in 0..c {
+                        let d = dst + ci * k * k * row_stride;
+                        fill(out, d, col_stride, a - owi, self.pad);
+                        let run = d + (a - owi) * col_stride;
+                        if let Some(src) = src {
+                            let taps = &self.x[src + ci * chan..];
+                            copy(out, run, col_stride, taps, s, b - a);
                         }
-                        let x_row = x_base + ih as usize * w;
-                        let out_row = out_base + ohi * ow;
-                        for owi in 0..ow {
-                            let iw = (owi * geom.stride + kw) as isize - geom.padding as isize;
-                            if iw < 0 || iw >= w as isize {
-                                continue;
-                            }
-                            out[out_row + owi] = xd[x_row + iw as usize];
-                        }
+                        fill(
+                            out,
+                            run + (b - a) * col_stride,
+                            col_stride,
+                            end - b,
+                            self.pad,
+                        );
+                    }
+                    col += end - owi;
+                    owi = 0;
+                    ohi += 1;
+                    if ohi == self.oh {
+                        ohi = 0;
+                        ni += 1;
                     }
                 }
             }
         }
     }
-    (rows, cols)
+
+    /// Walk for layouts whose patch rows are adjacent in `out`: per
+    /// column, each kernel row's in-bounds taps are one run.
+    fn by_position(&self, out: &mut [T]) {
+        let Conv2dGeometry {
+            in_channels: c,
+            kernel: k,
+            stride: s,
+            padding,
+        } = *self.geom;
+        let PatchWindow {
+            lo,
+            hi,
+            row_stride,
+            col_stride,
+        } = self.win;
+        let (h, w, chan) = (self.h, self.w, self.h * self.w);
+        let (mut ni, mut ohi, mut owi) = self.start();
+        for col in lo..hi {
+            let dst = (col - lo) * col_stride;
+            // Kernel columns whose tap `owi*s + kw - padding` lands in
+            // `0..w`.
+            let left = owi * s;
+            let first = padding.saturating_sub(left).min(k);
+            let (in_lo, in_hi) = (first, (w + padding).saturating_sub(left).clamp(first, k));
+            for kh in 0..k {
+                // Pad, then the in-bounds run `a..b`, then pad.
+                let ih = self.input_row(ohi, kh);
+                let (a, b) = if ih.is_some() { (in_lo, in_hi) } else { (k, k) };
+                let src = ih
+                    .filter(|_| a < b)
+                    .map(|ih| (ni * c * h + ih) * w + left + a - padding);
+                for ci in 0..c {
+                    let d = dst + (ci * k + kh) * k * row_stride;
+                    fill(out, d, row_stride, a, self.pad);
+                    let run = d + a * row_stride;
+                    if let Some(src) = src {
+                        copy(out, run, row_stride, &self.x[src + ci * chan..], 1, b - a);
+                    }
+                    fill(out, run + (b - a) * row_stride, row_stride, k - b, self.pad);
+                }
+            }
+            owi += 1;
+            if owi == self.ow {
+                owi = 0;
+                ohi += 1;
+                if ohi == self.oh {
+                    ohi = 0;
+                    ni += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Writes `v` to `count` elements of `out` starting at `start`, `stride`
+/// apart.
+fn fill<T: Copy>(out: &mut [T], start: usize, stride: usize, count: usize, v: T) {
+    if stride == 1 {
+        out[start..start + count].fill(v);
+    } else {
+        for j in 0..count {
+            out[start + j * stride] = v;
+        }
+    }
+}
+
+/// Copies `count` elements of `src`, `src_stride` apart, to `out` from
+/// `start`, `stride` apart.
+fn copy<T: Copy>(
+    out: &mut [T],
+    start: usize,
+    stride: usize,
+    src: &[T],
+    src_stride: usize,
+    count: usize,
+) {
+    if stride == 1 && src_stride == 1 {
+        out[start..start + count].copy_from_slice(&src[..count]);
+    } else {
+        for j in 0..count {
+            out[start + j * stride] = src[j * src_stride];
+        }
+    }
 }
 
 /// Adjoint of [`im2col`]: scatters a `(C*k*k, N*OH*OW)` patch-gradient matrix
@@ -324,16 +552,16 @@ mod tests {
     }
 
     /// Lowers a convolution through `im2col` + matmul and compares against
-    /// `conv2d_reference` elementwise.
+    /// `conv2d_reference` elementwise, then checks the code lowering of
+    /// the same input against the float one.
     fn assert_lowering_matches_direct(n: usize, c: usize, oc: usize, hw: usize, g: Conv2dGeometry) {
         let mut rng = StdRng::seed_from_u64((g.kernel * 100 + g.stride * 10 + g.padding) as u64);
         let x = Tensor::randn(&[n, c, hw, hw], 0.0, 1.0, &mut rng);
         let w = Tensor::randn(&[oc, c, g.kernel, g.kernel], 0.0, 1.0, &mut rng);
         let (oh, ow) = g.output_hw(hw, hw);
-        let om = w
-            .reshape(&[oc, g.patch_len()])
-            .unwrap()
-            .matmul(&im2col(&x, &g));
+        let cols = im2col(&x, &g);
+        assert_code_lowering_matches(&x, &cols, &g);
+        let om = w.reshape(&[oc, g.patch_len()]).unwrap().matmul(&cols);
         let reference = conv2d_reference(&x, &w, None, g.stride, g.padding);
         for ni in 0..n {
             for oci in 0..oc {
@@ -352,25 +580,77 @@ mod tests {
         }
     }
 
+    /// A stand-in affine quantizer whose zero point (37) makes the code
+    /// of 0.0, the pad code, nonzero.
+    fn code(v: f32) -> i32 {
+        ((v / 0.05).round() as i32 + 37).clamp(0, 255)
+    }
+
+    /// Lowering the quantized input (padding with the code of 0.0) gives
+    /// `im2col(x)` quantized element by element, in every layout the
+    /// CiM staging uses: the whole matrix patch-major, and three tiles
+    /// of columns vector-major and into lane panels three lanes wider
+    /// than the tile, whose padding lanes must stay untouched.
+    fn assert_code_lowering_matches(x: &Tensor, cols: &Tensor, g: &Conv2dGeometry) {
+        const UNTOUCHED: i32 = -1;
+        let (rows, ncols) = (cols.shape()[0], cols.shape()[1]);
+        let want: Vec<i32> = cols.data().iter().map(|&v| code(v)).collect();
+        let codes: Vec<i32> = x.data().iter().map(|&v| code(v)).collect();
+        let dims = [x.shape()[0], x.shape()[2], x.shape()[3]];
+        let lower = |win: PatchWindow, len: usize| {
+            let mut out = vec![UNTOUCHED; len];
+            im2col_into(&codes, dims, g, code(0.0), win, &mut out);
+            out
+        };
+        assert_eq!(lower(PatchWindow::patch_major(ncols), rows * ncols), want);
+        let cuts = [0, ncols / 3, 2 * ncols / 3, ncols];
+        for (lo, hi) in cuts.iter().zip(&cuts[1..]).map(|(&lo, &hi)| (lo, hi)) {
+            let (count, lanes) = (hi - lo, hi - lo + 3);
+            let vector_major = PatchWindow {
+                lo,
+                hi,
+                row_stride: 1,
+                col_stride: rows,
+            };
+            let panel = PatchWindow {
+                lo,
+                hi,
+                row_stride: lanes,
+                col_stride: 1,
+            };
+            let vm = lower(vector_major, count * rows);
+            let lm = lower(panel, rows * lanes);
+            for r in 0..rows {
+                let want_row = &want[r * ncols + lo..r * ncols + hi];
+                let vm_row: Vec<i32> = (0..count).map(|v| vm[v * rows + r]).collect();
+                assert_eq!(vm_row, want_row, "{g:?} row {r} cols {lo}..{hi}");
+                assert_eq!(&lm[r * lanes..r * lanes + count], want_row);
+                assert_eq!(lm[r * lanes + count..(r + 1) * lanes], [UNTOUCHED; 3]);
+            }
+        }
+    }
+
     #[test]
     fn im2col_matches_reference_conv_shape_grid() {
         // The hardware mapper reuses the im2col matrix verbatim, so the
         // lowering must agree with direct convolution for every window
-        // geometry the model zoo uses — not just the 3x3/s1/p1 hot case.
-        let hw = 8;
-        for kernel in [1, 2, 3, 5] {
-            for stride in [1, 2, 3] {
-                for padding in [0, 1, 2] {
-                    if hw + 2 * padding < kernel {
-                        continue;
+        // geometry the model zoo uses — not just the 3x3/s1/p1 hot case —
+        // including maps smaller than the kernel.
+        for hw in [8, 3, 1] {
+            for kernel in [1, 2, 3, 5] {
+                for stride in [1, 2, 3] {
+                    for padding in [0, 1, 2] {
+                        if hw + 2 * padding < kernel {
+                            continue;
+                        }
+                        let g = Conv2dGeometry {
+                            in_channels: 2,
+                            kernel,
+                            stride,
+                            padding,
+                        };
+                        assert_lowering_matches_direct(2, 2, 3, hw, g);
                     }
-                    let g = Conv2dGeometry {
-                        in_channels: 2,
-                        kernel,
-                        stride,
-                        padding,
-                    };
-                    assert_lowering_matches_direct(2, 2, 3, hw, g);
                 }
             }
         }
