@@ -19,6 +19,10 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== run the examples that drive RomMvm::mvm and a popcount-backend CimConv2d"
+cargo run --release -q --example quickstart
+cargo run --release -q --example cim_inference
+
 echo "== build release bench binaries (repro_all launches its siblings)"
 cargo build --release -p yoloc-bench --bins
 

@@ -20,15 +20,15 @@ fn bench_macro_mvm(c: &mut Criterion) {
         .map(|i| ((i * 37) % 255) as i32 - 127)
         .collect();
     let acts: Vec<i32> = (0..ins).map(|i| ((i * 13) % 256) as i32).collect();
-    // The popcount fast path (default) vs the cell-accurate analog
-    // reference path — the single-macro view of the engine speedup.
-    let mut engine = RomMvm::program(MacroParams::rom_paper(), &codes, outs, ins);
+    // The batch kernels on one vector (what `mvm` runs on a noiseless
+    // macro) vs the cell-accurate analog reference path — the
+    // single-macro view of the engine speedup.
+    let engine = RomMvm::program(MacroParams::rom_paper(), &codes, outs, ins);
     c.bench_function("rom_mvm_128x32_8b_fast", |b| {
         b.iter(|| engine.mvm(std::hint::black_box(&acts), &mut rng))
     });
-    engine.set_fast_path(false);
     c.bench_function("rom_mvm_128x32_8b_analog", |b| {
-        b.iter(|| engine.mvm(std::hint::black_box(&acts), &mut rng))
+        b.iter(|| engine.mvm_analog(std::hint::black_box(&acts), &mut rng))
     });
 }
 

@@ -1,14 +1,12 @@
 //! Baseline benchmark of the batched CiM inference engine, plus the
 //! graph-compiled model-zoo scaling table.
 //!
-//! Part 1 measures samples/sec through a deployed `TinyCnn` on three
+//! Part 1 measures samples/sec through a deployed `TinyCnn` on two
 //! configurations and asserts their equivalence:
 //!
-//! * **serial** — the pre-engine baseline: one thread, cell-accurate
-//!   analog reference path (`set_fast_path(false)`);
-//! * **serial_fast_path** — one thread, the popcount fast path;
+//! * **serial_fast_path** — one thread, the popcount backend;
 //! * **batched** — `infer_batch` over the persistent [`WorkerPool`] at
-//!   a sweep of worker counts, fast path on.
+//!   a sweep of worker counts.
 //!
 //! Part 2 exercises the pass-based graph compiler: zoo `NetworkDesc`
 //! architectures (width/resolution-scaled so the functional simulator
@@ -40,9 +38,9 @@
 //! into the committed report without re-running the full harness.
 //!
 //! Schema v6 adds the `kernel_tier` block: per unique lowered im2col
-//! shape across the zoo, `mvm_batch` timed under the forced scalar
-//! kernel tier vs the runtime-dispatched tier (AVX2 where the host has
-//! it), bit-identity asserted between the two, and the MVM-weighted
+//! shape across the zoo, the batch entry inference dispatches timed
+//! under the forced scalar kernel tier vs the runtime-dispatched tier
+//! (AVX2 where the host has it), bit-identity asserted between the two, and the MVM-weighted
 //! aggregate `speedup_vs_scalar` plus the selected ISA recorded. The
 //! measurement lives in [`yoloc_bench::kernel_tier`]; the standalone
 //! `bench_kernels` binary regenerates just this block and patches it
@@ -110,8 +108,8 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
+/// One timed configuration of a deployment on the popcount backend.
 struct Measured {
-    label: &'static str,
     workers: Option<usize>,
     seconds: f64,
     samples: usize,
@@ -123,7 +121,7 @@ impl Measured {
     }
 
     fn json(&self) -> Json {
-        let mut fields = vec![("path", Json::str(self.label))];
+        let mut fields = vec![("path", Json::str("popcount"))];
         if let Some(w) = self.workers {
             fields.push(("workers", to_json(&w)));
         }
@@ -152,7 +150,7 @@ fn measure_model(
     );
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let (cal, _) = suite.pretrain.batch(8, &mut rng);
-    let mut deployed = CimDeployedModel::deploy(
+    let deployed = CimDeployedModel::deploy(
         &model,
         &cal,
         MacroParams::rom_paper(),
@@ -160,28 +158,9 @@ fn measure_model(
     );
     let (x, _) = suite.pretrain.batch(batch, &mut rng);
 
-    println!("[{name}] measuring serial analog-reference path ...");
-    deployed.set_fast_path(false);
+    println!("[{name}] measuring serial popcount path ...");
     let serial_logits = deployed.infer(&x, &mut rng).0;
     let serial = Measured {
-        label: "analog-reference",
-        workers: None,
-        seconds: median_secs(reps, || {
-            std::hint::black_box(deployed.infer(&x, &mut rng));
-        }),
-        samples: batch,
-    };
-
-    println!("[{name}] measuring serial popcount fast path ...");
-    deployed.set_fast_path(true);
-    let fast_logits = deployed.infer(&x, &mut rng).0;
-    assert_eq!(
-        serial_logits.data(),
-        fast_logits.data(),
-        "fast path must be bit-identical to the analog reference"
-    );
-    let serial_fast = Measured {
-        label: "popcount",
         workers: None,
         seconds: median_secs(reps, || {
             std::hint::black_box(deployed.infer(&x, &mut rng));
@@ -197,12 +176,11 @@ fn measure_model(
             WorkerPool::with(workers, |pool| {
                 let batched_logits = deployed.infer_batch(&x, SEED, pool).0;
                 assert_eq!(
-                    fast_logits.data(),
+                    serial_logits.data(),
                     batched_logits.data(),
                     "batched logits must be bit-identical to serial"
                 );
                 Measured {
-                    label: "popcount",
                     workers: Some(workers),
                     seconds: median_secs(reps, || {
                         std::hint::black_box(deployed.infer_batch(&x, SEED, pool));
@@ -213,21 +191,12 @@ fn measure_model(
         })
         .collect();
 
-    let w4 = batched
-        .iter()
-        .find(|m| m.workers == Some(4))
-        .expect("worker sweep includes 4");
-    let speedup_w4 = w4.samples_per_sec() / serial.samples_per_sec();
-
     let mut rows = Vec::new();
-    for m in std::iter::once(&serial)
-        .chain(std::iter::once(&serial_fast))
-        .chain(batched.iter())
-    {
+    for m in std::iter::once(&serial).chain(batched.iter()) {
         rows.push(vec![
             name.to_string(),
             match m.workers {
-                None => format!("serial ({})", m.label),
+                None => "serial (popcount)".to_string(),
                 Some(w) => format!("batched x{w}"),
             },
             fmt(m.seconds * 1e3, 1),
@@ -239,14 +208,12 @@ fn measure_model(
     let json = Json::obj([
         ("model", Json::str(name)),
         ("samples", to_json(&batch)),
-        ("serial", serial.json()),
-        ("serial_fast_path", serial_fast.json()),
+        ("serial_fast_path", serial.json()),
         (
             "batched",
             Json::Arr(batched.iter().map(Measured::json).collect()),
         ),
         ("bit_identical", Json::Bool(true)),
-        ("speedup_batched4_vs_serial", Json::Num(speedup_w4)),
     ]);
     (json, rows)
 }
@@ -773,7 +740,7 @@ fn main() {
         &yoloc_bench::plan_cache::plan_cache_rows(&cache_entries),
     );
 
-    // v6/v7: the kernel-tier block — scalar vs dispatched `mvm_batch`
+    // v6/v7: the kernel-tier block — scalar vs dispatched batch entries
     // on the zoo's lowered shapes, bit-identity asserted, speedup gated;
     // v7 adds per-shape time shares.
     let kernel_tier = yoloc_bench::kernel_tier::measure_kernel_tier(&zoo_nets, SEED + 13);
@@ -841,9 +808,9 @@ fn main() {
     );
     println!("\nwrote {path} (schema yoloc-bench-engine/7, see README.md)");
     println!(
-        "note: 'serial' is the pre-engine baseline (one thread, cell-accurate \
-         analog path); the batched rows add the popcount fast path and the \
-         worker pool on top — all three emit bit-identical logits. The zoo \
+        "note: 'serial' runs one thread on the popcount backend; the \
+         batched rows add the worker pool on top — all emit bit-identical \
+         logits. The zoo \
          table runs graph-compiled NetworkDesc architectures end-to-end \
          (epilogue fusion + arena runtime + batched MVM kernel) with live \
          memory-hierarchy energy accounting; 'vs v3 (1-thread)' is the \

@@ -3,7 +3,9 @@
 //! Measures the tier-3 kernel work (runtime-dispatched SIMD with the
 //! AVX-512 tier and batch-transposed MVM layouts in `yoloc-cim`) on the
 //! lowered im2col shapes of the zoo networks the engine harness runs:
-//! per unique `(outs, ins)` shape, `mvm_batch` is timed under the forced
+//! per unique `(outs, ins)` shape, the batch entry inference dispatches
+//! (`mvm_batch_transposed` on a pre-staged panel where `batch_layout`
+//! asks for it, `mvm_batch` otherwise) is timed under the forced
 //! scalar tier and under the runtime-dispatched tier (asserting
 //! bit-identical values and `MvmStats` between the two), and the
 //! MVM-weighted aggregate `speedup_vs_scalar`, the per-shape time

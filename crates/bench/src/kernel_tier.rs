@@ -13,7 +13,9 @@
 //! Per unique lowered shape `(outs, ins)` across the zoo (weighted by
 //! how many matrix-vector products per inference the zoo performs at
 //! that shape), the harness programs one `RomMvm` at the paper design
-//! point with seeded random codes and times `mvm_batch` under the forced
+//! point with seeded random codes and times the batch entry inference
+//! dispatches — `mvm_batch_transposed` on a pre-staged panel where
+//! `batch_layout` asks for it, `mvm_batch` otherwise — under the forced
 //! scalar tier and under the runtime-dispatched tier, asserting the two
 //! agree bit-for-bit in values **and** `MvmStats` on the way. Samples
 //! of the two tiers are interleaved and each side reports its
@@ -45,9 +47,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::report::Json;
 use yoloc_cim::backend::MvmScratch;
+use yoloc_cim::kernels::transposed_pad;
 use yoloc_cim::{
     avx2_available, avx512_available, KernelDispatch, KernelKind, MacroParams, MatmulLayout,
-    MvmBackend, RomMvm,
+    MvmBackend, MvmStats, RomMvm,
 };
 use yoloc_models::NetworkDesc;
 
@@ -136,21 +139,73 @@ pub fn zoo_shapes(descs: &[NetworkDesc]) -> Vec<(usize, usize, u64)> {
     shapes
 }
 
-/// One timed sample: `calls` consecutive `mvm_batch` invocations,
-/// returning seconds per invocation.
+/// One activation block, staged in both layouts before any timing:
+/// row-major rows and the lane-major `[ins x n_pad]` panel.
+struct Block {
+    acts: Vec<i32>,
+    panel: Vec<i32>,
+    n: usize,
+    n_pad: usize,
+}
+
+impl Block {
+    fn new(acts: Vec<i32>, n: usize, ins: usize) -> Self {
+        let n_pad = transposed_pad(n);
+        let mut panel = vec![0i32; ins * n_pad];
+        for (v, row) in acts.chunks_exact(ins).enumerate() {
+            for (i, &a) in row.iter().enumerate() {
+                panel[i * n_pad + v] = a;
+            }
+        }
+        Block {
+            acts,
+            panel,
+            n,
+            n_pad,
+        }
+    }
+
+    /// Runs the block through the entry `engine.batch_layout` picks —
+    /// the dispatch inference performs.
+    fn run(
+        &self,
+        engine: &RomMvm,
+        out: &mut [i64],
+        stats: &mut MvmStats,
+        scratch: &mut MvmScratch,
+        rng: &mut StdRng,
+    ) {
+        match engine.batch_layout(self.n) {
+            MatmulLayout::Transposed => engine.mvm_batch_transposed(
+                &self.panel,
+                self.n,
+                self.n_pad,
+                out,
+                stats,
+                scratch,
+                rng,
+            ),
+            MatmulLayout::RowMajor => {
+                engine.mvm_batch(&self.acts, self.n, out, stats, scratch, rng)
+            }
+        }
+    }
+}
+
+/// One timed sample: `calls` consecutive batch invocations, returning
+/// seconds per invocation.
 fn sample_batch(
     engine: &RomMvm,
-    acts: &[i32],
-    n: usize,
+    block: &Block,
     out: &mut [i64],
     scratch: &mut MvmScratch,
     calls: usize,
 ) -> f64 {
     let mut rng = StdRng::seed_from_u64(0); // untouched by noiseless paths
-    let mut stats = yoloc_cim::MvmStats::default();
+    let mut stats = MvmStats::default();
     let t0 = Instant::now();
     for _ in 0..calls {
-        engine.mvm_batch(acts, n, out, &mut stats, scratch, &mut rng);
+        block.run(engine, out, &mut stats, scratch, &mut rng);
         std::hint::black_box(out[0]);
     }
     t0.elapsed().as_secs_f64() / calls as f64
@@ -187,6 +242,7 @@ fn measure_shape(
     // stays cheap on the largest shapes.
     let n = (mvms as usize).clamp(1, 256);
     let acts: Vec<i32> = (0..n * ins).map(|_| rng.gen_range(0..=255)).collect();
+    let block = Block::new(acts, n, ins);
     let mut engine = RomMvm::program(MacroParams::rom_paper(), &codes, outs, ins);
     let mut out = vec![0i64; n * outs];
     let mut scratch = MvmScratch::new();
@@ -195,25 +251,24 @@ fn measure_shape(
     // Bit-identity first: golden scalar result vs the dispatched tier.
     engine.set_kernel(KernelKind::Scalar);
     let mut golden = vec![0i64; n * outs];
-    let mut golden_stats = yoloc_cim::MvmStats::default();
-    engine.mvm_batch(
-        &acts,
-        n,
+    let mut golden_stats = MvmStats::default();
+    block.run(
+        &engine,
         &mut golden,
         &mut golden_stats,
         &mut scratch,
         &mut dummy,
     );
     engine.set_kernel(selected);
-    let mut stats = yoloc_cim::MvmStats::default();
-    engine.mvm_batch(&acts, n, &mut out, &mut stats, &mut scratch, &mut dummy);
+    let mut stats = MvmStats::default();
+    block.run(&engine, &mut out, &mut stats, &mut scratch, &mut dummy);
     let bit_identical = out == golden && stats == golden_stats;
 
     // Calibrate the inner repeat count off one scalar call so every
     // timed sample spans at least ~200us of work.
     engine.set_kernel(KernelKind::Scalar);
     let t0 = Instant::now();
-    engine.mvm_batch(&acts, n, &mut out, &mut stats, &mut scratch, &mut dummy);
+    block.run(&engine, &mut out, &mut stats, &mut scratch, &mut dummy);
     let once = t0.elapsed().as_secs_f64().max(1e-9);
     let calls = ((200e-6 / once).ceil() as usize).clamp(1, 20_000);
     let reps = crate::smoke_or(3, 9);
@@ -225,7 +280,7 @@ fn measure_shape(
     let (scalar_s, dispatched_s) = if selected == KernelKind::Scalar {
         let s = min_time(
             &(0..reps)
-                .map(|_| sample_batch(&engine, &acts, n, &mut out, &mut scratch, calls))
+                .map(|_| sample_batch(&engine, &block, &mut out, &mut scratch, calls))
                 .collect::<Vec<_>>(),
         );
         (s, s) // dispatch picked the reference tier: 1.0 by construction
@@ -233,26 +288,12 @@ fn measure_shape(
         let mut times_s = Vec::with_capacity(reps);
         let mut times_d = Vec::with_capacity(reps);
         engine.set_kernel(selected); // warm the dispatched tier too
-        engine.mvm_batch(&acts, n, &mut out, &mut stats, &mut scratch, &mut dummy);
+        block.run(&engine, &mut out, &mut stats, &mut scratch, &mut dummy);
         for _ in 0..reps {
             engine.set_kernel(KernelKind::Scalar);
-            times_s.push(sample_batch(
-                &engine,
-                &acts,
-                n,
-                &mut out,
-                &mut scratch,
-                calls,
-            ));
+            times_s.push(sample_batch(&engine, &block, &mut out, &mut scratch, calls));
             engine.set_kernel(selected);
-            times_d.push(sample_batch(
-                &engine,
-                &acts,
-                n,
-                &mut out,
-                &mut scratch,
-                calls,
-            ));
+            times_d.push(sample_batch(&engine, &block, &mut out, &mut scratch, calls));
         }
         (min_time(&times_s), min_time(&times_d))
     };

@@ -7,9 +7,11 @@
 //! * [`BackendKind::Analog`] — the cell-accurate analog reference path of
 //!   [`RomMvm`] (precharge, pulse trains, noise injection, per-group ADC
 //!   digitization). The only path that models bit-line noise.
-//! * [`BackendKind::Popcount`] — [`RomMvm`] with its popcount fast path
-//!   enabled: bit-identical to the analog path whenever both apply
-//!   (property-tested), at a fraction of the simulation cost.
+//! * [`BackendKind::Popcount`] — [`RomMvm`] on its batch kernels
+//!   (popcount mask stream or exact integer matmul), falling back to the
+//!   analog path on noisy macros: bit-identical to the analog path
+//!   whenever both apply (property-tested), at a fraction of the
+//!   simulation cost.
 //! * [`BackendKind::Software`] — [`SoftwareMvm`], the pure integer-matmul
 //!   golden model. No analog events, no energy: the digital reference a
 //!   CiM deployment is validated against. At the paper's design point
@@ -72,8 +74,9 @@ impl<R: RngCore + ?Sized> RngCore for DynRng<'_, R> {
 pub struct MvmScratch {
     /// Staged pulse bit-plane masks for the current (row-tile, chunk)
     /// step, laid out plane-major `[group][plane][vector]` with vectors
-    /// padded to the 4-lane SIMD width, so each plane streams
-    /// contiguously across the block.
+    /// padded to the kernel tier's popcount lane width (4 on the scalar
+    /// and AVX2 tiers, 8 on AVX-512), so each plane streams contiguously
+    /// across the block.
     pub(crate) plane_masks: Vec<u64>,
     /// Per-vector `(analog_evaluations, adc_conversions, wl_pulses)`
     /// counters accumulated across the whole call.
@@ -82,14 +85,10 @@ pub struct MvmScratch {
     /// matmul tier (unused by the scalar tier).
     pub(crate) acts16: Vec<i16>,
     /// Per-vector discharge counts of the column mask currently being
-    /// streamed (padded to the 4-lane SIMD width).
+    /// streamed (padded like `plane_masks`).
     pub(crate) counts: Vec<u64>,
     /// Per-chunk nonzero-pulse bitmaps for the vectorized counter fold.
     pub(crate) fold_bitmaps: Vec<u64>,
-    /// Lane-major `[ins x n_pad]` activation panel staged by the
-    /// row-major batch entry when the layout crossover picks the
-    /// transposed kernels.
-    pub(crate) acts_t: Vec<i32>,
     /// Row-major activation staging for the reverse unpack (a
     /// transposed caller landing on a path that wants row-major acts).
     pub(crate) acts_rm: Vec<i32>,
@@ -124,9 +123,10 @@ pub trait MvmBackend: Send + Sync {
     ///
     /// This is the steady-state hot path of the arena executor: `out` and
     /// `scratch` are caller-owned and reused across calls, so a warmed-up
-    /// inference allocates nothing here. Backends with a batched kernel
-    /// (the popcount fast path) override it to traverse their programmed
-    /// weight tables **once per block** instead of once per vector.
+    /// inference allocates nothing here. [`RomMvm`]'s batch kernels
+    /// traverse their programmed weight masks **once per block** instead
+    /// of once per vector. The row-major kernels run on every shape; the
+    /// transposed ones only behind [`MvmBackend::mvm_batch_transposed`].
     ///
     /// # Panics
     ///
@@ -138,18 +138,9 @@ pub trait MvmBackend: Send + Sync {
         n_vectors: usize,
         out: &mut [i64],
         stats: &mut MvmStats,
-        _scratch: &mut MvmScratch,
+        scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
-    ) {
-        let (outs, ins) = self.dims();
-        assert_eq!(acts.len(), n_vectors * ins, "batch activation length");
-        assert_eq!(out.len(), n_vectors * outs, "batch output length");
-        for v in 0..n_vectors {
-            let (y, s) = self.mvm(&acts[v * ins..(v + 1) * ins], rng);
-            out[v * outs..(v + 1) * outs].copy_from_slice(&y);
-            stats.merge(&s);
-        }
-    }
+    );
 
     /// The activation layout this backend prefers for a block of
     /// `n_vectors` — [`MatmulLayout::Transposed`] asks the caller to
@@ -166,8 +157,8 @@ pub trait MvmBackend: Send + Sync {
     /// (`acts_t[i * n_pad + v]`): bit-identical to
     /// [`MvmBackend::mvm_batch`] on the same values, in values *and*
     /// stats. The default unpacks the panel and delegates; backends
-    /// with transposed kernels (the popcount fast path) override it to
-    /// consume the panel directly.
+    /// with transposed kernels ([`RomMvm`]'s batch kernels) override it
+    /// to consume the panel directly.
     ///
     /// # Examples
     ///
@@ -252,10 +243,6 @@ pub trait MvmBackend: Send + Sync {
     /// Stable label of the path this backend executes on.
     fn backend_name(&self) -> &'static str;
 
-    /// Enables or disables the popcount fast path where it exists
-    /// (no-op on backends without one).
-    fn set_fast_path(&mut self, _enabled: bool) {}
-
     /// Forces a specific kernel tier on backends with dispatched batch
     /// kernels (no-op elsewhere). Tier choice never changes results —
     /// that is exactly what the kernel-parity suites pin.
@@ -283,12 +270,8 @@ impl MvmBackend for RomMvm {
             // The RNG is untouched, like every noiseless path. At
             // identity-ADC design points (the paper default) the batch
             // reduces to an exact integer matmul; otherwise one traversal
-            // of the popcount tables serves the whole block.
-            if self.adc_is_identity() {
-                self.mvm_batch_exact(acts, n_vectors, out, stats, scratch);
-            } else {
-                self.mvm_batch_fast(acts, n_vectors, out, stats, scratch);
-            }
+            // of the popcount masks serves the whole block.
+            self.mvm_batch_noiseless(acts, n_vectors, out, stats, scratch);
         } else {
             for v in 0..n_vectors {
                 let (y, s) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
@@ -361,10 +344,6 @@ impl MvmBackend for RomMvm {
         } else {
             BackendKind::Analog.label()
         }
-    }
-
-    fn set_fast_path(&mut self, enabled: bool) {
-        RomMvm::set_fast_path(self, enabled);
     }
 
     fn set_kernel(&mut self, kind: KernelKind) {
@@ -469,7 +448,7 @@ pub fn program_backend(
         BackendKind::Popcount => Box::new(RomMvm::program(params, codes, outs, ins)),
         BackendKind::Analog => {
             let mut engine = RomMvm::program(params, codes, outs, ins);
-            engine.set_fast_path(false);
+            engine.pin_analog();
             Box::new(engine)
         }
         BackendKind::Software => Box::new(SoftwareMvm::program(codes, outs, ins)),
@@ -507,7 +486,7 @@ pub fn program_backend_faulted(
         }
         BackendKind::Analog => {
             let mut engine = RomMvm::program_with_faults(params, codes, outs, ins, ctx);
-            engine.set_fast_path(false);
+            engine.pin_analog();
             Box::new(engine)
         }
         BackendKind::Software => {
@@ -573,7 +552,7 @@ mod tests {
         assert_eq!(analog.backend_name(), "analog-reference");
         assert_eq!(popcount.backend_name(), "popcount");
         assert_eq!(software.backend_name(), "software");
-        // A noisy macro cannot take the fast path regardless of the flag.
+        // A noisy macro cannot take the batch kernels on any backend kind.
         let mut noisy_params = params;
         noisy_params.noise_sigma = 0.2;
         let noisy = program_backend(BackendKind::Popcount, noisy_params, &codes, 2, 64);
@@ -602,10 +581,34 @@ mod tests {
         );
     }
 
-    /// The kernel-parity oracle: `mvm_batch` must equal a per-vector
-    /// `mvm` loop bit for bit — accumulators in vector order, stats
-    /// folded from zero per vector and merged in vector order.
-    fn assert_batch_matches_per_vector(b: &dyn MvmBackend, acts: &[i32], n: usize, seed: u64) {
+    /// The per-vector oracle of a backend programmed as `kind`: the
+    /// analog reference path for the macro backends (their own `mvm`
+    /// runs the batch kernels), the software reference's per-vector
+    /// `mvm` otherwise.
+    fn per_vector_oracle(
+        kind: BackendKind,
+        params: MacroParams,
+        codes: &[i32],
+        outs: usize,
+        ins: usize,
+    ) -> Box<dyn MvmBackend> {
+        let oracle = match kind {
+            BackendKind::Software => BackendKind::Software,
+            BackendKind::Analog | BackendKind::Popcount => BackendKind::Analog,
+        };
+        program_backend(oracle, params, codes, outs, ins)
+    }
+
+    /// The kernel-parity check: `mvm_batch` must equal a per-vector
+    /// `oracle.mvm` loop bit for bit — accumulators in vector order,
+    /// stats folded from zero per vector and merged in vector order.
+    fn assert_batch_matches_per_vector(
+        b: &dyn MvmBackend,
+        oracle: &dyn MvmBackend,
+        acts: &[i32],
+        n: usize,
+        seed: u64,
+    ) {
         let (outs, ins) = b.dims();
         let mut out = vec![0i64; n * outs];
         let mut stats = MvmStats::default();
@@ -616,7 +619,7 @@ mod tests {
         let mut expect_stats = MvmStats::default();
         let mut rng = StdRng::seed_from_u64(seed);
         for v in 0..n {
-            let (y, s) = b.mvm(&acts[v * ins..(v + 1) * ins], &mut rng);
+            let (y, s) = oracle.mvm(&acts[v * ins..(v + 1) * ins], &mut rng);
             expect_stats.merge(&s);
             expect_vals.extend_from_slice(&y);
         }
@@ -637,13 +640,14 @@ mod tests {
     /// steers the `program`-time default this test then overrides).
     fn assert_batch_parity_all_kernels(
         b: &mut Box<dyn MvmBackend>,
+        oracle: &dyn MvmBackend,
         acts: &[i32],
         n: usize,
         seed: u64,
     ) {
         for kind in crate::kernels::available_kinds() {
             b.set_kernel(kind);
-            assert_batch_matches_per_vector(b.as_ref(), acts, n, seed);
+            assert_batch_matches_per_vector(b.as_ref(), oracle, acts, n, seed);
         }
         if !crate::kernels::avx2_available() {
             eprintln!("note: host lacks AVX2; kernel parity covered the scalar tier only");
@@ -668,7 +672,8 @@ mod tests {
             BackendKind::Software,
         ] {
             let mut b = program_backend(kind, params, &codes, outs, ins);
-            assert_batch_parity_all_kernels(&mut b, &acts, n, 9);
+            let oracle = per_vector_oracle(kind, params, &codes, outs, ins);
+            assert_batch_parity_all_kernels(&mut b, oracle.as_ref(), &acts, n, 9);
         }
     }
 
@@ -686,7 +691,8 @@ mod tests {
             .collect();
         let acts: Vec<i32> = (0..n * ins).map(|i| ((i * 23) % 256) as i32).collect();
         let mut b = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
-        assert_batch_parity_all_kernels(&mut b, &acts, n, 11);
+        let oracle = per_vector_oracle(BackendKind::Popcount, params, &codes, outs, ins);
+        assert_batch_parity_all_kernels(&mut b, oracle.as_ref(), &acts, n, 11);
     }
 
     #[test]
@@ -741,7 +747,8 @@ mod tests {
         let acts: Vec<i32> = (0..n * ins).map(|i| ((i * 7) % 256) as i32).collect();
         let b = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
         assert_eq!(b.backend_name(), "analog-reference");
-        assert_batch_matches_per_vector(b.as_ref(), &acts, n, 13);
+        let oracle = per_vector_oracle(BackendKind::Popcount, params, &codes, outs, ins);
+        assert_batch_matches_per_vector(b.as_ref(), oracle.as_ref(), &acts, n, 13);
     }
 
     #[test]
@@ -883,9 +890,10 @@ mod tests {
             // Single vector: panel staging cannot amortize.
             assert_eq!(b.batch_layout(1), MatmulLayout::RowMajor);
             // The analog reference path is per-vector by construction.
-            b.set_fast_path(false);
-            assert_eq!(b.batch_layout(64), MatmulLayout::RowMajor);
-            b.set_fast_path(true);
+            let mut analog =
+                program_backend(BackendKind::Analog, MacroParams::rom_paper(), &codes, 2, 9);
+            analog.set_kernel(simd);
+            assert_eq!(analog.batch_layout(64), MatmulLayout::RowMajor);
         }
         // The software backend keeps the trait default.
         let sw = program_backend(
@@ -896,22 +904,5 @@ mod tests {
             9,
         );
         assert_eq!(sw.batch_layout(64), MatmulLayout::RowMajor);
-    }
-
-    #[test]
-    fn set_fast_path_via_trait_switches_rom_path() {
-        let (codes, acts) = test_matrix(4, 128);
-        let mut b = program_backend(
-            BackendKind::Popcount,
-            MacroParams::rom_paper(),
-            &codes,
-            4,
-            128,
-        );
-        let mut rng = StdRng::seed_from_u64(3);
-        let fast = b.mvm(&acts, &mut rng).0;
-        b.set_fast_path(false);
-        assert_eq!(b.backend_name(), "analog-reference");
-        assert_eq!(b.mvm(&acts, &mut rng).0, fast);
     }
 }

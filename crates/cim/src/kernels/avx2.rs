@@ -35,14 +35,11 @@
 use std::arch::x86_64::{
     __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
     _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_hadd_epi32, _mm256_loadu_si256,
-    _mm256_madd_epi16, _mm256_mask_i32gather_epi32, _mm256_movemask_ps, _mm256_mul_epi32,
-    _mm256_mullo_epi32, _mm256_or_si256, _mm256_packs_epi32, _mm256_permute4x64_epi64,
-    _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi8,
-    _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_sll_epi64, _mm256_srl_epi32,
-    _mm256_srli_epi16, _mm256_srli_epi32, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32,
-    _mm_cvtsi32_si128, _mm_loadu_si128, _mm_mask_i32gather_epi32, _mm_setzero_si128,
-    _mm_storeu_si128, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpacklo_epi32,
-    _mm_unpacklo_epi64,
+    _mm256_madd_epi16, _mm256_movemask_ps, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_or_si256,
+    _mm256_packs_epi32, _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi32,
+    _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256,
+    _mm256_shuffle_epi8, _mm256_sll_epi64, _mm256_srl_epi32, _mm256_srli_epi16, _mm256_srli_epi32,
+    _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32, _mm_cvtsi32_si128,
 };
 
 use super::{scalar, ExactCodes, FoldParams};
@@ -172,146 +169,6 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
             o += 1;
         }
         vb += V_BLOCK;
-    }
-}
-
-/// AVX2 tier of the row-major -> lane-major panel repack: one
-/// `vpgatherdd` gather pulls 8 vectors' codes for an activation index
-/// (stride-`ins` offsets) instead of 8 strided scalar moves. The tail
-/// block gathers under a lane mask (AVX2 gathers take the mask as a
-/// sign-bit vector), so no address past `acts[n * ins - 1]` is formed;
-/// dead lanes are refreshed to zero, a valid code under the
-/// stale-padding contract. Same panel contents as
-/// [`scalar::repack_transposed`] on every live lane.
-pub(crate) fn repack_transposed(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
-    acts_t: &mut [i32],
-) {
-    assert_avx2();
-    debug_assert!(acts.len() >= n * ins);
-    debug_assert!(n_pad >= n);
-    debug_assert_eq!(n_pad % 8, 0, "transposed panels pad to 8+ lanes");
-    debug_assert!(acts_t.len() >= ins * n_pad);
-    debug_assert!(
-        ins.saturating_mul(8) < i32::MAX as usize,
-        "gather offsets fit i32"
-    );
-    // SAFETY: AVX2 support asserted above.
-    unsafe { repack_transposed_impl(acts, ins, n, n_pad, acts_t) }
-}
-
-#[target_feature(enable = "avx2")]
-fn repack_transposed_impl(acts: &[i32], ins: usize, n: usize, n_pad: usize, acts_t: &mut [i32]) {
-    // Sliding-window lane-mask table: a load at offset `8 - live` yields
-    // `live` all-ones lanes followed by zeros.
-    const LANE_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-    let mut offs = [0i32; 8];
-    for (k, o) in offs.iter_mut().enumerate() {
-        *o = (k * ins) as i32;
-    }
-    let mut vb = 0;
-    while vb + 4 < n {
-        let live = (n - vb).min(8);
-        // SAFETY: `offs` is exactly 32 bytes; 8 - live + 8 <= 16 keeps
-        // the mask window inside LANE_MASKS.
-        let (offs_v, mask) = unsafe {
-            (
-                _mm256_loadu_si256(offs.as_ptr().cast()),
-                _mm256_loadu_si256(LANE_MASKS.as_ptr().add(8 - live).cast()),
-            )
-        };
-        let zero = _mm256_setzero_si256();
-        for i in 0..ins {
-            // SAFETY: lane k of the gather reads acts[(vb + k) * ins + i];
-            // the sign-bit mask keeps k < live, so every accessed element
-            // is below n * ins. Masked-off lanes are not accessed.
-            let g = unsafe {
-                _mm256_mask_i32gather_epi32::<4>(
-                    zero,
-                    acts.as_ptr().add(vb * ins + i),
-                    offs_v,
-                    mask,
-                )
-            };
-            // SAFETY: i * n_pad + vb + 8 <= (i + 1) * n_pad since vb and
-            // n_pad are multiples of 8 and vb < n <= n_pad.
-            unsafe { _mm256_storeu_si256(acts_t.as_mut_ptr().add(i * n_pad + vb).cast(), g) };
-        }
-        vb += 8;
-    }
-    if vb < n {
-        // At most 4 live lanes left: a 128-bit gather costs less than a
-        // 256-bit one and the untouched upper lanes may stay stale.
-        let live = n - vb;
-        if live == 4 {
-            // Exactly four live rows: an in-register 4x4 unpack
-            // transpose per column quad beats gathers ~3x (unpacks are
-            // single-uop shuffles; a gather pays per lane).
-            let mut c = 0;
-            while c + 4 <= ins {
-                // SAFETY: rows vb..vb+4 < n and columns c..c+4 <= ins
-                // keep each 16-byte load inside `acts`.
-                let (a0, a1, a2, a3) = unsafe {
-                    (
-                        _mm_loadu_si128(acts.as_ptr().add(vb * ins + c).cast()),
-                        _mm_loadu_si128(acts.as_ptr().add((vb + 1) * ins + c).cast()),
-                        _mm_loadu_si128(acts.as_ptr().add((vb + 2) * ins + c).cast()),
-                        _mm_loadu_si128(acts.as_ptr().add((vb + 3) * ins + c).cast()),
-                    )
-                };
-                let t0 = _mm_unpacklo_epi32(a0, a1);
-                let t1 = _mm_unpackhi_epi32(a0, a1);
-                let t2 = _mm_unpacklo_epi32(a2, a3);
-                let t3 = _mm_unpackhi_epi32(a2, a3);
-                let cols = [
-                    _mm_unpacklo_epi64(t0, t2),
-                    _mm_unpackhi_epi64(t0, t2),
-                    _mm_unpacklo_epi64(t1, t3),
-                    _mm_unpackhi_epi64(t1, t3),
-                ];
-                for (dc, col) in cols.into_iter().enumerate() {
-                    // SAFETY: panel row c+dc holds n_pad >= vb + 4 lanes
-                    // (vb is a multiple of 8, n_pad >= n = vb + 4 and a
-                    // multiple of 8).
-                    unsafe {
-                        _mm_storeu_si128(
-                            acts_t.as_mut_ptr().add((c + dc) * n_pad + vb).cast(),
-                            col,
-                        );
-                    }
-                }
-                c += 4;
-            }
-            // Ragged columns (at most three): plain strided moves.
-            for i in c..ins {
-                for v in 0..4 {
-                    acts_t[i * n_pad + vb + v] = acts[(vb + v) * ins + i];
-                }
-            }
-            return;
-        }
-        // SAFETY: `offs[..4]` is exactly 16 bytes; 8 - live + 4 <= 16
-        // keeps the mask window inside LANE_MASKS.
-        let (offs_v, mask) = unsafe {
-            (
-                _mm_loadu_si128(offs.as_ptr().cast()),
-                _mm_loadu_si128(LANE_MASKS.as_ptr().add(8 - live).cast()),
-            )
-        };
-        let zero = _mm_setzero_si128();
-        for i in 0..ins {
-            // SAFETY: lane k < live reads acts[(vb + k) * ins + i],
-            // below n * ins; masked-off lanes are not accessed.
-            let g = unsafe {
-                _mm_mask_i32gather_epi32::<4>(zero, acts.as_ptr().add(vb * ins + i), offs_v, mask)
-            };
-            // SAFETY: i * n_pad + vb + 4 <= (i + 1) * n_pad since vb is
-            // a multiple of 8, n_pad a multiple of 8, and vb < n <= n_pad.
-            unsafe { _mm_storeu_si128(acts_t.as_mut_ptr().add(i * n_pad + vb).cast(), g) };
-        }
     }
 }
 

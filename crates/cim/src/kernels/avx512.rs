@@ -35,10 +35,10 @@
 use std::arch::x86_64::{
     __m512i, _mm256_storeu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_and_si512,
     _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_epi16, _mm512_loadu_epi16, _mm512_loadu_epi32,
-    _mm512_loadu_epi64, _mm512_madd_epi16, _mm512_mask_i32gather_epi32, _mm512_maskz_loadu_epi16,
-    _mm512_maskz_set1_epi32, _mm512_mullo_epi32, _mm512_or_si512, _mm512_popcnt_epi64,
-    _mm512_set1_epi32, _mm512_set1_epi64, _mm512_setzero_si512, _mm512_sll_epi64, _mm512_srl_epi32,
-    _mm512_srli_epi32, _mm512_storeu_epi32, _mm512_storeu_epi64, _mm_cvtsi32_si128,
+    _mm512_loadu_epi64, _mm512_madd_epi16, _mm512_maskz_loadu_epi16, _mm512_maskz_set1_epi32,
+    _mm512_mullo_epi32, _mm512_or_si512, _mm512_popcnt_epi64, _mm512_set1_epi32, _mm512_set1_epi64,
+    _mm512_setzero_si512, _mm512_sll_epi64, _mm512_srl_epi32, _mm512_srli_epi32,
+    _mm512_storeu_epi32, _mm512_storeu_epi64, _mm_cvtsi32_si128,
 };
 
 use super::{avx2, scalar, ExactCodes, FoldParams};
@@ -196,72 +196,6 @@ fn hsum_epi32(v: __m512i) -> i64 {
     // SAFETY: `lanes` is exactly 64 bytes; unaligned store.
     unsafe { _mm512_storeu_epi32(lanes.as_mut_ptr(), v) };
     lanes.iter().map(|&x| x as i64).sum()
-}
-
-/// AVX-512 tier of the row-major -> lane-major panel repack: one
-/// `vpgatherdps`-class gather pulls 16 vectors' codes for an activation
-/// index in a single instruction (stride-`ins` offsets), replacing the
-/// `16 * ins` strided scalar moves per block that dominate the panel
-/// pipeline at small `n`. The tail block uses a masked gather, so no
-/// address past `acts[n * ins - 1]` is ever formed; its dead lanes are
-/// refreshed to zero (a valid activation code, per the stale-padding
-/// contract of the panel kernels). Same panel contents as
-/// [`scalar::repack_transposed`] on every live lane.
-pub(crate) fn repack_transposed(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
-    acts_t: &mut [i32],
-) {
-    assert_avx512();
-    debug_assert!(acts.len() >= n * ins);
-    debug_assert!(n_pad >= n);
-    debug_assert_eq!(n_pad % 16, 0, "transposed panels pad to 16 lanes");
-    debug_assert!(acts_t.len() >= ins * n_pad);
-    debug_assert!(
-        ins.saturating_mul(16) < i32::MAX as usize,
-        "gather offsets fit i32"
-    );
-    if n <= 8 {
-        // Half-block batches: 256-bit gathers cost roughly half a
-        // 512-bit one and the extra padding lanes may stay stale.
-        return avx2::repack_transposed(acts, ins, n, n_pad, acts_t);
-    }
-    // SAFETY: AVX-512 support asserted above.
-    unsafe { repack_transposed_impl(acts, ins, n, n_pad, acts_t) }
-}
-
-#[target_feature(enable = "avx512f")]
-fn repack_transposed_impl(acts: &[i32], ins: usize, n: usize, n_pad: usize, acts_t: &mut [i32]) {
-    let mut offs = [0i32; 16];
-    for (k, o) in offs.iter_mut().enumerate() {
-        *o = (k * ins) as i32;
-    }
-    // SAFETY: `offs` is exactly 64 bytes.
-    let offs = unsafe { _mm512_loadu_epi32(offs.as_ptr()) };
-    let zero = _mm512_setzero_si512();
-    let mut vb = 0;
-    while vb < n {
-        let live = (n - vb).min(16);
-        let mask = if live == 16 {
-            !0u16
-        } else {
-            (1u16 << live) - 1
-        };
-        for i in 0..ins {
-            // SAFETY: lane k of the gather reads acts[(vb + k) * ins + i];
-            // the mask keeps k < live, so every accessed element is below
-            // n * ins. Masked-off lanes are architecturally not accessed.
-            let g = unsafe {
-                _mm512_mask_i32gather_epi32::<4>(zero, mask, offs, acts.as_ptr().add(vb * ins + i))
-            };
-            // SAFETY: i * n_pad + vb + 16 <= (i + 1) * n_pad since vb and
-            // n_pad are multiples of 16 and vb < n <= n_pad.
-            unsafe { _mm512_storeu_epi32(acts_t.as_mut_ptr().add(i * n_pad + vb), g) };
-        }
-        vb += 16;
-    }
 }
 
 /// AVX-512 tier of the batch-transposed matmul: one 64-byte panel load

@@ -270,9 +270,9 @@ pub fn transposed_pad(n: usize) -> usize {
 /// in the panel layout — is a visible share of the row-major time:
 /// everything up to `outs <= 16`, and `outs == 32` while `ins` stays
 /// moderate. At larger `outs` the row-major `madd` matmul dominates
-/// the call and already fills lanes across `ins`, and the repack toll
-/// (one strided pass over `ins` codes per vector) outweighs the fold
-/// win. The transposed path requires the `i16`-eligibility overflow
+/// the call and already fills lanes across `ins`, and staging the panel
+/// (each vector's `ins` codes written one lane row apart) outweighs the
+/// fold win. The transposed path requires the `i16`-eligibility overflow
 /// proof (`has_i16`), which also bounds its `i32` lane accumulators,
 /// and a batch of at least 4 so the 16-lane panel is not mostly
 /// padding.
@@ -406,32 +406,6 @@ pub(crate) fn matmul_exact_t(
             avx512::matmul_transposed(c, acts_t, n, n_pad, out);
         }
         _ => scalar::matmul_transposed(c.codes, c.outs, c.ins, acts_t, n, n_pad, out),
-    }
-}
-
-/// Repacks a row-major activation block into the lane-major
-/// `[ins x n_pad]` panel the transposed kernels consume:
-/// `acts_t[i*n_pad + v] = acts[v*ins + i]`. Dispatched by tier — the
-/// SIMD tiers turn the strided transpose into hardware gathers, which
-/// is where the panel pipeline spends its time at small `n`. Every tier
-/// writes identical live lanes; padding lanes may be left stale or
-/// zeroed (both within the code range the panel kernels tolerate).
-pub(crate) fn repack_transposed(
-    kind: KernelKind,
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
-    acts_t: &mut [i32],
-) {
-    match kind {
-        KernelKind::Scalar => scalar::repack_transposed(acts, ins, n, n_pad, acts_t),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => avx2::repack_transposed(acts, ins, n, n_pad, acts_t),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 => avx512::repack_transposed(acts, ins, n, n_pad, acts_t),
-        #[allow(unreachable_patterns)]
-        _ => scalar::repack_transposed(acts, ins, n, n_pad, acts_t),
     }
 }
 
@@ -666,7 +640,7 @@ mod tests {
         assert_eq!(choose_layout(16, 72, 256, true), MatmulLayout::Transposed);
         assert_eq!(choose_layout(32, 144, 256, true), MatmulLayout::Transposed);
         // …matmul-bound shapes stay row-major (madd across ins already
-        // fills lanes, and the repack toll scales with ins), as do
+        // fills lanes, and panel staging scales with ins), as do
         // degenerate batches and non-i16 shapes.
         assert_eq!(choose_layout(32, 288, 256, true), MatmulLayout::RowMajor);
         assert_eq!(choose_layout(64, 288, 16, true), MatmulLayout::RowMajor);

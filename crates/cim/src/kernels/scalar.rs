@@ -64,36 +64,6 @@ pub(crate) fn matmul_transposed(
     }
 }
 
-/// Scalar reference for the row-major -> lane-major panel repack:
-/// `acts_t[i*n_pad + v] = acts[v*ins + i]` for every live vector.
-/// Blocked over vectors so the activation rows of a block stay
-/// cache-resident while each panel lane receives a contiguous burst of
-/// writes. Padding lanes (`v >= n`) are left untouched — the panel
-/// kernels never read them back.
-pub(crate) fn repack_transposed(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
-    acts_t: &mut [i32],
-) {
-    debug_assert!(acts.len() >= n * ins);
-    debug_assert!(n_pad >= n);
-    debug_assert!(acts_t.len() >= ins * n_pad);
-    const REPACK_BLOCK: usize = 64;
-    let mut v0 = 0;
-    while v0 < n {
-        let v1 = (v0 + REPACK_BLOCK).min(n);
-        for i in 0..ins {
-            let lane = &mut acts_t[i * n_pad + v0..i * n_pad + v1];
-            for (dv, slot) in lane.iter_mut().enumerate() {
-                *slot = acts[(v0 + dv) * ins + i];
-            }
-        }
-        v0 = v1;
-    }
-}
-
 /// Scalar event-counter fold: one pass over each vector's activation
 /// codes, accumulating all chunks simultaneously. A group is *active*
 /// for a chunk iff the OR of its rows has a nonzero field at that

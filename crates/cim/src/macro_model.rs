@@ -307,25 +307,24 @@ impl MvmStats {
     }
 }
 
-/// Precomputed bit-plane popcount table for one programmed subarray.
+/// Precomputed bit-plane popcount masks for one programmed subarray.
 ///
-/// `masks[group * cols + col]` packs the strapped (`'1'`) rows of one
-/// activation group of column `col` into a `u64`: bit `k` is set when row
-/// `group_start + k` is strapped. One analog group evaluation of a column
-/// then reduces to `sum_b 2^b * popcount(mask & pulse_plane_b)` — the
-/// discharge-count arithmetic without walking individual cells.
+/// A column mask packs the strapped (`'1'`) rows of one activation group
+/// of one column into a `u64`: bit `k` is set when row `group_start + k`
+/// is strapped. One analog group evaluation of a column then reduces to
+/// `sum_b 2^b * popcount(mask & pulse_plane_b)` — the discharge-count
+/// arithmetic without walking individual cells.
 ///
-/// Alongside the dense table (which the per-vector fast path indexes at
-/// random), the batched stream keeps a **lane-packed tile-major copy**:
-/// `nz` lists only the nonzero column masks, grouped by activation group
-/// (`nz_offsets[g]..nz_offsets[g + 1]`) and ordered `(output, bit-plane)`
-/// within a group, each entry carrying its metadata as
-/// `(o_local << 8) | plane`. The batch kernel therefore streams exactly
-/// the masks that can contribute, contiguously, one L1-resident weight
-/// tile at a time — and zero-mask columns (sparse codes) cost nothing.
+/// Only the nonzero masks are stored, **lane-packed and tile-major**:
+/// `nz` groups them by activation group
+/// (`nz_offsets[g]..nz_offsets[g + 1]`) and orders them
+/// `(output, bit-plane)` within a group, each entry carrying its metadata
+/// as `(o_local << 8) | plane`. The batch kernels therefore stream
+/// exactly the masks that can contribute, contiguously, one L1-resident
+/// weight tile at a time — and zero-mask columns (sparse codes) cost
+/// nothing.
 #[derive(Debug, Clone)]
 struct PopcountTile {
-    masks: Vec<u64>,
     /// `(meta, mask)` for every nonzero column mask, tile-major.
     nz: Vec<(u32, u64)>,
     /// `groups + 1` prefix offsets into `nz`.
@@ -342,25 +341,34 @@ struct PopcountTile {
 ///
 /// # Execution paths
 ///
-/// [`RomMvm::mvm`] dispatches between two implementations that are
-/// bit-identical whenever both are applicable (asserted by tests):
+/// [`RomMvm::mvm`] and the batched [`MvmBackend`] entries dispatch
+/// between two implementations that are bit-identical whenever both are
+/// applicable (asserted by tests):
 ///
 /// * the **analog reference path** ([`RomMvm::mvm_analog`]) walks every
 ///   cell through [`AnalogArray::evaluate`], modelling precharge, pulse
 ///   trains, noise injection and per-group ADC digitization explicitly;
-/// * the **popcount fast path** uses the per-subarray popcount tables built at
-///   [`RomMvm::program`] time to compute each group's discharge count with
-///   two `AND`+`popcount` operations per column instead of a per-cell
-///   loop, then applies the *same* ADC transfer function. It is used when
+/// * the **batch kernels** use the popcount masks built at
+///   [`RomMvm::program`] time to compute each group's discharge count
+///   with `AND`+`popcount` operations per column instead of a per-cell
+///   loop, then apply the *same* ADC transfer function — or, where that
+///   transfer is an identity, run an exact integer matmul over the
+///   stored codes. They serve every block size, `n = 1` included, when
 ///   the macro is noiseless (`noise_sigma == 0`, so no RNG stream is
-///   consumed) and `rows_per_activation` fits a 64-bit mask; it can be
-///   disabled with [`RomMvm::set_fast_path`] to force the reference path.
+///   consumed) and `rows_per_activation` fits a 64-bit mask.
+///
+/// [`BackendKind::Analog`](crate::backend::BackendKind::Analog) engines
+/// are programmed without the popcount state, so they always take the
+/// reference path.
+///
+/// [`MvmBackend`]: crate::backend::MvmBackend
 pub struct RomMvm {
     params: MacroParams,
     /// `tiles[row_tile][col_tile]` of programmed subarrays.
     tiles: Vec<Vec<AnalogArray>>,
-    /// Popcount tables parallel to `tiles`; `None` when
-    /// `rows_per_activation` exceeds the 64-bit mask width.
+    /// Popcount masks parallel to `tiles`; `None` when
+    /// `rows_per_activation` exceeds the 64-bit mask width or the engine
+    /// is pinned to the analog reference path.
     popcount_tiles: Option<Vec<Vec<PopcountTile>>>,
     /// The programmed weight codes (`outs x ins`, row-major), kept for
     /// the exact-matmul batch kernel — only when that kernel is
@@ -380,7 +388,6 @@ pub struct RomMvm {
     /// The kernel tier batched MVMs execute on, resolved once at
     /// `program` time from `YOLOC_KERNEL` / feature detection.
     kernel: KernelKind,
-    fast_path_enabled: bool,
     /// Cached stats-derivation constants (see [`StatsFinisher`]): every
     /// input is fixed at `program` time, so the batch entries read this
     /// instead of rebuilding the constants per call.
@@ -422,8 +429,10 @@ impl RomMvm {
         let build_popcount = rpa <= 64;
         let mut tiles = Vec::with_capacity(row_tiles);
         let mut popcount_tiles = build_popcount.then(|| Vec::with_capacity(row_tiles));
-        // One bit matrix, cleared and refilled for every subarray.
+        // One bit matrix and one dense group-mask table, cleared and
+        // refilled for every subarray; only the nonzero masks are kept.
         let mut bits = vec![false; params.rows * params.cols];
+        let mut masks = vec![0u64; groups * params.cols];
         for rt in 0..row_tiles {
             let mut row = Vec::with_capacity(col_tiles);
             let mut popcount_row = build_popcount.then(|| Vec::with_capacity(col_tiles));
@@ -434,7 +443,7 @@ impl RomMvm {
                 // code's two's-complement field lands in column
                 // `o * weight_bits + j`.
                 bits.fill(false);
-                let mut masks = build_popcount.then(|| vec![0u64; groups * params.cols]);
+                masks.fill(0);
                 let outs_here = outs_per_array.min(outs - ct * outs_per_array);
                 for o in 0..outs_here {
                     let start = (ct * outs_per_array + o) * ins + rt * params.rows;
@@ -448,14 +457,14 @@ impl RomMvm {
                             let col = o * wb + u.trailing_zeros() as usize;
                             u &= u - 1;
                             bits[r * params.cols + col] = true;
-                            if let Some(masks) = masks.as_mut() {
+                            if build_popcount {
                                 masks[(r / rpa) * params.cols + col] |= 1u64 << (r % rpa);
                             }
                         }
                     }
                 }
-                if let (Some(pr), Some(masks)) = (popcount_row.as_mut(), masks) {
-                    // Lane-packed tile-major copy for the batch stream:
+                if let Some(pr) = popcount_row.as_mut() {
+                    // Lane-packed tile-major list for the batch stream:
                     // only nonzero masks, grouped by activation group.
                     let mut nz = Vec::new();
                     let mut nz_offsets = Vec::with_capacity(groups + 1);
@@ -471,11 +480,7 @@ impl RomMvm {
                         }
                         nz_offsets.push(u32::try_from(nz.len()).expect("nz list fits u32"));
                     }
-                    pr.push(PopcountTile {
-                        masks,
-                        nz,
-                        nz_offsets,
-                    });
+                    pr.push(PopcountTile { nz, nz_offsets });
                 }
                 row.push(AnalogArray::from_bits(cfg, &bits));
             }
@@ -532,7 +537,6 @@ impl RomMvm {
             codes16,
             group_bounds,
             kernel: KernelDispatch::from_env().resolve(),
-            fast_path_enabled: true,
             finisher: StatsFinisher::default(),
             adc_identity: match cfg.adc {
                 AdcModel::Ideal => true,
@@ -702,18 +706,23 @@ impl RomMvm {
         }
     }
 
-    /// Enables or disables the popcount fast path (see the type docs).
-    /// Disabling it forces every [`RomMvm::mvm`] through the cell-accurate
-    /// analog reference path — useful for baselining and for verifying the
-    /// two paths agree.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path_enabled = enabled;
+    /// Drops the popcount masks and stored codes that only the batch
+    /// kernels read, so every execution takes the cell-accurate analog
+    /// reference path — how [`BackendKind::Analog`] engines are
+    /// programmed.
+    ///
+    /// [`BackendKind::Analog`]: crate::backend::BackendKind::Analog
+    pub(crate) fn pin_analog(&mut self) {
+        self.popcount_tiles = None;
+        self.codes = Vec::new();
+        self.codes16 = kernels::PackedCodes16::empty();
     }
 
-    /// Whether [`RomMvm::mvm`] will take the popcount fast path: enabled,
-    /// noiseless, and `rows_per_activation` fits the 64-bit group masks.
+    /// Whether [`RomMvm::mvm`] and the batch entries run the batch
+    /// kernels: noiseless, `rows_per_activation` fits the 64-bit group
+    /// masks, and not pinned to the analog reference path.
     pub fn fast_path_active(&self) -> bool {
-        self.fast_path_enabled && self.params.noise_sigma == 0.0 && self.popcount_tiles.is_some()
+        self.params.noise_sigma == 0.0 && self.popcount_tiles.is_some()
     }
 
     /// Logical dimensions `(outs, ins)`.
@@ -747,132 +756,57 @@ impl RomMvm {
     /// Executes `y = W x` on unsigned activation codes (`0..2^act_bits`),
     /// returning the integer results and execution statistics.
     ///
-    /// Dispatches to the popcount fast path when
+    /// Runs the batch kernels on a one-vector block when
     /// [`RomMvm::fast_path_active`] (the RNG is then untouched — a
-    /// noiseless datapath consumes no randomness on either path), and to
-    /// the analog reference path otherwise. Both paths produce identical
+    /// noiseless datapath consumes no randomness on either path), and the
+    /// analog reference path otherwise. Both paths produce identical
     /// results and statistics whenever both apply.
     ///
     /// # Panics
     ///
     /// Panics if `acts.len() != ins` or any code is out of range.
     pub fn mvm<R: Rng + ?Sized>(&self, acts: &[i32], rng: &mut R) -> (Vec<i64>, MvmStats) {
-        if self.fast_path_active() {
-            self.mvm_fast(acts)
-        } else {
-            self.mvm_analog(acts, rng)
+        if !self.fast_path_active() {
+            return self.mvm_analog(acts, rng);
         }
-    }
-
-    /// Executes `y = W x` on the popcount fast path: per activation group,
-    /// the discharge count of every column comes from `AND`+`popcount`
-    /// against the tables precomputed in [`RomMvm::program`], followed by
-    /// the same per-group ADC transfer and shift-&-add recombination as
-    /// the analog path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acts.len() != ins`, any code is out of range, or the
-    /// fast path is unavailable (`rows_per_activation > 64`).
-    fn mvm_fast(&self, acts: &[i32]) -> (Vec<i64>, MvmStats) {
         assert_eq!(acts.len(), self.ins, "activation length mismatch");
-        let p = &self.params;
-        let popcount_tiles = self
-            .popcount_tiles
-            .as_ref()
-            .expect("fast path requires popcount tables");
-        let chunks = unsigned_chunks(acts, p.act_bits, p.chunk_bits);
-        let wb = p.weight_bits as usize;
-        let rpa = p.rows_per_activation;
-        let n_groups = p.rows.div_ceil(rpa);
-        let n_planes = p.chunk_bits as usize;
-        let adc = p.analog_config().adc;
         let mut out = vec![0i64; self.outs];
         let mut stats = MvmStats::default();
-        let mut plane_masks = vec![0u64; n_groups * n_planes];
-        for (rt, tile_row) in popcount_tiles.iter().enumerate() {
-            let row_lo = rt * p.rows;
-            let row_hi = ((rt + 1) * p.rows).min(self.ins);
-            for (c_idx, chunk) in chunks.iter().enumerate() {
-                // Decompose this row tile's pulse vector into per-group
-                // pulse bit-plane masks (bit k of plane b = bit b of the
-                // pulse count on row `group_start + k`).
-                plane_masks.fill(0);
-                let mut total_pulses = 0u64;
-                for (r, &pulse) in chunk[row_lo..row_hi].iter().enumerate() {
-                    total_pulses += pulse as u64;
-                    for (b, plane) in plane_masks
-                        [(r / rpa) * n_planes..(r / rpa) * n_planes + n_planes]
-                        .iter_mut()
-                        .enumerate()
-                    {
-                        if (pulse >> b) & 1 == 1 {
-                            *plane |= 1u64 << (r % rpa);
-                        }
-                    }
-                }
-                if total_pulses == 0 {
-                    continue;
-                }
-                // Active groups match the analog path's silent-group skip.
-                let active: Vec<usize> = (0..n_groups)
-                    .filter(|g| {
-                        plane_masks[g * n_planes..(g + 1) * n_planes]
-                            .iter()
-                            .any(|&m| m != 0)
-                    })
-                    .collect();
-                let evals = active.len();
-                let act_weight = 1i64 << (c_idx as u8 * p.chunk_bits);
-                for (ct, tile) in tile_row.iter().enumerate() {
-                    stats.analog_evaluations += evals as u64;
-                    stats.adc_conversions += (evals * p.cols) as u64;
-                    stats.wl_pulses += total_pulses;
-                    let tile_faults = self.adc_faults.as_ref().map(|af| &af[rt][ct]);
-                    for o in 0..self.outs_per_array {
-                        let out_idx = ct * self.outs_per_array + o;
-                        if out_idx >= self.outs {
-                            break;
-                        }
-                        for j in 0..wb {
-                            let col = o * wb + j;
-                            let col_fault = tile_faults.and_then(|t| t[col]);
-                            let mut col_total = 0i64;
-                            for &g in &active {
-                                let col_mask = tile.masks[g * p.cols + col];
-                                let count: u32 = plane_masks[g * n_planes..(g + 1) * n_planes]
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(b, &m)| (1u32 << b) * (col_mask & m).count_ones())
-                                    .sum();
-                                let sensed = match col_fault {
-                                    Some(f) => f.apply_count(u64::from(count)) as u32,
-                                    None => count,
-                                };
-                                col_total += adc.digitize(sensed as f32);
-                            }
-                            out[out_idx] +=
-                                act_weight * signed_plane_weight(j, p.weight_bits) * col_total;
-                        }
-                    }
-                }
-            }
-        }
-        self.finish_stats(&mut stats);
+        let mut scratch = crate::backend::MvmScratch::new();
+        self.mvm_batch_noiseless(acts, 1, &mut out, &mut stats, &mut scratch);
         (out, stats)
     }
 
+    /// The row-major batch kernel of a noiseless engine: the exact
+    /// integer matmul where the ADC transfer is an identity, the
+    /// quantizing popcount mask stream otherwise.
+    pub(crate) fn mvm_batch_noiseless(
+        &self,
+        acts: &[i32],
+        n: usize,
+        out: &mut [i64],
+        stats: &mut MvmStats,
+        scratch: &mut crate::backend::MvmScratch,
+    ) {
+        if self.adc_is_identity() {
+            self.mvm_batch_exact(acts, n, out, stats, scratch);
+        } else {
+            self.mvm_batch_fast(acts, n, out, stats, scratch);
+        }
+    }
+
     /// Asserts every activation code is in the unsigned `act_bits` range
-    /// — the same hard failure the per-vector path raises through
+    /// — the same hard failure the analog reference path raises through
     /// `unsigned_chunks`, checked once per batch so the batched kernels
     /// can never silently compute on sign-extended garbage.
     fn validate_act_codes(&self, acts: &[i32]) {
-        // Reduced as an unsigned max so the scan auto-vectorizes: a
-        // negative code casts to a huge `u32` and trips the same bound.
-        let hi = 1u64 << self.params.act_bits;
-        let worst = acts.iter().fold(0u32, |m, &a| m.max(a as u32));
+        // Reduced as a bitwise OR, which vectorizes on baseline x86-64
+        // (an unsigned max does not: SSE2 has no `pmaxud`): a code is
+        // in range iff it sets no bit at or above `act_bits`, and a
+        // negative code sets the sign bit.
+        let any = acts.iter().fold(0u32, |m, &a| m | a as u32);
         assert!(
-            u64::from(worst) < hi,
+            u64::from(any) >> self.params.act_bits == 0,
             "activation code outside unsigned {}-bit range",
             self.params.act_bits
         );
@@ -895,7 +829,7 @@ impl RomMvm {
     /// weight codes — dispatched through the selected kernel tier
     /// ([`RomMvm::kernel`]) — while the event counters come from the
     /// shared [`kernels::fold_event_counters`]. Bit-identical to a
-    /// per-vector [`RomMvm::mvm_fast`] loop in values *and* statistics
+    /// per-vector [`RomMvm::mvm_analog`] loop in values *and* statistics
     /// on every tier.
     pub(crate) fn mvm_batch_exact(
         &self,
@@ -910,75 +844,25 @@ impl RomMvm {
             !self.codes.is_empty() || self.outs == 0 || self.ins == 0,
             "exact kernel requires the stored code matrix"
         );
-        // Exact values: the dispatched integer matmul, in whichever
-        // layout the shape crossover prefers. A row-major caller still
-        // reaches the transposed kernels through a one-time repack of
-        // the block (cheap next to the O(outs * ins * n) matmul for the
-        // narrow shapes the crossover selects).
+        kernels::matmul_exact(
+            self.kernel,
+            &self.exact_codes(),
+            acts,
+            n,
+            out,
+            &mut scratch.acts16,
+        );
         scratch.counters.clear();
         scratch.counters.resize(n, [0u64; 3]);
-        match self.batch_layout_for(n) {
-            kernels::MatmulLayout::RowMajor => {
-                kernels::matmul_exact(
-                    self.kernel,
-                    &self.exact_codes(),
-                    acts,
-                    n,
-                    out,
-                    &mut scratch.acts16,
-                );
-                kernels::fold_event_counters(
-                    self.kernel,
-                    acts,
-                    self.ins,
-                    n,
-                    &self.fold_params(),
-                    &mut scratch.counters,
-                    &mut scratch.fold_bitmaps,
-                );
-            }
-            kernels::MatmulLayout::Transposed => {
-                // Repack once, then run the whole panel pipeline —
-                // matmul *and* fold — so the repack is the only layout
-                // cost a row-major caller pays. The repack itself is
-                // tier-dispatched (hardware gathers on the SIMD tiers).
-                // The panel is grown but never re-zeroed: padding lanes
-                // carry stale codes from earlier calls, which the panel
-                // kernels tolerate (lane arithmetic is independent and
-                // padded lanes are never extracted; stale codes obey
-                // the same magnitude bound as live ones).
-                let n_pad = kernels::transposed_pad(n);
-                let need = self.ins * n_pad;
-                if scratch.acts_t.len() < need {
-                    scratch.acts_t.resize(need, 0);
-                }
-                kernels::repack_transposed(
-                    self.kernel,
-                    acts,
-                    self.ins,
-                    n,
-                    n_pad,
-                    &mut scratch.acts_t,
-                );
-                kernels::matmul_exact_t(
-                    self.kernel,
-                    &self.exact_codes(),
-                    &scratch.acts_t,
-                    n,
-                    n_pad,
-                    out,
-                );
-                kernels::fold_event_counters_t(
-                    self.kernel,
-                    &scratch.acts_t,
-                    self.ins,
-                    n,
-                    n_pad,
-                    &self.fold_params(),
-                    &mut scratch.counters,
-                );
-            }
-        }
+        kernels::fold_event_counters(
+            self.kernel,
+            acts,
+            self.ins,
+            n,
+            &self.fold_params(),
+            &mut scratch.counters,
+            &mut scratch.fold_bitmaps,
+        );
         self.merge_counter_stats(&scratch.counters, stats);
     }
 
@@ -994,8 +878,10 @@ impl RomMvm {
     }
 
     /// The activation layout the batched kernels prefer for a block of
-    /// `n` vectors (see [`kernels::choose_layout`]); the noisy per-vector
-    /// reference path has no batched kernel and always stages row-major.
+    /// `n` vectors (see [`kernels::choose_layout`]); the analog reference
+    /// path has no batched kernel and always stages row-major. The
+    /// row-major entries run the row-major kernels on every shape, so
+    /// the transposed kernels run only for callers that stage the panel.
     ///
     /// The scalar tier also stays row-major: the panel layout only pays
     /// off when lanes vectorize, and letting the reference tier take its
@@ -1023,9 +909,9 @@ impl RomMvm {
     /// never read back but must stay within the activation code range,
     /// e.g. zero or stale codes from an earlier staging pass) —
     /// the layout [`RomMvm::batch_layout_for`] asks callers to stage
-    /// when the crossover picks the transposed kernels, eliminating the
-    /// quantize-then-repack double pass. Bit-identical to the row-major
-    /// entry on every tier.
+    /// when the crossover picks the transposed kernels, quantizing
+    /// straight into the panel. Bit-identical to the row-major entry on
+    /// every tier.
     pub(crate) fn mvm_batch_exact_t(
         &self,
         acts_t: &[i32],
@@ -1061,7 +947,7 @@ impl RomMvm {
     }
 
     /// Derives per-vector statistics from raw event counters (through
-    /// [`RomMvm::finish_stats`]) and merges them **in vector order** —
+    /// [`StatsFinisher::finish`]) and merges them **in vector order** —
     /// the exact fold a per-vector `mvm` loop performs.
     fn merge_counter_stats(&self, counters: &[[u64; 3]], stats: &mut MvmStats) {
         let finisher = &self.finisher;
@@ -1077,16 +963,16 @@ impl RomMvm {
         }
     }
 
-    /// Executes a block of `n` activation vectors on the popcount fast
-    /// path with **one traversal of the popcount tables per block**: the
+    /// Executes a block of `n` activation vectors on the popcount mask
+    /// stream with **one traversal of the popcount masks per block**: the
     /// pulse bit-planes of every vector are packed once per (row-tile,
     /// chunk) step into `scratch`, and the per-column weight masks are
     /// then streamed a single time, each mask `AND`+`popcount`-ed against
     /// all vectors while it is hot. Bit-identical to a per-vector
-    /// [`RomMvm::mvm_fast`] loop in values *and* statistics: the integer
+    /// [`RomMvm::mvm_analog`] loop in values *and* statistics: the integer
     /// accumulation is exact under any traversal order, the same ADC
     /// transfer is applied per group evaluation, and the per-vector event
-    /// counters are folded through [`RomMvm::finish_stats`] and merged in
+    /// counters are folded through [`StatsFinisher::finish`] and merged in
     /// vector order, exactly as a per-vector walk folds them.
     ///
     /// At the paper design point the ADC resolves single discharge events
@@ -1405,24 +1291,11 @@ impl RomMvm {
                 }
             }
         }
-        self.finish_stats(&mut stats);
+        self.finisher.finish(&mut stats);
         (out, stats)
     }
 
-    /// Fills in the derived energy and latency fields from the event
-    /// counters, identically for both execution paths.
-    ///
-    /// Energy: one `e_adc` per column conversion, `e_wl` per actual pulse,
-    /// per-evaluation bit-line precharge, and shift-&-add/control overhead
-    /// per active subarray. Latency: one analog evaluation takes
-    /// `t_inference / (chunks x groups)` — a full 8-bit MAC over `rows`
-    /// inputs takes `t_inference_ns`; column tiles run in parallel on
-    /// distinct subarrays, so divide by the column-tile count.
-    fn finish_stats(&self, stats: &mut MvmStats) {
-        self.finisher.finish(stats);
-    }
-
-    /// Hoists the constant subexpressions of [`RomMvm::finish_stats`] —
+    /// Hoists the constant subexpressions of the stats derivation —
     /// the subarray walk, the `div_ceil` shape math and the `t_eval`
     /// division — so the per-vector fold pays only the genuinely
     /// per-vector arithmetic. Every precomputed value is the exact float
@@ -1448,7 +1321,7 @@ impl RomMvm {
 }
 
 /// Precomputed constants of the stats derivation (see
-/// [`RomMvm::finish_stats`]); built once at `program` time, applied per
+/// [`StatsFinisher::finish`]); built once at `program` time, applied per
 /// vector.
 #[derive(Clone, Copy, Default)]
 struct StatsFinisher {
@@ -1654,23 +1527,40 @@ mod tests {
         let planes = signed_bitplanes(&codes, params.weight_bits);
         let (rows, cols, rpa) = (params.rows, params.cols, params.rows_per_activation);
         let opa = engine.outs_per_array;
-        let masks = engine.popcount_tiles.as_ref().expect("maskable groups");
+        let groups = rows.div_ceil(rpa);
+        let popcount = engine.popcount_tiles.as_ref().expect("maskable groups");
         for (rt, tile_row) in engine.tiles.iter().enumerate() {
             for (ct, array) in tile_row.iter().enumerate() {
+                let mut masks = vec![0u64; groups * cols];
                 for r in 0..rows {
                     for c in 0..cols {
                         let (i, o, j) = (rt * rows + r, ct * opa + c / 5, c % 5);
                         let want =
                             i < ins && o < outs && c < opa * 5 && planes[j][o * ins + i] == 1;
                         assert_eq!(array.bit(r, c), want, "tile ({rt}, {ct}) cell ({r}, {c})");
-                        let mask = masks[rt][ct].masks[(r / rpa) * cols + c];
-                        assert_eq!(
-                            mask >> (r % rpa) & 1 == 1,
-                            want,
-                            "mask ({rt}, {ct}, {r}, {c})"
-                        );
+                        if want {
+                            masks[(r / rpa) * cols + c] |= 1u64 << (r % rpa);
+                        }
                     }
                 }
+                // The stored lists hold exactly the nonzero group masks,
+                // group by group, in (output, plane) column order.
+                let mut nz = Vec::new();
+                let mut nz_offsets = vec![0u32];
+                for g in 0..groups {
+                    for (c, &mask) in masks[g * cols..(g + 1) * cols].iter().enumerate() {
+                        if mask != 0 {
+                            nz.push(((((c / 5) as u32) << 8) | (c % 5) as u32, mask));
+                        }
+                    }
+                    nz_offsets.push(nz.len() as u32);
+                }
+                let tile = &popcount[rt][ct];
+                assert_eq!(tile.nz, nz, "nz masks of tile ({rt}, {ct})");
+                assert_eq!(
+                    tile.nz_offsets, nz_offsets,
+                    "nz offsets of tile ({rt}, {ct})"
+                );
             }
         }
     }
@@ -1759,11 +1649,11 @@ mod tests {
             n in 1usize..6,
             seed in 0u64..10_000,
         ) {
-            // Kernel-tier parity: every available dispatch tier (scalar
-            // and, where the host supports it, AVX2) must produce the
-            // exact per-vector reference — values AND folded stats — on
-            // both batch paths (identity-ADC exact matmul and the
-            // quantizing popcount stream, toggled by `rpa`).
+            // Kernel-tier parity: every available dispatch tier must
+            // produce the per-vector analog reference — values AND
+            // folded stats — on both batch paths (identity-ADC exact
+            // matmul and the quantizing popcount stream, toggled by
+            // `rpa`).
             let mut params = MacroParams::rom_paper();
             if seed % 2 == 1 {
                 params.rows_per_activation = 32; // ADC actually quantizes
@@ -1777,7 +1667,7 @@ mod tests {
             let mut golden = vec![0i64; n * outs];
             let mut golden_stats = MvmStats::default();
             for v in 0..n {
-                let (y, s) = engine.mvm(&acts[v * ins..(v + 1) * ins], &mut rng);
+                let (y, s) = engine.mvm_analog(&acts[v * ins..(v + 1) * ins], &mut rng);
                 golden[v * outs..(v + 1) * outs].copy_from_slice(&y);
                 golden_stats.merge(&s);
             }
@@ -1786,11 +1676,7 @@ mod tests {
                 engine.set_kernel(kind);
                 let mut out = vec![0i64; n * outs];
                 let mut stats = MvmStats::default();
-                if engine.adc_is_identity() {
-                    engine.mvm_batch_exact(&acts, n, &mut out, &mut stats, &mut scratch);
-                } else {
-                    engine.mvm_batch_fast(&acts, n, &mut out, &mut stats, &mut scratch);
-                }
+                engine.mvm_batch_noiseless(&acts, n, &mut out, &mut stats, &mut scratch);
                 prop_assert_eq!(&out, &golden, "values diverge on {}", kind.label());
                 prop_assert_eq!(&stats, &golden_stats, "stats diverge on {}", kind.label());
             }
@@ -1816,25 +1702,6 @@ mod tests {
         let (y_analog, s_analog) = engine.mvm_analog(&acts, &mut rng);
         assert_eq!(y_fast, y_analog);
         assert_eq!(s_fast, s_analog);
-    }
-
-    #[test]
-    fn set_fast_path_forces_reference_path_with_same_results() {
-        let mut params = MacroParams::rom_paper();
-        params.adc_bits = 16;
-        let (outs, ins) = (4, 200);
-        let codes: Vec<i32> = (0..outs * ins)
-            .map(|i| ((i * 19) % 255) as i32 - 127)
-            .collect();
-        let acts: Vec<i32> = (0..ins).map(|i| ((i * 7) % 256) as i32).collect();
-        let mut engine = RomMvm::program(params, &codes, outs, ins);
-        let mut rng = StdRng::seed_from_u64(12);
-        let (y_fast, _) = engine.mvm(&acts, &mut rng);
-        engine.set_fast_path(false);
-        assert!(!engine.fast_path_active());
-        let (y_ref, _) = engine.mvm(&acts, &mut rng);
-        assert_eq!(y_fast, y_ref);
-        assert_eq!(y_ref, reference_mvm(&codes, outs, ins, &acts));
     }
 
     #[test]
@@ -1987,6 +1854,27 @@ mod tests {
         assert_eq!(y_slow, y_clean, "link faults never change values");
         assert_eq!(s_slow.energy_pj, s_clean.energy_pj);
         assert_eq!(s_slow.latency_ns, s_clean.latency_ns * 4.0);
+    }
+
+    #[test]
+    fn act_code_scan_accepts_exactly_the_unsigned_range() {
+        // The batch entries' OR-reduced scan must accept 0..2^act_bits
+        // and nothing else: one past the top code and every negative
+        // code (sign bit set) panic.
+        for act_bits in [4u8, 8] {
+            let mut params = MacroParams::rom_paper();
+            params.act_bits = act_bits;
+            let engine = RomMvm::program(params, &[1, -1], 1, 2);
+            let top = (1i32 << act_bits) - 1;
+            let accepts = |acts: &[i32]| {
+                let scan = std::panic::AssertUnwindSafe(|| engine.validate_act_codes(acts));
+                std::panic::catch_unwind(scan).is_ok()
+            };
+            assert!(accepts(&[0, top, top / 2, 1]), "{act_bits} bits");
+            for bad in [top + 1, -1, i32::MIN, i32::MAX] {
+                assert!(!accepts(&[0, top, bad]), "{act_bits} bits: {bad}");
+            }
+        }
     }
 
     #[test]

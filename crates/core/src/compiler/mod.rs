@@ -764,34 +764,6 @@ impl ExecPlan {
         (rom, sram)
     }
 
-    /// Enables or disables the popcount fast path on every programmed
-    /// backend in the plan.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        for op in &mut self.ops {
-            match op {
-                PlanOp::Conv { conv, .. } => conv.set_fast_path(enabled),
-                PlanOp::ReBranch {
-                    trunk,
-                    compress,
-                    res_conv,
-                    decompress,
-                    ..
-                } => {
-                    trunk.set_fast_path(enabled);
-                    compress.set_fast_path(enabled);
-                    res_conv.set_fast_path(enabled);
-                    decompress.set_fast_path(enabled);
-                }
-                PlanOp::Linear { linear, .. } => linear.set_fast_path(enabled),
-                PlanOp::ResidualAdd {
-                    projection: Some(p),
-                    ..
-                } => p.0.set_fast_path(enabled),
-                _ => {}
-            }
-        }
-    }
-
     /// The ops whose outputs must be retained during execution because a
     /// later op reads them through an [`OpSource`].
     pub(crate) fn retained(&self) -> Vec<bool> {
@@ -1769,11 +1741,6 @@ impl CompiledNetwork {
         self.plan.subarrays()
     }
 
-    /// Enables or disables the popcount fast path on every layer.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.plan.set_fast_path(enabled);
-    }
-
     /// The compiled execution plan (op count, buffer plan, shard layout).
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
@@ -2099,6 +2066,64 @@ mod tests {
         let (a, _) = net.infer(&x, &mut rng);
         let (b, _) = base.infer(&x, &mut rng);
         assert_eq!(a.data(), b.data());
+    }
+
+    /// The execution path of every CiM layer in `plan`, in op order.
+    fn cim_backend_names(plan: &ExecPlan) -> Vec<&'static str> {
+        let mut names = Vec::new();
+        for op in &plan.ops {
+            match op {
+                PlanOp::Conv { conv, .. } => names.push(conv.backend_name()),
+                PlanOp::ReBranch {
+                    trunk,
+                    compress,
+                    res_conv,
+                    decompress,
+                    ..
+                } => {
+                    names.extend([trunk, compress, res_conv, decompress].map(|c| c.backend_name()))
+                }
+                PlanOp::Linear { linear, .. } => names.push(linear.backend_name()),
+                PlanOp::ResidualAdd {
+                    projection: Some(p),
+                    ..
+                } => names.push(p.0.backend_name()),
+                _ => {}
+            }
+        }
+        names
+    }
+
+    #[test]
+    fn analog_compile_stays_analog_through_remap_and_round_trip() {
+        // The backend kind is part of every layer's program record, so
+        // neither re-programming a repaired layer nor rebuilding the plan
+        // from its document moves a layer off the path it was compiled
+        // for.
+        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
+        let mut opts = small_opts();
+        opts.backend = BackendKind::Analog;
+        opts.faults = Some(FaultConfig::sized(FaultSpec::none(), 8));
+        let mut net = CompiledNetwork::compile_random(&desc, 81, opts).unwrap();
+        let assert_analog = |net: &CompiledNetwork, when: &str| {
+            let names = cim_backend_names(net.plan());
+            assert!(!names.is_empty(), "{when}: no CiM layers");
+            assert!(
+                names.iter().all(|&n| n == BackendKind::Analog.label()),
+                "{when}: {names:?}"
+            );
+        };
+        assert_analog(&net, "fresh compile");
+        let victim = net.mapping.placements[0]
+            .subarray_ids
+            .as_ref()
+            .expect("fault-aware placements carry physical ids")[0];
+        let affected = net.remap_faults(&[victim]).expect("spares available");
+        assert!(affected.contains(&0), "placement 0 must be repaired");
+        assert_analog(&net, "after remap_faults");
+        let back = CompiledNetwork::deserialize_plan(&net.serialize_plan())
+            .expect("analog plan deserializes");
+        assert_analog(&back, "after a plan round trip");
     }
 
     #[test]

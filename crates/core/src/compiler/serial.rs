@@ -16,13 +16,11 @@
 //! `UInt`/`Int` variants (no 2^53 truncation), `f32` state widens
 //! losslessly to `f64`, and floats render shortest-round-trip.
 //!
-//! What is *not* captured, by design:
-//!
-//! * runtime `set_fast_path` toggles — a deserialized layer starts on
-//!   its backend's compile-time default path, like a fresh compile;
-//! * the recycled arena pool — one arena is re-materialized from the
-//!   buffer plan on load, mirroring what `compile` does, so the first
-//!   inference starts from pre-sized slots.
+//! Each layer's `ProgramSpec` carries its `BackendKind`, so a
+//! deserialized layer runs on the execution path it was compiled for.
+//! What is *not* captured, by design, is the recycled arena pool: one
+//! arena is re-materialized from the buffer plan on load, mirroring what
+//! `compile` does, so the first inference starts from pre-sized slots.
 //!
 //! The document is the value format of the content-addressed plan cache
 //! ([`crate::compiler::cache`]); its top-level `schema` string is the

@@ -275,15 +275,6 @@ impl CimDeployedModel {
         &self.plan
     }
 
-    /// Enables or disables the popcount fast path on every programmed
-    /// macro (trunk and branch convs plus the classifier); see
-    /// [`yoloc_cim::macro_model::RomMvm::set_fast_path`]. Disabled means
-    /// every MVM runs the cell-accurate analog reference path — the
-    /// pre-engine behaviour, kept as the serial baseline for benchmarks.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.plan.set_fast_path(enabled);
-    }
-
     /// Runs inference through the analog datapath; returns logits and the
     /// per-domain macro statistics.
     ///
@@ -836,17 +827,6 @@ mod tests {
         let (other, _) =
             crate::engine::WorkerPool::with(2, |pool| deployed.infer_batch(&x, 8, pool));
         assert_ne!(w1.data(), other.data());
-    }
-
-    #[test]
-    fn fast_path_toggle_does_not_change_logits() {
-        let (rom, sram) = small_params();
-        let (mut deployed, x) = quick_deployment(rom, sram, 3);
-        let mut rng = StdRng::seed_from_u64(22);
-        let (fast, _) = deployed.infer(&x, &mut rng);
-        deployed.set_fast_path(false);
-        let (reference, _) = deployed.infer(&x, &mut rng);
-        assert_eq!(fast.data(), reference.data());
     }
 
     #[test]

@@ -381,14 +381,6 @@ impl CimConv2d {
         self.engine.backend_name()
     }
 
-    /// Enables or disables the backend's popcount fast path where one
-    /// exists (see [`yoloc_cim::macro_model::RomMvm::set_fast_path`]).
-    /// Disabling it forces hardware backends through the cell-accurate
-    /// analog reference path.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.engine.set_fast_path(enabled);
-    }
-
     /// Moves a fault-aware layer onto new physical subarrays and
     /// re-programs its engine (the repair path after a subarray dies).
     /// No-op on layers compiled without a fault record.
@@ -683,11 +675,6 @@ impl CimLinear {
         self.engine.backend_name()
     }
 
-    /// Enables or disables the backend's popcount fast path.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.engine.set_fast_path(enabled);
-    }
-
     /// Moves a fault-aware layer onto new physical subarrays and
     /// re-programs its engine (the repair path after a subarray dies).
     /// No-op on layers compiled without a fault record.
@@ -789,9 +776,9 @@ impl CimLinear {
 /// the digital dequantization state. The engine is rebuilt from the
 /// record on deserialization (`row_sums` and `channel_scales` are stored
 /// rather than recomputed so the digital path is byte-for-byte the
-/// compile-time state). Runtime [`CimConv2d::set_fast_path`] toggles are
-/// *not* captured — a deserialized layer starts on its backend's default
-/// path, exactly like a freshly compiled one.
+/// compile-time state). The record carries the layer's
+/// [`BackendKind`], so a deserialized layer runs on the same execution
+/// path as the fresh compile.
 impl Serialize for CimConv2d {
     fn to_json(&self) -> Json {
         Json::obj([

@@ -3,7 +3,9 @@
 //! `ExecutionReport` — to the clone-based oracle
 //! (`ExecPlan::execute_cloned`), serially and through the batched
 //! engine, across random zoo graphs, worker counts 1/2/8 and all three
-//! mapping strategies.
+//! mapping strategies. On the first two named graphs the suite also runs
+//! the `BackendKind::Analog` compile, which must match the popcount
+//! compile bit for bit.
 //!
 //! This is the acceptance gate of the arena-runtime refactor: running on
 //! pre-materialized slot buffers instead of per-op tensor clones — and
@@ -14,20 +16,28 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use yoloc::cim::BackendKind;
+use yoloc::core::compiler::ExecutionReport;
 use yoloc::core::engine::WorkerPool;
 use yoloc::core::mapping::MappingStrategy;
 use yoloc::models::zoo;
 use yoloc::tensor::Tensor;
 
 mod common;
-use common::zoo::{compile, named_zoo_nets, strategies, WORKER_SWEEP};
+use common::zoo::{compile_on, named_zoo_nets, strategies, WORKER_SWEEP};
 
-/// Compiles `desc` once with the full pipeline and checks that the
-/// clone-based oracle, the arena interpreter (both the pooled `infer`
-/// path and an explicit reused arena) and the batched engine all agree
-/// bit for bit on the same plan.
-fn assert_arena_parity(desc: &yoloc::models::NetworkDesc, seed: u64, strategy: MappingStrategy) {
-    let net = compile(desc, seed, strategy);
+/// Compiles `desc` once onto `backend` with the full pipeline and checks
+/// that the clone-based oracle, the arena interpreter (both the pooled
+/// `infer` path and an explicit reused arena) and the batched engine all
+/// agree bit for bit on the same plan; returns the oracle's logits and
+/// report.
+fn assert_arena_parity(
+    desc: &yoloc::models::NetworkDesc,
+    seed: u64,
+    strategy: MappingStrategy,
+    backend: BackendKind,
+) -> (Vec<f32>, ExecutionReport) {
+    let net = compile_on(desc, seed, strategy, backend);
 
     let (c, h, w) = net.input_shape();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00A1_2E7A);
@@ -94,6 +104,7 @@ fn assert_arena_parity(desc: &yoloc::models::NetworkDesc, seed: u64, strategy: M
             desc.name
         );
     }
+    (logits_oracle.data().to_vec(), report_oracle)
 }
 
 #[test]
@@ -123,14 +134,31 @@ fn kernel_override_is_honored_across_the_arena_suite() {
     }
     // One pinned end-to-end case under the active tier, beyond the
     // seed-swept coverage of the other tests in this file.
-    assert_arena_parity(&named_zoo_nets()[0], 7, strategies()[0]);
+    assert_arena_parity(
+        &named_zoo_nets()[0],
+        7,
+        strategies()[0],
+        BackendKind::Popcount,
+    );
 }
 
 #[test]
 fn named_zoo_networks_hold_arena_parity_across_all_strategies() {
-    for desc in &named_zoo_nets() {
-        for strategy in strategies() {
-            assert_arena_parity(desc, 23, strategy);
+    for (k, desc) in named_zoo_nets().iter().enumerate() {
+        for (s, strategy) in strategies().into_iter().enumerate() {
+            let popcount = assert_arena_parity(desc, 23, strategy, BackendKind::Popcount);
+            // The analog reference path is a compile-time backend
+            // choice: on the first two graphs it must reproduce the
+            // popcount compile's logits and full report bit for bit.
+            // Placement never changes arithmetic, so one strategy does.
+            if k < 2 && s == 0 {
+                let analog = assert_arena_parity(desc, 23, strategy, BackendKind::Analog);
+                assert_eq!(
+                    popcount, analog,
+                    "{}/{strategy:?}: the analog backend diverged",
+                    desc.name
+                );
+            }
         }
     }
 }
@@ -145,6 +173,6 @@ proptest! {
         // strategy rotates with the seed so the sweep covers all three.
         let desc = zoo::random_zoo(seed);
         let strategy = strategies()[(seed % 3) as usize];
-        assert_arena_parity(&desc, seed, strategy);
+        assert_arena_parity(&desc, seed, strategy, BackendKind::Popcount);
     }
 }

@@ -7,6 +7,7 @@
 //! `allow(dead_code)` to survive `clippy -D warnings` in every binary.
 #![allow(dead_code)]
 
+use yoloc::cim::BackendKind;
 use yoloc::core::compiler::{CompileOptions, CompiledNetwork};
 use yoloc::core::mapping::MappingStrategy;
 use yoloc::models::{zoo, NetworkDesc};
@@ -37,8 +38,19 @@ pub fn named_zoo_nets() -> [NetworkDesc; 3] {
 /// Compiles `desc` with the paper-default pipeline under `strategy`,
 /// panicking with the network's name on failure.
 pub fn compile(desc: &NetworkDesc, seed: u64, strategy: MappingStrategy) -> CompiledNetwork {
+    compile_on(desc, seed, strategy, BackendKind::Popcount)
+}
+
+/// [`compile`] with every CiM layer on `backend`.
+pub fn compile_on(
+    desc: &NetworkDesc,
+    seed: u64,
+    strategy: MappingStrategy,
+    backend: BackendKind,
+) -> CompiledNetwork {
     let mut opts = CompileOptions::paper_default();
     opts.mapping = strategy;
+    opts.backend = backend;
     CompiledNetwork::compile_random(desc, seed, opts)
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", desc.name))
 }

@@ -10,8 +10,9 @@
 //!    fault actually fires.
 //! 2. **Faults are deterministic and tier-consistent**: the same seed
 //!    corrupts the same way twice, and the staged kernel path agrees
-//!    bit-for-bit with the scalar analog oracle (`set_fast_path(false)`)
-//!    on the *faulted* deployment. `ci.sh` re-runs this suite under
+//!    bit-for-bit with the analog oracle (the same network compiled
+//!    with `CompileOptions::backend = BackendKind::Analog`) on the
+//!    *faulted* deployment. `ci.sh` re-runs this suite under
 //!    forced `YOLOC_KERNEL` tiers, so every SIMD tier is held to the
 //!    same oracle.
 //! 3. **Faulted plans round-trip**: serialize → deserialize preserves
@@ -22,7 +23,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use yoloc::cim::FaultSpec;
+use yoloc::cim::{BackendKind, FaultSpec};
 use yoloc::core::compiler::{CompileOptions, CompiledNetwork, FaultConfig};
 use yoloc::core::mapping::MappingStrategy;
 use yoloc::models::NetworkDesc;
@@ -38,9 +39,19 @@ fn compile_faulted(
     strategy: MappingStrategy,
     faults: FaultConfig,
 ) -> CompiledNetwork {
+    compile_faulted_on(desc, strategy, faults, BackendKind::Popcount)
+}
+
+fn compile_faulted_on(
+    desc: &NetworkDesc,
+    strategy: MappingStrategy,
+    faults: FaultConfig,
+    backend: BackendKind,
+) -> CompiledNetwork {
     let mut opts = CompileOptions::paper_default();
     opts.mapping = strategy;
     opts.faults = Some(faults);
+    opts.backend = backend;
     CompiledNetwork::compile_random(desc, SEED, opts)
         .unwrap_or_else(|e| panic!("{}: faulted compile failed: {e}", desc.name))
 }
@@ -119,9 +130,13 @@ fn faulted_deployments_are_deterministic_and_oracle_consistent() {
             assert_eq!(y_fault, y_twin, "{}/{strategy:?}", desc.name);
             assert_eq!(r_fault, r_twin, "{}/{strategy:?}", desc.name);
             // The staged kernel path (whatever tier the host resolved)
-            // agrees with the scalar analog oracle on faulted hardware.
-            let mut oracle = compile_faulted(desc, strategy, FaultConfig::sized(lively_spec(), 4));
-            oracle.set_fast_path(false);
+            // agrees with the analog oracle on faulted hardware.
+            let oracle = compile_faulted_on(
+                desc,
+                strategy,
+                FaultConfig::sized(lively_spec(), 4),
+                BackendKind::Analog,
+            );
             let (y_oracle, _) = infer(&oracle, 3);
             assert_eq!(
                 y_fault, y_oracle,
