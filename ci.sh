@@ -97,6 +97,11 @@ echo "== validate committed BENCH_engine.json (schema v7 gates incl. plan_cache 
 cargo run --release -q -p yoloc-bench --bin bench_engine -- --check-schema BENCH_engine.json
 cargo run --release -q -p yoloc-bench --bin bench_kernels -- --check-schema BENCH_engine.json
 
+echo "== bench_engine --smoke leaves the committed BENCH_engine.json byte-identical"
+cp BENCH_engine.json target/BENCH_engine.committed.json
+cargo run --release -q -p yoloc-bench --bin bench_engine -- --smoke
+cmp BENCH_engine.json target/BENCH_engine.committed.json
+
 echo "== validate committed BENCH_serve.json (schema yoloc-bench-serve/2 gates)"
 cargo run --release -q -p yoloc-bench --bin bench_serve -- --check-schema BENCH_serve.json
 

@@ -428,9 +428,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke_flag = args.iter().any(|a| a == "--smoke");
     let check_flag = args.iter().any(|a| a == "--check-schema");
-    if smoke_flag {
-        std::env::set_var("YOLOC_SMOKE", "1");
-    }
     if check_flag && !smoke_flag {
         let path = args
             .iter()

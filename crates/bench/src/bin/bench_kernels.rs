@@ -3,14 +3,14 @@
 //! Measures the tier-3 kernel work (runtime-dispatched SIMD with the
 //! AVX-512 tier and batch-transposed MVM layouts in `yoloc-cim`) on the
 //! lowered im2col shapes of the zoo networks the engine harness runs:
-//! per unique `(outs, ins)` shape, the batch entry inference dispatches
-//! (`mvm_batch_transposed` on a pre-staged panel where `batch_layout`
-//! asks for it, `mvm_batch` otherwise) is timed under the forced
-//! scalar tier and under the runtime-dispatched tier (asserting
-//! bit-identical values and `MvmStats` between the two), and the
-//! MVM-weighted aggregate `speedup_vs_scalar`, the per-shape time
-//! shares/layouts and the
-//! selected ISA are recorded as the schema-v7 `kernel_tier` block. The
+//! per unique `(outs, ins)` shape, the run step and stats fold inference
+//! dispatches (through `mvm_batch_transposed` on a pre-staged panel
+//! where `batch_layout` asks for it, `mvm_batch` otherwise) is timed
+//! under the forced scalar tier and under the runtime-dispatched tier
+//! (asserting bit-identical values and `MvmStats` between the two), and
+//! the MVM-weighted aggregate `speedup_vs_scalar`, the per-shape time
+//! shares/layouts and the selected ISA are recorded as the schema-v7
+//! `kernel_tier` block. The
 //! measurement lives in [`yoloc_bench::kernel_tier`] and is shared with
 //! `bench_engine`.
 //!
@@ -79,10 +79,6 @@ fn main() {
             .nth(1)
             .unwrap_or_else(|| "BENCH_engine.json".to_string());
         check_schema(&path);
-    }
-    if std::env::args().any(|a| a == "--smoke") {
-        // Let the library's smoke() see the flag-driven mode too.
-        std::env::set_var("YOLOC_SMOKE", "1");
     }
     let path = std::env::args()
         .skip(1)

@@ -40,10 +40,6 @@ fn set_field(doc: &mut Json, key: &str, value: Json) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        // Let the library's smoke() see the flag-driven mode too.
-        std::env::set_var("YOLOC_SMOKE", "1");
-    }
     let path = std::env::args()
         .skip(1)
         .find(|a| !a.starts_with("--"))

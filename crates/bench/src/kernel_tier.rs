@@ -13,9 +13,10 @@
 //! Per unique lowered shape `(outs, ins)` across the zoo (weighted by
 //! how many matrix-vector products per inference the zoo performs at
 //! that shape), the harness programs one `RomMvm` at the paper design
-//! point with seeded random codes and times the batch entry inference
-//! dispatches — `mvm_batch_transposed` on a pre-staged panel where
-//! `batch_layout` asks for it, `mvm_batch` otherwise — under the forced
+//! point with seeded random codes and times the run step and stats fold
+//! inference dispatches, through the wrappers over both —
+//! `mvm_batch_transposed` on a pre-staged panel where `batch_layout`
+//! asks for it, `mvm_batch` otherwise — under the forced
 //! scalar tier and under the runtime-dispatched tier, asserting the two
 //! agree bit-for-bit in values **and** `MvmStats` on the way. Samples
 //! of the two tiers are interleaved and each side reports its
@@ -237,9 +238,9 @@ fn measure_shape(
 ) -> ShapeMeasure {
     let mut rng = StdRng::seed_from_u64(seed);
     let codes: Vec<i32> = (0..outs * ins).map(|_| rng.gen_range(-128..=127)).collect();
-    // Batch like the arena runtime: one block per layer window (all
-    // output positions of a tile at once), capped so one timed call
-    // stays cheap on the largest shapes.
+    // Batch like the arena runtime: one block per conv (all of its
+    // output positions at once), capped so one timed call stays cheap
+    // on the largest shapes.
     let n = (mvms as usize).clamp(1, 256);
     let acts: Vec<i32> = (0..n * ins).map(|_| rng.gen_range(0..=255)).collect();
     let block = Block::new(acts, n, ins);

@@ -50,12 +50,15 @@ where
     WorkerPool::with(workers, |pool| pool.run(jobs))
 }
 
-/// Whether the harness runs in smoke mode (`YOLOC_SMOKE=1`, set by
-/// `repro_all --smoke` and `ci.sh`): every binary shrinks its workload to
-/// a tiny configuration that finishes in seconds while still executing
-/// its full code path — the bins are *run* in CI, not just compiled.
+/// Whether the harness runs in smoke mode: `--smoke` on the command
+/// line, or `YOLOC_SMOKE` set to anything but `0` (`repro_all --smoke`
+/// exports it to every child, and `ci.sh` sets it for some suites).
+/// Every binary then shrinks its workload to a tiny configuration that
+/// finishes in seconds while still executing its full code path — the
+/// bins are *run* in CI, not just compiled.
 pub fn smoke() -> bool {
-    std::env::var_os("YOLOC_SMOKE").is_some_and(|v| v != "0")
+    std::env::args_os().skip(1).any(|a| a == "--smoke")
+        || std::env::var_os("YOLOC_SMOKE").is_some_and(|v| v != "0")
 }
 
 /// Picks the smoke-mode value when [`smoke`] is active, the full-run

@@ -22,6 +22,8 @@
 //! weight codes, unsigned activation codes), so a deployment can swap a
 //! layer between them without touching quantization or dequantization.
 
+use std::ops::Range;
+
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -63,13 +65,14 @@ impl<R: RngCore + ?Sized> RngCore for DynRng<'_, R> {
     }
 }
 
-/// Reusable staging buffers for [`MvmBackend::mvm_batch`].
+/// Reusable staging buffers for the batched entries
+/// ([`MvmBackend::run_batch`] and the wrappers over it).
 ///
 /// The batched kernel packs activation pulse bit-planes once per block
-/// and tracks per-vector event counters; both live here so a steady-state
-/// inference loop touches no allocator — the executor's arena owns one
-/// `MvmScratch` per deployment and threads it through every call. All
-/// buffers grow on first use and keep their capacity.
+/// and records per-vector event counters; both live here so a
+/// steady-state inference loop touches no allocator — the executor's
+/// arena owns one `MvmScratch` per deployment and threads it through
+/// every call. All buffers grow on first use and keep their capacity.
 #[derive(Debug, Default)]
 pub struct MvmScratch {
     /// Staged pulse bit-plane masks for the current (row-tile, chunk)
@@ -78,8 +81,10 @@ pub struct MvmScratch {
     /// and AVX2 tiers, 8 on AVX-512), so each plane streams contiguously
     /// across the block.
     pub(crate) plane_masks: Vec<u64>,
-    /// Per-vector `(analog_evaluations, adc_conversions, wl_pulses)`
-    /// counters accumulated across the whole call.
+    /// One `(analog_evaluations, adc_conversions, wl_pulses)` row per
+    /// vector of the last run step, each summed over the whole call. They
+    /// are all [`MvmBackend::fold_stats`] needs: any contiguous range of
+    /// vectors can be folded into `MvmStats` after the run.
     pub(crate) counters: Vec<[u64; 3]>,
     /// Staged lane-packed `i16` activation rows for the AVX2 `madd`
     /// matmul tier (unused by the scalar tier).
@@ -108,25 +113,90 @@ impl MvmScratch {
 /// `Rng` for every `RngCore`, sized or not). Implementations that consume
 /// no randomness must leave the RNG untouched so noiseless execution stays
 /// bit-reproducible across backends.
+///
+/// A batched call is two steps. The *run* step
+/// ([`MvmBackend::run_batch`], [`MvmBackend::run_batch_transposed`])
+/// writes the accumulators and leaves one event-counter row per vector
+/// in the [`MvmScratch`]. The *fold* step ([`MvmBackend::fold_stats`])
+/// turns any contiguous range of those rows into [`MvmStats`]. So a
+/// caller can run a whole block in one call and still fold its
+/// statistics in sub-blocks: folding a partition sub-block by sub-block,
+/// each from zero, equals one [`MvmBackend::mvm_batch`] per sub-block,
+/// bit for bit.
 pub trait MvmBackend: Send + Sync {
     /// Executes `y = W x` on unsigned activation codes, returning integer
     /// accumulator results and execution statistics.
     fn mvm(&self, acts: &[i32], rng: &mut dyn RngCore) -> (Vec<i64>, MvmStats);
 
-    /// Batched entry: executes `n_vectors` consecutive activation vectors
-    /// (packed back to back in `acts`, each `ins` long) through the
-    /// programmed engine, writing the `n_vectors * outs` accumulators into
-    /// `out` in vector order and merging the per-vector statistics into
-    /// `stats` **in vector order, folded from zero per vector** — exactly
-    /// the reduction a per-vector [`MvmBackend::mvm`] loop performs, so
-    /// the two are bit-identical in values *and* stats (property-tested).
+    /// Run step of the batched entry: executes `n_vectors` consecutive
+    /// activation vectors (packed back to back in `acts`, each `ins`
+    /// long) through the programmed engine, writing the
+    /// `n_vectors * outs` accumulators into `out` in vector order and the
+    /// per-vector event counters into `scratch`. Folds no statistics;
+    /// [`MvmBackend::fold_stats`] does that from the counters. Noisy
+    /// engines draw from `rng` per vector, in vector order.
     ///
     /// This is the steady-state hot path of the arena executor: `out` and
     /// `scratch` are caller-owned and reused across calls, so a warmed-up
     /// inference allocates nothing here. [`RomMvm`]'s batch kernels
     /// traverse their programmed weight masks **once per block** instead
     /// of once per vector. The row-major kernels run on every shape; the
-    /// transposed ones only behind [`MvmBackend::mvm_batch_transposed`].
+    /// transposed ones only behind [`MvmBackend::run_batch_transposed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acts.len() != n_vectors * ins` or
+    /// `out.len() != n_vectors * outs`.
+    fn run_batch(
+        &self,
+        acts: &[i32],
+        n_vectors: usize,
+        out: &mut [i64],
+        scratch: &mut MvmScratch,
+        rng: &mut dyn RngCore,
+    );
+
+    /// Run step over a lane-major `[ins x n_pad]` activation panel
+    /// (`acts_t[i * n_pad + v]`): bit-identical to
+    /// [`MvmBackend::run_batch`] on the same values, in accumulators
+    /// *and* counters. The default unpacks the panel and delegates;
+    /// backends with transposed kernels ([`RomMvm`]'s batch kernels)
+    /// override it to consume the panel directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_pad < n_vectors`, `n_pad` is not a multiple of 16,
+    /// or `acts_t.len() < ins * n_pad`.
+    fn run_batch_transposed(
+        &self,
+        acts_t: &[i32],
+        n_vectors: usize,
+        n_pad: usize,
+        out: &mut [i64],
+        scratch: &mut MvmScratch,
+        rng: &mut dyn RngCore,
+    ) {
+        let (outs, ins) = self.dims();
+        assert_eq!(out.len(), n_vectors * outs, "batch output length");
+        let acts = unpack_panel(acts_t, n_vectors, n_pad, ins, scratch);
+        self.run_batch(&acts, n_vectors, out, scratch, rng);
+        scratch.acts_rm = acts;
+    }
+
+    /// Fold step: merges the statistics of vectors `vectors` of the last
+    /// run step into `stats`, **in vector order, each vector derived from
+    /// its counters from zero** — exactly the reduction a per-vector
+    /// [`MvmBackend::mvm`] loop over those vectors performs.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `vectors` reaches past the last run's block.
+    fn fold_stats(&self, scratch: &MvmScratch, vectors: Range<usize>, stats: &mut MvmStats);
+
+    /// Batched entry: [`MvmBackend::run_batch`], then
+    /// [`MvmBackend::fold_stats`] over the whole block. Bit-identical to
+    /// a per-vector [`MvmBackend::mvm`] loop in values *and* stats
+    /// (property-tested).
     ///
     /// # Panics
     ///
@@ -140,25 +210,28 @@ pub trait MvmBackend: Send + Sync {
         stats: &mut MvmStats,
         scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
-    );
+    ) {
+        self.run_batch(acts, n_vectors, out, scratch, rng);
+        self.fold_stats(scratch, 0..n_vectors, stats);
+    }
 
     /// The activation layout this backend prefers for a block of
     /// `n_vectors` — [`MatmulLayout::Transposed`] asks the caller to
     /// stage the lane-major `[ins x n_pad]` panel
     /// (`n_pad = transposed_pad(n_vectors)`, padding lanes zero) and
-    /// call [`MvmBackend::mvm_batch_transposed`], writing quantized
-    /// codes straight into the panel with no repack pass. Backends
-    /// without transposed kernels keep the row-major default.
+    /// call [`MvmBackend::run_batch_transposed`] (or
+    /// [`MvmBackend::mvm_batch_transposed`]), writing quantized codes
+    /// straight into the panel with no repack pass. Backends without
+    /// transposed kernels keep the row-major default.
     fn batch_layout(&self, _n_vectors: usize) -> MatmulLayout {
         MatmulLayout::RowMajor
     }
 
-    /// Batched entry over a lane-major `[ins x n_pad]` activation panel
-    /// (`acts_t[i * n_pad + v]`): bit-identical to
+    /// Batched entry over a lane-major `[ins x n_pad]` activation panel:
+    /// [`MvmBackend::run_batch_transposed`], then
+    /// [`MvmBackend::fold_stats`] over the whole block. Bit-identical to
     /// [`MvmBackend::mvm_batch`] on the same values, in values *and*
-    /// stats. The default unpacks the panel and delegates; backends
-    /// with transposed kernels ([`RomMvm`]'s batch kernels) override it
-    /// to consume the panel directly.
+    /// stats.
     ///
     /// # Examples
     ///
@@ -198,6 +271,10 @@ pub trait MvmBackend: Send + Sync {
     /// let v = 3;
     /// let acts_v: Vec<i32> = (0..ins).map(|i| acts_t[i * n_pad + v]).collect();
     /// assert_eq!(out[v * outs..(v + 1) * outs], b.mvm(&acts_v, &mut rng).0);
+    /// // The statistics of any sub-block fold from the same run.
+    /// let mut head = MvmStats::default();
+    /// b.fold_stats(&scratch, 0..v, &mut head);
+    /// assert!(head.energy_pj < stats.energy_pj);
     /// ```
     ///
     /// # Panics
@@ -215,23 +292,8 @@ pub trait MvmBackend: Send + Sync {
         scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
     ) {
-        let (outs, ins) = self.dims();
-        assert!(
-            n_pad >= n_vectors && n_pad.is_multiple_of(16),
-            "panel padding"
-        );
-        assert!(acts_t.len() >= ins * n_pad, "panel activation length");
-        assert_eq!(out.len(), n_vectors * outs, "batch output length");
-        let mut acts = std::mem::take(&mut scratch.acts_rm);
-        acts.clear();
-        acts.resize(n_vectors * ins, 0);
-        for v in 0..n_vectors {
-            for i in 0..ins {
-                acts[v * ins + i] = acts_t[i * n_pad + v];
-            }
-        }
-        self.mvm_batch(&acts, n_vectors, out, stats, scratch, rng);
-        scratch.acts_rm = acts;
+        self.run_batch_transposed(acts_t, n_vectors, n_pad, out, scratch, rng);
+        self.fold_stats(scratch, 0..n_vectors, stats);
     }
 
     /// Logical dimensions `(outs, ins)`.
@@ -249,17 +311,42 @@ pub trait MvmBackend: Send + Sync {
     fn set_kernel(&mut self, _kind: KernelKind) {}
 }
 
+/// Unpacks a lane-major `[ins x n_pad]` panel into row-major vectors, in
+/// `scratch.acts_rm`'s storage (taken out so the caller can pass
+/// `scratch` on; it hands the buffer back when done).
+fn unpack_panel(
+    acts_t: &[i32],
+    n_vectors: usize,
+    n_pad: usize,
+    ins: usize,
+    scratch: &mut MvmScratch,
+) -> Vec<i32> {
+    assert!(
+        n_pad >= n_vectors && n_pad.is_multiple_of(16),
+        "panel padding"
+    );
+    assert!(acts_t.len() >= ins * n_pad, "panel activation length");
+    let mut acts = std::mem::take(&mut scratch.acts_rm);
+    acts.clear();
+    acts.resize(n_vectors * ins, 0);
+    for v in 0..n_vectors {
+        for i in 0..ins {
+            acts[v * ins + i] = acts_t[i * n_pad + v];
+        }
+    }
+    acts
+}
+
 impl MvmBackend for RomMvm {
     fn mvm(&self, acts: &[i32], rng: &mut dyn RngCore) -> (Vec<i64>, MvmStats) {
         RomMvm::mvm(self, acts, rng)
     }
 
-    fn mvm_batch(
+    fn run_batch(
         &self,
         acts: &[i32],
         n_vectors: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
     ) {
@@ -271,12 +358,19 @@ impl MvmBackend for RomMvm {
             // identity-ADC design points (the paper default) the batch
             // reduces to an exact integer matmul; otherwise one traversal
             // of the popcount masks serves the whole block.
-            self.mvm_batch_noiseless(acts, n_vectors, out, stats, scratch);
+            self.mvm_batch_noiseless(acts, n_vectors, out, scratch);
         } else {
+            // The reference path is per-vector (each vector consumes its
+            // own RNG draws). `mvm_analog` derives its energy and latency
+            // from the same three counters `fold_stats` reads, so keeping
+            // only the counters loses nothing.
+            scratch.counters.clear();
             for v in 0..n_vectors {
                 let (y, s) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
                 out[v * outs..(v + 1) * outs].copy_from_slice(&y);
-                stats.merge(&s);
+                scratch
+                    .counters
+                    .push([s.analog_evaluations, s.adc_conversions, s.wl_pulses]);
             }
         }
     }
@@ -285,49 +379,36 @@ impl MvmBackend for RomMvm {
         self.batch_layout_for(n_vectors)
     }
 
-    fn mvm_batch_transposed(
+    fn run_batch_transposed(
         &self,
         acts_t: &[i32],
         n_vectors: usize,
         n_pad: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut MvmScratch,
         rng: &mut dyn RngCore,
     ) {
         let (outs, ins) = RomMvm::dims(self);
-        assert!(
-            n_pad >= n_vectors && n_pad.is_multiple_of(16),
-            "panel padding"
-        );
-        assert!(acts_t.len() >= ins * n_pad, "panel activation length");
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
         if self.fast_path_active() {
             // Panel-native kernels: matmul, counter fold and pulse
             // packing all read the lane-major panel directly.
             if self.adc_is_identity() {
-                self.mvm_batch_exact_t(acts_t, n_vectors, n_pad, out, stats, scratch);
+                self.mvm_batch_exact_t(acts_t, n_vectors, n_pad, out, scratch);
             } else {
-                self.mvm_batch_fast_t(acts_t, n_vectors, n_pad, out, stats, scratch);
+                self.mvm_batch_fast_t(acts_t, n_vectors, n_pad, out, scratch);
             }
         } else {
-            // The noisy reference path is inherently per-vector (each
-            // vector consumes its own RNG draws): unpack and fall back.
-            let mut acts = std::mem::take(&mut scratch.acts_rm);
-            acts.clear();
-            acts.resize(n_vectors * ins, 0);
-            for v in 0..n_vectors {
-                for i in 0..ins {
-                    acts[v * ins + i] = acts_t[i * n_pad + v];
-                }
-            }
-            for v in 0..n_vectors {
-                let (y, s) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
-                out[v * outs..(v + 1) * outs].copy_from_slice(&y);
-                stats.merge(&s);
-            }
+            // The noisy reference path is inherently per-vector: unpack
+            // and run it row-major.
+            let acts = unpack_panel(acts_t, n_vectors, n_pad, ins, scratch);
+            self.run_batch(&acts, n_vectors, out, scratch, rng);
             scratch.acts_rm = acts;
         }
+    }
+
+    fn fold_stats(&self, scratch: &MvmScratch, vectors: Range<usize>, stats: &mut MvmStats) {
+        self.merge_counter_stats(&scratch.counters[vectors], stats);
     }
 
     fn dims(&self) -> (usize, usize) {
@@ -385,12 +466,11 @@ impl MvmBackend for SoftwareMvm {
         )
     }
 
-    fn mvm_batch(
+    fn run_batch(
         &self,
         acts: &[i32],
         n_vectors: usize,
         out: &mut [i64],
-        _stats: &mut MvmStats,
         _scratch: &mut MvmScratch,
         _rng: &mut dyn RngCore,
     ) {
@@ -400,6 +480,9 @@ impl MvmBackend for SoftwareMvm {
         assert_eq!(out.len(), n_vectors * self.outs, "batch output length");
         matmul_into(&self.codes, self.outs, self.ins, acts, n_vectors, out);
     }
+
+    /// No analog events: the digital reference folds nothing.
+    fn fold_stats(&self, _scratch: &MvmScratch, _vectors: Range<usize>, _stats: &mut MvmStats) {}
 
     fn dims(&self) -> (usize, usize) {
         (self.outs, self.ins)
@@ -862,6 +945,110 @@ mod tests {
         assert_eq!(b.backend_name(), "analog-reference");
         assert_eq!(b.batch_layout(n), MatmulLayout::RowMajor);
         assert_transposed_matches_row_major(b.as_ref(), &acts, n, 23);
+    }
+
+    /// Cut points of contiguous partitions of `0..n`: the whole block,
+    /// one vector per part, halves, and an uneven split.
+    fn partitions(n: usize) -> Vec<Vec<usize>> {
+        let mut all = vec![vec![0, n], (0..=n).collect(), vec![0, n / 2, n]];
+        if n >= 3 {
+            all.push(vec![0, 1, n - 1, n]);
+        }
+        for cuts in &mut all {
+            cuts.dedup();
+        }
+        all
+    }
+
+    /// The run/fold contract: one run step over all `n` vectors, then
+    /// `fold_stats` over each sub-block of a contiguous partition (each
+    /// from zero, then merged), equals one `mvm_batch` per sub-block —
+    /// in accumulators, `MvmStats` and the RNG stream after the call —
+    /// with the run step staged row-major and as a lane-major panel.
+    fn assert_fold_matches_sub_blocks(b: &dyn MvmBackend, acts: &[i32], n: usize, seed: u64) {
+        let (outs, ins) = b.dims();
+        let n_pad = crate::kernels::transposed_pad(n);
+        let mut acts_t = vec![0i32; ins * n_pad];
+        for v in 0..n {
+            for i in 0..ins {
+                acts_t[i * n_pad + v] = acts[v * ins + i];
+            }
+        }
+        let mut scratch = MvmScratch::new();
+        for cuts in partitions(n) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut want = vec![0i64; n * outs];
+            let mut want_stats = MvmStats::default();
+            for w in cuts.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                let mut s = MvmStats::default();
+                b.mvm_batch(
+                    &acts[lo * ins..hi * ins],
+                    hi - lo,
+                    &mut want[lo * outs..hi * outs],
+                    &mut s,
+                    &mut scratch,
+                    &mut rng,
+                );
+                want_stats.merge(&s);
+            }
+            let want_next = rng.next_u64();
+            for layout in [MatmulLayout::RowMajor, MatmulLayout::Transposed] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut out = vec![0i64; n * outs];
+                match layout {
+                    MatmulLayout::RowMajor => {
+                        b.run_batch(acts, n, &mut out, &mut scratch, &mut rng)
+                    }
+                    MatmulLayout::Transposed => {
+                        b.run_batch_transposed(&acts_t, n, n_pad, &mut out, &mut scratch, &mut rng)
+                    }
+                }
+                let mut stats = MvmStats::default();
+                for w in cuts.windows(2) {
+                    let mut s = MvmStats::default();
+                    b.fold_stats(&scratch, w[0]..w[1], &mut s);
+                    stats.merge(&s);
+                }
+                let label = format!("{} {layout:?} cuts {cuts:?}", b.backend_name());
+                assert_eq!(out, want, "{label}: accumulators");
+                assert_eq!(stats, want_stats, "{label}: stats");
+                assert_eq!(rng.next_u64(), want_next, "{label}: RNG stream");
+            }
+        }
+    }
+
+    #[test]
+    fn run_then_fold_over_any_partition_matches_per_block_batches() {
+        // Every backend kind at the paper design point, a noisy macro
+        // (the per-vector analog walk, which draws from the RNG) and an
+        // ADC-quantizing one (the popcount mask stream), under every
+        // kernel tier the host has.
+        let (outs, ins, n) = (5, 200, 9);
+        let codes: Vec<i32> = (0..outs * ins)
+            .map(|i| ((i * 43) % 255) as i32 - 127)
+            .collect();
+        let mut acts: Vec<i32> = (0..n * ins).map(|i| ((i * 31) % 256) as i32).collect();
+        acts[4 * ins..5 * ins].fill(0); // an all-zero vector mid-block
+        let paper = MacroParams::rom_paper();
+        let mut noisy = paper;
+        noisy.noise_sigma = 0.3;
+        let mut quantizing = paper;
+        quantizing.rows_per_activation = 32;
+        let cases = [
+            (BackendKind::Popcount, paper),
+            (BackendKind::Analog, paper),
+            (BackendKind::Software, paper),
+            (BackendKind::Popcount, noisy),
+            (BackendKind::Popcount, quantizing),
+        ];
+        for (kind, params) in cases {
+            let mut b = program_backend(kind, params, &codes, outs, ins);
+            for k in crate::kernels::available_kinds() {
+                b.set_kernel(k);
+                assert_fold_matches_sub_blocks(b.as_ref(), &acts, n, 29);
+            }
+        }
     }
 
     #[test]

@@ -773,25 +773,27 @@ impl RomMvm {
         let mut out = vec![0i64; self.outs];
         let mut stats = MvmStats::default();
         let mut scratch = crate::backend::MvmScratch::new();
-        self.mvm_batch_noiseless(acts, 1, &mut out, &mut stats, &mut scratch);
+        self.mvm_batch_noiseless(acts, 1, &mut out, &mut scratch);
+        self.merge_counter_stats(&scratch.counters, &mut stats);
         (out, stats)
     }
 
     /// The row-major batch kernel of a noiseless engine: the exact
     /// integer matmul where the ADC transfer is an identity, the
-    /// quantizing popcount mask stream otherwise.
+    /// quantizing popcount mask stream otherwise. Leaves one event-counter
+    /// row per vector in `scratch.counters` for
+    /// [`RomMvm::merge_counter_stats`].
     pub(crate) fn mvm_batch_noiseless(
         &self,
         acts: &[i32],
         n: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         if self.adc_is_identity() {
-            self.mvm_batch_exact(acts, n, out, stats, scratch);
+            self.mvm_batch_exact(acts, n, out, scratch);
         } else {
-            self.mvm_batch_fast(acts, n, out, stats, scratch);
+            self.mvm_batch_fast(acts, n, out, scratch);
         }
     }
 
@@ -827,16 +829,16 @@ impl RomMvm {
     /// core equivalence claim, property-tested in both directions), so
     /// the accumulators come from an integer matmul over the stored
     /// weight codes — dispatched through the selected kernel tier
-    /// ([`RomMvm::kernel`]) — while the event counters come from the
-    /// shared [`kernels::fold_event_counters`]. Bit-identical to a
-    /// per-vector [`RomMvm::mvm_analog`] loop in values *and* statistics
-    /// on every tier.
+    /// ([`RomMvm::kernel`]) — while the per-vector event counters in
+    /// `scratch.counters` come from the shared
+    /// [`kernels::fold_event_counters`]. Bit-identical to a per-vector
+    /// [`RomMvm::mvm_analog`] loop in values *and* counters on every
+    /// tier.
     pub(crate) fn mvm_batch_exact(
         &self,
         acts: &[i32],
         n: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts);
@@ -863,7 +865,6 @@ impl RomMvm {
             &mut scratch.counters,
             &mut scratch.fold_bitmaps,
         );
-        self.merge_counter_stats(&scratch.counters, stats);
     }
 
     /// The stored codes in every packing the matmul tiers understand.
@@ -918,7 +919,6 @@ impl RomMvm {
         n: usize,
         n_pad: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts_t);
@@ -943,13 +943,15 @@ impl RomMvm {
             &self.fold_params(),
             &mut scratch.counters,
         );
-        self.merge_counter_stats(&scratch.counters, stats);
     }
 
     /// Derives per-vector statistics from raw event counters (through
     /// [`StatsFinisher::finish`]) and merges them **in vector order** —
-    /// the exact fold a per-vector `mvm` loop performs.
-    fn merge_counter_stats(&self, counters: &[[u64; 3]], stats: &mut MvmStats) {
+    /// the exact fold a per-vector `mvm` loop performs. This is
+    /// [`RomMvm`]'s [`MvmBackend::fold_stats`].
+    ///
+    /// [`MvmBackend::fold_stats`]: crate::backend::MvmBackend::fold_stats
+    pub(crate) fn merge_counter_stats(&self, counters: &[[u64; 3]], stats: &mut MvmStats) {
         let finisher = &self.finisher;
         for c in counters {
             let mut s = MvmStats {
@@ -969,11 +971,11 @@ impl RomMvm {
     /// chunk) step into `scratch`, and the per-column weight masks are
     /// then streamed a single time, each mask `AND`+`popcount`-ed against
     /// all vectors while it is hot. Bit-identical to a per-vector
-    /// [`RomMvm::mvm_analog`] loop in values *and* statistics: the integer
-    /// accumulation is exact under any traversal order, the same ADC
-    /// transfer is applied per group evaluation, and the per-vector event
-    /// counters are folded through [`StatsFinisher::finish`] and merged in
-    /// vector order, exactly as a per-vector walk folds them.
+    /// [`RomMvm::mvm_analog`] loop in values *and* event counters: the
+    /// integer accumulation is exact under any traversal order, the same
+    /// ADC transfer is applied per group evaluation, and the per-vector
+    /// counters left in `scratch.counters` are the ones the analog walk
+    /// derives its statistics from.
     ///
     /// At the paper design point the ADC resolves single discharge events
     /// (`full_scale <= levels`), making the transfer an identity on
@@ -994,7 +996,6 @@ impl RomMvm {
         acts: &[i32],
         n: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts);
@@ -1081,9 +1082,6 @@ impl RomMvm {
                 );
             }
         }
-        let counters = std::mem::take(&mut scratch.counters);
-        self.merge_counter_stats(&counters, stats);
-        scratch.counters = counters;
     }
 
     /// Streams one row tile's lane-packed nonzero weight masks against
@@ -1149,7 +1147,7 @@ impl RomMvm {
     /// hoisted per activation row (one `1 << (r % rpa)` per row instead
     /// of per `(v, row)` pair) and each panel row is read as one
     /// contiguous lane run, so the pack is a linear sweep of the panel.
-    /// Values, ADC transfer and statistics are bit-identical to the
+    /// Values, ADC transfer and event counters are bit-identical to the
     /// row-major entry (same integers in a different traversal order).
     pub(crate) fn mvm_batch_fast_t(
         &self,
@@ -1157,7 +1155,6 @@ impl RomMvm {
         n: usize,
         n_pad_t: usize,
         out: &mut [i64],
-        stats: &mut MvmStats,
         scratch: &mut crate::backend::MvmScratch,
     ) {
         self.validate_act_codes(acts_t);
@@ -1239,9 +1236,6 @@ impl RomMvm {
                 );
             }
         }
-        let counters = std::mem::take(&mut scratch.counters);
-        self.merge_counter_stats(&counters, stats);
-        scratch.counters = counters;
     }
 
     /// Executes `y = W x` through the cell-accurate analog reference path:
@@ -1676,7 +1670,8 @@ mod tests {
                 engine.set_kernel(kind);
                 let mut out = vec![0i64; n * outs];
                 let mut stats = MvmStats::default();
-                engine.mvm_batch_noiseless(&acts, n, &mut out, &mut stats, &mut scratch);
+                engine.mvm_batch_noiseless(&acts, n, &mut out, &mut scratch);
+                engine.merge_counter_stats(&scratch.counters, &mut stats);
                 prop_assert_eq!(&out, &golden, "values diverge on {}", kind.label());
                 prop_assert_eq!(&stats, &golden_stats, "stats diverge on {}", kind.label());
             }

@@ -29,24 +29,28 @@ use serde::json::Value as Json;
 use serde::{Deserialize, Serialize};
 
 /// Reusable staging for one CiM layer execution: the layer input's
-/// activation codes, the lowered codes of the tile in flight, the integer
-/// MVM accumulators, and the backend's bit-plane staging.
+/// activation codes, the lowered codes of the whole conv, the integer
+/// MVM accumulators, and the backend's bit-plane staging and event
+/// counters.
 ///
 /// One `CimScratch` serves every layer of a deployment in turn (layers
 /// run serially, and each call fully overwrites what it uses), which is
 /// how the arena executor keeps steady-state inference allocation-free:
-/// all four buffers grow on first use and keep their capacity across ops,
-/// samples and repeated `infer` calls.
+/// all four buffers grow on first use — to the largest conv's block —
+/// and keep their capacity across ops, samples and repeated `infer`
+/// calls.
 #[derive(Debug, Default)]
 pub struct CimScratch {
     /// The conv input quantized once, `(n, C, h, w)` row-major.
     input_codes: Vec<i32>,
-    /// Activation codes of the tile in flight, in the backend's
-    /// [`MvmBackend::batch_layout`].
+    /// Activation codes of every output position of the conv (all
+    /// samples), in the backend's [`MvmBackend::batch_layout`].
     codes: Vec<i32>,
-    /// Integer accumulators of the tile in flight, vector-major.
+    /// Integer accumulators of every output position, vector-major.
     accs: Vec<i64>,
-    /// Bit-plane staging for [`MvmBackend::mvm_batch`].
+    /// Bit-plane staging for [`MvmBackend::run_batch`], and the
+    /// per-position event counters [`MvmBackend::fold_stats`] folds the
+    /// modelled tiles from.
     mvm: MvmScratch,
 }
 
@@ -246,7 +250,8 @@ pub struct CimConv2d {
     geom: Conv2dGeometry,
     out_channels: usize,
     /// Target tile count for [`CimConv2d::tile_range_iter`] (1 = the
-    /// whole position range as a single tile).
+    /// whole position range as a single tile). Shapes the statistics
+    /// fold only; the host runs every position in one block.
     par_tiles: usize,
     /// Compile-time programming record, kept for plan serialization.
     program: ProgramSpec,
@@ -346,16 +351,17 @@ impl CimConv2d {
     /// compiler derives this from the layer's placement (how many macro
     /// clusters of the mesh — or of its chiplet shard — serve the layer).
     /// The tiles are the width the modelled intra-sample latency spreads
-    /// the layer over; the host walks them serially, in order. The output
-    /// bits and the event counters do not depend on the hint; the f64
-    /// energy/latency fold follows the tile order.
+    /// the layer over. The host runs each conv as one block; the tiles
+    /// exist only in the statistics fold. The output bits and the event
+    /// counters do not depend on the hint; the f64 energy/latency fold
+    /// follows the tile order.
     pub fn set_tile_hint(&mut self, tiles: usize) {
         self.par_tiles = tiles.max(1);
     }
 
-    /// The contiguous position ranges `forward` folds over: `positions`
-    /// output pixels split into (at most) the hinted tile count of
-    /// near-equal chunks, in position order.
+    /// The contiguous position ranges `forward` folds the statistics
+    /// over: `positions` output pixels split into (at most) the hinted
+    /// tile count of near-equal chunks, in position order.
     pub fn tile_range_iter(&self, positions: usize) -> impl Iterator<Item = (usize, usize)> {
         split_range_iter(positions, self.par_tiles)
     }
@@ -409,21 +415,20 @@ impl CimConv2d {
         self.out_channels
     }
 
-    /// Lowers output positions `lo..hi` of the quantized input
+    /// Lowers all `positions` output positions of the quantized input
     /// `scratch.input_codes` (`dims` is its `[n, h, w]`) into
-    /// `scratch.codes` and batches them through the backend into
-    /// `scratch.accs`, merging the tile's statistics (folded from zero in
-    /// vector order) into `stats`.
+    /// `scratch.codes` and runs them through the backend in one call,
+    /// leaving the accumulators in `scratch.accs` and one event-counter
+    /// row per position in `scratch.mvm`.
     ///
     /// The lowering gathers codes straight into the layout the backend's
-    /// [`MvmBackend::batch_layout`] picks for the tile: vector-major rows,
+    /// [`MvmBackend::batch_layout`] picks for the block: vector-major rows,
     /// or the lane-major panel whose rows are the contiguous runs of the
     /// patch-major im2col matrix. Padded taps take the code of 0.0.
-    fn run_tile<R: Rng + ?Sized>(
+    fn run_block<R: Rng + ?Sized>(
         &self,
         dims: [usize; 3],
-        (lo, hi): (usize, usize),
-        stats: &mut MvmStats,
+        positions: usize,
         scratch: &mut CimScratch,
         rng: &mut R,
     ) {
@@ -434,17 +439,16 @@ impl CimConv2d {
             mvm,
         } = scratch;
         let patch = self.geom.patch_len();
-        let count = hi - lo;
         let pad = self.act_params.quantize_value(0.0);
         accs.clear();
-        accs.resize(count * self.out_channels, 0);
-        match self.engine.batch_layout(count) {
+        accs.resize(positions * self.out_channels, 0);
+        match self.engine.batch_layout(positions) {
             MatmulLayout::Transposed => {
-                let n_pad = transposed_pad(count);
+                let n_pad = transposed_pad(positions);
                 codes.resize(patch * n_pad, 0);
                 let win = PatchWindow {
-                    lo,
-                    hi,
+                    lo: 0,
+                    hi: positions,
                     row_stride: n_pad,
                     col_stride: 1,
                 };
@@ -452,29 +456,28 @@ impl CimConv2d {
                 // Padding lanes are never read back; zero them so they
                 // hold valid codes whatever the buffer held before.
                 for lane in codes.chunks_exact_mut(n_pad) {
-                    lane[count..].fill(0);
+                    lane[positions..].fill(0);
                 }
-                self.engine.mvm_batch_transposed(
+                self.engine.run_batch_transposed(
                     codes,
-                    count,
+                    positions,
                     n_pad,
                     accs,
-                    stats,
                     mvm,
                     &mut DynRng(rng),
                 );
             }
             MatmulLayout::RowMajor => {
-                codes.resize(count * patch, 0);
+                codes.resize(positions * patch, 0);
                 let win = PatchWindow {
-                    lo,
-                    hi,
+                    lo: 0,
+                    hi: positions,
                     row_stride: 1,
                     col_stride: patch,
                 };
                 im2col_into(input_codes, dims, &self.geom, pad, win, codes);
                 self.engine
-                    .mvm_batch(codes, count, accs, stats, mvm, &mut DynRng(rng));
+                    .run_batch(codes, positions, accs, mvm, &mut DynRng(rng));
             }
         }
     }
@@ -482,11 +485,12 @@ impl CimConv2d {
     /// Arena forward: runs the convolution on a raw row-major
     /// `(n, C, h, w)` buffer, writing the dequantized `(n, OC, OH, OW)`
     /// feature map into `out` using only `scratch` storage. Each input
-    /// element is quantized once; every tile then lowers the codes. The
-    /// output positions are walked in [`CimConv2d::tile_range_iter`]
-    /// order, each tile's statistics folded from zero and then merged, so
-    /// the f64 energy/latency sums follow the placement's tile
-    /// decomposition.
+    /// element is quantized once, and all `n * OH * OW` output positions
+    /// are lowered and run through the backend in one batch call. The
+    /// modelled tile split is replayed only in the statistics: each
+    /// [`CimConv2d::tile_range_iter`] tile is folded from zero in vector
+    /// order and then merged, so the f64 energy/latency sums follow the
+    /// placement's tile decomposition.
     ///
     /// # Panics
     ///
@@ -510,23 +514,26 @@ impl CimConv2d {
         scratch
             .input_codes
             .extend(x.iter().map(|&v| self.act_params.quantize_value(v)));
+        let positions = n * plane;
+        self.run_block([n, h, w], positions, scratch, rng);
         let mut stats = MvmStats::default();
-        for (lo, hi) in self.tile_range_iter(n * plane) {
+        for (lo, hi) in self.tile_range_iter(positions) {
             let mut tile_stats = MvmStats::default();
-            self.run_tile([n, h, w], (lo, hi), &mut tile_stats, scratch, rng);
+            self.engine
+                .fold_stats(&scratch.mvm, lo..hi, &mut tile_stats);
             stats.merge(&tile_stats);
-            // Dequantize and scatter, position-major: position
-            // `ni*plane + p` of channel `o` lands at `(ni*OC + o)*plane + p`.
-            let (mut ni, mut p) = (lo / plane, lo % plane);
-            for acc in scratch.accs[..(hi - lo) * oc].chunks_exact(oc) {
-                let base = ni * oc * plane + p;
-                for (o, &a) in acc.iter().enumerate() {
-                    out[base + o * plane] = self.dequant.value(o, a, &self.act_params);
-                }
-                p += 1;
-                if p == plane {
-                    (ni, p) = (ni + 1, 0);
-                }
+        }
+        // Dequantize and scatter, position-major: position
+        // `ni*plane + p` of channel `o` lands at `(ni*OC + o)*plane + p`.
+        let (mut ni, mut p) = (0, 0);
+        for acc in scratch.accs.chunks_exact(oc) {
+            let base = ni * oc * plane + p;
+            for (o, &a) in acc.iter().enumerate() {
+                out[base + o * plane] = self.dequant.value(o, a, &self.act_params);
+            }
+            p += 1;
+            if p == plane {
+                (ni, p) = (ni + 1, 0);
             }
         }
         stats
@@ -535,8 +542,8 @@ impl CimConv2d {
     /// Runs the convolution on `x` (`(N, C, H, W)`), returning the output
     /// feature map and the accumulated backend statistics.
     ///
-    /// Allocating wrapper over [`CimConv2d::forward_in`]: the same tile
-    /// walk and statistics fold, so the two agree bit for bit.
+    /// Allocating wrapper over [`CimConv2d::forward_in`]: the same batch
+    /// call and statistics fold, so the two agree bit for bit.
     #[must_use = "dropping the result discards the layer output and its measured statistics"]
     pub fn forward<R: Rng + ?Sized>(&self, x: &Tensor, rng: &mut R) -> (Tensor, MvmStats) {
         assert_eq!(x.ndim(), 4, "input must be (N, C, H, W)");
@@ -862,8 +869,9 @@ mod tests {
     use yoloc_tensor::ops::conv2d_reference;
 
     /// Reference staging `forward_in` is pinned to: the f32 im2col
-    /// matrix, each of its elements quantized on its own, row-major
-    /// `mvm_batch` over the same tiles (statistics folded per tile), and
+    /// matrix, each of its elements quantized on its own, one row-major
+    /// `mvm_batch` per modelled tile (statistics folded per tile, the
+    /// fold `forward_in` replays from its one whole-conv call), and
     /// `Dequant::value` scattered by division.
     fn forward_reference<R: Rng>(conv: &CimConv2d, x: &Tensor, rng: &mut R) -> (Tensor, MvmStats) {
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
@@ -904,20 +912,20 @@ mod tests {
         (out, stats)
     }
 
-    /// Runs `conv` on `x` through `forward_in` at tile hints 1, 5 and 16
-    /// and asserts each run equals [`forward_reference`] bit for bit, in
-    /// outputs and `MvmStats`; returns the batch layout of every tile.
+    /// Runs `conv` on `x` through `forward_in` at tile hints 1, 5, 16 and
+    /// 1000 (more tiles than positions) and asserts each run equals
+    /// [`forward_reference`] bit for bit, in outputs and `MvmStats`;
+    /// returns the batch layout `forward_in` ran the conv's block in.
     fn assert_matches_oracle(
         conv: &mut CimConv2d,
         x: &Tensor,
         scratch: &mut CimScratch,
         label: &str,
-    ) -> Vec<MatmulLayout> {
+    ) -> MatmulLayout {
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = conv.output_hw(h, w);
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        let mut layouts = Vec::new();
-        for tiles in [1, 5, 16] {
+        for tiles in [1, 5, 16, 1000] {
             conv.set_tile_hint(tiles);
             let (want, want_stats) = forward_reference(conv, x, &mut StdRng::seed_from_u64(7));
             let mut out = vec![f32::NAN; want.len()];
@@ -925,20 +933,18 @@ mod tests {
             let stats = conv.forward_in(x.data(), n, h, w, &mut out, scratch, &mut rng);
             assert_eq!(bits(&out), bits(want.data()), "{label} tiles {tiles}");
             assert_eq!(stats, want_stats, "{label} tiles {tiles}");
-            layouts.extend(
-                conv.tile_range_iter(n * oh * ow)
-                    .map(|(lo, hi)| conv.engine.batch_layout(hi - lo)),
-            );
         }
-        layouts
+        conv.engine.batch_layout(n * oh * ow)
     }
 
     #[test]
     fn forward_in_matches_staging_oracle() {
         // Window geometries x batch sizes x tile hints x both batch
-        // layouts x every backend. Inputs dip below zero, so the zero
-        // point — the pad code — is above 0. One scratch serves the
-        // whole grid, as in the arena executor, so stale codes from
+        // layouts x every backend. The host block is always the whole
+        // conv, so every hint above 1 folds tiles that differ from it,
+        // and at n = 3 tiles straddle samples. Inputs dip below zero, so
+        // the zero point — the pad code — is above 0. One scratch serves
+        // the whole grid, as in the arena executor, so stale codes from
         // earlier layers sit in its buffers.
         let mut rng = StdRng::seed_from_u64(21);
         let params = MacroParams::rom_paper();
@@ -954,8 +960,8 @@ mod tests {
             for kernel in [1, 3, 5] {
                 for (stride, padding) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
                     // Batches 1 and 3. On the SIMD tiers 4 output
-                    // channels take the transposed panel once a tile
-                    // holds 4+ positions; 48 stay row-major.
+                    // channels take the transposed panel once a conv
+                    // has 4+ positions; 48 stay row-major.
                     for (n, outs) in [(1, 4), (1, 48), (3, 4), (3, 48)] {
                         let w = Tensor::randn(&[outs, c, kernel, kernel], 0.0, 0.4, &mut rng);
                         let x = Tensor::rand_uniform(&[n, c, hw, hw], -0.6, 1.0, &mut rng);
@@ -964,7 +970,7 @@ mod tests {
                         assert!(conv.act_params.quantize_value(0.0) > 0);
                         let label =
                             format!("{kind:?} k{kernel} s{stride} p{padding} n{n} outs{outs}");
-                        layouts.extend(assert_matches_oracle(&mut conv, &x, &mut scratch, &label));
+                        layouts.push(assert_matches_oracle(&mut conv, &x, &mut scratch, &label));
                     }
                 }
             }
