@@ -34,6 +34,8 @@ echo "== quantization and lowering arithmetic in release (overflow checks off)"
 # overflow panics; release builds wrap silently instead, so the
 # saturation properties and the conv staging oracle run here too.
 cargo test -q --release -p yoloc-quant -p yoloc-tensor
+# The quantizer against its truncation reference on all 2^32 inputs.
+cargo test -q --release -p yoloc-quant -- --ignored
 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 
 echo "== fusion parity suite (YOLOC_SMOKE=1)"

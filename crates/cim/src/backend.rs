@@ -114,6 +114,13 @@ impl MvmScratch {
 /// no randomness must leave the RNG untouched so noiseless execution stays
 /// bit-reproducible across backends.
 ///
+/// Every batched entry writes its `n_vectors * outs` accumulators
+/// **channel-major**: output `o` of vector `v` lands at
+/// `out[o * n_vectors + v]`, so each output channel's results over the
+/// block are one contiguous row. That is the row a dequantizing consumer
+/// streams per channel, and the run the transposed kernels store their
+/// lanes into directly. A single vector's accumulators are plain `y[o]`.
+///
 /// A batched call is two steps. The *run* step
 /// ([`MvmBackend::run_batch`], [`MvmBackend::run_batch_transposed`])
 /// writes the accumulators and leaves one event-counter row per vector
@@ -131,7 +138,7 @@ pub trait MvmBackend: Send + Sync {
     /// Run step of the batched entry: executes `n_vectors` consecutive
     /// activation vectors (packed back to back in `acts`, each `ins`
     /// long) through the programmed engine, writing the
-    /// `n_vectors * outs` accumulators into `out` in vector order and the
+    /// `n_vectors * outs` accumulators into `out` (channel-major) and the
     /// per-vector event counters into `scratch`. Folds no statistics;
     /// [`MvmBackend::fold_stats`] does that from the counters. Noisy
     /// engines draw from `rng` per vector, in vector order.
@@ -267,10 +274,12 @@ pub trait MvmBackend: Send + Sync {
     /// let (mut stats, mut scratch) = (MvmStats::default(), MvmScratch::new());
     /// let mut rng = StdRng::seed_from_u64(0);
     /// b.mvm_batch_transposed(&acts_t, n, n_pad, &mut out, &mut stats, &mut scratch, &mut rng);
-    /// // Lane v of the panel is vector v: same result as per-vector mvm.
+    /// // Lane v of the panel is vector v: its column of the channel-major
+    /// // accumulators is the per-vector mvm result.
     /// let v = 3;
     /// let acts_v: Vec<i32> = (0..ins).map(|i| acts_t[i * n_pad + v]).collect();
-    /// assert_eq!(out[v * outs..(v + 1) * outs], b.mvm(&acts_v, &mut rng).0);
+    /// let column: Vec<i64> = (0..outs).map(|o| out[o * n + v]).collect();
+    /// assert_eq!(column, b.mvm(&acts_v, &mut rng).0);
     /// // The statistics of any sub-block fold from the same run.
     /// let mut head = MvmStats::default();
     /// b.fold_stats(&scratch, 0..v, &mut head);
@@ -367,7 +376,9 @@ impl MvmBackend for RomMvm {
             scratch.counters.clear();
             for v in 0..n_vectors {
                 let (y, s) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
-                out[v * outs..(v + 1) * outs].copy_from_slice(&y);
+                for (o, &y) in y.iter().enumerate() {
+                    out[o * n_vectors + v] = y;
+                }
                 scratch
                     .counters
                     .push([s.analog_evaluations, s.adc_conversions, s.wl_pulses]);
@@ -683,8 +694,9 @@ mod tests {
     }
 
     /// The kernel-parity check: `mvm_batch` must equal a per-vector
-    /// `oracle.mvm` loop bit for bit — accumulators in vector order,
-    /// stats folded from zero per vector and merged in vector order.
+    /// `oracle.mvm` loop bit for bit — each vector's results down its
+    /// column of the channel-major accumulators, stats folded from zero
+    /// per vector and merged in vector order.
     fn assert_batch_matches_per_vector(
         b: &dyn MvmBackend,
         oracle: &dyn MvmBackend,
@@ -698,13 +710,15 @@ mod tests {
         let mut scratch = MvmScratch::new();
         let mut rng = StdRng::seed_from_u64(seed);
         b.mvm_batch(acts, n, &mut out, &mut stats, &mut scratch, &mut rng);
-        let mut expect_vals = Vec::new();
+        let mut expect_vals = vec![0i64; n * outs];
         let mut expect_stats = MvmStats::default();
         let mut rng = StdRng::seed_from_u64(seed);
         for v in 0..n {
             let (y, s) = oracle.mvm(&acts[v * ins..(v + 1) * ins], &mut rng);
             expect_stats.merge(&s);
-            expect_vals.extend_from_slice(&y);
+            for (o, &y) in y.iter().enumerate() {
+                expect_vals[o * n + v] = y;
+            }
         }
         assert_eq!(out, expect_vals, "batched accumulators diverge");
         assert_eq!(stats, expect_stats, "batched stats fold diverges");
@@ -982,15 +996,21 @@ mod tests {
             for w in cuts.windows(2) {
                 let (lo, hi) = (w[0], w[1]);
                 let mut s = MvmStats::default();
+                let mut part = vec![0i64; (hi - lo) * outs];
                 b.mvm_batch(
                     &acts[lo * ins..hi * ins],
                     hi - lo,
-                    &mut want[lo * outs..hi * outs],
+                    &mut part,
                     &mut s,
                     &mut scratch,
                     &mut rng,
                 );
                 want_stats.merge(&s);
+                // Each sub-block's channel rows are slices of the whole
+                // block's.
+                for (o, row) in part.chunks_exact(hi - lo).enumerate() {
+                    want[o * n + lo..o * n + hi].copy_from_slice(row);
+                }
             }
             let want_next = rng.next_u64();
             for layout in [MatmulLayout::RowMajor, MatmulLayout::Transposed] {

@@ -20,7 +20,8 @@
 //! * [`matmul_transposed`] — the batch-transposed matmul over the
 //!   lane-major `[ins x n_pad]` panel, vectorizing across 8 vectors per
 //!   `_mm256_mullo_epi32` for the narrow shapes whose rows cannot fill
-//!   lanes;
+//!   lanes; its lanes widen and store straight into the channel-major
+//!   accumulator row;
 //! * [`fold_event_counters`] / [`fold_event_counters_t`] — the
 //!   event-counter folds in both layouts: 8 rows per step with
 //!   per-chunk nonzero bitmaps (row-major), or 8 vectors per step with
@@ -34,12 +35,13 @@
 
 use std::arch::x86_64::{
     __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-    _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_hadd_epi32, _mm256_loadu_si256,
-    _mm256_madd_epi16, _mm256_movemask_ps, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_or_si256,
-    _mm256_packs_epi32, _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi32,
-    _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256,
-    _mm256_shuffle_epi8, _mm256_sll_epi64, _mm256_srl_epi32, _mm256_srli_epi16, _mm256_srli_epi32,
-    _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32, _mm_cvtsi32_si128,
+    _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cvtepi32_epi64,
+    _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
+    _mm256_movemask_ps, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_or_si256, _mm256_packs_epi32,
+    _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x,
+    _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
+    _mm256_sll_epi64, _mm256_srl_epi32, _mm256_srli_epi16, _mm256_srli_epi32, _mm256_srli_epi64,
+    _mm256_storeu_si256, _mm256_sub_epi32, _mm_cvtsi32_si128,
 };
 
 use super::{scalar, ExactCodes, FoldParams};
@@ -143,7 +145,7 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
                     i += 16;
                 }
                 for (k, ak) in acc.iter().enumerate() {
-                    out[v * outs + o + k] = hsum_epi32(*ak);
+                    out[(o + k) * n + v] = hsum_epi32(*ak);
                 }
             }
             o += 4;
@@ -164,7 +166,7 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
                     }
                     i += 16;
                 }
-                out[v * outs + o] = hsum_epi32(acc);
+                out[o * n + v] = hsum_epi32(acc);
             }
             o += 1;
         }
@@ -232,7 +234,8 @@ fn matmul_transposed_impl(
                 }
             }
             for (k, ak) in acc.iter().enumerate() {
-                scatter_widened(*ak, &mut out[vb * outs..], outs, o + k, lanes_live);
+                let row = (o + k) * n + vb;
+                store_widened(*ak, &mut out[row..row + lanes_live]);
             }
             o += 4;
         }
@@ -246,23 +249,36 @@ fn matmul_transposed_impl(
                 let w = _mm256_set1_epi32(codes[o * ins + i]);
                 acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(a, w));
             }
-            scatter_widened(acc, &mut out[vb * outs..], outs, o, lanes_live);
+            store_widened(acc, &mut out[o * n + vb..o * n + vb + lanes_live]);
             o += 1;
         }
         vb += 8;
     }
 }
 
-/// Writes the 8 `i32` lanes of one transposed accumulator to their
-/// row-major output slots, widening to `i64` (exact: per-lane sums are
-/// bounded below `i32::MAX` by the eligibility proof).
+/// Stores the live `i32` lanes of one transposed accumulator, widened
+/// to `i64`, into `dst` — the contiguous run of their output channel's
+/// accumulator row (exact: per-lane sums are bounded below `i32::MAX` by
+/// the eligibility proof). Only a block's last run can be short.
 #[target_feature(enable = "avx2")]
-fn scatter_widened(acc: __m256i, out: &mut [i64], outs: usize, o: usize, lanes_live: usize) {
-    let mut lanes = [0i32; 8];
-    // SAFETY: `lanes` is exactly 32 bytes; unaligned store.
-    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc) };
-    for (v, &x) in lanes[..lanes_live].iter().enumerate() {
-        out[v * outs + o] = x as i64;
+fn store_widened(acc: __m256i, dst: &mut [i64]) {
+    let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc));
+    let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(acc));
+    if dst.len() == 8 {
+        // SAFETY: `dst` holds exactly 8 i64 = two 32-byte unaligned
+        // stores.
+        unsafe {
+            _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, lo);
+            _mm256_storeu_si256(dst.as_mut_ptr().add(4) as *mut __m256i, hi);
+        }
+    } else {
+        let mut lanes = [0i64; 8];
+        // SAFETY: `lanes` is exactly 64 bytes; unaligned stores.
+        unsafe {
+            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, lo);
+            _mm256_storeu_si256(lanes.as_mut_ptr().add(4) as *mut __m256i, hi);
+        }
+        dst.copy_from_slice(&lanes[..dst.len()]);
     }
 }
 
@@ -289,14 +305,16 @@ fn matmul_i32(codes: &[i32], outs: usize, ins: usize, acts: &[i32], n: usize, ou
             for v in vb..vb_end {
                 let av = &acts[v * ins..(v + 1) * ins];
                 let quad = dot4_i32(codes, o, ins, av);
-                out[v * outs + o..v * outs + o + 4].copy_from_slice(&quad);
+                for (k, &q) in quad.iter().enumerate() {
+                    out[(o + k) * n + v] = q;
+                }
             }
             o += 4;
         }
         while o < outs {
             for v in vb..vb_end {
                 let av = &acts[v * ins..(v + 1) * ins];
-                out[v * outs + o] = codes[o * ins..(o + 1) * ins]
+                out[o * n + v] = codes[o * ins..(o + 1) * ins]
                     .iter()
                     .zip(av)
                     .map(|(&w, &a)| w as i64 * a as i64)

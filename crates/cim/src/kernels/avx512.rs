@@ -15,7 +15,9 @@
 //!   a `_mm512_maskz_loadu_epi16` half-register tail since code rows
 //!   are padded to 16, not 32, lanes;
 //! * [`matmul_transposed`] — the batch-transposed matmul eating 16
-//!   vectors per `_mm512_mullo_epi32`;
+//!   vectors per `_mm512_mullo_epi32`, its lanes widened and stored
+//!   straight into the channel-major accumulator row (masked stores for
+//!   a block's short tail);
 //! * [`fold_event_counters`] / [`fold_event_counters_t`] — 16-row /
 //!   16-vector event-counter folds; group-activity bitmaps come
 //!   straight from `_mm512_cmpgt_epi32_mask` mask registers instead of
@@ -34,8 +36,9 @@
 
 use std::arch::x86_64::{
     __m512i, _mm256_storeu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_and_si512,
-    _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_epi16, _mm512_loadu_epi16, _mm512_loadu_epi32,
-    _mm512_loadu_epi64, _mm512_madd_epi16, _mm512_maskz_loadu_epi16, _mm512_maskz_set1_epi32,
+    _mm512_castsi512_si256, _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_epi16, _mm512_cvtepi32_epi64,
+    _mm512_extracti64x4_epi64, _mm512_loadu_epi16, _mm512_loadu_epi32, _mm512_loadu_epi64,
+    _mm512_madd_epi16, _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi16, _mm512_maskz_set1_epi32,
     _mm512_mullo_epi32, _mm512_or_si512, _mm512_popcnt_epi64, _mm512_set1_epi32, _mm512_set1_epi64,
     _mm512_setzero_si512, _mm512_sll_epi64, _mm512_srl_epi32, _mm512_srli_epi32,
     _mm512_storeu_epi32, _mm512_storeu_epi64, _mm_cvtsi32_si128,
@@ -151,7 +154,7 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
                     }
                 }
                 for (k, ak) in acc.iter().enumerate() {
-                    out[v * outs + o + k] = hsum_epi32(*ak);
+                    out[(o + k) * n + v] = hsum_epi32(*ak);
                 }
             }
             o += 4;
@@ -179,7 +182,7 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
                         acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a, w));
                     }
                 }
-                out[v * outs + o] = hsum_epi32(acc);
+                out[o * n + v] = hsum_epi32(acc);
             }
             o += 1;
         }
@@ -256,7 +259,8 @@ fn matmul_transposed_impl(
                 }
             }
             for (k, ak) in acc.iter().enumerate() {
-                scatter_widened(*ak, &mut out[vb * outs..], outs, o + k, lanes_live);
+                let row = (o + k) * n + vb;
+                store_widened(*ak, &mut out[row..row + lanes_live]);
             }
             o += 4;
         }
@@ -268,23 +272,33 @@ fn matmul_transposed_impl(
                 let w = _mm512_set1_epi32(codes[o * ins + i]);
                 acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(a, w));
             }
-            scatter_widened(acc, &mut out[vb * outs..], outs, o, lanes_live);
+            store_widened(acc, &mut out[o * n + vb..o * n + vb + lanes_live]);
             o += 1;
         }
         vb += 16;
     }
 }
 
-/// Writes the 16 `i32` lanes of one transposed accumulator to their
-/// row-major output slots, widening to `i64` (exact by the eligibility
-/// proof).
+/// Stores the live `i32` lanes of one transposed accumulator, widened
+/// to `i64`, into `dst` — the contiguous run of their output channel's
+/// accumulator row (exact by the eligibility proof). The low and high
+/// eight lanes each take one masked store, so a block's short last run
+/// writes only its live lanes.
 #[target_feature(enable = "avx512f")]
-fn scatter_widened(acc: __m512i, out: &mut [i64], outs: usize, o: usize, lanes_live: usize) {
-    let mut lanes = [0i32; 16];
-    // SAFETY: `lanes` is exactly 64 bytes; unaligned store.
-    unsafe { _mm512_storeu_epi32(lanes.as_mut_ptr(), acc) };
-    for (v, &x) in lanes[..lanes_live].iter().enumerate() {
-        out[v * outs + o] = x as i64;
+fn store_widened(acc: __m512i, dst: &mut [i64]) {
+    let live = dst.len();
+    debug_assert!(live <= 16);
+    let lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc));
+    let hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc));
+    let lane_mask = |lanes: usize| ((1u16 << lanes) - 1) as u8;
+    // SAFETY: each masked store writes only its enabled lanes, all
+    // inside `dst`; the high half's base pointer is formed only when
+    // `dst` reaches past its eighth element.
+    unsafe {
+        _mm512_mask_storeu_epi64(dst.as_mut_ptr(), lane_mask(live.min(8)), lo);
+        if live > 8 {
+            _mm512_mask_storeu_epi64(dst.as_mut_ptr().add(8), lane_mask(live - 8), hi);
+        }
     }
 }
 

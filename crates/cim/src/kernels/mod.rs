@@ -356,8 +356,8 @@ pub(crate) struct ExactCodes<'a> {
     pub ins: usize,
 }
 
-/// Batched integer matmul `out[v][o] = sum_i codes[o][i] * acts[v][i]`,
-/// dispatched by tier. Every tier computes the exact integer product —
+/// Batched integer matmul `out[o][v] = sum_i codes[o][i] * acts[v][i]`
+/// (channel-major accumulators, `out[o * n + v]`), dispatched by tier. Every tier computes the exact integer product —
 /// bit-identical to [`scalar::matmul_into`] by construction (and by the
 /// parity suites).
 pub(crate) fn matmul_exact(
@@ -380,7 +380,7 @@ pub(crate) fn matmul_exact(
 }
 
 /// Batch-transposed integer matmul over a lane-major `[ins x n_pad]`
-/// activation panel: `out[v][o] = sum_i codes[o][i] * acts_t[i][v]`.
+/// activation panel: `out[o][v] = sum_i codes[o][i] * acts_t[i][v]`.
 /// Dispatched by tier; exact on every tier. The SIMD paths require the
 /// `i16`-eligibility proof (their lane accumulators are `i32`), so the
 /// dispatcher falls back to the scalar reference when `codes16` is

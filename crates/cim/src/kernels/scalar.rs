@@ -3,11 +3,12 @@
 
 use super::FoldParams;
 
-/// The one row-major integer matmul every digital path shares:
-/// `out[v*outs + o] = sum_i codes[o*ins + i] * acts[v*ins + i]` — used by
-/// [`reference_mvm`], the software backend's batch entry and the scalar
-/// tier of [`RomMvm::mvm_batch_exact`], so the arithmetic can never
-/// diverge between them.
+/// The one integer matmul every digital path shares:
+/// `out[o*n + v] = sum_i codes[o*ins + i] * acts[v*ins + i]` (row-major
+/// activations, channel-major accumulators) — used by [`reference_mvm`],
+/// the software backend's batch entry and the scalar tier of
+/// [`RomMvm::mvm_batch_exact`], so the arithmetic can never diverge
+/// between them.
 ///
 /// [`reference_mvm`]: crate::macro_model::reference_mvm
 /// [`RomMvm::mvm_batch_exact`]: crate::macro_model::RomMvm
@@ -22,12 +23,12 @@ pub(crate) fn matmul_into(
     debug_assert_eq!(codes.len(), outs * ins);
     debug_assert_eq!(acts.len(), n * ins);
     debug_assert_eq!(out.len(), n * outs);
-    for v in 0..n {
-        let av = &acts[v * ins..(v + 1) * ins];
-        for (o, slot) in out[v * outs..(v + 1) * outs].iter_mut().enumerate() {
-            *slot = codes[o * ins..(o + 1) * ins]
+    for o in 0..outs {
+        let row = &codes[o * ins..(o + 1) * ins];
+        for (v, slot) in out[o * n..(o + 1) * n].iter_mut().enumerate() {
+            *slot = row
                 .iter()
-                .zip(av)
+                .zip(&acts[v * ins..(v + 1) * ins])
                 .map(|(&w, &a)| w as i64 * a as i64)
                 .sum();
         }
@@ -35,7 +36,7 @@ pub(crate) fn matmul_into(
 }
 
 /// The batch-transposed reference matmul over a lane-major
-/// `[ins x n_pad]` panel: `out[v*outs + o] = sum_i codes[o*ins + i] *
+/// `[ins x n_pad]` panel: `out[o*n + v] = sum_i codes[o*ins + i] *
 /// acts_t[i*n_pad + v]`. Same arithmetic as [`matmul_into`] in a
 /// different traversal order (each addend is an exact `i64` product, so
 /// ordering cannot change the sum) — this entry keeps the scalar tier
@@ -54,11 +55,12 @@ pub(crate) fn matmul_transposed(
     debug_assert!(acts_t.len() >= ins * n_pad);
     debug_assert_eq!(out.len(), n * outs);
     out.fill(0);
-    for (o, row) in codes.chunks_exact(ins).enumerate() {
-        for (i, &w) in row.iter().enumerate() {
+    for o in 0..outs {
+        let out_row = &mut out[o * n..(o + 1) * n];
+        for (i, &w) in codes[o * ins..(o + 1) * ins].iter().enumerate() {
             let lane = &acts_t[i * n_pad..i * n_pad + n];
-            for (v, &a) in lane.iter().enumerate() {
-                out[v * outs + o] += w as i64 * a as i64;
+            for (slot, &a) in out_row.iter_mut().zip(lane) {
+                *slot += w as i64 * a as i64;
             }
         }
     }

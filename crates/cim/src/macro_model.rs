@@ -1119,7 +1119,8 @@ impl RomMvm {
                     let col_fault = tile_faults.and_then(|t| t[o * wb + j]);
                     let w_plane = act_weight * signed_plane_weight(j, p.weight_bits);
                     kernels::group_counts(self.kernel, mask, planes, n_planes, n_pad, counts);
-                    for (v, &count) in counts[..n].iter().enumerate() {
+                    let row = &mut out[out_idx * n..(out_idx + 1) * n];
+                    for (slot, &count) in row.iter_mut().zip(&counts[..n]) {
                         if count == 0 {
                             continue;
                         }
@@ -1134,7 +1135,7 @@ impl RomMvm {
                         } else {
                             adc.digitize(sensed as f32)
                         };
-                        out[v * self.outs + out_idx] += w_plane * readout;
+                        *slot += w_plane * readout;
                     }
                 }
             }
@@ -1662,7 +1663,9 @@ mod tests {
             let mut golden_stats = MvmStats::default();
             for v in 0..n {
                 let (y, s) = engine.mvm_analog(&acts[v * ins..(v + 1) * ins], &mut rng);
-                golden[v * outs..(v + 1) * outs].copy_from_slice(&y);
+                for (o, &y) in y.iter().enumerate() {
+                    golden[o * n + v] = y;
+                }
                 golden_stats.merge(&s);
             }
             let mut scratch = crate::backend::MvmScratch::new();

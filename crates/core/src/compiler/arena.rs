@@ -22,6 +22,15 @@
 //! of their slots — reading source slots while writing the output slot
 //! can therefore never alias. The interpreter asserts this.
 //!
+//! ## The conv output pass
+//!
+//! A CiM conv's accumulators arrive channel-major, so `conv_output_pass`
+//! dequantizes one contiguous channel plane at a time and applies the
+//! op's fused epilogue, through its first max-pool, in that same pass,
+//! writing the planned slot once. Only a conv epilogue that pools a
+//! second time, and a ReBranch group whose epilogue pools, still stage
+//! the raw map and copy the result into the slot.
+//!
 //! ## Bit-identity
 //!
 //! The arena interpreter is pinned bit-identical — logits, `MvmStats`,
@@ -33,7 +42,7 @@
 use rand::Rng;
 
 use super::{BufferPlan, EpilogueOp, ExecPlan, ExecutionReport, OpSource, PerOpExec, PlanOp};
-use crate::qconv::CimScratch;
+use crate::qconv::{CimConv2d, CimScratch};
 use yoloc_models::ActKind;
 use yoloc_tensor::Tensor;
 
@@ -122,6 +131,9 @@ pub struct ExecArena {
     stage: Buf,
     /// Epilogue ping-pong partner of `stage` (max-pool shrinks shapes).
     stage2: Buf,
+    /// One channel plane of a conv's fused output pass before its
+    /// max-pool.
+    pool_row: Vec<f32>,
     /// ReBranch intermediates: compress, residual-conv, decompress.
     rb: [Buf; 3],
     /// Shared CiM kernel staging (im2col, codes, accumulators, planes).
@@ -212,16 +224,24 @@ fn source_view<'s>(
 /// Elementwise activation, identical to `apply_act`'s per-element map.
 fn act_in_place(data: &mut [f32], kind: ActKind) {
     match kind {
-        ActKind::Relu => {
-            for v in data {
-                *v = v.max(0.0);
-            }
-        }
-        ActKind::Leaky => {
-            for v in data {
-                *v = if *v > 0.0 { *v } else { 0.1 * *v };
-            }
-        }
+        ActKind::Relu => data.iter_mut().for_each(|v| *v = relu(*v)),
+        ActKind::Leaky => data.iter_mut().for_each(|v| *v = leaky(*v)),
+    }
+}
+
+/// ReLU of one element, as `apply_act` computes it.
+#[inline]
+fn relu(v: f32) -> f32 {
+    v.max(0.0)
+}
+
+/// Leaky ReLU (slope 0.1) of one element, as `apply_act` computes it.
+#[inline]
+fn leaky(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.1 * v
     }
 }
 
@@ -233,34 +253,68 @@ fn add_in_place(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Max pooling into `dst`, replicating `MaxPool2d::forward` exactly
-/// (same scan order, same strict-greater comparison).
-fn maxpool_into(src: &[f32], shape: &[usize], kernel: usize, stride: usize, dst: &mut Buf) {
-    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+/// Output dims of a `kernel` x `kernel` max-pool at `stride` over an
+/// `h` x `w` plane.
+fn pool_hw(h: usize, w: usize, kernel: usize, stride: usize) -> (usize, usize) {
     assert!(h >= kernel && w >= kernel, "window too large");
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
-    let od = dst.prepare(&[n, c, oh, ow]);
-    let mut oi = 0;
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for kh in 0..kernel {
-                        for kw in 0..kernel {
-                            let idx = base + (ohi * stride + kh) * w + owi * stride + kw;
-                            if src[idx] > best {
-                                best = src[idx];
-                            }
-                        }
-                    }
-                    od[oi] = best;
-                    oi += 1;
-                }
+    ((h - kernel) / stride + 1, (w - kernel) / stride + 1)
+}
+
+/// One step of a max-pool window scan: the running maximum after
+/// visiting `v`. Strictly greater wins, so an equal later value (`+0.0`
+/// after `-0.0`, say) or a NaN never replaces the running maximum.
+#[inline]
+fn scan_max(best: f32, v: f32) -> f32 {
+    if v > best {
+        v
+    } else {
+        best
+    }
+}
+
+/// Max-pools one `h` x `w` plane into `dst`, replicating
+/// `MaxPool2d::forward` exactly: each window is scanned row by row from
+/// `-inf` with [`scan_max`], so a NaN never wins and an all-NaN window
+/// yields `-inf`. The zoo's 2x2, stride-2 pool takes a branch-free walk
+/// over pairs of source rows in that same scan order, which vectorizes.
+fn maxpool_plane(src: &[f32], h: usize, w: usize, kernel: usize, stride: usize, dst: &mut [f32]) {
+    let (oh, ow) = pool_hw(h, w, kernel, stride);
+    debug_assert_eq!(dst.len(), oh * ow);
+    if (kernel, stride) == (2, 2) {
+        for (ohi, best) in dst.chunks_exact_mut(ow).enumerate() {
+            let (top, bottom) = src[2 * ohi * w..(2 * ohi + 2) * w].split_at(w);
+            let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+            for (b, (t, u)) in best.iter_mut().zip(windows) {
+                let m = scan_max(scan_max(f32::NEG_INFINITY, t[0]), t[1]);
+                *b = scan_max(scan_max(m, u[0]), u[1]);
             }
         }
+        return;
+    }
+    let mut oi = 0;
+    for ohi in 0..oh {
+        for owi in 0..ow {
+            let mut best = f32::NEG_INFINITY;
+            for kh in 0..kernel {
+                for kw in 0..kernel {
+                    best = scan_max(best, src[(ohi * stride + kh) * w + owi * stride + kw]);
+                }
+            }
+            dst[oi] = best;
+            oi += 1;
+        }
+    }
+}
+
+/// Max pooling into `dst`, one [`maxpool_plane`] per channel plane.
+fn maxpool_into(src: &[f32], shape: &[usize], kernel: usize, stride: usize, dst: &mut Buf) {
+    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+    let (oh, ow) = pool_hw(h, w, kernel, stride);
+    let od = dst.prepare(&[n, c, oh, ow]);
+    let (plane, out_plane) = (h * w, oh * ow);
+    for i in 0..n * c {
+        let dst = &mut od[i * out_plane..(i + 1) * out_plane];
+        maxpool_plane(&src[i * plane..(i + 1) * plane], h, w, kernel, stride, dst);
     }
 }
 
@@ -319,25 +373,49 @@ fn passthrough_into(
     }
 }
 
+/// What a CiM op's fused epilogue reads besides the op's own output: the
+/// plan (for chip placement), the op's index and output slot, and the
+/// live slots and network input its residual sources resolve to.
+struct EpilogueCtx<'s> {
+    plan: &'s ExecPlan,
+    op_idx: usize,
+    out_slot: usize,
+    slots: &'s [Buf],
+    bp: &'s BufferPlan,
+    x: &'s Tensor,
+}
+
+impl<'s> EpilogueCtx<'s> {
+    /// The live operand of a fused residual.
+    fn operand(&self, source: &OpSource) -> &'s [f32] {
+        source_view(self.slots, self.bp, self.x, source, self.out_slot).0
+    }
+
+    /// Resolves a fused residual's operand and accounts its side traffic
+    /// into `rec` exactly like `ExecPlan::apply_epilogue`.
+    fn residual(&self, source: &OpSource, rec: &mut PerOpExec) -> &'s [f32] {
+        let sd = self.operand(source);
+        let bits = sd.len() as u64 * self.plan.memory.act_bits as u64;
+        rec.side_bits += bits;
+        if self.plan.source_chip(source) != self.plan.chip_of[self.op_idx] {
+            rec.cross_bits += bits;
+        }
+        sd
+    }
+}
+
 /// Applies a fused epilogue in place on `cur` (ping-ponging through
 /// `stage2` for shape-changing steps), accumulating side-operand traffic
 /// into `rec` exactly like `ExecPlan::apply_epilogue`. `cur` is the op's
 /// output slot buffer when the epilogue is shape-stable (no max-pool),
 /// the staging buffer otherwise.
-#[allow(clippy::too_many_arguments)] // splits one op's state over disjoint arena fields
 fn run_epilogue(
-    plan: &ExecPlan,
+    ctx: &EpilogueCtx<'_>,
     epilogue: &[EpilogueOp],
-    op_idx: usize,
-    out_slot: usize,
-    slots: &[Buf],
-    bp: &BufferPlan,
-    x: &Tensor,
     cur: &mut Buf,
     stage2: &mut Buf,
     rec: &mut PerOpExec,
 ) {
-    let ab = plan.memory.act_bits as u64;
     for e in epilogue {
         match e {
             EpilogueOp::Act(kind) => act_in_place(&mut cur.data, *kind),
@@ -348,13 +426,7 @@ fn run_epilogue(
                 std::mem::swap(cur, stage2);
             }
             EpilogueOp::Residual { source } => {
-                let (sd, _) = source_view(slots, bp, x, source, out_slot);
-                let bits = sd.len() as u64 * ab;
-                rec.side_bits += bits;
-                if plan.source_chip(source) != plan.chip_of[op_idx] {
-                    rec.cross_bits += bits;
-                }
-                add_in_place(&mut cur.data, sd);
+                add_in_place(&mut cur.data, ctx.residual(source, rec));
             }
         }
     }
@@ -367,6 +439,87 @@ fn needs_staging(epilogue: &[EpilogueOp]) -> bool {
     epilogue
         .iter()
         .any(|e| matches!(e, EpilogueOp::MaxPool { .. }))
+}
+
+/// How much of a conv's fused epilogue its output pass absorbs: every
+/// step up to and including the first `MaxPool` (all of it when there
+/// is none).
+fn fused_len(epilogue: &[EpilogueOp]) -> usize {
+    epilogue
+        .iter()
+        .position(|e| matches!(e, EpilogueOp::MaxPool { .. }))
+        .map_or(epilogue.len(), |i| i + 1)
+}
+
+/// The output pass of a CiM conv after [`CimConv2d::run_in`], one
+/// channel plane at a time: dequantize the plane's contiguous
+/// accumulators, apply the `Act` and `Residual` steps of `steps` (a
+/// [`fused_len`] prefix of the epilogue) in order, as [`run_epilogue`]
+/// does and with the same side-traffic accounting, and max-pool the plane
+/// if `steps` ends in a `MaxPool`. The result is written once, into
+/// `dst`; a pooled plane goes through `row` first.
+#[allow(clippy::too_many_arguments)] // splits one op's state over disjoint arena fields
+fn conv_output_pass(
+    ctx: &EpilogueCtx<'_>,
+    conv: &CimConv2d,
+    cim: &CimScratch,
+    n: usize,
+    (oh, ow): (usize, usize),
+    steps: &[EpilogueOp],
+    dst: &mut Buf,
+    row: &mut Vec<f32>,
+    rec: &mut PerOpExec,
+) {
+    let (oc, plane) = (conv.out_channels(), oh * ow);
+    let (elementwise, pool) = match steps.split_last() {
+        Some((&EpilogueOp::MaxPool { kernel, stride }, head)) => (head, Some((kernel, stride))),
+        _ => (steps, None),
+    };
+    for e in elementwise {
+        if let EpilogueOp::Residual { source } = e {
+            let sd = ctx.residual(source, rec);
+            assert_eq!(sd.len(), n * oc * plane, "residual operand length");
+        }
+    }
+    // A leading activation runs inside the dequantize loop itself.
+    let (lead_act, elementwise) = match elementwise.split_first() {
+        Some((&EpilogueOp::Act(kind), rest)) => (Some(kind), rest),
+        _ => (None, elementwise),
+    };
+    let (ph, pw) = pool.map_or((oh, ow), |(k, s)| pool_hw(oh, ow, k, s));
+    let out_plane_len = ph * pw;
+    let od = dst.prepare(&[n, oc, ph, pw]);
+    if pool.is_some() {
+        row.resize(plane, 0.0);
+    }
+    for (o, (accs, dq)) in conv.channel_rows(cim).enumerate() {
+        for (ni, accs) in accs.chunks_exact(plane.max(1)).enumerate() {
+            // Plane `i` of the output, and of every residual operand.
+            let i = ni * oc + o;
+            let out_plane = &mut od[i * out_plane_len..(i + 1) * out_plane_len];
+            let cur = match pool {
+                Some(_) => &mut row[..],
+                None => &mut *out_plane,
+            };
+            match lead_act {
+                None => dq.run_into(accs, cur, |v| v),
+                Some(ActKind::Relu) => dq.run_into(accs, cur, relu),
+                Some(ActKind::Leaky) => dq.run_into(accs, cur, leaky),
+            }
+            for e in elementwise {
+                match e {
+                    EpilogueOp::Act(kind) => act_in_place(cur, *kind),
+                    EpilogueOp::Residual { source } => {
+                        add_in_place(cur, &ctx.operand(source)[i * plane..(i + 1) * plane]);
+                    }
+                    EpilogueOp::MaxPool { .. } => unreachable!("a fused prefix pools last"),
+                }
+            }
+            if let Some((kernel, stride)) = pool {
+                maxpool_plane(row, oh, ow, kernel, stride, out_plane);
+            }
+        }
+    }
 }
 
 /// `(input_elems, batch_n)` of the network input, as `finalize` reads
@@ -419,6 +572,15 @@ impl ExecPlan {
             let rec = &mut arena.per_op[op_idx];
             let slots = &arena.slots;
             let cim = &mut arena.cim;
+            let row = &mut arena.pool_row;
+            let ctx = EpilogueCtx {
+                plan: self,
+                op_idx,
+                out_slot: slot,
+                slots,
+                bp,
+                x,
+            };
             // The running activation: the previous op's slot (the network
             // input for op 0). Liveness keeps it out of the output slot.
             let (in_data, in_shape): (&[f32], &[usize]) = if op_idx == 0 {
@@ -440,26 +602,17 @@ impl ExecPlan {
                 } => {
                     let (n, h, w) = (in_shape[0], in_shape[2], in_shape[3]);
                     let (oh, ow) = conv.output_hw(h, w);
-                    // Shape-stable epilogues run in place on the planned
-                    // slot; only max-pool chains stage and copy.
-                    let staged = needs_staging(epilogue);
-                    let target = if staged { &mut stage } else { &mut out_buf };
-                    let od = target.prepare(&[n, conv.out_channels(), oh, ow]);
-                    let s = conv.forward_in(in_data, n, h, w, od, cim, rng);
+                    let s = conv.run_in(in_data, n, h, w, cim, rng);
                     rec.tiles = conv.tile_count(n * oh * ow);
                     rec.add(*domain, &s);
-                    run_epilogue(
-                        self,
-                        epilogue,
-                        op_idx,
-                        slot,
-                        slots,
-                        bp,
-                        x,
-                        target,
-                        &mut stage2,
-                        rec,
-                    );
+                    // The output pass absorbs the epilogue through its
+                    // first max-pool and writes the planned slot; only a
+                    // chain that pools again stages the rest and copies.
+                    let (fused, rest) = epilogue.split_at(fused_len(epilogue));
+                    let staged = needs_staging(rest);
+                    let target = if staged { &mut stage } else { &mut out_buf };
+                    conv_output_pass(&ctx, conv, cim, n, (oh, ow), fused, target, row, rec);
+                    run_epilogue(&ctx, rest, target, &mut stage2, rec);
                     if staged {
                         out_buf.copy_from(&stage);
                     }
@@ -492,18 +645,7 @@ impl ExecPlan {
                     rec.sram.merge(&s3);
                     rec.rom.merge(&s4);
                     add_in_place(&mut target.data, rb2.data());
-                    run_epilogue(
-                        self,
-                        epilogue,
-                        op_idx,
-                        slot,
-                        slots,
-                        bp,
-                        x,
-                        target,
-                        &mut stage2,
-                        rec,
-                    );
+                    run_epilogue(&ctx, epilogue, target, &mut stage2, rec);
                     if staged {
                         out_buf.copy_from(&stage);
                     }
@@ -519,18 +661,7 @@ impl ExecPlan {
                     let od = target.prepare(&[n, linear.outs()]);
                     let s = linear.forward_in(in_data, n, od, cim, rng);
                     rec.add(*domain, &s);
-                    run_epilogue(
-                        self,
-                        epilogue,
-                        op_idx,
-                        slot,
-                        slots,
-                        bp,
-                        x,
-                        target,
-                        &mut stage2,
-                        rec,
-                    );
+                    run_epilogue(&ctx, epilogue, target, &mut stage2, rec);
                     if staged {
                         out_buf.copy_from(&stage);
                     }
@@ -619,15 +750,40 @@ mod tests {
 
     #[test]
     fn maxpool_into_matches_layer() {
+        // Bit for bit, on the 2x2/2 fast path and the generic walk
+        // (overlapping, odd-sized and 1x1 windows), with NaNs, infinities
+        // and both zeros placed so windows tie, mix and go all-NaN.
         use yoloc_tensor::layers::MaxPool2d;
         use yoloc_tensor::Layer;
+        let specials = [
+            f32::NAN,
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -f32::NAN,
+        ];
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(3);
-        let x = Tensor::rand_uniform(&[2, 3, 6, 6], -1.0, 1.0, &mut rng);
-        let expect = MaxPool2d::new(2, 2).forward(&x, false);
-        let mut dst = Buf::default();
-        maxpool_into(x.data(), x.shape(), 2, 2, &mut dst);
-        assert_eq!(dst.shape(), expect.shape());
-        assert_eq!(dst.data(), expect.data());
+        for (kernel, stride) in [(2, 2), (3, 1), (2, 1), (3, 2), (1, 1)] {
+            for (h, w) in [(6, 6), (7, 5)] {
+                let mut x = Tensor::rand_uniform(&[2, 3, h, w], -1.0, 1.0, &mut rng);
+                for (i, v) in x.data_mut().iter_mut().enumerate() {
+                    if i % 3 != 2 {
+                        *v = specials[(i / 3 + i % 3) % specials.len()];
+                    }
+                }
+                let expect = MaxPool2d::new(kernel, stride).forward(&x, false);
+                let mut dst = Buf::default();
+                maxpool_into(x.data(), x.shape(), kernel, stride, &mut dst);
+                assert_eq!(dst.shape(), expect.shape());
+                assert_eq!(
+                    bits(dst.data()),
+                    bits(expect.data()),
+                    "{kernel}/{stride} {h}x{w}"
+                );
+            }
+        }
     }
 
     #[test]

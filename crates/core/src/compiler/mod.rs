@@ -1994,27 +1994,43 @@ mod tests {
 
     #[test]
     fn batched_compiled_inference_bit_identical_to_serial() {
-        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-        let net = CompiledNetwork::compile_random(&desc, 31, small_opts()).unwrap();
-        let mut rng = StdRng::seed_from_u64(32);
-        let x = Tensor::rand_uniform(&[5, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (serial, serial_report) = net.infer(&x, &mut rng);
-        for workers in [1, 2, 4] {
-            let (batched, report) = WorkerPool::with(workers, |pool| net.infer_batch(&x, 9, pool));
-            assert_eq!(serial.data(), batched.data(), "workers = {workers}");
-            assert_eq!(
-                serial_report.rom.analog_evaluations,
-                report.rom.analog_evaluations
-            );
-            assert_eq!(
-                serial_report.rom.adc_conversions,
-                report.rom.adc_conversions
-            );
-            assert_eq!(
-                serial_report.buffer_traffic_bits,
-                report.buffer_traffic_bits
-            );
-            assert_eq!(serial_report.dram_traffic_bits, report.dram_traffic_bits);
+        // `infer` runs all five samples through one arena, so every CiM
+        // op's output pass walks channel-major accumulators across
+        // samples; `infer_batch` runs each sample on its own. ResNet-18
+        // carries fused residuals and projections, YOLO the passthrough.
+        let nets = [
+            zoo::scaled(&zoo::vgg8(3), 16, (16, 16)),
+            zoo::scaled(&zoo::resnet18(3), 16, (32, 32)),
+            zoo::scaled(&zoo::yolo_v2(4, 2), 32, (64, 64)),
+        ];
+        for desc in &nets {
+            let net = CompiledNetwork::compile_random(desc, 31, small_opts()).unwrap();
+            let (c, h, w) = net.input_shape();
+            let mut rng = StdRng::seed_from_u64(32);
+            let x = Tensor::rand_uniform(&[5, c, h, w], 0.0, 1.0, &mut rng);
+            let (serial, serial_report) = net.infer(&x, &mut rng);
+            for workers in [1, 2, 4] {
+                let (batched, report) =
+                    WorkerPool::with(workers, |pool| net.infer_batch(&x, 9, pool));
+                let what = format!("{} at {workers} workers", desc.name);
+                assert_eq!(serial.data(), batched.data(), "{what}");
+                assert_eq!(
+                    serial_report.rom.analog_evaluations, report.rom.analog_evaluations,
+                    "{what}"
+                );
+                assert_eq!(
+                    serial_report.rom.adc_conversions, report.rom.adc_conversions,
+                    "{what}"
+                );
+                assert_eq!(
+                    serial_report.buffer_traffic_bits, report.buffer_traffic_bits,
+                    "{what}"
+                );
+                assert_eq!(
+                    serial_report.dram_traffic_bits, report.dram_traffic_bits,
+                    "{what}"
+                );
+            }
         }
     }
 

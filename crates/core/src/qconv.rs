@@ -46,7 +46,8 @@ pub struct CimScratch {
     /// Activation codes of every output position of the conv (all
     /// samples), in the backend's [`MvmBackend::batch_layout`].
     codes: Vec<i32>,
-    /// Integer accumulators of every output position, vector-major.
+    /// Integer accumulators of every output position, channel-major
+    /// (`accs[o * positions + position]`, see [`MvmBackend`]).
     accs: Vec<i64>,
     /// Bit-plane staging for [`MvmBackend::run_batch`], and the
     /// per-position event counters [`MvmBackend::fold_stats`] folds the
@@ -85,10 +86,44 @@ impl Dequant {
         }
     }
 
-    /// Dequantizes one accumulator value for output channel `o`.
+    /// The dequantizer of output channel `o` under the activation
+    /// parameters `act`.
     #[inline]
-    fn value(&self, o: usize, acc: i64, act: &QuantParams) -> f32 {
-        self.channel_scales[o] * act.scale * (acc - act.zero_point as i64 * self.row_sums[o]) as f32
+    fn channel(&self, o: usize, act: &QuantParams) -> ChannelDequant {
+        ChannelDequant {
+            mul: self.channel_scales[o] * act.scale,
+            offset: act.zero_point as i64 * self.row_sums[o],
+        }
+    }
+}
+
+/// The dequantizer of one output channel: `mul * (acc - offset) as f32`
+/// with `mul = channel_scale * act.scale` and
+/// `offset = zero_point * row_sum`, the same arithmetic as evaluating
+/// `channel_scale * act.scale * (acc - zero_point * row_sum) as f32`
+/// left to right.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChannelDequant {
+    mul: f32,
+    offset: i64,
+}
+
+impl ChannelDequant {
+    /// Dequantizes one accumulator.
+    #[inline]
+    pub(crate) fn value(self, acc: i64) -> f32 {
+        self.mul * (acc - self.offset) as f32
+    }
+
+    /// Dequantizes a contiguous run of the channel's accumulators into
+    /// `dst`, passing each value through `then` on the way (the identity,
+    /// or an elementwise step fused into the same loop).
+    #[inline]
+    pub(crate) fn run_into(self, accs: &[i64], dst: &mut [f32], then: impl Fn(f32) -> f32) {
+        debug_assert_eq!(accs.len(), dst.len());
+        for (d, &a) in dst.iter_mut().zip(accs) {
+            *d = then(self.value(a));
+        }
     }
 }
 
@@ -213,13 +248,52 @@ fn quant_params_to_json(p: &QuantParams) -> Json {
     ])
 }
 
-fn quant_params_from(v: &Json) -> Result<QuantParams, String> {
-    Ok(QuantParams {
+/// Reads a layer's activation parameters and proves what quantizing
+/// with them relies on: a width in `2..=16`, a finite positive scale, a
+/// zero point inside the code range, and codes the programmed engine can
+/// drive (unsigned, at most its `act_bits` wide).
+fn act_params_from(v: &Json, program: &ProgramSpec) -> Result<QuantParams, String> {
+    let v = v.get("act_params").ok_or("missing field \"act_params\"")?;
+    let p = QuantParams {
         scale: json_field(v, "scale")?,
         zero_point: json_field(v, "zero_point")?,
         bits: json_field(v, "bits")?,
         symmetric: json_field(v, "symmetric")?,
-    })
+    };
+    let err = |what: String| Err(format!("act_params: {what}"));
+    if !(2..=16).contains(&p.bits) {
+        return err(format!("bits {} outside 2..=16", p.bits));
+    }
+    if !(p.scale.is_finite() && p.scale > 0.0) {
+        return err(format!("scale {} is not finite and positive", p.scale));
+    }
+    if !(p.qmin()..=p.qmax()).contains(&p.zero_point) {
+        return err(format!(
+            "zero_point {} outside {}..={}",
+            p.zero_point,
+            p.qmin(),
+            p.qmax()
+        ));
+    }
+    if p.symmetric || p.bits > program.params.act_bits {
+        return err(format!(
+            "codes do not fit the engine's unsigned {}-bit activations",
+            program.params.act_bits
+        ));
+    }
+    Ok(p)
+}
+
+/// Checks that a per-output table holds one entry per output.
+fn per_output<T>(table: Vec<T>, name: &str, outs: usize) -> Result<Vec<T>, String> {
+    if table.len() == outs {
+        Ok(table)
+    } else {
+        Err(format!(
+            "{name}: {} entries for {outs} outputs",
+            table.len()
+        ))
+    }
 }
 
 /// Same story for `Conv2dGeometry` (`yoloc-tensor` has no serde dep).
@@ -440,7 +514,9 @@ impl CimConv2d {
         } = scratch;
         let patch = self.geom.patch_len();
         let pad = self.act_params.quantize_value(0.0);
-        accs.clear();
+        // Every backend writes every accumulator, so stale values from an
+        // earlier layer need no zeroing.
+        accs.truncate(positions * self.out_channels);
         accs.resize(positions * self.out_channels, 0);
         match self.engine.batch_layout(positions) {
             MatmulLayout::Transposed => {
@@ -482,15 +558,72 @@ impl CimConv2d {
         }
     }
 
-    /// Arena forward: runs the convolution on a raw row-major
-    /// `(n, C, h, w)` buffer, writing the dequantized `(n, OC, OH, OW)`
-    /// feature map into `out` using only `scratch` storage. Each input
-    /// element is quantized once, and all `n * OH * OW` output positions
-    /// are lowered and run through the backend in one batch call. The
-    /// modelled tile split is replayed only in the statistics: each
+    /// Run step of the arena forward: quantizes each element of the raw
+    /// row-major `(n, C, h, w)` input once, lowers all `n * OH * OW`
+    /// output positions and runs them through the backend in one batch
+    /// call, leaving the channel-major accumulators in `scratch` for
+    /// [`CimConv2d::channel_rows`]. The modelled tile split is replayed
+    /// only in the returned statistics: each
     /// [`CimConv2d::tile_range_iter`] tile is folded from zero in vector
     /// order and then merged, so the f64 energy/latency sums follow the
     /// placement's tile decomposition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n * C * h * w`.
+    pub(crate) fn run_in<R: Rng + ?Sized>(
+        &self,
+        x: &[f32],
+        n: usize,
+        h: usize,
+        w: usize,
+        scratch: &mut CimScratch,
+        rng: &mut R,
+    ) -> MvmStats {
+        let (oh, ow) = self.geom.output_hw(h, w);
+        assert_eq!(x.len(), n * self.geom.in_channels * h * w, "input length");
+        scratch.input_codes.clear();
+        scratch
+            .input_codes
+            .extend(x.iter().map(|&v| self.act_params.quantize_value(v)));
+        let positions = n * oh * ow;
+        self.run_block([n, h, w], positions, scratch, rng);
+        let mut stats = MvmStats::default();
+        for (lo, hi) in self.tile_range_iter(positions) {
+            let mut tile_stats = MvmStats::default();
+            self.engine
+                .fold_stats(&scratch.mvm, lo..hi, &mut tile_stats);
+            stats.merge(&tile_stats);
+        }
+        stats
+    }
+
+    /// Every output channel's accumulators from the last
+    /// [`CimConv2d::run_in`], in channel order — each one contiguous row
+    /// over every output position, sample by sample — with the channel's
+    /// dequantizer.
+    pub(crate) fn channel_rows<'s>(
+        &'s self,
+        scratch: &'s CimScratch,
+    ) -> impl Iterator<Item = (&'s [i64], ChannelDequant)> + 's {
+        let positions = scratch.accs.len() / self.out_channels.max(1);
+        scratch
+            .accs
+            .chunks_exact(positions.max(1))
+            .enumerate()
+            .map(|(o, row)| (row, self.dequant.channel(o, &self.act_params)))
+    }
+
+    /// Arena forward: runs the convolution on a raw row-major
+    /// `(n, C, h, w)` buffer, writing the dequantized `(n, OC, OH, OW)`
+    /// feature map into `out` using only `scratch` storage. Each input
+    /// element is quantized once, all `n * OH * OW` output positions run
+    /// through the backend in one batch call, and each output channel's
+    /// contiguous accumulator row is dequantized plane by plane into
+    /// place. The modelled tile split is replayed only in the statistics:
+    /// each [`CimConv2d::tile_range_iter`] tile is folded from zero in
+    /// vector order and then merged, so the f64 energy/latency sums
+    /// follow the placement's tile decomposition.
     ///
     /// # Panics
     ///
@@ -508,32 +641,12 @@ impl CimConv2d {
     ) -> MvmStats {
         let (oh, ow) = self.geom.output_hw(h, w);
         let (plane, oc) = (oh * ow, self.out_channels);
-        assert_eq!(x.len(), n * self.geom.in_channels * h * w, "input length");
         assert_eq!(out.len(), n * oc * plane, "output length");
-        scratch.input_codes.clear();
-        scratch
-            .input_codes
-            .extend(x.iter().map(|&v| self.act_params.quantize_value(v)));
-        let positions = n * plane;
-        self.run_block([n, h, w], positions, scratch, rng);
-        let mut stats = MvmStats::default();
-        for (lo, hi) in self.tile_range_iter(positions) {
-            let mut tile_stats = MvmStats::default();
-            self.engine
-                .fold_stats(&scratch.mvm, lo..hi, &mut tile_stats);
-            stats.merge(&tile_stats);
-        }
-        // Dequantize and scatter, position-major: position
-        // `ni*plane + p` of channel `o` lands at `(ni*OC + o)*plane + p`.
-        let (mut ni, mut p) = (0, 0);
-        for acc in scratch.accs.chunks_exact(oc) {
-            let base = ni * oc * plane + p;
-            for (o, &a) in acc.iter().enumerate() {
-                out[base + o * plane] = self.dequant.value(o, a, &self.act_params);
-            }
-            p += 1;
-            if p == plane {
-                (ni, p) = (ni + 1, 0);
+        let stats = self.run_in(x, n, h, w, scratch, rng);
+        for (o, (accs, dq)) in self.channel_rows(scratch).enumerate() {
+            for (ni, accs) in accs.chunks_exact(plane.max(1)).enumerate() {
+                let start = (ni * oc + o) * plane;
+                dq.run_into(accs, &mut out[start..start + plane], |v| v);
             }
         }
         stats
@@ -729,7 +842,7 @@ impl CimLinear {
     ) -> MvmStats {
         assert_eq!(feats.len(), n * self.ins, "feature width mismatch");
         assert_eq!(out.len(), n * self.outs, "output length mismatch");
-        scratch.accs.clear();
+        scratch.accs.truncate(n * self.outs);
         scratch.accs.resize(n * self.outs, 0);
         let mut stats = MvmStats::default();
         match self.engine.batch_layout(n) {
@@ -770,9 +883,12 @@ impl CimLinear {
                 );
             }
         }
-        for (ni, acc) in scratch.accs.chunks_exact(self.outs).enumerate() {
-            for (o, &a) in acc.iter().enumerate() {
-                out[ni * self.outs + o] = self.dequant.value(o, a, &self.act_params) + self.bias[o];
+        // Channel-major accumulators: output `o` of every sample is one
+        // contiguous row, written down the sample-major output's column.
+        for (o, accs) in scratch.accs.chunks_exact(n.max(1)).enumerate() {
+            let dq = self.dequant.channel(o, &self.act_params);
+            for (ni, &a) in accs.iter().enumerate() {
+                out[ni * self.outs + o] = dq.value(a) + self.bias[o];
             }
         }
         stats
@@ -800,23 +916,51 @@ impl Serialize for CimConv2d {
     }
 }
 
+/// Deserialization proves the digital state against the programming
+/// record — one dequantization entry per output, a geometry whose patch
+/// is the record's input width, usable activation parameters — so a
+/// checksum-valid plan with hostile contents is an error (a plan-cache
+/// miss), not a panic at inference.
 impl Deserialize for CimConv2d {
     fn from_value(v: &Json) -> Result<Self, String> {
         let program: ProgramSpec = json_field(v, "program")?;
-        let engine = program.program();
+        let out_channels: usize = json_field(v, "out_channels")?;
+        if out_channels != program.outs {
+            return Err(format!(
+                "out_channels {out_channels} for a program with {} outputs",
+                program.outs
+            ));
+        }
+        let geom = geom_from(v.get("geom").ok_or("missing field \"geom\"")?)
+            .map_err(|e| format!("geom: {e}"))?;
+        let patch = geom
+            .in_channels
+            .checked_mul(geom.kernel)
+            .and_then(|p| p.checked_mul(geom.kernel));
+        if patch != Some(program.ins) {
+            return Err(format!(
+                "geom: {} x {}x{} patch for a program with {} inputs",
+                geom.in_channels, geom.kernel, geom.kernel, program.ins
+            ));
+        }
+        if geom.stride == 0 {
+            return Err("geom: stride 0".into());
+        }
+        let dequant = Dequant {
+            channel_scales: per_output(
+                json_field(v, "channel_scales")?,
+                "channel_scales",
+                out_channels,
+            )?,
+            row_sums: per_output(json_field(v, "row_sums")?, "row_sums", out_channels)?,
+        };
+        let act_params = act_params_from(v, &program)?;
         Ok(CimConv2d {
-            engine,
-            dequant: Dequant {
-                channel_scales: json_field(v, "channel_scales")?,
-                row_sums: json_field(v, "row_sums")?,
-            },
-            act_params: quant_params_from(
-                v.get("act_params").ok_or("missing field \"act_params\"")?,
-            )
-            .map_err(|e| format!("act_params: {e}"))?,
-            geom: geom_from(v.get("geom").ok_or("missing field \"geom\"")?)
-                .map_err(|e| format!("geom: {e}"))?,
-            out_channels: json_field(v, "out_channels")?,
+            engine: program.program(),
+            dequant,
+            act_params,
+            geom,
+            out_channels,
             par_tiles: json_field(v, "par_tiles")?,
             program,
         })
@@ -838,23 +982,31 @@ impl Serialize for CimLinear {
     }
 }
 
+/// See the [`CimConv2d`] deserialization notes; the bias is one more
+/// per-output table.
 impl Deserialize for CimLinear {
     fn from_value(v: &Json) -> Result<Self, String> {
         let program: ProgramSpec = json_field(v, "program")?;
-        let engine = program.program();
+        let (outs, ins): (usize, usize) = (json_field(v, "outs")?, json_field(v, "ins")?);
+        if (outs, ins) != (program.outs, program.ins) {
+            return Err(format!(
+                "{outs} x {ins} layer for a {} x {} program",
+                program.outs, program.ins
+            ));
+        }
+        let dequant = Dequant {
+            channel_scales: per_output(json_field(v, "channel_scales")?, "channel_scales", outs)?,
+            row_sums: per_output(json_field(v, "row_sums")?, "row_sums", outs)?,
+        };
+        let bias = per_output(json_field(v, "bias")?, "bias", outs)?;
+        let act_params = act_params_from(v, &program)?;
         Ok(CimLinear {
-            engine,
-            dequant: Dequant {
-                channel_scales: json_field(v, "channel_scales")?,
-                row_sums: json_field(v, "row_sums")?,
-            },
-            bias: json_field(v, "bias")?,
-            act_params: quant_params_from(
-                v.get("act_params").ok_or("missing field \"act_params\"")?,
-            )
-            .map_err(|e| format!("act_params: {e}"))?,
-            outs: json_field(v, "outs")?,
-            ins: json_field(v, "ins")?,
+            engine: program.program(),
+            dequant,
+            bias,
+            act_params,
+            outs,
+            ins,
             program,
         })
     }
@@ -868,11 +1020,17 @@ mod tests {
     use yoloc_cim::{KernelDispatch, KernelKind};
     use yoloc_tensor::ops::conv2d_reference;
 
+    /// The dequantization formula, written out per value: the reference
+    /// the per-channel constants of the output pass are pinned to.
+    fn dequant_value(d: &Dequant, o: usize, acc: i64, act: &QuantParams) -> f32 {
+        d.channel_scales[o] * act.scale * (acc - act.zero_point as i64 * d.row_sums[o]) as f32
+    }
+
     /// Reference staging `forward_in` is pinned to: the f32 im2col
     /// matrix, each of its elements quantized on its own, one row-major
     /// `mvm_batch` per modelled tile (statistics folded per tile, the
     /// fold `forward_in` replays from its one whole-conv call), and
-    /// `Dequant::value` scattered by division.
+    /// [`dequant_value`] scattered by division.
     fn forward_reference<R: Rng>(conv: &CimConv2d, x: &Tensor, rng: &mut R) -> (Tensor, MvmStats) {
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = conv.output_hw(h, w);
@@ -901,11 +1059,12 @@ mod tests {
                 &mut DynRng(rng),
             );
             stats.merge(&tile_stats);
-            for (v, acc) in accs.chunks_exact(oc).enumerate() {
+            for v in 0..hi - lo {
                 let (ni, p) = ((lo + v) / (oh * ow), (lo + v) % (oh * ow));
-                for (o, &a) in acc.iter().enumerate() {
+                for o in 0..oc {
+                    let a = accs[o * (hi - lo) + v];
                     *out.at_mut(&[ni, o, p / ow, p % ow]) =
-                        conv.dequant.value(o, a, &conv.act_params);
+                        dequant_value(&conv.dequant, o, a, &conv.act_params);
                 }
             }
         }

@@ -20,7 +20,7 @@ use yoloc::cim::BackendKind;
 use yoloc::core::compiler::ExecutionReport;
 use yoloc::core::engine::WorkerPool;
 use yoloc::core::mapping::MappingStrategy;
-use yoloc::models::zoo;
+use yoloc::models::{zoo, ActKind, LayerSpec, NetworkDesc};
 use yoloc::tensor::Tensor;
 
 mod common;
@@ -160,6 +160,75 @@ fn named_zoo_networks_hold_arena_parity_across_all_strategies() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn non_finite_pixels_hold_arena_parity_through_the_fused_output_pass() {
+    // conv -> residual add of the network input -> leaky -> 2x2 pool:
+    // fusion gives the conv the epilogue [Residual, Act, MaxPool], all of
+    // which the arena's output pass runs per channel plane. NaN, ±inf and
+    // ±1e30 pixels saturate or zero out in the conv's quantizer but reach
+    // the residual raw, so NaNs, infinities and signed zeros flow through
+    // the fused activation and pool.
+    let mut desc = NetworkDesc::new("nonfinite", (2, 8, 8));
+    desc.layers = vec![
+        LayerSpec::Conv {
+            name: "conv".into(),
+            in_ch: 2,
+            out_ch: 2,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+            bias: false,
+        },
+        LayerSpec::ResidualAdd {
+            blocks_back: 2,
+            projection: None,
+        },
+        LayerSpec::Activation(ActKind::Leaky),
+        LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        },
+    ];
+    let net = compile_on(&desc, 5, MappingStrategy::Packed, BackendKind::Popcount);
+    assert_eq!(net.plan().len(), 1, "the whole chain fuses into the conv");
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for n in [1, 2] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut x = Tensor::rand_uniform(&[n, 2, 8, 8], -1.0, 1.0, &mut rng);
+        // Each 2x2 pool window gets one pattern of specials (`k` is the
+        // pixel's place in its window), rotating across windows,
+        // channels and samples.
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            let (plane, y, xx) = (i / 64, i / 8 % 8, i % 8);
+            let k = (y % 2) * 2 + xx % 2;
+            *v = match ((y / 2) * 4 + xx / 2 + plane) % 6 {
+                0 => [f32::NAN, -f32::NAN][k % 2],
+                1 => f32::NEG_INFINITY,
+                2 => [f32::NAN, f32::INFINITY, -f32::NAN, *v][k],
+                3 => [1e30, *v, -1e30, *v][k],
+                4 => [-0.0, *v, -0.0, 0.0][k],
+                _ => *v,
+            };
+        }
+        let (want, want_report) = net.plan().execute_cloned(&x, &mut rng);
+        // The pool's strict `>` never picks a NaN, so the non-finite
+        // outputs are infinities (and -inf from all-NaN windows).
+        for inf in [f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(want.data().contains(&inf), "n={n}: no {inf} output");
+        }
+        let (got, got_report) = net.infer(&x, &mut rng);
+        assert_eq!(bits(&got), bits(&want), "n={n}: arena output bits");
+        assert_eq!(got_report, want_report, "n={n}: arena report");
+        let mut arena = net.take_arena();
+        for call in 0..2 {
+            let (y, r) = net.infer_in(&x, &mut rng, &mut arena);
+            assert_eq!(bits(y), bits(&want), "n={n}: reused arena call {call}");
+            assert_eq!(r, &want_report, "n={n}: reused arena report call {call}");
+        }
+        net.give_arena(arena);
     }
 }
 

@@ -198,3 +198,150 @@ fn deserializer_rejects_what_the_checksum_cannot_see() {
     assert_ne!(text, bad, "mutation must apply");
     assert!(CompiledNetwork::deserialize_plan(&bad).is_err());
 }
+
+/// Removes the first element line of the first array named `key` (the
+/// last such array when `last` is set); arrays render one element per
+/// line.
+fn drop_element(body: &str, key: &str, last: bool) -> String {
+    let open = format!("\"{key}\": [\n");
+    let at = if last {
+        body.rfind(&open)
+    } else {
+        body.find(&open)
+    };
+    let start = at.expect("array present") + open.len();
+    let end = start + body[start..].find('\n').expect("element line") + 1;
+    format!("{}{}", &body[..start], &body[end..])
+}
+
+/// Sets the value of the first field named `key` (the last one when
+/// `last` is set) to `value`.
+fn set_field(body: &str, key: &str, value: &str, last: bool) -> String {
+    let name = format!("\"{key}\": ");
+    let at = if last {
+        body.rfind(&name)
+    } else {
+        body.find(&name)
+    };
+    let start = at.expect("field present") + name.len();
+    let end = start + body[start..].find([',', '\n']).expect("value end");
+    format!("{}{value}{}", &body[..start], &body[end..])
+}
+
+/// A named checksum-valid edit of a plan body, and a word the load
+/// error it causes must contain.
+type Edit = (&'static str, fn(&str) -> String, &'static str);
+
+/// Edits of the digital dequantization state of vgg8's first conv (and,
+/// through `last`, of its classifier).
+fn hostile_dequant_edits() -> Vec<Edit> {
+    vec![
+        (
+            "channel_scales one short",
+            |b| drop_element(b, "channel_scales", false),
+            "channel_scales",
+        ),
+        (
+            "row_sums one short",
+            |b| drop_element(b, "row_sums", false),
+            "row_sums",
+        ),
+        (
+            "out_channels off the program",
+            |b| set_field(b, "out_channels", "7", false),
+            "out_channels",
+        ),
+        (
+            "patch off the program's ins",
+            |b| set_field(b, "kernel", "1", false),
+            "geom",
+        ),
+        ("stride 0", |b| set_field(b, "stride", "0", false), "stride"),
+        (
+            "act bits 40",
+            |b| set_field(b, "bits", "40", false),
+            "bits 40",
+        ),
+        ("act bits 0", |b| set_field(b, "bits", "0", false), "bits 0"),
+        (
+            "act bits wider than the engine",
+            |b| set_field(b, "bits", "16", false),
+            "unsigned 8-bit",
+        ),
+        (
+            "act scale 0",
+            |b| set_field(b, "scale", "0.0", false),
+            "scale",
+        ),
+        (
+            "act scale < 0",
+            |b| set_field(b, "scale", "-1.5", false),
+            "scale",
+        ),
+        (
+            "zero point above qmax",
+            |b| set_field(b, "zero_point", "256", false),
+            "zero_point",
+        ),
+        (
+            "zero point below qmin",
+            |b| set_field(b, "zero_point", "-1", false),
+            "zero_point",
+        ),
+        (
+            "classifier bias one short",
+            |b| drop_element(b, "bias", true),
+            "bias",
+        ),
+        (
+            "classifier outs off the program",
+            |b| set_field(b, "outs", "2", true),
+            "layer for a",
+        ),
+        (
+            "classifier ins off the program",
+            |b| set_field(b, "ins", "31", true),
+            "layer for a",
+        ),
+        (
+            "classifier channel_scales one short",
+            |b| drop_element(b, "channel_scales", true),
+            "channel_scales",
+        ),
+        (
+            "classifier zero point above qmax",
+            |b| set_field(b, "zero_point", "300", true),
+            "zero_point",
+        ),
+    ]
+}
+
+#[test]
+fn deserializer_rejects_hostile_dequant_state() {
+    // Each of these used to load `Ok` and then panic at inference (a
+    // short table indexes out of bounds; a 40-bit width overflows a
+    // shift) or quantize with unusable parameters.
+    let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
+    let net = CompiledNetwork::compile_random(&desc, 21, CompileOptions::paper_default())
+        .expect("compiles");
+    let text = net.serialize_plan();
+    assert!(CompiledNetwork::deserialize_plan(&text).is_ok());
+    for (what, edit, word) in hostile_dequant_edits() {
+        let bad = edit(&text);
+        assert_ne!(bad, text, "{what}: mutation must apply");
+        match CompiledNetwork::deserialize_plan(&bad) {
+            Ok(_) => panic!("{what}: hostile plan loaded"),
+            Err(e) => assert!(e.contains(word), "{what}: error {e:?} should name {word:?}"),
+        }
+    }
+}
+
+#[test]
+fn hostile_dequant_state_is_a_clean_miss() {
+    let (dir, entry, plan) = seeded_cache("dequant");
+    for (what, edit, _) in hostile_dequant_edits() {
+        reframe(&entry, edit);
+        assert_clean_miss(&dir, &plan, what);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
