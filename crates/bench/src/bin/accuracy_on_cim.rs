@@ -8,14 +8,28 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use yoloc_bench::{default_workers, fmt, pct, print_table, smoke_or, WorkerPool};
-use yoloc_cim::MacroParams;
-use yoloc_core::pipeline::{accuracy_software_vs_cim_batch, CimDeployedModel};
+use yoloc_core::compiler::{CompileOptions, CompiledNetwork};
 use yoloc_core::rebranch::ReBranchRatios;
 use yoloc_core::strategies::{
     build_strategy_model, pretrain_base, train_model, Strategy, TrainConfig,
 };
-use yoloc_core::tiny_models::Family;
-use yoloc_data::classification::TransferSuite;
+use yoloc_core::tiny_models::{Family, TinyCnn};
+use yoloc_data::classification::{TransferSuite, IMG_C, IMG_H, IMG_W};
+use yoloc_tensor::loss::accuracy;
+use yoloc_tensor::{Layer, Tensor};
+
+/// Compiles a trained model's export onto the paper's ROM/SRAM macros,
+/// calibrating every layer on `calibration`.
+fn deploy(model: &TinyCnn, calibration: &Tensor) -> CompiledNetwork {
+    let (desc, weights) = model.to_network((IMG_C, IMG_H, IMG_W));
+    CompiledNetwork::compile(
+        &desc,
+        &weights,
+        calibration,
+        CompileOptions::paper_default(),
+    )
+    .expect("a TinyCnn export compiles")
+}
 
 fn main() {
     let seed = 404;
@@ -45,16 +59,14 @@ fn main() {
         |_| {},
     );
 
-    let rom = MacroParams::rom_paper();
-    let sram = MacroParams::sram_paper();
     // Deploy both models first, then evaluate each through the batched
     // engine on one persistent pool (per-sample RNG streams keep the
     // result independent of the worker count).
     let mut base = base;
     let (cal_base, _) = suite.pretrain.batch(16, &mut rng);
-    let deployed_base = CimDeployedModel::deploy(&base, &cal_base, rom, sram);
+    let deployed_base = deploy(&base, &cal_base);
     let (cal_rb, _) = target.batch(16, &mut rng);
-    let deployed_rb = CimDeployedModel::deploy(&rb_model, &cal_rb, rom, sram);
+    let deployed_rb = deploy(&rb_model, &cal_rb);
 
     let workers = default_workers();
     let mut rows = Vec::new();
@@ -73,14 +85,12 @@ fn main() {
                 target,
             ),
         ] {
-            let (sw, cim, stats) = accuracy_software_vs_cim_batch(
-                model,
-                deployed,
-                task,
-                smoke_or(40, 300),
-                seed + 2,
-                pool,
-            );
+            // The same samples through the float model and the deployment.
+            let mut rng = StdRng::seed_from_u64(seed + 2);
+            let (x, y) = task.batch(smoke_or(40, 300), &mut rng);
+            let sw = accuracy(&model.forward(&x, false), &y);
+            let (cim_logits, stats) = deployed.infer_batch(&x, seed + 2, pool);
+            let cim = accuracy(&cim_logits, &y);
             rows.push(vec![
                 label.to_string(),
                 pct(sw as f64),

@@ -71,12 +71,10 @@ use rand::SeedableRng;
 use yoloc_bench::alloc_track::allocations;
 use yoloc_bench::report::{to_json, Json};
 use yoloc_bench::{fmt, fmt_x, print_table, smoke, smoke_or, WorkerPool};
-use yoloc_cim::MacroParams;
 use yoloc_core::compiler::{CompileOptions, CompiledNetwork};
-use yoloc_core::pipeline::CimDeployedModel;
 use yoloc_core::strategies::{pretrain_base, TrainConfig};
 use yoloc_core::tiny_models::Family;
-use yoloc_data::classification::TransferSuite;
+use yoloc_data::classification::{TransferSuite, IMG_C, IMG_H, IMG_W};
 use yoloc_models::NetworkDesc;
 use yoloc_tensor::Tensor;
 
@@ -150,12 +148,9 @@ fn measure_model(
     );
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let (cal, _) = suite.pretrain.batch(8, &mut rng);
-    let deployed = CimDeployedModel::deploy(
-        &model,
-        &cal,
-        MacroParams::rom_paper(),
-        MacroParams::sram_paper(),
-    );
+    let (desc, weights) = model.to_network((IMG_C, IMG_H, IMG_W));
+    let deployed = CompiledNetwork::compile(&desc, &weights, &cal, CompileOptions::paper_default())
+        .expect("a TinyCnn export compiles");
     let (x, _) = suite.pretrain.batch(batch, &mut rng);
 
     println!("[{name}] measuring serial popcount path ...");

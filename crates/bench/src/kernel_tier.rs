@@ -126,7 +126,7 @@ pub fn zoo_shapes(descs: &[NetworkDesc]) -> Vec<(usize, usize, u64)> {
     let mut shapes: Vec<(usize, usize, u64)> = Vec::new();
     for desc in descs {
         let reports = desc.analyze().expect("zoo description must analyze");
-        for lowered in reports.iter().filter_map(|r| r.lowered) {
+        for lowered in reports.iter().flat_map(|r| &r.lowered) {
             match shapes
                 .iter_mut()
                 .find(|(o, i, _)| *o == lowered.outs && *i == lowered.ins)

@@ -15,12 +15,15 @@ use yoloc_tensor::Tensor;
 
 #[test]
 fn steady_state_inference_allocates_nothing() {
-    // Three representative graph families: plain feed-forward with
-    // fused pool epilogues, residuals with projections, and the YOLO
-    // passthrough head.
+    // Four representative graph families: plain feed-forward with
+    // fused pool epilogues, residuals with projections, the same
+    // residual graph as ReBranch groups (the arena's ReBranch arm and
+    // its three branch intermediates), and the YOLO passthrough head.
+    let resnet = zoo::scaled(&zoo::resnet18(3), 16, (32, 32));
     let nets = [
         zoo::scaled(&zoo::vgg8(3), 16, (16, 16)),
-        zoo::scaled(&zoo::resnet18(3), 16, (32, 32)),
+        zoo::rebranched(&resnet, 2, 2),
+        resnet,
         zoo::scaled(&zoo::tiny_yolo(4, 2), 16, (32, 32)),
     ];
     for desc in &nets {

@@ -1,16 +1,17 @@
 //! Graph compiler and executor: lower **any** [`NetworkDesc`] onto the
 //! macro fabric and run it.
 //!
-//! This is the generalization of the original `TinyCnn`-only deployment
-//! pipeline (which is now a thin lowering into the same plan — see
-//! [`crate::pipeline`]). Compilation walks the IR, routes each
+//! It is the one deployment path: a trained `TinyCnn` deploys through
+//! its [`crate::tiny_models::TinyCnn::to_network`] export like any zoo
+//! graph. Compilation walks the IR, routes each
 //! [`LayerSpec`] through the `mapping.rs` placement model (naive vs the
 //! paper's packed scheme) into programmed subarrays, and emits an
 //! [`ExecPlan`]: a flat list of executable ops — CiM convolutions and
 //! linears on a per-layer [`BackendKind`] (analog reference, popcount fast
-//! path, or pure-software golden model), ReBranch groups, and the digital
-//! ops (activations, pooling, residual merges, passthrough reorg) that run
-//! through the cache in Fig. 9.
+//! path, or pure-software golden model), ReBranch groups (Fig. 7: ROM
+//! trunk, compress and decompress around an SRAM res-conv), and the
+//! digital ops (activations, pooling, residual merges, passthrough reorg)
+//! that run through the cache in Fig. 9.
 //!
 //! Execution is *measured*, not modelled: every inference walks the
 //! quantized datapath and threads the actual per-layer activation traffic
@@ -135,7 +136,9 @@ use yoloc_cim::backend::BackendKind;
 use yoloc_cim::faults::{FaultPlan, FaultSpec};
 use yoloc_cim::macro_model::{MacroParams, MvmStats};
 use yoloc_memory::{ChipletLink, DramModel, MeshNoc, SramBuffer};
-use yoloc_models::{ActKind, LayerSpec, NetworkDesc, NetworkError, Shape};
+use yoloc_models::{
+    rebranch_widths, ActKind, LayerSpec, NetworkDesc, NetworkError, Shape, REBRANCH_CONVS,
+};
 use yoloc_tensor::layers::MaxPool2d;
 use yoloc_tensor::ops::conv2d_reference;
 use yoloc_tensor::{Layer, Tensor};
@@ -355,17 +358,23 @@ pub(crate) enum PlanOp {
 }
 
 impl PlanOp {
-    pub(crate) fn is_cim(&self) -> bool {
-        matches!(
-            self,
+    /// How many mapping placements the op programs: one per CiM matrix,
+    /// so four for a ReBranch group and none for a digital op.
+    pub(crate) fn placements(&self) -> usize {
+        match self {
             PlanOp::Conv { .. }
-                | PlanOp::ReBranch { .. }
-                | PlanOp::Linear { .. }
-                | PlanOp::ResidualAdd {
-                    projection: Some(_),
-                    ..
-                }
-        )
+            | PlanOp::Linear { .. }
+            | PlanOp::ResidualAdd {
+                projection: Some(_),
+                ..
+            } => 1,
+            PlanOp::ReBranch { .. } => REBRANCH_CONVS.len(),
+            _ => 0,
+        }
+    }
+
+    pub(crate) fn is_cim(&self) -> bool {
+        self.placements() > 0
     }
 
     /// The fused epilogue of a CiM op (empty for digital ops).
@@ -671,11 +680,12 @@ impl ExecPlan {
     }
 
     /// Assigns each op its chiplet from the placement-aligned
-    /// [`crate::mapping::ShardPlan`]: the plan's CiM ops appear in the
-    /// same order as the mapping's placements (convs, linears and
-    /// residual projections all produce a placement, whatever backend
-    /// they execute on), so the i-th CiM op takes the i-th placement's
-    /// die and digital ops ride with the CiM op that feeds them. The
+    /// [`crate::mapping::ShardPlan`]: the plan's CiM ops program the
+    /// mapping's placements in order (convs, linears and residual
+    /// projections one each, ReBranch groups four, whatever backend they
+    /// execute on), so each CiM op takes its first placement's die — the
+    /// shard keeps a group's placements together — and digital ops ride
+    /// with the CiM op that feeds them. The
     /// executors and the reported shard layout therefore describe the
     /// *same* partition by construction, and activation traffic between
     /// ops on different chips is priced through the [`ChipletLink`].
@@ -684,9 +694,10 @@ impl ExecPlan {
         let mut cim_idx = 0usize;
         let mut current = 0usize;
         for i in 0..self.ops.len() {
-            if self.ops[i].is_cim() {
+            let placements = self.ops[i].placements();
+            if placements > 0 {
                 current = shard.chip_of.get(cim_idx).copied().unwrap_or(current);
-                cim_idx += 1;
+                cim_idx += placements;
             }
             self.chip_of[i] = current;
         }
@@ -697,29 +708,35 @@ impl ExecPlan {
         );
     }
 
-    /// Moves the `cim_idx`-th CiM op (placement order) onto new
-    /// physical subarrays and re-programs its engine — the repair path.
-    /// Returns `false` when the op cannot be re-homed (out of range, or
-    /// a ReBranch group, which is compiled outside the placement walk).
+    /// Moves the engine behind placement `cim_idx` (a conv, linear,
+    /// projection or one conv of a ReBranch group) onto new physical
+    /// subarrays and re-programs it — the repair path. Returns `false`
+    /// when no op owns that placement.
     pub(crate) fn reprogram_cim_ids(&mut self, cim_idx: usize, phys_ids: &[u64]) -> bool {
-        let mut k = 0usize;
+        let mut first = 0usize;
         for op in &mut self.ops {
-            if !op.is_cim() {
-                continue;
-            }
-            if k == cim_idx {
+            let placements = op.placements();
+            if (first..first + placements).contains(&cim_idx) {
                 match op {
                     PlanOp::Conv { conv, .. } => conv.set_fault_ids(phys_ids),
+                    PlanOp::ReBranch {
+                        trunk,
+                        compress,
+                        res_conv,
+                        decompress,
+                        ..
+                    } => [trunk, compress, res_conv, decompress][cim_idx - first]
+                        .set_fault_ids(phys_ids),
                     PlanOp::Linear { linear, .. } => linear.set_fault_ids(phys_ids),
                     PlanOp::ResidualAdd {
                         projection: Some(p),
                         ..
                     } => p.0.set_fault_ids(phys_ids),
-                    _ => return false,
+                    _ => unreachable!("only CiM ops own placements"),
                 }
                 return true;
             }
-            k += 1;
+            first += placements;
         }
         false
     }
@@ -1200,13 +1217,17 @@ impl ExecPlan {
 /// Trained (or generated) parameters for a [`NetworkDesc`], aligned with
 /// its layer list.
 pub struct NetworkWeights {
-    /// Main weight per layer (convs: `(OC, C, k, k)`; linears:
-    /// `(outs, ins)`), `None` for parameter-free layers.
-    weights: Vec<Option<Tensor>>,
+    /// Main weight per layer (convs and ReBranch trunks:
+    /// `(OC, C, k, k)`; linears: `(outs, ins)`), `None` for
+    /// parameter-free layers.
+    pub(crate) weights: Vec<Option<Tensor>>,
+    /// Branch weights per `ReBranch` layer: compress `(N/D, N, 1, 1)`,
+    /// res-conv `(M/U, N/D, k, k)`, decompress `(M, M/U, 1, 1)`.
+    pub(crate) branches: Vec<Option<[Tensor; 3]>>,
     /// Projection weight per `ResidualAdd` layer (`(OC, C, 1, 1)`).
-    projections: Vec<Option<Tensor>>,
+    pub(crate) projections: Vec<Option<Tensor>>,
     /// Bias per linear layer.
-    biases: Vec<Option<Vec<f32>>>,
+    pub(crate) biases: Vec<Option<Vec<f32>>>,
 }
 
 impl NetworkWeights {
@@ -1215,64 +1236,72 @@ impl NetworkWeights {
     /// full fidelity when no trained checkpoint exists.
     pub fn random(desc: &NetworkDesc, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut weights = Vec::with_capacity(desc.layers.len());
-        let mut projections = Vec::with_capacity(desc.layers.len());
-        let mut biases = Vec::with_capacity(desc.layers.len());
+        let n = desc.layers.len();
+        let mut w = NetworkWeights {
+            weights: Vec::with_capacity(n),
+            branches: Vec::with_capacity(n),
+            projections: Vec::with_capacity(n),
+            biases: Vec::with_capacity(n),
+        };
         for layer in &desc.layers {
-            let (w, p, b) = match layer {
+            let mut kaiming = |shape: &[usize]| yoloc_tensor::init::kaiming_normal(shape, &mut rng);
+            let (mut weight, mut branch, mut projection, mut bias) = (None, None, None, None);
+            match layer {
                 LayerSpec::Conv {
                     in_ch,
                     out_ch,
                     kernel,
                     ..
-                } => (
-                    Some(yoloc_tensor::init::kaiming_normal(
-                        &[*out_ch, *in_ch, *kernel, *kernel],
-                        &mut rng,
-                    )),
-                    None,
-                    None,
-                ),
+                } => weight = Some(kaiming(&[*out_ch, *in_ch, *kernel, *kernel])),
+                LayerSpec::ReBranch {
+                    in_ch,
+                    out_ch,
+                    kernel,
+                    d,
+                    u,
+                    ..
+                } => {
+                    let (nc, mc) = rebranch_widths(*in_ch, *out_ch, *d, *u);
+                    let (n, m, k) = (*in_ch, *out_ch, *kernel);
+                    weight = Some(kaiming(&[m, n, k, k]));
+                    branch = Some([
+                        kaiming(&[nc, n, 1, 1]),
+                        kaiming(&[mc, nc, k, k]),
+                        kaiming(&[m, mc, 1, 1]),
+                    ]);
+                }
                 LayerSpec::Linear {
                     in_features,
                     out_features,
-                    bias,
+                    bias: has_bias,
                     ..
-                } => (
-                    Some(yoloc_tensor::init::kaiming_normal(
-                        &[*out_features, *in_features],
-                        &mut rng,
-                    )),
-                    None,
-                    bias.then(|| vec![0.0; *out_features]),
-                ),
+                } => {
+                    weight = Some(kaiming(&[*out_features, *in_features]));
+                    bias = has_bias.then(|| vec![0.0; *out_features]);
+                }
                 LayerSpec::ResidualAdd {
                     projection: Some(p),
                     ..
-                } => (
-                    None,
-                    Some(yoloc_tensor::init::kaiming_normal(
-                        &[p.out_ch, p.in_ch, 1, 1],
-                        &mut rng,
-                    )),
-                    None,
-                ),
-                _ => (None, None, None),
-            };
-            weights.push(w);
-            projections.push(p);
-            biases.push(b);
+                } => projection = Some(kaiming(&[p.out_ch, p.in_ch, 1, 1])),
+                _ => {}
+            }
+            w.weights.push(weight);
+            w.branches.push(branch);
+            w.projections.push(projection);
+            w.biases.push(bias);
         }
-        NetworkWeights {
-            weights,
-            projections,
-            biases,
-        }
+        w
     }
 
     fn weight(&self, idx: usize, name: &str) -> Result<&Tensor, NetworkError> {
         self.weights[idx].as_ref().ok_or_else(|| NetworkError {
             msg: format!("missing weights for layer {name}"),
+        })
+    }
+
+    fn branch(&self, idx: usize, name: &str) -> Result<&[Tensor; 3], NetworkError> {
+        self.branches[idx].as_ref().ok_or_else(|| NetworkError {
+            msg: format!("missing branch weights for layer {name}"),
         })
     }
 }
@@ -1307,9 +1336,10 @@ impl FaultConfig {
 /// backend selection, mapping strategy, and the memory hierarchy.
 #[derive(Clone, Deserialize)]
 pub struct CompileOptions {
-    /// ROM-CiM macro for trunk layers.
+    /// ROM-CiM macro for trunk layers (a ReBranch group's trunk,
+    /// compress and decompress).
     pub rom: MacroParams,
-    /// SRAM-CiM macro for the prediction head.
+    /// SRAM-CiM macro for the prediction head and ReBranch res-convs.
     pub sram: MacroParams,
     /// Default execution backend for every CiM layer.
     pub backend: BackendKind,
@@ -1526,6 +1556,43 @@ impl CompiledNetwork {
                         },
                         h.data().len() / cal_n,
                     ));
+                }
+                LayerSpec::ReBranch {
+                    name,
+                    stride,
+                    padding,
+                    ..
+                } => {
+                    let trunk_w = weights.weight(idx, name)?;
+                    let branch = weights.branch(idx, name)?;
+                    let [w1, wb, w2] = branch;
+                    let (c_out, r_out, out) =
+                        rebranch_reference(&h, trunk_w, branch, *stride, *padding);
+                    // Each conv calibrates on its own float input; the
+                    // res-conv is the one trainable (SRAM) part.
+                    let backend = opts.backend_for(name);
+                    let mut part = |w, stride, padding, input: &Tensor, params| {
+                        let faults = layer_fault_record(cim_idx, &mapping);
+                        cim_idx += 1;
+                        CimConv2d::compile_on_with(
+                            backend,
+                            w,
+                            stride,
+                            padding,
+                            &[input],
+                            params,
+                            faults,
+                        )
+                    };
+                    let op = PlanOp::ReBranch {
+                        trunk: part(trunk_w, *stride, *padding, &h, opts.rom),
+                        compress: part(w1, 1, 0, &h, opts.rom),
+                        res_conv: part(wb, *stride, *padding, &c_out, opts.sram),
+                        decompress: part(w2, 1, 0, &r_out, opts.rom),
+                        epilogue: Vec::new(),
+                    };
+                    h = out;
+                    last_op = Some(plan.push(op, h.data().len() / cal_n));
                 }
                 LayerSpec::Linear { name, .. } => {
                     let w = weights.weight(idx, name)?;
@@ -1792,6 +1859,25 @@ impl CompiledNetwork {
     }
 }
 
+/// Float reference of a ReBranch layer on `x`: returns the compress and
+/// res-conv outputs (the calibration inputs of the next two convs) and
+/// the layer output, trunk plus decompressed branch. Shared by
+/// compile-time calibration and [`software_forward`] so the two walks
+/// cannot diverge.
+fn rebranch_reference(
+    x: &Tensor,
+    trunk: &Tensor,
+    [w1, wb, w2]: &[Tensor; 3],
+    stride: usize,
+    padding: usize,
+) -> (Tensor, Tensor, Tensor) {
+    let c = conv2d_reference(x, w1, None, 1, 0);
+    let r = conv2d_reference(&c, wb, None, stride, padding);
+    let d = conv2d_reference(&r, w2, None, 1, 0);
+    let out = conv2d_reference(x, trunk, None, stride, padding).add(&d);
+    (c, r, out)
+}
+
 /// Float reference of a linear layer: `y = W x + b` on `(N, ins)`.
 fn linear_reference(feats: &Tensor, w: &Tensor, bias: Option<&[f32]>) -> Tensor {
     let (n, ins) = (feats.shape()[0], feats.shape()[1]);
@@ -1890,6 +1976,15 @@ pub fn software_forward(
                 let w = weights.weight(idx, name)?;
                 h = conv2d_reference(&h, w, None, *stride, *padding);
             }
+            LayerSpec::ReBranch {
+                name,
+                stride,
+                padding,
+                ..
+            } => {
+                let (trunk, branch) = (weights.weight(idx, name)?, weights.branch(idx, name)?);
+                h = rebranch_reference(&h, trunk, branch, *stride, *padding).2;
+            }
             LayerSpec::Linear { name, .. } => {
                 let w = weights.weight(idx, name)?;
                 let feats = flatten_2d_owned(std::mem::take(&mut h));
@@ -1929,36 +2024,54 @@ pub fn software_forward(
 mod tests {
     use super::*;
     use crate::engine::WorkerPool;
+    use crate::tiny_models::{Family, TinyCnn};
     use yoloc_models::zoo;
 
     fn small_opts() -> CompileOptions {
         CompileOptions::paper_default()
     }
 
+    /// An untrained tiny VGG exported for compilation (12x12 RGB input).
+    fn tiny_vgg(seed: u64) -> (NetworkDesc, NetworkWeights) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        TinyCnn::plain(Family::Vgg, 3, &[6, 8], 4, &mut rng).to_network((3, 12, 12))
+    }
+
     #[test]
     fn compiled_vgg_tracks_software_reference() {
-        let desc = zoo::scaled(&zoo::vgg8(4), 16, (16, 16));
-        let weights = NetworkWeights::random(&desc, 3);
+        // A zoo graph with random weights, and a TinyCnn export.
+        let zoo_vgg = zoo::scaled(&zoo::vgg8(4), 16, (16, 16));
+        let zoo_weights = NetworkWeights::random(&zoo_vgg, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let cal = Tensor::rand_uniform(&[2, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let net = CompiledNetwork::compile(&desc, &weights, &cal, small_opts()).unwrap();
-        let x = Tensor::rand_uniform(&[2, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (y, report) = net.infer(&x, &mut rng);
-        let sw = software_forward(&desc, &weights, &x).unwrap();
-        assert_eq!(y.shape(), sw.shape());
-        let mag = sw.abs_max().max(1e-6);
-        for (a, b) in y.data().iter().zip(sw.data()) {
-            assert!((a - b).abs() / mag < 0.15, "cim {a} vs sw {b}");
+        for (desc, weights) in [(zoo_vgg, zoo_weights), tiny_vgg(20)] {
+            let (c, h, w) = desc.input;
+            let cal = Tensor::rand_uniform(&[2, c, h, w], 0.0, 1.0, &mut rng);
+            let net = CompiledNetwork::compile(&desc, &weights, &cal, small_opts()).unwrap();
+            let x = Tensor::rand_uniform(&[2, c, h, w], 0.0, 1.0, &mut rng);
+            let (y, report) = net.infer(&x, &mut rng);
+            let sw = software_forward(&desc, &weights, &x).unwrap();
+            assert_eq!(y.shape(), sw.shape());
+            let mag = sw.abs_max().max(1e-6);
+            for (a, b) in y.data().iter().zip(sw.data()) {
+                assert!(
+                    (a - b).abs() / mag < 0.15,
+                    "{}: cim {a} vs sw {b}",
+                    desc.name
+                );
+            }
+            // Live accounting: both domains active (trunk in ROM, head in
+            // SRAM), every hierarchy level paid.
+            assert!(report.rom.energy_pj > 0.0);
+            assert!(report.sram.energy_pj > 0.0);
+            assert!(report.energy.buffer_uj > 0.0);
+            assert!(report.energy.noc_uj > 0.0);
+            assert!(report.energy.dram_uj > 0.0);
+            assert!(report.energy.peripheral_uj > 0.0);
+            assert!(report.buffer_traffic_bits > report.dram_traffic_bits);
+            assert!(report.latency_ns > 0.0);
+            assert!(report.energy.total_uj() > 0.0);
+            assert!((report.energy.cim_uj - report.cim_energy_pj() / 1e6).abs() < 1e-12);
         }
-        // Live accounting: both domains active (trunk in ROM, head in
-        // SRAM), every hierarchy level paid.
-        assert!(report.rom.energy_pj > 0.0);
-        assert!(report.sram.energy_pj > 0.0);
-        assert!(report.energy.buffer_uj > 0.0);
-        assert!(report.energy.noc_uj > 0.0);
-        assert!(report.energy.dram_uj > 0.0);
-        assert!(report.latency_ns > 0.0);
-        assert!(report.energy.total_uj() > 0.0);
     }
 
     #[test]
@@ -1997,14 +2110,23 @@ mod tests {
         // `infer` runs all five samples through one arena, so every CiM
         // op's output pass walks channel-major accumulators across
         // samples; `infer_batch` runs each sample on its own. ResNet-18
-        // carries fused residuals and projections, YOLO the passthrough.
-        let nets = [
+        // carries fused residuals and projections, YOLO the passthrough,
+        // the wrapped ResNet ReBranch groups; the TinyCnn export is the
+        // deployment the accuracy harness runs.
+        let resnet = zoo::scaled(&zoo::resnet18(3), 16, (32, 32));
+        let mut nets: Vec<CompiledNetwork> = [
             zoo::scaled(&zoo::vgg8(3), 16, (16, 16)),
-            zoo::scaled(&zoo::resnet18(3), 16, (32, 32)),
+            zoo::rebranched(&resnet, 2, 2),
+            resnet,
             zoo::scaled(&zoo::yolo_v2(4, 2), 32, (64, 64)),
-        ];
-        for desc in &nets {
-            let net = CompiledNetwork::compile_random(desc, 31, small_opts()).unwrap();
+        ]
+        .iter()
+        .map(|desc| CompiledNetwork::compile_random(desc, 31, small_opts()).unwrap())
+        .collect();
+        let (desc, weights) = tiny_vgg(21);
+        let cal = Tensor::rand_uniform(&[3, 3, 12, 12], 0.0, 1.0, &mut StdRng::seed_from_u64(22));
+        nets.push(CompiledNetwork::compile(&desc, &weights, &cal, small_opts()).unwrap());
+        for net in &nets {
             let (c, h, w) = net.input_shape();
             let mut rng = StdRng::seed_from_u64(32);
             let x = Tensor::rand_uniform(&[5, c, h, w], 0.0, 1.0, &mut rng);
@@ -2012,7 +2134,7 @@ mod tests {
             for workers in [1, 2, 4] {
                 let (batched, report) =
                     WorkerPool::with(workers, |pool| net.infer_batch(&x, 9, pool));
-                let what = format!("{} at {workers} workers", desc.name);
+                let what = format!("{} at {workers} workers", net.name);
                 assert_eq!(serial.data(), batched.data(), "{what}");
                 assert_eq!(
                     serial_report.rom.analog_evaluations, report.rom.analog_evaluations,
@@ -2021,6 +2143,17 @@ mod tests {
                 assert_eq!(
                     serial_report.rom.adc_conversions, report.rom.adc_conversions,
                     "{what}"
+                );
+                assert_eq!(serial_report.rom.wl_pulses, report.rom.wl_pulses, "{what}");
+                assert_eq!(
+                    serial_report.sram.adc_conversions, report.sram.adc_conversions,
+                    "{what}"
+                );
+                let serial_pj = serial_report.cim_energy_pj();
+                assert!(
+                    (serial_pj - report.cim_energy_pj()).abs() / serial_pj < 1e-9,
+                    "{what}: {serial_pj} vs {} pJ",
+                    report.cim_energy_pj()
                 );
                 assert_eq!(
                     serial_report.buffer_traffic_bits, report.buffer_traffic_bits,
@@ -2032,6 +2165,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn noisy_batched_inference_identical_across_worker_counts() {
+        // With bit-line noise the RNG matters; per-sample streams make the
+        // batched result a pure function of (seed, sample), so worker
+        // count must not change a single bit.
+        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
+        let mut opts = small_opts();
+        opts.rom.noise_sigma = 0.3;
+        let net = CompiledNetwork::compile_random(&desc, 5, opts).unwrap();
+        let x = Tensor::rand_uniform(&[5, 1, 16, 16], 0.0, 1.0, &mut StdRng::seed_from_u64(6));
+        let (w1, _) = WorkerPool::with(1, |pool| net.infer_batch(&x, 7, pool));
+        for workers in [2, 4] {
+            let (wn, _) = WorkerPool::with(workers, |pool| net.infer_batch(&x, 7, pool));
+            assert_eq!(w1.data(), wn.data(), "workers = {workers}");
+        }
+        // A different seed draws different noise.
+        let (other, _) = WorkerPool::with(2, |pool| net.infer_batch(&x, 8, pool));
+        assert_ne!(w1.data(), other.data());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use serde::json::Value as Json;
 use serde::Serialize;
 
 use super::arena::ExecArena;
-use super::{CompiledNetwork, ExecPlan};
+use super::{CompiledNetwork, ExecPlan, OpSource};
 use crate::qconv::json_field;
 
 /// Schema tag of serialized plan documents. `/2` adds the fabric fault
@@ -68,6 +68,16 @@ fn plan_from_json(v: &Json) -> Result<ExecPlan, String> {
         buffer_plan: json_field(v, "buffer_plan")?,
         arena_pool: Mutex::new(Vec::new()),
     };
+    // The executors index earlier ops' outputs by every side source.
+    for (i, op) in plan.ops.iter().enumerate() {
+        for source in op.sources() {
+            if let OpSource::Op(j) = source {
+                if j >= i {
+                    return Err(format!("op {i} reads op {j}, which does not precede it"));
+                }
+            }
+        }
+    }
     let ops = plan.ops.len();
     if plan.out_elems.len() != ops || plan.chip_of.len() != ops {
         return Err(format!(
@@ -89,6 +99,21 @@ fn plan_from_json(v: &Json) -> Result<ExecPlan, String> {
             .any(|&slot| slot >= bp.slot_elems.len())
         {
             return Err("buffer plan references a slot out of range".to_string());
+        }
+        // Every read must find its source's slot as the producer left it:
+        // no op up to and including the reader may write that slot.
+        let last_use = plan.last_use();
+        let mut tenant: Vec<Option<usize>> = vec![None; bp.slots()];
+        for (k, &slot) in bp.slot_of_op.iter().enumerate() {
+            if let Some(t) = tenant[slot] {
+                if last_use[t] >= k {
+                    return Err(format!(
+                        "op {k} overwrites slot {slot}, whose tenant op {t} is read by op {}",
+                        last_use[t]
+                    ));
+                }
+            }
+            tenant[slot] = Some(k);
         }
     }
     Ok(plan)

@@ -4,10 +4,11 @@
 //! spawned a fresh set of threads for every call. This module replaces it
 //! with a *persistent* pool: [`WorkerPool::with`] spawns the workers once
 //! inside a [`std::thread::scope`], hands the pool to a closure, and every
-//! [`WorkerPool::run`] inside that closure reuses the same threads. Both
-//! the batched pipeline engine ([`crate::pipeline::CimDeployedModel::infer_batch`])
-//! and the figure-reproduction binaries in `yoloc-bench` share this one
-//! implementation.
+//! [`WorkerPool::run`] inside that closure reuses the same threads. The
+//! batched inference engine
+//! ([`CompiledNetwork::infer_batch`](crate::compiler::CompiledNetwork::infer_batch)),
+//! the serving broker and the figure-reproduction binaries in
+//! `yoloc-bench` all share this one implementation.
 //!
 //! Design constraints and how they are met:
 //!
@@ -37,10 +38,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-
-use crate::compiler::cache::PlanCache;
-use crate::compiler::{CompileOptions, CompiledNetwork};
-use yoloc_models::{NetworkDesc, NetworkError};
 
 /// Derives the deterministic RNG stream seed for sample `index` of a
 /// batched inference with base seed `seed`.
@@ -204,67 +201,6 @@ impl<'env> WorkerPool<'env> {
                 None => return,
             }
         }
-    }
-}
-
-/// Cache-aware deploy front end for multi-model serving: every deploy
-/// routes through a shared [`PlanCache`], so re-deploying a network this
-/// process (or any earlier process that populated the cache directory)
-/// already compiled costs a plan-document read instead of a full
-/// compile — the warm path performs zero recompilation, asserted via
-/// [`crate::compiler::compile_count`] in the round-trip suite and the
-/// bench schema gate.
-///
-/// # Examples
-///
-/// ```
-/// use yoloc_core::compiler::{cache::PlanCache, CompileOptions};
-/// use yoloc_core::engine::ModelServer;
-/// use yoloc_models::zoo;
-///
-/// let server = ModelServer::with_cache(PlanCache::in_memory());
-/// let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-/// let _cold = server.deploy(&desc, 7, CompileOptions::paper_default())?;
-/// let _warm = server.deploy(&desc, 7, CompileOptions::paper_default())?;
-/// assert_eq!(server.cache().hits(), 1);
-/// # Ok::<(), yoloc_models::NetworkError>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct ModelServer {
-    cache: PlanCache,
-}
-
-impl ModelServer {
-    /// A server over the default on-disk cache location (see
-    /// [`PlanCache::new`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A server over an explicit cache (in-memory or custom directory).
-    pub fn with_cache(cache: PlanCache) -> Self {
-        ModelServer { cache }
-    }
-
-    /// The underlying cache (hit/miss counters for reporting).
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
-    /// Deploys `desc` with deterministic random weights through the
-    /// cache: hits rebuild the stored plan bit-identically, misses
-    /// compile and populate the cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError`] if the description is inconsistent.
-    pub fn deploy(
-        &self,
-        desc: &NetworkDesc,
-        seed: u64,
-        opts: CompileOptions,
-    ) -> Result<CompiledNetwork, NetworkError> {
-        self.cache.compile_random(desc, seed, opts)
     }
 }
 

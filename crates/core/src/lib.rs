@@ -13,7 +13,6 @@ pub mod compiler;
 pub mod detector;
 pub mod engine;
 pub mod mapping;
-pub mod pipeline;
 pub mod qconv;
 pub mod rebranch;
 pub mod serve;

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use yoloc_cim::MacroParams;
-use yoloc_models::{NetworkDesc, NetworkError};
+use yoloc_models::{NetworkDesc, NetworkError, REBRANCH_CONVS};
 
 /// Which subarray placement scheme a deployment is accounted under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -436,8 +436,15 @@ fn pack_placements(placements: &[&LayerPlacement], params: &MacroParams) -> usiz
 /// Spreads `mapping`'s placements across `chips` dies: a contiguous
 /// partition in execution order (activations stream die to die at most
 /// once per boundary), balanced by naive subarray demand, each die
-/// shelf-packing its own layers.
-pub fn shard_network(mapping: &NetworkMapping, params: &MacroParams, chips: usize) -> ShardPlan {
+/// shelf-packing its own layers. `layer_of` names each placement's IR
+/// layer; the placements of one layer (a ReBranch's four convs) share a
+/// die, so no boundary falls inside a layer.
+pub fn shard_network(
+    mapping: &NetworkMapping,
+    params: &MacroParams,
+    chips: usize,
+    layer_of: &[usize],
+) -> ShardPlan {
     let chips = chips.max(1);
     let total: usize = mapping
         .placements
@@ -445,10 +452,14 @@ pub fn shard_network(mapping: &NetworkMapping, params: &MacroParams, chips: usiz
         .map(LayerPlacement::naive_subarrays)
         .sum();
     let per_chip = total.div_ceil(chips).max(1);
-    let mut chip_of = Vec::with_capacity(mapping.placements.len());
+    let mut chip_of: Vec<usize> = Vec::with_capacity(mapping.placements.len());
     let mut acc = 0usize;
-    for p in &mapping.placements {
-        chip_of.push((acc / per_chip).min(chips - 1));
+    for (i, p) in mapping.placements.iter().enumerate() {
+        let chip = match chip_of.last() {
+            Some(&prev) if layer_of[i] == layer_of[i - 1] => prev,
+            _ => (acc / per_chip).min(chips - 1),
+        };
+        chip_of.push(chip);
         acc += p.naive_subarrays();
     }
     let subarrays_per_chip: Vec<usize> = (0..chips)
@@ -500,29 +511,35 @@ pub fn map_network_with(
     let reports = desc.analyze()?;
     let wb = params.weight_bits as usize;
     let mut placements = Vec::new();
+    let mut layer_of = Vec::new();
     let mut full_tiles = 0usize;
     let mut partials: Vec<Rect> = Vec::new();
     let mut total_bits = 0u64;
     for r in &reports {
-        let Some(m) = r.lowered else { continue };
-        let bit_cols = m.outs * wb;
-        let row_tiles = m.ins.div_ceil(params.rows);
-        let col_tiles = bit_cols.div_ceil(params.cols);
-        total_bits += (m.ins * m.outs * wb) as u64;
-        placements.push(LayerPlacement {
-            name: r.name.clone(),
-            ins: m.ins,
-            outs: m.outs,
-            mvms: m.mvms,
-            row_tiles,
-            col_tiles,
-            used_bits: (m.ins * m.outs * wb) as u64,
-            subarray_ids: None,
-        });
-        // Decompose into full tiles + partial rectangles for packing.
-        let (full, mut parts) = tile_decomposition(m.ins, m.outs, params);
-        full_tiles += full;
-        partials.append(&mut parts);
+        for (k, m) in r.lowered.iter().enumerate() {
+            let bit_cols = m.outs * wb;
+            let used_bits = (m.ins * m.outs * wb) as u64;
+            total_bits += used_bits;
+            placements.push(LayerPlacement {
+                // A ReBranch's four convs are placed one by one.
+                name: match r.lowered.len() {
+                    1 => r.name.clone(),
+                    _ => format!("{} {}", r.name, REBRANCH_CONVS[k]),
+                },
+                ins: m.ins,
+                outs: m.outs,
+                mvms: m.mvms,
+                row_tiles: m.ins.div_ceil(params.rows),
+                col_tiles: bit_cols.div_ceil(params.cols),
+                used_bits,
+                subarray_ids: None,
+            });
+            layer_of.push(r.index);
+            // Decompose into full tiles + partial rectangles for packing.
+            let (full, mut parts) = tile_decomposition(m.ins, m.outs, params);
+            full_tiles += full;
+            partials.append(&mut parts);
+        }
     }
     let subarrays_naive: usize = placements.iter().map(|p| p.naive_subarrays()).sum();
     let packed_bins = shelf_pack(partials, params.rows, params.cols);
@@ -545,7 +562,7 @@ pub fn map_network_with(
         shard: None,
     };
     if let MappingStrategy::Sharded { chips } = strategy {
-        mapping.shard = Some(shard_network(&mapping, params, chips));
+        mapping.shard = Some(shard_network(&mapping, params, chips, &layer_of));
     }
     Ok(mapping)
 }
@@ -691,7 +708,7 @@ mod tests {
             .analyze()
             .unwrap()
             .iter()
-            .filter_map(|r| r.lowered)
+            .flat_map(|r| &r.lowered)
             .map(|l| (l.ins * l.outs * 8) as u64)
             .sum();
         assert_eq!(m.total_weight_bits, expected);
@@ -719,30 +736,41 @@ mod tests {
 
     #[test]
     fn sharded_mapping_partitions_contiguously_and_packs_per_die() {
-        let desc = zoo::yolo_v2(20, 5);
-        let strategy = MappingStrategy::Sharded { chips: 4 };
-        let m = map_network_with(&desc, &MacroParams::rom_paper(), strategy).unwrap();
-        let s = m.shard.as_ref().expect("sharded mapping carries a plan");
-        assert_eq!(s.chips, 4);
-        assert_eq!(s.chip_of.len(), m.placements.len());
-        // Contiguous in execution order: chip ids are monotone, so
-        // activations cross each die boundary at most once.
-        assert!(s.chip_of.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(
-            s.boundary_crossings,
-            s.chip_of.windows(2).filter(|w| w[0] != w[1]).count()
-        );
-        assert!(s.boundary_crossings <= 3);
-        // Per-die packing sits between global packing and naive.
-        assert!(s.subarrays_total >= m.subarrays_packed);
-        assert!(s.subarrays_total <= m.subarrays_naive);
-        assert_eq!(m.subarrays(strategy), s.subarrays_total);
-        // A YOLO-sized network populates every die.
-        for c in 0..4 {
-            assert!(s.chip_of.contains(&c), "chip {c} left empty");
+        let yolo = zoo::yolo_v2(20, 5);
+        for desc in [zoo::rebranched(&yolo, 4, 4), yolo] {
+            let strategy = MappingStrategy::Sharded { chips: 4 };
+            let m = map_network_with(&desc, &MacroParams::rom_paper(), strategy).unwrap();
+            let s = m.shard.as_ref().expect("sharded mapping carries a plan");
+            assert_eq!(s.chips, 4);
+            assert_eq!(s.chip_of.len(), m.placements.len());
+            // Contiguous in execution order: chip ids are monotone, so
+            // activations cross each die boundary at most once.
+            assert!(s.chip_of.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(
+                s.boundary_crossings,
+                s.chip_of.windows(2).filter(|w| w[0] != w[1]).count()
+            );
+            assert!(s.boundary_crossings <= 3);
+            // A ReBranch group's four convs share a die.
+            for (i, p) in m.placements.iter().enumerate() {
+                if REBRANCH_CONVS[1..]
+                    .iter()
+                    .any(|part| p.name.ends_with(part))
+                {
+                    assert_eq!(s.chip_of[i], s.chip_of[i - 1], "{} split", p.name);
+                }
+            }
+            // Per-die packing sits between global packing and naive.
+            assert!(s.subarrays_total >= m.subarrays_packed);
+            assert!(s.subarrays_total <= m.subarrays_naive);
+            assert_eq!(m.subarrays(strategy), s.subarrays_total);
+            // A YOLO-sized network populates every die.
+            for c in 0..4 {
+                assert!(s.chip_of.contains(&c), "chip {c} left empty");
+            }
+            let u = m.utilization(strategy);
+            assert!(u > 0.0 && u <= 1.0 + 1e-9, "utilization {u}");
         }
-        let u = m.utilization(strategy);
-        assert!(u > 0.0 && u <= 1.0 + 1e-9, "utilization {u}");
     }
 
     #[test]

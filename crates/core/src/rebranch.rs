@@ -22,6 +22,7 @@
 
 use rand::Rng;
 
+use yoloc_models::rebranch_widths;
 use yoloc_tensor::layers::Conv2d;
 use yoloc_tensor::{Layer, LayerExt, Param, Tensor};
 
@@ -101,8 +102,7 @@ impl ReBranchConv {
             trunk_weight.shape()[1],
             trunk_weight.shape()[2],
         );
-        let nc = (n / ratios.d).max(1);
-        let mc = (m / ratios.u).max(1);
+        let (nc, mc) = rebranch_widths(n, m, ratios.d, ratios.u);
 
         let has_bias = trunk_bias.is_some();
         let mut trunk = Conv2d::new(
@@ -297,6 +297,32 @@ mod tests {
     use rand::SeedableRng;
     use yoloc_tensor::ops::conv2d_reference;
     use yoloc_tensor::LayerExt;
+
+    #[test]
+    fn fresh_wrap_compiles_to_the_trunk_only_logits() {
+        // The zero-init property on the deployed datapath: a fresh wrap's
+        // res-convs are zero, so its compiled network reproduces the
+        // trunk-only model's logits bit for bit while the branch runs.
+        use crate::compiler::{CompileOptions, CompiledNetwork};
+        use crate::strategies::{build_strategy_model, Strategy};
+        use crate::tiny_models::{Family, TinyCnn};
+        let mut rng = StdRng::seed_from_u64(5);
+        let base = TinyCnn::plain(Family::ResNet, 3, &[6, 8], 4, &mut rng);
+        let cal = Tensor::rand_uniform(&[4, 3, 12, 12], 0.0, 1.0, &mut rng);
+        let x = Tensor::rand_uniform(&[3, 3, 12, 12], 0.0, 1.0, &mut rng);
+        let deploy = |strategy| {
+            // Same seed: the same classifier heads both models.
+            let model = build_strategy_model(&base, strategy, 4, &mut StdRng::seed_from_u64(6));
+            let (desc, weights) = model.to_network((3, 12, 12));
+            let opts = CompileOptions::paper_default();
+            let net = CompiledNetwork::compile(&desc, &weights, &cal, opts).unwrap();
+            net.infer(&x, &mut StdRng::seed_from_u64(7))
+        };
+        let (trunk_only, _) = deploy(Strategy::AllRom);
+        let (wrapped, report) = deploy(Strategy::ReBranch(ReBranchRatios { d: 2, u: 2 }));
+        assert_eq!(trunk_only.data(), wrapped.data());
+        assert!(report.sram.adc_conversions > 0, "the res-convs ran on SRAM");
+    }
 
     #[test]
     fn zero_branch_equals_trunk() {

@@ -350,9 +350,9 @@ struct InFlight {
 /// The continuous-batching broker (see the [module docs](self)).
 ///
 /// The broker borrows its deployed models (`'m`), so compile them — or
-/// deploy them warm through
-/// [`ModelServer`](crate::engine::ModelServer) — first, then open the
-/// worker pool and run:
+/// deploy them warm through a
+/// [`PlanCache`](crate::compiler::cache::PlanCache) — first, then open
+/// the worker pool and run:
 ///
 /// # Examples
 ///

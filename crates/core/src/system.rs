@@ -21,7 +21,7 @@ use crate::mapping::map_network;
 use crate::rebranch::ReBranchRatios;
 use yoloc_cim::MacroParams;
 use yoloc_memory::{ChipletLink, DramModel, SramBuffer};
-use yoloc_models::{LayerSpec, NetworkDesc, NetworkError};
+use yoloc_models::{rebranch_widths, LayerSpec, NetworkDesc, NetworkError};
 
 /// Calibration constants of the system model.
 ///
@@ -246,8 +246,9 @@ fn collect_layers(desc: &NetworkDesc, p: &SystemParams) -> Result<Vec<CimLayer>,
     let wb = 8u64;
     let mut layers = Vec::new();
     for (i, r) in reports.iter().enumerate() {
-        let Some(m) = r.lowered else { continue };
-        let (d, u) = (p.rebranch.d as u64, p.rebranch.u as u64);
+        if r.lowered.is_empty() {
+            continue;
+        }
         // Branch geometry needs the raw conv spec (channel counts).
         let branch = match &desc.layers[r.index] {
             LayerSpec::Conv {
@@ -256,16 +257,32 @@ fn collect_layers(desc: &NetworkDesc, p: &SystemParams) -> Result<Vec<CimLayer>,
                 kernel,
                 ..
             } if *kernel > 1 => {
+                let (nc, mc) = rebranch_widths(*in_ch, *out_ch, p.rebranch.d, p.rebranch.u);
                 let (n, mm, k) = (*in_ch as u64, *out_ch as u64, *kernel as u64);
-                let rom_extra = (n * (n / d).max(1) + (mm / u).max(1) * mm) * wb;
-                let sram = ((n / d).max(1) * (mm / u).max(1) * k * k) * wb;
-                Some((rom_extra, sram))
+                let (nc, mc) = (nc as u64, mc as u64);
+                Some(((n * nc + mc * mm) * wb, nc * mc * k * k * wb))
+            }
+            // The model prices its own branches (`SystemParams::rebranch`)
+            // on plain convs; a wrapped conv would count its SRAM res-conv
+            // as ROM trunk bits.
+            LayerSpec::ReBranch { name, .. } => {
+                return Err(NetworkError {
+                    msg: format!(
+                        "{name}: system evaluation wraps plain convs itself; \
+                         evaluate the network without ReBranch layers"
+                    ),
+                })
             }
             _ => None,
         };
         let _ = i;
         layers.push(CimLayer {
-            w_bits: (m.ins * m.outs) as u64 * wb,
+            w_bits: r
+                .lowered
+                .iter()
+                .map(|m| (m.ins * m.outs) as u64)
+                .sum::<u64>()
+                * wb,
             macs: r.macs,
             in_bits: (r.in_shape.0 * r.in_shape.1 * r.in_shape.2) as u64 * ab,
             out_bits: (r.out_shape.0 * r.out_shape.1 * r.out_shape.2) as u64 * ab,
@@ -614,6 +631,17 @@ mod tests {
         assert!(a_ratio > 5.0, "area ratio {a_ratio}");
         assert_eq!(c.dram_traffic_bits, 0);
         assert!(c.link_traffic_bits > 0);
+    }
+
+    #[test]
+    fn already_wrapped_networks_are_rejected() {
+        // The model adds the branches itself; it must not price a wrapped
+        // net's SRAM res-convs as ROM trunk bits.
+        let net = zoo::rebranched(&zoo::resnet18(100), 2, 2);
+        for kind in [SystemKind::Yoloc, SystemKind::SramChiplet { chips: None }] {
+            let err = evaluate(&net, kind, &p()).unwrap_err();
+            assert!(err.msg.contains("ReBranch"), "{err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use rand::Rng;
 
+use crate::compiler::NetworkWeights;
 use crate::rebranch::ReBranchConv;
+use yoloc_models::{ActKind, LayerSpec, NetworkDesc, Shape};
 use yoloc_tensor::layers::{Conv2d, GlobalAvgPool, Linear, MaxPool2d, Relu};
 use yoloc_tensor::{Layer, LayerExt, Param, Tensor};
 
@@ -383,6 +385,99 @@ impl TinyCnn {
         self.gap.forward(&h, train)
     }
 
+    /// Exports the model as an IR description of `input`-shaped
+    /// (`(C, H, W)`) images plus its weights — what
+    /// [`crate::compiler::CompiledNetwork::compile`] deploys. Each block
+    /// becomes its conv (a Spwd unit one conv of its frozen + decoration
+    /// weights, a ReBranch unit a [`LayerSpec::ReBranch`]), an identity
+    /// `ResidualAdd` over the block when it skips, a ReLU and the 2x2 max
+    /// pool if it pools; global average pooling and the linear classifier
+    /// follow.
+    pub fn to_network(&self, input: Shape) -> (NetworkDesc, NetworkWeights) {
+        let mut desc = NetworkDesc::new(self.name(), input);
+        let mut weights = NetworkWeights {
+            weights: Vec::new(),
+            branches: Vec::new(),
+            projections: Vec::new(),
+            biases: Vec::new(),
+        };
+        let mut push = |layer, weight, branch, bias| {
+            desc.layers.push(layer);
+            weights.weights.push(weight);
+            weights.branches.push(branch);
+            weights.projections.push(None);
+            weights.biases.push(bias);
+        };
+        for (i, b) in self.blocks.iter().enumerate() {
+            let name = format!("conv{i}");
+            let conv = |c: &Conv2d| {
+                let g = c.geometry();
+                LayerSpec::Conv {
+                    name: name.clone(),
+                    in_ch: g.in_channels,
+                    out_ch: c.out_channels(),
+                    kernel: g.kernel,
+                    stride: g.stride,
+                    padding: g.padding,
+                    bias: false,
+                }
+            };
+            let (layer, weight, branch) = match &b.unit {
+                ConvUnit::Plain(c) => (conv(c), c.weight.value.clone(), None),
+                ConvUnit::Spwd(s) => (
+                    conv(&s.frozen),
+                    s.frozen.weight.value.add(&s.deco.weight.value),
+                    None,
+                ),
+                ConvUnit::ReBranch(rb) => {
+                    let (trunk, ratios) = (rb.trunk(), rb.ratios());
+                    let g = trunk.geometry();
+                    let (w1, wb, w2) = rb.branch_weights();
+                    let layer = LayerSpec::ReBranch {
+                        name: name.clone(),
+                        in_ch: g.in_channels,
+                        out_ch: trunk.out_channels(),
+                        kernel: g.kernel,
+                        stride: g.stride,
+                        padding: g.padding,
+                        d: ratios.d,
+                        u: ratios.u,
+                    };
+                    let branch = [w1.clone(), wb.clone(), w2.clone()];
+                    (layer, trunk.weight.value.clone(), Some(branch))
+                }
+            };
+            push(layer, Some(weight), branch, None);
+            if b.skip {
+                // Back past the conv to the block input.
+                let skip = LayerSpec::ResidualAdd {
+                    blocks_back: 2,
+                    projection: None,
+                };
+                push(skip, None, None, None);
+            }
+            push(LayerSpec::Activation(ActKind::Relu), None, None, None);
+            if b.pool_enabled() {
+                let pool = LayerSpec::MaxPool {
+                    kernel: 2,
+                    stride: 2,
+                };
+                push(pool, None, None, None);
+            }
+        }
+        push(LayerSpec::GlobalAvgPool, None, None, None);
+        let fc = &self.classifier;
+        let bias = fc.bias.as_ref().map(|b| b.value.data().to_vec());
+        let head = LayerSpec::Linear {
+            name: "fc".to_string(),
+            in_features: fc.in_features(),
+            out_features: fc.out_features(),
+            bias: bias.is_some(),
+        };
+        push(head, Some(fc.weight.value.clone()), None, bias);
+        (desc, weights)
+    }
+
     /// Parameter bits resident in ROM vs SRAM, where `deco_bits` applies
     /// to SPWD decoration weights and 8-bit precision to everything else.
     /// The classifier is always SRAM.
@@ -495,6 +590,84 @@ mod tests {
         let (_, grad) = yoloc_tensor::loss::cross_entropy(&y, &[0, 1]);
         m.backward(&grad);
         assert!(m.params().iter().any(|p| p.grad.abs_max() > 0.0));
+    }
+
+    #[test]
+    fn exported_reference_is_the_model() {
+        // The export's float reference computes the model's own function
+        // for every unit kind and family, skips and pools included.
+        use crate::compiler::software_forward;
+        use crate::rebranch::ReBranchRatios;
+        use crate::strategies::{build_strategy_model, Strategy};
+        let mut rng = StdRng::seed_from_u64(6);
+        for family in [Family::Vgg, Family::ResNet] {
+            let base = TinyCnn::plain(family, IMG_C, &[6, 8], 3, &mut rng);
+            for strategy in [
+                Strategy::AllRom,
+                Strategy::Spwd { bits: 2 },
+                Strategy::ReBranch(ReBranchRatios { d: 2, u: 2 }),
+            ] {
+                let mut model = build_strategy_model(&base, strategy, 3, &mut rng);
+                // Nonzero decorations and res-convs.
+                for b in &mut model.blocks {
+                    let trainable = match &mut b.unit {
+                        ConvUnit::Spwd(s) => &mut s.deco.weight.value,
+                        ConvUnit::ReBranch(rb) => &mut rb.res_conv_mut().weight.value,
+                        ConvUnit::Plain(_) => continue,
+                    };
+                    *trainable = Tensor::randn(trainable.shape(), 0.0, 0.1, &mut rng);
+                }
+                let x = Tensor::rand_uniform(&[2, IMG_C, IMG_H, IMG_W], 0.0, 1.0, &mut rng);
+                let (desc, weights) = model.to_network((IMG_C, IMG_H, IMG_W));
+                let reference = software_forward(&desc, &weights, &x).unwrap();
+                let y = model.forward(&x, false);
+                let mag = y.abs_max().max(1e-6);
+                for (a, b) in reference.data().iter().zip(y.data()) {
+                    assert!(
+                        (a - b).abs() / mag < 1e-4,
+                        "{family:?} {strategy:?}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_export_keeps_the_trained_accuracy() {
+        // A trained VGG through its export: the quantized logits track
+        // the float model, both CiM domains work, and accuracy holds
+        // (paper: -0.5% ~ +0.2%; a few points either way at this scale).
+        use crate::compiler::{CompileOptions, CompiledNetwork};
+        use crate::strategies::{pretrain_base, TrainConfig};
+        use yoloc_data::classification::TransferSuite;
+        use yoloc_tensor::loss::accuracy;
+        let suite = TransferSuite::new(9);
+        let config = TrainConfig {
+            steps: 120,
+            batch: 16,
+            lr: 0.08,
+            momentum: 0.9,
+        };
+        let mut model = pretrain_base(Family::Vgg, &[8, 10], &suite.pretrain, config, 9);
+        let mut rng = StdRng::seed_from_u64(10);
+        let (cal, _) = suite.pretrain.batch(8, &mut rng);
+        let (desc, weights) = model.to_network((IMG_C, IMG_H, IMG_W));
+        let net = CompiledNetwork::compile(&desc, &weights, &cal, CompileOptions::paper_default())
+            .unwrap();
+        let (x, labels) = suite.pretrain.batch(80, &mut rng);
+        let sw = model.forward(&x, false);
+        let (cim, report) = net.infer(&x, &mut rng);
+        let mag = sw.abs_max().max(1e-6);
+        for (a, b) in cim.data().iter().zip(sw.data()) {
+            assert!((a - b).abs() / mag < 0.12, "cim {a} vs sw {b}");
+        }
+        assert!(report.rom.energy_pj > 0.0);
+        assert!(report.sram.energy_pj > 0.0);
+        let (sw_acc, cim_acc) = (accuracy(&sw, &labels), accuracy(&cim, &labels));
+        assert!(
+            (sw_acc - cim_acc).abs() < 0.08,
+            "software {sw_acc} vs CiM {cim_acc}"
+        );
     }
 
     #[test]

@@ -69,10 +69,12 @@ pub fn training_step_cost(
     let mut forward = 0u64;
     let mut backward = 0u64;
     let mut updated = 0u64;
-    let n_cim = reports.iter().filter(|r| r.lowered.is_some()).count();
+    let n_cim = reports.iter().filter(|r| !r.lowered.is_empty()).count();
     let mut cim_seen = 0usize;
     for r in &reports {
-        let Some(_) = r.lowered else { continue };
+        if r.lowered.is_empty() {
+            continue;
+        }
         cim_seen += 1;
         let is_head = cim_seen == n_cim;
         forward += r.macs;

@@ -37,6 +37,31 @@ pub enum LayerSpec {
         /// Whether the layer has a bias vector.
         bias: bool,
     },
+    /// A ReBranch convolution (Fig. 7): a frozen `kernel` x `kernel`
+    /// trunk conv summed with a residual branch of three convs — a 1x1
+    /// compress to `max(in_ch / d, 1)` channels, a trainable `kernel` x
+    /// `kernel` res-conv at the trunk's stride and padding to
+    /// `max(out_ch / u, 1)` channels, and a 1x1 decompress to `out_ch`.
+    /// It maps onto four CiM matrices, in this order: trunk, compress,
+    /// res-conv, decompress.
+    ReBranch {
+        /// Layer name (unique within the network).
+        name: String,
+        /// Input channels N.
+        in_ch: usize,
+        /// Output channels M.
+        out_ch: usize,
+        /// Square kernel size of the trunk and the res-conv.
+        kernel: usize,
+        /// Stride of the trunk and the res-conv.
+        stride: usize,
+        /// Zero padding of the trunk and the res-conv.
+        padding: usize,
+        /// Channel compression ratio D.
+        d: usize,
+        /// Channel decompression ratio U.
+        u: usize,
+    },
     /// Fully-connected layer.
     Linear {
         /// Layer name.
@@ -116,6 +141,18 @@ impl LayerSpec {
                 bias,
                 ..
             } => (out_ch * in_ch * kernel * kernel + if *bias { *out_ch } else { 0 }) as u64,
+            LayerSpec::ReBranch {
+                in_ch,
+                out_ch,
+                kernel,
+                d,
+                u,
+                ..
+            } => {
+                let (nc, mc) = rebranch_widths(*in_ch, *out_ch, *d, *u);
+                let (n, m, kk) = (*in_ch, *out_ch, kernel * kernel);
+                (m * n * kk + nc * n + mc * nc * kk + m * mc) as u64
+            }
             LayerSpec::ResidualAdd {
                 projection: Some(p),
                 ..
@@ -132,11 +169,13 @@ impl LayerSpec {
     }
 
     /// Whether this layer's weights are mapped onto CiM arrays
-    /// (convs, linears and skip projections; batch-norm folds away).
+    /// (convs, ReBranch groups, linears and skip projections; batch-norm
+    /// folds away).
     pub fn is_cim_layer(&self) -> bool {
         matches!(
             self,
             LayerSpec::Conv { .. }
+                | LayerSpec::ReBranch { .. }
                 | LayerSpec::Linear { .. }
                 | LayerSpec::ResidualAdd {
                     projection: Some(_),
@@ -144,6 +183,16 @@ impl LayerSpec {
                 }
         )
     }
+}
+
+/// The four convs of a [`LayerSpec::ReBranch`], in execution order (the
+/// order of its lowered matrices, placements and weights).
+pub const REBRANCH_CONVS: [&str; 4] = ["trunk", "compress", "res-conv", "decompress"];
+
+/// The branch widths `(max(N / D, 1), max(M / U, 1))` of a ReBranch over
+/// an `n`-to-`m`-channel trunk: the compress and res-conv output channels.
+pub fn rebranch_widths(n: usize, m: usize, d: usize, u: usize) -> (usize, usize) {
+    ((n / d).max(1), (m / u).max(1))
 }
 
 /// Feature-map shape `(channels, height, width)`.
@@ -164,10 +213,10 @@ pub struct LayerReport {
     pub in_shape: Shape,
     /// Output feature-map shape (`(features, 1, 1)` after flatten/linear).
     pub out_shape: Shape,
-    /// For CiM layers: the lowered matrix `(rows, cols)` = `(in_ch*k*k,
-    /// out_ch)` and the number of matrix-vector products per inference
-    /// (output positions).
-    pub lowered: Option<LoweredMatrix>,
+    /// The lowered matrices of a CiM layer, one per mapped conv in
+    /// execution order: one for a conv, linear or projection; the
+    /// [`REBRANCH_CONVS`] for a ReBranch. Empty for digital layers.
+    pub lowered: Vec<LoweredMatrix>,
 }
 
 /// The im2col-lowered matrix geometry of a CiM-mapped layer.
@@ -252,9 +301,41 @@ impl NetworkDesc {
         let mut reports: Vec<LayerReport> = Vec::with_capacity(self.layers.len());
         let mut shape = self.input;
         let mut flattened = false;
+        // Output dims of a `kernel` x `kernel` conv over the current map,
+        // after checking it applies there.
+        let conv_hw = |name: &str,
+                       in_ch: usize,
+                       kernel: usize,
+                       stride: usize,
+                       padding: usize,
+                       shape: Shape,
+                       flattened: bool|
+         -> Result<(usize, usize), NetworkError> {
+            if flattened {
+                return Err(NetworkError {
+                    msg: format!("conv {name} after flatten"),
+                });
+            }
+            if shape.0 != in_ch {
+                return Err(NetworkError {
+                    msg: format!(
+                        "conv {name}: expected {in_ch} input channels, got {}",
+                        shape.0
+                    ),
+                });
+            }
+            let eff_h = shape.1 + 2 * padding;
+            let eff_w = shape.2 + 2 * padding;
+            if eff_h < kernel || eff_w < kernel {
+                return Err(NetworkError {
+                    msg: format!("conv {name}: kernel does not fit input"),
+                });
+            }
+            Ok(((eff_h - kernel) / stride + 1, (eff_w - kernel) / stride + 1))
+        };
         for (index, layer) in self.layers.iter().enumerate() {
             let in_shape = shape;
-            let (macs, lowered, name): (u64, Option<LoweredMatrix>, String) = match layer {
+            let (lowered, name): (Vec<LoweredMatrix>, String) = match layer {
                 LayerSpec::Conv {
                     name,
                     in_ch,
@@ -264,39 +345,42 @@ impl NetworkDesc {
                     padding,
                     ..
                 } => {
-                    if flattened {
-                        return Err(NetworkError {
-                            msg: format!("conv {name} after flatten"),
-                        });
-                    }
-                    if shape.0 != *in_ch {
-                        return Err(NetworkError {
-                            msg: format!(
-                                "conv {name}: expected {in_ch} input channels, got {}",
-                                shape.0
-                            ),
-                        });
-                    }
-                    let eff_h = shape.1 + 2 * padding;
-                    let eff_w = shape.2 + 2 * padding;
-                    if eff_h < *kernel || eff_w < *kernel {
-                        return Err(NetworkError {
-                            msg: format!("conv {name}: kernel does not fit input"),
-                        });
-                    }
-                    let oh = (eff_h - kernel) / stride + 1;
-                    let ow = (eff_w - kernel) / stride + 1;
+                    let (oh, ow) =
+                        conv_hw(name, *in_ch, *kernel, *stride, *padding, shape, flattened)?;
                     shape = (*out_ch, oh, ow);
-                    let ins = in_ch * kernel * kernel;
-                    let macs = (out_ch * ins) as u64 * (oh * ow) as u64;
                     (
-                        macs,
-                        Some(LoweredMatrix {
-                            ins,
+                        vec![LoweredMatrix {
+                            ins: in_ch * kernel * kernel,
                             outs: *out_ch,
                             mvms: (oh * ow) as u64,
-                        }),
+                        }],
                         format!("{name} (conv {in_ch}x{kernel}x{kernel}->{out_ch})"),
+                    )
+                }
+                LayerSpec::ReBranch {
+                    name,
+                    in_ch,
+                    out_ch,
+                    kernel,
+                    stride,
+                    padding,
+                    d,
+                    u,
+                } => {
+                    let (oh, ow) =
+                        conv_hw(name, *in_ch, *kernel, *stride, *padding, shape, flattened)?;
+                    let (nc, mc) = rebranch_widths(*in_ch, *out_ch, *d, *u);
+                    let (at_input, at_output) = ((shape.1 * shape.2) as u64, (oh * ow) as u64);
+                    shape = (*out_ch, oh, ow);
+                    let matrix = |ins, outs, mvms| LoweredMatrix { ins, outs, mvms };
+                    (
+                        vec![
+                            matrix(in_ch * kernel * kernel, *out_ch, at_output),
+                            matrix(*in_ch, nc, at_input),
+                            matrix(nc * kernel * kernel, mc, at_output),
+                            matrix(mc, *out_ch, at_output),
+                        ],
+                        format!("{name} (rebranch {in_ch}x{kernel}x{kernel}->{out_ch}, D{d} U{u})"),
                     )
                 }
                 LayerSpec::Linear {
@@ -316,12 +400,11 @@ impl NetworkDesc {
                     flattened = true;
                     shape = (*out_features, 1, 1);
                     (
-                        (*in_features * *out_features) as u64,
-                        Some(LoweredMatrix {
+                        vec![LoweredMatrix {
                             ins: *in_features,
                             outs: *out_features,
                             mvms: 1,
-                        }),
+                        }],
                         format!("{name} (fc {in_features}->{out_features})"),
                     )
                 }
@@ -334,9 +417,9 @@ impl NetworkDesc {
                             ),
                         });
                     }
-                    (0, None, format!("bn({channels})"))
+                    (Vec::new(), format!("bn({channels})"))
                 }
-                LayerSpec::Activation(k) => (0, None, format!("act({k:?})")),
+                LayerSpec::Activation(k) => (Vec::new(), format!("act({k:?})")),
                 LayerSpec::MaxPool { kernel, stride } => {
                     if shape.1 < *kernel || shape.2 < *kernel {
                         return Err(NetworkError {
@@ -348,15 +431,15 @@ impl NetworkDesc {
                         (shape.1 - kernel) / stride + 1,
                         (shape.2 - kernel) / stride + 1,
                     );
-                    (0, None, format!("maxpool({kernel}/{stride})"))
+                    (Vec::new(), format!("maxpool({kernel}/{stride})"))
                 }
                 LayerSpec::GlobalAvgPool => {
                     shape = (shape.0, 1, 1);
-                    (0, None, "gap".to_string())
+                    (Vec::new(), "gap".to_string())
                 }
                 LayerSpec::Passthrough { extra_ch } => {
                     shape = (shape.0 + extra_ch, shape.1, shape.2);
-                    (0, None, format!("passthrough(+{extra_ch})"))
+                    (Vec::new(), format!("passthrough(+{extra_ch})"))
                 }
                 LayerSpec::ResidualAdd {
                     blocks_back,
@@ -381,7 +464,7 @@ impl NetworkDesc {
                                     ),
                                 });
                             }
-                            (0, None, "residual-add".to_string())
+                            (Vec::new(), "residual-add".to_string())
                         }
                         Some(p) => {
                             if src_shape.0 != p.in_ch {
@@ -404,14 +487,12 @@ impl NetworkDesc {
                                     ),
                                 });
                             }
-                            let macs = (p.in_ch * p.out_ch) as u64 * (oh * ow) as u64;
                             (
-                                macs,
-                                Some(LoweredMatrix {
+                                vec![LoweredMatrix {
                                     ins: p.in_ch,
                                     outs: p.out_ch,
                                     mvms: (oh * ow) as u64,
-                                }),
+                                }],
                                 format!("{} (proj {}->{})", p.name, p.in_ch, p.out_ch),
                             )
                         }
@@ -422,7 +503,11 @@ impl NetworkDesc {
                 index,
                 name,
                 params: layer.param_count(),
-                macs,
+                // Every MAC of a layer is one of its CiM matrices'.
+                macs: lowered
+                    .iter()
+                    .map(|m| (m.ins * m.outs) as u64 * m.mvms)
+                    .sum(),
                 in_shape,
                 out_shape: shape,
                 lowered,
@@ -534,11 +619,49 @@ mod tests {
     }
 
     #[test]
+    fn rebranch_counts_all_four_convs() {
+        // N = 8 -> N/D = 2 compress channels, M = 12 -> M/U = 4 res-conv
+        // channels, trunk and res-conv at stride 2.
+        let mut net = NetworkDesc::new("rb", (8, 8, 8));
+        net.layers.push(LayerSpec::ReBranch {
+            name: "rb".into(),
+            in_ch: 8,
+            out_ch: 12,
+            kernel: 3,
+            stride: 2,
+            padding: 1,
+            d: 4,
+            u: 3,
+        });
+        let rb = &net.layers[0];
+        assert!(rb.is_cim_layer());
+        assert_eq!(rebranch_widths(8, 12, 4, 3), (2, 4));
+        assert_eq!(
+            rb.param_count(),
+            (12 * 8 * 9 + 2 * 8 + 4 * 2 * 9 + 12 * 4) as u64
+        );
+        let r = net.analyze().unwrap();
+        assert_eq!(r[0].out_shape, (12, 4, 4));
+        let shapes: Vec<_> = r[0]
+            .lowered
+            .iter()
+            .map(|m| (m.ins, m.outs, m.mvms))
+            .collect();
+        assert_eq!(shapes, [(72, 12, 16), (8, 2, 64), (18, 4, 16), (4, 12, 16)]);
+        assert_eq!(
+            r[0].macs,
+            72 * 12 * 16 + 8 * 2 * 64 + 18 * 4 * 16 + 4 * 12 * 16
+        );
+        // Widths never drop below one channel.
+        assert_eq!(rebranch_widths(1, 2, 4, 4), (1, 1));
+    }
+
+    #[test]
     fn lowered_geometry() {
         let mut net = NetworkDesc::new("low", (16, 10, 10));
         net.layers.push(conv("c", 16, 32, 3, 1, 1));
         let r = net.analyze().unwrap();
-        let m = r[0].lowered.unwrap();
+        let m = r[0].lowered[0];
         assert_eq!(m.ins, 144);
         assert_eq!(m.outs, 32);
         assert_eq!(m.mvms, 100);

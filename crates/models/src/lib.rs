@@ -22,6 +22,6 @@ pub mod summary;
 pub mod zoo;
 
 pub use ir::{
-    ActKind, LayerReport, LayerSpec, LoweredMatrix, NetworkDesc, NetworkError, ProjectionSpec,
-    Shape,
+    rebranch_widths, ActKind, LayerReport, LayerSpec, LoweredMatrix, NetworkDesc, NetworkError,
+    ProjectionSpec, Shape, REBRANCH_CONVS,
 };

@@ -249,6 +249,25 @@ pub fn scaled(net: &NetworkDesc, div: usize, hw: (usize, usize)) -> NetworkDesc 
                 padding: *padding,
                 bias: *bias,
             },
+            LayerSpec::ReBranch {
+                name,
+                in_ch,
+                out_ch,
+                kernel,
+                stride,
+                padding,
+                d,
+                u,
+            } => LayerSpec::ReBranch {
+                name: name.clone(),
+                in_ch: s(*in_ch),
+                out_ch: s(*out_ch),
+                kernel: *kernel,
+                stride: *stride,
+                padding: *padding,
+                d: *d,
+                u: *u,
+            },
             LayerSpec::Linear {
                 name,
                 in_features,
@@ -281,6 +300,41 @@ pub fn scaled(net: &NetworkDesc, div: usize, hw: (usize, usize)) -> NetworkDesc 
             other => other.clone(),
         });
     }
+    out
+}
+
+/// Wraps every spatial (`kernel > 1`) conv of `net` in a ReBranch with
+/// ratios `d` and `u` (the paper's YOLoC deployment: frozen ROM trunks,
+/// each with a residual branch). Shapes are unchanged, so the result is
+/// valid wherever `net` is; 1x1 convs, linears and projections stay as
+/// they are.
+pub fn rebranched(net: &NetworkDesc, d: usize, u: usize) -> NetworkDesc {
+    let mut out = NetworkDesc::new(format!("{}+rebranch{d}x{u}", net.name), net.input);
+    out.layers = net
+        .layers
+        .iter()
+        .map(|layer| match layer {
+            LayerSpec::Conv {
+                name,
+                in_ch,
+                out_ch,
+                kernel,
+                stride,
+                padding,
+                ..
+            } if *kernel > 1 => LayerSpec::ReBranch {
+                name: name.clone(),
+                in_ch: *in_ch,
+                out_ch: *out_ch,
+                kernel: *kernel,
+                stride: *stride,
+                padding: *padding,
+                d,
+                u,
+            },
+            other => other.clone(),
+        })
+        .collect();
     out
 }
 
@@ -510,6 +564,26 @@ mod tests {
                 );
                 assert!(s.param_count() < net.param_count());
             }
+        }
+    }
+
+    #[test]
+    fn rebranched_networks_keep_every_shape() {
+        // Wrapping commutes with scaling and changes no feature-map shape;
+        // every wrapped conv adds its branch's parameters.
+        for (net, hw) in [(vgg8(10), (16, 16)), (resnet18(10), (32, 32))] {
+            let base = scaled(&net, 16, hw);
+            let rb = rebranched(&base, 2, 2);
+            assert_eq!(rb.layers, scaled(&rebranched(&net, 2, 2), 16, hw).layers);
+            let shapes = |d: &NetworkDesc| -> Vec<_> {
+                d.analyze().unwrap().iter().map(|r| r.out_shape).collect()
+            };
+            assert_eq!(shapes(&rb), shapes(&base), "{}", rb.name);
+            assert!(rb.param_count() > base.param_count());
+            assert!(rb
+                .layers
+                .iter()
+                .any(|l| matches!(l, LayerSpec::ReBranch { .. })));
         }
     }
 

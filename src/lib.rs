@@ -22,26 +22,24 @@
 //! ```
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use yoloc::cim::MacroParams;
+//! use yoloc::core::compiler::{CompileOptions, CompiledNetwork};
 //! use yoloc::core::engine::WorkerPool;
-//! use yoloc::core::pipeline::CimDeployedModel;
 //! use yoloc::core::tiny_models::{Family, TinyCnn};
 //! use yoloc::tensor::Tensor;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let model = TinyCnn::plain(Family::Vgg, 3, &[4], 2, &mut rng);
 //! let x = Tensor::rand_uniform(&[4, 3, 8, 8], 0.0, 1.0, &mut rng);
-//! let deployed = CimDeployedModel::deploy(
-//!     &model,
-//!     &x,
-//!     MacroParams::rom_paper(),
-//!     MacroParams::sram_paper(),
-//! );
+//! let (desc, weights) = model.to_network((3, 8, 8));
+//! let deployed = CompiledNetwork::compile(&desc, &weights, &x, CompileOptions::paper_default())?;
+//! // Trunk convs run on ROM-CiM, the classifier on SRAM-CiM.
+//! let (serial, report) = deployed.infer(&x, &mut rng);
+//! assert!(report.rom.energy_pj > 0.0 && report.sram.energy_pj > 0.0);
 //! // Serial walk and pooled batched engine are bit-identical on the
 //! // (noiseless) paper datapath.
-//! let (serial, _) = deployed.infer(&x, &mut rng);
 //! let (batched, _) = WorkerPool::with(2, |pool| deployed.infer_batch(&x, 1, pool));
 //! assert_eq!(serial.data(), batched.data());
+//! # Ok::<(), yoloc::models::NetworkError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -25,12 +25,16 @@ pub fn strategies() -> [MappingStrategy; 3] {
 }
 
 /// The fixed representative graphs every parity suite pins:
-/// feed-forward (VGG), residual with projections (ResNet), passthrough
-/// detection head (YOLO).
-pub fn named_zoo_nets() -> [NetworkDesc; 3] {
+/// feed-forward (VGG), residual with projections (ResNet), the same
+/// ResNet with every spatial conv a ReBranch group (random, so nonzero,
+/// branch weights), and a passthrough detection head (YOLO).
+pub fn named_zoo_nets() -> [NetworkDesc; 4] {
+    let resnet = zoo::scaled(&zoo::resnet18(3), 16, (32, 32));
+    let rebranch = zoo::rebranched(&resnet, 2, 2);
     [
         zoo::scaled(&zoo::vgg8(3), 16, (16, 16)),
-        zoo::scaled(&zoo::resnet18(3), 16, (32, 32)),
+        resnet,
+        rebranch,
         zoo::scaled(&zoo::yolo_v2(4, 2), 32, (64, 64)),
     ]
 }

@@ -83,7 +83,7 @@ fn lively_spec() -> FaultSpec {
 #[test]
 fn zero_fault_config_is_bit_identical_to_pristine_compile() {
     let descs = named_zoo_nets();
-    for desc in &descs[..2] {
+    for desc in &descs[..3] {
         for strategy in strategies() {
             let pristine = compile(desc, SEED, strategy);
             let guarded = compile_faulted(desc, strategy, FaultConfig::sized(FaultSpec::none(), 4));
@@ -112,7 +112,7 @@ fn zero_fault_config_is_bit_identical_to_pristine_compile() {
 #[test]
 fn faulted_deployments_are_deterministic_and_oracle_consistent() {
     let descs = named_zoo_nets();
-    for desc in &descs[..2] {
+    for desc in &descs[..3] {
         for strategy in strategies() {
             let clean = compile(desc, SEED, strategy);
             let faulted = compile_faulted(desc, strategy, FaultConfig::sized(lively_spec(), 4));
@@ -221,4 +221,59 @@ fn remap_under_stuck_faults_is_deterministic() {
     let (y_b, r_b) = infer(&b, 3);
     assert_eq!(y_a, y_b, "post-remap execution must be deterministic");
     assert_eq!(r_a, r_b);
+}
+
+/// The physical ids of every fault record in the plan document, in
+/// document order: one list per CiM conv or linear, a ReBranch group's
+/// four convs in placement order.
+fn plan_phys_ids(net: &CompiledNetwork) -> Vec<Vec<u64>> {
+    let doc = net.serialize_plan();
+    let key = "\"phys_ids\": [";
+    doc.match_indices(key)
+        .map(|(at, _)| {
+            let list = &doc[at + key.len()..];
+            let list = &list[..list.find(']').expect("closed id list")];
+            list.split(',')
+                .filter_map(|id| id.trim().parse().ok())
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn remap_rehomes_each_conv_of_a_rebranch_group() {
+    // Placements 0..4 are the stem ReBranch's trunk, compress, res-conv
+    // and decompress. Killing a subarray of each must re-home exactly
+    // that conv: the plan's fault records keep naming the mapping's ids,
+    // placement by placement, and healthy spares change no output.
+    let desc = &named_zoo_nets()[2];
+    let mut net = compile_faulted(
+        desc,
+        MappingStrategy::Naive,
+        FaultConfig::sized(FaultSpec::none(), 8),
+    );
+    let mapped = |net: &CompiledNetwork| -> Vec<Vec<u64>> {
+        let ids = net
+            .mapping
+            .placements
+            .iter()
+            .map(|p| p.subarray_ids.clone());
+        ids.map(|ids| ids.expect("fault-aware placements carry ids"))
+            .collect()
+    };
+    assert_eq!(plan_phys_ids(&net), mapped(&net), "fresh compile");
+    let (y_before, r_before) = infer(&net, 3);
+    for part in 0..4 {
+        let victim = mapped(&net)[part][0];
+        let affected = net.remap_faults(&[victim]).expect("spares available");
+        assert_eq!(affected, [part], "only placement {part} uses {victim}");
+        assert_eq!(
+            plan_phys_ids(&net),
+            mapped(&net),
+            "re-homing placement {part} must re-program that conv"
+        );
+    }
+    let (y_after, r_after) = infer(&net, 3);
+    assert_eq!(y_before, y_after, "healthy spares keep the outputs");
+    assert_eq!(r_before, r_after);
 }

@@ -11,7 +11,18 @@ use std::path::PathBuf;
 
 use yoloc::core::compiler::cache::PlanCache;
 use yoloc::core::compiler::{CompileOptions, CompiledNetwork};
-use yoloc::models::zoo;
+use yoloc::models::{zoo, NetworkDesc};
+
+/// The feed-forward graph most cases seed their cache with.
+fn vgg() -> NetworkDesc {
+    zoo::scaled(&zoo::vgg8(3), 16, (16, 16))
+}
+
+/// A graph whose plan reads side sources: projected `ResidualAdd`s and
+/// fused `Residual` epilogues.
+fn resnet() -> NetworkDesc {
+    zoo::scaled(&zoo::resnet18(3), 16, (32, 32))
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -22,14 +33,13 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Seeds a cache directory with one valid entry and returns the
-/// directory, the entry's path, and the plan bytes it deploys to.
-fn seeded_cache(tag: &str) -> (PathBuf, PathBuf, String) {
+/// Seeds a cache directory with one valid entry of `desc` and returns
+/// the directory, the entry's path, and the plan bytes it deploys to.
+fn seeded_cache(tag: &str, desc: &NetworkDesc) -> (PathBuf, PathBuf, String) {
     let dir = tmp_dir(tag);
-    let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
     let cache = PlanCache::at(&dir);
     let net = cache
-        .compile_random(&desc, 21, CompileOptions::paper_default())
+        .compile_random(desc, 21, CompileOptions::paper_default())
         .expect("cold compile");
     let entry = fs::read_dir(&dir)
         .expect("cache dir exists")
@@ -40,13 +50,12 @@ fn seeded_cache(tag: &str) -> (PathBuf, PathBuf, String) {
     (dir, entry, net.serialize_plan())
 }
 
-/// Asserts a fresh cache on `dir` treats the (damaged) entry as a miss,
-/// recompiles, and ends up serving the original plan again.
-fn assert_clean_miss(dir: &PathBuf, expected_plan: &str, what: &str) {
-    let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
+/// Asserts a fresh cache on `dir` treats the (damaged) entry of `desc`
+/// as a miss, recompiles, and ends up serving the original plan again.
+fn assert_clean_miss(dir: &PathBuf, desc: &NetworkDesc, expected_plan: &str, what: &str) {
     let cache = PlanCache::at(dir);
     let net = cache
-        .compile_random(&desc, 21, CompileOptions::paper_default())
+        .compile_random(desc, 21, CompileOptions::paper_default())
         .unwrap_or_else(|e| panic!("{what}: deploy must survive damage: {e}"));
     assert_eq!(
         (cache.hits(), cache.misses()),
@@ -61,7 +70,7 @@ fn assert_clean_miss(dir: &PathBuf, expected_plan: &str, what: &str) {
     // The overwritten entry is healthy again: next deploy hits.
     let again = PlanCache::at(dir);
     again
-        .compile_random(&desc, 21, CompileOptions::paper_default())
+        .compile_random(desc, 21, CompileOptions::paper_default())
         .expect("healed entry");
     assert_eq!(
         (again.hits(), again.misses()),
@@ -104,10 +113,10 @@ fn first_code_line(body: &str) -> std::ops::Range<usize> {
 
 #[test]
 fn truncated_entry_is_a_clean_miss() {
-    let (dir, entry, plan) = seeded_cache("trunc");
+    let (dir, entry, plan) = seeded_cache("trunc", &vgg());
     let raw = fs::read_to_string(&entry).unwrap();
     fs::write(&entry, &raw[..raw.len() / 2]).unwrap();
-    assert_clean_miss(&dir, &plan, "truncated");
+    assert_clean_miss(&dir, &vgg(), &plan, "truncated");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -115,7 +124,7 @@ fn truncated_entry_is_a_clean_miss() {
 fn bit_flipped_entries_are_clean_misses() {
     // Flip one bit at several positions spread across the document —
     // including deep in the body where the text stays valid JSON.
-    let (dir, entry, plan) = seeded_cache("flip");
+    let (dir, entry, plan) = seeded_cache("flip", &vgg());
     let pristine = fs::read(&entry).unwrap();
     let step = (pristine.len() / 7).max(1);
     for i in 0..7 {
@@ -123,7 +132,7 @@ fn bit_flipped_entries_are_clean_misses() {
         let mut bytes = pristine.clone();
         bytes[pos] ^= 1 << (i % 8);
         fs::write(&entry, &bytes).unwrap();
-        assert_clean_miss(&dir, &plan, &format!("bit flip at byte {pos}"));
+        assert_clean_miss(&dir, &vgg(), &plan, &format!("bit flip at byte {pos}"));
         // Restore the damaged file for the next flip (assert_clean_miss
         // heals it, so re-damage from the pristine copy).
     }
@@ -132,11 +141,11 @@ fn bit_flipped_entries_are_clean_misses() {
 
 #[test]
 fn wrong_schema_entry_is_a_clean_miss() {
-    let (dir, entry, plan) = seeded_cache("schema");
+    let (dir, entry, plan) = seeded_cache("schema", &vgg());
     // Re-framed with a valid checksum: schema rejection must work even
     // when the bytes are intact (a genuinely stale format, not damage).
     reframe(&entry, |body| body.replace("yoloc-plan/2", "yoloc-plan/99"));
-    assert_clean_miss(&dir, &plan, "wrong schema");
+    assert_clean_miss(&dir, &vgg(), &plan, "wrong schema");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -146,29 +155,29 @@ fn hostile_weight_codes_are_clean_misses() {
     // store: one code out of the signed 8-bit range, and a matrix one
     // code short. Deserialization must reject both as a miss instead of
     // panicking while it programs the subarrays.
-    let (dir, entry, plan) = seeded_cache("codes");
+    let (dir, entry, plan) = seeded_cache("codes", &vgg());
     reframe(&entry, |body| {
         let line = first_code_line(body);
         let code = body[line.clone()].trim().trim_end_matches(',');
         let rest = body[line.start..].replacen(code, "999", 1);
         format!("{}{rest}", &body[..line.start])
     });
-    assert_clean_miss(&dir, &plan, "code out of range");
+    assert_clean_miss(&dir, &vgg(), &plan, "code out of range");
     reframe(&entry, |body| {
         let line = first_code_line(body);
         format!("{}{}", &body[..line.start], &body[line.end..])
     });
-    assert_clean_miss(&dir, &plan, "one code short");
+    assert_clean_miss(&dir, &vgg(), &plan, "one code short");
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn empty_and_garbage_entries_are_clean_misses() {
-    let (dir, entry, plan) = seeded_cache("empty");
+    let (dir, entry, plan) = seeded_cache("empty", &vgg());
     fs::write(&entry, "").unwrap();
-    assert_clean_miss(&dir, &plan, "empty file");
+    assert_clean_miss(&dir, &vgg(), &plan, "empty file");
     fs::write(&entry, b"\x00\xff\x00garbage\n\n{{{").unwrap();
-    assert_clean_miss(&dir, &plan, "binary garbage");
+    assert_clean_miss(&dir, &vgg(), &plan, "binary garbage");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -176,12 +185,12 @@ fn empty_and_garbage_entries_are_clean_misses() {
 fn unframed_legacy_entry_is_a_clean_miss() {
     // A pre-checksum cache file is the bare document with no checksum
     // line — the frame decoder must invalidate it rather than trust it.
-    let (dir, entry, plan) = seeded_cache("legacy");
+    let (dir, entry, plan) = seeded_cache("legacy", &vgg());
     let raw = fs::read_to_string(&entry).unwrap();
     let (_, body) = raw.split_once('\n').expect("framed entry");
     let body = body.to_string();
     fs::write(&entry, body).unwrap();
-    assert_clean_miss(&dir, &plan, "unframed legacy entry");
+    assert_clean_miss(&dir, &vgg(), &plan, "unframed legacy entry");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -190,8 +199,7 @@ fn deserializer_rejects_what_the_checksum_cannot_see() {
     // Defense in depth: hand the deserializer a checksum-valid document
     // with an internally inconsistent shape; it must error, not build a
     // broken network.
-    let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-    let net = CompiledNetwork::compile_random(&desc, 21, CompileOptions::paper_default())
+    let net = CompiledNetwork::compile_random(&vgg(), 21, CompileOptions::paper_default())
         .expect("compiles");
     let text = net.serialize_plan();
     let bad = text.replace("\"n_chips\": 1", "\"n_chips\": \"one\"");
@@ -321,8 +329,7 @@ fn deserializer_rejects_hostile_dequant_state() {
     // Each of these used to load `Ok` and then panic at inference (a
     // short table indexes out of bounds; a 40-bit width overflows a
     // shift) or quantize with unusable parameters.
-    let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-    let net = CompiledNetwork::compile_random(&desc, 21, CompileOptions::paper_default())
+    let net = CompiledNetwork::compile_random(&vgg(), 21, CompileOptions::paper_default())
         .expect("compiles");
     let text = net.serialize_plan();
     assert!(CompiledNetwork::deserialize_plan(&text).is_ok());
@@ -338,10 +345,116 @@ fn deserializer_rejects_hostile_dequant_state() {
 
 #[test]
 fn hostile_dequant_state_is_a_clean_miss() {
-    let (dir, entry, plan) = seeded_cache("dequant");
+    let (dir, entry, plan) = seeded_cache("dequant", &vgg());
     for (what, edit, _) in hostile_dequant_edits() {
         reframe(&entry, edit);
-        assert_clean_miss(&dir, &plan, what);
+        assert_clean_miss(&dir, &vgg(), &plan, what);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Points the first side source after `anchor` — a `"ResidualAdd"`, a
+/// `"Passthrough"` or a fused `"Residual"` epilogue — at op `to`.
+fn set_source(body: &str, anchor: &str, to: usize) -> String {
+    let at = body
+        .find(&format!("\"{anchor}\": {{"))
+        .expect("source-reading op present");
+    let key = "\"Op\": ";
+    let start = at + body[at..].find(key).expect("op source") + key.len();
+    let end = start + body[start..].find('\n').expect("index end");
+    format!("{}{to}{}", &body[..start], &body[end..])
+}
+
+/// Op indices no side source may take in an `ops`-op plan: the last op,
+/// which follows every reader but itself, and two past the end.
+fn forward_targets(ops: usize) -> [usize; 3] {
+    [ops - 1, ops + 15, 1_000_000]
+}
+
+/// The first `ResidualAdd` of `net`'s plan, as `(reader, recycled)`: its
+/// op index (the first source the deserializer calls non-preceding) and
+/// the earlier ops it may not read either, because the buffer plan hands
+/// their slot to an op up to and including the reader before the read.
+fn recycled_sources(net: &CompiledNetwork) -> (usize, Vec<usize>) {
+    let text = net.serialize_plan();
+    let slots = &net.plan().buffer_plan().expect("planned arena").slot_of_op;
+    let reader = (0..slots.len())
+        .find(|&j| {
+            let loaded = CompiledNetwork::deserialize_plan(&set_source(&text, "ResidualAdd", j));
+            matches!(loaded, Err(e) if e.contains("does not precede"))
+        })
+        .expect("an op cannot read itself");
+    let recycled: Vec<usize> = (0..reader)
+        .filter(|&j| slots[j + 1..=reader].contains(&slots[j]))
+        .collect();
+    // The reader's own output slot is among them: the arena's aliasing
+    // assert, not only a silent read of another op's data.
+    assert!(recycled.iter().any(|&j| slots[j] == slots[reader]));
+    (reader, recycled)
+}
+
+#[test]
+fn deserializer_rejects_forward_op_sources() {
+    // Each of these used to load `Ok`; inference then indexed past the
+    // buffer plan or tripped the arena's slot-aliasing assert.
+    let yolo = zoo::scaled(&zoo::yolo_v2(4, 2), 32, (64, 64));
+    for (desc, anchor) in [
+        (resnet(), "ResidualAdd"),
+        (resnet(), "Residual"),
+        (yolo, "Passthrough"),
+    ] {
+        let net = CompiledNetwork::compile_random(&desc, 21, CompileOptions::paper_default())
+            .expect("compiles");
+        let text = net.serialize_plan();
+        for to in forward_targets(net.plan().len()) {
+            let bad = set_source(&text, anchor, to);
+            assert_ne!(bad, text, "{anchor} -> {to}: mutation must apply");
+            match CompiledNetwork::deserialize_plan(&bad) {
+                Ok(_) => panic!("{} {anchor} -> op {to}: hostile plan loaded", desc.name),
+                Err(e) => assert!(e.contains("does not precede"), "{anchor} -> {to}: {e:?}"),
+            }
+        }
+    }
+    // Nor may a source name an earlier op whose slot the buffer plan has
+    // handed on: these loaded too, then tripped the same assert or read
+    // whichever op had overwritten the slot.
+    let net = CompiledNetwork::compile_random(&resnet(), 21, CompileOptions::paper_default())
+        .expect("compiles");
+    let text = net.serialize_plan();
+    let (reader, recycled) = recycled_sources(&net);
+    for j in 0..reader {
+        match CompiledNetwork::deserialize_plan(&set_source(&text, "ResidualAdd", j)) {
+            Ok(_) => assert!(
+                !recycled.contains(&j),
+                "op {reader} -> recycled op {j} loaded"
+            ),
+            Err(e) => assert!(
+                recycled.contains(&j) && e.contains("overwrites"),
+                "op {reader} -> op {j}: {e:?}"
+            ),
+        }
+    }
+}
+
+#[test]
+fn forward_op_sources_are_clean_misses() {
+    let desc = resnet();
+    let (dir, entry, plan) = seeded_cache("sources", &desc);
+    let net = CompiledNetwork::deserialize_plan(&plan).expect("pristine plan loads");
+    for anchor in ["ResidualAdd", "Residual"] {
+        for to in forward_targets(net.plan().len()) {
+            reframe(&entry, |body| set_source(body, anchor, to));
+            assert_clean_miss(&dir, &desc, &plan, &format!("{anchor} -> op {to}"));
+        }
+    }
+    for to in recycled_sources(&net).1 {
+        reframe(&entry, |body| set_source(body, "ResidualAdd", to));
+        assert_clean_miss(
+            &dir,
+            &desc,
+            &plan,
+            &format!("ResidualAdd -> recycled op {to}"),
+        );
     }
     let _ = fs::remove_dir_all(&dir);
 }
