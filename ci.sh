@@ -9,6 +9,11 @@ cargo fmt --all --check
 echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark package compiles against the library's API"
+# Seconds here, instead of surfacing only in benchmark/check.sh, the
+# last step, after the full suite.
+cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
+
 echo "== cargo doc (workspace, broken links and missing docs are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

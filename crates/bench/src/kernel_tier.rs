@@ -51,7 +51,7 @@ use yoloc_cim::backend::MvmScratch;
 use yoloc_cim::kernels::transposed_pad;
 use yoloc_cim::{
     avx2_available, avx512_available, KernelDispatch, KernelKind, MacroParams, MatmulLayout,
-    MvmBackend, MvmStats, RomMvm,
+    MvmStats, RomMvm,
 };
 use yoloc_models::NetworkDesc;
 

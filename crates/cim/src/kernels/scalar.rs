@@ -5,10 +5,9 @@ use super::FoldParams;
 
 /// The one integer matmul every digital path shares:
 /// `out[o*n + v] = sum_i codes[o*ins + i] * acts[v*ins + i]` (row-major
-/// activations, channel-major accumulators) — used by [`reference_mvm`],
-/// the software backend's batch entry and the scalar tier of
-/// [`RomMvm::mvm_batch_exact`], so the arithmetic can never diverge
-/// between them.
+/// activations, channel-major accumulators) — used by [`reference_mvm`]
+/// and the scalar tier of [`RomMvm::mvm_batch_exact`], so the arithmetic
+/// can never diverge between them.
 ///
 /// [`reference_mvm`]: crate::macro_model::reference_mvm
 /// [`RomMvm::mvm_batch_exact`]: crate::macro_model::RomMvm

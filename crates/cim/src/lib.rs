@@ -41,9 +41,7 @@ pub mod tcam;
 pub mod technology;
 
 pub use analog::{AdcModel, AnalogArray, AnalogConfig};
-pub use backend::{
-    program_backend, program_backend_faulted, BackendKind, DynRng, MvmBackend, SoftwareMvm,
-};
+pub use backend::{program_backend, BackendKind};
 pub use cells::{CellKind, RomCell};
 pub use faults::{AdcFault, FabricGeometry, FaultContext, FaultPlan, FaultSpec, StuckKind};
 pub use kernels::{

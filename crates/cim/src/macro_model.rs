@@ -12,7 +12,7 @@
 //!   weights into analog subarrays and executes the bit-serial datapath,
 //!   with energy/latency statistics.
 
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -23,7 +23,7 @@ use crate::faults::{self, AdcFault, ColumnFaults, FaultContext};
 use crate::kernels::{self, KernelDispatch, KernelKind};
 use yoloc_quant::bitplane::{signed_plane_weight, unsigned_chunks};
 
-pub(crate) use crate::kernels::scalar::matmul_into;
+use crate::kernels::scalar::matmul_into;
 
 /// Circuit-level parameters of a CiM macro.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -341,9 +341,10 @@ struct PopcountTile {
 ///
 /// # Execution paths
 ///
-/// [`RomMvm::mvm`] and the batched [`MvmBackend`] entries dispatch
-/// between two implementations that are bit-identical whenever both are
-/// applicable (asserted by tests):
+/// [`RomMvm::mvm`] and the batch entries ([`RomMvm::mvm_batch`] and
+/// the run and fold steps under it) dispatch between two
+/// implementations that are bit-identical whenever both are applicable
+/// (asserted by tests):
 ///
 /// * the **analog reference path** ([`RomMvm::mvm_analog`]) walks every
 ///   cell through [`AnalogArray::evaluate`], modelling precharge, pulse
@@ -360,8 +361,6 @@ struct PopcountTile {
 /// [`BackendKind::Analog`](crate::backend::BackendKind::Analog) engines
 /// are programmed without the popcount state, so they always take the
 /// reference path.
-///
-/// [`MvmBackend`]: crate::backend::MvmBackend
 pub struct RomMvm {
     params: MacroParams,
     /// `tiles[row_tile][col_tile]` of programmed subarrays.
@@ -712,7 +711,7 @@ impl RomMvm {
     /// programmed.
     ///
     /// [`BackendKind::Analog`]: crate::backend::BackendKind::Analog
-    pub(crate) fn pin_analog(&mut self) {
+    pub fn pin_analog(&mut self) {
         self.popcount_tiles = None;
         self.codes = Vec::new();
         self.codes16 = kernels::PackedCodes16::empty();
@@ -774,7 +773,7 @@ impl RomMvm {
         let mut stats = MvmStats::default();
         let mut scratch = crate::backend::MvmScratch::new();
         self.mvm_batch_noiseless(acts, 1, &mut out, &mut scratch);
-        self.merge_counter_stats(&scratch.counters, &mut stats);
+        self.fold_stats(&scratch, 0..1, &mut stats);
         (out, stats)
     }
 
@@ -782,7 +781,7 @@ impl RomMvm {
     /// integer matmul where the ADC transfer is an identity, the
     /// quantizing popcount mask stream otherwise. Leaves one event-counter
     /// row per vector in `scratch.counters` for
-    /// [`RomMvm::merge_counter_stats`].
+    /// [`RomMvm::fold_stats`].
     pub(crate) fn mvm_batch_noiseless(
         &self,
         acts: &[i32],
@@ -879,17 +878,23 @@ impl RomMvm {
     }
 
     /// The activation layout the batched kernels prefer for a block of
-    /// `n` vectors (see [`kernels::choose_layout`]); the analog reference
-    /// path has no batched kernel and always stages row-major. The
-    /// row-major entries run the row-major kernels on every shape, so
-    /// the transposed kernels run only for callers that stage the panel.
+    /// `n` vectors (see [`kernels::choose_layout`]).
+    /// [`MatmulLayout::Transposed`](kernels::MatmulLayout::Transposed)
+    /// asks the caller to stage the lane-major `[ins x n_pad]` panel
+    /// (`n_pad = transposed_pad(n)`, padding lanes zero) and call
+    /// [`RomMvm::run_batch_transposed`] or
+    /// [`RomMvm::mvm_batch_transposed`], writing codes straight into the
+    /// panel with no repack pass. The analog reference path has no
+    /// batched kernel and always stages row-major. The row-major entries
+    /// run the row-major kernels on every shape, so the transposed
+    /// kernels run only for callers that stage the panel.
     ///
     /// The scalar tier also stays row-major: the panel layout only pays
     /// off when lanes vectorize, and letting the reference tier take its
     /// slower transposed walk would quietly inflate every measured
     /// speedup. Scalar's transposed entries remain first-class parity
     /// oracles — the remainder suites drive them with explicit panels.
-    pub(crate) fn batch_layout_for(&self, n: usize) -> kernels::MatmulLayout {
+    pub fn batch_layout(&self, n: usize) -> kernels::MatmulLayout {
         if !self.fast_path_active() || self.kernel == kernels::KernelKind::Scalar {
             return kernels::MatmulLayout::RowMajor;
         }
@@ -909,7 +914,7 @@ impl RomMvm {
     /// activation panel (`acts_t[i * n_pad + v]`; padding lanes are
     /// never read back but must stay within the activation code range,
     /// e.g. zero or stale codes from an earlier staging pass) —
-    /// the layout [`RomMvm::batch_layout_for`] asks callers to stage
+    /// the layout [`RomMvm::batch_layout`] asks callers to stage
     /// when the crossover picks the transposed kernels, quantizing
     /// straight into the panel. Bit-identical to the row-major entry on
     /// every tier.
@@ -945,15 +950,23 @@ impl RomMvm {
         );
     }
 
-    /// Derives per-vector statistics from raw event counters (through
-    /// [`StatsFinisher::finish`]) and merges them **in vector order** —
-    /// the exact fold a per-vector `mvm` loop performs. This is
-    /// [`RomMvm`]'s [`MvmBackend::fold_stats`].
+    /// Fold step of the batch entries: merges the statistics of vectors
+    /// `vectors` of the last run step into `stats`, **in vector order,
+    /// each vector derived from its counters from zero** — exactly the
+    /// reduction a per-vector [`RomMvm::mvm`] loop over those vectors
+    /// performs.
     ///
-    /// [`MvmBackend::fold_stats`]: crate::backend::MvmBackend::fold_stats
-    pub(crate) fn merge_counter_stats(&self, counters: &[[u64; 3]], stats: &mut MvmStats) {
+    /// # Panics
+    ///
+    /// Panics if `vectors` reaches past the last run's block.
+    pub fn fold_stats(
+        &self,
+        scratch: &crate::backend::MvmScratch,
+        vectors: Range<usize>,
+        stats: &mut MvmStats,
+    ) {
         let finisher = &self.finisher;
-        for c in counters {
+        for c in &scratch.counters[vectors] {
             let mut s = MvmStats {
                 analog_evaluations: c[0],
                 adc_conversions: c[1],
@@ -1674,7 +1687,7 @@ mod tests {
                 let mut out = vec![0i64; n * outs];
                 let mut stats = MvmStats::default();
                 engine.mvm_batch_noiseless(&acts, n, &mut out, &mut scratch);
-                engine.merge_counter_stats(&scratch.counters, &mut stats);
+                engine.fold_stats(&scratch, 0..n, &mut stats);
                 prop_assert_eq!(&out, &golden, "values diverge on {}", kind.label());
                 prop_assert_eq!(&stats, &golden_stats, "stats diverge on {}", kind.label());
             }

@@ -138,12 +138,12 @@ pub struct ExecArena {
     rb: [Buf; 3],
     /// Shared CiM kernel staging (im2col, codes, accumulators, planes).
     /// The codes buffer holds vector-major rows or the lane-major
-    /// transposed panel, whichever layout the op's backend selects per
-    /// batch ([`MvmBackend::batch_layout`]); both stage in place and
-    /// retain capacity, so layout switches between ops never allocate
-    /// once warm.
+    /// transposed panel, whichever layout the op's engine selects per
+    /// batch ([`RomMvm::batch_layout`]); both stage in place and retain
+    /// capacity, so layout switches between ops never allocate once
+    /// warm.
     ///
-    /// [`MvmBackend::batch_layout`]: yoloc_cim::MvmBackend::batch_layout
+    /// [`RomMvm::batch_layout`]: yoloc_cim::RomMvm::batch_layout
     pub(crate) cim: CimScratch,
     /// Reused per-op measurement records.
     per_op: Vec<PerOpExec>,

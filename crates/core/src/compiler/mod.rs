@@ -7,11 +7,11 @@
 //! [`LayerSpec`] through the `mapping.rs` placement model (naive vs the
 //! paper's packed scheme) into programmed subarrays, and emits an
 //! [`ExecPlan`]: a flat list of executable ops — CiM convolutions and
-//! linears on a per-layer [`BackendKind`] (analog reference, popcount fast
-//! path, or pure-software golden model), ReBranch groups (Fig. 7: ROM
-//! trunk, compress and decompress around an SRAM res-conv), and the
-//! digital ops (activations, pooling, residual merges, passthrough reorg)
-//! that run through the cache in Fig. 9.
+//! linears on the macro engine (the popcount fast path, or the analog
+//! reference path the parity suites compile; see [`BackendKind`]),
+//! ReBranch groups (Fig. 7: ROM trunk, compress and decompress around an
+//! SRAM res-conv), and the digital ops (activations, pooling, residual
+//! merges, passthrough reorg) that run through the cache in Fig. 9.
 //!
 //! Execution is *measured*, not modelled: every inference walks the
 //! quantized datapath and threads the actual per-layer activation traffic
@@ -1332,8 +1332,8 @@ impl FaultConfig {
     }
 }
 
-/// Compile-time configuration: macro parameters, default and per-layer
-/// backend selection, mapping strategy, and the memory hierarchy.
+/// Compile-time configuration: macro parameters, execution path,
+/// mapping strategy, and the memory hierarchy.
 #[derive(Clone, Deserialize)]
 pub struct CompileOptions {
     /// ROM-CiM macro for trunk layers (a ReBranch group's trunk,
@@ -1341,10 +1341,10 @@ pub struct CompileOptions {
     pub rom: MacroParams,
     /// SRAM-CiM macro for the prediction head and ReBranch res-convs.
     pub sram: MacroParams,
-    /// Default execution backend for every CiM layer.
+    /// Execution path of every CiM layer: [`BackendKind::Popcount`] (the
+    /// default), or [`BackendKind::Analog`], the reference the parity
+    /// suites compile against.
     pub backend: BackendKind,
-    /// Per-layer backend overrides, matched by layer name.
-    pub backend_overrides: Vec<(String, BackendKind)>,
     /// Subarray placement strategy reported by the compiled network.
     pub mapping: MappingStrategy,
     /// Memory hierarchy for live traffic accounting.
@@ -1370,7 +1370,6 @@ impl Serialize for CompileOptions {
             ("rom", self.rom.to_json()),
             ("sram", self.sram.to_json()),
             ("backend", self.backend.to_json()),
-            ("backend_overrides", self.backend_overrides.to_json()),
             ("mapping", self.mapping.to_json()),
             ("memory", self.memory.to_json()),
             ("passes", self.passes.to_json()),
@@ -1390,20 +1389,11 @@ impl CompileOptions {
             rom: MacroParams::rom_paper(),
             sram: MacroParams::sram_paper(),
             backend: BackendKind::Popcount,
-            backend_overrides: Vec::new(),
             mapping: MappingStrategy::Packed,
             memory: MemoryParams::paper_default(),
             passes: PassPipeline::paper_default(),
             faults: None,
         }
-    }
-
-    fn backend_for(&self, name: &str) -> BackendKind {
-        self.backend_overrides
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, k)| *k)
-            .unwrap_or(self.backend)
     }
 }
 
@@ -1538,7 +1528,7 @@ impl CompiledNetwork {
                         (MemDomain::Rom, opts.rom)
                     };
                     let conv = CimConv2d::compile_on_with(
-                        opts.backend_for(name),
+                        opts.backend,
                         w,
                         *stride,
                         *padding,
@@ -1570,12 +1560,11 @@ impl CompiledNetwork {
                         rebranch_reference(&h, trunk_w, branch, *stride, *padding);
                     // Each conv calibrates on its own float input; the
                     // res-conv is the one trainable (SRAM) part.
-                    let backend = opts.backend_for(name);
                     let mut part = |w, stride, padding, input: &Tensor, params| {
                         let faults = layer_fault_record(cim_idx, &mapping);
                         cim_idx += 1;
                         CimConv2d::compile_on_with(
-                            backend,
+                            opts.backend,
                             w,
                             stride,
                             padding,
@@ -1605,7 +1594,7 @@ impl CompiledNetwork {
                     };
                     let bias = weights.biases[idx].as_deref();
                     let linear = CimLinear::compile_on_with(
-                        opts.backend_for(name),
+                        opts.backend,
                         w,
                         bias,
                         &[&feats],
@@ -1688,7 +1677,7 @@ impl CompiledNetwork {
                         Some(p) => {
                             let w = weights.projections[idx].as_ref().expect("checked above");
                             let conv = CimConv2d::compile_on_with(
-                                opts.backend_for(&p.name),
+                                opts.backend,
                                 w,
                                 p.stride,
                                 0,
@@ -2199,42 +2188,6 @@ mod tests {
         assert_eq!(y.shape(), &[0, 3]);
         assert_eq!(report.rom.analog_evaluations, 0);
         assert_eq!(report.dram_traffic_bits, 0);
-    }
-
-    #[test]
-    fn software_backend_override_zeroes_layer_energy() {
-        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-        let mut opts = small_opts();
-        // Run everything on the software golden model.
-        opts.backend = BackendKind::Software;
-        let net = CompiledNetwork::compile_random(&desc, 41, opts).unwrap();
-        let mut rng = StdRng::seed_from_u64(42);
-        let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (_, report) = net.infer(&x, &mut rng);
-        assert_eq!(report.rom.energy_pj, 0.0);
-        assert_eq!(report.sram.energy_pj, 0.0);
-        assert_eq!(report.energy.cim_uj, 0.0);
-        // The memory hierarchy still moves activations.
-        assert!(report.energy.buffer_uj > 0.0);
-        let (rom_subs, sram_subs) = net.programmed_subarrays();
-        assert_eq!((rom_subs, sram_subs), (0, 0));
-    }
-
-    #[test]
-    fn per_layer_backend_override_applies_by_name() {
-        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
-        let mut opts = small_opts();
-        opts.backend_overrides = vec![("conv1".to_string(), BackendKind::Software)];
-        let net = CompiledNetwork::compile_random(&desc, 51, opts).unwrap();
-        let base = CompiledNetwork::compile_random(&desc, 51, small_opts()).unwrap();
-        // conv1 contributes no subarrays under the override.
-        assert!(net.programmed_subarrays().0 < base.programmed_subarrays().0);
-        // And both produce identical logits at the exact design point.
-        let mut rng = StdRng::seed_from_u64(52);
-        let x = Tensor::rand_uniform(&[1, 1, 16, 16], 0.0, 1.0, &mut rng);
-        let (a, _) = net.infer(&x, &mut rng);
-        let (b, _) = base.infer(&x, &mut rng);
-        assert_eq!(a.data(), b.data());
     }
 
     /// The execution path of every CiM layer in `plan`, in op order.

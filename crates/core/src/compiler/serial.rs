@@ -8,9 +8,9 @@
 //! `yoloc-plan/2` JSON document and rebuilds it so that a deserialized
 //! network executes **bit-identically** to the fresh compile (logits,
 //! `MvmStats`, the full `ExecutionReport` — the `plan_roundtrip`
-//! integration suite is the gate). The MVM backends themselves are
+//! integration suite is the gate). The MVM engines themselves are
 //! re-programmed from the retained [`crate::qconv`] `ProgramSpec`s
-//! rather than walked, since `program_backend` is deterministic.
+//! rather than walked, since programming is deterministic.
 //!
 //! Numbers survive exactly: integer counts ride the shim's
 //! `UInt`/`Int` variants (no 2^53 truncation), `f32` state widens

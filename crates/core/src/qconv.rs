@@ -1,12 +1,11 @@
-//! Quantized convolution and linear layers executed on an MVM backend.
+//! Quantized convolution and linear layers executed on the CiM macro.
 //!
 //! This is the deployment path of Fig. 9: a layer's weights are quantized
 //! per-channel to 8 bits, lowered to a `(out_ch, in_ch*k*k)` (conv) or
-//! `(out_features, in_features)` (linear) matrix and programmed onto an
-//! [`MvmBackend`] — the analog reference path, the popcount fast path, or
-//! the pure-software integer reference, selected per layer
-//! ([`yoloc_cim::BackendKind`]). At run time activations are
-//! affine-quantized, driven through the backend, and the results are
+//! `(out_features, in_features)` (linear) matrix and programmed onto a
+//! [`RomMvm`] — on the popcount fast path, or pinned to the analog
+//! reference path ([`BackendKind`]). At run time activations are
+//! affine-quantized, driven through the engine, and the results are
 //! dequantized with zero-point correction. With the paper's 5-bit-ADC
 //! design point the integer arithmetic is exact, so the only deviation
 //! from a software layer is the quantization itself — the basis for the
@@ -15,12 +14,10 @@
 
 use rand::Rng;
 
-use yoloc_cim::backend::{
-    program_backend, program_backend_faulted, BackendKind, DynRng, MvmBackend, MvmScratch,
-};
+use yoloc_cim::backend::{BackendKind, MvmScratch};
 use yoloc_cim::faults::{FaultContext, FaultPlan, FaultSpec};
 use yoloc_cim::kernels::{transposed_pad, MatmulLayout};
-use yoloc_cim::macro_model::{MacroParams, MvmStats};
+use yoloc_cim::macro_model::{MacroParams, MvmStats, RomMvm};
 use yoloc_quant::{calibrate_affine, PerChannelQuant, QuantParams};
 use yoloc_tensor::ops::{im2col, im2col_into, Conv2dGeometry, PatchWindow};
 use yoloc_tensor::Tensor;
@@ -44,13 +41,13 @@ pub struct CimScratch {
     /// The conv input quantized once, `(n, C, h, w)` row-major.
     input_codes: Vec<i32>,
     /// Activation codes of every output position of the conv (all
-    /// samples), in the backend's [`MvmBackend::batch_layout`].
+    /// samples), in the engine's [`RomMvm::batch_layout`].
     codes: Vec<i32>,
     /// Integer accumulators of every output position, channel-major
-    /// (`accs[o * positions + position]`, see [`MvmBackend`]).
+    /// (`accs[o * positions + position]`, see [`yoloc_cim::backend`]).
     accs: Vec<i64>,
-    /// Bit-plane staging for [`MvmBackend::run_batch`], and the
-    /// per-position event counters [`MvmBackend::fold_stats`] folds the
+    /// Bit-plane staging for [`RomMvm::run_batch`], and the
+    /// per-position event counters [`RomMvm::fold_stats`] folds the
     /// modelled tiles from.
     mvm: MvmScratch,
 }
@@ -127,12 +124,12 @@ impl ChannelDequant {
     }
 }
 
-/// Everything needed to re-program an MVM backend deterministically:
-/// the compile-time backend choice, macro parameters and quantized
+/// Everything needed to re-program a layer's engine deterministically:
+/// the compile-time execution path, macro parameters and quantized
 /// weight codes. Retained by compiled layers so a plan can be serialized
-/// and rebuilt bit-identically (the backends themselves own un-walkable
-/// state like the analog array, so layers re-run [`program_backend`] on
-/// deserialization instead of persisting the engine).
+/// and rebuilt bit-identically (the engine owns un-walkable state like
+/// the analog array, so layers re-program it on deserialization instead
+/// of persisting it).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) struct ProgramSpec {
     kind: BackendKind,
@@ -202,26 +199,30 @@ impl Deserialize for ProgramSpec {
 }
 
 impl ProgramSpec {
-    fn program(&self) -> Box<dyn MvmBackend> {
-        match &self.faults {
-            None => program_backend(self.kind, self.params, &self.codes, self.outs, self.ins),
-            Some(lf) => {
-                let plan = FaultPlan::new(lf.spec);
-                let ctx = FaultContext {
-                    plan: &plan,
-                    phys_ids: &lf.phys_ids,
-                    link_slowdown: lf.link_slowdown,
-                };
-                program_backend_faulted(
-                    self.kind,
-                    self.params,
-                    &self.codes,
-                    self.outs,
-                    self.ins,
-                    &ctx,
-                )
-            }
+    /// Programs the engine through the record's faults (none programs
+    /// the pristine fabric), pinned to the analog reference path for
+    /// [`BackendKind::Analog`].
+    fn program(&self) -> Box<RomMvm> {
+        let plan = FaultPlan::new(self.faults.as_ref().map_or(FaultSpec::none(), |lf| lf.spec));
+        let ctx = match &self.faults {
+            None => FaultContext::bare(&plan),
+            Some(lf) => FaultContext {
+                plan: &plan,
+                phys_ids: &lf.phys_ids,
+                link_slowdown: lf.link_slowdown,
+            },
+        };
+        let mut engine = Box::new(RomMvm::program_with_faults(
+            self.params,
+            &self.codes,
+            self.outs,
+            self.ins,
+            &ctx,
+        ));
+        if self.kind == BackendKind::Analog {
+            engine.pin_analog();
         }
+        engine
     }
 }
 
@@ -317,7 +318,7 @@ fn geom_from(v: &Json) -> Result<Conv2dGeometry, String> {
 
 /// A convolution compiled onto an MVM backend.
 pub struct CimConv2d {
-    engine: Box<dyn MvmBackend>,
+    engine: Box<RomMvm>,
     dequant: Dequant,
     /// Activation quantization parameters.
     pub act_params: QuantParams,
@@ -360,8 +361,10 @@ impl CimConv2d {
         )
     }
 
-    /// Compiles `weight` onto an explicitly chosen backend (the per-layer
-    /// selection point of the graph compiler).
+    /// Compiles `weight` onto an explicitly chosen backend (the graph
+    /// compiler's [`CompileOptions::backend`]).
+    ///
+    /// [`CompileOptions::backend`]: crate::compiler::CompileOptions::backend
     ///
     /// # Panics
     ///
@@ -450,8 +453,7 @@ impl CimConv2d {
         }
     }
 
-    /// Number of physical subarrays programmed (0 on the software
-    /// reference backend).
+    /// Number of physical subarrays programmed.
     pub fn subarrays(&self) -> usize {
         self.engine.subarrays_used()
     }
@@ -495,8 +497,8 @@ impl CimConv2d {
     /// leaving the accumulators in `scratch.accs` and one event-counter
     /// row per position in `scratch.mvm`.
     ///
-    /// The lowering gathers codes straight into the layout the backend's
-    /// [`MvmBackend::batch_layout`] picks for the block: vector-major rows,
+    /// The lowering gathers codes straight into the layout the engine's
+    /// [`RomMvm::batch_layout`] picks for the block: vector-major rows,
     /// or the lane-major panel whose rows are the contiguous runs of the
     /// patch-major im2col matrix. Padded taps take the code of 0.0.
     fn run_block<R: Rng + ?Sized>(
@@ -534,14 +536,8 @@ impl CimConv2d {
                 for lane in codes.chunks_exact_mut(n_pad) {
                     lane[positions..].fill(0);
                 }
-                self.engine.run_batch_transposed(
-                    codes,
-                    positions,
-                    n_pad,
-                    accs,
-                    mvm,
-                    &mut DynRng(rng),
-                );
+                self.engine
+                    .run_batch_transposed(codes, positions, n_pad, accs, mvm, rng);
             }
             MatmulLayout::RowMajor => {
                 codes.resize(positions * patch, 0);
@@ -552,8 +548,7 @@ impl CimConv2d {
                     col_stride: patch,
                 };
                 im2col_into(input_codes, dims, &self.geom, pad, win, codes);
-                self.engine
-                    .run_batch(codes, positions, accs, mvm, &mut DynRng(rng));
+                self.engine.run_batch(codes, positions, accs, mvm, rng);
             }
         }
     }
@@ -695,7 +690,7 @@ pub fn split_range_iter(len: usize, parts: usize) -> impl Iterator<Item = (usize
 /// A fully-connected layer compiled onto an MVM backend (the prediction
 /// head / classifier path of Fig. 9, always SRAM-CiM in the paper).
 pub struct CimLinear {
-    engine: Box<dyn MvmBackend>,
+    engine: Box<RomMvm>,
     dequant: Dequant,
     bias: Vec<f32>,
     /// Activation quantization parameters.
@@ -865,7 +860,7 @@ impl CimLinear {
                     &mut scratch.accs,
                     &mut stats,
                     &mut scratch.mvm,
-                    &mut DynRng(rng),
+                    rng,
                 );
             }
             MatmulLayout::RowMajor => {
@@ -879,7 +874,7 @@ impl CimLinear {
                     &mut scratch.accs,
                     &mut stats,
                     &mut scratch.mvm,
-                    &mut DynRng(rng),
+                    rng,
                 );
             }
         }
@@ -1050,14 +1045,8 @@ mod tests {
             }
             let mut accs = vec![0i64; (hi - lo) * oc];
             let mut tile_stats = MvmStats::default();
-            conv.engine.mvm_batch(
-                &codes,
-                hi - lo,
-                &mut accs,
-                &mut tile_stats,
-                &mut mvm,
-                &mut DynRng(rng),
-            );
+            conv.engine
+                .mvm_batch(&codes, hi - lo, &mut accs, &mut tile_stats, &mut mvm, rng);
             stats.merge(&tile_stats);
             for v in 0..hi - lo {
                 let (ni, p) = ((lo + v) / (oh * ow), (lo + v) % (oh * ow));
@@ -1099,7 +1088,7 @@ mod tests {
     #[test]
     fn forward_in_matches_staging_oracle() {
         // Window geometries x batch sizes x tile hints x both batch
-        // layouts x every backend. The host block is always the whole
+        // layouts x both backend kinds. The host block is always the whole
         // conv, so every hint above 1 folds tiles that differ from it,
         // and at n = 3 tiles straddle samples. Inputs dip below zero, so
         // the zero point — the pad code — is above 0. One scratch serves
@@ -1110,12 +1099,7 @@ mod tests {
         let (c, hw) = (2, 7);
         let mut scratch = CimScratch::new();
         let mut layouts = Vec::new();
-        let kinds = [
-            BackendKind::Popcount,
-            BackendKind::Software,
-            BackendKind::Analog,
-        ];
-        for kind in kinds {
+        for kind in [BackendKind::Popcount, BackendKind::Analog] {
             for kernel in [1, 3, 5] {
                 for (stride, padding) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
                     // Batches 1 and 3. On the SIMD tiers 4 output
@@ -1183,26 +1167,21 @@ mod tests {
 
     #[test]
     fn conv_backends_agree_at_paper_design_point() {
-        // The per-layer backend selection point: analog, popcount and
-        // software deployments of the same conv agree bit-for-bit at the
-        // paper's exact design point.
+        // The backend selection point: analog and popcount deployments of
+        // the same conv agree bit-for-bit at the paper's exact design
+        // point.
         let mut rng = StdRng::seed_from_u64(3);
         let w = Tensor::randn(&[4, 3, 3, 3], 0.0, 0.4, &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 6, 6], 0.0, 1.0, &mut rng);
         let params = MacroParams::rom_paper();
-        let outputs: Vec<Tensor> = [
-            BackendKind::Analog,
-            BackendKind::Popcount,
-            BackendKind::Software,
-        ]
-        .into_iter()
-        .map(|kind| {
-            let conv = CimConv2d::compile_on(kind, &w, 1, 1, &[&x], params);
-            conv.forward(&x, &mut rng).0
-        })
-        .collect();
+        let outputs: Vec<Tensor> = [BackendKind::Analog, BackendKind::Popcount]
+            .into_iter()
+            .map(|kind| {
+                let conv = CimConv2d::compile_on(kind, &w, 1, 1, &[&x], params);
+                conv.forward(&x, &mut rng).0
+            })
+            .collect();
         assert_eq!(outputs[0].data(), outputs[1].data());
-        assert_eq!(outputs[1].data(), outputs[2].data());
     }
 
     #[test]
@@ -1225,21 +1204,29 @@ mod tests {
     }
 
     #[test]
-    fn cim_linear_software_backend_zero_stats() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let w = Tensor::randn(&[4, 16], 0.0, 0.4, &mut rng);
-        let x = Tensor::rand_uniform(&[2, 16], 0.0, 1.0, &mut rng);
-        let linear = CimLinear::compile_on(
-            BackendKind::Software,
-            &w,
-            None,
-            &[&x],
-            MacroParams::sram_paper(),
-        );
-        assert_eq!(linear.subarrays(), 0);
-        assert_eq!(linear.backend_name(), "software");
-        let (_, stats) = linear.forward(&x, &mut rng);
-        assert_eq!(stats, MvmStats::default());
+    fn zero_point_correction_is_exact() {
+        // The zero-point corrected dequantizer inference runs must be
+        // algebraically exact for the quantized values themselves.
+        let wp = QuantParams::symmetric(1.0, 8);
+        let xp = QuantParams::affine(0.0, 2.0, 8);
+        let w_codes = [5i32, -7, 100];
+        let x_codes = [3i32, 200, 45];
+        let acc: i64 = w_codes
+            .iter()
+            .zip(&x_codes)
+            .map(|(&w, &x)| w as i64 * x as i64)
+            .sum();
+        let dequant = Dequant {
+            channel_scales: vec![wp.scale],
+            row_sums: vec![w_codes.iter().map(|&w| w as i64).sum()],
+        };
+        let got = dequant.channel(0, &xp).value(acc);
+        let expect: f32 = w_codes
+            .iter()
+            .zip(&x_codes)
+            .map(|(&w, &x)| wp.dequantize_value(w) * xp.dequantize_value(x))
+            .sum();
+        assert!((got - expect).abs() < 1e-4, "{got} vs {expect}");
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! Quantization support for the YOLoC (DAC 2022) reproduction: uniform
 //! integer quantization (per-tensor affine/symmetric and per-channel
-//! symmetric), calibration, the bit-serial decompositions that the ROM-CiM
-//! macro datapath executes (weight bit-planes, 2-bit activation chunks with
-//! unary pulse counts), and integer reference kernels used as golden models
-//! for the analog macro simulation.
+//! symmetric), calibration, and the bit-serial decompositions that the
+//! ROM-CiM macro datapath executes (weight bit-planes, 2-bit activation
+//! chunks with unary pulse counts).
 //!
 //! # Examples
 //!
@@ -26,6 +25,5 @@
 pub mod bitplane;
 pub mod params;
 pub mod qat;
-pub mod qlinear;
 
 pub use params::{calibrate_affine, PerChannelQuant, QuantParams, QuantTensor};

@@ -172,6 +172,25 @@ fn hostile_weight_codes_are_clean_misses() {
 }
 
 #[test]
+fn removed_backend_kind_is_a_clean_miss() {
+    // Entries written while `BackendKind` still had a `Software` variant
+    // may name it. The checksum holds, so only the deserializer can turn
+    // such an entry away: it must recompile, not load.
+    let (dir, entry, plan) = seeded_cache("kind", &vgg());
+    let software =
+        |body: &str| body.replacen("\"kind\": \"Popcount\"", "\"kind\": \"Software\"", 1);
+    let raw = fs::read_to_string(&entry).unwrap();
+    let (_, body) = raw.split_once('\n').expect("framed entry");
+    match CompiledNetwork::deserialize_plan(&software(body)) {
+        Ok(_) => panic!("a plan naming the removed Software kind loaded"),
+        Err(e) => assert!(e.contains("unknown variant \"Software\""), "{e:?}"),
+    }
+    reframe(&entry, software);
+    assert_clean_miss(&dir, &vgg(), &plan, "removed Software kind");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn empty_and_garbage_entries_are_clean_misses() {
     let (dir, entry, plan) = seeded_cache("empty", &vgg());
     fs::write(&entry, "").unwrap();
