@@ -42,6 +42,12 @@ cargo test -q --release -p yoloc-quant -p yoloc-tensor
 # The quantizer against its truncation reference on all 2^32 inputs.
 cargo test -q --release -p yoloc-quant -- --ignored
 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
+# The code planes run only in the transposed layout, which the scalar
+# tier never picks for a conv, and under `auto` on an AVX-512 host only
+# blocks of at most 8 lanes reach the AVX2 transposed kernels: pin each
+# SIMD tier too.
+YOLOC_KERNEL=avx2 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
+YOLOC_KERNEL=avx512 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 
 echo "== fusion parity suite (YOLOC_SMOKE=1)"
 YOLOC_SMOKE=1 cargo test -q --test fusion_parity

@@ -34,12 +34,16 @@
 //! into [`MvmStats`]. So a caller can run a whole block in one call and
 //! still fold its statistics in sub-blocks: folding a partition sub-block
 //! by sub-block, each from zero, equals one [`RomMvm::mvm_batch`] per
-//! sub-block, bit for bit. Noiseless engines leave the RNG untouched, so
+//! sub-block, bit for bit. Between the two steps,
+//! [`MvmScratch::keep_runs`] can drop vectors a run computed only
+//! because they sat between the ones the caller wants (the gap lanes of
+//! a conv's code planes). Noiseless engines leave the RNG untouched, so
 //! noiseless execution stays bit-reproducible on either path.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::kernels::Panel;
 use crate::macro_model::{MacroParams, MvmStats, RomMvm};
 
 /// Which execution path a layer's engine is programmed for (see the
@@ -94,6 +98,9 @@ pub struct MvmScratch {
     /// Row-major activation staging for the reverse unpack (a
     /// transposed caller landing on a path that wants row-major acts).
     pub(crate) acts_rm: Vec<i32>,
+    /// The contiguous row offsets (`i * n_pad`) of a copied panel, for
+    /// [`RomMvm::mvm_batch_transposed`].
+    pub(crate) panel_rows: Vec<usize>,
 }
 
 impl MvmScratch {
@@ -101,6 +108,52 @@ impl MvmScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Drops the gap vectors of the last run step. That step ran
+    /// `(runs - 1) * period + live` vectors: `runs` runs of `live`
+    /// wanted vectors, each starting `period` after the one before.
+    /// Keeps only the wanted ones, in order, packed to `runs * live`
+    /// vectors, in the event-counter rows and in the channel-major
+    /// accumulators `out` the step wrote. A no-op when
+    /// `period == live`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live > period`, or if the counter rows or `out` do not
+    /// hold whole channel rows of the vectors the run step ran.
+    pub fn keep_runs(&mut self, out: &mut Vec<i64>, runs: usize, period: usize, live: usize) {
+        assert!(
+            live <= period,
+            "a run of {live} vectors longer than its period {period}"
+        );
+        if runs == 0 || period == live {
+            return;
+        }
+        let ran = (runs - 1) * period + live;
+        keep_lane_runs(&mut self.counters, ran, runs, period, live);
+        keep_lane_runs(out, ran, runs, period, live);
+    }
+}
+
+/// Packs, in every `ran`-long row of `buf`, the `runs` runs of `live`
+/// elements that start `period` apart, then truncates `buf` to the
+/// packed rows. Each run moves to a lower or equal index and no earlier
+/// than the runs before it, so moving them in order never overwrites
+/// one still to be read.
+fn keep_lane_runs<T: Copy>(buf: &mut Vec<T>, ran: usize, runs: usize, period: usize, live: usize) {
+    assert!(
+        buf.len().is_multiple_of(ran),
+        "{} lanes are not whole rows of {ran}",
+        buf.len()
+    );
+    let rows = buf.len() / ran;
+    for row in 0..rows {
+        for r in 0..runs {
+            let src = row * ran + r * period;
+            buf.copy_within(src..src + live, (row * runs + r) * live);
+        }
+    }
+    buf.truncate(rows * runs * live);
 }
 
 impl RomMvm {
@@ -158,50 +211,56 @@ impl RomMvm {
         }
     }
 
-    /// Run step over a lane-major `[ins x n_pad]` activation panel
-    /// (`acts_t[i * n_pad + v]`): bit-identical to
+    /// Run step over a lane-major activation panel whose rows sit at
+    /// per-row offsets: lane `v` of activation index `i` is
+    /// `acts_t[rows[i] + v]`. Rows may lie anywhere in `acts_t`, in any
+    /// order, and may overlap, so a conv's taps can read its
+    /// column-shifted code planes in place. Bit-identical to
     /// [`RomMvm::run_batch`] on the same values, in accumulators *and*
-    /// counters. The batch kernels consume the panel directly; the
-    /// per-vector analog path unpacks it first.
+    /// counters. The batch kernels read the panel through the offsets;
+    /// the per-vector analog path unpacks it first.
+    ///
+    /// Every code of `acts_t` must lie in the activation range, lanes
+    /// past `n_vectors` included, since the SIMD tiers read up to
+    /// [`transposed_pad`](crate::kernels::transposed_pad)`(n_vectors)`
+    /// lanes from each row.
     ///
     /// # Panics
     ///
-    /// Panics if `n_pad < n_vectors`, `n_pad` is not a multiple of 16,
-    /// or `acts_t.len() < ins * n_pad`.
+    /// Panics, before any kernel runs, if `rows.len() != ins`, if some
+    /// `rows[i] + transposed_pad(n_vectors)` exceeds `acts_t.len()`, or
+    /// if `out.len() != n_vectors * outs`.
     pub fn run_batch_transposed<R: Rng + ?Sized>(
         &self,
         acts_t: &[i32],
+        rows: &[usize],
         n_vectors: usize,
-        n_pad: usize,
         out: &mut [i64],
         scratch: &mut MvmScratch,
         rng: &mut R,
     ) {
         let (outs, ins) = self.dims();
+        assert_eq!(rows.len(), ins, "one panel row offset per activation");
+        let panel = Panel::new(acts_t, rows, n_vectors);
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
         if self.fast_path_active() {
             // Panel-native kernels: matmul, counter fold and pulse
-            // packing all read the lane-major panel directly.
+            // packing all read the panel rows in place.
             if self.adc_is_identity() {
-                self.mvm_batch_exact_t(acts_t, n_vectors, n_pad, out, scratch);
+                self.mvm_batch_exact_t(&panel, out, scratch);
             } else {
-                self.mvm_batch_fast_t(acts_t, n_vectors, n_pad, out, scratch);
+                self.mvm_batch_fast_t(&panel, out, scratch);
             }
         } else {
             // The noisy reference path is inherently per-vector: unpack
             // the panel (in `scratch.acts_rm`'s storage, taken out so
             // `scratch` can be passed on) and run it row-major.
-            assert!(
-                n_pad >= n_vectors && n_pad.is_multiple_of(16),
-                "panel padding"
-            );
-            assert!(acts_t.len() >= ins * n_pad, "panel activation length");
             let mut acts = std::mem::take(&mut scratch.acts_rm);
             acts.clear();
             acts.resize(n_vectors * ins, 0);
-            for v in 0..n_vectors {
-                for i in 0..ins {
-                    acts[v * ins + i] = acts_t[i * n_pad + v];
+            for i in 0..ins {
+                for (v, &a) in panel.lane(i).iter().enumerate() {
+                    acts[v * ins + i] = a;
                 }
             }
             self.run_batch(&acts, n_vectors, out, scratch, rng);
@@ -231,10 +290,11 @@ impl RomMvm {
         self.fold_stats(scratch, 0..n_vectors, stats);
     }
 
-    /// Batched entry over a lane-major `[ins x n_pad]` activation panel:
-    /// [`RomMvm::run_batch_transposed`], then [`RomMvm::fold_stats`] over
-    /// the whole block. Bit-identical to [`RomMvm::mvm_batch`] on the
-    /// same values, in values *and* stats.
+    /// Batched entry over a copied lane-major `[ins x n_pad]` activation
+    /// panel (`acts_t[i * n_pad + v]`): [`RomMvm::run_batch_transposed`]
+    /// with the contiguous row offsets `i * n_pad` (kept in `scratch`),
+    /// then [`RomMvm::fold_stats`] over the whole block. Bit-identical to
+    /// [`RomMvm::mvm_batch`] on the same values, in values *and* stats.
     ///
     /// # Examples
     ///
@@ -297,7 +357,17 @@ impl RomMvm {
         scratch: &mut MvmScratch,
         rng: &mut R,
     ) {
-        self.run_batch_transposed(acts_t, n_vectors, n_pad, out, scratch, rng);
+        let ins = self.dims().1;
+        assert!(
+            n_pad >= n_vectors && n_pad.is_multiple_of(16),
+            "panel padding"
+        );
+        assert!(acts_t.len() >= ins * n_pad, "panel activation length");
+        let mut rows = std::mem::take(&mut scratch.panel_rows);
+        rows.clear();
+        rows.extend((0..ins).map(|i| i * n_pad));
+        self.run_batch_transposed(acts_t, &rows, n_vectors, out, scratch, rng);
+        scratch.panel_rows = rows;
         self.fold_stats(scratch, 0..n_vectors, stats);
     }
 
@@ -680,9 +750,10 @@ mod tests {
         let (outs, ins) = b.dims();
         let n_pad = crate::kernels::transposed_pad(n);
         let mut acts_t = vec![0i32; ins * n_pad];
+        let rows: Vec<usize> = (0..ins).map(|i| i * n_pad).collect();
         for v in 0..n {
             for i in 0..ins {
-                acts_t[i * n_pad + v] = acts[v * ins + i];
+                acts_t[rows[i] + v] = acts[v * ins + i];
             }
         }
         let mut scratch = MvmScratch::new();
@@ -718,7 +789,7 @@ mod tests {
                         b.run_batch(acts, n, &mut out, &mut scratch, &mut rng)
                     }
                     MatmulLayout::Transposed => {
-                        b.run_batch_transposed(&acts_t, n, n_pad, &mut out, &mut scratch, &mut rng)
+                        b.run_batch_transposed(&acts_t, &rows, n, &mut out, &mut scratch, &mut rng)
                     }
                 }
                 let mut stats = MvmStats::default();

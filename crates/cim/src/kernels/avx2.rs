@@ -17,8 +17,8 @@
 //!   using `_mm256_madd_epi16` on the lane-packed `i16` codes when the
 //!   design point makes 32-bit accumulation overflow-safe, and a
 //!   `_mm256_mul_epi32` 64-bit-accumulate fallback otherwise;
-//! * [`matmul_transposed`] — the batch-transposed matmul over the
-//!   lane-major `[ins x n_pad]` panel, vectorizing across 8 vectors per
+//! * [`matmul_transposed`] — the batch-transposed matmul over a
+//!   lane-major [`Panel`], vectorizing across 8 vectors per
 //!   `_mm256_mullo_epi32` for the narrow shapes whose rows cannot fill
 //!   lanes; its lanes widen and store straight into the channel-major
 //!   accumulator row;
@@ -44,7 +44,7 @@ use std::arch::x86_64::{
     _mm256_storeu_si256, _mm256_sub_epi32, _mm_cvtsi32_si128,
 };
 
-use super::{scalar, ExactCodes, FoldParams};
+use super::{scalar, ExactCodes, FoldParams, Panel};
 
 /// Vectors staged per cache block of the blocked matmuls: 8 activation
 /// rows of `i16` codes stay well inside L1 alongside a 4-row code quad.
@@ -175,44 +175,28 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
 }
 
 /// AVX2 tier of the batch-transposed matmul: activations arrive as a
-/// lane-major `[ins x n_pad]` panel, so each 32-byte load carries 8
-/// *vectors'* codes for one activation index and the multiply-add runs
-/// across the batch — full lanes even for the 9-deep im2col shapes the
-/// row-major path cannot fill. Accumulation is `i32`
-/// (`_mm256_mullo_epi32`), exact under the same `codes16` eligibility
-/// proof the madd path uses (`|code| <= 128`, acts fit 8 unsigned bits,
-/// `ins <= 32768` → partial sums < 2^31). Bit-identical to
-/// [`scalar::matmul_transposed`].
-pub(crate) fn matmul_transposed(
-    c: &ExactCodes<'_>,
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
-    out: &mut [i64],
-) {
+/// lane-major [`Panel`], so each 32-byte load carries 8 *vectors'*
+/// codes for one activation index and the multiply-add runs across the
+/// batch — full lanes even for the 9-deep conv shapes the row-major
+/// path cannot fill. Accumulation is `i32` (`_mm256_mullo_epi32`), exact
+/// under the same `codes16` eligibility proof the madd path uses
+/// (`|code| <= 128`, acts fit 8 unsigned bits, `ins <= 32768` → partial
+/// sums < 2^31). Bit-identical to [`scalar::matmul_transposed`].
+pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut [i64]) {
     assert_avx2();
     assert!(
         !c.codes16.is_empty(),
         "transposed AVX2 path requires the i16-eligibility overflow proof"
     );
-    debug_assert_eq!(n_pad % 8, 0, "transposed panels pad to 8+ lanes");
-    debug_assert!(n_pad >= n);
-    debug_assert!(acts_t.len() >= c.ins * n_pad);
-    debug_assert_eq!(out.len(), n * c.outs);
+    debug_assert_eq!(panel.ins(), c.ins);
+    debug_assert_eq!(out.len(), panel.n() * c.outs);
     // SAFETY: AVX2 support asserted above.
-    unsafe { matmul_transposed_impl(c.codes, c.outs, c.ins, acts_t, n, n_pad, out) }
+    unsafe { matmul_transposed_impl(c.codes, c.outs, panel, out) }
 }
 
 #[target_feature(enable = "avx2")]
-fn matmul_transposed_impl(
-    codes: &[i32],
-    outs: usize,
-    ins: usize,
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
-    out: &mut [i64],
-) {
+fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i64]) {
+    let (acts, rows, n, ins) = (panel.acts(), panel.rows(), panel.n(), panel.ins());
     let mut vb = 0;
     while vb < n {
         let lanes_live = (n - vb).min(8);
@@ -221,13 +205,13 @@ fn matmul_transposed_impl(
         // code scalars, amortizing the load to one per 4 x 8 MACs.
         while o + 4 <= outs {
             let mut acc = [_mm256_setzero_si256(); 4];
-            for i in 0..ins {
-                // SAFETY: vb + 8 <= n_pad (vb < n <= n_pad, both
-                // multiples of 8) keeps the 32-byte load inside the
-                // panel row; unaligned load.
-                let a = unsafe {
-                    _mm256_loadu_si256(acts_t.as_ptr().add(i * n_pad + vb) as *const __m256i)
-                };
+            for (i, &row) in rows.iter().enumerate() {
+                // SAFETY: vb < n and both vb and transposed_pad(n) are
+                // multiples of 8, so vb + 8 <= transposed_pad(n); and
+                // row + transposed_pad(n) <= acts.len() (`Panel::new`).
+                // Unaligned load.
+                let a =
+                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
                 for (k, ak) in acc.iter_mut().enumerate() {
                     let w = _mm256_set1_epi32(codes[(o + k) * ins + i]);
                     *ak = _mm256_add_epi32(*ak, _mm256_mullo_epi32(a, w));
@@ -241,11 +225,10 @@ fn matmul_transposed_impl(
         }
         while o < outs {
             let mut acc = _mm256_setzero_si256();
-            for i in 0..ins {
+            for (i, &row) in rows.iter().enumerate() {
                 // SAFETY: as above.
-                let a = unsafe {
-                    _mm256_loadu_si256(acts_t.as_ptr().add(i * n_pad + vb) as *const __m256i)
-                };
+                let a =
+                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
                 let w = _mm256_set1_epi32(codes[o * ins + i]);
                 acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(a, w));
             }
@@ -533,42 +516,30 @@ fn fold_impl(
 }
 
 /// AVX2 tier of the batch-transposed event-counter fold: walks the
-/// `[ins x n_pad]` panel group-major, keeping per-chunk pulse totals
-/// and active-group counts for 8 vectors at once in `i32` lanes (the
+/// [`Panel`] group-major, keeping per-chunk pulse totals and
+/// active-group counts for 8 vectors at once in `i32` lanes (the
 /// dispatcher bounds `ins * max_pulse` below `i32::MAX`). The group
 /// activity predicate is the vectorized OR-then-compare of the scalar
 /// walk, so the fold is bit-identical to
 /// [`scalar::fold_event_counters_t`].
 pub(crate) fn fold_event_counters_t(
-    acts_t: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
+    panel: &Panel<'_>,
     p: &FoldParams<'_>,
     counters: &mut [[u64; 3]],
 ) {
     assert_avx2();
     debug_assert!(p.n_chunks <= 4, "vector fold handles at most 4 chunks");
-    debug_assert_eq!(n_pad % 8, 0, "transposed panels pad to 8+ lanes");
-    debug_assert!(n_pad >= n);
-    debug_assert!(acts_t.len() >= ins * n_pad);
-    debug_assert_eq!(counters.len(), n);
+    debug_assert_eq!(counters.len(), panel.n());
     // SAFETY: AVX2 support asserted above.
-    unsafe { fold_t_impl(acts_t, ins, n, n_pad, p, counters) }
+    unsafe { fold_t_impl(panel, p, counters) }
 }
 
 #[target_feature(enable = "avx2")]
-fn fold_t_impl(
-    acts_t: &[i32],
-    _ins: usize,
-    n: usize,
-    n_pad: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
+fn fold_t_impl(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
     if p.chunk_bits == 2 && p.n_chunks == 4 {
-        return fold_t_design_point(acts_t, n, n_pad, p, counters);
+        return fold_t_design_point(panel, p, counters);
     }
+    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
     let chunk_mask = (1u32 << p.chunk_bits) - 1;
     let mask_v = _mm256_set1_epi32(chunk_mask as i32);
     let zero = _mm256_setzero_si256();
@@ -583,13 +554,12 @@ fn fold_t_impl(
         let mut act_acc = [zero; 4];
         for &(lo, hi) in p.group_bounds {
             let mut group_or = zero;
-            for i in lo as usize..hi as usize {
-                // SAFETY: vb + 8 <= n_pad (vb < n <= n_pad, both
-                // multiples of 8) keeps the 32-byte load inside the
-                // panel row; unaligned load.
-                let a = unsafe {
-                    _mm256_loadu_si256(acts_t.as_ptr().add(i * n_pad + vb) as *const __m256i)
-                };
+            for &row in &rows[lo as usize..hi as usize] {
+                // SAFETY: vb + 8 <= transposed_pad(n) (vb < n, both
+                // multiples of 8) and row + transposed_pad(n) <=
+                // acts.len() (`Panel::new`); unaligned load.
+                let a =
+                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
                 group_or = _mm256_or_si256(group_or, a);
                 for (acc, &shift) in tot_acc[..p.n_chunks].iter_mut().zip(&shifts) {
                     let pulses = _mm256_and_si256(_mm256_srl_epi32(a, shift), mask_v);
@@ -640,13 +610,8 @@ fn fold_t_impl(
 /// the same bits the generic chunk walk extracts, so it stays
 /// bit-identical for any input.
 #[target_feature(enable = "avx2")]
-fn fold_t_design_point(
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
+fn fold_t_design_point(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
+    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
     let pair_mask = _mm256_set1_epi32(0x33);
     let nib_mask = _mm256_set1_epi32(0x0F);
     let chunk_mask = _mm256_set1_epi32(0x3);
@@ -658,13 +623,12 @@ fn fold_t_design_point(
         let mut act = zero;
         for &(lo, hi) in p.group_bounds {
             let mut group_or = zero;
-            for i in lo as usize..hi as usize {
-                // SAFETY: vb + 8 <= n_pad (vb < n <= n_pad, both
-                // multiples of 8) keeps the 32-byte load inside the
-                // panel row; unaligned load.
-                let a = unsafe {
-                    _mm256_loadu_si256(acts_t.as_ptr().add(i * n_pad + vb) as *const __m256i)
-                };
+            for &row in &rows[lo as usize..hi as usize] {
+                // SAFETY: vb + 8 <= transposed_pad(n) (vb < n, both
+                // multiples of 8) and row + transposed_pad(n) <=
+                // acts.len() (`Panel::new`); unaligned load.
+                let a =
+                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
                 group_or = _mm256_or_si256(group_or, a);
                 let pairs = _mm256_add_epi32(
                     _mm256_and_si256(a, pair_mask),

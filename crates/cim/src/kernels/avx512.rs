@@ -44,7 +44,7 @@ use std::arch::x86_64::{
     _mm512_storeu_epi32, _mm512_storeu_epi64, _mm_cvtsi32_si128,
 };
 
-use super::{avx2, scalar, ExactCodes, FoldParams};
+use super::{avx2, scalar, ExactCodes, FoldParams, Panel};
 
 /// Vectors staged per cache block of the blocked matmul (matches the
 /// AVX2 tier: the staged `i16` rows plus a 4-row code quad stay
@@ -206,53 +206,38 @@ fn hsum_epi32(v: __m512i) -> i64 {
 /// quad of broadcast code scalars. `i32` lane accumulation is exact
 /// under the `codes16` eligibility proof. Bit-identical to
 /// [`scalar::matmul_transposed`].
-pub(crate) fn matmul_transposed(
-    c: &ExactCodes<'_>,
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
-    out: &mut [i64],
-) {
+pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut [i64]) {
     assert_avx512();
     assert!(
         !c.codes16.is_empty(),
         "transposed AVX-512 path requires the i16-eligibility overflow proof"
     );
-    debug_assert_eq!(n_pad % 16, 0, "transposed panels pad to 16 lanes");
-    debug_assert!(n_pad >= n);
-    debug_assert!(acts_t.len() >= c.ins * n_pad);
-    debug_assert_eq!(out.len(), n * c.outs);
-    if n <= 8 {
+    debug_assert_eq!(panel.ins(), c.ins);
+    debug_assert_eq!(out.len(), panel.n() * c.outs);
+    if panel.n() <= 8 {
         // Half-block batches run at AVX2 width: same op count, better
         // per-op throughput, and `i32` lane accumulation stays exact
         // under the identical eligibility proof.
-        return avx2::matmul_transposed(c, acts_t, n, n_pad, out);
+        return avx2::matmul_transposed(c, panel, out);
     }
     // SAFETY: AVX-512 support asserted above.
-    unsafe { matmul_transposed_impl(c.codes, c.outs, c.ins, acts_t, n, n_pad, out) }
+    unsafe { matmul_transposed_impl(c.codes, c.outs, panel, out) }
 }
 
 #[target_feature(enable = "avx512f")]
-fn matmul_transposed_impl(
-    codes: &[i32],
-    outs: usize,
-    ins: usize,
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
-    out: &mut [i64],
-) {
+fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i64]) {
+    let (acts, rows, n, ins) = (panel.acts(), panel.rows(), panel.n(), panel.ins());
     let mut vb = 0;
     while vb < n {
         let lanes_live = (n - vb).min(16);
         let mut o = 0;
         while o + 4 <= outs {
             let mut acc = [_mm512_setzero_si512(); 4];
-            for i in 0..ins {
-                // SAFETY: vb + 16 <= n_pad (vb < n <= n_pad, both
-                // multiples of 16) keeps the 64-byte load inside the
-                // panel row.
-                let a = unsafe { _mm512_loadu_epi32(acts_t.as_ptr().add(i * n_pad + vb)) };
+            for (i, &row) in rows.iter().enumerate() {
+                // SAFETY: vb < n and both vb and transposed_pad(n) are
+                // multiples of 16, so vb + 16 <= transposed_pad(n); and
+                // row + transposed_pad(n) <= acts.len() (`Panel::new`).
+                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
                 for (k, ak) in acc.iter_mut().enumerate() {
                     let w = _mm512_set1_epi32(codes[(o + k) * ins + i]);
                     *ak = _mm512_add_epi32(*ak, _mm512_mullo_epi32(a, w));
@@ -266,9 +251,9 @@ fn matmul_transposed_impl(
         }
         while o < outs {
             let mut acc = _mm512_setzero_si512();
-            for i in 0..ins {
+            for (i, &row) in rows.iter().enumerate() {
                 // SAFETY: as above.
-                let a = unsafe { _mm512_loadu_epi32(acts_t.as_ptr().add(i * n_pad + vb)) };
+                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
                 let w = _mm512_set1_epi32(codes[o * ins + i]);
                 acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(a, w));
             }
@@ -408,40 +393,28 @@ fn fold_impl(
 /// the compare mask. Bit-identical to
 /// [`scalar::fold_event_counters_t`].
 pub(crate) fn fold_event_counters_t(
-    acts_t: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
+    panel: &Panel<'_>,
     p: &FoldParams<'_>,
     counters: &mut [[u64; 3]],
 ) {
     assert_avx512();
     debug_assert!(p.n_chunks <= 4, "vector fold handles at most 4 chunks");
-    debug_assert_eq!(n_pad % 16, 0, "transposed panels pad to 16 lanes");
-    debug_assert!(n_pad >= n);
-    debug_assert!(acts_t.len() >= ins * n_pad);
-    debug_assert_eq!(counters.len(), n);
-    if n <= 8 {
+    debug_assert_eq!(counters.len(), panel.n());
+    if panel.n() <= 8 {
         // A batch this small fills at most half a 512-bit block; the
         // AVX2 walk does the same op count at better per-op throughput.
-        return avx2::fold_event_counters_t(acts_t, ins, n, n_pad, p, counters);
+        return avx2::fold_event_counters_t(panel, p, counters);
     }
     // SAFETY: AVX-512 support asserted above.
-    unsafe { fold_t_impl(acts_t, ins, n, n_pad, p, counters) }
+    unsafe { fold_t_impl(panel, p, counters) }
 }
 
 #[target_feature(enable = "avx512f")]
-fn fold_t_impl(
-    acts_t: &[i32],
-    _ins: usize,
-    n: usize,
-    n_pad: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
+fn fold_t_impl(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
     if p.chunk_bits == 2 && p.n_chunks == 4 {
-        return fold_t_design_point(acts_t, n, n_pad, p, counters);
+        return fold_t_design_point(panel, p, counters);
     }
+    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
     let chunk_mask = (1u32 << p.chunk_bits) - 1;
     let mask_v = _mm512_set1_epi32(chunk_mask as i32);
     let zero = _mm512_setzero_si512();
@@ -456,11 +429,11 @@ fn fold_t_impl(
         let mut act_acc = [zero; 4];
         for &(lo, hi) in p.group_bounds {
             let mut group_or = zero;
-            for i in lo as usize..hi as usize {
-                // SAFETY: vb + 16 <= n_pad (vb < n <= n_pad, both
-                // multiples of 16) keeps the 64-byte load inside the
-                // panel row.
-                let a = unsafe { _mm512_loadu_epi32(acts_t.as_ptr().add(i * n_pad + vb)) };
+            for &row in &rows[lo as usize..hi as usize] {
+                // SAFETY: vb + 16 <= transposed_pad(n) (vb < n, both
+                // multiples of 16) and row + transposed_pad(n) <=
+                // acts.len() (`Panel::new`).
+                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
                 group_or = _mm512_or_si512(group_or, a);
                 for (acc, &shift) in tot_acc[..p.n_chunks].iter_mut().zip(&shifts) {
                     let pulses = _mm512_and_si512(_mm512_srl_epi32(a, shift), mask_v);
@@ -511,13 +484,8 @@ fn fold_t_impl(
 /// the same bits the generic chunk walk extracts, so it stays
 /// bit-identical for any input.
 #[target_feature(enable = "avx512f")]
-fn fold_t_design_point(
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
+fn fold_t_design_point(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
+    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
     let pair_mask = _mm512_set1_epi32(0x33);
     let nib_mask = _mm512_set1_epi32(0x0F);
     let chunk_mask = _mm512_set1_epi32(0x3);
@@ -529,11 +497,11 @@ fn fold_t_design_point(
         let mut act = zero;
         for &(lo, hi) in p.group_bounds {
             let mut group_or = zero;
-            for i in lo as usize..hi as usize {
-                // SAFETY: vb + 16 <= n_pad (vb < n <= n_pad, both
-                // multiples of 16) keeps the 64-byte load inside the
-                // panel row.
-                let a = unsafe { _mm512_loadu_epi32(acts_t.as_ptr().add(i * n_pad + vb)) };
+            for &row in &rows[lo as usize..hi as usize] {
+                // SAFETY: vb + 16 <= transposed_pad(n) (vb < n, both
+                // multiples of 16) and row + transposed_pad(n) <=
+                // acts.len() (`Panel::new`).
+                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
                 group_or = _mm512_or_si512(group_or, a);
                 let pairs = _mm512_add_epi32(
                     _mm512_and_si512(a, pair_mask),

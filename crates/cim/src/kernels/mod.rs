@@ -21,13 +21,15 @@
 //! Orthogonal to the tier, each batch executes in one of two activation
 //! **layouts** ([`MatmulLayout`], chosen per shape by [`choose_layout`]):
 //! the row-major layout vectorizes each vector's dot products across
-//! `ins`, while the *batch-transposed* layout stages the block as a
-//! lane-major `[ins x n_pad]` panel and vectorizes **across vectors** —
-//! 8 (AVX2) or 16 (AVX-512) activations per SIMD op — which is what
-//! rescues the zoo's narrow im2col shapes (`1x9`, `2x9`, `4x18`) whose
-//! 9-wide rows cannot fill lanes in the row-major layout. The scalar
-//! tier implements both layouts too, so the parity oracle covers every
-//! (tier, layout) cell.
+//! `ins`, while the *batch-transposed* layout reads the block as a
+//! lane-major panel — one run of lanes per activation index, found
+//! through a per-row offset table — and vectorizes **across
+//! vectors**, 8 (AVX2) or 16 (AVX-512) activations per SIMD op. That is
+//! what rescues the zoo's narrow conv shapes (`1x9`, `2x9`, `4x18`) whose
+//! 9-wide rows cannot fill lanes in the row-major layout, and the offsets
+//! let a conv's taps read column-shifted code planes in place instead of
+//! a copied im2col panel. The scalar tier implements both layouts too, so
+//! the parity oracle covers every (tier, layout) cell.
 //!
 //! Which tier runs is decided **once, at [`RomMvm::program`] time**, by
 //! [`KernelDispatch`]: the `YOLOC_KERNEL` environment variable
@@ -236,28 +238,94 @@ fn warn_forced_unavailable(requested: &str, fallback: &str) {
 /// Which activation layout a batched MVM executes in.
 ///
 /// Row-major is the staging layout callers have always produced
-/// (`acts[v * ins + i]`); the batch-transposed layout stages the block
-/// as a lane-major `[ins x n_pad]` panel (`acts_t[i * n_pad + v]`,
-/// `n_pad = `[`transposed_pad`]`(n)`, padding lanes zero) so the SIMD
-/// tiers vectorize across *vectors* instead of across `ins`. Both
-/// layouts are exact integer paths over the same values, so the choice
-/// can never change a result.
+/// (`acts[v * ins + i]`); the batch-transposed layout reads the block as
+/// a lane-major panel whose rows are addressed through offsets
+/// (`acts_t[rows[i] + v]`) so the SIMD tiers vectorize across *vectors*
+/// instead of across `ins`. A copied `[ins x n_pad]` panel is the
+/// special case `rows[i] = i * n_pad`. Both layouts are exact integer
+/// paths over the same values, so the choice can never change a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulLayout {
     /// `acts[v * ins + i]` — one contiguous activation row per vector.
     RowMajor,
-    /// `acts_t[i * n_pad + v]` — one contiguous *lane row* per
-    /// activation index, padded to [`transposed_pad`] vectors.
+    /// `acts_t[rows[i] + v]` — one contiguous *lane row* per activation
+    /// index, starting at that index's row offset, with at least
+    /// [`transposed_pad`]`(n)` readable lanes.
     Transposed,
 }
 
-/// Lane padding of a transposed activation panel: block size `n`
-/// rounded up to 16 `i32` lanes (one AVX-512 register; two AVX2
-/// registers; the scalar tier ignores padding). Padding lanes are never
-/// read back but must stay within the activation code range — zero, or
-/// stale codes left over from an earlier staging pass.
+/// Lanes the SIMD tiers may read from each row of a transposed panel:
+/// block size `n` rounded up to 16 `i32` lanes (one AVX-512 register;
+/// two AVX2 registers; the scalar tier reads only the `n` live lanes).
+/// Every row offset plus this must lie inside the panel's buffer, which
+/// [`RomMvm::run_batch_transposed`] asserts once per call. Lanes past
+/// `n` are never read back, but the whole buffer must stay within the
+/// activation code range.
+///
+/// [`RomMvm::run_batch_transposed`]: crate::macro_model::RomMvm::run_batch_transposed
 pub fn transposed_pad(n: usize) -> usize {
     n.next_multiple_of(16).max(16)
+}
+
+/// A batch-transposed activation panel: lane `v` of activation row `i`
+/// is `acts[rows[i] + v]`, for `n` live lanes. Rows may sit anywhere in
+/// `acts`, in any order, and may overlap.
+///
+/// Only [`Panel::new`] builds one, and it proves once that every row's
+/// [`transposed_pad`]`(n)` lanes lie inside `acts`: the bound every
+/// SIMD tier's panel loads cite.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Panel<'a> {
+    acts: &'a [i32],
+    rows: &'a [usize],
+    n: usize,
+}
+
+impl<'a> Panel<'a> {
+    /// The panel of `n` lanes per row at offsets `rows` into `acts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `rows[i] + transposed_pad(n)` exceeds `acts.len()`.
+    pub(crate) fn new(acts: &'a [i32], rows: &'a [usize], n: usize) -> Self {
+        // `transposed_pad` in checked arithmetic: the loads rely on this
+        // bound, so a lane count that overflows must fail it, not wrap.
+        let lanes = n
+            .checked_next_multiple_of(16)
+            .map_or(usize::MAX, |p| p.max(16));
+        let reach = rows.iter().max().map_or(0, |&r| r.saturating_add(lanes));
+        assert!(
+            reach <= acts.len(),
+            "panel row reaches lane {reach} of a {}-code buffer",
+            acts.len()
+        );
+        Panel { acts, rows, n }
+    }
+
+    /// The whole activation buffer.
+    pub(crate) fn acts(&self) -> &'a [i32] {
+        self.acts
+    }
+
+    /// Every row's offset into [`Panel::acts`].
+    pub(crate) fn rows(&self) -> &'a [usize] {
+        self.rows
+    }
+
+    /// Live lanes (vectors) per row.
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Activation rows.
+    pub(crate) fn ins(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The `n` live lanes of activation row `i`.
+    pub(crate) fn lane(&self, i: usize) -> &'a [i32] {
+        &self.acts[self.rows[i]..self.rows[i] + self.n]
+    }
 }
 
 /// The shape-driven row-major vs batch-transposed crossover for the
@@ -379,33 +447,24 @@ pub(crate) fn matmul_exact(
     }
 }
 
-/// Batch-transposed integer matmul over a lane-major `[ins x n_pad]`
-/// activation panel: `out[o][v] = sum_i codes[o][i] * acts_t[i][v]`.
-/// Dispatched by tier; exact on every tier. The SIMD paths require the
-/// `i16`-eligibility proof (their lane accumulators are `i32`), so the
-/// dispatcher falls back to the scalar reference when `codes16` is
-/// empty.
+/// Batch-transposed integer matmul over a lane-major [`Panel`]:
+/// `out[o][v] = sum_i codes[o][i] * panel[i][v]`. Dispatched by tier;
+/// exact on every tier. The SIMD paths require the `i16`-eligibility
+/// proof (their lane accumulators are `i32`), so the dispatcher falls
+/// back to the scalar reference when `codes16` is empty.
 pub(crate) fn matmul_exact_t(
     kind: KernelKind,
     c: &ExactCodes<'_>,
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
+    panel: &Panel<'_>,
     out: &mut [i64],
 ) {
     match kind {
-        KernelKind::Scalar => {
-            scalar::matmul_transposed(c.codes, c.outs, c.ins, acts_t, n, n_pad, out)
-        }
+        KernelKind::Scalar => scalar::matmul_transposed(c.codes, c.outs, panel, out),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 if !c.codes16.is_empty() => {
-            avx2::matmul_transposed(c, acts_t, n, n_pad, out)
-        }
+        KernelKind::Avx2 if !c.codes16.is_empty() => avx2::matmul_transposed(c, panel, out),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 if !c.codes16.is_empty() => {
-            avx512::matmul_transposed(c, acts_t, n, n_pad, out);
-        }
-        _ => scalar::matmul_transposed(c.codes, c.outs, c.ins, acts_t, n, n_pad, out),
+        KernelKind::Avx512 if !c.codes16.is_empty() => avx512::matmul_transposed(c, panel, out),
+        _ => scalar::matmul_transposed(c.codes, c.outs, panel, out),
     }
 }
 
@@ -471,16 +530,13 @@ pub(crate) fn fold_event_counters(
 }
 
 /// Batch-transposed event-counter fold: same statistics as
-/// [`fold_event_counters`], derived from a lane-major `[ins x n_pad]`
-/// panel instead of row-major activations. Counter arithmetic is pure
-/// integer accumulation, so the transposed walk is bit-identical to the
+/// [`fold_event_counters`], derived from a lane-major [`Panel`] instead
+/// of row-major activations. Counter arithmetic is pure integer
+/// accumulation, so the transposed walk is bit-identical to the
 /// row-major one by construction (and pinned by the parity suites).
 pub(crate) fn fold_event_counters_t(
     kind: KernelKind,
-    acts_t: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
+    panel: &Panel<'_>,
     p: &FoldParams<'_>,
     counters: &mut [[u64; 3]],
 ) {
@@ -488,19 +544,16 @@ pub(crate) fn fold_event_counters_t(
     // i32 lanes; bound the worst-case per-lane sum so they stay exact.
     #[cfg(target_arch = "x86_64")]
     let lanes_exact = p.n_chunks <= 4
-        && (ins as u64) * (((1u64 << p.chunk_bits) - 1) * p.n_chunks as u64) < i32::MAX as u64;
+        && (panel.ins() as u64) * (((1u64 << p.chunk_bits) - 1) * p.n_chunks as u64)
+            < i32::MAX as u64;
     match kind {
-        KernelKind::Scalar => scalar::fold_event_counters_t(acts_t, ins, n, n_pad, p, counters),
+        KernelKind::Scalar => scalar::fold_event_counters_t(panel, p, counters),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 if lanes_exact => {
-            avx2::fold_event_counters_t(acts_t, ins, n, n_pad, p, counters);
-        }
+        KernelKind::Avx2 if lanes_exact => avx2::fold_event_counters_t(panel, p, counters),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 if lanes_exact => {
-            avx512::fold_event_counters_t(acts_t, ins, n, n_pad, p, counters);
-        }
+        KernelKind::Avx512 if lanes_exact => avx512::fold_event_counters_t(panel, p, counters),
         #[allow(unreachable_patterns)]
-        _ => scalar::fold_event_counters_t(acts_t, ins, n, n_pad, p, counters),
+        _ => scalar::fold_event_counters_t(panel, p, counters),
     }
 }
 
@@ -666,14 +719,18 @@ mod tests {
         let packed = pack_codes16(&codes, outs, ins);
         let (codes16, ins16) = (packed.data(), packed.stride());
         assert_eq!(ins16, ins.next_multiple_of(16));
-        // The transposed panel carries the same values lane-major.
+        // The transposed panel carries the same values lane-major, its
+        // rows in reverse order and one lane apart more than they need.
         let n_pad = transposed_pad(n);
-        let mut acts_t = vec![0i32; ins * n_pad];
+        let stride = n_pad + 1;
+        let mut acts_t = vec![0i32; ins * stride + n_pad];
+        let rows: Vec<usize> = (0..ins).map(|i| (ins - 1 - i) * stride).collect();
         for v in 0..n {
             for i in 0..ins {
-                acts_t[i * n_pad + v] = acts[v * ins + i];
+                acts_t[rows[i] + v] = acts[v * ins + i];
             }
         }
+        let panel = Panel::new(&acts_t, &rows, n);
         let mut reference = vec![0i64; n * outs];
         scalar::matmul_into(&codes, outs, ins, &acts, n, &mut reference);
         let bounds: Vec<(u32, u32)> = (0..ins as u32)
@@ -703,7 +760,7 @@ mod tests {
                 matmul_exact(kind, &c, &acts, n, &mut out, &mut acts16);
                 assert_eq!(out, reference, "{} matmul (i16={with_i16})", kind.label());
                 out.fill(0);
-                matmul_exact_t(kind, &c, &acts_t, n, n_pad, &mut out);
+                matmul_exact_t(kind, &c, &panel, &mut out);
                 assert_eq!(
                     out,
                     reference,
@@ -716,7 +773,7 @@ mod tests {
             fold_event_counters(kind, &acts, ins, n, &fold, &mut counters, &mut bitmaps);
             assert_eq!(counters, ref_counters, "{} fold", kind.label());
             counters.iter_mut().for_each(|c| *c = [0; 3]);
-            fold_event_counters_t(kind, &acts_t, ins, n, n_pad, &fold, &mut counters);
+            fold_event_counters_t(kind, &panel, &fold, &mut counters);
             assert_eq!(counters, ref_counters, "{} transposed fold", kind.label());
         }
         // Popcount stream parity over staged planes, at both staging

@@ -1,7 +1,7 @@
 //! The portable scalar kernel tier — the bit-identical reference every
 //! other tier is pinned against. No `unsafe`, no ISA assumptions.
 
-use super::FoldParams;
+use super::{FoldParams, Panel};
 
 /// The one integer matmul every digital path shares:
 /// `out[o*n + v] = sum_i codes[o*ins + i] * acts[v*ins + i]` (row-major
@@ -34,31 +34,21 @@ pub(crate) fn matmul_into(
     }
 }
 
-/// The batch-transposed reference matmul over a lane-major
-/// `[ins x n_pad]` panel: `out[o*n + v] = sum_i codes[o*ins + i] *
-/// acts_t[i*n_pad + v]`. Same arithmetic as [`matmul_into`] in a
-/// different traversal order (each addend is an exact `i64` product, so
-/// ordering cannot change the sum) — this entry keeps the scalar tier
-/// the parity oracle for the transposed SIMD paths.
-pub(crate) fn matmul_transposed(
-    codes: &[i32],
-    outs: usize,
-    ins: usize,
-    acts_t: &[i32],
-    n: usize,
-    n_pad: usize,
-    out: &mut [i64],
-) {
+/// The batch-transposed reference matmul over a lane-major [`Panel`]:
+/// `out[o*n + v] = sum_i codes[o*ins + i] * panel.lane(i)[v]`. Same
+/// arithmetic as [`matmul_into`] in a different traversal order (each
+/// addend is an exact `i64` product, so ordering cannot change the sum)
+/// — this entry keeps the scalar tier the parity oracle for the
+/// transposed SIMD paths.
+pub(crate) fn matmul_transposed(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i64]) {
+    let (ins, n) = (panel.ins(), panel.n());
     debug_assert_eq!(codes.len(), outs * ins);
-    debug_assert!(n_pad >= n);
-    debug_assert!(acts_t.len() >= ins * n_pad);
     debug_assert_eq!(out.len(), n * outs);
     out.fill(0);
     for o in 0..outs {
         let out_row = &mut out[o * n..(o + 1) * n];
         for (i, &w) in codes[o * ins..(o + 1) * ins].iter().enumerate() {
-            let lane = &acts_t[i * n_pad..i * n_pad + n];
-            for (slot, &a) in out_row.iter_mut().zip(lane) {
+            for (slot, &a) in out_row.iter_mut().zip(panel.lane(i)) {
                 *slot += w as i64 * a as i64;
             }
         }
@@ -111,21 +101,17 @@ pub(crate) fn fold_event_counters(
 }
 
 /// Batch-transposed scalar event-counter fold: identical statistics to
-/// [`fold_event_counters`], derived from the lane-major `[ins x n_pad]`
-/// panel. Pure integer accumulation in a different traversal order, so
-/// it is bit-identical to the row-major fold by construction.
+/// [`fold_event_counters`], derived from the lane-major [`Panel`]. Pure
+/// integer accumulation in a different traversal order, so it is
+/// bit-identical to the row-major fold by construction.
 pub(crate) fn fold_event_counters_t(
-    acts_t: &[i32],
-    ins: usize,
-    n: usize,
-    n_pad: usize,
+    panel: &Panel<'_>,
     p: &FoldParams<'_>,
     counters: &mut [[u64; 3]],
 ) {
     debug_assert!(p.n_chunks <= 8, "chunk count exceeds the fold accumulators");
-    debug_assert_eq!(counters.len(), n);
-    debug_assert!(n_pad >= n);
-    debug_assert!(acts_t.len() >= ins * n_pad);
+    debug_assert_eq!(counters.len(), panel.n());
+    let (acts, rows) = (panel.acts(), panel.rows());
     let chunk_mask = (1u32 << p.chunk_bits) - 1;
     // Per-vector strided walk with stack accumulators: slower than the
     // SIMD lane walk but allocation-free (this entry runs inside the
@@ -135,8 +121,8 @@ pub(crate) fn fold_event_counters_t(
         let mut actives = [0u64; 8];
         for &(lo, hi) in p.group_bounds {
             let mut group_or = 0u32;
-            for i in lo as usize..hi as usize {
-                let a = acts_t[i * n_pad + v] as u32;
+            for &row in &rows[lo as usize..hi as usize] {
+                let a = acts[row + v] as u32;
                 group_or |= a;
                 for (ci, t) in totals[..p.n_chunks].iter_mut().enumerate() {
                     *t += ((a >> (ci as u32 * p.chunk_bits as u32)) & chunk_mask) as u64;

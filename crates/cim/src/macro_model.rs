@@ -880,11 +880,12 @@ impl RomMvm {
     /// The activation layout the batched kernels prefer for a block of
     /// `n` vectors (see [`kernels::choose_layout`]).
     /// [`MatmulLayout::Transposed`](kernels::MatmulLayout::Transposed)
-    /// asks the caller to stage the lane-major `[ins x n_pad]` panel
-    /// (`n_pad = transposed_pad(n)`, padding lanes zero) and call
-    /// [`RomMvm::run_batch_transposed`] or
-    /// [`RomMvm::mvm_batch_transposed`], writing codes straight into the
-    /// panel with no repack pass. The analog reference path has no
+    /// asks the caller for a lane-major panel whose rows it addresses
+    /// through a per-row offset table, and to call
+    /// [`RomMvm::run_batch_transposed`] (any offsets: a conv's taps read
+    /// its column-shifted code planes in place) or
+    /// [`RomMvm::mvm_batch_transposed`] (a copied `[ins x n_pad]` panel,
+    /// `n_pad = transposed_pad(n)`). The analog reference path has no
     /// batched kernel and always stages row-major. The row-major entries
     /// run the row-major kernels on every shape, so the transposed
     /// kernels run only for callers that stage the panel.
@@ -910,41 +911,27 @@ impl RomMvm {
         }
     }
 
-    /// [`RomMvm::mvm_batch_exact`] over a lane-major `[ins x n_pad]`
-    /// activation panel (`acts_t[i * n_pad + v]`; padding lanes are
-    /// never read back but must stay within the activation code range,
-    /// e.g. zero or stale codes from an earlier staging pass) —
-    /// the layout [`RomMvm::batch_layout`] asks callers to stage
-    /// when the crossover picks the transposed kernels, quantizing
-    /// straight into the panel. Bit-identical to the row-major entry on
-    /// every tier.
+    /// [`RomMvm::mvm_batch_exact`] over a lane-major [`kernels::Panel`]
+    /// — the layout [`RomMvm::batch_layout`] asks callers to stage when
+    /// the crossover picks the transposed kernels. Bit-identical to the
+    /// row-major entry on every tier.
     pub(crate) fn mvm_batch_exact_t(
         &self,
-        acts_t: &[i32],
-        n: usize,
-        n_pad: usize,
+        panel: &kernels::Panel<'_>,
         out: &mut [i64],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        self.validate_act_codes(acts_t);
+        self.validate_act_codes(panel.acts());
         assert!(
             !self.codes.is_empty() || self.outs == 0 || self.ins == 0,
             "exact kernel requires the stored code matrix"
         );
-        assert!(
-            n_pad >= n && n_pad.is_multiple_of(16),
-            "panel padding mismatch"
-        );
-        assert!(acts_t.len() >= self.ins * n_pad, "panel shape mismatch");
-        kernels::matmul_exact_t(self.kernel, &self.exact_codes(), acts_t, n, n_pad, out);
+        kernels::matmul_exact_t(self.kernel, &self.exact_codes(), panel, out);
         scratch.counters.clear();
-        scratch.counters.resize(n, [0u64; 3]);
+        scratch.counters.resize(panel.n(), [0u64; 3]);
         kernels::fold_event_counters_t(
             self.kernel,
-            acts_t,
-            self.ins,
-            n,
-            n_pad,
+            panel,
             &self.fold_params(),
             &mut scratch.counters,
         );
@@ -1155,33 +1142,27 @@ impl RomMvm {
         }
     }
 
-    /// [`RomMvm::mvm_batch_fast`] over a lane-major `[ins x n_pad_t]`
-    /// activation panel. The pulse bit-plane packing becomes
-    /// `rows_per_activation`-aware: the wordline bit and group base are
-    /// hoisted per activation row (one `1 << (r % rpa)` per row instead
-    /// of per `(v, row)` pair) and each panel row is read as one
-    /// contiguous lane run, so the pack is a linear sweep of the panel.
-    /// Values, ADC transfer and event counters are bit-identical to the
-    /// row-major entry (same integers in a different traversal order).
+    /// [`RomMvm::mvm_batch_fast`] over a lane-major [`kernels::Panel`].
+    /// The pulse bit-plane packing becomes `rows_per_activation`-aware:
+    /// the wordline bit and group base are hoisted per activation row
+    /// (one `1 << (r % rpa)` per row instead of per `(v, row)` pair) and
+    /// each panel row is read as one contiguous lane run from its
+    /// offset, so the pack is a linear sweep of every row. Values, ADC
+    /// transfer and event counters are bit-identical to the row-major
+    /// entry (same integers in a different traversal order).
     pub(crate) fn mvm_batch_fast_t(
         &self,
-        acts_t: &[i32],
-        n: usize,
-        n_pad_t: usize,
+        panel: &kernels::Panel<'_>,
         out: &mut [i64],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        self.validate_act_codes(acts_t);
+        self.validate_act_codes(panel.acts());
         let p = &self.params;
         let popcount_tiles = self
             .popcount_tiles
             .as_ref()
             .expect("fast path requires popcount tables");
-        assert!(
-            n_pad_t >= n && n_pad_t.is_multiple_of(16),
-            "panel padding mismatch"
-        );
-        assert!(acts_t.len() >= self.ins * n_pad_t, "panel shape mismatch");
+        let n = panel.n();
         let rpa = p.rows_per_activation;
         let n_groups = p.rows.div_ceil(rpa);
         let n_planes = p.chunk_bits as usize;
@@ -1194,10 +1175,7 @@ impl RomMvm {
         scratch.counters.resize(n, [0u64; 3]);
         kernels::fold_event_counters_t(
             self.kernel,
-            acts_t,
-            self.ins,
-            n,
-            n_pad_t,
+            panel,
             &self.fold_params(),
             &mut scratch.counters,
         );
@@ -1219,8 +1197,7 @@ impl RomMvm {
                     let local = r - row_lo;
                     let bit = 1u64 << (local % rpa);
                     let base = (local / rpa) * group_stride;
-                    let lane = &acts_t[r * n_pad_t..r * n_pad_t + n];
-                    for (v, &a) in lane.iter().enumerate() {
+                    for (v, &a) in panel.lane(r).iter().enumerate() {
                         let pulse = ((a as u32) >> shift) & chunk_mask;
                         if pulse == 0 {
                             continue;

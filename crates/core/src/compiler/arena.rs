@@ -4,9 +4,10 @@
 //! PR 4 *planned* a slot-reuse activation arena (`peak_arena_bytes` in
 //! every report) but the executor still cloned a `Tensor` per op. This
 //! module closes that gap: an [`ExecArena`] materializes the plan's slots
-//! as reusable `f32` buffers — plus the staging a CiM op needs (im2col
-//! patch matrix, quantized codes, integer accumulators, bit-plane masks,
-//! ReBranch intermediates) and the report/`PerOpExec` storage of the
+//! as reusable `f32` buffers — plus the staging a CiM op needs
+//! (activation codes as im2col rows or column-shifted code planes, tap
+//! offsets, integer accumulators, bit-plane masks, ReBranch
+//! intermediates) and the report/`PerOpExec` storage of the
 //! measurement fold — and `ExecPlan::execute_arena` interprets the plan
 //! directly on those buffers. Every buffer grows on first use and keeps
 //! its capacity, so a warmed-up inference touches the heap **zero**
@@ -136,10 +137,11 @@ pub struct ExecArena {
     pool_row: Vec<f32>,
     /// ReBranch intermediates: compress, residual-conv, decompress.
     rb: [Buf; 3],
-    /// Shared CiM kernel staging (im2col, codes, accumulators, planes).
-    /// The codes buffer holds vector-major rows or the lane-major
-    /// transposed panel, whichever layout the op's engine selects per
-    /// batch ([`RomMvm::batch_layout`]); both stage in place and retain
+    /// Shared CiM kernel staging (codes, tap offsets, accumulators,
+    /// bit-plane masks). The codes buffer holds a conv's vector-major
+    /// im2col rows or its column-shifted code planes, or a linear's
+    /// lane-major panel, whichever layout the op's engine selects per
+    /// batch ([`RomMvm::batch_layout`]); all stage in place and retain
     /// capacity, so layout switches between ops never allocate once
     /// warm.
     ///

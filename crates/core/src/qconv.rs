@@ -19,30 +19,37 @@ use yoloc_cim::faults::{FaultContext, FaultPlan, FaultSpec};
 use yoloc_cim::kernels::{transposed_pad, MatmulLayout};
 use yoloc_cim::macro_model::{MacroParams, MvmStats, RomMvm};
 use yoloc_quant::{calibrate_affine, PerChannelQuant, QuantParams};
-use yoloc_tensor::ops::{im2col, im2col_into, Conv2dGeometry, PatchWindow};
+use yoloc_tensor::ops::{im2col, im2col_into, Conv2dGeometry, PatchWindow, ShiftedPlanes};
 use yoloc_tensor::Tensor;
 
 use serde::json::Value as Json;
 use serde::{Deserialize, Serialize};
 
 /// Reusable staging for one CiM layer execution: the layer input's
-/// activation codes, the lowered codes of the whole conv, the integer
-/// MVM accumulators, and the backend's bit-plane staging and event
-/// counters.
+/// activation codes, in the layout the engine reads, the integer MVM
+/// accumulators, and the backend's bit-plane staging and event counters.
 ///
 /// One `CimScratch` serves every layer of a deployment in turn (layers
 /// run serially, and each call fully overwrites what it uses), which is
 /// how the arena executor keeps steady-state inference allocation-free:
-/// all four buffers grow on first use — to the largest conv's block —
-/// and keep their capacity across ops, samples and repeated `infer`
-/// calls.
+/// every buffer grows on first use — to the largest conv's block — and
+/// keeps its capacity across ops, samples and repeated `infer` calls.
 #[derive(Debug, Default)]
 pub struct CimScratch {
-    /// The conv input quantized once, `(n, C, h, w)` row-major.
+    /// For a row-major conv, its input quantized once, `(n, C, h, w)`
+    /// row-major. For a transposed conv, one zero-point-padded input row
+    /// at a time while the planes fill.
     input_codes: Vec<i32>,
-    /// Activation codes of every output position of the conv (all
-    /// samples), in the engine's [`RomMvm::batch_layout`].
+    /// The activation codes the engine reads, in its
+    /// [`RomMvm::batch_layout`] for the block: a conv's im2col rows
+    /// vector-major, a transposed conv's column-shifted code planes
+    /// ([`ShiftedPlanes`]) plus zero lanes the SIMD tiers may read past
+    /// the last tap's run, or a linear layer's copied lane-major panel.
     codes: Vec<i32>,
+    /// Where each tap's lanes start in the planes of a transposed conv:
+    /// one offset per im2col row, the row-offset table
+    /// [`RomMvm::run_batch_transposed`] reads the planes through.
+    tap_offsets: Vec<usize>,
     /// Integer accumulators of every output position, channel-major
     /// (`accs[o * positions + position]`, see [`yoloc_cim::backend`]).
     accs: Vec<i64>,
@@ -473,10 +480,11 @@ impl CimConv2d {
         }
     }
 
-    /// Lowers `x` (`(N, C, H, W)`) to its f32 im2col matrix, through the
-    /// same `im2col_into` walk [`CimConv2d::forward_in`] runs over
-    /// activation codes. Exposed so the lowering cost can be measured on
-    /// its own.
+    /// Lowers `x` (`(N, C, H, W)`) to its f32 im2col matrix. Exposed so
+    /// the cost of a lowering can be measured on its own; it is not a
+    /// stage of [`CimConv2d::forward_in`], which quantizes first and then
+    /// lowers codes: through [`im2col_into`] for a row-major block, into
+    /// [`ShiftedPlanes`] read in place for a transposed one.
     pub fn lower(&self, x: &Tensor) -> Tensor {
         im2col(x, &self.geom)
     }
@@ -491,18 +499,25 @@ impl CimConv2d {
         self.out_channels
     }
 
-    /// Lowers all `positions` output positions of the quantized input
-    /// `scratch.input_codes` (`dims` is its `[n, h, w]`) into
-    /// `scratch.codes` and runs them through the backend in one call,
-    /// leaving the accumulators in `scratch.accs` and one event-counter
-    /// row per position in `scratch.mvm`.
+    /// Quantizes the raw `(n, C, h, w)` input `x` (`dims` is `[n, h, w]`)
+    /// and runs all `positions = n * OH * OW` output positions through
+    /// the backend in one call, leaving the channel-major accumulators in
+    /// `scratch.accs` and one event-counter row per position in
+    /// `scratch.mvm`. Padded taps take the code of 0.0.
     ///
-    /// The lowering gathers codes straight into the layout the engine's
-    /// [`RomMvm::batch_layout`] picks for the block: vector-major rows,
-    /// or the lane-major panel whose rows are the contiguous runs of the
-    /// patch-major im2col matrix. Padded taps take the code of 0.0.
+    /// The codes land in the layout the engine's
+    /// [`RomMvm::batch_layout`] picks for the block. Row-major: the input
+    /// is quantized once and lowered into vector-major im2col rows.
+    /// Transposed: each input value a tap reads is quantized once,
+    /// straight into the conv's [`ShiftedPlanes`], and every tap's lanes
+    /// are read in place through its offset. One run covers all samples,
+    /// gap lanes between samples' plane blocks included; those are
+    /// dropped after the run ([`MvmScratch::keep_runs`], a no-op at
+    /// `n = 1`). Only noiseless engines take the transposed layout, so no
+    /// RNG draw lands on a gap lane.
     fn run_block<R: Rng + ?Sized>(
         &self,
+        x: &[f32],
         dims: [usize; 3],
         positions: usize,
         scratch: &mut CimScratch,
@@ -511,54 +526,53 @@ impl CimConv2d {
         let CimScratch {
             input_codes,
             codes,
+            tap_offsets,
             accs,
             mvm,
         } = scratch;
-        let patch = self.geom.patch_len();
-        let pad = self.act_params.quantize_value(0.0);
+        let act = &self.act_params;
+        let (outs, pad) = (self.out_channels, act.quantize_value(0.0));
         // Every backend writes every accumulator, so stale values from an
         // earlier layer need no zeroing.
-        accs.truncate(positions * self.out_channels);
-        accs.resize(positions * self.out_channels, 0);
         match self.engine.batch_layout(positions) {
             MatmulLayout::Transposed => {
-                let n_pad = transposed_pad(positions);
-                codes.resize(patch * n_pad, 0);
-                let win = PatchWindow {
-                    lo: 0,
-                    hi: positions,
-                    row_stride: n_pad,
-                    col_stride: 1,
-                };
-                im2col_into(input_codes, dims, &self.geom, pad, win, codes);
-                // Padding lanes are never read back; zero them so they
-                // hold valid codes whatever the buffer held before.
-                for lane in codes.chunks_exact_mut(n_pad) {
-                    lane[positions..].fill(0);
-                }
+                let planes = ShiftedPlanes::new(&self.geom, dims);
+                let (lanes, len) = (planes.lanes(), planes.codes());
+                // No tap's run ends past the planes, but the SIMD tiers
+                // read up to `transposed_pad(lanes)` lanes from each
+                // offset: zeros, a valid code, fill the difference.
+                codes.truncate(len);
+                codes.resize(len + transposed_pad(lanes) - lanes, 0);
+                let quantize = |v: f32| act.quantize_value(v);
+                planes.lower_into(x, pad, quantize, input_codes, &mut codes[..len]);
+                planes.tap_offsets_into(tap_offsets);
+                accs.resize(lanes * outs, 0);
                 self.engine
-                    .run_batch_transposed(codes, positions, n_pad, accs, mvm, rng);
+                    .run_batch_transposed(codes, tap_offsets, lanes, accs, mvm, rng);
+                mvm.keep_runs(accs, dims[0], planes.period(), planes.positions());
             }
             MatmulLayout::RowMajor => {
+                let patch = self.geom.patch_len();
+                input_codes.clear();
+                input_codes.extend(x.iter().map(|&v| act.quantize_value(v)));
                 codes.resize(positions * patch, 0);
                 let win = PatchWindow {
-                    lo: 0,
-                    hi: positions,
                     row_stride: 1,
                     col_stride: patch,
                 };
                 im2col_into(input_codes, dims, &self.geom, pad, win, codes);
+                accs.resize(positions * outs, 0);
                 self.engine.run_batch(codes, positions, accs, mvm, rng);
             }
         }
     }
 
-    /// Run step of the arena forward: quantizes each element of the raw
-    /// row-major `(n, C, h, w)` input once, lowers all `n * OH * OW`
-    /// output positions and runs them through the backend in one batch
-    /// call, leaving the channel-major accumulators in `scratch` for
-    /// [`CimConv2d::channel_rows`]. The modelled tile split is replayed
-    /// only in the returned statistics: each
+    /// Run step of the arena forward: quantizes the raw row-major
+    /// `(n, C, h, w)` input, stages all `n * OH * OW` output positions
+    /// and runs them through the backend in one batch call (see
+    /// [`CimConv2d::run_block`]), leaving the channel-major accumulators
+    /// in `scratch` for [`CimConv2d::channel_rows`]. The modelled tile
+    /// split is replayed only in the returned statistics: each
     /// [`CimConv2d::tile_range_iter`] tile is folded from zero in vector
     /// order and then merged, so the f64 energy/latency sums follow the
     /// placement's tile decomposition.
@@ -577,12 +591,8 @@ impl CimConv2d {
     ) -> MvmStats {
         let (oh, ow) = self.geom.output_hw(h, w);
         assert_eq!(x.len(), n * self.geom.in_channels * h * w, "input length");
-        scratch.input_codes.clear();
-        scratch
-            .input_codes
-            .extend(x.iter().map(|&v| self.act_params.quantize_value(v)));
         let positions = n * oh * ow;
-        self.run_block([n, h, w], positions, scratch, rng);
+        self.run_block(x, [n, h, w], positions, scratch, rng);
         let mut stats = MvmStats::default();
         for (lo, hi) in self.tile_range_iter(positions) {
             let mut tile_stats = MvmStats::default();
@@ -1087,23 +1097,46 @@ mod tests {
 
     #[test]
     fn forward_in_matches_staging_oracle() {
-        // Window geometries x batch sizes x tile hints x both batch
-        // layouts x both backend kinds. The host block is always the whole
-        // conv, so every hint above 1 folds tiles that differ from it,
-        // and at n = 3 tiles straddle samples. Inputs dip below zero, so
-        // the zero point — the pad code — is above 0. One scratch serves
-        // the whole grid, as in the arena executor, so stale codes from
-        // earlier layers sit in its buffers.
+        // Window geometries x input sizes x batch sizes x tile hints x
+        // both batch layouts x both backend kinds. The geometries cover
+        // strides 1 to 3, resnet18's 7x7/2 stem, a 1x1 stride-1 unpadded
+        // conv (whose one code plane is the quantized input) and, at the
+        // even size, stride-2 and -3 windows where `H + 2p - k` is not a
+        // multiple of the stride (a row phase then has rows past the
+        // padded input). Outputs run from 1 to 64 positions per sample,
+        // most narrower than 16 lanes or not a multiple of 16, and n = 3
+        // drops the gap lanes between samples' code planes. The host
+        // block is always the whole conv, so every hint above 1 folds
+        // tiles that differ from it, and at n = 3 tiles straddle samples.
+        // Inputs dip below zero, so the zero point — the pad code — is
+        // above 0. One scratch serves the whole grid, as in the arena
+        // executor, so stale codes from earlier layers sit in its
+        // buffers.
         let mut rng = StdRng::seed_from_u64(21);
         let params = MacroParams::rom_paper();
-        let (c, hw) = (2, 7);
+        let c = 2;
+        let geometries = [
+            (1, 1, 0),
+            (3, 1, 0),
+            (3, 1, 1),
+            (5, 1, 2),
+            (1, 2, 0),
+            (3, 2, 0),
+            (3, 2, 1),
+            (5, 2, 2),
+            (7, 2, 3),
+            (1, 3, 0),
+            (3, 3, 1),
+            (5, 3, 1),
+        ];
         let mut scratch = CimScratch::new();
         let mut layouts = Vec::new();
+        let mut transposed = Vec::new();
         for kind in [BackendKind::Popcount, BackendKind::Analog] {
-            for kernel in [1, 3, 5] {
-                for (stride, padding) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
+            for (kernel, stride, padding) in geometries {
+                for hw in [7, 8] {
                     // Batches 1 and 3. On the SIMD tiers 4 output
-                    // channels take the transposed panel once a conv
+                    // channels take the transposed layout once a conv
                     // has 4+ positions; 48 stay row-major.
                     for (n, outs) in [(1, 4), (1, 48), (3, 4), (3, 48)] {
                         let w = Tensor::randn(&[outs, c, kernel, kernel], 0.0, 0.4, &mut rng);
@@ -1111,16 +1144,32 @@ mod tests {
                         let mut conv =
                             CimConv2d::compile_on(kind, &w, stride, padding, &[&x], params);
                         assert!(conv.act_params.quantize_value(0.0) > 0);
-                        let label =
-                            format!("{kind:?} k{kernel} s{stride} p{padding} n{n} outs{outs}");
-                        layouts.push(assert_matches_oracle(&mut conv, &x, &mut scratch, &label));
+                        let label = format!(
+                            "{kind:?} k{kernel} s{stride} p{padding} {hw}x{hw} n{n} outs{outs}"
+                        );
+                        let layout = assert_matches_oracle(&mut conv, &x, &mut scratch, &label);
+                        if layout == MatmulLayout::Transposed {
+                            transposed.push((kernel, stride, n));
+                        }
+                        layouts.push(layout);
                     }
                 }
             }
         }
         assert!(layouts.contains(&MatmulLayout::RowMajor));
         if KernelDispatch::from_env().resolve() != KernelKind::Scalar {
-            assert!(layouts.contains(&MatmulLayout::Transposed));
+            // The code planes run at every stride, for the stem and the
+            // 1x1 conv, and across samples.
+            for want in [
+                (1, 1, 1),
+                (1, 1, 3),
+                (3, 2, 3),
+                (7, 2, 1),
+                (7, 2, 3),
+                (3, 3, 3),
+            ] {
+                assert!(transposed.contains(&want), "{want:?} never ran transposed");
+            }
         }
     }
 

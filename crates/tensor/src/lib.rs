@@ -13,7 +13,9 @@
 //!   but are never updated.
 //! * **im2col lowering** ([`ops::im2col`]) is shared with the hardware
 //!   mapper: the matrix that a convolution becomes is exactly the matrix
-//!   whose columns are placed on CiM bitlines.
+//!   whose columns are placed on CiM bitlines. CiM convs read its rows in
+//!   place from column-shifted planes of the input
+//!   ([`ops::ShiftedPlanes`]) instead of copying it.
 //! * Everything is deterministic given a caller-provided RNG.
 //!
 //! # Examples

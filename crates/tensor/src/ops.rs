@@ -74,21 +74,16 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     Tensor::from_vec(out, &[rows, cols]).expect("im2col shape is consistent")
 }
 
-/// The part of a `(C*k*k, N*OH*OW)` patch matrix [`im2col_into`] writes,
-/// and where: columns `lo..hi`, element `(row, col)` at
-/// `out[row * row_stride + (col - lo) * col_stride]`.
+/// Where [`im2col_into`] writes the `(C*k*k, N*OH*OW)` patch matrix:
+/// element `(row, col)` at `out[row * row_stride + col * col_stride]`.
 ///
-/// [`im2col`] lowers the whole matrix patch-major
-/// ([`PatchWindow::patch_major`]); a tile of output positions can be
-/// lowered vector-major (`row_stride == 1`, `col_stride == rows`) or into
-/// a lane-major panel whose rows are padded past the tile width
-/// (`row_stride >= hi - lo`, `col_stride == 1`).
+/// [`im2col`] lowers patch-major ([`PatchWindow::patch_major`]); the
+/// matrix can also be lowered vector-major (`row_stride == 1`,
+/// `col_stride == rows`) or into a lane-major panel whose rows are
+/// padded past the column count (`row_stride >= cols`,
+/// `col_stride == 1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatchWindow {
-    /// First column (output position) written.
-    pub lo: usize,
-    /// One past the last column written.
-    pub hi: usize,
     /// Distance in `out` between consecutive patch rows.
     pub row_stride: usize,
     /// Distance in `out` between consecutive columns.
@@ -99,18 +94,16 @@ impl PatchWindow {
     /// All `cols` columns, patch-major: the layout [`im2col`] returns.
     pub fn patch_major(cols: usize) -> Self {
         PatchWindow {
-            lo: 0,
-            hi: cols,
             row_stride: cols,
             col_stride: 1,
         }
     }
 }
 
-/// Lowers the columns `win` selects of the im2col matrix of a raw
-/// row-major `(N, C, H, W)` buffer (`dims` is `[N, H, W]`) into `out`, in
-/// the layout `win` describes. Every element of the window is written —
-/// out-of-bounds taps take `pad` — and nothing else in `out` is touched.
+/// Lowers the whole im2col matrix of a raw row-major `(N, C, H, W)`
+/// buffer (`dims` is `[N, H, W]`) into `out`, in the layout `win`
+/// describes. Every element of the matrix is written — out-of-bounds
+/// taps take `pad` — and nothing else in `out` is touched.
 ///
 /// Generic over the element so the same lowering serves float maps
 /// ([`im2col`], zero padding) and activation codes (padding with the
@@ -121,8 +114,8 @@ impl PatchWindow {
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != N * in_channels * H * W`, if the window exceeds
-/// the `N*OH*OW` columns, or if `out` is too short for it.
+/// Panics if `x.len() != N * in_channels * H * W` or if `out` is too
+/// short for the matrix.
 pub fn im2col_into<T: Copy>(
     x: &[T],
     dims: [usize; 3],
@@ -138,18 +131,16 @@ pub fn im2col_into<T: Copy>(
         "input buffer length mismatch"
     );
     let (oh, ow) = geom.output_hw(h, w);
-    assert!(
-        win.lo <= win.hi && win.hi <= n * oh * ow,
-        "window exceeds the patch matrix"
-    );
-    if win.lo == win.hi {
+    let cols = n * oh * ow;
+    if cols == 0 {
         return;
     }
-    let last = (geom.patch_len() - 1) * win.row_stride + (win.hi - win.lo - 1) * win.col_stride;
-    assert!(last < out.len(), "output buffer too short for the window");
+    let last = (geom.patch_len() - 1) * win.row_stride + (cols - 1) * win.col_stride;
+    assert!(last < out.len(), "output buffer too short for the matrix");
     let lowering = Lowering {
         x,
         geom,
+        n,
         h,
         w,
         oh,
@@ -164,7 +155,7 @@ pub fn im2col_into<T: Copy>(
     }
 }
 
-/// One [`im2col_into`] call: the input, its geometry and the window.
+/// One [`im2col_into`] call: the input, its geometry and the layout.
 ///
 /// Patch row `(ci*k + kh)*k + kw` of column `(ni, ohi, owi)` reads
 /// channel `ci` of sample `ni` at `(ohi*s + kh - padding, owi*s + kw -
@@ -173,6 +164,7 @@ pub fn im2col_into<T: Copy>(
 struct Lowering<'a, T> {
     x: &'a [T],
     geom: &'a Conv2dGeometry,
+    n: usize,
     h: usize,
     w: usize,
     oh: usize,
@@ -190,13 +182,6 @@ impl<T: Copy> Lowering<'_, T> {
             .filter(|&ih| ih < self.h)
     }
 
-    /// The window's first column as `(sample, output row, output column)`.
-    fn start(&self) -> (usize, usize, usize) {
-        let plane = self.oh * self.ow;
-        let lo = self.win.lo;
-        (lo / plane, lo % plane / self.ow, lo % self.ow)
-    }
-
     /// Walk for layouts whose columns are adjacent in `out`: per tap,
     /// output row by output row, each row's in-bounds taps are one run.
     fn by_tap(&self, out: &mut [T]) {
@@ -207,57 +192,48 @@ impl<T: Copy> Lowering<'_, T> {
             padding,
         } = *self.geom;
         let PatchWindow {
-            lo,
-            hi,
             row_stride,
             col_stride,
         } = self.win;
         let (h, w, chan) = (self.h, self.w, self.h * self.w);
-        let start = self.start();
         for kw in 0..k {
             // Output columns whose tap `owi*s + kw - padding` lands in
             // `0..w`, the same for every output row.
             let first = padding.saturating_sub(kw).div_ceil(s).min(self.ow);
             let end = (w + padding).saturating_sub(kw).div_ceil(s);
-            let (in_lo, in_hi) = (first, end.clamp(first, self.ow));
+            let (a, b) = (first, end.clamp(first, self.ow));
             for kh in 0..k {
                 let row = kh * k + kw;
-                let (mut ni, mut ohi, mut owi) = start;
-                let mut col = lo;
-                while col < hi {
-                    let end = self.ow.min(owi + hi - col);
-                    let dst = row * row_stride + (col - lo) * col_stride;
-                    // Pad, then the in-bounds run `a..b`, then pad.
-                    let ih = self.input_row(ohi, kh);
-                    let (a, b) = match ih {
-                        Some(_) => (in_lo.clamp(owi, end), in_hi.clamp(owi, end)),
-                        None => (end, end),
-                    };
-                    let src = ih
-                        .filter(|_| a < b)
-                        .map(|ih| (ni * c * h + ih) * w + a * s + kw - padding);
-                    for ci in 0..c {
-                        let d = dst + ci * k * k * row_stride;
-                        fill(out, d, col_stride, a - owi, self.pad);
-                        let run = d + (a - owi) * col_stride;
-                        if let Some(src) = src {
-                            let taps = &self.x[src + ci * chan..];
-                            copy(out, run, col_stride, taps, s, b - a);
+                for ni in 0..self.n {
+                    for ohi in 0..self.oh {
+                        let col = (ni * self.oh + ohi) * self.ow;
+                        let dst = row * row_stride + col * col_stride;
+                        // Pad, then the in-bounds run `a..b`, then pad.
+                        let ih = self.input_row(ohi, kh);
+                        let (a, b) = if ih.is_some() {
+                            (a, b)
+                        } else {
+                            (self.ow, self.ow)
+                        };
+                        let src = ih
+                            .filter(|_| a < b)
+                            .map(|ih| (ni * c * h + ih) * w + a * s + kw - padding);
+                        for ci in 0..c {
+                            let d = dst + ci * k * k * row_stride;
+                            fill(out, d, col_stride, a, self.pad);
+                            let run = d + a * col_stride;
+                            if let Some(src) = src {
+                                let taps = &self.x[src + ci * chan..];
+                                copy(out, run, col_stride, taps, s, b - a);
+                            }
+                            fill(
+                                out,
+                                run + (b - a) * col_stride,
+                                col_stride,
+                                self.ow - b,
+                                self.pad,
+                            );
                         }
-                        fill(
-                            out,
-                            run + (b - a) * col_stride,
-                            col_stride,
-                            end - b,
-                            self.pad,
-                        );
-                    }
-                    col += end - owi;
-                    owi = 0;
-                    ohi += 1;
-                    if ohi == self.oh {
-                        ohi = 0;
-                        ni += 1;
                     }
                 }
             }
@@ -274,15 +250,13 @@ impl<T: Copy> Lowering<'_, T> {
             padding,
         } = *self.geom;
         let PatchWindow {
-            lo,
-            hi,
             row_stride,
             col_stride,
         } = self.win;
         let (h, w, chan) = (self.h, self.w, self.h * self.w);
-        let (mut ni, mut ohi, mut owi) = self.start();
-        for col in lo..hi {
-            let dst = (col - lo) * col_stride;
+        let (mut ni, mut ohi, mut owi) = (0, 0, 0);
+        for col in 0..self.n * self.oh * self.ow {
+            let dst = col * col_stride;
             // Kernel columns whose tap `owi*s + kw - padding` lands in
             // `0..w`.
             let left = owi * s;
@@ -296,13 +270,17 @@ impl<T: Copy> Lowering<'_, T> {
                     .filter(|_| a < b)
                     .map(|ih| (ni * c * h + ih) * w + left + a - padding);
                 for ci in 0..c {
+                    // Runs are at most `k` long, so they are written
+                    // tap by tap: a copy or fill call per run would cost
+                    // more than the run.
                     let d = dst + (ci * k + kh) * k * row_stride;
-                    fill(out, d, row_stride, a, self.pad);
-                    let run = d + a * row_stride;
-                    if let Some(src) = src {
-                        copy(out, run, row_stride, &self.x[src + ci * chan..], 1, b - a);
+                    let taps = src.map(|src| &self.x[src + ci * chan..][..b - a]);
+                    for kw in 0..k {
+                        out[d + kw * row_stride] = match taps {
+                            Some(taps) if (a..b).contains(&kw) => taps[kw - a],
+                            _ => self.pad,
+                        };
                     }
-                    fill(out, run + (b - a) * row_stride, row_stride, k - b, self.pad);
                 }
             }
             owi += 1;
@@ -312,6 +290,239 @@ impl<T: Copy> Lowering<'_, T> {
                 if ohi == self.oh {
                     ohi = 0;
                     ni += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The column-shifted planes of a convolution's input: the layout whose
+/// slices a CiM conv's taps read in place, through one offset per tap,
+/// instead of a copied im2col matrix (the indirection buffer of M.
+/// Dukhan, "The Indirect Convolution Algorithm", arXiv:1907.02129).
+///
+/// For stride `s` and a `k x k` kernel there are `min(s, k) * k`
+/// planes. Plane `(a, kw)` (row phase `a`, kernel column `kw`) holds,
+/// for every channel and sample, the padded input rows `Y*s + a` for
+/// `Y < OH + (k - 1) div s`, each sampled at the padded columns
+/// `kw + j*s` for `j < OW`. Padding, and rows past the padded input,
+/// read as the pad value. Tap `(c, kh, kw)` of output position
+/// `(oy, ox)` is then element `(oy + kh div s, ox)` of plane
+/// `(kh mod s, kw)`'s block for channel `c`, so the tap's values over a
+/// sample's `OH*OW` positions are one contiguous slice starting at row
+/// `kh div s`: position order is im2col's column order.
+///
+/// Blocks lie `[plane][channel][sample][row][column]`, so one run of
+/// [`ShiftedPlanes::lanes`] lanes from a tap's offset covers every
+/// sample. Sample `ni`'s positions are lanes
+/// `ni * period .. ni * period + OH*OW`; the `(k - 1) div s` rows
+/// between two samples are gap lanes, which the consumer drops.
+///
+/// At stride 1 the planes hold `k * C * (H + 2p) * OW` values per
+/// sample against im2col's `k * k * C * OH * OW`. A 1x1 stride-1
+/// unpadded conv has one plane, the input with channels and samples
+/// swapped (the input itself at `N = 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShiftedPlanes {
+    geom: Conv2dGeometry,
+    n: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    /// Row phases with a plane: `min(s, k)`.
+    phases: usize,
+    /// Rows per (plane, channel, sample) block: `OH + (k - 1) div s`.
+    rows: usize,
+}
+
+impl ShiftedPlanes {
+    /// The planes of a conv with geometry `geom` over an `(N, C, H, W)`
+    /// input (`dims` is `[N, H, W]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not fit the padded input.
+    pub fn new(geom: &Conv2dGeometry, dims: [usize; 3]) -> Self {
+        let [n, h, w] = dims;
+        let (oh, ow) = geom.output_hw(h, w);
+        let (k, s) = (geom.kernel, geom.stride);
+        ShiftedPlanes {
+            geom: *geom,
+            n,
+            h,
+            w,
+            oh,
+            ow,
+            phases: s.min(k),
+            rows: oh + (k - 1) / s,
+        }
+    }
+
+    /// Output positions per sample, `OH * OW`.
+    pub fn positions(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Lanes between the first positions of two consecutive samples.
+    pub fn period(&self) -> usize {
+        self.rows * self.ow
+    }
+
+    /// Lanes one run from a tap's offset spans to cover every sample,
+    /// gap lanes included: `(N - 1) * period + OH * OW`.
+    pub fn lanes(&self) -> usize {
+        self.n
+            .checked_sub(1)
+            .map_or(0, |last| last * self.period() + self.positions())
+    }
+
+    /// Values the planes hold.
+    pub fn codes(&self) -> usize {
+        let planes = self.phases * self.geom.kernel;
+        planes * self.geom.in_channels * self.n * self.period()
+    }
+
+    /// Writes into `offsets` the offset of every im2col row's first lane
+    /// (row `(c*k + kh)*k + kw` is tap `(c, kh, kw)`), one per row.
+    pub fn tap_offsets_into(&self, offsets: &mut Vec<usize>) {
+        let Conv2dGeometry {
+            in_channels: c,
+            kernel: k,
+            stride: s,
+            ..
+        } = self.geom;
+        let block = self.n * self.period();
+        offsets.clear();
+        for ci in 0..c {
+            for kh in 0..k {
+                for kw in 0..k {
+                    let plane = (kh % s) * k + kw;
+                    offsets.push((plane * c + ci) * block + kh / s * self.ow);
+                }
+            }
+        }
+    }
+
+    /// Fills the planes from a raw row-major `(N, C, H, W)` buffer `x`,
+    /// mapping each input value that some tap reads through `map` once,
+    /// and writing `pad` for padding. `row` is scratch for one padded
+    /// input row. Every one of the [`ShiftedPlanes::codes`] values of
+    /// `out` is written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `N * C * H * W` long or `out` is not
+    /// [`ShiftedPlanes::codes`] long.
+    pub fn lower_into<S: Copy, T: Copy>(
+        &self,
+        x: &[S],
+        pad: T,
+        map: impl Fn(S) -> T,
+        row: &mut Vec<T>,
+        out: &mut [T],
+    ) {
+        let Conv2dGeometry {
+            in_channels: c,
+            kernel: k,
+            stride: s,
+            padding: p,
+        } = self.geom;
+        let (h, w, ow) = (self.h, self.w, self.ow);
+        assert_eq!(x.len(), self.n * c * h * w, "input buffer length mismatch");
+        assert_eq!(out.len(), self.codes(), "plane buffer length mismatch");
+        if s == 1 && 2 * p + 1 == k {
+            return self.lower_same_into(x, pad, map, out);
+        }
+        let period = self.period();
+        // The padding columns stay `pad`; each input row overwrites the
+        // middle.
+        row.clear();
+        row.resize(w + 2 * p, pad);
+        for ci in 0..c {
+            for ni in 0..self.n {
+                let chan = &x[(ni * c + ci) * h * w..][..h * w];
+                for y in 0..self.rows {
+                    for a in 0..self.phases {
+                        let ih = (y * s + a).checked_sub(p).filter(|&ih| ih < h);
+                        if let Some(ih) = ih {
+                            for (d, &v) in row[p..p + w].iter_mut().zip(&chan[ih * w..][..w]) {
+                                *d = map(v);
+                            }
+                        }
+                        for kw in 0..k {
+                            let plane = a * k + kw;
+                            let start = ((plane * c + ci) * self.n + ni) * period + y * ow;
+                            let dst = &mut out[start..start + ow];
+                            match ih {
+                                None => dst.fill(pad),
+                                Some(_) if s == 1 => dst.copy_from_slice(&row[kw..kw + ow]),
+                                Some(_) => {
+                                    for (d, &v) in dst.iter_mut().zip(row[kw..].iter().step_by(s)) {
+                                        *d = v;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`ShiftedPlanes::lower_into`] for a stride-1 conv padded by
+    /// `(k - 1) / 2`, which keeps the input's size. Each block of the
+    /// middle plane `kw = p` is then `p` pad rows, the channel's mapped
+    /// input and `p` pad rows, and plane `kw` is the middle plane moved
+    /// `kw - p` lanes, its columns moved across a row edge set to the
+    /// pad. So the input is mapped in one run per block and every other
+    /// plane is one copy, instead of row by row.
+    fn lower_same_into<S: Copy, T: Copy>(
+        &self,
+        x: &[S],
+        pad: T,
+        map: impl Fn(S) -> T,
+        out: &mut [T],
+    ) {
+        let (c, k, p) = (self.geom.in_channels, self.geom.kernel, self.geom.padding);
+        let (h, w) = (self.h, self.w);
+        let block = self.period();
+        let plane_len = c * self.n * block;
+        let (head, tail) = out.split_at_mut(p * plane_len);
+        let (middle, tail) = tail.split_at_mut(plane_len);
+        if k == 1 && self.n == 1 {
+            // One plane, the input itself: map it in one run.
+            for (d, &v) in middle.iter_mut().zip(x) {
+                *d = map(v);
+            }
+            return;
+        }
+        for (b, dst) in middle.chunks_exact_mut(block).enumerate() {
+            let (ci, ni) = (b / self.n, b % self.n);
+            let src = &x[(ni * c + ci) * h * w..][..h * w];
+            let (top, rest) = dst.split_at_mut(p * w);
+            let (body, bottom) = rest.split_at_mut(h * w);
+            top.fill(pad);
+            for (d, &v) in body.iter_mut().zip(src) {
+                *d = map(v);
+            }
+            bottom.fill(pad);
+        }
+        let planes = head
+            .chunks_exact_mut(plane_len)
+            .chain(tail.chunks_exact_mut(plane_len));
+        for (kw, plane) in (0..k).filter(|&kw| kw != p).zip(planes) {
+            if kw > p {
+                let d = (kw - p).min(plane_len);
+                plane[..plane_len - d].copy_from_slice(&middle[d..]);
+                for row in plane.chunks_exact_mut(w) {
+                    row[w.saturating_sub(d)..].fill(pad);
+                }
+            } else {
+                let d = (p - kw).min(plane_len);
+                plane[d..].copy_from_slice(&middle[..plane_len - d]);
+                for row in plane.chunks_exact_mut(w) {
+                    row[..d.min(w)].fill(pad);
                 }
             }
         }
@@ -588,9 +799,10 @@ mod tests {
 
     /// Lowering the quantized input (padding with the code of 0.0) gives
     /// `im2col(x)` quantized element by element, in every layout the
-    /// CiM staging uses: the whole matrix patch-major, and three tiles
-    /// of columns vector-major and into lane panels three lanes wider
-    /// than the tile, whose padding lanes must stay untouched.
+    /// CiM staging uses: the whole matrix patch-major, vector-major and
+    /// into a lane panel three lanes wider than the matrix, whose padding
+    /// lanes must stay untouched; and each tap's slice of the
+    /// column-shifted planes, which hold a code in every slot.
     fn assert_code_lowering_matches(x: &Tensor, cols: &Tensor, g: &Conv2dGeometry) {
         const UNTOUCHED: i32 = -1;
         let (rows, ncols) = (cols.shape()[0], cols.shape()[1]);
@@ -603,29 +815,46 @@ mod tests {
             out
         };
         assert_eq!(lower(PatchWindow::patch_major(ncols), rows * ncols), want);
-        let cuts = [0, ncols / 3, 2 * ncols / 3, ncols];
-        for (lo, hi) in cuts.iter().zip(&cuts[1..]).map(|(&lo, &hi)| (lo, hi)) {
-            let (count, lanes) = (hi - lo, hi - lo + 3);
-            let vector_major = PatchWindow {
-                lo,
-                hi,
-                row_stride: 1,
-                col_stride: rows,
-            };
-            let panel = PatchWindow {
-                lo,
-                hi,
-                row_stride: lanes,
-                col_stride: 1,
-            };
-            let vm = lower(vector_major, count * rows);
-            let lm = lower(panel, rows * lanes);
-            for r in 0..rows {
-                let want_row = &want[r * ncols + lo..r * ncols + hi];
-                let vm_row: Vec<i32> = (0..count).map(|v| vm[v * rows + r]).collect();
-                assert_eq!(vm_row, want_row, "{g:?} row {r} cols {lo}..{hi}");
-                assert_eq!(&lm[r * lanes..r * lanes + count], want_row);
-                assert_eq!(lm[r * lanes + count..(r + 1) * lanes], [UNTOUCHED; 3]);
+        let vector_major = PatchWindow {
+            row_stride: 1,
+            col_stride: rows,
+        };
+        let lanes = ncols + 3;
+        let panel = PatchWindow {
+            row_stride: lanes,
+            col_stride: 1,
+        };
+        let vm = lower(vector_major, ncols * rows);
+        let lm = lower(panel, rows * lanes);
+        for r in 0..rows {
+            let want_row = &want[r * ncols..(r + 1) * ncols];
+            let vm_row: Vec<i32> = (0..ncols).map(|v| vm[v * rows + r]).collect();
+            assert_eq!(vm_row, want_row, "{g:?} row {r}");
+            assert_eq!(&lm[r * lanes..r * lanes + ncols], want_row);
+            assert_eq!(lm[r * lanes + ncols..(r + 1) * lanes], [UNTOUCHED; 3]);
+        }
+
+        let planes = ShiftedPlanes::new(g, dims);
+        let mut out = vec![UNTOUCHED; planes.codes()];
+        planes.lower_into(x.data(), code(0.0), code, &mut Vec::new(), &mut out);
+        assert!(
+            !out.contains(&UNTOUCHED),
+            "{g:?}: a plane slot left unwritten"
+        );
+        let mut offsets = Vec::new();
+        planes.tap_offsets_into(&mut offsets);
+        assert_eq!(offsets.len(), rows);
+        let (n, positions, period) = (dims[0], planes.positions(), planes.period());
+        assert_eq!(planes.lanes(), (n - 1) * period + positions);
+        for (r, &off) in offsets.iter().enumerate() {
+            for ni in 0..n {
+                let lane = off + ni * period;
+                let want_run = &want[r * ncols + ni * positions..][..positions];
+                assert_eq!(
+                    &out[lane..lane + positions],
+                    want_run,
+                    "{g:?} row {r} n{ni}"
+                );
             }
         }
     }

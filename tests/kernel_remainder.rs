@@ -11,6 +11,12 @@
 //! the pulse mask-stream path, and the noisy variant checks the
 //! per-vector analog fallback consumes its RNG stream identically
 //! through the transposed entry.
+//!
+//! The transposed run step reads its panel through a per-row offset
+//! table, so the suite also drives it with rows permuted, gapped and
+//! overlapping in one buffer, the last row ending exactly at the
+//! buffer's end, and checks that a table reaching one lane further
+//! panics before any kernel runs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -178,4 +184,120 @@ proptest! {
         }
         assert_remainder_parity(params, outs, ins, n, seed);
     }
+}
+
+/// Offset tables over one buffer for `ins` panel rows of `n` lanes, and
+/// the buffer length each needs: every row's `transposed_pad(n)`
+/// readable lanes fit, and the last of them ends exactly at the end.
+fn offset_tables(ins: usize, n: usize) -> Vec<(&'static str, Vec<usize>, usize)> {
+    let n_pad = transposed_pad(n);
+    // A fixed scramble of 0..ins (a permutation for every `ins` this
+    // suite uses: 7 is coprime to each).
+    let scramble = |i: usize| (i * 7 + 3) % ins;
+    let step = (n / 2).max(1);
+    let tables = [
+        (
+            "permuted",
+            (0..ins).map(|i| scramble(i) * n_pad).collect::<Vec<_>>(),
+        ),
+        (
+            "gapped",
+            (0..ins).map(|i| (ins - 1 - i) * (n_pad + 5) + 2).collect(),
+        ),
+        (
+            "overlapping",
+            (0..ins).map(|i| scramble(i) * step).collect(),
+        ),
+    ];
+    tables
+        .into_iter()
+        .map(|(name, rows)| {
+            let end = rows.iter().max().unwrap() + n_pad;
+            (name, rows, end)
+        })
+        .collect()
+}
+
+/// Runs `run_batch_transposed` over every offset table of
+/// [`offset_tables`] on every tier, each against the scalar row-major
+/// golden of the vectors the table reads.
+fn assert_offset_parity(params: MacroParams, outs: usize, ins: usize, n: usize, seed: u64) {
+    let codes = seeded_matrix(outs, ins, seed);
+    let mut b = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
+    let mut scratch = MvmScratch::new();
+    for (name, rows, len) in offset_tables(ins, n) {
+        let buf = seeded_acts(1, len, seed);
+        let acts: Vec<i32> = (0..n)
+            .flat_map(|v| rows.iter().map(move |&r| r + v))
+            .map(|j| buf[j])
+            .collect();
+        b.set_kernel(KernelKind::Scalar);
+        let mut golden = vec![0i64; n * outs];
+        let mut golden_stats = MvmStats::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        b.mvm_batch(
+            &acts,
+            n,
+            &mut golden,
+            &mut golden_stats,
+            &mut scratch,
+            &mut rng,
+        );
+        for kind in available_kinds() {
+            b.set_kernel(kind);
+            let mut out = vec![0i64; n * outs];
+            let mut stats = MvmStats::default();
+            let mut rng = StdRng::seed_from_u64(seed);
+            b.run_batch_transposed(&buf, &rows, n, &mut out, &mut scratch, &mut rng);
+            b.fold_stats(&scratch, 0..n, &mut stats);
+            let label = format!("{} {name} rows at {outs}x{ins} n={n}", kind.label());
+            assert_eq!(out, golden, "{label}: accumulators");
+            assert_eq!(stats, golden_stats, "{label}: stats");
+        }
+    }
+}
+
+#[test]
+fn row_offset_tables_hold_parity_on_every_path() {
+    // The exact path, the quantizing-ADC mask stream and the noisy
+    // per-vector fallback (which unpacks through the offsets), at
+    // batch sizes around every lane width.
+    let exact = MacroParams::rom_paper();
+    let mut quantizing = exact;
+    quantizing.rows_per_activation = 32;
+    let mut noisy = exact;
+    noisy.noise_sigma = 0.25;
+    for (params, seed) in [(exact, 0x0FF), (quantizing, 0x0FA), (noisy, 0x0F5)] {
+        for &(outs, ins) in &[(1, 9), (3, 17), (17, 31), (2, 2)] {
+            for n in [1, 4, 8, 9, 16, 17, 33] {
+                assert_offset_parity(params, outs, ins, n, seed + n as u64);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "panel row reaches lane")]
+fn row_offset_one_lane_past_the_buffer_panics_before_any_kernel() {
+    let (outs, ins, n) = (3, 9, 5);
+    let b = program_backend(
+        BackendKind::Popcount,
+        MacroParams::rom_paper(),
+        &seeded_matrix(outs, ins, 1),
+        outs,
+        ins,
+    );
+    let (_, rows, len) = offset_tables(ins, n).swap_remove(1);
+    // One code short of what the table needs: its last row's padded
+    // lanes reach one past the end.
+    let buf = seeded_acts(1, len - 1, 1);
+    let mut out = vec![0i64; n * outs];
+    b.run_batch_transposed(
+        &buf,
+        &rows,
+        n,
+        &mut out,
+        &mut MvmScratch::new(),
+        &mut StdRng::seed_from_u64(1),
+    );
 }
