@@ -1098,42 +1098,38 @@ mod tests {
     #[test]
     fn forward_in_matches_staging_oracle() {
         // Window geometries x input sizes x batch sizes x tile hints x
-        // both batch layouts x both backend kinds. The geometries cover
-        // strides 1 to 3, resnet18's 7x7/2 stem, a 1x1 stride-1 unpadded
-        // conv (whose one code plane is the quantized input) and, at the
-        // even size, stride-2 and -3 windows where `H + 2p - k` is not a
-        // multiple of the stride (a row phase then has rows past the
-        // padded input). Outputs run from 1 to 64 positions per sample,
-        // most narrower than 16 lanes or not a multiple of 16, and n = 3
-        // drops the gap lanes between samples' code planes. The host
-        // block is always the whole conv, so every hint above 1 folds
-        // tiles that differ from it, and at n = 3 tiles straddle samples.
-        // Inputs dip below zero, so the zero point — the pad code — is
-        // above 0. One scratch serves the whole grid, as in the arena
-        // executor, so stale codes from earlier layers sit in its
-        // buffers.
+        // both batch layouts x both backend kinds. The geometries are
+        // kernels 1, 3 and 5 at strides 1 and 2 under every padding from
+        // 0 to 2 — so stride-1 convs padded less or more than `(k-1)/2`
+        // take the general plane fill, and "same" ones the one that
+        // shifts a whole plane — plus stride 3, resnet18's 7x7/2 stem and
+        // a 1x1 stride-1 unpadded conv (whose one code plane is the
+        // quantized input). At the even size, stride-2 and -3 windows
+        // see `H + 2p - k` not a multiple of the stride (a row phase
+        // then has rows past the padded input). Outputs run from 1 to 64
+        // positions per sample, most narrower than 16 lanes or not a
+        // multiple of 16, and n = 3 drops the gap lanes between samples'
+        // code planes. The host block is always the whole conv, so every
+        // hint above 1 folds tiles that differ from it, and at n = 3
+        // tiles straddle samples. Inputs dip below zero, so the zero
+        // point — the pad code — is above 0. One scratch serves the whole
+        // grid, as in the arena executor, so stale codes from earlier
+        // layers sit in its buffers.
         let mut rng = StdRng::seed_from_u64(21);
         let params = MacroParams::rom_paper();
         let c = 2;
-        let geometries = [
-            (1, 1, 0),
-            (3, 1, 0),
-            (3, 1, 1),
-            (5, 1, 2),
-            (1, 2, 0),
-            (3, 2, 0),
-            (3, 2, 1),
-            (5, 2, 2),
-            (7, 2, 3),
-            (1, 3, 0),
-            (3, 3, 1),
-            (5, 3, 1),
-        ];
+        let mut geometries = Vec::new();
+        for kernel in [1, 3, 5] {
+            for (stride, padding) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
+                geometries.push((kernel, stride, padding));
+            }
+        }
+        geometries.extend([(7, 2, 3), (1, 3, 0), (3, 3, 1), (5, 3, 1)]);
         let mut scratch = CimScratch::new();
         let mut layouts = Vec::new();
         let mut transposed = Vec::new();
         for kind in [BackendKind::Popcount, BackendKind::Analog] {
-            for (kernel, stride, padding) in geometries {
+            for &(kernel, stride, padding) in &geometries {
                 for hw in [7, 8] {
                     // Batches 1 and 3. On the SIMD tiers 4 output
                     // channels take the transposed layout once a conv
@@ -1149,7 +1145,7 @@ mod tests {
                         );
                         let layout = assert_matches_oracle(&mut conv, &x, &mut scratch, &label);
                         if layout == MatmulLayout::Transposed {
-                            transposed.push((kernel, stride, n));
+                            transposed.push((kernel, stride, padding, n));
                         }
                         layouts.push(layout);
                     }
@@ -1158,15 +1154,23 @@ mod tests {
         }
         assert!(layouts.contains(&MatmulLayout::RowMajor));
         if KernelDispatch::from_env().resolve() != KernelKind::Scalar {
-            // The code planes run at every stride, for the stem and the
+            // The code planes run at every stride, for "same",
+            // under- and over-padded stride-1 convs, the stem and the
             // 1x1 conv, and across samples.
             for want in [
-                (1, 1, 1),
-                (1, 1, 3),
-                (3, 2, 3),
-                (7, 2, 1),
-                (7, 2, 3),
-                (3, 3, 3),
+                (1, 1, 0, 1),
+                (1, 1, 0, 3),
+                (1, 1, 1, 3),
+                (3, 1, 1, 3),
+                (3, 1, 0, 3),
+                (3, 1, 2, 3),
+                (5, 1, 0, 1),
+                (5, 1, 1, 3),
+                (3, 2, 1, 3),
+                (5, 2, 0, 3),
+                (7, 2, 3, 1),
+                (7, 2, 3, 3),
+                (3, 3, 1, 3),
             ] {
                 assert!(transposed.contains(&want), "{want:?} never ran transposed");
             }

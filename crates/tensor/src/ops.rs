@@ -490,13 +490,6 @@ impl ShiftedPlanes {
         let plane_len = c * self.n * block;
         let (head, tail) = out.split_at_mut(p * plane_len);
         let (middle, tail) = tail.split_at_mut(plane_len);
-        if k == 1 && self.n == 1 {
-            // One plane, the input itself: map it in one run.
-            for (d, &v) in middle.iter_mut().zip(x) {
-                *d = map(v);
-            }
-            return;
-        }
         for (b, dst) in middle.chunks_exact_mut(block).enumerate() {
             let (ci, ni) = (b / self.n, b % self.n);
             let src = &x[(ni * c + ci) * h * w..][..h * w];
