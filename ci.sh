@@ -39,6 +39,10 @@ echo "== quantization and lowering arithmetic in release (overflow checks off)"
 # overflow panics; release builds wrap silently instead, so the
 # saturation properties and the conv staging oracle run here too.
 cargo test -q --release -p yoloc-quant -p yoloc-tensor
+# The kernel parity suites in release too: the counter fold is portable
+# Rust whose speed, and vector code, are whatever the compiler makes of
+# it, and every other test step builds at the dev profile's opt-level 2.
+cargo test -q --release -p yoloc-cim
 # The quantizer against its truncation reference on all 2^32 inputs.
 cargo test -q --release -p yoloc-quant -- --ignored
 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle

@@ -43,7 +43,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::Panel;
+use crate::kernels::{FoldSrc, Panel};
 use crate::macro_model::{MacroParams, MvmStats, RomMvm};
 
 /// Which execution path a layer's engine is programmed for (see the
@@ -82,19 +82,20 @@ pub struct MvmScratch {
     /// and AVX2 tiers, 8 on AVX-512), so each plane streams contiguously
     /// across the block.
     pub(crate) plane_masks: Vec<u64>,
-    /// One `(analog_evaluations, adc_conversions, wl_pulses)` row per
-    /// vector of the last run step, each summed over the whole call. They
-    /// are all [`RomMvm::fold_stats`] needs: any contiguous range of
-    /// vectors can be folded into `MvmStats` after the run.
-    pub(crate) counters: Vec<[u64; 3]>,
-    /// Staged lane-packed `i16` activation rows for the AVX2 `madd`
-    /// matmul tier (unused by the scalar tier).
+    /// Each vector's live `(group, chunk)` evaluations over the whole
+    /// last run step, before the engine's column tiles fan them out.
+    /// With `pulses`, all [`RomMvm::fold_stats`] needs: any contiguous
+    /// range of vectors can be folded into `MvmStats` after the run.
+    pub(crate) active: Vec<u32>,
+    /// Each vector's word-line pulses over the last run step, per column
+    /// tile.
+    pub(crate) pulses: Vec<u32>,
+    /// Staged lane-packed `i16` activation rows for the `madd` matmuls
+    /// of the AVX2 and AVX-512 tiers (unused by the scalar tier).
     pub(crate) acts16: Vec<i16>,
     /// Per-vector discharge counts of the column mask currently being
     /// streamed (padded like `plane_masks`).
     pub(crate) counts: Vec<u64>,
-    /// Per-chunk nonzero-pulse bitmaps for the vectorized counter fold.
-    pub(crate) fold_bitmaps: Vec<u64>,
     /// Row-major activation staging for the reverse unpack (a
     /// transposed caller landing on a path that wants row-major acts).
     pub(crate) acts_rm: Vec<i32>,
@@ -113,7 +114,7 @@ impl MvmScratch {
     /// `(runs - 1) * period + live` vectors: `runs` runs of `live`
     /// wanted vectors, each starting `period` after the one before.
     /// Keeps only the wanted ones, in order, packed to `runs * live`
-    /// vectors, in the event-counter rows and in the channel-major
+    /// vectors, in both event-counter rows and in the channel-major
     /// accumulators `out` the step wrote. A no-op when
     /// `period == live`.
     ///
@@ -130,7 +131,8 @@ impl MvmScratch {
             return;
         }
         let ran = (runs - 1) * period + live;
-        keep_lane_runs(&mut self.counters, ran, runs, period, live);
+        keep_lane_runs(&mut self.active, ran, runs, period, live);
+        keep_lane_runs(&mut self.pulses, ran, runs, period, live);
         keep_lane_runs(out, ran, runs, period, live);
     }
 }
@@ -195,19 +197,16 @@ impl RomMvm {
             self.mvm_batch_noiseless(acts, n_vectors, out, scratch);
         } else {
             // The reference path is per-vector (each vector consumes its
-            // own RNG draws). `mvm_analog` derives its energy and latency
-            // from the same three counters `fold_stats` reads, so keeping
-            // only the counters loses nothing.
-            scratch.counters.clear();
+            // own RNG draws). Noise moves no event count, so the counters
+            // come from the same fold as on every other path, once the
+            // analog walk has range-checked every code.
             for v in 0..n_vectors {
-                let (y, s) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
+                let (y, _) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
                 for (o, &y) in y.iter().enumerate() {
                     out[o * n_vectors + v] = y;
                 }
-                scratch
-                    .counters
-                    .push([s.analog_evaluations, s.adc_conversions, s.wl_pulses]);
             }
+            self.fold_counters(FoldSrc::Rows { acts, ins }, n_vectors, scratch);
         }
     }
 

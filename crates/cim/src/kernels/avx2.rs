@@ -22,10 +22,9 @@
 //!   `_mm256_mullo_epi32` for the narrow shapes whose rows cannot fill
 //!   lanes; its lanes widen and store straight into the channel-major
 //!   accumulator row;
-//! * [`fold_event_counters`] / [`fold_event_counters_t`] — the
-//!   event-counter folds in both layouts: 8 rows per step with
-//!   per-chunk nonzero bitmaps (row-major), or 8 vectors per step with
-//!   lane-resident activity counters (transposed);
+//! * [`fold`] — the portable event-counter fold of the `fold` module in
+//!   both layouts, compiled with AVX2 enabled: no intrinsics, the
+//!   compiler vectorizes it;
 //! * [`group_counts`] — the bit-plane popcount stream: one stored column
 //!   mask `AND`ed against four vectors' staged pulse planes at once,
 //!   popcounted with the `vpshufb` nibble-LUT + `_mm256_sad_epu8` trick.
@@ -35,16 +34,14 @@
 
 use std::arch::x86_64::{
     __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-    _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cvtepi32_epi64,
-    _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
-    _mm256_movemask_ps, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_or_si256, _mm256_packs_epi32,
+    _mm256_castsi256_si128, _mm256_cvtepi32_epi64, _mm256_extracti128_si256, _mm256_loadu_si256,
+    _mm256_madd_epi16, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_packs_epi32,
     _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x,
     _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
-    _mm256_sll_epi64, _mm256_srl_epi32, _mm256_srli_epi16, _mm256_srli_epi32, _mm256_srli_epi64,
-    _mm256_storeu_si256, _mm256_sub_epi32, _mm_cvtsi32_si128,
+    _mm256_sll_epi64, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256, _mm_cvtsi32_si128,
 };
 
-use super::{scalar, ExactCodes, FoldParams, Panel};
+use super::{fold, scalar, ExactCodes, FoldSrc, Panel};
 
 /// Vectors staged per cache block of the blocked matmuls: 8 activation
 /// rows of `i16` codes stay well inside L1 alongside a 4-row code quad.
@@ -349,324 +346,21 @@ fn dot4_i32(codes: &[i32], o: usize, ins: usize, av: &[i32]) -> [i64; 4] {
     quad
 }
 
-/// `CHUNK_SPREAD_LUT[a]` holds the four 2-bit chunk fields of the 8-bit
-/// activation code `a`, each spread into its own 16-bit lane of a `u64`
-/// — so the small-shape fold accumulates all four per-chunk sums with a
-/// single table load and one 64-bit add per activation.
-const fn build_chunk_spread_lut() -> [u64; 256] {
-    let mut lut = [0u64; 256];
-    let mut a = 0usize;
-    while a < 256 {
-        let mut b = 0;
-        while b < 4 {
-            lut[a] |= (((a >> (2 * b)) & 0x3) as u64) << (16 * b);
-            b += 1;
-        }
-        a += 1;
-    }
-    lut
-}
-static CHUNK_SPREAD_LUT: [u64; 256] = build_chunk_spread_lut();
-
-/// Small-`ins` event-counter fold of the AVX2 tier, for the paper
-/// chunking (`chunk_bits = 2`, 4 chunks, so codes fit 8 bits). Below
-/// the vector fold's cutover the per-row work is too small to amortize
-/// lane reductions, but the shift-and-mask chunk extraction of the
-/// scalar reference (4 shift+mask+add per activation) still dominates;
-/// this variant replaces it with one [`CHUNK_SPREAD_LUT`] load and one
-/// add. Each 16-bit lane accumulates at most `3 * ins`, so the packing
-/// is exact for the `ins < 64` shapes this path is gated to.
-/// Bit-identical to [`scalar::fold_event_counters`]: identical integer
-/// sums, identical group-activity predicate, identical counter updates.
-pub(crate) fn fold_event_counters_small(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
-    debug_assert!(p.chunk_bits == 2 && p.n_chunks == 4);
-    debug_assert!(ins <= 21845, "16-bit spread lanes hold at most 3 * 21845");
-    debug_assert_eq!(counters.len(), n);
-    debug_assert_eq!(acts.len(), n * ins);
-    for (v, c) in counters.iter_mut().enumerate() {
-        let av = &acts[v * ins..(v + 1) * ins];
-        let mut active = 0u64;
-        let mut tot = 0u64;
-        for &(lo, hi) in p.group_bounds {
-            let mut group_or = 0u32;
-            for &a in &av[lo as usize..hi as usize] {
-                group_or |= a as u32;
-                tot += CHUNK_SPREAD_LUT[a as usize];
-            }
-            for ci in 0..4u32 {
-                active += (((group_or >> (2 * ci)) & 0x3) != 0) as u64;
-            }
-        }
-        let total = (tot & 0xffff) + ((tot >> 16) & 0xffff) + ((tot >> 32) & 0xffff) + (tot >> 48);
-        c[0] += active * p.col_tiles;
-        c[1] += active * p.cols * p.col_tiles;
-        c[2] += total * p.col_tiles;
-    }
-}
-
-/// AVX2 tier of the event-counter fold: all chunk sums accumulate 8
-/// rows per step, and group activity is answered from per-chunk nonzero
-/// bitmaps instead of a second walk. Accumulates into `counters`
-/// exactly like [`scalar::fold_event_counters`].
-pub(crate) fn fold_event_counters(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-    bitmaps: &mut Vec<u64>,
+/// The portable event-counter fold ([`fold::fold`]) compiled for AVX2.
+pub(crate) fn fold(
+    src: &FoldSrc<'_>,
+    bounds: &[(u32, u32)],
+    active: &mut [u32],
+    pulses: &mut [u32],
 ) {
     assert_avx2();
-    debug_assert!(p.n_chunks <= 4, "vector fold handles at most 4 chunks");
     // SAFETY: AVX2 support asserted above.
-    unsafe { fold_impl(acts, ins, n, p, counters, bitmaps) }
+    unsafe { fold_avx2(src, bounds, active, pulses) }
 }
 
 #[target_feature(enable = "avx2")]
-fn fold_impl(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-    bitmaps: &mut Vec<u64>,
-) {
-    debug_assert_eq!(counters.len(), n);
-    debug_assert_eq!(acts.len(), n * ins);
-    let chunk_mask = (1u32 << p.chunk_bits) - 1;
-    let n_words = ins.div_ceil(64).max(1);
-    bitmaps.clear();
-    bitmaps.resize(p.n_chunks * n_words, 0);
-    let mask_v = _mm256_set1_epi32(chunk_mask as i32);
-    let zero = _mm256_setzero_si256();
-    for (v, c) in counters.iter_mut().enumerate() {
-        let av = &acts[v * ins..(v + 1) * ins];
-        bitmaps.fill(0);
-        let mut sum_acc = [zero; 4];
-        let mut i = 0;
-        while i + 8 <= ins {
-            // SAFETY: i + 8 <= ins == av.len(); unaligned 32-byte load.
-            let a = unsafe { _mm256_loadu_si256(av.as_ptr().add(i) as *const __m256i) };
-            for (ci, acc) in sum_acc[..p.n_chunks].iter_mut().enumerate() {
-                let shift = _mm_cvtsi32_si128((ci as u32 * p.chunk_bits as u32) as i32);
-                let pulses = _mm256_and_si256(_mm256_srl_epi32(a, shift), mask_v);
-                *acc = _mm256_add_epi32(*acc, pulses);
-                // Validated activation codes are non-negative, so a
-                // signed greater-than-zero test is a nonzero test.
-                let nz = _mm256_cmpgt_epi32(pulses, zero);
-                let m = _mm256_movemask_ps(_mm256_castsi256_ps(nz)) as u32 as u64;
-                // i is 8-aligned, so the 8 fresh bits stay in one word.
-                bitmaps[ci * n_words + i / 64] |= m << (i % 64);
-            }
-            i += 8;
-        }
-        // Two hadd pairs fold the four accumulators into one vector
-        // laid out [c0 c1 c2 c3 | c0 c1 c2 c3].
-        let s01 = _mm256_hadd_epi32(sum_acc[0], sum_acc[1]);
-        let s23 = _mm256_hadd_epi32(sum_acc[2], sum_acc[3]);
-        let s = _mm256_hadd_epi32(s01, s23);
-        let mut lanes = [0i32; 8];
-        // SAFETY: `lanes` is exactly 32 bytes; unaligned store.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, s) };
-        let mut sums = [0u64; 4];
-        for (ci, s) in sums.iter_mut().enumerate() {
-            *s = (lanes[ci] + lanes[4 + ci]) as u64;
-        }
-        for (j, &a) in av.iter().enumerate().skip(i) {
-            let a = a as u32;
-            for (ci, s) in sums[..p.n_chunks].iter_mut().enumerate() {
-                let pulse = (a >> (ci as u32 * p.chunk_bits as u32)) & chunk_mask;
-                if pulse != 0 {
-                    *s += pulse as u64;
-                    bitmaps[ci * n_words + j / 64] |= 1u64 << (j % 64);
-                }
-            }
-        }
-        let mut total = 0u64;
-        let mut active = 0u64;
-        for ci in 0..p.n_chunks {
-            total += sums[ci];
-            let bm = &bitmaps[ci * n_words..(ci + 1) * n_words];
-            for &(lo, hi) in p.group_bounds {
-                let (mut j, hi) = (lo as usize, hi as usize);
-                let mut any = 0u64;
-                while j < hi {
-                    let span = (hi - j).min(64 - j % 64);
-                    let m = if span == 64 {
-                        !0u64
-                    } else {
-                        ((1u64 << span) - 1) << (j % 64)
-                    };
-                    any |= bm[j / 64] & m;
-                    j += span;
-                }
-                active += (any != 0) as u64;
-            }
-        }
-        c[0] += active * p.col_tiles;
-        c[1] += active * p.cols * p.col_tiles;
-        c[2] += total * p.col_tiles;
-    }
-}
-
-/// AVX2 tier of the batch-transposed event-counter fold: walks the
-/// [`Panel`] group-major, keeping per-chunk pulse totals and
-/// active-group counts for 8 vectors at once in `i32` lanes (the
-/// dispatcher bounds `ins * max_pulse` below `i32::MAX`). The group
-/// activity predicate is the vectorized OR-then-compare of the scalar
-/// walk, so the fold is bit-identical to
-/// [`scalar::fold_event_counters_t`].
-pub(crate) fn fold_event_counters_t(
-    panel: &Panel<'_>,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
-    assert_avx2();
-    debug_assert!(p.n_chunks <= 4, "vector fold handles at most 4 chunks");
-    debug_assert_eq!(counters.len(), panel.n());
-    // SAFETY: AVX2 support asserted above.
-    unsafe { fold_t_impl(panel, p, counters) }
-}
-
-#[target_feature(enable = "avx2")]
-fn fold_t_impl(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
-    if p.chunk_bits == 2 && p.n_chunks == 4 {
-        return fold_t_design_point(panel, p, counters);
-    }
-    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
-    let chunk_mask = (1u32 << p.chunk_bits) - 1;
-    let mask_v = _mm256_set1_epi32(chunk_mask as i32);
-    let zero = _mm256_setzero_si256();
-    let mut shifts = [_mm_cvtsi32_si128(0); 4];
-    for (ci, s) in shifts[..p.n_chunks].iter_mut().enumerate() {
-        *s = _mm_cvtsi32_si128((ci as u32 * p.chunk_bits as u32) as i32);
-    }
-    let mut vb = 0;
-    while vb < n {
-        let lanes_live = (n - vb).min(8);
-        let mut tot_acc = [zero; 4];
-        let mut act_acc = [zero; 4];
-        for &(lo, hi) in p.group_bounds {
-            let mut group_or = zero;
-            for &row in &rows[lo as usize..hi as usize] {
-                // SAFETY: vb + 8 <= transposed_pad(n) (vb < n, both
-                // multiples of 8) and row + transposed_pad(n) <=
-                // acts.len() (`Panel::new`); unaligned load.
-                let a =
-                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
-                group_or = _mm256_or_si256(group_or, a);
-                for (acc, &shift) in tot_acc[..p.n_chunks].iter_mut().zip(&shifts) {
-                    let pulses = _mm256_and_si256(_mm256_srl_epi32(a, shift), mask_v);
-                    *acc = _mm256_add_epi32(*acc, pulses);
-                }
-            }
-            for (acc, &shift) in act_acc[..p.n_chunks].iter_mut().zip(&shifts) {
-                let field = _mm256_and_si256(_mm256_srl_epi32(group_or, shift), mask_v);
-                // cmpgt yields -1 per active lane; subtracting counts.
-                *acc = _mm256_sub_epi32(*acc, _mm256_cmpgt_epi32(field, zero));
-            }
-        }
-        // Fold the per-chunk accumulators in-register before the lane
-        // extraction (the caller's eligibility gate bounds the summed
-        // totals below `i32::MAX`): one store per quantity, and the
-        // scalar tail is three multiply-adds per vector.
-        let mut tot = zero;
-        let mut act = zero;
-        for ci in 0..p.n_chunks {
-            tot = _mm256_add_epi32(tot, tot_acc[ci]);
-            act = _mm256_add_epi32(act, act_acc[ci]);
-        }
-        let mut tot_lanes = [0i32; 8];
-        let mut act_lanes = [0i32; 8];
-        // SAFETY: each destination is exactly 32 bytes; unaligned
-        // stores.
-        unsafe {
-            _mm256_storeu_si256(tot_lanes.as_mut_ptr() as *mut __m256i, tot);
-            _mm256_storeu_si256(act_lanes.as_mut_ptr() as *mut __m256i, act);
-        }
-        for (v, c) in counters[vb..vb + lanes_live].iter_mut().enumerate() {
-            let active = act_lanes[v] as u64;
-            let total = tot_lanes[v] as u64;
-            c[0] += active * p.col_tiles;
-            c[1] += active * p.cols * p.col_tiles;
-            c[2] += total * p.col_tiles;
-        }
-        vb += 8;
-    }
-}
-
-/// Design-point specialization of the transposed fold (`chunk_bits = 2`,
-/// `n_chunks = 4`, i.e. 8-bit codes split into four 2-bit pulse fields):
-/// the per-chunk extract/add cascade collapses into a sideways field sum
-/// with immediate shifts — `(a & 0x33) + ((a >> 2) & 0x33)` pairs the
-/// fields into two nibbles, one more fold adds the nibbles — feeding a
-/// single pulse-total accumulator. Reads exactly bits 0..8 of each code,
-/// the same bits the generic chunk walk extracts, so it stays
-/// bit-identical for any input.
-#[target_feature(enable = "avx2")]
-fn fold_t_design_point(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
-    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
-    let pair_mask = _mm256_set1_epi32(0x33);
-    let nib_mask = _mm256_set1_epi32(0x0F);
-    let chunk_mask = _mm256_set1_epi32(0x3);
-    let zero = _mm256_setzero_si256();
-    let mut vb = 0;
-    while vb < n {
-        let lanes_live = (n - vb).min(8);
-        let mut tot = zero;
-        let mut act = zero;
-        for &(lo, hi) in p.group_bounds {
-            let mut group_or = zero;
-            for &row in &rows[lo as usize..hi as usize] {
-                // SAFETY: vb + 8 <= transposed_pad(n) (vb < n, both
-                // multiples of 8) and row + transposed_pad(n) <=
-                // acts.len() (`Panel::new`); unaligned load.
-                let a =
-                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
-                group_or = _mm256_or_si256(group_or, a);
-                let pairs = _mm256_add_epi32(
-                    _mm256_and_si256(a, pair_mask),
-                    _mm256_and_si256(_mm256_srli_epi32::<2>(a), pair_mask),
-                );
-                // `pairs` is at most 0x66 per lane, so the high shift
-                // needs no mask.
-                let pulses = _mm256_add_epi32(
-                    _mm256_and_si256(pairs, nib_mask),
-                    _mm256_srli_epi32::<4>(pairs),
-                );
-                tot = _mm256_add_epi32(tot, pulses);
-            }
-            let mut fields = group_or;
-            for _ in 0..4 {
-                let field = _mm256_and_si256(fields, chunk_mask);
-                // cmpgt yields -1 per active lane; subtracting counts.
-                act = _mm256_sub_epi32(act, _mm256_cmpgt_epi32(field, zero));
-                fields = _mm256_srli_epi32::<2>(fields);
-            }
-        }
-        let mut tot_lanes = [0i32; 8];
-        let mut act_lanes = [0i32; 8];
-        // SAFETY: each destination is exactly 32 bytes; unaligned
-        // stores.
-        unsafe {
-            _mm256_storeu_si256(tot_lanes.as_mut_ptr() as *mut __m256i, tot);
-            _mm256_storeu_si256(act_lanes.as_mut_ptr() as *mut __m256i, act);
-        }
-        for (v, c) in counters[vb..vb + lanes_live].iter_mut().enumerate() {
-            let active = act_lanes[v] as u64;
-            let total = tot_lanes[v] as u64;
-            c[0] += active * p.col_tiles;
-            c[1] += active * p.cols * p.col_tiles;
-            c[2] += total * p.col_tiles;
-        }
-        vb += 8;
-    }
+fn fold_avx2(src: &FoldSrc<'_>, bounds: &[(u32, u32)], active: &mut [u32], pulses: &mut [u32]) {
+    fold::fold(src, bounds, active, pulses);
 }
 
 /// AVX2 tier of the bit-plane popcount stream: the column mask is

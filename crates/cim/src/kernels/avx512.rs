@@ -18,10 +18,9 @@
 //!   vectors per `_mm512_mullo_epi32`, its lanes widened and stored
 //!   straight into the channel-major accumulator row (masked stores for
 //!   a block's short tail);
-//! * [`fold_event_counters`] / [`fold_event_counters_t`] — 16-row /
-//!   16-vector event-counter folds; group-activity bitmaps come
-//!   straight from `_mm512_cmpgt_epi32_mask` mask registers instead of
-//!   the AVX2 `movemask` float-cast dance;
+//! * [`fold`] — the portable event-counter fold of the `fold` module
+//!   compiled with AVX-512 enabled, so the compiler vectorizes its
+//!   16-lane panel blocks one register wide;
 //! * [`group_counts`] — the bit-plane popcount stream with native
 //!   `vpopcntq` (`_mm512_popcnt_epi64`), replacing the `vpshufb`
 //!   nibble-LUT + `_mm256_sad_epu8` emulation, 8 staged vectors per
@@ -29,22 +28,22 @@
 //!
 //! Shapes outside a kernel's profitable range delegate to the AVX2 or
 //! scalar implementations — any host that can select this tier can run
-//! both (AVX-512 implies AVX2).
+//! both (AVX-512 implies AVX2): the row-major matmul without the `i16`
+//! proof, and the transposed matmul at `n <= 8`.
 
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::{
     __m512i, _mm256_storeu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_and_si512,
-    _mm512_castsi512_si256, _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_epi16, _mm512_cvtepi32_epi64,
+    _mm512_castsi512_si256, _mm512_cvtepi32_epi16, _mm512_cvtepi32_epi64,
     _mm512_extracti64x4_epi64, _mm512_loadu_epi16, _mm512_loadu_epi32, _mm512_loadu_epi64,
-    _mm512_madd_epi16, _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi16, _mm512_maskz_set1_epi32,
-    _mm512_mullo_epi32, _mm512_or_si512, _mm512_popcnt_epi64, _mm512_set1_epi32, _mm512_set1_epi64,
-    _mm512_setzero_si512, _mm512_sll_epi64, _mm512_srl_epi32, _mm512_srli_epi32,
-    _mm512_storeu_epi32, _mm512_storeu_epi64, _mm_cvtsi32_si128,
+    _mm512_madd_epi16, _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi16, _mm512_mullo_epi32,
+    _mm512_popcnt_epi64, _mm512_set1_epi32, _mm512_set1_epi64, _mm512_setzero_si512,
+    _mm512_sll_epi64, _mm512_storeu_epi32, _mm512_storeu_epi64, _mm_cvtsi32_si128,
 };
 
-use super::{avx2, scalar, ExactCodes, FoldParams, Panel};
+use super::{avx2, fold, scalar, ExactCodes, FoldSrc, Panel};
 
 /// Vectors staged per cache block of the blocked matmul (matches the
 /// AVX2 tier: the staged `i16` rows plus a 4-row code quad stay
@@ -287,259 +286,22 @@ fn store_widened(acc: __m512i, dst: &mut [i64]) {
     }
 }
 
-/// AVX-512 tier of the row-major event-counter fold: chunk sums
-/// accumulate 16 rows per step and per-chunk nonzero bitmaps come
-/// straight from `_mm512_cmpgt_epi32_mask` mask registers. Accumulates
-/// into `counters` exactly like [`scalar::fold_event_counters`].
-pub(crate) fn fold_event_counters(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-    bitmaps: &mut Vec<u64>,
+/// The portable event-counter fold ([`fold::fold`]) compiled for
+/// AVX-512.
+pub(crate) fn fold(
+    src: &FoldSrc<'_>,
+    bounds: &[(u32, u32)],
+    active: &mut [u32],
+    pulses: &mut [u32],
 ) {
     assert_avx512();
-    debug_assert!(p.n_chunks <= 4, "vector fold handles at most 4 chunks");
     // SAFETY: AVX-512 support asserted above.
-    unsafe { fold_impl(acts, ins, n, p, counters, bitmaps) }
+    unsafe { fold_avx512(src, bounds, active, pulses) }
 }
 
-#[target_feature(enable = "avx512f")]
-fn fold_impl(
-    acts: &[i32],
-    ins: usize,
-    n: usize,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-    bitmaps: &mut Vec<u64>,
-) {
-    debug_assert_eq!(counters.len(), n);
-    debug_assert_eq!(acts.len(), n * ins);
-    let chunk_mask = (1u32 << p.chunk_bits) - 1;
-    let n_words = ins.div_ceil(64).max(1);
-    bitmaps.clear();
-    bitmaps.resize(p.n_chunks * n_words, 0);
-    let mask_v = _mm512_set1_epi32(chunk_mask as i32);
-    let zero = _mm512_setzero_si512();
-    for (v, c) in counters.iter_mut().enumerate() {
-        let av = &acts[v * ins..(v + 1) * ins];
-        bitmaps.fill(0);
-        let mut sum_acc = [zero; 4];
-        let mut i = 0;
-        while i + 16 <= ins {
-            // SAFETY: i + 16 <= ins == av.len(); unaligned 64-byte load.
-            let a = unsafe { _mm512_loadu_epi32(av.as_ptr().add(i)) };
-            for (ci, acc) in sum_acc[..p.n_chunks].iter_mut().enumerate() {
-                let shift = _mm_cvtsi32_si128((ci as u32 * p.chunk_bits as u32) as i32);
-                let pulses = _mm512_and_si512(_mm512_srl_epi32(a, shift), mask_v);
-                *acc = _mm512_add_epi32(*acc, pulses);
-                // Validated activation codes are non-negative, so
-                // greater-than-zero is a nonzero test; the mask
-                // register *is* the 16-bit activity bitmap.
-                let m = _mm512_cmpgt_epi32_mask(pulses, zero) as u64;
-                // i is 16-aligned, so the fresh bits stay in one word.
-                bitmaps[ci * n_words + i / 64] |= m << (i % 64);
-            }
-            i += 16;
-        }
-        let mut sums = [0u64; 4];
-        for (ci, s) in sums[..p.n_chunks].iter_mut().enumerate() {
-            let mut lanes = [0i32; 16];
-            // SAFETY: `lanes` is exactly 64 bytes; unaligned store.
-            unsafe { _mm512_storeu_epi32(lanes.as_mut_ptr(), sum_acc[ci]) };
-            *s = lanes.iter().map(|&x| x as u64).sum();
-        }
-        for (j, &a) in av.iter().enumerate().skip(i) {
-            let a = a as u32;
-            for (ci, s) in sums[..p.n_chunks].iter_mut().enumerate() {
-                let pulse = (a >> (ci as u32 * p.chunk_bits as u32)) & chunk_mask;
-                if pulse != 0 {
-                    *s += pulse as u64;
-                    bitmaps[ci * n_words + j / 64] |= 1u64 << (j % 64);
-                }
-            }
-        }
-        let mut total = 0u64;
-        let mut active = 0u64;
-        for ci in 0..p.n_chunks {
-            total += sums[ci];
-            let bm = &bitmaps[ci * n_words..(ci + 1) * n_words];
-            for &(lo, hi) in p.group_bounds {
-                let (mut j, hi) = (lo as usize, hi as usize);
-                let mut any = 0u64;
-                while j < hi {
-                    let span = (hi - j).min(64 - j % 64);
-                    let m = if span == 64 {
-                        !0u64
-                    } else {
-                        ((1u64 << span) - 1) << (j % 64)
-                    };
-                    any |= bm[j / 64] & m;
-                    j += span;
-                }
-                active += (any != 0) as u64;
-            }
-        }
-        c[0] += active * p.col_tiles;
-        c[1] += active * p.cols * p.col_tiles;
-        c[2] += total * p.col_tiles;
-    }
-}
-
-/// AVX-512 tier of the batch-transposed event-counter fold: per-chunk
-/// pulse totals and active-group counts for 16 vectors at once, the
-/// activity increment applied through a `_mm512_maskz_set1_epi32` of
-/// the compare mask. Bit-identical to
-/// [`scalar::fold_event_counters_t`].
-pub(crate) fn fold_event_counters_t(
-    panel: &Panel<'_>,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
-    assert_avx512();
-    debug_assert!(p.n_chunks <= 4, "vector fold handles at most 4 chunks");
-    debug_assert_eq!(counters.len(), panel.n());
-    if panel.n() <= 8 {
-        // A batch this small fills at most half a 512-bit block; the
-        // AVX2 walk does the same op count at better per-op throughput.
-        return avx2::fold_event_counters_t(panel, p, counters);
-    }
-    // SAFETY: AVX-512 support asserted above.
-    unsafe { fold_t_impl(panel, p, counters) }
-}
-
-#[target_feature(enable = "avx512f")]
-fn fold_t_impl(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
-    if p.chunk_bits == 2 && p.n_chunks == 4 {
-        return fold_t_design_point(panel, p, counters);
-    }
-    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
-    let chunk_mask = (1u32 << p.chunk_bits) - 1;
-    let mask_v = _mm512_set1_epi32(chunk_mask as i32);
-    let zero = _mm512_setzero_si512();
-    let mut shifts = [_mm_cvtsi32_si128(0); 4];
-    for (ci, s) in shifts[..p.n_chunks].iter_mut().enumerate() {
-        *s = _mm_cvtsi32_si128((ci as u32 * p.chunk_bits as u32) as i32);
-    }
-    let mut vb = 0;
-    while vb < n {
-        let lanes_live = (n - vb).min(16);
-        let mut tot_acc = [zero; 4];
-        let mut act_acc = [zero; 4];
-        for &(lo, hi) in p.group_bounds {
-            let mut group_or = zero;
-            for &row in &rows[lo as usize..hi as usize] {
-                // SAFETY: vb + 16 <= transposed_pad(n) (vb < n, both
-                // multiples of 16) and row + transposed_pad(n) <=
-                // acts.len() (`Panel::new`).
-                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
-                group_or = _mm512_or_si512(group_or, a);
-                for (acc, &shift) in tot_acc[..p.n_chunks].iter_mut().zip(&shifts) {
-                    let pulses = _mm512_and_si512(_mm512_srl_epi32(a, shift), mask_v);
-                    *acc = _mm512_add_epi32(*acc, pulses);
-                }
-            }
-            for (acc, &shift) in act_acc[..p.n_chunks].iter_mut().zip(&shifts) {
-                let field = _mm512_and_si512(_mm512_srl_epi32(group_or, shift), mask_v);
-                let m = _mm512_cmpgt_epi32_mask(field, zero);
-                *acc = _mm512_add_epi32(*acc, _mm512_maskz_set1_epi32(m, 1));
-            }
-        }
-        // Fold the per-chunk accumulators in-register before the lane
-        // extraction (the caller's eligibility gate bounds the summed
-        // totals below `i32::MAX`): one store per quantity, and the
-        // scalar tail is three multiply-adds per vector.
-        let mut tot = zero;
-        let mut act = zero;
-        for ci in 0..p.n_chunks {
-            tot = _mm512_add_epi32(tot, tot_acc[ci]);
-            act = _mm512_add_epi32(act, act_acc[ci]);
-        }
-        let mut tot_lanes = [0i32; 16];
-        let mut act_lanes = [0i32; 16];
-        // SAFETY: each destination is exactly 64 bytes; unaligned
-        // stores.
-        unsafe {
-            _mm512_storeu_epi32(tot_lanes.as_mut_ptr(), tot);
-            _mm512_storeu_epi32(act_lanes.as_mut_ptr(), act);
-        }
-        for (v, c) in counters[vb..vb + lanes_live].iter_mut().enumerate() {
-            let active = act_lanes[v] as u64;
-            let total = tot_lanes[v] as u64;
-            c[0] += active * p.col_tiles;
-            c[1] += active * p.cols * p.col_tiles;
-            c[2] += total * p.col_tiles;
-        }
-        vb += 16;
-    }
-}
-
-/// Design-point specialization of the transposed fold (`chunk_bits = 2`,
-/// `n_chunks = 4`, i.e. 8-bit codes split into four 2-bit pulse fields):
-/// the per-chunk extract/add cascade collapses into a sideways field sum
-/// with immediate shifts — `(a & 0x33) + ((a >> 2) & 0x33)` pairs the
-/// fields into two nibbles, one more fold adds the nibbles — feeding a
-/// single pulse-total accumulator. Reads exactly bits 0..8 of each code,
-/// the same bits the generic chunk walk extracts, so it stays
-/// bit-identical for any input.
-#[target_feature(enable = "avx512f")]
-fn fold_t_design_point(panel: &Panel<'_>, p: &FoldParams<'_>, counters: &mut [[u64; 3]]) {
-    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
-    let pair_mask = _mm512_set1_epi32(0x33);
-    let nib_mask = _mm512_set1_epi32(0x0F);
-    let chunk_mask = _mm512_set1_epi32(0x3);
-    let zero = _mm512_setzero_si512();
-    let mut vb = 0;
-    while vb < n {
-        let lanes_live = (n - vb).min(16);
-        let mut tot = zero;
-        let mut act = zero;
-        for &(lo, hi) in p.group_bounds {
-            let mut group_or = zero;
-            for &row in &rows[lo as usize..hi as usize] {
-                // SAFETY: vb + 16 <= transposed_pad(n) (vb < n, both
-                // multiples of 16) and row + transposed_pad(n) <=
-                // acts.len() (`Panel::new`).
-                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
-                group_or = _mm512_or_si512(group_or, a);
-                let pairs = _mm512_add_epi32(
-                    _mm512_and_si512(a, pair_mask),
-                    _mm512_and_si512(_mm512_srli_epi32::<2>(a), pair_mask),
-                );
-                // `pairs` is at most 0x66 per lane, so the high shift
-                // needs no mask.
-                let pulses = _mm512_add_epi32(
-                    _mm512_and_si512(pairs, nib_mask),
-                    _mm512_srli_epi32::<4>(pairs),
-                );
-                tot = _mm512_add_epi32(tot, pulses);
-            }
-            let mut fields = group_or;
-            for _ in 0..4 {
-                let field = _mm512_and_si512(fields, chunk_mask);
-                let m = _mm512_cmpgt_epi32_mask(field, zero);
-                act = _mm512_add_epi32(act, _mm512_maskz_set1_epi32(m, 1));
-                fields = _mm512_srli_epi32::<2>(fields);
-            }
-        }
-        let mut tot_lanes = [0i32; 16];
-        let mut act_lanes = [0i32; 16];
-        // SAFETY: each destination is exactly 64 bytes; unaligned
-        // stores.
-        unsafe {
-            _mm512_storeu_epi32(tot_lanes.as_mut_ptr(), tot);
-            _mm512_storeu_epi32(act_lanes.as_mut_ptr(), act);
-        }
-        for (v, c) in counters[vb..vb + lanes_live].iter_mut().enumerate() {
-            let active = act_lanes[v] as u64;
-            let total = tot_lanes[v] as u64;
-            c[0] += active * p.col_tiles;
-            c[1] += active * p.cols * p.col_tiles;
-            c[2] += total * p.col_tiles;
-        }
-        vb += 16;
-    }
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+fn fold_avx512(src: &FoldSrc<'_>, bounds: &[(u32, u32)], active: &mut [u32], pulses: &mut [u32]) {
+    fold::fold(src, bounds, active, pulses);
 }
 
 /// AVX-512 tier of the bit-plane popcount stream: the column mask is

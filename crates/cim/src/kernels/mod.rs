@@ -11,12 +11,17 @@
 //!   module):
 //!   a register-blocked integer matmul (`_mm256_madd_epi16` when the
 //!   8-bit design point makes it overflow-safe, `_mm256_mul_epi32`
-//!   otherwise), a vectorized event-counter fold, and the lane-packed
-//!   `AND`+popcount mask stream via the `vpshufb` nibble-LUT trick.
+//!   otherwise) and the lane-packed `AND`+popcount mask stream via the
+//!   `vpshufb` nibble-LUT trick.
 //! * [`KernelKind::Avx512`] — the 512-bit tier (the `avx512` module):
-//!   32-lane `_mm512_madd_epi16` matmuls, a native `vpopcntq`
-//!   (`_mm512_popcnt_epi64`) mask stream replacing the nibble LUT, and a
-//!   16-lane event-counter fold with mask-register activity bitmaps.
+//!   32-lane `_mm512_madd_epi16` matmuls and a native `vpopcntq`
+//!   (`_mm512_popcnt_epi64`) mask stream replacing the nibble LUT.
+//!
+//! The event counters behind [`MvmStats`] come from one fold
+//! (`fold_event_counters`). At the paper chunking it is portable Rust
+//! (the `fold` module) that each SIMD tier compiles under its own
+//! `#[target_feature]`, so the compiler vectorizes it at that tier's
+//! width; the scalar tier and every other chunking run the scalar walks.
 //!
 //! Orthogonal to the tier, each batch executes in one of two activation
 //! **layouts** ([`MatmulLayout`], chosen per shape by [`choose_layout`]):
@@ -48,6 +53,9 @@
 //! [`RomMvm::program`]: crate::macro_model::RomMvm::program
 //! [`MvmStats`]: crate::macro_model::MvmStats
 
+// Only the SIMD tiers enter the portable fold.
+#[cfg(target_arch = "x86_64")]
+mod fold;
 mod panel;
 pub(crate) mod scalar;
 
@@ -275,20 +283,23 @@ pub fn transposed_pad(n: usize) -> usize {
 /// its fastest staging — and its transposed entries are exercised as
 /// parity oracles with explicit panels).
 ///
-/// The transposed path wins whenever the event-counter fold — whose
-/// cost scales with `ins` per vector and vectorizes across lanes only
-/// in the panel layout — is a visible share of the row-major time:
-/// everything up to `outs <= 16`, and `outs == 32` while `ins` stays
-/// moderate. At larger `outs` the row-major `madd` matmul dominates
-/// the call and already fills lanes across `ins`, and staging the panel
-/// (each vector's `ins` codes written one lane row apart) outweighs the
-/// fold win. The transposed path requires the `i16`-eligibility overflow
-/// proof (`has_i16`), which also bounds its `i32` lane accumulators,
-/// and a batch of at least 4 so the 16-lane panel is not mostly
-/// padding.
+/// The transposed matmul vectorizes across vectors, so it pays where a
+/// conv's short rows leave the row-major `madd` (which vectorizes across
+/// `ins`) with idle lanes and the block has vectors to fill its own:
+/// every shape up to `outs <= 16`, and `outs <= 32` while `ins` stays
+/// moderate. At 32 outputs it needs `n >= 16`: with 4 or 8 vectors most
+/// of its 16 lanes are padding, and a row-major run step (matmul plus
+/// counter fold, AVX-512 tier, 2-lane Xeon) was 1.2–3.8x faster at
+/// `n = 4` on every `ins` from 18 to 144 and faster at `n = 8` from
+/// `ins >= 72`, while from `n = 16` the transposed one won on every
+/// shape measured. At larger `outs` the row-major `madd` fills its
+/// lanes across `ins` and dominates the call. The transposed path
+/// requires the `i16`-eligibility overflow proof (`has_i16`), which also
+/// bounds its `i32` lane accumulators, and a batch of at least 4 so the
+/// 16-lane panel is not mostly padding.
 pub fn choose_layout(outs: usize, ins: usize, n: usize, has_i16: bool) -> MatmulLayout {
-    let fold_bound = outs <= 16 || (outs <= 32 && ins <= 144);
-    if has_i16 && n >= 4 && fold_bound {
+    let narrow = outs <= 16 || (outs <= 32 && ins <= 144 && n >= 16);
+    if has_i16 && n >= 4 && narrow {
         MatmulLayout::Transposed
     } else {
         MatmulLayout::RowMajor
@@ -413,90 +424,77 @@ pub(crate) fn matmul_exact_t(
 /// Shape constants of one event-counter fold, shared by every tier.
 pub(crate) struct FoldParams<'a> {
     /// Global `(lo, hi)` activation-row ranges of every analog group, in
-    /// row order (precomputed at `program` time; groups never span a row
-    /// tile).
+    /// row order: they partition `0..ins` (precomputed at `program`
+    /// time; groups never span a row tile).
     pub group_bounds: &'a [(u32, u32)],
     /// Activation chunk count (`ceil(act_bits / chunk_bits)`).
     pub n_chunks: usize,
     /// Bits per activation chunk.
     pub chunk_bits: u8,
-    /// Column tiles every group evaluation fans across.
-    pub col_tiles: u64,
-    /// Bit lines digitized per group evaluation.
-    pub cols: u64,
 }
 
-/// The one shared event-counter fold (the satellite fix for the
-/// duplicated walks): derives each vector's
-/// `(analog_evaluations, adc_conversions, wl_pulses)` from pulse
-/// activity alone — a group evaluates for a chunk iff any of its rows
-/// carries a nonzero pulse in that chunk — and **accumulates** into
-/// `counters[v]`. Both batch kernels call this, so the SIMD tier can
-/// never drift from the statistics the scalar tier reports.
+/// The activations one event-counter fold reads, in either layout.
+#[derive(Clone, Copy)]
+pub(crate) enum FoldSrc<'a> {
+    /// `acts[v * ins + i]`: one contiguous row of `ins` codes per vector.
+    Rows {
+        /// The block's codes, `n * ins` of them.
+        acts: &'a [i32],
+        /// Codes per vector.
+        ins: usize,
+    },
+    /// A lane-major [`Panel`].
+    Panel(Panel<'a>),
+}
+
+/// The one event-counter fold: for each of the block's `n` vectors,
+/// writes its active `(group, chunk)` evaluations into `active[v]` and
+/// its word-line pulses into `pulses[v]`, and leaves both rows `n` long.
+/// A group evaluates for a chunk iff some row of it carries a nonzero
+/// pulse in that chunk. Every batch kernel calls this, so no tier can
+/// drift from the statistics the scalar walks derive.
+///
+/// At the paper chunking the SIMD tiers run the portable fold of the
+/// `fold` module; the scalar tier and every other chunking run the
+/// scalar walks, the oracle. Both count in `u32`, exact because
+/// `program` proved `ins * n_chunks * (2^chunk_bits - 1) < 2^32`
+/// ([`MacroParams::event_counts_fit`]).
+///
+/// [`MacroParams::event_counts_fit`]: crate::macro_model::MacroParams::event_counts_fit
 pub(crate) fn fold_event_counters(
     kind: KernelKind,
-    acts: &[i32],
-    ins: usize,
+    src: FoldSrc<'_>,
     n: usize,
     p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-    bitmaps: &mut Vec<u64>,
+    active: &mut Vec<u32>,
+    pulses: &mut Vec<u32>,
 ) {
-    match kind {
-        KernelKind::Scalar => scalar::fold_event_counters(acts, ins, n, p, counters),
+    // The panel body stores whole 16-lane blocks; the rows are cut back
+    // to `n` below.
+    let lanes = match src {
+        FoldSrc::Rows { .. } => n,
+        FoldSrc::Panel(_) => transposed_pad(n),
+    };
+    active.clear();
+    active.resize(lanes, 0);
+    pulses.clear();
+    pulses.resize(lanes, 0);
+    match (kind, src) {
         #[cfg(target_arch = "x86_64")]
-        // The vectorized fold pays per-vector reduction overhead; below
-        // ~64 rows it cannot win. Both are exact, so the cutover is a
-        // pure-speed heuristic.
-        KernelKind::Avx2 if ins >= 64 && p.n_chunks <= 4 => {
-            avx2::fold_event_counters(acts, ins, n, p, counters, bitmaps);
+        (KernelKind::Avx2, _) if fold::applies(p) => {
+            avx2::fold(&src, p.group_bounds, active, pulses);
         }
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 if ins >= 64 && p.n_chunks <= 4 => {
-            avx512::fold_event_counters(acts, ins, n, p, counters, bitmaps);
+        (KernelKind::Avx512, _) if fold::applies(p) => {
+            avx512::fold(&src, p.group_bounds, active, pulses);
         }
-        #[cfg(target_arch = "x86_64")]
-        // Below the vector cutover, the tier-2 win is table-driven chunk
-        // spreading (one load+add per activation) at the paper chunking —
-        // pure safe Rust, shared by both SIMD tiers.
-        KernelKind::Avx2 | KernelKind::Avx512 if p.chunk_bits == 2 && p.n_chunks == 4 => {
-            let _ = bitmaps;
-            avx2::fold_event_counters_small(acts, ins, n, p, counters);
+        (_, FoldSrc::Rows { acts, ins }) => {
+            scalar::fold_event_counters(acts, ins, p, active, pulses)
         }
-        #[allow(unreachable_patterns)]
-        _ => {
-            let _ = bitmaps;
-            scalar::fold_event_counters(acts, ins, n, p, counters);
-        }
+        (_, FoldSrc::Panel(panel)) => scalar::fold_event_counters_t(&panel, p, active, pulses),
     }
-}
-
-/// Batch-transposed event-counter fold: same statistics as
-/// [`fold_event_counters`], derived from a lane-major [`Panel`] instead
-/// of row-major activations. Counter arithmetic is pure integer
-/// accumulation, so the transposed walk is bit-identical to the
-/// row-major one by construction (and pinned by the parity suites).
-pub(crate) fn fold_event_counters_t(
-    kind: KernelKind,
-    panel: &Panel<'_>,
-    p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
-) {
-    // The vectorized transposed folds keep per-chunk pulse totals in
-    // i32 lanes; bound the worst-case per-lane sum so they stay exact.
-    #[cfg(target_arch = "x86_64")]
-    let lanes_exact = p.n_chunks <= 4
-        && (panel.ins() as u64) * (((1u64 << p.chunk_bits) - 1) * p.n_chunks as u64)
-            < i32::MAX as u64;
-    match kind {
-        KernelKind::Scalar => scalar::fold_event_counters_t(panel, p, counters),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 if lanes_exact => avx2::fold_event_counters_t(panel, p, counters),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 if lanes_exact => avx512::fold_event_counters_t(panel, p, counters),
-        #[allow(unreachable_patterns)]
-        _ => scalar::fold_event_counters_t(panel, p, counters),
-    }
+    active.truncate(n);
+    pulses.truncate(n);
 }
 
 /// Discharge counts of one stored column mask against the staged pulse
@@ -626,18 +624,22 @@ mod tests {
 
     #[test]
     fn layout_crossover_is_shape_driven() {
-        // Fold-bound shapes with real batch depth go transposed: narrow
-        // im2col shapes, every mid shape up to 16 outputs, and 32
-        // outputs while ins stays moderate…
+        // Narrow shapes with real batch depth go transposed: im2col
+        // shapes, every mid shape up to 16 outputs, and 32 outputs while
+        // ins stays moderate and the block fills the lanes…
         assert_eq!(choose_layout(1, 9, 256, true), MatmulLayout::Transposed);
         assert_eq!(choose_layout(4, 18, 256, true), MatmulLayout::Transposed);
         assert_eq!(choose_layout(1, 64, 8, true), MatmulLayout::Transposed);
         assert_eq!(choose_layout(16, 72, 256, true), MatmulLayout::Transposed);
         assert_eq!(choose_layout(32, 144, 256, true), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(32, 144, 16, true), MatmulLayout::Transposed);
         // …matmul-bound shapes stay row-major (madd across ins already
         // fills lanes, and panel staging scales with ins), as do
         // degenerate batches and non-i16 shapes.
         assert_eq!(choose_layout(32, 288, 256, true), MatmulLayout::RowMajor);
+        // At 32 outputs a block of fewer than 16 vectors leaves most of
+        // the transposed lanes idle.
+        assert_eq!(choose_layout(32, 144, 4, true), MatmulLayout::RowMajor);
         assert_eq!(choose_layout(64, 288, 16, true), MatmulLayout::RowMajor);
         assert_eq!(choose_layout(1, 9, 1, true), MatmulLayout::RowMajor);
         assert_eq!(choose_layout(4, 18, 2, true), MatmulLayout::RowMajor);
@@ -683,11 +685,9 @@ mod tests {
             group_bounds: &bounds,
             n_chunks: 4,
             chunk_bits: 2,
-            col_tiles: 3,
-            cols: 256,
         };
-        let mut ref_counters = vec![[0u64; 3]; n];
-        scalar::fold_event_counters(&acts, ins, n, &fold, &mut ref_counters);
+        let (mut ref_active, mut ref_pulses) = (vec![0u32; n], vec![0u32; n]);
+        scalar::fold_event_counters(&acts, ins, &fold, &mut ref_active, &mut ref_pulses);
         for kind in available_kinds() {
             for with_i16 in [false, true] {
                 let c = ExactCodes {
@@ -710,13 +710,12 @@ mod tests {
                     kind.label()
                 );
             }
-            let mut counters = vec![[0u64; 3]; n];
-            let mut bitmaps = Vec::new();
-            fold_event_counters(kind, &acts, ins, n, &fold, &mut counters, &mut bitmaps);
-            assert_eq!(counters, ref_counters, "{} fold", kind.label());
-            counters.iter_mut().for_each(|c| *c = [0; 3]);
-            fold_event_counters_t(kind, &panel, &fold, &mut counters);
-            assert_eq!(counters, ref_counters, "{} transposed fold", kind.label());
+            let (mut active, mut pulses) = (Vec::new(), Vec::new());
+            for src in [FoldSrc::Rows { acts: &acts, ins }, FoldSrc::Panel(panel)] {
+                fold_event_counters(kind, src, n, &fold, &mut active, &mut pulses);
+                assert_eq!(active, ref_active, "{} fold", kind.label());
+                assert_eq!(pulses, ref_pulses, "{} fold", kind.label());
+            }
         }
         // Popcount stream parity over staged planes, at both staging
         // paddings (4 for scalar/AVX2, 8 for the AVX-512 vpopcntq

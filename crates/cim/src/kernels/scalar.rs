@@ -55,91 +55,63 @@ pub(crate) fn matmul_transposed(codes: &[i32], outs: usize, panel: &Panel<'_>, o
     }
 }
 
-/// Scalar event-counter fold: one pass over each vector's activation
-/// codes, accumulating all chunks simultaneously. A group is *active*
-/// for a chunk iff the OR of its rows has a nonzero field at that
-/// chunk's bit position — the same predicate the per-(tile, chunk)
-/// popcount walk applies, folded over the whole vector at once (legal
-/// because a silent `(tile, chunk)` step contributes zero to every
-/// counter, and the per-tile column fan-out `col_tiles` is a constant).
+/// Scalar event-counter fold, the oracle of every other fold: one pass
+/// over each vector's activation codes, group by group, writing the
+/// vector's active `(group, chunk)` evaluations into `active[v]` and its
+/// word-line pulses into `pulses[v]`. A group is *active* for a chunk iff
+/// the OR of its rows has a nonzero field at that chunk's bit position,
+/// the same predicate the analog walk applies per `(row tile, chunk)`
+/// step, folded over the whole vector at once (a silent step adds
+/// nothing to any counter).
 pub(crate) fn fold_event_counters(
     acts: &[i32],
     ins: usize,
-    n: usize,
     p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
+    active: &mut [u32],
+    pulses: &mut [u32],
 ) {
-    debug_assert!(p.n_chunks <= 8, "chunk count exceeds the fold accumulators");
-    debug_assert_eq!(counters.len(), n);
-    debug_assert_eq!(acts.len(), n * ins);
-    let chunk_mask = (1u32 << p.chunk_bits) - 1;
-    for (v, c) in counters.iter_mut().enumerate() {
+    for (v, (act, pul)) in active.iter_mut().zip(pulses.iter_mut()).enumerate() {
         let av = &acts[v * ins..(v + 1) * ins];
-        let mut totals = [0u64; 8];
-        let mut actives = [0u64; 8];
-        for &(lo, hi) in p.group_bounds {
-            let mut group_or = 0u32;
-            for &a in &av[lo as usize..hi as usize] {
-                let a = a as u32;
-                group_or |= a;
-                for (ci, t) in totals[..p.n_chunks].iter_mut().enumerate() {
-                    *t += ((a >> (ci as u32 * p.chunk_bits as u32)) & chunk_mask) as u64;
-                }
-            }
-            for (ci, act) in actives[..p.n_chunks].iter_mut().enumerate() {
-                if (group_or >> (ci as u32 * p.chunk_bits as u32)) & chunk_mask != 0 {
-                    *act += 1;
-                }
-            }
-        }
-        let active: u64 = actives[..p.n_chunks].iter().sum();
-        let total: u64 = totals[..p.n_chunks].iter().sum();
-        c[0] += active * p.col_tiles;
-        c[1] += active * p.cols * p.col_tiles;
-        c[2] += total * p.col_tiles;
+        (*act, *pul) = walk_groups(p, |i| av[i] as u32);
     }
 }
 
-/// Batch-transposed scalar event-counter fold: identical statistics to
-/// [`fold_event_counters`], derived from the lane-major [`Panel`]. Pure
-/// integer accumulation in a different traversal order, so it is
-/// bit-identical to the row-major fold by construction.
+/// Batch-transposed scalar event-counter fold: the same walk as
+/// [`fold_event_counters`] over the `n` live lanes of a lane-major
+/// [`Panel`]. Pure integer sums in a different traversal order, so it is
+/// bit-identical to the row-major walk by construction.
 pub(crate) fn fold_event_counters_t(
     panel: &Panel<'_>,
     p: &FoldParams<'_>,
-    counters: &mut [[u64; 3]],
+    active: &mut [u32],
+    pulses: &mut [u32],
 ) {
-    debug_assert!(p.n_chunks <= 8, "chunk count exceeds the fold accumulators");
-    debug_assert_eq!(counters.len(), panel.n());
     let (acts, rows) = (panel.acts(), panel.rows());
-    let chunk_mask = (1u32 << p.chunk_bits) - 1;
-    // Per-vector strided walk with stack accumulators: slower than the
-    // SIMD lane walk but allocation-free (this entry runs inside the
-    // zero-alloc arena steady state as the reference and the fallback).
-    for (v, c) in counters.iter_mut().enumerate() {
-        let mut totals = [0u64; 8];
-        let mut actives = [0u64; 8];
-        for &(lo, hi) in p.group_bounds {
-            let mut group_or = 0u32;
-            for &row in &rows[lo as usize..hi as usize] {
-                let a = acts[row + v] as u32;
-                group_or |= a;
-                for (ci, t) in totals[..p.n_chunks].iter_mut().enumerate() {
-                    *t += ((a >> (ci as u32 * p.chunk_bits as u32)) & chunk_mask) as u64;
-                }
-            }
-            for (ci, act) in actives[..p.n_chunks].iter_mut().enumerate() {
-                if (group_or >> (ci as u32 * p.chunk_bits as u32)) & chunk_mask != 0 {
-                    *act += 1;
-                }
-            }
-        }
-        let active: u64 = actives[..p.n_chunks].iter().sum();
-        let total: u64 = totals[..p.n_chunks].iter().sum();
-        c[0] += active * p.col_tiles;
-        c[1] += active * p.cols * p.col_tiles;
-        c[2] += total * p.col_tiles;
+    let counters = active.iter_mut().zip(pulses.iter_mut());
+    for (v, (act, pul)) in counters.take(panel.n()).enumerate() {
+        (*act, *pul) = walk_groups(p, |i| acts[rows[i] + v] as u32);
     }
+}
+
+/// One vector's `(active, pulses)` over every group, reading code `i` of
+/// the vector through `code`.
+fn walk_groups(p: &FoldParams<'_>, code: impl Fn(usize) -> u32) -> (u32, u32) {
+    let chunk_mask = (1u32 << p.chunk_bits) - 1;
+    let shifts = (0..p.n_chunks as u32).map(|c| c * p.chunk_bits as u32);
+    let (mut active, mut pulses) = (0, 0);
+    for &(lo, hi) in p.group_bounds {
+        let mut group_or = 0u32;
+        for i in lo as usize..hi as usize {
+            let a = code(i);
+            group_or |= a;
+            pulses += shifts.clone().map(|s| (a >> s) & chunk_mask).sum::<u32>();
+        }
+        active += shifts
+            .clone()
+            .filter(|&s| (group_or >> s) & chunk_mask != 0)
+            .count() as u32;
+    }
+    (active, pulses)
 }
 
 /// Scalar discharge-count stream for one stored column mask against the

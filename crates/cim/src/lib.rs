@@ -37,7 +37,6 @@ pub mod faults;
 pub mod kernels;
 pub mod macro_model;
 pub mod rom_image;
-pub mod tcam;
 pub mod technology;
 
 pub use analog::{AdcModel, AnalogArray, AnalogConfig};
@@ -50,4 +49,3 @@ pub use kernels::{
 };
 pub use macro_model::{MacroParams, MacroSpec, MvmStats, RomMvm};
 pub use rom_image::RomImage;
-pub use tcam::{TcamMacro, TcamParams};

@@ -201,6 +201,21 @@ impl MacroParams {
         Some(-(1i32 << (bits - 1))..=(1i32 << (bits - 1)) - 1)
     }
 
+    /// Whether one vector's event counts over `ins` activation rows fit
+    /// the `u32` the counter fold keeps them in:
+    /// `ins * n_chunks * (2^chunk_bits - 1) < 2^32`. That bounds the
+    /// word-line pulses, and the active `(group, chunk)` evaluations too
+    /// (at most one per row and chunk). `false` for a chunk width
+    /// [`RomMvm::program`] cannot drive (zero, or wider than 31 bits).
+    pub fn event_counts_fit(&self, ins: usize) -> bool {
+        if !(1..=31).contains(&self.chunk_bits) {
+            return false;
+        }
+        let n_chunks = u128::from(self.act_bits.div_ceil(self.chunk_bits));
+        let max_pulse = (1u128 << self.chunk_bits) - 1;
+        (ins as u128) * n_chunks * max_pulse < 1 << 32
+    }
+
     /// The analog configuration of one subarray under these parameters.
     pub fn analog_config(&self) -> AnalogConfig {
         let max_pulses = (1u8 << self.chunk_bits) - 1;
@@ -411,7 +426,8 @@ impl RomMvm {
     /// # Panics
     ///
     /// Panics if `codes.len() != outs * ins`, `weight_bits` is outside
-    /// [`MacroParams::weight_code_range`], or any code is out of range.
+    /// [`MacroParams::weight_code_range`], any code is out of range, or
+    /// `ins` breaks [`MacroParams::event_counts_fit`].
     pub fn program(params: MacroParams, codes: &[i32], outs: usize, ins: usize) -> Self {
         assert_eq!(codes.len(), outs * ins, "weight matrix size mismatch");
         let range = params
@@ -511,8 +527,12 @@ impl RomMvm {
         };
         // Precompute the global activation-group walk for the shared
         // event-counter fold: groups are rpa-row runs that restart at
-        // every row-tile boundary.
+        // every row-tile boundary. The fold counts in `u32`.
         assert!(ins <= u32::MAX as usize, "ins exceeds group-bound range");
+        assert!(
+            params.event_counts_fit(ins),
+            "{ins} inputs overflow the u32 event counts"
+        );
         let mut group_bounds = Vec::new();
         for rt in 0..row_tiles {
             let lo = rt * params.rows;
@@ -693,16 +713,29 @@ impl RomMvm {
         self.kernel
     }
 
-    /// The fold-shape constants shared by both batch kernels.
-    fn fold_params(&self) -> kernels::FoldParams<'_> {
+    /// Runs the event-counter fold over the block `src` of `n` vectors
+    /// on this engine's tier, leaving one `(active, pulses)` pair per
+    /// vector in `scratch` for [`RomMvm::fold_stats`].
+    pub(crate) fn fold_counters(
+        &self,
+        src: kernels::FoldSrc<'_>,
+        n: usize,
+        scratch: &mut crate::backend::MvmScratch,
+    ) {
         let p = &self.params;
-        kernels::FoldParams {
+        let fold = kernels::FoldParams {
             group_bounds: &self.group_bounds,
             n_chunks: p.act_bits.div_ceil(p.chunk_bits) as usize,
             chunk_bits: p.chunk_bits,
-            col_tiles: self.tiles.first().map_or(0, |r| r.len()) as u64,
-            cols: p.cols as u64,
-        }
+        };
+        kernels::fold_event_counters(
+            self.kernel,
+            src,
+            n,
+            &fold,
+            &mut scratch.active,
+            &mut scratch.pulses,
+        );
     }
 
     /// Drops the popcount masks and stored codes that only the batch
@@ -779,8 +812,8 @@ impl RomMvm {
 
     /// The row-major batch kernel of a noiseless engine: the exact
     /// integer matmul where the ADC transfer is an identity, the
-    /// quantizing popcount mask stream otherwise. Leaves one event-counter
-    /// row per vector in `scratch.counters` for
+    /// quantizing popcount mask stream otherwise. Leaves one
+    /// `(active, pulses)` pair per vector in `scratch` for
     /// [`RomMvm::fold_stats`].
     pub(crate) fn mvm_batch_noiseless(
         &self,
@@ -829,8 +862,8 @@ impl RomMvm {
     /// the accumulators come from an integer matmul over the stored
     /// weight codes — dispatched through the selected kernel tier
     /// ([`RomMvm::kernel`]) — while the per-vector event counters in
-    /// `scratch.counters` come from the shared
-    /// [`kernels::fold_event_counters`]. Bit-identical to a per-vector
+    /// `scratch` come from the one shared event-counter fold (see the
+    /// [`kernels`] module). Bit-identical to a per-vector
     /// [`RomMvm::mvm_analog`] loop in values *and* counters on every
     /// tier.
     pub(crate) fn mvm_batch_exact(
@@ -853,17 +886,8 @@ impl RomMvm {
             out,
             &mut scratch.acts16,
         );
-        scratch.counters.clear();
-        scratch.counters.resize(n, [0u64; 3]);
-        kernels::fold_event_counters(
-            self.kernel,
-            acts,
-            self.ins,
-            n,
-            &self.fold_params(),
-            &mut scratch.counters,
-            &mut scratch.fold_bitmaps,
-        );
+        let ins = self.ins;
+        self.fold_counters(kernels::FoldSrc::Rows { acts, ins }, n, scratch);
     }
 
     /// The stored codes in every packing the matmul tiers understand.
@@ -927,14 +951,7 @@ impl RomMvm {
             "exact kernel requires the stored code matrix"
         );
         kernels::matmul_exact_t(self.kernel, &self.exact_codes(), panel, out);
-        scratch.counters.clear();
-        scratch.counters.resize(panel.n(), [0u64; 3]);
-        kernels::fold_event_counters_t(
-            self.kernel,
-            panel,
-            &self.fold_params(),
-            &mut scratch.counters,
-        );
+        self.fold_counters(kernels::FoldSrc::Panel(*panel), panel.n(), scratch);
     }
 
     /// Fold step of the batch entries: merges the statistics of vectors
@@ -942,6 +959,15 @@ impl RomMvm {
     /// each vector derived from its counters from zero** — exactly the
     /// reduction a per-vector [`RomMvm::mvm`] loop over those vectors
     /// performs.
+    ///
+    /// The engine's constants apply here, once: a vector with `active`
+    /// live `(group, chunk)` pairs and `pulses` word-line pulses
+    /// evaluates `active * col_tiles` times, converts
+    /// `active * cols * col_tiles` columns and drives
+    /// `pulses * col_tiles` pulses. Each `u32` count converts to `f64`
+    /// exactly, and multiplying it by the constant rounds the exact
+    /// integer product once, as converting the `u64` product does, so the
+    /// derived `f64` fields are the ones [`RomMvm::mvm_analog`] derives.
     ///
     /// # Panics
     ///
@@ -952,17 +978,22 @@ impl RomMvm {
         vectors: Range<usize>,
         stats: &mut MvmStats,
     ) {
-        let finisher = &self.finisher;
-        for c in &scratch.counters[vectors] {
-            let mut s = MvmStats {
-                analog_evaluations: c[0],
-                adc_conversions: c[1],
-                wl_pulses: c[2],
-                ..MvmStats::default()
-            };
-            finisher.finish(&mut s);
-            stats.merge(&s);
+        let f = &self.finisher;
+        let (col_tiles, conversions) = (f.col_tiles as f64, f.conversions as f64);
+        let active = &scratch.active[vectors.clone()];
+        let pulses = &scratch.pulses[vectors];
+        let (mut evals, mut wl) = (0u64, 0u64);
+        for (&a, &p) in active.iter().zip(pulses) {
+            evals += u64::from(a);
+            wl += u64::from(p);
+            let (a, p) = (f64::from(a), f64::from(p));
+            let (energy, latency) = f.derive(a * conversions, p * col_tiles, a * col_tiles);
+            stats.energy_pj += energy;
+            stats.latency_ns += latency;
         }
+        stats.analog_evaluations += evals * f.col_tiles;
+        stats.adc_conversions += evals * f.conversions;
+        stats.wl_pulses += wl * f.col_tiles;
     }
 
     /// Executes a block of `n` activation vectors on the popcount mask
@@ -974,8 +1005,8 @@ impl RomMvm {
     /// [`RomMvm::mvm_analog`] loop in values *and* event counters: the
     /// integer accumulation is exact under any traversal order, the same
     /// ADC transfer is applied per group evaluation, and the per-vector
-    /// counters left in `scratch.counters` are the ones the analog walk
-    /// derives its statistics from.
+    /// counters left in `scratch` are the ones the analog walk derives
+    /// its statistics from.
     ///
     /// At the paper design point the ADC resolves single discharge events
     /// (`full_scale <= levels`), making the transfer an identity on
@@ -1016,17 +1047,8 @@ impl RomMvm {
         out.fill(0);
         // Event counters: the one shared fold over the pulse activity
         // (pure function of the pulses, independent of the mask stream).
-        scratch.counters.clear();
-        scratch.counters.resize(n, [0u64; 3]);
-        kernels::fold_event_counters(
-            self.kernel,
-            acts,
-            self.ins,
-            n,
-            &self.fold_params(),
-            &mut scratch.counters,
-            &mut scratch.fold_bitmaps,
-        );
+        let ins = self.ins;
+        self.fold_counters(kernels::FoldSrc::Rows { acts, ins }, n, scratch);
         // Values: per (row-tile, chunk), stage the block's pulse planes
         // **plane-major** (`[group][plane][vector]`, vectors padded to
         // the tier's popcount lane width) so each staged plane is
@@ -1171,14 +1193,7 @@ impl RomMvm {
         let adc = p.analog_config().adc;
         let adc_identity = self.adc_is_identity();
         out.fill(0);
-        scratch.counters.clear();
-        scratch.counters.resize(n, [0u64; 3]);
-        kernels::fold_event_counters_t(
-            self.kernel,
-            panel,
-            &self.fold_params(),
-            &mut scratch.counters,
-        );
+        self.fold_counters(kernels::FoldSrc::Panel(*panel), n, scratch);
         let n_pad = n.next_multiple_of(self.kernel.plane_pad());
         let group_stride = n_planes * n_pad;
         scratch.plane_masks.clear();
@@ -1293,7 +1308,10 @@ impl RomMvm {
         let p = &self.params;
         let groups_per_tile = p.rows.div_ceil(p.rows_per_activation) as f64;
         let chunk_count = p.act_bits.div_ceil(p.chunk_bits) as f64;
+        let col_tiles = self.tiles.first().map_or(0, |r| r.len()) as u64;
         StatsFinisher {
+            col_tiles,
+            conversions: p.cols as u64 * col_tiles,
             e_adc_pj: p.e_adc_pj,
             e_wl_pulse_pj: p.e_wl_pulse_pj,
             cols_f: p.cols as f64,
@@ -1310,6 +1328,10 @@ impl RomMvm {
 /// vector.
 #[derive(Clone, Copy, Default)]
 struct StatsFinisher {
+    /// Column tiles every group evaluation fans across.
+    col_tiles: u64,
+    /// ADC conversions per live `(group, chunk)`: `cols * col_tiles`.
+    conversions: u64,
     e_adc_pj: f64,
     e_wl_pulse_pj: f64,
     cols_f: f64,
@@ -1333,11 +1355,22 @@ impl StatsFinisher {
     /// inputs takes `t_inference_ns`; column tiles run in parallel on
     /// distinct subarrays, so divide by the column-tile count.
     fn finish(&self, stats: &mut MvmStats) {
-        stats.energy_pj = stats.adc_conversions as f64 * self.e_adc_pj
-            + stats.wl_pulses as f64 * self.e_wl_pulse_pj
-            + stats.analog_evaluations as f64 * self.cols_f * self.e_precharge_pj
+        (stats.energy_pj, stats.latency_ns) = self.derive(
+            stats.adc_conversions as f64,
+            stats.wl_pulses as f64,
+            stats.analog_evaluations as f64,
+        );
+    }
+
+    /// `(energy_pj, latency_ns)` of `adc` conversions, `wl` pulses and
+    /// `evals` analog evaluations, each given as an `f64`.
+    #[inline(always)]
+    fn derive(&self, adc: f64, wl: f64, evals: f64) -> (f64, f64) {
+        let energy = adc * self.e_adc_pj
+            + wl * self.e_wl_pulse_pj
+            + evals * self.cols_f * self.e_precharge_pj
             + self.shift_add_term;
-        stats.latency_ns = stats.analog_evaluations as f64 * self.t_eval / self.tile_div;
+        (energy, evals * self.t_eval / self.tile_div)
     }
 }
 
@@ -1555,6 +1588,34 @@ mod tests {
     fn program_rejects_codes_outside_the_signed_range() {
         // 8-bit codes span -128..=127: 128 needs a ninth bit.
         RomMvm::program(MacroParams::rom_paper(), &[0, 128], 1, 2);
+    }
+
+    #[test]
+    fn event_count_bound_sits_at_the_u32_edge() {
+        // Paper chunking: four 2-bit chunks, at most 12 pulses per code,
+        // so the last `ins` that fits is floor((2^32 - 1) / 12).
+        let paper = MacroParams::rom_paper();
+        let edge = (u32::MAX / 12) as usize;
+        assert_eq!(edge, 357_913_941);
+        assert!(paper.event_counts_fit(edge));
+        assert!(!paper.event_counts_fit(edge + 1));
+        // Ten 1-bit chunks of a 10-bit code: 10 pulses per code at most.
+        let wide = MacroParams {
+            act_bits: 10,
+            chunk_bits: 1,
+            ..paper
+        };
+        let edge = (u32::MAX / 10) as usize;
+        assert!(wide.event_counts_fit(edge));
+        assert!(!wide.event_counts_fit(edge + 1));
+        // A chunk width no engine can drive fits nothing.
+        for chunk_bits in [0, 32] {
+            assert!(!MacroParams {
+                chunk_bits,
+                ..paper
+            }
+            .event_counts_fit(1));
+        }
     }
 
     #[test]

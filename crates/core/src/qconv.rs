@@ -168,9 +168,10 @@ pub(crate) struct LayerFaults {
 }
 
 /// Deserialization proves what the programmer would otherwise assert
-/// — a supported weight width, one code per matrix cell, every code in
-/// the signed range — so a plan whose checksum is valid but whose
-/// contents are hostile is an error (a plan-cache miss), not a panic.
+/// — a supported weight width, event counts that fit their `u32`, one
+/// code per matrix cell, every code in the signed range — so a plan
+/// whose checksum is valid but whose contents are hostile is an error (a
+/// plan-cache miss), not a panic.
 impl Deserialize for ProgramSpec {
     fn from_value(v: &Json) -> Result<Self, String> {
         let spec = ProgramSpec {
@@ -186,6 +187,13 @@ impl Deserialize for ProgramSpec {
             .params
             .weight_code_range()
             .ok_or_else(|| format!("unsupported weight_bits {bits}"))?;
+        let p = &spec.params;
+        if !p.event_counts_fit(spec.ins) {
+            return Err(format!(
+                "event counts of {} inputs ({}-bit codes, {}-bit chunks) do not fit u32",
+                spec.ins, p.act_bits, p.chunk_bits
+            ));
+        }
         let cells = spec
             .outs
             .checked_mul(spec.ins)
@@ -1307,6 +1315,16 @@ mod tests {
                     *p = edited(p, "weight_bits", |b| *b = Json::UInt(0));
                 }),
                 "unsupported weight_bits 0",
+            ),
+            (
+                edited(&good, "params", |p| {
+                    *p = edited(p, "chunk_bits", |b| *b = Json::UInt(0));
+                }),
+                "event counts of 16 inputs (8-bit codes, 0-bit chunks) do not fit u32",
+            ),
+            (
+                edited(&good, "ins", |i| *i = Json::UInt(357_913_942)),
+                "event counts of 357913942 inputs (8-bit codes, 2-bit chunks)",
             ),
             (
                 edited(&good, "outs", |o| *o = Json::UInt(u64::MAX)),

@@ -12,6 +12,12 @@
 //! per-vector analog fallback consumes its RNG stream identically
 //! through the transposed entry.
 //!
+//! Two more depths, 130 and 257, cross the 128-row tile boundary inside
+//! one call, where the analog groups restart. Every chunking of 1-, 2-
+//! and 3-bit chunks over 4- to 10-bit codes is checked against the
+//! per-vector analog walk, on both sides of the paper chunking the
+//! portable counter fold is built for.
+//!
 //! The transposed run step reads its panel through a per-row offset
 //! table, so the suite also drives it with rows permuted, gapped and
 //! overlapping in one buffer, the last row ending exactly at the
@@ -31,6 +37,13 @@ use yoloc::cim::{MacroParams, MvmStats};
 /// the padding logic must absorb).
 const ODD_DIMS: [usize; 6] = [1, 2, 3, 9, 17, 31];
 
+/// Depths past one 128-row tile, so the analog groups restart inside a
+/// call (and 257 opens a third tile).
+const TILE_CROSSING_INS: [usize; 2] = [130, 257];
+
+/// Batch sizes around every lane width.
+const LANE_NS: [usize; 7] = [1, 4, 8, 9, 16, 17, 33];
+
 fn seeded_matrix(outs: usize, ins: usize, seed: u64) -> Vec<i32> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..outs * ins).map(|_| rng.gen_range(-128..=127)).collect()
@@ -39,6 +52,13 @@ fn seeded_matrix(outs: usize, ins: usize, seed: u64) -> Vec<i32> {
 fn seeded_acts(n: usize, ins: usize, seed: u64) -> Vec<i32> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_AC75);
     (0..n * ins).map(|_| rng.gen_range(0..=255)).collect()
+}
+
+/// Seeded activation codes spanning the whole `act_bits` range.
+fn seeded_codes(n: usize, ins: usize, act_bits: u8, seed: u64) -> Vec<i32> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE_5EED);
+    let max = (1i32 << act_bits) - 1;
+    (0..n * ins).map(|_| rng.gen_range(0..=max)).collect()
 }
 
 /// Stages `acts` (vector-major) as the lane-major transposed panel.
@@ -134,6 +154,11 @@ fn remainder_shapes_hold_parity_on_the_exact_path() {
                 assert_remainder_parity(params, outs, ins, n, 0xD1 + n as u64);
             }
         }
+        for &ins in &TILE_CROSSING_INS {
+            for n in LANE_NS {
+                assert_remainder_parity(params, outs, ins, n, 0xD2 + n as u64);
+            }
+        }
     }
 }
 
@@ -183,6 +208,85 @@ proptest! {
             params.rows_per_activation = 32;
         }
         assert_remainder_parity(params, outs, ins, n, seed);
+    }
+}
+
+/// Runs one block through both batch entries on every tier, each
+/// against a per-vector [`RomMvm::mvm_analog`] loop over the same codes,
+/// in values and `MvmStats`.
+///
+/// [`RomMvm::mvm_analog`]: yoloc::cim::RomMvm::mvm_analog
+fn assert_analog_parity(params: MacroParams, outs: usize, ins: usize, n: usize, seed: u64) {
+    let codes = seeded_matrix(outs, ins, seed);
+    let acts = seeded_codes(n, ins, params.act_bits, seed);
+    let (acts_t, n_pad) = to_panel(&acts, n, ins);
+    let mut b = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
+    // Noiseless throughout, so no path draws from the RNG.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut golden = vec![0i64; n * outs];
+    let mut golden_stats = MvmStats::default();
+    for v in 0..n {
+        let (y, s) = b.mvm_analog(&acts[v * ins..(v + 1) * ins], &mut rng);
+        for (o, y) in y.into_iter().enumerate() {
+            golden[o * n + v] = y;
+        }
+        golden_stats.merge(&s);
+    }
+    let mut scratch = MvmScratch::new();
+    for kind in available_kinds() {
+        b.set_kernel(kind);
+        let label = format!(
+            "{} at {outs}x{ins} n={n}, {}-bit codes in {}-bit chunks",
+            kind.label(),
+            params.act_bits,
+            params.chunk_bits
+        );
+        let mut out = vec![0i64; n * outs];
+        let mut stats = MvmStats::default();
+        b.mvm_batch(&acts, n, &mut out, &mut stats, &mut scratch, &mut rng);
+        assert_eq!(out, golden, "{label}: row-major values");
+        assert_eq!(stats, golden_stats, "{label}: row-major stats");
+        let mut out = vec![0i64; n * outs];
+        let mut stats = MvmStats::default();
+        b.mvm_batch_transposed(
+            &acts_t,
+            n,
+            n_pad,
+            &mut out,
+            &mut stats,
+            &mut scratch,
+            &mut rng,
+        );
+        assert_eq!(out, golden, "{label}: transposed values");
+        assert_eq!(stats, golden_stats, "{label}: transposed stats");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn prop_every_chunking_holds_parity_with_the_analog_walk(seed in 0u64..100_000) {
+        // One random shape per case, run at every chunk width and code
+        // width: 2-bit chunks of up to 8-bit codes take the portable
+        // fold on the SIMD tiers, 10-bit codes (five chunks) and every
+        // other chunk width take the scalar walks. An ideal ADC keeps
+        // every chunking on the exact matmul; 32-row groups overdrive
+        // the 5-bit ADC onto the quantizing mask stream.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let outs = ODD_DIMS[rng.gen_range(0..ODD_DIMS.len())];
+        let ins = [1, 2, 9, 17, 31, 130][rng.gen_range(0..6usize)];
+        let n = rng.gen_range(1..=33usize);
+        for chunk_bits in 1..=3u8 {
+            for act_bits in [4u8, 6, 8, 10] {
+                let base = MacroParams { chunk_bits, act_bits, ..MacroParams::rom_paper() };
+                let exact = MacroParams { adc_bits: 16, ..base };
+                let quantizing = MacroParams { rows_per_activation: 32, ..base };
+                for params in [exact, quantizing] {
+                    assert_analog_parity(params, outs, ins, n, seed);
+                }
+            }
+        }
     }
 }
 
@@ -268,8 +372,8 @@ fn row_offset_tables_hold_parity_on_every_path() {
     let mut noisy = exact;
     noisy.noise_sigma = 0.25;
     for (params, seed) in [(exact, 0x0FF), (quantizing, 0x0FA), (noisy, 0x0F5)] {
-        for &(outs, ins) in &[(1, 9), (3, 17), (17, 31), (2, 2)] {
-            for n in [1, 4, 8, 9, 16, 17, 33] {
+        for &(outs, ins) in &[(1, 9), (3, 17), (17, 31), (2, 2), (3, 130), (17, 257)] {
+            for n in LANE_NS {
                 assert_offset_parity(params, outs, ins, n, seed + n as u64);
             }
         }
