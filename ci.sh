@@ -43,6 +43,11 @@ cargo test -q --release -p yoloc-quant -p yoloc-tensor
 # Rust whose speed, and vector code, are whatever the compiler makes of
 # it, and every other test step builds at the dev profile's opt-level 2.
 cargo test -q --release -p yoloc-cim
+# The remainder suite too, whose batch sizes straddle the `u8` fold's
+# 32- and 64-lane panel blocks, also with the AVX2 tier pinned as the
+# engines' programmed default.
+cargo test -q --release --test kernel_remainder
+YOLOC_KERNEL=avx2 cargo test -q --release --test kernel_remainder
 # The quantizer against its truncation reference on all 2^32 inputs.
 cargo test -q --release -p yoloc-quant -- --ignored
 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle

@@ -27,6 +27,14 @@
 //! streams per channel, and the run the transposed kernels store their
 //! lanes into directly. A single vector's accumulators are plain `y[o]`.
 //!
+//! The run steps take activation codes as `u8` and write `i32`
+//! accumulators, the widths [`RomMvm::program`] proved hold
+//! ([`MacroParams::accumulators_fit`]); an engine with `act_bits == 8`
+//! runs them with no range scan, since a `u8` is its code range. The
+//! `i32` entries ([`RomMvm::mvm_batch`], [`RomMvm::mvm_batch_transposed`]
+//! and [`RomMvm::mvm`]) are the one checked boundary: they range-check
+//! the codes, narrow them, run, and widen the accumulators to `i64`.
+//!
 //! A batched call is two steps. The *run* step ([`RomMvm::run_batch`],
 //! [`RomMvm::run_batch_transposed`]) writes the accumulators and leaves
 //! one event-counter row per vector in the [`MvmScratch`]. The *fold*
@@ -98,7 +106,11 @@ pub struct MvmScratch {
     pub(crate) counts: Vec<u64>,
     /// Row-major activation staging for the reverse unpack (a
     /// transposed caller landing on a path that wants row-major acts).
-    pub(crate) acts_rm: Vec<i32>,
+    pub(crate) acts_rm: Vec<u8>,
+    /// The `i32` entries' codes, narrowed to `u8`.
+    pub(crate) narrow_acts: Vec<u8>,
+    /// The `i32` entries' accumulators, before they widen to `i64`.
+    pub(crate) narrow_out: Vec<i32>,
     /// The contiguous row offsets (`i * n_pad`) of a copied panel, for
     /// [`RomMvm::mvm_batch_transposed`].
     pub(crate) panel_rows: Vec<usize>,
@@ -122,7 +134,7 @@ impl MvmScratch {
     ///
     /// Panics if `live > period`, or if the counter rows or `out` do not
     /// hold whole channel rows of the vectors the run step ran.
-    pub fn keep_runs(&mut self, out: &mut Vec<i64>, runs: usize, period: usize, live: usize) {
+    pub fn keep_runs(&mut self, out: &mut Vec<i32>, runs: usize, period: usize, live: usize) {
         assert!(
             live <= period,
             "a run of {live} vectors longer than its period {period}"
@@ -176,19 +188,22 @@ impl RomMvm {
     ///
     /// # Panics
     ///
-    /// Panics if `acts.len() != n_vectors * ins` or
-    /// `out.len() != n_vectors * outs`.
+    /// Panics if `acts.len() != n_vectors * ins`,
+    /// `out.len() != n_vectors * outs`, or, on an engine narrower than
+    /// 8 bits, a code is outside its `act_bits` range. A noisy engine
+    /// panics if noise carries an accumulator out of the `i32` range.
     pub fn run_batch<R: Rng + ?Sized>(
         &self,
-        acts: &[i32],
+        acts: &[u8],
         n_vectors: usize,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut MvmScratch,
         rng: &mut R,
     ) {
         let (outs, ins) = self.dims();
         assert_eq!(acts.len(), n_vectors * ins, "batch activation length");
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
+        self.validate_u8_codes(acts);
         if self.fast_path_active() {
             // The RNG is untouched, like every noiseless path. At
             // identity-ADC design points (the paper default) the batch
@@ -197,13 +212,16 @@ impl RomMvm {
             self.mvm_batch_noiseless(acts, n_vectors, out, scratch);
         } else {
             // The reference path is per-vector (each vector consumes its
-            // own RNG draws). Noise moves no event count, so the counters
-            // come from the same fold as on every other path, once the
-            // analog walk has range-checked every code.
+            // own RNG draws) over `i32` codes. Noise moves no event
+            // count, so the counters come from the same fold as on every
+            // other path.
             for v in 0..n_vectors {
-                let (y, _) = self.mvm_analog(&acts[v * ins..(v + 1) * ins], rng);
+                let av = &acts[v * ins..(v + 1) * ins];
+                let codes: Vec<i32> = av.iter().map(|&a| i32::from(a)).collect();
+                let (y, _) = self.mvm_analog(&codes, rng);
                 for (o, &y) in y.iter().enumerate() {
-                    out[o * n_vectors + v] = y;
+                    out[o * n_vectors + v] =
+                        i32::try_from(y).expect("noisy accumulator outside i32");
                 }
             }
             self.fold_counters(FoldSrc::Rows { acts, ins }, n_vectors, scratch);
@@ -227,14 +245,15 @@ impl RomMvm {
     /// # Panics
     ///
     /// Panics, before any kernel runs, if `rows.len() != ins`, if some
-    /// `rows[i] + transposed_pad(n_vectors)` exceeds `acts_t.len()`, or
-    /// if `out.len() != n_vectors * outs`.
+    /// `rows[i] + transposed_pad(n_vectors)` exceeds `acts_t.len()`, if
+    /// `out.len() != n_vectors * outs`, or, on an engine narrower than 8
+    /// bits, if a code of `acts_t` is outside its range.
     pub fn run_batch_transposed<R: Rng + ?Sized>(
         &self,
-        acts_t: &[i32],
+        acts_t: &[u8],
         rows: &[usize],
         n_vectors: usize,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut MvmScratch,
         rng: &mut R,
     ) {
@@ -242,6 +261,7 @@ impl RomMvm {
         assert_eq!(rows.len(), ins, "one panel row offset per activation");
         let panel = Panel::new(acts_t, rows, n_vectors);
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
+        self.validate_u8_codes(acts_t);
         if self.fast_path_active() {
             // Panel-native kernels: matmul, counter fold and pulse
             // packing all read the panel rows in place.
@@ -267,15 +287,17 @@ impl RomMvm {
         }
     }
 
-    /// Batched entry: [`RomMvm::run_batch`], then
-    /// [`RomMvm::fold_stats`] over the whole block. Bit-identical to a
-    /// per-vector [`RomMvm::mvm`] loop in values *and* stats
-    /// (property-tested).
+    /// Batched entry over `i32` codes: range-checks every code, narrows
+    /// the block to `u8`, runs [`RomMvm::run_batch`], widens its
+    /// accumulators into `out` and folds [`RomMvm::fold_stats`] over the
+    /// whole block. Bit-identical to a per-vector [`RomMvm::mvm`] loop
+    /// in values *and* stats (property-tested).
     ///
     /// # Panics
     ///
-    /// Panics if `acts.len() != n_vectors * ins` or
-    /// `out.len() != n_vectors * outs`.
+    /// Panics if `acts.len() != n_vectors * ins`,
+    /// `out.len() != n_vectors * outs`, or a code is outside the
+    /// engine's `act_bits` range.
     pub fn mvm_batch<R: Rng + ?Sized>(
         &self,
         acts: &[i32],
@@ -285,14 +307,18 @@ impl RomMvm {
         scratch: &mut MvmScratch,
         rng: &mut R,
     ) {
-        self.run_batch(acts, n_vectors, out, scratch, rng);
+        self.at_i32_boundary(acts, out, scratch, |codes, accs, scratch| {
+            self.run_batch(codes, n_vectors, accs, scratch, rng)
+        });
         self.fold_stats(scratch, 0..n_vectors, stats);
     }
 
-    /// Batched entry over a copied lane-major `[ins x n_pad]` activation
-    /// panel (`acts_t[i * n_pad + v]`): [`RomMvm::run_batch_transposed`]
+    /// Batched entry over a copied lane-major `[ins x n_pad]` panel of
+    /// `i32` codes (`acts_t[i * n_pad + v]`): range-checks and narrows
+    /// the whole panel to `u8`, runs [`RomMvm::run_batch_transposed`]
     /// with the contiguous row offsets `i * n_pad` (kept in `scratch`),
-    /// then [`RomMvm::fold_stats`] over the whole block. Bit-identical to
+    /// widens its accumulators into `out` and folds
+    /// [`RomMvm::fold_stats`] over the whole block. Bit-identical to
     /// [`RomMvm::mvm_batch`] on the same values, in values *and* stats.
     ///
     /// # Examples
@@ -344,7 +370,8 @@ impl RomMvm {
     /// # Panics
     ///
     /// Panics if `n_pad < n_vectors`, `n_pad` is not a multiple of 16,
-    /// or `acts_t.len() < ins * n_pad`.
+    /// `acts_t.len() < ins * n_pad`, or a code of `acts_t` is outside the
+    /// engine's `act_bits` range.
     #[allow(clippy::too_many_arguments)]
     pub fn mvm_batch_transposed<R: Rng + ?Sized>(
         &self,
@@ -362,12 +389,39 @@ impl RomMvm {
             "panel padding"
         );
         assert!(acts_t.len() >= ins * n_pad, "panel activation length");
-        let mut rows = std::mem::take(&mut scratch.panel_rows);
-        rows.clear();
-        rows.extend((0..ins).map(|i| i * n_pad));
-        self.run_batch_transposed(acts_t, &rows, n_vectors, out, scratch, rng);
-        scratch.panel_rows = rows;
+        self.at_i32_boundary(acts_t, out, scratch, |codes, accs, scratch| {
+            let mut rows = std::mem::take(&mut scratch.panel_rows);
+            rows.clear();
+            rows.extend((0..ins).map(|i| i * n_pad));
+            self.run_batch_transposed(codes, &rows, n_vectors, accs, scratch, rng);
+            scratch.panel_rows = rows;
+        });
         self.fold_stats(scratch, 0..n_vectors, stats);
+    }
+
+    /// The checked `i32` boundary of the batch entries: range-checks
+    /// `acts`, narrows them to `u8`, hands them to `run` with a zeroed
+    /// `i32` accumulator buffer as long as `out`, and widens what it
+    /// wrote into `out`. The narrowed buffers live in `scratch`.
+    fn at_i32_boundary(
+        &self,
+        acts: &[i32],
+        out: &mut [i64],
+        scratch: &mut MvmScratch,
+        run: impl FnOnce(&[u8], &mut [i32], &mut MvmScratch),
+    ) {
+        self.validate_act_codes(acts);
+        let mut codes = std::mem::take(&mut scratch.narrow_acts);
+        codes.clear();
+        codes.extend(acts.iter().map(|&a| a as u8));
+        let mut accs = std::mem::take(&mut scratch.narrow_out);
+        accs.clear();
+        accs.resize(out.len(), 0);
+        run(&codes, &mut accs, scratch);
+        for (o, &a) in out.iter_mut().zip(&accs) {
+            *o = i64::from(a);
+        }
+        (scratch.narrow_acts, scratch.narrow_out) = (codes, accs);
     }
 
     /// Stable label of the path this engine executes on.
@@ -748,11 +802,12 @@ mod tests {
     fn assert_fold_matches_sub_blocks(b: &RomMvm, acts: &[i32], n: usize, seed: u64) {
         let (outs, ins) = b.dims();
         let n_pad = crate::kernels::transposed_pad(n);
-        let mut acts_t = vec![0i32; ins * n_pad];
+        let codes: Vec<u8> = acts.iter().map(|&a| u8::try_from(a).unwrap()).collect();
+        let mut acts_t = vec![0u8; ins * n_pad];
         let rows: Vec<usize> = (0..ins).map(|i| i * n_pad).collect();
         for v in 0..n {
             for i in 0..ins {
-                acts_t[rows[i] + v] = acts[v * ins + i];
+                acts_t[rows[i] + v] = codes[v * ins + i];
             }
         }
         let mut scratch = MvmScratch::new();
@@ -782,15 +837,16 @@ mod tests {
             let want_next = rng.next_u64();
             for layout in [MatmulLayout::RowMajor, MatmulLayout::Transposed] {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut out = vec![0i64; n * outs];
+                let mut accs = vec![0i32; n * outs];
                 match layout {
                     MatmulLayout::RowMajor => {
-                        b.run_batch(acts, n, &mut out, &mut scratch, &mut rng)
+                        b.run_batch(&codes, n, &mut accs, &mut scratch, &mut rng)
                     }
                     MatmulLayout::Transposed => {
-                        b.run_batch_transposed(&acts_t, &rows, n, &mut out, &mut scratch, &mut rng)
+                        b.run_batch_transposed(&acts_t, &rows, n, &mut accs, &mut scratch, &mut rng)
                     }
                 }
+                let out: Vec<i64> = accs.iter().map(|&a| a.into()).collect();
                 let mut stats = MvmStats::default();
                 for w in cuts.windows(2) {
                     let mut s = MvmStats::default();

@@ -14,17 +14,16 @@
 //! * [`matmul_exact`] — the row-major exact-path integer matmul,
 //!   cache-blocked (8 vectors x 4 output rows per block so both the
 //!   staged `i16` activations and the code-row quad stay L1-resident),
-//!   using `_mm256_madd_epi16` on the lane-packed `i16` codes when the
-//!   design point makes 32-bit accumulation overflow-safe, and a
-//!   `_mm256_mul_epi32` 64-bit-accumulate fallback otherwise;
+//!   using `_mm256_madd_epi16` on the lane-packed `i16` codes against
+//!   the block's `u8` codes widened to `i16`;
 //! * [`matmul_transposed`] — the batch-transposed matmul over a
 //!   lane-major [`Panel`], vectorizing across 8 vectors per
 //!   `_mm256_mullo_epi32` for the narrow shapes whose rows cannot fill
-//!   lanes; its lanes widen and store straight into the channel-major
+//!   lanes; its `i32` lanes store straight into the channel-major
 //!   accumulator row;
 //! * [`fold`] — the portable event-counter fold of the `fold` module in
 //!   both layouts, compiled with AVX2 enabled: no intrinsics, the
-//!   compiler vectorizes it;
+//!   compiler vectorizes it, 32 lanes per panel block;
 //! * [`group_counts`] — the bit-plane popcount stream: one stored column
 //!   mask `AND`ed against four vectors' staged pulse planes at once,
 //!   popcounted with the `vpshufb` nibble-LUT + `_mm256_sad_epu8` trick.
@@ -33,12 +32,11 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::{
-    __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-    _mm256_castsi256_si128, _mm256_cvtepi32_epi64, _mm256_extracti128_si256, _mm256_loadu_si256,
-    _mm256_madd_epi16, _mm256_mul_epi32, _mm256_mullo_epi32, _mm256_packs_epi32,
-    _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x,
-    _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
-    _mm256_sll_epi64, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256, _mm_cvtsi32_si128,
+    __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
+    _mm256_cvtepu8_epi16, _mm256_cvtepu8_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
+    _mm256_mullo_epi32, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
+    _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_sll_epi64,
+    _mm256_srli_epi16, _mm256_storeu_si256, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128,
 };
 
 use super::{fold, scalar, ExactCodes, FoldSrc, Panel};
@@ -55,41 +53,39 @@ fn assert_avx2() {
 }
 
 /// AVX2 tier of the exact-path batched matmul. Bit-identical to
-/// [`scalar::matmul_into`]: integer arithmetic only, and the `i16` path
-/// is used only when `program` proved 32-bit accumulation cannot
-/// overflow (8-bit codes, 8-bit acts, `ins <= 32768`).
+/// [`scalar::matmul_into`]: integer arithmetic only, in `i32` lanes
+/// whose sums `program` proved fit. Codes wider than `i16` (no
+/// `codes16` packing) run on the scalar tier.
 pub(crate) fn matmul_exact(
     c: &ExactCodes<'_>,
-    acts: &[i32],
+    acts: &[u8],
     n: usize,
-    out: &mut [i64],
+    out: &mut [i32],
     acts16: &mut Vec<i16>,
 ) {
     assert_avx2();
     debug_assert_eq!(acts.len(), n * c.ins);
     debug_assert_eq!(out.len(), n * c.outs);
-    if c.outs == 1 && c.ins < 8 {
+    if (c.outs == 1 && c.ins < 8) || c.codes16.is_empty() {
         // One madd row can't amortize the i16 staging below 8 inputs;
         // the scalar reference is bit-identical, so this is pure
         // heuristics.
         scalar::matmul_into(c.codes, c.outs, c.ins, acts, n, out);
-    } else if !c.codes16.is_empty() {
-        // SAFETY: AVX2 support asserted above.
-        unsafe { matmul_i16(c, acts, n, out, acts16) }
     } else {
         // SAFETY: AVX2 support asserted above.
-        unsafe { matmul_i32(c.codes, c.outs, c.ins, acts, n, out) }
+        unsafe { matmul_i16(c, acts, n, out, acts16) }
     }
 }
 
 /// `_mm256_madd_epi16` matmul over the lane-packed `i16` codes.
 #[target_feature(enable = "avx2")]
-fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts16: &mut Vec<i16>) {
+fn matmul_i16(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32], acts16: &mut Vec<i16>) {
     let (ins, ins16, outs) = (c.ins, c.ins16, c.outs);
     debug_assert_eq!(c.codes16.len(), outs * ins16);
-    // Stage the block's activations as zero-padded i16 rows. `clear`
-    // first so rows shorter than a previous caller's cannot leak stale
-    // nonzero padding into the dot products.
+    // Stage the block's activations as zero-padded i16 rows, 16 codes
+    // widened per `_mm256_cvtepu8_epi16`. `clear` first so rows shorter
+    // than a previous caller's cannot leak stale nonzero padding into
+    // the dot products.
     acts16.clear();
     acts16.resize(n * ins16, 0);
     for v in 0..n {
@@ -97,21 +93,17 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
         let dst = &mut acts16[v * ins16..v * ins16 + ins];
         let mut i = 0;
         while i + 16 <= ins {
-            // SAFETY: i + 16 <= ins keeps both 32-byte loads and the
-            // 32-byte store inside `av` / `dst`; unaligned ops.
+            // SAFETY: i + 16 <= ins keeps the 16-byte load inside `av`
+            // and the 32-byte store inside `dst`; unaligned ops.
             unsafe {
-                let a0 = _mm256_loadu_si256(av.as_ptr().add(i) as *const __m256i);
-                let a1 = _mm256_loadu_si256(av.as_ptr().add(i + 8) as *const __m256i);
-                // packs interleaves 128-bit halves; the permute restores
-                // element order. No saturation: codes16 exists only when
-                // activations fit 8 unsigned bits.
-                let packed = _mm256_permute4x64_epi64(_mm256_packs_epi32(a0, a1), 0b11011000);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, packed);
+                let a = _mm_loadu_si128(av.as_ptr().add(i) as *const __m128i);
+                let wide = _mm256_cvtepu8_epi16(a);
+                _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, wide);
             }
             i += 16;
         }
         for (d, &a) in dst[i..].iter_mut().zip(&av[i..]) {
-            *d = a as i16;
+            *d = i16::from(a);
         }
     }
     // Cache-blocked nest: one V_BLOCK x 4 tile of outputs at a time, so
@@ -172,19 +164,14 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
 }
 
 /// AVX2 tier of the batch-transposed matmul: activations arrive as a
-/// lane-major [`Panel`], so each 32-byte load carries 8 *vectors'*
-/// codes for one activation index and the multiply-add runs across the
-/// batch — full lanes even for the 9-deep conv shapes the row-major
-/// path cannot fill. Accumulation is `i32` (`_mm256_mullo_epi32`), exact
-/// under the same `codes16` eligibility proof the madd path uses
-/// (`|code| <= 128`, acts fit 8 unsigned bits, `ins <= 32768` → partial
-/// sums < 2^31). Bit-identical to [`scalar::matmul_transposed`].
-pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut [i64]) {
+/// lane-major [`Panel`], so each 8-byte load carries 8 *vectors'* codes
+/// for one activation index, widened to `i32` lanes, and the
+/// multiply-add runs across the batch — full lanes even for the 9-deep
+/// conv shapes the row-major path cannot fill. Accumulation is `i32`
+/// (`_mm256_mullo_epi32`), exact because `program` proved every
+/// accumulator fits. Bit-identical to [`scalar::matmul_transposed`].
+pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut [i32]) {
     assert_avx2();
-    assert!(
-        !c.codes16.is_empty(),
-        "transposed AVX2 path requires the i16-eligibility overflow proof"
-    );
     debug_assert_eq!(panel.ins(), c.ins);
     debug_assert_eq!(out.len(), panel.n() * c.outs);
     // SAFETY: AVX2 support asserted above.
@@ -192,7 +179,7 @@ pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut
 }
 
 #[target_feature(enable = "avx2")]
-fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i64]) {
+fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i32]) {
     let (acts, rows, n, ins) = (panel.acts(), panel.rows(), panel.n(), panel.ins());
     let mut vb = 0;
     while vb < n {
@@ -204,11 +191,9 @@ fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &m
             let mut acc = [_mm256_setzero_si256(); 4];
             for (i, &row) in rows.iter().enumerate() {
                 // SAFETY: vb < n and both vb and transposed_pad(n) are
-                // multiples of 8, so vb + 8 <= transposed_pad(n); and
-                // row + transposed_pad(n) <= acts.len() (`Panel::new`).
-                // Unaligned load.
-                let a =
-                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
+                // multiples of 8, so vb + 8 <= transposed_pad(n);
+                // and row + transposed_pad(n) <= acts.len() (`Panel::new`).
+                let a = unsafe { load8(acts.as_ptr().add(row + vb)) };
                 for (k, ak) in acc.iter_mut().enumerate() {
                     let w = _mm256_set1_epi32(codes[(o + k) * ins + i]);
                     *ak = _mm256_add_epi32(*ak, _mm256_mullo_epi32(a, w));
@@ -216,7 +201,7 @@ fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &m
             }
             for (k, ak) in acc.iter().enumerate() {
                 let row = (o + k) * n + vb;
-                store_widened(*ak, &mut out[row..row + lanes_live]);
+                store_lanes(*ak, &mut out[row..row + lanes_live]);
             }
             o += 4;
         }
@@ -224,126 +209,55 @@ fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &m
             let mut acc = _mm256_setzero_si256();
             for (i, &row) in rows.iter().enumerate() {
                 // SAFETY: as above.
-                let a =
-                    unsafe { _mm256_loadu_si256(acts.as_ptr().add(row + vb) as *const __m256i) };
+                let a = unsafe { load8(acts.as_ptr().add(row + vb)) };
                 let w = _mm256_set1_epi32(codes[o * ins + i]);
                 acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(a, w));
             }
-            store_widened(acc, &mut out[o * n + vb..o * n + vb + lanes_live]);
+            store_lanes(acc, &mut out[o * n + vb..o * n + vb + lanes_live]);
             o += 1;
         }
         vb += 8;
     }
 }
 
-/// Stores the live `i32` lanes of one transposed accumulator, widened
-/// to `i64`, into `dst` — the contiguous run of their output channel's
-/// accumulator row (exact: per-lane sums are bounded below `i32::MAX` by
-/// the eligibility proof). Only a block's last run can be short.
+/// Loads the 8 codes at `p`, widened to `i32` lanes.
+///
+/// # Safety
+///
+/// `p..p + 8` must be readable.
 #[target_feature(enable = "avx2")]
-fn store_widened(acc: __m256i, dst: &mut [i64]) {
-    let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc));
-    let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(acc));
+#[inline]
+unsafe fn load8(p: *const u8) -> __m256i {
+    // SAFETY: the caller guarantees 8 readable bytes; unaligned load.
+    _mm256_cvtepu8_epi32(unsafe { _mm_loadl_epi64(p as *const __m128i) })
+}
+
+/// Stores the live `i32` lanes of one transposed accumulator into
+/// `dst`, the contiguous run of their output channel's accumulator row.
+/// Only a block's last run can be short.
+#[target_feature(enable = "avx2")]
+fn store_lanes(acc: __m256i, dst: &mut [i32]) {
     if dst.len() == 8 {
-        // SAFETY: `dst` holds exactly 8 i64 = two 32-byte unaligned
-        // stores.
-        unsafe {
-            _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, lo);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(4) as *mut __m256i, hi);
-        }
+        // SAFETY: `dst` holds exactly 8 i32 = one 32-byte unaligned
+        // store.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, acc) };
     } else {
-        let mut lanes = [0i64; 8];
-        // SAFETY: `lanes` is exactly 64 bytes; unaligned stores.
-        unsafe {
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, lo);
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(4) as *mut __m256i, hi);
-        }
+        let mut lanes = [0i32; 8];
+        // SAFETY: `lanes` is exactly 32 bytes; unaligned store.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc) };
         dst.copy_from_slice(&lanes[..dst.len()]);
     }
 }
 
-/// Sums the eight `i32` lanes into an `i64`. Per-lane partial sums are
-/// bounded far below `i32::MAX` (see the `codes16` eligibility proof),
-/// so widening only at the horizontal step is exact.
+/// Sums the eight `i32` lanes. Every partial sum is a sum of some of
+/// one accumulator's products, so it fits an `i32` whenever the whole
+/// does, which `program` proved.
 #[target_feature(enable = "avx2")]
-fn hsum_epi32(v: __m256i) -> i64 {
+fn hsum_epi32(v: __m256i) -> i32 {
     let mut lanes = [0i32; 8];
     // SAFETY: `lanes` is exactly 32 bytes; unaligned store.
     unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v) };
-    lanes.iter().map(|&x| x as i64).sum()
-}
-
-/// `_mm256_mul_epi32` matmul with 64-bit accumulation — the general
-/// fallback when the `i16` overflow proof does not hold.
-#[target_feature(enable = "avx2")]
-fn matmul_i32(codes: &[i32], outs: usize, ins: usize, acts: &[i32], n: usize, out: &mut [i64]) {
-    let mut vb = 0;
-    while vb < n {
-        let vb_end = (vb + V_BLOCK).min(n);
-        let mut o = 0;
-        while o + 4 <= outs {
-            for v in vb..vb_end {
-                let av = &acts[v * ins..(v + 1) * ins];
-                let quad = dot4_i32(codes, o, ins, av);
-                for (k, &q) in quad.iter().enumerate() {
-                    out[(o + k) * n + v] = q;
-                }
-            }
-            o += 4;
-        }
-        while o < outs {
-            for v in vb..vb_end {
-                let av = &acts[v * ins..(v + 1) * ins];
-                out[o * n + v] = codes[o * ins..(o + 1) * ins]
-                    .iter()
-                    .zip(av)
-                    .map(|(&w, &a)| w as i64 * a as i64)
-                    .sum();
-            }
-            o += 1;
-        }
-        vb += V_BLOCK;
-    }
-}
-
-/// Four consecutive code-row dot products sharing one activation load.
-/// Even/odd 32-bit lanes are multiplied separately (`_mm256_mul_epi32`
-/// sign-extends the low half of each 64-bit lane) and accumulated in
-/// 64 bits, so no overflow is possible for any `i32` inputs.
-#[target_feature(enable = "avx2")]
-fn dot4_i32(codes: &[i32], o: usize, ins: usize, av: &[i32]) -> [i64; 4] {
-    let mut acc = [_mm256_setzero_si256(); 4];
-    let mut i = 0;
-    while i + 8 <= ins {
-        // SAFETY: i + 8 <= ins bounds the activation load and, with the
-        // caller's `o + 4 <= outs`, the four code-row loads.
-        unsafe {
-            let a = _mm256_loadu_si256(av.as_ptr().add(i) as *const __m256i);
-            let a_hi = _mm256_srli_epi64(a, 32);
-            for (k, ak) in acc.iter_mut().enumerate() {
-                let w = _mm256_loadu_si256(codes.as_ptr().add((o + k) * ins + i) as *const __m256i);
-                let w_hi = _mm256_srli_epi64(w, 32);
-                let lo = _mm256_mul_epi32(a, w);
-                let hi = _mm256_mul_epi32(a_hi, w_hi);
-                *ak = _mm256_add_epi64(*ak, _mm256_add_epi64(lo, hi));
-            }
-        }
-        i += 8;
-    }
-    let mut quad = [0i64; 4];
-    for (k, (slot, ak)) in quad.iter_mut().zip(&acc).enumerate() {
-        let mut lanes = [0i64; 4];
-        // SAFETY: `lanes` is exactly 32 bytes; unaligned store.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, *ak) };
-        *slot = lanes.iter().sum();
-        for (w, a) in codes[(o + k) * ins + i..(o + k + 1) * ins]
-            .iter()
-            .zip(&av[i..])
-        {
-            *slot += *w as i64 * *a as i64;
-        }
-    }
-    quad
+    lanes.iter().sum()
 }
 
 /// The portable event-counter fold ([`fold::fold`]) compiled for AVX2.
@@ -360,7 +274,7 @@ pub(crate) fn fold(
 
 #[target_feature(enable = "avx2")]
 fn fold_avx2(src: &FoldSrc<'_>, bounds: &[(u32, u32)], active: &mut [u32], pulses: &mut [u32]) {
-    fold::fold(src, bounds, active, pulses);
+    fold::fold::<32>(src, bounds, active, pulses);
 }
 
 /// AVX2 tier of the bit-plane popcount stream: the column mask is

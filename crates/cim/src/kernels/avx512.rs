@@ -15,12 +15,13 @@
 //!   a `_mm512_maskz_loadu_epi16` half-register tail since code rows
 //!   are padded to 16, not 32, lanes;
 //! * [`matmul_transposed`] — the batch-transposed matmul eating 16
-//!   vectors per `_mm512_mullo_epi32`, its lanes widened and stored
-//!   straight into the channel-major accumulator row (masked stores for
-//!   a block's short tail);
+//!   vectors per `_mm512_mullo_epi32`, one 16-byte load of `u8` codes
+//!   widened per activation row, its `i32` lanes stored straight into
+//!   the channel-major accumulator row (a masked store for a block's
+//!   short tail);
 //! * [`fold`] — the portable event-counter fold of the `fold` module
 //!   compiled with AVX-512 enabled, so the compiler vectorizes its
-//!   16-lane panel blocks one register wide;
+//!   64-lane panel blocks one register of codes wide;
 //! * [`group_counts`] — the bit-plane popcount stream with native
 //!   `vpopcntq` (`_mm512_popcnt_epi64`), replacing the `vpshufb`
 //!   nibble-LUT + `_mm256_sad_epu8` emulation, 8 staged vectors per
@@ -28,19 +29,19 @@
 //!
 //! Shapes outside a kernel's profitable range delegate to the AVX2 or
 //! scalar implementations — any host that can select this tier can run
-//! both (AVX-512 implies AVX2): the row-major matmul without the `i16`
-//! proof, and the transposed matmul at `n <= 8`.
+//! both (AVX-512 implies AVX2): the row-major matmul without an `i16`
+//! packing, and the transposed matmul at `n <= 8`.
 
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::{
-    __m512i, _mm256_storeu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_and_si512,
-    _mm512_castsi512_si256, _mm512_cvtepi32_epi16, _mm512_cvtepi32_epi64,
-    _mm512_extracti64x4_epi64, _mm512_loadu_epi16, _mm512_loadu_epi32, _mm512_loadu_epi64,
-    _mm512_madd_epi16, _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi16, _mm512_mullo_epi32,
+    __m128i, __m512i, _mm256_loadu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_and_si512,
+    _mm512_cvtepu8_epi16, _mm512_cvtepu8_epi32, _mm512_loadu_epi16, _mm512_loadu_epi64,
+    _mm512_madd_epi16, _mm512_mask_storeu_epi32, _mm512_maskz_loadu_epi16, _mm512_mullo_epi32,
     _mm512_popcnt_epi64, _mm512_set1_epi32, _mm512_set1_epi64, _mm512_setzero_si512,
-    _mm512_sll_epi64, _mm512_storeu_epi32, _mm512_storeu_epi64, _mm_cvtsi32_si128,
+    _mm512_sll_epi64, _mm512_storeu_epi16, _mm512_storeu_epi32, _mm512_storeu_epi64,
+    _mm_cvtsi32_si128, _mm_loadu_si128,
 };
 
 use super::{avx2, fold, scalar, ExactCodes, FoldSrc, Panel};
@@ -58,28 +59,24 @@ fn assert_avx512() {
 }
 
 /// AVX-512 tier of the exact-path batched matmul. Bit-identical to
-/// [`scalar::matmul_into`]; the 32-lane madd path requires the same
-/// `i16`-eligibility overflow proof as the AVX2 tier and shapes
-/// without it (or too small to amortize staging) delegate down.
+/// [`scalar::matmul_into`]; codes wider than `i16` (no `codes16`
+/// packing) and shapes too small to amortize the staging run on the
+/// scalar tier.
 pub(crate) fn matmul_exact(
     c: &ExactCodes<'_>,
-    acts: &[i32],
+    acts: &[u8],
     n: usize,
-    out: &mut [i64],
+    out: &mut [i32],
     acts16: &mut Vec<i16>,
 ) {
     assert_avx512();
     debug_assert_eq!(acts.len(), n * c.ins);
     debug_assert_eq!(out.len(), n * c.outs);
-    if c.outs == 1 && c.ins < 8 {
+    if (c.outs == 1 && c.ins < 8) || c.codes16.is_empty() {
         scalar::matmul_into(c.codes, c.outs, c.ins, acts, n, out);
-    } else if !c.codes16.is_empty() {
+    } else {
         // SAFETY: AVX-512 support asserted above.
         unsafe { matmul_i16(c, acts, n, out, acts16) }
-    } else {
-        // No overflow proof: the AVX2 tier's `_mm256_mul_epi32`
-        // 64-bit-accumulate fallback is already memory-bound; reuse it.
-        avx2::matmul_exact(c, acts, n, out, acts16);
     }
 }
 
@@ -87,30 +84,29 @@ pub(crate) fn matmul_exact(
 /// multiply-accumulates per op. Code rows are padded to 16 lanes, so a
 /// half-register masked load finishes rows where `ins16 % 32 == 16`.
 #[target_feature(enable = "avx512f,avx512bw")]
-fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts16: &mut Vec<i16>) {
+fn matmul_i16(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32], acts16: &mut Vec<i16>) {
     let (ins, ins16, outs) = (c.ins, c.ins16, c.outs);
     debug_assert_eq!(c.codes16.len(), outs * ins16);
-    // Stage the block's activations as zero-padded i16 rows (16 lanes
-    // narrowed per `_mm512_cvtepi32_epi16`). `clear` first so shorter
-    // rows cannot leak stale nonzero padding.
+    // Stage the block's activations as zero-padded i16 rows, 32 codes
+    // widened per `_mm512_cvtepu8_epi16`. `clear` first so shorter rows
+    // cannot leak stale nonzero padding.
     acts16.clear();
     acts16.resize(n * ins16, 0);
     for v in 0..n {
         let av = &acts[v * ins..(v + 1) * ins];
         let dst = &mut acts16[v * ins16..v * ins16 + ins];
         let mut i = 0;
-        while i + 16 <= ins {
-            // SAFETY: i + 16 <= ins bounds the 64-byte load; the
-            // narrowed 32-byte store lands in dst[i..i + 16].
+        while i + 32 <= ins {
+            // SAFETY: i + 32 <= ins bounds the 32-byte load from `av`
+            // and the widened 64-byte store into dst[i..i + 32].
             unsafe {
-                let a = _mm512_loadu_epi32(av.as_ptr().add(i));
-                let packed = _mm512_cvtepi32_epi16(a);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut _, packed);
+                let a = _mm256_loadu_si256(av.as_ptr().add(i) as *const _);
+                _mm512_storeu_epi16(dst.as_mut_ptr().add(i), _mm512_cvtepu8_epi16(a));
             }
-            i += 16;
+            i += 32;
         }
         for (d, &a) in dst[i..].iter_mut().zip(&av[i..]) {
-            *d = a as i16;
+            *d = i16::from(a);
         }
     }
     let mut vb = 0;
@@ -189,34 +185,29 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[i32], n: usize, out: &mut [i64], acts1
     }
 }
 
-/// Sums the sixteen `i32` lanes into an `i64`. Per-lane (and any
-/// partial) sums are bounded far below `i32::MAX` by the `codes16`
-/// eligibility proof, so widening only here is exact.
+/// Sums the sixteen `i32` lanes. Every partial sum is a sum of some of
+/// one accumulator's products, so it fits an `i32` whenever the whole
+/// does, which `program` proved.
 #[target_feature(enable = "avx512f")]
-fn hsum_epi32(v: __m512i) -> i64 {
+fn hsum_epi32(v: __m512i) -> i32 {
     let mut lanes = [0i32; 16];
     // SAFETY: `lanes` is exactly 64 bytes; unaligned store.
     unsafe { _mm512_storeu_epi32(lanes.as_mut_ptr(), v) };
-    lanes.iter().map(|&x| x as i64).sum()
+    lanes.iter().sum()
 }
 
-/// AVX-512 tier of the batch-transposed matmul: one 64-byte panel load
-/// carries 16 vectors' codes for an activation index, shared across a
-/// quad of broadcast code scalars. `i32` lane accumulation is exact
-/// under the `codes16` eligibility proof. Bit-identical to
-/// [`scalar::matmul_transposed`].
-pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut [i64]) {
+/// AVX-512 tier of the batch-transposed matmul: one 16-byte panel load
+/// carries 16 vectors' codes for an activation index, widened to `i32`
+/// lanes and shared across a quad of broadcast code scalars. `i32` lane
+/// accumulation is exact because `program` proved every accumulator
+/// fits. Bit-identical to [`scalar::matmul_transposed`].
+pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut [i32]) {
     assert_avx512();
-    assert!(
-        !c.codes16.is_empty(),
-        "transposed AVX-512 path requires the i16-eligibility overflow proof"
-    );
     debug_assert_eq!(panel.ins(), c.ins);
     debug_assert_eq!(out.len(), panel.n() * c.outs);
     if panel.n() <= 8 {
         // Half-block batches run at AVX2 width: same op count, better
-        // per-op throughput, and `i32` lane accumulation stays exact
-        // under the identical eligibility proof.
+        // per-op throughput.
         return avx2::matmul_transposed(c, panel, out);
     }
     // SAFETY: AVX-512 support asserted above.
@@ -224,7 +215,7 @@ pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut
 }
 
 #[target_feature(enable = "avx512f")]
-fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i64]) {
+fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i32]) {
     let (acts, rows, n, ins) = (panel.acts(), panel.rows(), panel.n(), panel.ins());
     let mut vb = 0;
     while vb < n {
@@ -234,9 +225,9 @@ fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &m
             let mut acc = [_mm512_setzero_si512(); 4];
             for (i, &row) in rows.iter().enumerate() {
                 // SAFETY: vb < n and both vb and transposed_pad(n) are
-                // multiples of 16, so vb + 16 <= transposed_pad(n); and
-                // row + transposed_pad(n) <= acts.len() (`Panel::new`).
-                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
+                // multiples of 16, so vb + 16 <= transposed_pad(n);
+                // and row + transposed_pad(n) <= acts.len() (`Panel::new`).
+                let a = unsafe { load16(acts.as_ptr().add(row + vb)) };
                 for (k, ak) in acc.iter_mut().enumerate() {
                     let w = _mm512_set1_epi32(codes[(o + k) * ins + i]);
                     *ak = _mm512_add_epi32(*ak, _mm512_mullo_epi32(a, w));
@@ -244,7 +235,7 @@ fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &m
             }
             for (k, ak) in acc.iter().enumerate() {
                 let row = (o + k) * n + vb;
-                store_widened(*ak, &mut out[row..row + lanes_live]);
+                store_lanes(*ak, &mut out[row..row + lanes_live]);
             }
             o += 4;
         }
@@ -252,38 +243,40 @@ fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &m
             let mut acc = _mm512_setzero_si512();
             for (i, &row) in rows.iter().enumerate() {
                 // SAFETY: as above.
-                let a = unsafe { _mm512_loadu_epi32(acts.as_ptr().add(row + vb)) };
+                let a = unsafe { load16(acts.as_ptr().add(row + vb)) };
                 let w = _mm512_set1_epi32(codes[o * ins + i]);
                 acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(a, w));
             }
-            store_widened(acc, &mut out[o * n + vb..o * n + vb + lanes_live]);
+            store_lanes(acc, &mut out[o * n + vb..o * n + vb + lanes_live]);
             o += 1;
         }
         vb += 16;
     }
 }
 
-/// Stores the live `i32` lanes of one transposed accumulator, widened
-/// to `i64`, into `dst` — the contiguous run of their output channel's
-/// accumulator row (exact by the eligibility proof). The low and high
-/// eight lanes each take one masked store, so a block's short last run
-/// writes only its live lanes.
+/// Loads the 16 codes at `p`, widened to `i32` lanes.
+///
+/// # Safety
+///
+/// `p..p + 16` must be readable.
 #[target_feature(enable = "avx512f")]
-fn store_widened(acc: __m512i, dst: &mut [i64]) {
-    let live = dst.len();
-    debug_assert!(live <= 16);
-    let lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc));
-    let hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc));
-    let lane_mask = |lanes: usize| ((1u16 << lanes) - 1) as u8;
-    // SAFETY: each masked store writes only its enabled lanes, all
-    // inside `dst`; the high half's base pointer is formed only when
-    // `dst` reaches past its eighth element.
-    unsafe {
-        _mm512_mask_storeu_epi64(dst.as_mut_ptr(), lane_mask(live.min(8)), lo);
-        if live > 8 {
-            _mm512_mask_storeu_epi64(dst.as_mut_ptr().add(8), lane_mask(live - 8), hi);
-        }
-    }
+#[inline]
+unsafe fn load16(p: *const u8) -> __m512i {
+    // SAFETY: the caller guarantees 16 readable bytes; unaligned load.
+    _mm512_cvtepu8_epi32(unsafe { _mm_loadu_si128(p as *const __m128i) })
+}
+
+/// Stores the live `i32` lanes of one transposed accumulator into
+/// `dst`, the contiguous run of their output channel's accumulator row,
+/// with one masked store, so a block's short last run writes only its
+/// live lanes.
+#[target_feature(enable = "avx512f")]
+fn store_lanes(acc: __m512i, dst: &mut [i32]) {
+    debug_assert!(dst.len() <= 16);
+    let mask = ((1u32 << dst.len()) - 1) as u16;
+    // SAFETY: the masked store writes only its enabled lanes, all
+    // inside `dst`.
+    unsafe { _mm512_mask_storeu_epi32(dst.as_mut_ptr(), mask, acc) };
 }
 
 /// The portable event-counter fold ([`fold::fold`]) compiled for
@@ -301,7 +294,7 @@ pub(crate) fn fold(
 
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
 fn fold_avx512(src: &FoldSrc<'_>, bounds: &[(u32, u32)], active: &mut [u32], pulses: &mut [u32]) {
-    fold::fold(src, bounds, active, pulses);
+    fold::fold::<64>(src, bounds, active, pulses);
 }
 
 /// AVX-512 tier of the bit-plane popcount stream: the column mask is

@@ -9,10 +9,9 @@
 //!   the kernel-parity property suites.
 //! * [`KernelKind::Avx2`] — x86_64 `std::arch` intrinsics (the `avx2`
 //!   module):
-//!   a register-blocked integer matmul (`_mm256_madd_epi16` when the
-//!   8-bit design point makes it overflow-safe, `_mm256_mul_epi32`
-//!   otherwise) and the lane-packed `AND`+popcount mask stream via the
-//!   `vpshufb` nibble-LUT trick.
+//!   a register-blocked integer matmul (`_mm256_madd_epi16` over `u8`
+//!   codes widened to `i16`) and the lane-packed `AND`+popcount mask
+//!   stream via the `vpshufb` nibble-LUT trick.
 //! * [`KernelKind::Avx512`] — the 512-bit tier (the `avx512` module):
 //!   32-lane `_mm512_madd_epi16` matmuls and a native `vpopcntq`
 //!   (`_mm512_popcnt_epi64`) mask stream replacing the nibble LUT.
@@ -43,15 +42,19 @@
 //! loops then match on a stored [`KernelKind`] — no per-call feature
 //! detection.
 //!
-//! All arithmetic on every tier is exact integer arithmetic, so tier and
-//! layout choice can never change a result; the dispatch surface exists
-//! purely for speed, and CI runs the parity suites under every override
-//! to keep it that way.
+//! Activation codes enter every kernel as `u8` and every accumulator
+//! leaves as `i32`: [`RomMvm::program`] proved `act_bits <= 8` and that
+//! every accumulator of the engine fits an `i32`
+//! ([`MacroParams::accumulators_fit`]), so all arithmetic on every tier
+//! is exact integer arithmetic and tier and layout choice can never
+//! change a result. The dispatch surface exists purely for speed, and CI
+//! runs the parity suites under every override to keep it that way.
 //!
 //! [`RomMvm::mvm_batch_exact`]: crate::macro_model::RomMvm
 //! [`RomMvm::mvm_batch_fast`]: crate::macro_model::RomMvm
 //! [`RomMvm::program`]: crate::macro_model::RomMvm::program
 //! [`MvmStats`]: crate::macro_model::MvmStats
+//! [`MacroParams::accumulators_fit`]: crate::macro_model::MacroParams::accumulators_fit
 
 // Only the SIMD tiers enter the portable fold.
 #[cfg(target_arch = "x86_64")]
@@ -266,12 +269,12 @@ pub enum MatmulLayout {
 }
 
 /// Lanes the SIMD tiers may read from each row of a transposed panel:
-/// block size `n` rounded up to 16 `i32` lanes (one AVX-512 register;
-/// two AVX2 registers; the scalar tier reads only the `n` live lanes).
-/// Every row offset plus this must lie inside the panel's buffer, which
-/// [`RomMvm::run_batch_transposed`] asserts once per call. Lanes past
-/// `n` are never read back, but the whole buffer must stay within the
-/// activation code range.
+/// block size `n` rounded up to 16 (one AVX-512 register of codes
+/// widened to `i32`; two AVX2 registers; the scalar tier reads only the
+/// `n` live lanes). Every row offset plus this must lie inside the
+/// panel's buffer, which [`RomMvm::run_batch_transposed`] asserts once
+/// per call. Lanes past `n` are never read back, but the whole buffer
+/// must stay within the activation code range.
 ///
 /// [`RomMvm::run_batch_transposed`]: crate::macro_model::RomMvm::run_batch_transposed
 pub fn transposed_pad(n: usize) -> usize {
@@ -285,21 +288,31 @@ pub fn transposed_pad(n: usize) -> usize {
 ///
 /// The transposed matmul vectorizes across vectors, so it pays where a
 /// conv's short rows leave the row-major `madd` (which vectorizes across
-/// `ins`) with idle lanes and the block has vectors to fill its own:
-/// every shape up to `outs <= 16`, and `outs <= 32` while `ins` stays
-/// moderate. At 32 outputs it needs `n >= 16`: with 4 or 8 vectors most
-/// of its 16 lanes are padding, and a row-major run step (matmul plus
-/// counter fold, AVX-512 tier, 2-lane Xeon) was 1.2–3.8x faster at
-/// `n = 4` on every `ins` from 18 to 144 and faster at `n = 8` from
-/// `ins >= 72`, while from `n = 16` the transposed one won on every
-/// shape measured. At larger `outs` the row-major `madd` fills its
-/// lanes across `ins` and dominates the call. The transposed path
-/// requires the `i16`-eligibility overflow proof (`has_i16`), which also
-/// bounds its `i32` lane accumulators, and a batch of at least 4 so the
-/// 16-lane panel is not mostly padding.
-pub fn choose_layout(outs: usize, ins: usize, n: usize, has_i16: bool) -> MatmulLayout {
-    let narrow = outs <= 16 || (outs <= 32 && ins <= 144 && n >= 16);
-    if has_i16 && n >= 4 && narrow {
+/// `ins`) with idle lanes and the block has vectors to fill its own.
+/// The thresholds come from per-call run steps (matmul plus counter
+/// fold, `run_batch` against `run_batch_transposed`, AVX-512 tier, best
+/// of 7 rounds, 2-lane Xeon):
+///
+/// * below 4 vectors the panel is mostly padding: row-major;
+/// * at 4–7 vectors (8-lane blocks, half of them idle) transposed wins
+///   only while the matrix is tiny, `outs * ins <= 72`: 0.39–0.85x the
+///   row-major time from 1x9 to 8x9, while 4x32 was 1.02x, 16x32 1.7x
+///   and 16x72 2.0x;
+/// * at 8–15 vectors, while `outs * ins <= 576`: 4x144 0.76x and 16x36
+///   0.86x, but 16x72 1.25x and 32x72 1.26x;
+/// * from 16 vectors, every shape up to 16 outputs (16x576 was 0.93x)
+///   and 32 outputs up to 144 inputs (0.76x; 32x288 was 1.12x). At
+///   larger `outs` the row-major `madd` fills its lanes across `ins` and
+///   dominates the call.
+pub fn choose_layout(outs: usize, ins: usize, n: usize) -> MatmulLayout {
+    let cells = outs.saturating_mul(ins);
+    let transposed = match n {
+        0..=3 => false,
+        4..=7 => cells <= 72,
+        8..=15 => cells <= 576,
+        _ => outs <= 16 || (outs <= 32 && ins <= 144),
+    };
+    if transposed {
         MatmulLayout::Transposed
     } else {
         MatmulLayout::RowMajor
@@ -310,8 +323,9 @@ pub fn choose_layout(outs: usize, ins: usize, n: usize, has_i16: bool) -> Matmul
 /// stride rounded up to 16 lanes, tail lanes zero. Built once at
 /// `program` time by [`pack_codes16`] (and by the parity suites — this
 /// type is the single owner of the packing rule). An empty packing
-/// (`is_empty`) means the shape failed the overflow proof and the `i16`
-/// path must not run.
+/// means the codes do not fit `i16` (or the exact kernel is
+/// unreachable), and the row-major SIMD matmuls hand the block to the
+/// scalar tier.
 #[must_use = "packing codes16 is pointless unless the packed view is stored"]
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedCodes16 {
@@ -334,17 +348,15 @@ impl PackedCodes16 {
     pub fn stride(&self) -> usize {
         self.ins16
     }
-
-    /// Whether this is the no-packing sentinel.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
 }
 
 /// Packs row-major `i32` codes into the lane-major `i16` layout every
-/// madd tier consumes. Caller is responsible for the overflow proof
-/// (`weight_bits <= 8 && act_bits <= 8 && ins <= 32768`); values are
-/// asserted to fit `i16` in debug builds.
+/// madd tier consumes. The caller proves the codes fit `i16`
+/// (`weight_bits <= 16`); values are asserted to in debug builds. A
+/// madd pair of `u8` codes times `i16` weights then fits an `i32` lane,
+/// and the sums over it fit by [`MacroParams::accumulators_fit`].
+///
+/// [`MacroParams::accumulators_fit`]: crate::macro_model::MacroParams::accumulators_fit
 pub(crate) fn pack_codes16(codes: &[i32], outs: usize, ins: usize) -> PackedCodes16 {
     assert_eq!(codes.len(), outs * ins, "row-major codes shape mismatch");
     let ins16 = ins.next_multiple_of(16);
@@ -360,10 +372,10 @@ pub(crate) fn pack_codes16(codes: &[i32], outs: usize, ins: usize) -> PackedCode
 }
 
 /// The stored weight codes of an exact-kernel engine, in every packing
-/// the matmul tiers understand: row-major `i32` (the reference layout)
-/// plus the optional lane-packed `i16` copy (`ins16`-strided, zero
-/// padded) built at `program` time when the `_mm256_madd_epi16` path is
-/// overflow-safe.
+/// the matmul tiers understand: row-major `i32` (the reference layout,
+/// and the scalars the transposed kernels broadcast) plus the optional
+/// lane-packed `i16` copy (`ins16`-strided, zero padded) built at
+/// `program` time when the codes fit `i16`.
 pub(crate) struct ExactCodes<'a> {
     /// Row-major `outs x ins` signed codes.
     pub codes: &'a [i32],
@@ -378,15 +390,15 @@ pub(crate) struct ExactCodes<'a> {
 }
 
 /// Batched integer matmul `out[o][v] = sum_i codes[o][i] * acts[v][i]`
-/// (channel-major accumulators, `out[o * n + v]`), dispatched by tier. Every tier computes the exact integer product —
-/// bit-identical to [`scalar::matmul_into`] by construction (and by the
-/// parity suites).
+/// (channel-major accumulators, `out[o * n + v]`), dispatched by tier.
+/// Every tier computes the exact integer product — bit-identical to
+/// [`scalar::matmul_into`] by construction (and by the parity suites).
 pub(crate) fn matmul_exact(
     kind: KernelKind,
     c: &ExactCodes<'_>,
-    acts: &[i32],
+    acts: &[u8],
     n: usize,
-    out: &mut [i64],
+    out: &mut [i32],
     acts16: &mut Vec<i16>,
 ) {
     match kind {
@@ -402,22 +414,21 @@ pub(crate) fn matmul_exact(
 
 /// Batch-transposed integer matmul over a lane-major [`Panel`]:
 /// `out[o][v] = sum_i codes[o][i] * panel[i][v]`. Dispatched by tier;
-/// exact on every tier. The SIMD paths require the `i16`-eligibility
-/// proof (their lane accumulators are `i32`), so the dispatcher falls
-/// back to the scalar reference when `codes16` is empty.
+/// exact on every tier.
 pub(crate) fn matmul_exact_t(
     kind: KernelKind,
     c: &ExactCodes<'_>,
     panel: &Panel<'_>,
-    out: &mut [i64],
+    out: &mut [i32],
 ) {
     match kind {
         KernelKind::Scalar => scalar::matmul_transposed(c.codes, c.outs, panel, out),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 if !c.codes16.is_empty() => avx2::matmul_transposed(c, panel, out),
+        KernelKind::Avx2 => avx2::matmul_transposed(c, panel, out),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 if !c.codes16.is_empty() => avx512::matmul_transposed(c, panel, out),
-        _ => scalar::matmul_transposed(c.codes, c.outs, panel, out),
+        KernelKind::Avx512 => avx512::matmul_transposed(c, panel, out),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("SIMD tiers cannot be selected off x86_64"),
     }
 }
 
@@ -439,7 +450,7 @@ pub(crate) enum FoldSrc<'a> {
     /// `acts[v * ins + i]`: one contiguous row of `ins` codes per vector.
     Rows {
         /// The block's codes, `n * ins` of them.
-        acts: &'a [i32],
+        acts: &'a [u8],
         /// Codes per vector.
         ins: usize,
     },
@@ -455,9 +466,10 @@ pub(crate) enum FoldSrc<'a> {
 /// drift from the statistics the scalar walks derive.
 ///
 /// At the paper chunking the SIMD tiers run the portable fold of the
-/// `fold` module; the scalar tier and every other chunking run the
-/// scalar walks, the oracle. Both count in `u32`, exact because
-/// `program` proved `ins * n_chunks * (2^chunk_bits - 1) < 2^32`
+/// `fold` module, 64 lanes per panel block on AVX-512 and 32 on AVX2;
+/// the scalar tier and every other chunking run the scalar walks, the
+/// oracle. Both count in `u32`, exact because `program` proved
+/// `ins * n_chunks * (2^chunk_bits - 1) < 2^32`
 /// ([`MacroParams::event_counts_fit`]).
 ///
 /// [`MacroParams::event_counts_fit`]: crate::macro_model::MacroParams::event_counts_fit
@@ -469,8 +481,8 @@ pub(crate) fn fold_event_counters(
     active: &mut Vec<u32>,
     pulses: &mut Vec<u32>,
 ) {
-    // The panel body stores whole 16-lane blocks; the rows are cut back
-    // to `n` below.
+    // The panel body stores whole lane blocks, up to
+    // `transposed_pad(n)`; the rows are cut back to `n` below.
     let lanes = match src {
         FoldSrc::Rows { .. } => n,
         FoldSrc::Panel(_) => transposed_pad(n),
@@ -627,23 +639,29 @@ mod tests {
         // Narrow shapes with real batch depth go transposed: im2col
         // shapes, every mid shape up to 16 outputs, and 32 outputs while
         // ins stays moderate and the block fills the lanes…
-        assert_eq!(choose_layout(1, 9, 256, true), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(4, 18, 256, true), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(1, 64, 8, true), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(16, 72, 256, true), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(32, 144, 256, true), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(32, 144, 16, true), MatmulLayout::Transposed);
-        // …matmul-bound shapes stay row-major (madd across ins already
+        assert_eq!(choose_layout(1, 9, 256), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(4, 18, 256), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(16, 72, 256), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(16, 72, 16), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(32, 144, 256), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(32, 144, 16), MatmulLayout::Transposed);
+        // …and below 16 vectors only while the matrix stays small:
+        // 72 cells from 4 vectors, 576 from 8.
+        assert_eq!(choose_layout(1, 32, 4), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(8, 9, 4), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(16, 32, 4), MatmulLayout::RowMajor);
+        assert_eq!(choose_layout(16, 72, 4), MatmulLayout::RowMajor);
+        assert_eq!(choose_layout(1, 64, 8), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(16, 36, 8), MatmulLayout::Transposed);
+        assert_eq!(choose_layout(16, 72, 8), MatmulLayout::RowMajor);
+        // Matmul-bound shapes stay row-major (madd across ins already
         // fills lanes, and panel staging scales with ins), as do
-        // degenerate batches and non-i16 shapes.
-        assert_eq!(choose_layout(32, 288, 256, true), MatmulLayout::RowMajor);
-        // At 32 outputs a block of fewer than 16 vectors leaves most of
-        // the transposed lanes idle.
-        assert_eq!(choose_layout(32, 144, 4, true), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(64, 288, 16, true), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(1, 9, 1, true), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(4, 18, 2, true), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(1, 9, 256, false), MatmulLayout::RowMajor);
+        // degenerate batches.
+        assert_eq!(choose_layout(32, 288, 256), MatmulLayout::RowMajor);
+        assert_eq!(choose_layout(32, 144, 4), MatmulLayout::RowMajor);
+        assert_eq!(choose_layout(64, 288, 16), MatmulLayout::RowMajor);
+        assert_eq!(choose_layout(1, 9, 1), MatmulLayout::RowMajor);
+        assert_eq!(choose_layout(4, 18, 2), MatmulLayout::RowMajor);
         // Panel padding covers one AVX-512 register even for tiny n.
         assert_eq!(transposed_pad(1), 16);
         assert_eq!(transposed_pad(16), 16);
@@ -659,7 +677,7 @@ mod tests {
         let codes: Vec<i32> = (0..outs * ins)
             .map(|i| (i as i32 * 37) % 255 - 127)
             .collect();
-        let acts: Vec<i32> = (0..n * ins).map(|i| (i as i32 * 13) % 256).collect();
+        let acts: Vec<u8> = (0..n * ins).map(|i| (i * 13) as u8).collect();
         let packed = pack_codes16(&codes, outs, ins);
         let (codes16, ins16) = (packed.data(), packed.stride());
         assert_eq!(ins16, ins.next_multiple_of(16));
@@ -667,7 +685,7 @@ mod tests {
         // rows in reverse order and one lane apart more than they need.
         let n_pad = transposed_pad(n);
         let stride = n_pad + 1;
-        let mut acts_t = vec![0i32; ins * stride + n_pad];
+        let mut acts_t = vec![0u8; ins * stride + n_pad];
         let rows: Vec<usize> = (0..ins).map(|i| (ins - 1 - i) * stride).collect();
         for v in 0..n {
             for i in 0..ins {
@@ -675,7 +693,7 @@ mod tests {
             }
         }
         let panel = Panel::new(&acts_t, &rows, n);
-        let mut reference = vec![0i64; n * outs];
+        let mut reference = vec![0i32; n * outs];
         scalar::matmul_into(&codes, outs, ins, &acts, n, &mut reference);
         let bounds: Vec<(u32, u32)> = (0..ins as u32)
             .step_by(10)
@@ -697,7 +715,7 @@ mod tests {
                     outs,
                     ins,
                 };
-                let mut out = vec![0i64; n * outs];
+                let mut out = vec![0i32; n * outs];
                 let mut acts16 = Vec::new();
                 matmul_exact(kind, &c, &acts, n, &mut out, &mut acts16);
                 assert_eq!(out, reference, "{} matmul (i16={with_i16})", kind.label());

@@ -2,8 +2,8 @@
 //! that its fields are private and [`Panel::new`]'s bound check is the
 //! only way to build one.
 
-/// A batch-transposed activation panel: lane `v` of activation row `i`
-/// is `acts[rows[i] + v]`, for `n` live lanes. Rows may sit anywhere in
+/// A batch-transposed panel of `u8` activation codes: lane `v` of
+/// activation row `i` is `acts[rows[i] + v]`, for `n` live lanes. Rows may sit anywhere in
 /// `acts`, in any order, and may overlap.
 ///
 /// Only [`Panel::new`] builds one (the fields are private to this
@@ -14,7 +14,7 @@
 /// [`transposed_pad`]: super::transposed_pad
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Panel<'a> {
-    acts: &'a [i32],
+    acts: &'a [u8],
     rows: &'a [usize],
     n: usize,
 }
@@ -25,7 +25,7 @@ impl<'a> Panel<'a> {
     /// # Panics
     ///
     /// Panics if some `rows[i] + transposed_pad(n)` exceeds `acts.len()`.
-    pub(crate) fn new(acts: &'a [i32], rows: &'a [usize], n: usize) -> Self {
+    pub(crate) fn new(acts: &'a [u8], rows: &'a [usize], n: usize) -> Self {
         // `transposed_pad` in checked arithmetic: the loads rely on this
         // bound, so a lane count that overflows must fail it, not wrap.
         let lanes = n
@@ -41,7 +41,7 @@ impl<'a> Panel<'a> {
     }
 
     /// The whole activation buffer.
-    pub(crate) fn acts(&self) -> &'a [i32] {
+    pub(crate) fn acts(&self) -> &'a [u8] {
         self.acts
     }
 
@@ -61,7 +61,7 @@ impl<'a> Panel<'a> {
     }
 
     /// The `n` live lanes of activation row `i`.
-    pub(crate) fn lane(&self, i: usize) -> &'a [i32] {
+    pub(crate) fn lane(&self, i: usize) -> &'a [u8] {
         &self.acts[self.rows[i]..self.rows[i] + self.n]
     }
 }

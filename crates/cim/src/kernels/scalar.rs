@@ -3,21 +3,21 @@
 
 use super::{FoldParams, Panel};
 
-/// The one integer matmul every digital path shares:
+/// The scalar tier's integer matmul:
 /// `out[o*n + v] = sum_i codes[o*ins + i] * acts[v*ins + i]` (row-major
-/// activations, channel-major accumulators) — used by [`reference_mvm`]
-/// and the scalar tier of [`RomMvm::mvm_batch_exact`], so the arithmetic
-/// can never diverge between them.
+/// `u8` activation codes, channel-major `i32` accumulators). Exact in
+/// `i32` because [`RomMvm::program`] proved every accumulator fits one
+/// ([`MacroParams::accumulators_fit`]).
 ///
-/// [`reference_mvm`]: crate::macro_model::reference_mvm
-/// [`RomMvm::mvm_batch_exact`]: crate::macro_model::RomMvm
+/// [`RomMvm::program`]: crate::macro_model::RomMvm::program
+/// [`MacroParams::accumulators_fit`]: crate::macro_model::MacroParams::accumulators_fit
 pub(crate) fn matmul_into(
     codes: &[i32],
     outs: usize,
     ins: usize,
-    acts: &[i32],
+    acts: &[u8],
     n: usize,
-    out: &mut [i64],
+    out: &mut [i32],
 ) {
     debug_assert_eq!(codes.len(), outs * ins);
     debug_assert_eq!(acts.len(), n * ins);
@@ -28,7 +28,7 @@ pub(crate) fn matmul_into(
             *slot = row
                 .iter()
                 .zip(&acts[v * ins..(v + 1) * ins])
-                .map(|(&w, &a)| w as i64 * a as i64)
+                .map(|(&w, &a)| w * i32::from(a))
                 .sum();
         }
     }
@@ -36,11 +36,10 @@ pub(crate) fn matmul_into(
 
 /// The batch-transposed reference matmul over a lane-major [`Panel`]:
 /// `out[o*n + v] = sum_i codes[o*ins + i] * panel.lane(i)[v]`. Same
-/// arithmetic as [`matmul_into`] in a different traversal order (each
-/// addend is an exact `i64` product, so ordering cannot change the sum)
-/// — this entry keeps the scalar tier the parity oracle for the
-/// transposed SIMD paths.
-pub(crate) fn matmul_transposed(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i64]) {
+/// arithmetic as [`matmul_into`] in a different traversal order (exact
+/// integer sums, so ordering cannot change them) — this entry keeps the
+/// scalar tier the parity oracle for the transposed SIMD paths.
+pub(crate) fn matmul_transposed(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i32]) {
     let (ins, n) = (panel.ins(), panel.n());
     debug_assert_eq!(codes.len(), outs * ins);
     debug_assert_eq!(out.len(), n * outs);
@@ -49,7 +48,7 @@ pub(crate) fn matmul_transposed(codes: &[i32], outs: usize, panel: &Panel<'_>, o
         let out_row = &mut out[o * n..(o + 1) * n];
         for (i, &w) in codes[o * ins..(o + 1) * ins].iter().enumerate() {
             for (slot, &a) in out_row.iter_mut().zip(panel.lane(i)) {
-                *slot += w as i64 * a as i64;
+                *slot += w * i32::from(a);
             }
         }
     }
@@ -64,7 +63,7 @@ pub(crate) fn matmul_transposed(codes: &[i32], outs: usize, panel: &Panel<'_>, o
 /// step, folded over the whole vector at once (a silent step adds
 /// nothing to any counter).
 pub(crate) fn fold_event_counters(
-    acts: &[i32],
+    acts: &[u8],
     ins: usize,
     p: &FoldParams<'_>,
     active: &mut [u32],
@@ -72,7 +71,7 @@ pub(crate) fn fold_event_counters(
 ) {
     for (v, (act, pul)) in active.iter_mut().zip(pulses.iter_mut()).enumerate() {
         let av = &acts[v * ins..(v + 1) * ins];
-        (*act, *pul) = walk_groups(p, |i| av[i] as u32);
+        (*act, *pul) = walk_groups(p, |i| u32::from(av[i]));
     }
 }
 
@@ -89,7 +88,7 @@ pub(crate) fn fold_event_counters_t(
     let (acts, rows) = (panel.acts(), panel.rows());
     let counters = active.iter_mut().zip(pulses.iter_mut());
     for (v, (act, pul)) in counters.take(panel.n()).enumerate() {
-        (*act, *pul) = walk_groups(p, |i| acts[rows[i] + v] as u32);
+        (*act, *pul) = walk_groups(p, |i| u32::from(acts[rows[i] + v]));
     }
 }
 

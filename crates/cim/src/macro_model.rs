@@ -23,8 +23,6 @@ use crate::faults::{self, AdcFault, ColumnFaults, FaultContext};
 use crate::kernels::{self, KernelDispatch, KernelKind};
 use yoloc_quant::bitplane::{signed_plane_weight, unsigned_chunks};
 
-use crate::kernels::scalar::matmul_into;
-
 /// Circuit-level parameters of a CiM macro.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MacroParams {
@@ -216,6 +214,48 @@ impl MacroParams {
         (ins as u128) * n_chunks * max_pulse < 1 << 32
     }
 
+    /// Whether every accumulator an engine over `ins` activation rows
+    /// produces fits the `i32` the batch kernels store, and with it
+    /// every partial sum of one and `zero_point * row_sum` (at most
+    /// `ins` codes times the largest weight magnitude). `false` when
+    /// `act_bits > 8`, since the batch path carries activation codes as
+    /// `u8`, and for a shape [`RomMvm::program`] cannot store.
+    ///
+    /// The exact products bound every path whose readout is the
+    /// discharge count itself, faulty ADC columns included (they only
+    /// lower a count): `ins * (2^act_bits - 1) * 2^(weight_bits - 1)`.
+    /// At the paper's 8-bit codes that is `ins * 255 * 128 < 2^31`,
+    /// `ins <= 65793`. An ADC that quantizes can read a group out above
+    /// its count, up to its full scale, so there each `(group, chunk,
+    /// plane)` readout is bounded by that instead.
+    pub fn accumulators_fit(&self, ins: usize) -> bool {
+        let Some(range) = self.weight_code_range() else {
+            return false;
+        };
+        let (rows, rpa) = (self.rows as u128, self.rows_per_activation as u128);
+        if self.act_bits > 8 || rows == 0 || rpa == 0 || !(1..=31).contains(&self.chunk_bits) {
+            return false;
+        }
+        let ins = ins as u128;
+        let w_max = u128::from(range.start().unsigned_abs());
+        let exact = ins * ((1 << self.act_bits) - 1) * w_max;
+        // The SAR transfer of `analog_config`: it quantizes once the
+        // full scale outgrows its levels, and then reads up to it.
+        let full_scale = rpa * ((1 << self.chunk_bits) - 1);
+        if self.adc_bits >= 16 || full_scale < 1 << self.adc_bits {
+            return exact <= i32::MAX as u128;
+        }
+        let groups = ins / rows * rows.div_ceil(rpa) + (ins % rows).div_ceil(rpa);
+        let chunk_weights: u128 = (0..self.act_bits.div_ceil(self.chunk_bits))
+            .map(|c| 1u128 << (u32::from(c) * u32::from(self.chunk_bits)))
+            .sum();
+        let plane_weights = 2 * w_max - 1;
+        let quantized = [full_scale, plane_weights, chunk_weights]
+            .into_iter()
+            .fold(groups, u128::saturating_mul);
+        exact.max(quantized) <= i32::MAX as u128
+    }
+
     /// The analog configuration of one subarray under these parameters.
     pub fn analog_config(&self) -> AnalogConfig {
         let max_pulses = (1u8 << self.chunk_bits) - 1;
@@ -311,8 +351,8 @@ impl MvmStats {
     /// Accumulates another execution's statistics into this one. Event
     /// counters add exactly; the floating-point energy/latency fields add
     /// in call order, so two reductions agree bit-for-bit only when they
-    /// merge in the same sequence — the executor and the legacy pipeline
-    /// both merge in op order for exactly this reason.
+    /// merge in the same sequence — the executor merges in op order for
+    /// exactly this reason.
     pub fn merge(&mut self, other: &MvmStats) {
         self.analog_evaluations += other.analog_evaluations;
         self.adc_conversions += other.adc_conversions;
@@ -390,10 +430,9 @@ pub struct RomMvm {
     /// configurations that can never take it pay no duplicate storage.
     codes: Vec<i32>,
     /// Lane-packed `i16` copy of `codes` (see
-    /// [`kernels::pack_codes16`]), built only when the SIMD `madd` /
-    /// transposed matmuls are overflow-safe (`weight_bits <= 8`,
-    /// `act_bits <= 8`, `ins <= 32768` keeps every `i32` accumulator
-    /// lane in range); the empty sentinel otherwise.
+    /// [`kernels::pack_codes16`]) for the SIMD `madd` matmuls, built
+    /// only when the exact kernel is reachable and the codes fit `i16`
+    /// (`weight_bits <= 16`); the empty sentinel otherwise.
     codes16: kernels::PackedCodes16,
     /// Global `(lo, hi)` activation-row range of every analog group in
     /// row order — the precomputed walk the shared event-counter fold
@@ -426,13 +465,31 @@ impl RomMvm {
     /// # Panics
     ///
     /// Panics if `codes.len() != outs * ins`, `weight_bits` is outside
-    /// [`MacroParams::weight_code_range`], any code is out of range, or
-    /// `ins` breaks [`MacroParams::event_counts_fit`].
+    /// [`MacroParams::weight_code_range`], any code is out of range,
+    /// `act_bits > 8`, or `ins` breaks [`MacroParams::event_counts_fit`]
+    /// or [`MacroParams::accumulators_fit`].
     pub fn program(params: MacroParams, codes: &[i32], outs: usize, ins: usize) -> Self {
         assert_eq!(codes.len(), outs * ins, "weight matrix size mismatch");
         let range = params
             .weight_code_range()
             .expect("weight_bits must be 1..=31 and fit one output per subarray");
+        // The counter fold counts in `u32`; the batch path carries
+        // activation codes as `u8` and stores `i32` accumulators. All
+        // three bounds hold for the engine's life.
+        assert!(ins <= u32::MAX as usize, "ins exceeds group-bound range");
+        assert!(
+            params.event_counts_fit(ins),
+            "{ins} inputs overflow the u32 event counts"
+        );
+        assert!(
+            params.act_bits <= 8,
+            "{}-bit activation codes do not fit u8",
+            params.act_bits
+        );
+        assert!(
+            params.accumulators_fit(ins),
+            "accumulators over {ins} inputs overflow i32"
+        );
         let wb = params.weight_bits as usize;
         let field = (1u32 << wb) - 1;
         let outs_per_array = params.cols / wb;
@@ -460,20 +517,33 @@ impl RomMvm {
                 bits.fill(false);
                 masks.fill(0);
                 let outs_here = outs_per_array.min(outs - ct * outs_per_array);
+                // Every plane of a code is written, set or not:
+                // `weight_bits` steps per code, with no branch on its bits.
                 for o in 0..outs_here {
                     let start = (ct * outs_per_array + o) * ins + rt * params.rows;
+                    let planes = o * wb..(o + 1) * wb;
+                    // Row `r`'s activation group and its bit in the
+                    // group's masks, stepped row by row.
+                    let (mut group, mut row_in_group) = (0, 0);
                     for (r, &code) in codes[start..start + rows_here].iter().enumerate() {
                         assert!(
                             range.contains(&code),
                             "value {code} outside signed {wb}-bit range"
                         );
-                        let mut u = (code as u32) & field;
-                        while u != 0 {
-                            let col = o * wb + u.trailing_zeros() as usize;
-                            u &= u - 1;
-                            bits[r * params.cols + col] = true;
-                            if build_popcount {
-                                masks[(r / rpa) * params.cols + col] |= 1u64 << (r % rpa);
+                        let u = (code as u32) & field;
+                        let cells = &mut bits[r * params.cols..][planes.clone()];
+                        for (j, cell) in cells.iter_mut().enumerate() {
+                            *cell = (u >> j) & 1 != 0;
+                        }
+                        if build_popcount {
+                            let bit = 1u64 << row_in_group;
+                            let group_masks = &mut masks[group * params.cols..][planes.clone()];
+                            for (j, mask) in group_masks.iter_mut().enumerate() {
+                                *mask |= bit * u64::from((u >> j) & 1);
+                            }
+                            row_in_group += 1;
+                            if row_in_group == rpa {
+                                (group, row_in_group) = (group + 1, 0);
                             }
                         }
                     }
@@ -514,25 +584,16 @@ impl RomMvm {
                 AdcModel::Ideal => true,
                 AdcModel::Sar { bits, full_scale } => full_scale < (1u32 << bits),
             };
-        // The SIMD `madd` and transposed tiers need a lane-packed i16
-        // copy and an overflow proof: 8-bit signed codes x 8-bit
-        // unsigned acts over at most 32768 inputs keeps every i32
-        // accumulator lane in range.
-        let i16_eligible =
-            exact_reachable && params.weight_bits <= 8 && params.act_bits <= 8 && ins <= 32_768;
-        let codes16 = if i16_eligible {
+        // The SIMD `madd` matmuls read a lane-packed i16 copy; the i32
+        // bound above keeps their lane sums exact.
+        let codes16 = if exact_reachable && params.weight_bits <= 16 {
             kernels::pack_codes16(codes, outs, ins)
         } else {
             kernels::PackedCodes16::empty()
         };
         // Precompute the global activation-group walk for the shared
         // event-counter fold: groups are rpa-row runs that restart at
-        // every row-tile boundary. The fold counts in `u32`.
-        assert!(ins <= u32::MAX as usize, "ins exceeds group-bound range");
-        assert!(
-            params.event_counts_fit(ins),
-            "{ins} inputs overflow the u32 event counts"
-        );
+        // every row-tile boundary.
         let mut group_bounds = Vec::new();
         for rt in 0..row_tiles {
             let lo = rt * params.rows;
@@ -672,7 +733,7 @@ impl RomMvm {
         if ctx.link_slowdown != 1.0 {
             // A degraded chiplet link stretches every evaluation the
             // engine serializes over it.
-            this.finisher.t_eval *= ctx.link_slowdown;
+            this.finisher.slow_down(ctx.link_slowdown);
         }
         this
     }
@@ -788,7 +849,8 @@ impl RomMvm {
     /// Executes `y = W x` on unsigned activation codes (`0..2^act_bits`),
     /// returning the integer results and execution statistics.
     ///
-    /// Runs the batch kernels on a one-vector block when
+    /// Runs the batch kernels on a one-vector block (through
+    /// [`RomMvm::mvm_batch`], the checked `i32` boundary) when
     /// [`RomMvm::fast_path_active`] (the RNG is then untouched — a
     /// noiseless datapath consumes no randomness on either path), and the
     /// analog reference path otherwise. Both paths produce identical
@@ -805,8 +867,7 @@ impl RomMvm {
         let mut out = vec![0i64; self.outs];
         let mut stats = MvmStats::default();
         let mut scratch = crate::backend::MvmScratch::new();
-        self.mvm_batch_noiseless(acts, 1, &mut out, &mut scratch);
-        self.fold_stats(&scratch, 0..1, &mut stats);
+        self.mvm_batch(acts, 1, &mut out, &mut stats, &mut scratch, rng);
         (out, stats)
     }
 
@@ -817,9 +878,9 @@ impl RomMvm {
     /// [`RomMvm::fold_stats`].
     pub(crate) fn mvm_batch_noiseless(
         &self,
-        acts: &[i32],
+        acts: &[u8],
         n: usize,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
         if self.adc_is_identity() {
@@ -831,9 +892,10 @@ impl RomMvm {
 
     /// Asserts every activation code is in the unsigned `act_bits` range
     /// — the same hard failure the analog reference path raises through
-    /// `unsigned_chunks`, checked once per batch so the batched kernels
-    /// can never silently compute on sign-extended garbage.
-    fn validate_act_codes(&self, acts: &[i32]) {
+    /// `unsigned_chunks`. The `i32` batch entries run it once per batch
+    /// before narrowing the codes to `u8`, so no kernel can silently
+    /// compute on truncated or sign-extended garbage.
+    pub(crate) fn validate_act_codes(&self, acts: &[i32]) {
         // Reduced as a bitwise OR, which vectorizes on baseline x86-64
         // (an unsigned max does not: SSE2 has no `pmaxud`): a code is
         // in range iff it sets no bit at or above `act_bits`, and a
@@ -844,6 +906,19 @@ impl RomMvm {
             "activation code outside unsigned {}-bit range",
             self.params.act_bits
         );
+    }
+
+    /// [`RomMvm::validate_act_codes`] for `u8` codes, which an engine
+    /// with `act_bits == 8` needs no scan for: the type is the range.
+    pub(crate) fn validate_u8_codes(&self, acts: &[u8]) {
+        let bits = self.params.act_bits;
+        if bits < 8 {
+            let any = acts.iter().fold(0u8, |m, &a| m | a);
+            assert!(
+                any >> bits == 0,
+                "activation code outside unsigned {bits}-bit range"
+            );
+        }
     }
 
     /// Whether the configured ADC transfer is an identity on every
@@ -868,12 +943,11 @@ impl RomMvm {
     /// tier.
     pub(crate) fn mvm_batch_exact(
         &self,
-        acts: &[i32],
+        acts: &[u8],
         n: usize,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        self.validate_act_codes(acts);
         assert!(
             !self.codes.is_empty() || self.outs == 0 || self.ins == 0,
             "exact kernel requires the stored code matrix"
@@ -924,7 +998,7 @@ impl RomMvm {
             return kernels::MatmulLayout::RowMajor;
         }
         if self.adc_is_identity() {
-            kernels::choose_layout(self.outs, self.ins, n, !self.codes16.is_empty())
+            kernels::choose_layout(self.outs, self.ins, n)
         } else if n >= 4 {
             // The quantizing popcount stream packs pulse bit-planes
             // across vectors; the panel layout feeds that packing with
@@ -942,10 +1016,9 @@ impl RomMvm {
     pub(crate) fn mvm_batch_exact_t(
         &self,
         panel: &kernels::Panel<'_>,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        self.validate_act_codes(panel.acts());
         assert!(
             !self.codes.is_empty() || self.outs == 0 || self.ins == 0,
             "exact kernel requires the stored code matrix"
@@ -968,6 +1041,8 @@ impl RomMvm {
     /// exactly, and multiplying it by the constant rounds the exact
     /// integer product once, as converting the `u64` product does, so the
     /// derived `f64` fields are the ones [`RomMvm::mvm_analog`] derives.
+    /// The terms that depend on `active` alone come from a table built
+    /// at `program` time; only the pulse term is multiplied here.
     ///
     /// # Panics
     ///
@@ -979,16 +1054,17 @@ impl RomMvm {
         stats: &mut MvmStats,
     ) {
         let f = &self.finisher;
-        let (col_tiles, conversions) = (f.col_tiles as f64, f.conversions as f64);
+        let (col_tiles, e_wl, shift_add) = (f.col_tiles as f64, f.e_wl_pulse_pj, f.shift_add_term);
         let active = &scratch.active[vectors.clone()];
         let pulses = &scratch.pulses[vectors];
         let (mut evals, mut wl) = (0u64, 0u64);
         for (&a, &p) in active.iter().zip(pulses) {
             evals += u64::from(a);
             wl += u64::from(p);
-            let (a, p) = (f64::from(a), f64::from(p));
-            let (energy, latency) = f.derive(a * conversions, p * col_tiles, a * col_tiles);
-            stats.energy_pj += energy;
+            // `StatsFinisher::derive`'s sums, in its order, with the
+            // active-count terms looked up.
+            let [adc, precharge, latency] = f.by_active[a as usize];
+            stats.energy_pj += adc + f64::from(p) * col_tiles * e_wl + precharge + shift_add;
             stats.latency_ns += latency;
         }
         stats.analog_evaluations += evals * f.col_tiles;
@@ -1024,12 +1100,11 @@ impl RomMvm {
     /// unavailable (`rows_per_activation > 64`).
     pub(crate) fn mvm_batch_fast(
         &self,
-        acts: &[i32],
+        acts: &[u8],
         n: usize,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        self.validate_act_codes(acts);
         let p = &self.params;
         let popcount_tiles = self
             .popcount_tiles
@@ -1067,13 +1142,13 @@ impl RomMvm {
             let row_hi = ((rt + 1) * p.rows).min(self.ins);
             for c_idx in 0..n_chunks {
                 let shift = c_idx as u8 * p.chunk_bits;
-                let act_weight = 1i64 << shift;
+                let act_weight = 1i32 << shift;
                 scratch.plane_masks.fill(0);
                 let mut any_pulse = false;
                 for v in 0..n {
                     let av = &acts[v * self.ins + row_lo..v * self.ins + row_hi];
                     for (r, &a) in av.iter().enumerate() {
-                        let pulse = ((a as u32) >> shift) & chunk_mask;
+                        let pulse = (u32::from(a) >> shift) & chunk_mask;
                         if pulse == 0 {
                             continue;
                         }
@@ -1109,7 +1184,8 @@ impl RomMvm {
     /// Streams one row tile's lane-packed nonzero weight masks against
     /// the staged pulse bit-planes — the shared inner loop of both fast
     /// batch entries (`AND`+popcount via [`kernels::group_counts`], then
-    /// ADC transfer and signed-plane accumulation).
+    /// ADC transfer and signed-plane accumulation). Every term and sum
+    /// fits the `i32` accumulators by [`MacroParams::accumulators_fit`].
     #[allow(clippy::too_many_arguments)]
     fn stream_tile_masks(
         &self,
@@ -1117,12 +1193,12 @@ impl RomMvm {
         tile_row: &[PopcountTile],
         n: usize,
         n_pad: usize,
-        act_weight: i64,
+        act_weight: i32,
         adc_identity: bool,
         adc: AdcModel,
         plane_masks: &[u64],
         counts: &mut [u64],
-        out: &mut [i64],
+        out: &mut [i32],
     ) {
         let p = &self.params;
         let wb = p.weight_bits as usize;
@@ -1139,7 +1215,7 @@ impl RomMvm {
                     let out_idx = ct * self.outs_per_array + o;
                     let j = (meta & 0xff) as usize;
                     let col_fault = tile_faults.and_then(|t| t[o * wb + j]);
-                    let w_plane = act_weight * signed_plane_weight(j, p.weight_bits);
+                    let w_plane = act_weight * signed_plane_weight(j, p.weight_bits) as i32;
                     kernels::group_counts(self.kernel, mask, planes, n_planes, n_pad, counts);
                     let row = &mut out[out_idx * n..(out_idx + 1) * n];
                     for (slot, &count) in row.iter_mut().zip(&counts[..n]) {
@@ -1153,9 +1229,9 @@ impl RomMvm {
                             None => count,
                         };
                         let readout = if adc_identity {
-                            sensed as i64
+                            sensed as i32
                         } else {
-                            adc.digitize(sensed as f32)
+                            adc.digitize(sensed as f32) as i32
                         };
                         *slot += w_plane * readout;
                     }
@@ -1175,10 +1251,9 @@ impl RomMvm {
     pub(crate) fn mvm_batch_fast_t(
         &self,
         panel: &kernels::Panel<'_>,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        self.validate_act_codes(panel.acts());
         let p = &self.params;
         let popcount_tiles = self
             .popcount_tiles
@@ -1205,7 +1280,7 @@ impl RomMvm {
             let row_hi = ((rt + 1) * p.rows).min(self.ins);
             for c_idx in 0..n_chunks {
                 let shift = c_idx as u8 * p.chunk_bits;
-                let act_weight = 1i64 << shift;
+                let act_weight = 1i32 << shift;
                 scratch.plane_masks.fill(0);
                 let mut any_pulse = false;
                 for r in row_lo..row_hi {
@@ -1213,7 +1288,7 @@ impl RomMvm {
                     let bit = 1u64 << (local % rpa);
                     let base = (local / rpa) * group_stride;
                     for (v, &a) in panel.lane(r).iter().enumerate() {
-                        let pulse = ((a as u32) >> shift) & chunk_mask;
+                        let pulse = (u32::from(a) >> shift) & chunk_mask;
                         if pulse == 0 {
                             continue;
                         }
@@ -1297,19 +1372,20 @@ impl RomMvm {
 
     /// Hoists the constant subexpressions of the stats derivation —
     /// the subarray walk, the `div_ceil` shape math and the `t_eval`
-    /// division — so the per-vector fold pays only the genuinely
-    /// per-vector arithmetic. Every precomputed value is the exact float
-    /// the unhoisted expression produced, and [`StatsFinisher::finish`]
-    /// applies the remaining operations in the original order, so the
-    /// derived fields stay bit-identical to a per-vector walk. Built
-    /// once at `program` time and cached as [`RomMvm::finisher`] (every
-    /// input is fixed after programming).
+    /// division — and tabulates the terms that depend on a vector's
+    /// active count alone, so the per-vector fold pays only a lookup and
+    /// the pulse term. Every precomputed value is the exact float the
+    /// unhoisted expression produced, and [`StatsFinisher::finish`] and
+    /// [`RomMvm::fold_stats`] apply the remaining operations in the
+    /// original order, so the derived fields stay bit-identical to a
+    /// per-vector walk. Built once at `program` time and cached as
+    /// [`RomMvm::finisher`] (every input is fixed after programming).
     fn stats_finisher(&self) -> StatsFinisher {
         let p = &self.params;
         let groups_per_tile = p.rows.div_ceil(p.rows_per_activation) as f64;
-        let chunk_count = p.act_bits.div_ceil(p.chunk_bits) as f64;
+        let n_chunks = p.act_bits.div_ceil(p.chunk_bits);
         let col_tiles = self.tiles.first().map_or(0, |r| r.len()) as u64;
-        StatsFinisher {
+        let mut finisher = StatsFinisher {
             col_tiles,
             conversions: p.cols as u64 * col_tiles,
             e_adc_pj: p.e_adc_pj,
@@ -1317,16 +1393,20 @@ impl RomMvm {
             cols_f: p.cols as f64,
             e_precharge_pj: p.e_precharge_pj,
             shift_add_term: self.subarrays_used() as f64 * p.e_shift_add_pj,
-            t_eval: p.t_inference_ns / (chunk_count * groups_per_tile),
+            t_eval: p.t_inference_ns / (f64::from(n_chunks) * groups_per_tile),
             tile_div: self.tiles.first().map_or(1.0, |r| r.len() as f64).max(1.0),
-        }
+            by_active: Vec::new(),
+        };
+        // A vector evaluates at most every `(group, chunk)` pair.
+        finisher.tabulate(self.group_bounds.len() * usize::from(n_chunks));
+        finisher
     }
 }
 
 /// Precomputed constants of the stats derivation (see
 /// [`StatsFinisher::finish`]); built once at `program` time, applied per
 /// vector.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Default)]
 struct StatsFinisher {
     /// Column tiles every group evaluation fans across.
     col_tiles: u64,
@@ -1342,6 +1422,14 @@ struct StatsFinisher {
     t_eval: f64,
     /// Column-tile parallelism divisor, constant per engine.
     tile_div: f64,
+    /// For every reachable active count `a` (the index), the
+    /// `[ADC energy, precharge energy, latency]` terms [`derive`] gives
+    /// a vector with `a` live `(group, chunk)` evaluations, which fan
+    /// out to `a * col_tiles` evaluations and `a * conversions`
+    /// conversions.
+    ///
+    /// [`derive`]: StatsFinisher::derive
+    by_active: Vec<[f64; 3]>,
 }
 
 impl StatsFinisher {
@@ -1362,6 +1450,30 @@ impl StatsFinisher {
         );
     }
 
+    /// Fills [`StatsFinisher::by_active`] for the active counts
+    /// `0..=max_active`, each term the float [`StatsFinisher::derive`]
+    /// computes for it.
+    fn tabulate(&mut self, max_active: usize) {
+        let (col_tiles, conversions) = (self.col_tiles as f64, self.conversions as f64);
+        self.by_active = (0..=max_active)
+            .map(|a| {
+                let (adc, evals) = (a as f64 * conversions, a as f64 * col_tiles);
+                [
+                    adc * self.e_adc_pj,
+                    evals * self.cols_f * self.e_precharge_pj,
+                    evals * self.t_eval / self.tile_div,
+                ]
+            })
+            .collect();
+    }
+
+    /// Stretches every evaluation by `slowdown` (a degraded chiplet
+    /// link) and re-tabulates the latency terms.
+    fn slow_down(&mut self, slowdown: f64) {
+        self.t_eval *= slowdown;
+        self.tabulate(self.by_active.len() - 1);
+    }
+
     /// `(energy_pj, latency_ns)` of `adc` conversions, `wl` pulses and
     /// `evals` analog evaluations, each given as an `f64`.
     #[inline(always)]
@@ -1375,11 +1487,19 @@ impl StatsFinisher {
 }
 
 /// Reference integer MVM for cross-checking [`RomMvm`]: `y = W x` with the
-/// same `(outs, ins)` layout.
+/// same `(outs, ins)` layout, in `i64` over `i32` codes.
 pub fn reference_mvm(codes: &[i32], outs: usize, ins: usize, acts: &[i32]) -> Vec<i64> {
-    let mut y = vec![0i64; outs];
-    matmul_into(codes, outs, ins, acts, 1, &mut y);
-    y
+    assert_eq!(codes.len(), outs * ins, "weight matrix size mismatch");
+    assert_eq!(acts.len(), ins, "activation length mismatch");
+    (0..outs)
+        .map(|o| {
+            let row = &codes[o * ins..(o + 1) * ins];
+            row.iter()
+                .zip(acts)
+                .map(|(&w, &a)| i64::from(w) * i64::from(a))
+                .sum()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1619,6 +1739,111 @@ mod tests {
     }
 
     #[test]
+    fn accumulator_bound_sits_at_the_i32_edge() {
+        // Paper widths: every product is at most 255 * 128, so the last
+        // `ins` whose accumulators fit is floor(i32::MAX / 32640).
+        let paper = MacroParams::rom_paper();
+        let edge = (i32::MAX / (255 * 128)) as usize;
+        assert_eq!(edge, 65_793);
+        assert!(paper.accumulators_fit(edge));
+        assert!(!paper.accumulators_fit(edge + 1));
+        // Narrower codes and weights reach further: 15 * 16 per product.
+        let narrow = MacroParams {
+            act_bits: 4,
+            weight_bits: 5,
+            ..paper
+        };
+        let edge = (i32::MAX / (15 * 16)) as usize;
+        assert!(narrow.accumulators_fit(edge));
+        assert!(!narrow.accumulators_fit(edge + 1));
+        // A quantizing ADC (32-row groups: full scale 96 > 31 levels)
+        // may read each (group, chunk, plane) out at its full scale:
+        // 96 * 255 * 85 per group, so at most 1032 groups, which the
+        // first 258 row tiles of four groups each hold.
+        let quantizing = MacroParams {
+            rows_per_activation: 32,
+            ..paper
+        };
+        assert!(quantizing.accumulators_fit(258 * 128));
+        assert!(!quantizing.accumulators_fit(258 * 128 + 1));
+        // Codes wider than the `u8` the batch path carries fit nothing,
+        // and nor does a shape the programmer cannot store.
+        assert!(paper.accumulators_fit(1));
+        assert!(!MacroParams {
+            act_bits: 9,
+            ..paper
+        }
+        .accumulators_fit(1));
+        assert!(!MacroParams {
+            weight_bits: 0,
+            ..paper
+        }
+        .accumulators_fit(1));
+        assert!(!MacroParams {
+            rows_per_activation: 0,
+            ..paper
+        }
+        .accumulators_fit(1));
+    }
+
+    #[test]
+    fn program_enforces_both_width_bounds() {
+        let panics = |params: MacroParams, ins: usize| {
+            let codes = vec![0i32; ins];
+            std::panic::catch_unwind(|| RomMvm::program(params, &codes, 1, ins)).is_err()
+        };
+        let paper = MacroParams::rom_paper();
+        assert!(!panics(paper, 9));
+        assert!(panics(
+            MacroParams {
+                act_bits: 9,
+                ..paper
+            },
+            9
+        ));
+        // One input past the i32 edge is refused before any subarray
+        // is programmed.
+        assert!(panics(paper, 65_794));
+    }
+
+    #[test]
+    fn stats_table_matches_the_derivation() {
+        // Every tabulated term is the float `derive` computes for its
+        // active count, and a vector's terms add up to `derive`'s sums,
+        // in its order, bit for bit: on a multi-tile engine, before and
+        // after a link slowdown re-tabulates the latency.
+        let params = MacroParams::rom_paper();
+        let (outs, ins) = (70, 300);
+        let mut f = RomMvm::program(params, &vec![1i32; outs * ins], outs, ins).finisher;
+        for slowdown in [1.0, 3.7] {
+            if slowdown != 1.0 {
+                f.slow_down(slowdown);
+            }
+            let (col_tiles, conversions) = (f.col_tiles as f64, f.conversions as f64);
+            // 300 rows: 3 row tiles of 13, 13 and 5 groups, 4 chunks.
+            assert_eq!(f.by_active.len(), 31 * 4 + 1);
+            for (a, &[adc, precharge, latency]) in f.by_active.iter().enumerate() {
+                let a_f = a as f64;
+                for p in [0u32, 1, 12 * ins as u32] {
+                    let wl = f64::from(p) * col_tiles;
+                    let (energy, want_latency) = f.derive(a_f * conversions, wl, a_f * col_tiles);
+                    let got = adc + wl * f.e_wl_pulse_pj + precharge + f.shift_add_term;
+                    assert_eq!(
+                        got.to_bits(),
+                        energy.to_bits(),
+                        "energy at {a} active, {p} pulses"
+                    );
+                    assert_eq!(
+                        latency.to_bits(),
+                        want_latency.to_bits(),
+                        "latency at {a} active"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn weight_code_range_covers_storable_widths_only() {
         let mut params = MacroParams::rom_paper();
         assert_eq!(params.weight_code_range(), Some(-128..=127));
@@ -1720,12 +1945,14 @@ mod tests {
                 golden_stats.merge(&s);
             }
             let mut scratch = crate::backend::MvmScratch::new();
+            let codes8: Vec<u8> = acts.iter().map(|&a| a as u8).collect();
             for kind in crate::kernels::available_kinds() {
                 engine.set_kernel(kind);
-                let mut out = vec![0i64; n * outs];
+                let mut accs = vec![0i32; n * outs];
                 let mut stats = MvmStats::default();
-                engine.mvm_batch_noiseless(&acts, n, &mut out, &mut scratch);
+                engine.mvm_batch_noiseless(&codes8, n, &mut accs, &mut scratch);
                 engine.fold_stats(&scratch, 0..n, &mut stats);
+                let out: Vec<i64> = accs.iter().map(|&a| a.into()).collect();
                 prop_assert_eq!(&out, &golden, "values diverge on {}", kind.label());
                 prop_assert_eq!(&stats, &golden_stats, "stats diverge on {}", kind.label());
             }
@@ -1923,6 +2150,29 @@ mod tests {
             for bad in [top + 1, -1, i32::MIN, i32::MAX] {
                 assert!(!accepts(&[0, top, bad]), "{act_bits} bits: {bad}");
             }
+        }
+    }
+
+    #[test]
+    fn u8_code_scan_runs_only_below_eight_bits() {
+        // An 8-bit engine takes every `u8`; a narrower one refuses the
+        // first code past its range.
+        for act_bits in [4u8, 6, 8] {
+            let mut params = MacroParams::rom_paper();
+            params.act_bits = act_bits;
+            let engine = RomMvm::program(params, &[1, -1], 1, 2);
+            let accepts = |acts: &[u8]| {
+                let scan = std::panic::AssertUnwindSafe(|| engine.validate_u8_codes(acts));
+                std::panic::catch_unwind(scan).is_ok()
+            };
+            let top = u8::MAX >> (8 - act_bits);
+            assert!(accepts(&[0, top, top / 2]), "{act_bits} bits");
+            assert_eq!(
+                accepts(&[0, top.wrapping_add(1)]),
+                act_bits == 8,
+                "{act_bits} bits"
+            );
+            assert_eq!(accepts(&[u8::MAX]), act_bits == 8, "{act_bits} bits");
         }
     }
 

@@ -25,8 +25,8 @@ use yoloc_tensor::Tensor;
 use serde::json::Value as Json;
 use serde::{Deserialize, Serialize};
 
-/// Reusable staging for one CiM layer execution: the layer input's
-/// activation codes, in the layout the engine reads, the integer MVM
+/// Reusable staging for one CiM layer execution: the layer input's `u8`
+/// activation codes, in the layout the engine reads, the `i32` MVM
 /// accumulators, and the backend's bit-plane staging and event counters.
 ///
 /// One `CimScratch` serves every layer of a deployment in turn (layers
@@ -39,20 +39,21 @@ pub struct CimScratch {
     /// For a row-major conv, its input quantized once, `(n, C, h, w)`
     /// row-major. For a transposed conv, one zero-point-padded input row
     /// at a time while the planes fill.
-    input_codes: Vec<i32>,
+    input_codes: Vec<u8>,
     /// The activation codes the engine reads, in its
     /// [`RomMvm::batch_layout`] for the block: a conv's im2col rows
     /// vector-major, a transposed conv's column-shifted code planes
     /// ([`ShiftedPlanes`]) plus zero lanes the SIMD tiers may read past
     /// the last tap's run, or a linear layer's copied lane-major panel.
-    codes: Vec<i32>,
+    codes: Vec<u8>,
     /// Where each tap's lanes start in the planes of a transposed conv:
     /// one offset per im2col row, the row-offset table
-    /// [`RomMvm::run_batch_transposed`] reads the planes through.
+    /// [`RomMvm::run_batch_transposed`] reads the planes through (for a
+    /// linear layer, its panel's contiguous rows).
     tap_offsets: Vec<usize>,
     /// Integer accumulators of every output position, channel-major
     /// (`accs[o * positions + position]`, see [`yoloc_cim::backend`]).
-    accs: Vec<i64>,
+    accs: Vec<i32>,
     /// Bit-plane staging for [`RomMvm::run_batch`], and the
     /// per-position event counters [`RomMvm::fold_stats`] folds the
     /// modelled tiles from.
@@ -96,7 +97,11 @@ impl Dequant {
     fn channel(&self, o: usize, act: &QuantParams) -> ChannelDequant {
         ChannelDequant {
             mul: self.channel_scales[o] * act.scale,
-            offset: act.zero_point as i64 * self.row_sums[o],
+            // `zero_point` is a code of the engine's `act_bits` and the
+            // row sum is the codes' (checked when a plan loads), so the
+            // product is bounded like an accumulator, which
+            // `RomMvm::program` proved fits an `i32`.
+            offset: (i64::from(act.zero_point) * self.row_sums[o]) as i32,
         }
     }
 }
@@ -105,17 +110,20 @@ impl Dequant {
 /// with `mul = channel_scale * act.scale` and
 /// `offset = zero_point * row_sum`, the same arithmetic as evaluating
 /// `channel_scale * act.scale * (acc - zero_point * row_sum) as f32`
-/// left to right.
+/// left to right. `acc - offset` is `sum_i w_i (a_i - zero_point)`, so
+/// it fits an `i32` under the same bound as the accumulators, and its
+/// `i32 -> f32` cast rounds the integer exactly as an `i64` one would,
+/// in one packed instruction per vector on baseline x86-64.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChannelDequant {
     mul: f32,
-    offset: i64,
+    offset: i32,
 }
 
 impl ChannelDequant {
     /// Dequantizes one accumulator.
     #[inline]
-    pub(crate) fn value(self, acc: i64) -> f32 {
+    fn value(self, acc: i32) -> f32 {
         self.mul * (acc - self.offset) as f32
     }
 
@@ -123,7 +131,7 @@ impl ChannelDequant {
     /// `dst`, passing each value through `then` on the way (the identity,
     /// or an elementwise step fused into the same loop).
     #[inline]
-    pub(crate) fn run_into(self, accs: &[i64], dst: &mut [f32], then: impl Fn(f32) -> f32) {
+    pub(crate) fn run_into(self, accs: &[i32], dst: &mut [f32], then: impl Fn(f32) -> f32) {
         debug_assert_eq!(accs.len(), dst.len());
         for (d, &a) in dst.iter_mut().zip(accs) {
             *d = then(self.value(a));
@@ -168,9 +176,10 @@ pub(crate) struct LayerFaults {
 }
 
 /// Deserialization proves what the programmer would otherwise assert
-/// — a supported weight width, event counts that fit their `u32`, one
-/// code per matrix cell, every code in the signed range — so a plan
-/// whose checksum is valid but whose contents are hostile is an error (a
+/// — a supported weight width, activation codes that fit a `u8`, event
+/// counts that fit their `u32`, accumulators that fit an `i32`, one code
+/// per matrix cell, every code in the signed range — so a plan whose
+/// checksum is valid but whose contents are hostile is an error (a
 /// plan-cache miss), not a panic.
 impl Deserialize for ProgramSpec {
     fn from_value(v: &Json) -> Result<Self, String> {
@@ -188,10 +197,19 @@ impl Deserialize for ProgramSpec {
             .weight_code_range()
             .ok_or_else(|| format!("unsupported weight_bits {bits}"))?;
         let p = &spec.params;
+        if p.act_bits > 8 {
+            return Err(format!("{}-bit activation codes do not fit u8", p.act_bits));
+        }
         if !p.event_counts_fit(spec.ins) {
             return Err(format!(
                 "event counts of {} inputs ({}-bit codes, {}-bit chunks) do not fit u32",
                 spec.ins, p.act_bits, p.chunk_bits
+            ));
+        }
+        if !p.accumulators_fit(spec.ins) {
+            return Err(format!(
+                "accumulators of {} inputs ({}-bit codes, {bits}-bit weights) do not fit i32",
+                spec.ins, p.act_bits
             ));
         }
         let cells = spec
@@ -214,6 +232,32 @@ impl Deserialize for ProgramSpec {
 }
 
 impl ProgramSpec {
+    /// Reads a layer's dequantization tables for this program: one
+    /// channel scale and one row sum per output, and every row sum the
+    /// sum of its row of codes (what the compiler stored), which bounds
+    /// `zero_point * row_sum` like an accumulator.
+    fn dequant_from(&self, v: &Json) -> Result<Dequant, String> {
+        let channel_scales = per_output(
+            json_field(v, "channel_scales")?,
+            "channel_scales",
+            self.outs,
+        )?;
+        let row_sums: Vec<i64> = per_output(json_field(v, "row_sums")?, "row_sums", self.outs)?;
+        for (o, &sum) in row_sums.iter().enumerate() {
+            let row = &self.codes[o * self.ins..(o + 1) * self.ins];
+            let codes: i64 = row.iter().map(|&c| i64::from(c)).sum();
+            if sum != codes {
+                return Err(format!(
+                    "row_sums: output {o} stores {sum}, its codes sum to {codes}"
+                ));
+            }
+        }
+        Ok(Dequant {
+            channel_scales,
+            row_sums,
+        })
+    }
+
     /// Programs the engine through the record's faults (none programs
     /// the pristine fabric), pinned to the analog reference path for
     /// [`BackendKind::Analog`].
@@ -538,8 +582,10 @@ impl CimConv2d {
             accs,
             mvm,
         } = scratch;
-        let act = &self.act_params;
-        let (outs, pad) = (self.out_channels, act.quantize_value(0.0));
+        // Codes are `u8`: the layer's activation width is at most the
+        // engine's `act_bits`, which `RomMvm::program` proved is at most 8.
+        let quantize = |v: f32| self.act_params.quantize_value(v) as u8;
+        let (outs, pad) = (self.out_channels, quantize(0.0));
         // Every backend writes every accumulator, so stale values from an
         // earlier layer need no zeroing.
         match self.engine.batch_layout(positions) {
@@ -551,7 +597,6 @@ impl CimConv2d {
                 // offset: zeros, a valid code, fill the difference.
                 codes.truncate(len);
                 codes.resize(len + transposed_pad(lanes) - lanes, 0);
-                let quantize = |v: f32| act.quantize_value(v);
                 planes.lower_into(x, pad, quantize, input_codes, &mut codes[..len]);
                 planes.tap_offsets_into(tap_offsets);
                 accs.resize(lanes * outs, 0);
@@ -562,7 +607,7 @@ impl CimConv2d {
             MatmulLayout::RowMajor => {
                 let patch = self.geom.patch_len();
                 input_codes.clear();
-                input_codes.extend(x.iter().map(|&v| act.quantize_value(v)));
+                input_codes.extend(x.iter().map(|&v| quantize(v)));
                 codes.resize(positions * patch, 0);
                 let win = PatchWindow {
                     row_stride: 1,
@@ -618,7 +663,7 @@ impl CimConv2d {
     pub(crate) fn channel_rows<'s>(
         &'s self,
         scratch: &'s CimScratch,
-    ) -> impl Iterator<Item = (&'s [i64], ChannelDequant)> + 's {
+    ) -> impl Iterator<Item = (&'s [i32], ChannelDequant)> + 's {
         let positions = scratch.accs.len() / self.out_channels.max(1);
         scratch
             .accs
@@ -855,50 +900,44 @@ impl CimLinear {
     ) -> MvmStats {
         assert_eq!(feats.len(), n * self.ins, "feature width mismatch");
         assert_eq!(out.len(), n * self.outs, "output length mismatch");
-        scratch.accs.truncate(n * self.outs);
-        scratch.accs.resize(n * self.outs, 0);
-        let mut stats = MvmStats::default();
+        let CimScratch {
+            codes,
+            tap_offsets,
+            accs,
+            mvm,
+            ..
+        } = scratch;
+        accs.resize(n * self.outs, 0);
+        let quantize = |v: f32| self.act_params.quantize_value(v) as u8;
         match self.engine.batch_layout(n) {
             MatmulLayout::Transposed => {
                 // Features arrive sample-major, so quantize straight into
                 // the panel's strided lanes — still a single pass, no
                 // quantize-then-repack.
                 let n_pad = transposed_pad(n);
-                scratch.codes.clear();
-                scratch.codes.resize(self.ins * n_pad, 0);
+                codes.clear();
+                codes.resize(self.ins * n_pad, 0);
                 for (v, row) in feats.chunks_exact(self.ins).enumerate() {
                     for (i, &f) in row.iter().enumerate() {
-                        scratch.codes[i * n_pad + v] = self.act_params.quantize_value(f);
+                        codes[i * n_pad + v] = quantize(f);
                     }
                 }
-                self.engine.mvm_batch_transposed(
-                    &scratch.codes,
-                    n,
-                    n_pad,
-                    &mut scratch.accs,
-                    &mut stats,
-                    &mut scratch.mvm,
-                    rng,
-                );
+                tap_offsets.clear();
+                tap_offsets.extend((0..self.ins).map(|i| i * n_pad));
+                self.engine
+                    .run_batch_transposed(codes, tap_offsets, n, accs, mvm, rng);
             }
             MatmulLayout::RowMajor => {
-                scratch.codes.clear();
-                scratch
-                    .codes
-                    .extend(feats.iter().map(|&v| self.act_params.quantize_value(v)));
-                self.engine.mvm_batch(
-                    &scratch.codes,
-                    n,
-                    &mut scratch.accs,
-                    &mut stats,
-                    &mut scratch.mvm,
-                    rng,
-                );
+                codes.clear();
+                codes.extend(feats.iter().map(|&v| quantize(v)));
+                self.engine.run_batch(codes, n, accs, mvm, rng);
             }
         }
+        let mut stats = MvmStats::default();
+        self.engine.fold_stats(mvm, 0..n, &mut stats);
         // Channel-major accumulators: output `o` of every sample is one
         // contiguous row, written down the sample-major output's column.
-        for (o, accs) in scratch.accs.chunks_exact(n.max(1)).enumerate() {
+        for (o, accs) in accs.chunks_exact(n.max(1)).enumerate() {
             let dq = self.dequant.channel(o, &self.act_params);
             for (ni, &a) in accs.iter().enumerate() {
                 out[ni * self.outs + o] = dq.value(a) + self.bias[o];
@@ -959,14 +998,7 @@ impl Deserialize for CimConv2d {
         if geom.stride == 0 {
             return Err("geom: stride 0".into());
         }
-        let dequant = Dequant {
-            channel_scales: per_output(
-                json_field(v, "channel_scales")?,
-                "channel_scales",
-                out_channels,
-            )?,
-            row_sums: per_output(json_field(v, "row_sums")?, "row_sums", out_channels)?,
-        };
+        let dequant = program.dequant_from(v)?;
         let act_params = act_params_from(v, &program)?;
         Ok(CimConv2d {
             engine: program.program(),
@@ -1007,10 +1039,7 @@ impl Deserialize for CimLinear {
                 program.outs, program.ins
             ));
         }
-        let dequant = Dequant {
-            channel_scales: per_output(json_field(v, "channel_scales")?, "channel_scales", outs)?,
-            row_sums: per_output(json_field(v, "row_sums")?, "row_sums", outs)?,
-        };
+        let dequant = program.dequant_from(v)?;
         let bias = per_output(json_field(v, "bias")?, "bias", outs)?;
         let act_params = act_params_from(v, &program)?;
         Ok(CimLinear {
@@ -1272,11 +1301,7 @@ mod tests {
         let xp = QuantParams::affine(0.0, 2.0, 8);
         let w_codes = [5i32, -7, 100];
         let x_codes = [3i32, 200, 45];
-        let acc: i64 = w_codes
-            .iter()
-            .zip(&x_codes)
-            .map(|(&w, &x)| w as i64 * x as i64)
-            .sum();
+        let acc: i32 = w_codes.iter().zip(&x_codes).map(|(&w, &x)| w * x).sum();
         let dequant = Dequant {
             channel_scales: vec![wp.scale],
             row_sums: vec![w_codes.iter().map(|&w| w as i64).sum()],

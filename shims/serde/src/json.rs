@@ -347,8 +347,21 @@ fn write_indent(out: &mut String, depth: usize) {
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+    loop {
+        match bytes.get(*pos) {
+            // Rendered documents are mostly indentation: step over a run
+            // of spaces eight at a time.
+            Some(b' ') => {
+                while bytes[*pos..].first_chunk() == Some(b"        ") {
+                    *pos += 8;
+                }
+                while bytes.get(*pos) == Some(&b' ') {
+                    *pos += 1;
+                }
+            }
+            Some(b'\t' | b'\n' | b'\r') => *pos += 1,
+            _ => return,
+        }
     }
 }
 
@@ -442,7 +455,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    let token = &bytes[start..*pos];
+    if let Some(v) = short_int(token) {
+        return Ok(v);
+    }
+    let text = std::str::from_utf8(token).map_err(|e| e.to_string())?;
     // Pure integer tokens parse exactly (no round trip through f64, which
     // corrupts counts above 2^53); fraction/exponent tokens — and integer
     // tokens overflowing 64 bits — fall back to f64.
@@ -458,6 +475,28 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+}
+
+/// The value of a plain integer token of at most 18 digits
+/// (`-?[0-9]{1,18}`, the bulk of a plan document), read digit by digit:
+/// the variant and value the general path's `str::parse` gives, since no
+/// such token overflows. `None` for every other token.
+fn short_int(token: &[u8]) -> Option<Value> {
+    let (negative, digits) = match token.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, token),
+    };
+    if digits.is_empty() || digits.len() > 18 || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let magnitude = digits
+        .iter()
+        .fold(0u64, |m, &d| m * 10 + u64::from(d - b'0'));
+    Some(if negative {
+        Value::Int(-(magnitude as i64))
+    } else {
+        Value::UInt(magnitude)
+    })
 }
 
 /// Reads the 4 hex digits of a `\uXXXX` escape starting at `at`.
@@ -681,6 +720,96 @@ mod tests {
             Value::parse("9007199254740993").unwrap(),
             Value::Num(9_007_199_254_740_992.0)
         );
+    }
+
+    /// What the general number path makes of an integer token.
+    fn general_int(token: &str) -> Value {
+        if token.starts_with('-') {
+            Value::Int(token.parse().unwrap())
+        } else {
+            Value::UInt(token.parse().unwrap())
+        }
+    }
+
+    #[test]
+    fn short_integer_tokens_parse_as_the_general_path_does() {
+        // Variants are compared through `Debug`: `==` crosses them.
+        let exact = |v: &Value| format!("{v:?}");
+        for t in [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "007",
+            "-007",
+            "255",
+            "-128",
+            "999999999999999999",
+            "-999999999999999999",
+        ] {
+            let got = short_int(t.as_bytes()).unwrap_or_else(|| panic!("{t}"));
+            assert_eq!(exact(&got), exact(&general_int(t)), "{t}");
+        }
+        // Every other token falls through to the general path.
+        for t in [
+            "",
+            "-",
+            "+5",
+            "1.5",
+            "1e3",
+            "-1E3",
+            "1-2",
+            "--1",
+            "1000000000000000000",
+            "-1000000000000000000",
+            "18446744073709551615",
+        ] {
+            assert!(short_int(t.as_bytes()).is_none(), "{t}");
+        }
+        assert_eq!(exact(&Value::parse("+5").unwrap()), exact(&Value::UInt(5)));
+        assert_eq!(
+            exact(&Value::parse("-9223372036854775808").unwrap()),
+            exact(&Value::Int(i64::MIN))
+        );
+        // Seeded tokens of every length on both sides of the 18-digit
+        // edge, with and without a sign and leading zeros.
+        let mut state = 0x1D1E_5EED_0000_0018u64;
+        for _ in 0..4096 {
+            let digits = 1 + (splitmix64(&mut state) % 20) as usize;
+            let mut t: String = (0..digits)
+                .map(|_| char::from(b'0' + (splitmix64(&mut state) % 10) as u8))
+                .collect();
+            if splitmix64(&mut state) & 1 == 0 {
+                t.insert(0, '-');
+            }
+            let fits = if t.starts_with('-') {
+                t.parse::<i64>().is_ok()
+            } else {
+                t.parse::<u64>().is_ok()
+            };
+            let got = Value::parse(&t).unwrap();
+            if fits {
+                assert_eq!(exact(&got), exact(&general_int(&t)), "{t}");
+            } else {
+                assert!(matches!(got, Value::Num(_)), "{t}");
+            }
+        }
+    }
+
+    #[test]
+    fn whitespace_runs_of_any_length_separate_tokens() {
+        for (k, m) in (0..20).flat_map(|k| (0..20).map(move |m| (k, m))) {
+            let (a, b) = (" ".repeat(k), " ".repeat(m));
+            let text = format!("{a}[{b}1{a},\t\r\n{b}-2{b}]{a}");
+            let v = Value::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            assert_eq!(
+                v,
+                Value::Arr(vec![Value::UInt(1), Value::Int(-2)]),
+                "{text:?}"
+            );
+        }
+        assert!(Value::parse("[1,        ").is_err());
+        assert!(Value::parse("        ").is_err());
     }
 
     #[test]

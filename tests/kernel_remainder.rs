@@ -7,16 +7,19 @@
 //! These shapes pin every tail path: the AVX2 8-lane and AVX-512
 //! 16-lane panel remainders, the `i16` madd half-register tail, the
 //! popcount plane padding (4 vs 8 staged vectors), and the quad-column
-//! remainder of the blocked matmuls. The overdriven-ADC variant forces
-//! the pulse mask-stream path, and the noisy variant checks the
+//! remainder of the blocked matmuls. Batch sizes also straddle the
+//! counter fold's 32-lane (AVX2) and 64-lane (AVX-512) panel blocks,
+//! whose tails fall back to 16-lane blocks. The overdriven-ADC variant
+//! forces the pulse mask-stream path, and the noisy variant checks the
 //! per-vector analog fallback consumes its RNG stream identically
 //! through the transposed entry.
 //!
 //! Two more depths, 130 and 257, cross the 128-row tile boundary inside
 //! one call, where the analog groups restart. Every chunking of 1-, 2-
-//! and 3-bit chunks over 4- to 10-bit codes is checked against the
+//! and 3-bit chunks over 4- to 8-bit codes is checked against the
 //! per-vector analog walk, on both sides of the paper chunking the
-//! portable counter fold is built for.
+//! portable counter fold is built for; an engine with codes wider than
+//! the `u8` the batch path carries is refused at programming.
 //!
 //! The transposed run step reads its panel through a per-row offset
 //! table, so the suite also drives it with rows permuted, gapped and
@@ -41,8 +44,13 @@ const ODD_DIMS: [usize; 6] = [1, 2, 3, 9, 17, 31];
 /// call (and 257 opens a third tile).
 const TILE_CROSSING_INS: [usize; 2] = [130, 257];
 
-/// Batch sizes around every lane width.
-const LANE_NS: [usize; 7] = [1, 4, 8, 9, 16, 17, 33];
+/// Batch sizes around every lane width, the fold's 32- and 64-lane
+/// panel blocks included.
+const LANE_NS: [usize; 11] = [1, 4, 8, 9, 16, 17, 32, 33, 63, 64, 65];
+
+/// Batch sizes just past whole 32- and 64-lane fold blocks, where the
+/// 16-lane tail blocks run.
+const BLOCK_TAIL_NS: [usize; 5] = [48, 63, 64, 65, 81];
 
 fn seeded_matrix(outs: usize, ins: usize, seed: u64) -> Vec<i32> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -52,6 +60,14 @@ fn seeded_matrix(outs: usize, ins: usize, seed: u64) -> Vec<i32> {
 fn seeded_acts(n: usize, ins: usize, seed: u64) -> Vec<i32> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_AC75);
     (0..n * ins).map(|_| rng.gen_range(0..=255)).collect()
+}
+
+/// [`seeded_acts`] as the `u8` codes the run steps read.
+fn seeded_codes8(n: usize, ins: usize, seed: u64) -> Vec<u8> {
+    seeded_acts(n, ins, seed)
+        .into_iter()
+        .map(|a| u8::try_from(a).expect("an 8-bit code"))
+        .collect()
 }
 
 /// Seeded activation codes spanning the whole `act_bits` range.
@@ -150,7 +166,7 @@ fn remainder_shapes_hold_parity_on_the_exact_path() {
     let params = MacroParams::rom_paper();
     for &outs in &ODD_DIMS {
         for &ins in &ODD_DIMS {
-            for n in 1..=33 {
+            for n in (1..=33).chain(BLOCK_TAIL_NS) {
                 assert_remainder_parity(params, outs, ins, n, 0xD1 + n as u64);
             }
         }
@@ -268,9 +284,8 @@ proptest! {
     #[test]
     fn prop_every_chunking_holds_parity_with_the_analog_walk(seed in 0u64..100_000) {
         // One random shape per case, run at every chunk width and code
-        // width: 2-bit chunks of up to 8-bit codes take the portable
-        // fold on the SIMD tiers, 10-bit codes (five chunks) and every
-        // other chunk width take the scalar walks. An ideal ADC keeps
+        // width: 2-bit chunks take the portable fold on the SIMD tiers,
+        // every other chunk width the scalar walks. An ideal ADC keeps
         // every chunking on the exact matmul; 32-row groups overdrive
         // the 5-bit ADC onto the quantizing mask stream.
         let mut rng = StdRng::seed_from_u64(seed);
@@ -278,7 +293,7 @@ proptest! {
         let ins = [1, 2, 9, 17, 31, 130][rng.gen_range(0..6usize)];
         let n = rng.gen_range(1..=33usize);
         for chunk_bits in 1..=3u8 {
-            for act_bits in [4u8, 6, 8, 10] {
+            for act_bits in [4u8, 6, 8] {
                 let base = MacroParams { chunk_bits, act_bits, ..MacroParams::rom_paper() };
                 let exact = MacroParams { adc_bits: 16, ..base };
                 let quantizing = MacroParams { rows_per_activation: 32, ..base };
@@ -330,10 +345,10 @@ fn assert_offset_parity(params: MacroParams, outs: usize, ins: usize, n: usize, 
     let mut b = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
     let mut scratch = MvmScratch::new();
     for (name, rows, len) in offset_tables(ins, n) {
-        let buf = seeded_acts(1, len, seed);
+        let buf = seeded_codes8(1, len, seed);
         let acts: Vec<i32> = (0..n)
             .flat_map(|v| rows.iter().map(move |&r| r + v))
-            .map(|j| buf[j])
+            .map(|j| i32::from(buf[j]))
             .collect();
         b.set_kernel(KernelKind::Scalar);
         let mut golden = vec![0i64; n * outs];
@@ -349,11 +364,12 @@ fn assert_offset_parity(params: MacroParams, outs: usize, ins: usize, n: usize, 
         );
         for kind in available_kinds() {
             b.set_kernel(kind);
-            let mut out = vec![0i64; n * outs];
+            let mut accs = vec![0i32; n * outs];
             let mut stats = MvmStats::default();
             let mut rng = StdRng::seed_from_u64(seed);
-            b.run_batch_transposed(&buf, &rows, n, &mut out, &mut scratch, &mut rng);
+            b.run_batch_transposed(&buf, &rows, n, &mut accs, &mut scratch, &mut rng);
             b.fold_stats(&scratch, 0..n, &mut stats);
+            let out: Vec<i64> = accs.into_iter().map(i64::from).collect();
             let label = format!("{} {name} rows at {outs}x{ins} n={n}", kind.label());
             assert_eq!(out, golden, "{label}: accumulators");
             assert_eq!(stats, golden_stats, "{label}: stats");
@@ -394,8 +410,8 @@ fn row_offset_one_lane_past_the_buffer_panics_before_any_kernel() {
     let (_, rows, len) = offset_tables(ins, n).swap_remove(1);
     // One code short of what the table needs: its last row's padded
     // lanes reach one past the end.
-    let buf = seeded_acts(1, len - 1, 1);
-    let mut out = vec![0i64; n * outs];
+    let buf = seeded_codes8(1, len - 1, 1);
+    let mut out = vec![0i32; n * outs];
     b.run_batch_transposed(
         &buf,
         &rows,
@@ -404,4 +420,17 @@ fn row_offset_one_lane_past_the_buffer_panics_before_any_kernel() {
         &mut MvmScratch::new(),
         &mut StdRng::seed_from_u64(1),
     );
+}
+
+#[test]
+#[should_panic(expected = "9-bit activation codes do not fit u8")]
+fn nine_bit_activation_codes_are_refused_at_programming() {
+    // The batch path carries codes as `u8`, so an engine whose codes
+    // need a ninth bit cannot be programmed (a plan naming one is a
+    // clean cache miss instead, see `plan_cache_corruption`).
+    let params = MacroParams {
+        act_bits: 9,
+        ..MacroParams::rom_paper()
+    };
+    program_backend(BackendKind::Popcount, params, &seeded_matrix(2, 9, 1), 2, 9);
 }

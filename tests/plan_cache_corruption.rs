@@ -372,6 +372,71 @@ fn hostile_dequant_state_is_a_clean_miss() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Sets field `key` of the first layer's programming record (its
+/// `params`, `outs`, `ins`, ...) to `value`.
+fn set_program_field(body: &str, key: &str, value: &str) -> String {
+    let at = body.find("\"program\": {").expect("a programmed layer");
+    let (head, record) = body.split_at(at);
+    format!("{head}{}", set_field(record, key, value, false))
+}
+
+/// Sets the first element of the first array named `key` to `value`.
+fn set_first_element(body: &str, key: &str, value: &str) -> String {
+    let open = format!("\"{key}\": [\n");
+    let line = body.find(&open).expect("array present") + open.len();
+    let start = line + body[line..].find(|c: char| c != ' ').expect("element");
+    let end = start + body[start..].find([',', '\n']).expect("element end");
+    format!("{}{value}{}", &body[..start], &body[end..])
+}
+
+/// Checksum-valid edits that break a width bound the batch path relies
+/// on: codes that fit a `u8`, accumulators (and `zero_point * row_sum`)
+/// that fit an `i32`.
+fn hostile_width_edits() -> Vec<Edit> {
+    vec![
+        (
+            "9-bit activation codes",
+            |b| set_program_field(b, "act_bits", "9"),
+            "9-bit activation codes do not fit u8",
+        ),
+        (
+            "ins one past the i32 accumulator bound",
+            |b| set_program_field(b, "ins", "65794"),
+            "accumulators of 65794 inputs",
+        ),
+        (
+            "row_sums off the codes",
+            |b| set_first_element(b, "row_sums", "12345"),
+            "row_sums: output 0 stores 12345",
+        ),
+    ]
+}
+
+#[test]
+fn deserializer_rejects_hostile_widths() {
+    let net = CompiledNetwork::compile_random(&vgg(), 21, CompileOptions::paper_default())
+        .expect("compiles");
+    let text = net.serialize_plan();
+    for (what, edit, word) in hostile_width_edits() {
+        let bad = edit(&text);
+        assert_ne!(bad, text, "{what}: mutation must apply");
+        match CompiledNetwork::deserialize_plan(&bad) {
+            Ok(_) => panic!("{what}: hostile plan loaded"),
+            Err(e) => assert!(e.contains(word), "{what}: error {e:?} should name {word:?}"),
+        }
+    }
+}
+
+#[test]
+fn hostile_widths_are_clean_misses() {
+    let (dir, entry, plan) = seeded_cache("widths", &vgg());
+    for (what, edit, _) in hostile_width_edits() {
+        reframe(&entry, edit);
+        assert_clean_miss(&dir, &vgg(), &plan, what);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Points the first side source after `anchor` — a `"ResidualAdd"`, a
 /// `"Passthrough"` or a fused `"Residual"` epilogue — at op `to`.
 fn set_source(body: &str, anchor: &str, to: usize) -> String {
