@@ -48,13 +48,18 @@ cargo test -q --release -p yoloc-cim
 # engines' programmed default.
 cargo test -q --release --test kernel_remainder
 YOLOC_KERNEL=avx2 cargo test -q --release --test kernel_remainder
-# The quantizer against its truncation reference on all 2^32 inputs.
+# The quantizer against its truncation reference on all 2^32 inputs,
+# and every kernel tier's compiled quantizer against it on all of them.
 cargo test -q --release -p yoloc-quant -- --ignored
+cargo test -q --release -p yoloc-cim --lib -- --ignored --exact \
+  kernels::tests::quantizer_tiers_match_quantize_value_on_every_bit_pattern
 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 # The code planes run only in the transposed layout, which the scalar
 # tier never picks for a conv, and under `auto` on an AVX-512 host only
 # blocks of at most 8 lanes reach the AVX2 transposed kernels: pin each
-# SIMD tier too.
+# SIMD tier too. Each layer quantizes at its engine's tier, so with the
+# scalar run the three pin every tier's quantizer end to end.
+YOLOC_KERNEL=scalar cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 YOLOC_KERNEL=avx2 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 YOLOC_KERNEL=avx512 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 

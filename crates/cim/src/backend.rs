@@ -127,19 +127,20 @@ impl MvmScratch {
     /// wanted vectors, each starting `period` after the one before.
     /// Keeps only the wanted ones, in order, packed to `runs * live`
     /// vectors, in both event-counter rows and in the channel-major
-    /// accumulators `out` the step wrote. A no-op when
-    /// `period == live`.
+    /// accumulators `out` the step wrote. A no-op when `runs <= 1` (a
+    /// single run ends before its gap) or `period == live`.
     ///
     /// # Panics
     ///
-    /// Panics if `live > period`, or if the counter rows or `out` do not
-    /// hold whole channel rows of the vectors the run step ran.
+    /// Panics if `live > period`, or, when there are gaps to drop, if the
+    /// counter rows or `out` do not hold whole channel rows of the
+    /// vectors the run step ran.
     pub fn keep_runs(&mut self, out: &mut Vec<i32>, runs: usize, period: usize, live: usize) {
         assert!(
             live <= period,
             "a run of {live} vectors longer than its period {period}"
         );
-        if runs == 0 || period == live {
+        if runs <= 1 || period == live {
             return;
         }
         let ran = (runs - 1) * period + live;
@@ -924,5 +925,44 @@ mod tests {
             analog.set_kernel(simd);
             assert_eq!(analog.batch_layout(64), MatmulLayout::RowMajor);
         }
+    }
+
+    #[test]
+    fn keep_runs_packs_runs_and_leaves_a_single_run_alone() {
+        // Two output channels over `ran` vectors: lane `l` of channel `o`
+        // holds `100 * o + l`, and each counter row holds its lane.
+        let filled = |ran: usize| {
+            let mut scratch = MvmScratch::new();
+            scratch.active = (0..ran as u32).collect();
+            scratch.pulses = (0..ran as u32).map(|l| 1000 + l).collect();
+            let out: Vec<i32> = (0..2 * ran as i32)
+                .map(|i| 100 * (i / ran as i32) + i % ran as i32)
+                .collect();
+            (scratch, out)
+        };
+        // One run ends before its gap (a 3x3 stride-1 conv's planes at
+        // `n = 1`: the period is two rows longer than the positions), so
+        // it leaves all three buffers as they are.
+        let (period, live) = (12, 8);
+        let (mut scratch, mut out) = filled(live);
+        let (active, pulses, accs) = (scratch.active.clone(), scratch.pulses.clone(), out.clone());
+        scratch.keep_runs(&mut out, 1, period, live);
+        assert_eq!(scratch.active, active);
+        assert_eq!(scratch.pulses, pulses);
+        assert_eq!(out, accs);
+        // Three runs keep lanes 0..8, 12..20 and 24..32 of each row.
+        let ran = 2 * period + live;
+        let (mut scratch, mut out) = filled(ran);
+        scratch.keep_runs(&mut out, 3, period, live);
+        let kept: Vec<u32> = (0..3u32)
+            .flat_map(|r| (0..live as u32).map(move |l| r * period as u32 + l))
+            .collect();
+        assert_eq!(scratch.active, kept);
+        let pulses: Vec<u32> = kept.iter().map(|l| 1000 + l).collect();
+        assert_eq!(scratch.pulses, pulses);
+        let accs: Vec<i32> = (0..2)
+            .flat_map(|o| kept.iter().map(move |&l| 100 * o + l as i32))
+            .collect();
+        assert_eq!(out, accs);
     }
 }

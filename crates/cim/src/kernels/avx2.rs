@@ -26,7 +26,9 @@
 //!   compiler vectorizes it, 32 lanes per panel block;
 //! * [`group_counts`] — the bit-plane popcount stream: one stored column
 //!   mask `AND`ed against four vectors' staged pulse planes at once,
-//!   popcounted with the `vpshufb` nibble-LUT + `_mm256_sad_epu8` trick.
+//!   popcounted with the `vpshufb` nibble-LUT + `_mm256_sad_epu8` trick;
+//! * [`quantize_codes`] — the portable activation quantizer of the
+//!   `quant` module compiled with AVX2 enabled, eight values per op.
 
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -39,7 +41,9 @@ use std::arch::x86_64::{
     _mm256_srli_epi16, _mm256_storeu_si256, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128,
 };
 
-use super::{fold, scalar, ExactCodes, FoldSrc, Panel};
+use yoloc_quant::QuantParams;
+
+use super::{fold, quant, scalar, ExactCodes, FoldSrc, Panel};
 
 /// Vectors staged per cache block of the blocked matmuls: 8 activation
 /// rows of `i16` codes stay well inside L1 alongside a 4-row code quad.
@@ -275,6 +279,19 @@ pub(crate) fn fold(
 #[target_feature(enable = "avx2")]
 fn fold_avx2(src: &FoldSrc<'_>, bounds: &[(u32, u32)], active: &mut [u32], pulses: &mut [u32]) {
     fold::fold::<32>(src, bounds, active, pulses);
+}
+
+/// The portable activation quantizer ([`quant::quantize_codes`])
+/// compiled for AVX2.
+pub(crate) fn quantize_codes(p: QuantParams, x: &[f32], codes: &mut [u8]) {
+    assert_avx2();
+    // SAFETY: AVX2 support asserted above.
+    unsafe { quantize_codes_avx2(p, x, codes) }
+}
+
+#[target_feature(enable = "avx2")]
+fn quantize_codes_avx2(p: QuantParams, x: &[f32], codes: &mut [u8]) {
+    quant::quantize_codes(p, x, codes);
 }
 
 /// AVX2 tier of the bit-plane popcount stream: the column mask is

@@ -25,7 +25,10 @@
 //! * [`group_counts`] — the bit-plane popcount stream with native
 //!   `vpopcntq` (`_mm512_popcnt_epi64`), replacing the `vpshufb`
 //!   nibble-LUT + `_mm256_sad_epu8` emulation, 8 staged vectors per
-//!   step.
+//!   step;
+//! * [`quantize_codes`] — the portable activation quantizer of the
+//!   `quant` module compiled with AVX-512 enabled, sixteen values per
+//!   op.
 //!
 //! Shapes outside a kernel's profitable range delegate to the AVX2 or
 //! scalar implementations — any host that can select this tier can run
@@ -44,7 +47,9 @@ use std::arch::x86_64::{
     _mm_cvtsi32_si128, _mm_loadu_si128,
 };
 
-use super::{avx2, fold, scalar, ExactCodes, FoldSrc, Panel};
+use yoloc_quant::QuantParams;
+
+use super::{avx2, fold, quant, scalar, ExactCodes, FoldSrc, Panel};
 
 /// Vectors staged per cache block of the blocked matmul (matches the
 /// AVX2 tier: the staged `i16` rows plus a 4-row code quad stay
@@ -295,6 +300,19 @@ pub(crate) fn fold(
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
 fn fold_avx512(src: &FoldSrc<'_>, bounds: &[(u32, u32)], active: &mut [u32], pulses: &mut [u32]) {
     fold::fold::<64>(src, bounds, active, pulses);
+}
+
+/// The portable activation quantizer ([`quant::quantize_codes`])
+/// compiled for AVX-512.
+pub(crate) fn quantize_codes(p: QuantParams, x: &[f32], codes: &mut [u8]) {
+    assert_avx512();
+    // SAFETY: AVX-512 support asserted above.
+    unsafe { quantize_codes_avx512(p, x, codes) }
+}
+
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+fn quantize_codes_avx512(p: QuantParams, x: &[f32], codes: &mut [u8]) {
+    quant::quantize_codes(p, x, codes);
 }
 
 /// AVX-512 tier of the bit-plane popcount stream: the column mask is

@@ -22,6 +22,15 @@
 //! `#[target_feature]`, so the compiler vectorizes it at that tier's
 //! width; the scalar tier and every other chunking run the scalar walks.
 //!
+//! The activation codes those kernels read come from one quantizer entry
+//! ([`RomMvm::quantize_codes`]), which a CiM layer calls once over its
+//! whole input before any lowering moves a byte. Its body is
+//! `QuantParams::quantize_value(v) as u8` over a slice, portable Rust
+//! (the `quant` module) that each SIMD tier compiles under its own
+//! `#[target_feature]` like the fold. The quantizer is IEEE arithmetic
+//! only, so every tier writes the codes the scalar tier, its oracle,
+//! writes.
+//!
 //! Orthogonal to the tier, each batch executes in one of two activation
 //! **layouts** ([`MatmulLayout`], chosen per shape by [`choose_layout`]):
 //! the row-major layout vectorizes each vector's dot products across
@@ -53,13 +62,17 @@
 //! [`RomMvm::mvm_batch_exact`]: crate::macro_model::RomMvm
 //! [`RomMvm::mvm_batch_fast`]: crate::macro_model::RomMvm
 //! [`RomMvm::program`]: crate::macro_model::RomMvm::program
+//! [`RomMvm::quantize_codes`]: crate::macro_model::RomMvm::quantize_codes
 //! [`MvmStats`]: crate::macro_model::MvmStats
 //! [`MacroParams::accumulators_fit`]: crate::macro_model::MacroParams::accumulators_fit
+
+use yoloc_quant::QuantParams;
 
 // Only the SIMD tiers enter the portable fold.
 #[cfg(target_arch = "x86_64")]
 mod fold;
 mod panel;
+mod quant;
 pub(crate) mod scalar;
 
 #[cfg(target_arch = "x86_64")]
@@ -509,6 +522,22 @@ pub(crate) fn fold_event_counters(
     pulses.truncate(n);
 }
 
+/// Quantizes `x` into `codes`, `p.quantize_value(v) as u8` per value,
+/// on tier `kind`: the scalar tier runs the portable body as it is, each
+/// SIMD tier the same body compiled at its width. Every tier writes the
+/// same codes.
+pub(crate) fn quantize_codes(kind: KernelKind, p: QuantParams, x: &[f32], codes: &mut [u8]) {
+    match kind {
+        KernelKind::Scalar => quant::quantize_codes(p, x, codes),
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2 => avx2::quantize_codes(p, x, codes),
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx512 => avx512::quantize_codes(p, x, codes),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("SIMD tiers cannot be selected off x86_64"),
+    }
+}
+
 /// Discharge counts of one stored column mask against the staged pulse
 /// bit-planes of a whole block:
 /// `counts[v] = sum_b 2^b * popcount(mask & planes[b][v])`, with the
@@ -755,5 +784,148 @@ mod tests {
                 assert_eq!(counts, ref_counts, "{} group_counts", kind.label());
             }
         }
+    }
+
+    /// Unsigned parameter sets at every width the engines read, 2..=8
+    /// bits, with the zero point at `qmin`, mid-range and `qmax`, at a
+    /// power-of-two scale (exact ties) and an odd one.
+    fn unsigned_param_sets() -> Vec<QuantParams> {
+        let mut sets = Vec::new();
+        for bits in 2..=8u8 {
+            let qmax = (1i32 << bits) - 1;
+            for zero_point in [0, qmax / 2, qmax] {
+                for scale in [0.25f32, 3.7e-3] {
+                    sets.push(QuantParams {
+                        scale,
+                        zero_point,
+                        bits,
+                        symmetric: false,
+                    });
+                }
+            }
+        }
+        sets
+    }
+
+    /// NaNs, infinities, signed zeros and subnormals, then every integer
+    /// and `±0.5` tie of `v / scale` from two steps below the low clamp
+    /// edge to two above the high one, each with its f32 neighbours.
+    fn quantizer_edge_values(p: &QuantParams) -> Vec<f32> {
+        let mut values = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for k in p.qmin() - p.zero_point - 2..=p.qmax() - p.zero_point + 2 {
+            for x in [k as f32 - 0.5, k as f32, k as f32 + 0.5] {
+                let v = x * p.scale;
+                values.extend([v.next_down(), v, v.next_up()]);
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn quantizer_tiers_match_quantize_value() {
+        // Every tier writes `quantize_value(v) as u8`: the whole edge set
+        // in one call, then windows of every length from 0 to 130, so
+        // each tier's vector body and its tail both run, starting at
+        // different values.
+        for p in unsigned_param_sets() {
+            let values = quantizer_edge_values(&p);
+            let want: Vec<u8> = values.iter().map(|&v| p.quantize_value(v) as u8).collect();
+            for kind in available_kinds() {
+                let mut codes = vec![0u8; values.len()];
+                quantize_codes(kind, p, &values, &mut codes);
+                assert_eq!(codes, want, "{} {p:?}", kind.label());
+                for len in 0..=130 {
+                    let start = len * 7 % values.len();
+                    let x: Vec<f32> = values
+                        .iter()
+                        .cycle()
+                        .skip(start)
+                        .take(len)
+                        .copied()
+                        .collect();
+                    let want: Vec<u8> =
+                        want.iter().cycle().skip(start).take(len).copied().collect();
+                    let mut codes = vec![0xa5u8; len];
+                    quantize_codes(kind, p, &x, &mut codes);
+                    assert_eq!(codes, want, "{} {p:?} len {len}", kind.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 bit patterns on every tier (about 10 s on two cores in release)"]
+    fn quantizer_tiers_match_quantize_value_on_every_bit_pattern() {
+        const CHUNK: u64 = 1 << 12;
+        let p = QuantParams::affine(-0.37, 2.11, 8);
+        let kinds = available_kinds();
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let span = (1u64 << 32).div_ceil(lanes).next_multiple_of(CHUNK);
+        std::thread::scope(|s| {
+            for lane in 0..lanes {
+                let kinds = &kinds;
+                s.spawn(move || {
+                    let end = ((lane + 1) * span).min(1 << 32);
+                    let (mut x, mut want) = (Vec::new(), Vec::new());
+                    let mut codes = vec![0u8; CHUNK as usize];
+                    for first in (lane * span..end).step_by(CHUNK as usize) {
+                        x.clear();
+                        x.extend((first..first + CHUNK).map(|b| f32::from_bits(b as u32)));
+                        want.clear();
+                        want.extend(x.iter().map(|&v| p.quantize_value(v) as u8));
+                        for &kind in kinds {
+                            quantize_codes(kind, p, &x, &mut codes);
+                            if codes != want {
+                                let i = codes.iter().zip(&want).position(|(a, b)| a != b);
+                                let bits = first + i.unwrap_or(0) as u64;
+                                panic!("{} diverges at {bits:#010x}", kind.label());
+                            }
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// Quantizes through a 4-bit engine's entry, first with parameters
+    /// that fit it, then with `refused`.
+    fn quantize_through_a_4_bit_engine(refused: QuantParams) {
+        use crate::macro_model::{MacroParams, RomMvm};
+        let mut params = MacroParams::rom_paper();
+        params.act_bits = 4;
+        let engine = RomMvm::program(params, &[1, -1, 2, -2], 1, 4);
+        let x = [0.5f32, -0.5, 3.0, 1e9];
+        let mut codes = [0u8; 4];
+        let fits = QuantParams::affine(-1.0, 2.0, 4);
+        engine.quantize_codes(&fits, &x, &mut codes);
+        let want: Vec<u8> = x.iter().map(|&v| fits.quantize_value(v) as u8).collect();
+        assert_eq!(codes.to_vec(), want);
+        engine.quantize_codes(&refused, &x, &mut codes);
+    }
+
+    #[test]
+    #[should_panic(expected = "5-bit unsigned codes do not fit the engine's unsigned 4-bit")]
+    fn quantizer_entry_refuses_codes_wider_than_the_engine() {
+        quantize_through_a_4_bit_engine(QuantParams::affine(-1.0, 2.0, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "4-bit signed codes do not fit the engine's unsigned 4-bit")]
+    fn quantizer_entry_refuses_signed_codes() {
+        quantize_through_a_4_bit_engine(QuantParams::symmetric(1.0, 4));
     }
 }

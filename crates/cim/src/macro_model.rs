@@ -22,6 +22,7 @@ use crate::cells::CellKind;
 use crate::faults::{self, AdcFault, ColumnFaults, FaultContext};
 use crate::kernels::{self, KernelDispatch, KernelKind};
 use yoloc_quant::bitplane::{signed_plane_weight, unsigned_chunks};
+use yoloc_quant::QuantParams;
 
 /// Circuit-level parameters of a CiM macro.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -772,6 +773,31 @@ impl RomMvm {
     /// The kernel tier batched MVMs currently execute on.
     pub fn kernel(&self) -> KernelKind {
         self.kernel
+    }
+
+    /// Quantizes `x` into the activation codes this engine reads,
+    /// `codes[i] = p.quantize_value(x[i]) as u8`, in one pass compiled at
+    /// the engine's kernel tier ([`RomMvm::kernel`]). Every tier writes
+    /// the same codes (see the [`kernels`] module). A
+    /// CiM layer calls this once over its input; its lowerings then move
+    /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p`'s codes do not fit the engine's activations, that
+    /// is if `p` is symmetric or wider than `act_bits` (which
+    /// [`RomMvm::program`] proved is at most 8, so the `as u8` is
+    /// lossless), or if `codes` and `x` differ in length.
+    pub fn quantize_codes(&self, p: &QuantParams, x: &[f32], codes: &mut [u8]) {
+        let bits = self.params.act_bits;
+        assert!(
+            !p.symmetric && p.bits <= bits,
+            "{}-bit {} codes do not fit the engine's unsigned {bits}-bit activations",
+            p.bits,
+            if p.symmetric { "signed" } else { "unsigned" }
+        );
+        assert_eq!(x.len(), codes.len(), "one code per value");
+        kernels::quantize_codes(self.kernel, *p, x, codes);
     }
 
     /// Runs the event-counter fold over the block `src` of `n` vectors

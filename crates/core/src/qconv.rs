@@ -19,7 +19,7 @@ use yoloc_cim::faults::{FaultContext, FaultPlan, FaultSpec};
 use yoloc_cim::kernels::{transposed_pad, MatmulLayout};
 use yoloc_cim::macro_model::{MacroParams, MvmStats, RomMvm};
 use yoloc_quant::{calibrate_affine, PerChannelQuant, QuantParams};
-use yoloc_tensor::ops::{im2col, im2col_into, Conv2dGeometry, PatchWindow, ShiftedPlanes};
+use yoloc_tensor::ops::{im2col, Conv2dGeometry, PatchRows, ShiftedPlanes};
 use yoloc_tensor::Tensor;
 
 use serde::json::Value as Json;
@@ -36,10 +36,16 @@ use serde::{Deserialize, Serialize};
 /// keeps its capacity across ops, samples and repeated `infer` calls.
 #[derive(Debug, Default)]
 pub struct CimScratch {
-    /// For a row-major conv, its input quantized once, `(n, C, h, w)`
-    /// row-major. For a transposed conv, one zero-point-padded input row
-    /// at a time while the planes fill.
+    /// The layer's whole input quantized in one pass at the engine's
+    /// kernel tier ([`RomMvm::quantize_codes`]), row-major: a conv's
+    /// `(n, C, h, w)` map, or a transposed linear layer's `(n, ins)`
+    /// features. Every lowering after that pass moves bytes. (A
+    /// row-major linear layer quantizes straight into `codes`.)
     input_codes: Vec<u8>,
+    /// The zero-point-padded codes a conv lowering copies from: a
+    /// row-major conv's whole padded map ([`PatchRows`]), a transposed
+    /// conv's one padded input row at a time ([`ShiftedPlanes`]).
+    padded: Vec<u8>,
     /// The activation codes the engine reads, in its
     /// [`RomMvm::batch_layout`] for the block: a conv's im2col rows
     /// vector-major, a transposed conv's column-shifted code planes
@@ -535,7 +541,7 @@ impl CimConv2d {
     /// Lowers `x` (`(N, C, H, W)`) to its f32 im2col matrix. Exposed so
     /// the cost of a lowering can be measured on its own; it is not a
     /// stage of [`CimConv2d::forward_in`], which quantizes first and then
-    /// lowers codes: through [`im2col_into`] for a row-major block, into
+    /// lowers codes: into [`PatchRows`] for a row-major block, into
     /// [`ShiftedPlanes`] read in place for a transposed one.
     pub fn lower(&self, x: &Tensor) -> Tensor {
         im2col(x, &self.geom)
@@ -557,16 +563,21 @@ impl CimConv2d {
     /// `scratch.accs` and one event-counter row per position in
     /// `scratch.mvm`. Padded taps take the code of 0.0.
     ///
-    /// The codes land in the layout the engine's
-    /// [`RomMvm::batch_layout`] picks for the block. Row-major: the input
-    /// is quantized once and lowered into vector-major im2col rows.
-    /// Transposed: each input value a tap reads is quantized once,
-    /// straight into the conv's [`ShiftedPlanes`], and every tap's lanes
+    /// The whole input is quantized first, in one contiguous pass
+    /// compiled at the engine's kernel tier ([`RomMvm::quantize_codes`]).
+    /// A conv whose stride skips input rows (`stride > kernel`) quantizes
+    /// rows no tap reads too; at a SIMD tier's width that still costs
+    /// less than quantizing the rows it reads one value at a time.
+    /// Lowering the codes into the layout the engine's
+    /// [`RomMvm::batch_layout`] picks then moves bytes. Row-major: each
+    /// position's window is copied from the zero-point-padded code map
+    /// into vector-major im2col rows ([`PatchRows`]). Transposed: the
+    /// codes fill the conv's [`ShiftedPlanes`], and every tap's lanes
     /// are read in place through its offset. One run covers all samples,
     /// gap lanes between samples' plane blocks included; those are
-    /// dropped after the run ([`MvmScratch::keep_runs`], a no-op at
-    /// `n = 1`). Only noiseless engines take the transposed layout, so no
-    /// RNG draw lands on a gap lane.
+    /// dropped after the run ([`MvmScratch::keep_runs`], which returns
+    /// at once at `n = 1`). Only noiseless engines take the transposed
+    /// layout, so no RNG draw lands on a gap lane.
     fn run_block<R: Rng + ?Sized>(
         &self,
         x: &[f32],
@@ -577,15 +588,18 @@ impl CimConv2d {
     ) {
         let CimScratch {
             input_codes,
+            padded,
             codes,
             tap_offsets,
             accs,
             mvm,
         } = scratch;
-        // Codes are `u8`: the layer's activation width is at most the
-        // engine's `act_bits`, which `RomMvm::program` proved is at most 8.
-        let quantize = |v: f32| self.act_params.quantize_value(v) as u8;
-        let (outs, pad) = (self.out_channels, quantize(0.0));
+        input_codes.resize(x.len(), 0);
+        self.engine.quantize_codes(&self.act_params, x, input_codes);
+        // The code of 0.0; `quantize_codes` proved the layer's codes fit
+        // a `u8`.
+        let pad = self.act_params.quantize_value(0.0) as u8;
+        let outs = self.out_channels;
         // Every backend writes every accumulator, so stale values from an
         // earlier layer need no zeroing.
         match self.engine.batch_layout(positions) {
@@ -597,7 +611,7 @@ impl CimConv2d {
                 // offset: zeros, a valid code, fill the difference.
                 codes.truncate(len);
                 codes.resize(len + transposed_pad(lanes) - lanes, 0);
-                planes.lower_into(x, pad, quantize, input_codes, &mut codes[..len]);
+                planes.lower_into(input_codes, pad, padded, &mut codes[..len]);
                 planes.tap_offsets_into(tap_offsets);
                 accs.resize(lanes * outs, 0);
                 self.engine
@@ -605,15 +619,9 @@ impl CimConv2d {
                 mvm.keep_runs(accs, dims[0], planes.period(), planes.positions());
             }
             MatmulLayout::RowMajor => {
-                let patch = self.geom.patch_len();
-                input_codes.clear();
-                input_codes.extend(x.iter().map(|&v| quantize(v)));
-                codes.resize(positions * patch, 0);
-                let win = PatchWindow {
-                    row_stride: 1,
-                    col_stride: patch,
-                };
-                im2col_into(input_codes, dims, &self.geom, pad, win, codes);
+                let rows = PatchRows::new(&self.geom, dims);
+                codes.resize(rows.codes(), 0);
+                rows.lower_into(input_codes, pad, padded, codes);
                 accs.resize(positions * outs, 0);
                 self.engine.run_batch(codes, positions, accs, mvm, rng);
             }
@@ -901,6 +909,7 @@ impl CimLinear {
         assert_eq!(feats.len(), n * self.ins, "feature width mismatch");
         assert_eq!(out.len(), n * self.outs, "output length mismatch");
         let CimScratch {
+            input_codes,
             codes,
             tap_offsets,
             accs,
@@ -908,18 +917,20 @@ impl CimLinear {
             ..
         } = scratch;
         accs.resize(n * self.outs, 0);
-        let quantize = |v: f32| self.act_params.quantize_value(v) as u8;
         match self.engine.batch_layout(n) {
             MatmulLayout::Transposed => {
-                // Features arrive sample-major, so quantize straight into
-                // the panel's strided lanes — still a single pass, no
-                // quantize-then-repack.
+                // Features arrive sample-major: quantize them in one
+                // pass, then scatter each sample's codes down its lane
+                // of the panel.
+                input_codes.resize(feats.len(), 0);
+                self.engine
+                    .quantize_codes(&self.act_params, feats, input_codes);
                 let n_pad = transposed_pad(n);
                 codes.clear();
                 codes.resize(self.ins * n_pad, 0);
-                for (v, row) in feats.chunks_exact(self.ins).enumerate() {
-                    for (i, &f) in row.iter().enumerate() {
-                        codes[i * n_pad + v] = quantize(f);
+                for (v, row) in input_codes.chunks_exact(self.ins).enumerate() {
+                    for (i, &code) in row.iter().enumerate() {
+                        codes[i * n_pad + v] = code;
                     }
                 }
                 tap_offsets.clear();
@@ -928,8 +939,8 @@ impl CimLinear {
                     .run_batch_transposed(codes, tap_offsets, n, accs, mvm, rng);
             }
             MatmulLayout::RowMajor => {
-                codes.clear();
-                codes.extend(feats.iter().map(|&v| quantize(v)));
+                codes.resize(feats.len(), 0);
+                self.engine.quantize_codes(&self.act_params, feats, codes);
                 self.engine.run_batch(codes, n, accs, mvm, rng);
             }
         }
@@ -1141,17 +1152,20 @@ mod tests {
         // take the general plane fill, and "same" ones the one that
         // shifts a whole plane — plus stride 3, resnet18's 7x7/2 stem and
         // a 1x1 stride-1 unpadded conv (whose one code plane is the
-        // quantized input). At the even size, stride-2 and -3 windows
+        // quantized input). At the even sizes, stride-2 and -3 windows
         // see `H + 2p - k` not a multiple of the stride (a row phase
-        // then has rows past the padded input). Outputs run from 1 to 64
-        // positions per sample, most narrower than 16 lanes or not a
-        // multiple of 16, and n = 3 drops the gap lanes between samples'
-        // code planes. The host block is always the whole conv, so every
-        // hint above 1 folds tiles that differ from it, and at n = 3
-        // tiles straddle samples. Inputs dip below zero, so the zero
-        // point — the pad code — is above 0. One scratch serves the whole
-        // grid, as in the arena executor, so stale codes from earlier
-        // layers sit in its buffers.
+        // then has rows past the padded input). At sizes 2 and 1 every
+        // window of a padded conv of kernel 3 or more touches padding,
+        // as on yolo-v2's last 2x2 maps; geometries whose window does
+        // not fit the padded input are skipped there. Outputs run from 1
+        // to 64 positions per sample, most narrower than 16 lanes or not
+        // a multiple of 16, and n = 3 drops the gap lanes between
+        // samples' code planes. The host block is always the whole conv,
+        // so every hint above 1 folds tiles that differ from it, and at
+        // n = 3 tiles straddle samples. Inputs dip below zero, so the
+        // zero point — the pad code — is above 0. One scratch serves the
+        // whole grid, as in the arena executor, so stale codes from
+        // earlier layers sit in its buffers.
         let mut rng = StdRng::seed_from_u64(21);
         let params = MacroParams::rom_paper();
         let c = 2;
@@ -1167,13 +1181,19 @@ mod tests {
         let mut transposed = Vec::new();
         for kind in [BackendKind::Popcount, BackendKind::Analog] {
             for &(kernel, stride, padding) in &geometries {
-                for hw in [7, 8] {
+                for hw in [1, 2, 7, 8] {
+                    if hw + 2 * padding < kernel {
+                        continue;
+                    }
                     // Batches 1 and 3. On the SIMD tiers 4 output
                     // channels take the transposed layout once a conv
                     // has 4+ positions; 48 stay row-major.
                     for (n, outs) in [(1, 4), (1, 48), (3, 4), (3, 48)] {
                         let w = Tensor::randn(&[outs, c, kernel, kernel], 0.0, 0.4, &mut rng);
-                        let x = Tensor::rand_uniform(&[n, c, hw, hw], -0.6, 1.0, &mut rng);
+                        let mut x = Tensor::rand_uniform(&[n, c, hw, hw], -0.6, 1.0, &mut rng);
+                        // However few values a tiny map draws, one is
+                        // negative.
+                        x.data_mut()[0] = -0.6;
                         let mut conv =
                             CimConv2d::compile_on(kind, &w, stride, padding, &[&x], params);
                         assert!(conv.act_params.quantize_value(0.0) > 0);

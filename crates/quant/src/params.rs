@@ -94,7 +94,10 @@ impl QuantParams {
     /// an integer subtract reads out; `x - r` is exact, so a tie is seen
     /// as `±0.5` and moved away from zero. No step is a call or a
     /// saturating float-to-int cast, so a loop over a whole map
-    /// vectorizes on baseline x86-64.
+    /// vectorizes on baseline x86-64. Every step is IEEE arithmetic
+    /// (Rust never fuses a multiply and an add), so the loop gives the
+    /// same codes at any vector width: the CiM kernel tiers compile it
+    /// at theirs.
     ///
     /// Exact for `bits` in `2..=16` and `zero_point` in
     /// `qmin()..=qmax()`, which every constructor guarantees (and plan

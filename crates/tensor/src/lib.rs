@@ -15,7 +15,9 @@
 //!   mapper: the matrix that a convolution becomes is exactly the matrix
 //!   whose columns are placed on CiM bitlines. CiM convs read its rows in
 //!   place from column-shifted planes of the input
-//!   ([`ops::ShiftedPlanes`]) instead of copying it.
+//!   ([`ops::ShiftedPlanes`]) instead of copying it, or copy its
+//!   vector-major rows window by window from the padded input
+//!   ([`ops::PatchRows`]).
 //! * Everything is deterministic given a caller-provided RNG.
 //!
 //! # Examples

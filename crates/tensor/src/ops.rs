@@ -107,10 +107,10 @@ impl PatchWindow {
 ///
 /// Generic over the element so the same lowering serves float maps
 /// ([`im2col`], zero padding) and activation codes (padding with the
-/// code of 0.0). The walk follows the layout so that runs of in-bounds
-/// taps land contiguously: along an output row when columns are
-/// adjacent in `out` (a stride-1 run is copied as one slice), along a
-/// kernel row when patch rows are.
+/// code of 0.0). The walk goes tap by tap along output rows, so where
+/// columns are adjacent in `out` a stride-1 run of in-bounds taps is
+/// copied as one slice. (A CiM conv's vector-major rows come from
+/// [`PatchRows`] instead.)
 ///
 /// # Panics
 ///
@@ -148,19 +148,15 @@ pub fn im2col_into<T: Copy>(
         pad,
         win,
     };
-    if win.col_stride == 1 {
-        lowering.by_tap(out);
-    } else {
-        lowering.by_position(out);
-    }
+    lowering.by_tap(out);
 }
 
 /// One [`im2col_into`] call: the input, its geometry and the layout.
 ///
 /// Patch row `(ci*k + kh)*k + kw` of column `(ni, ohi, owi)` reads
 /// channel `ci` of sample `ni` at `(ohi*s + kh - padding, owi*s + kw -
-/// padding)`. Every channel shares a tap's bounds, so both walks work
-/// those out once and step through the channels by fixed strides.
+/// padding)`. Every channel shares a tap's bounds, so the walk works
+/// those out once and steps through the channels by fixed strides.
 struct Lowering<'a, T> {
     x: &'a [T],
     geom: &'a Conv2dGeometry,
@@ -182,8 +178,8 @@ impl<T: Copy> Lowering<'_, T> {
             .filter(|&ih| ih < self.h)
     }
 
-    /// Walk for layouts whose columns are adjacent in `out`: per tap,
-    /// output row by output row, each row's in-bounds taps are one run.
+    /// Per tap, output row by output row: each row's in-bounds taps are
+    /// one run.
     fn by_tap(&self, out: &mut [T]) {
         let Conv2dGeometry {
             in_channels: c,
@@ -235,61 +231,6 @@ impl<T: Copy> Lowering<'_, T> {
                             );
                         }
                     }
-                }
-            }
-        }
-    }
-
-    /// Walk for layouts whose patch rows are adjacent in `out`: per
-    /// column, each kernel row's in-bounds taps are one run.
-    fn by_position(&self, out: &mut [T]) {
-        let Conv2dGeometry {
-            in_channels: c,
-            kernel: k,
-            stride: s,
-            padding,
-        } = *self.geom;
-        let PatchWindow {
-            row_stride,
-            col_stride,
-        } = self.win;
-        let (h, w, chan) = (self.h, self.w, self.h * self.w);
-        let (mut ni, mut ohi, mut owi) = (0, 0, 0);
-        for col in 0..self.n * self.oh * self.ow {
-            let dst = col * col_stride;
-            // Kernel columns whose tap `owi*s + kw - padding` lands in
-            // `0..w`.
-            let left = owi * s;
-            let first = padding.saturating_sub(left).min(k);
-            let (in_lo, in_hi) = (first, (w + padding).saturating_sub(left).clamp(first, k));
-            for kh in 0..k {
-                // Pad, then the in-bounds run `a..b`, then pad.
-                let ih = self.input_row(ohi, kh);
-                let (a, b) = if ih.is_some() { (in_lo, in_hi) } else { (k, k) };
-                let src = ih
-                    .filter(|_| a < b)
-                    .map(|ih| (ni * c * h + ih) * w + left + a - padding);
-                for ci in 0..c {
-                    // Runs are at most `k` long, so they are written
-                    // tap by tap: a copy or fill call per run would cost
-                    // more than the run.
-                    let d = dst + (ci * k + kh) * k * row_stride;
-                    let taps = src.map(|src| &self.x[src + ci * chan..][..b - a]);
-                    for kw in 0..k {
-                        out[d + kw * row_stride] = match taps {
-                            Some(taps) if (a..b).contains(&kw) => taps[kw - a],
-                            _ => self.pad,
-                        };
-                    }
-                }
-            }
-            owi += 1;
-            if owi == self.ow {
-                owi = 0;
-                ohi += 1;
-                if ohi == self.oh {
-                    ohi = 0;
-                    ni += 1;
                 }
             }
         }
@@ -404,9 +345,9 @@ impl ShiftedPlanes {
         }
     }
 
-    /// Fills the planes from a raw row-major `(N, C, H, W)` buffer `x`,
-    /// mapping each input value that some tap reads through `map` once,
-    /// and writing `pad` for padding. `row` is scratch for one padded
+    /// Fills the planes from a raw row-major `(N, C, H, W)` buffer `x`
+    /// (a conv's activation codes, quantized beforehand), writing `pad`
+    /// for padding. Only bytes move. `row` is scratch for one padded
     /// input row. Every one of the [`ShiftedPlanes::codes`] values of
     /// `out` is written.
     ///
@@ -414,14 +355,7 @@ impl ShiftedPlanes {
     ///
     /// Panics if `x` is not `N * C * H * W` long or `out` is not
     /// [`ShiftedPlanes::codes`] long.
-    pub fn lower_into<S: Copy, T: Copy>(
-        &self,
-        x: &[S],
-        pad: T,
-        map: impl Fn(S) -> T,
-        row: &mut Vec<T>,
-        out: &mut [T],
-    ) {
+    pub fn lower_into<T: Copy>(&self, x: &[T], pad: T, row: &mut Vec<T>, out: &mut [T]) {
         let Conv2dGeometry {
             in_channels: c,
             kernel: k,
@@ -432,7 +366,7 @@ impl ShiftedPlanes {
         assert_eq!(x.len(), self.n * c * h * w, "input buffer length mismatch");
         assert_eq!(out.len(), self.codes(), "plane buffer length mismatch");
         if s == 1 && 2 * p + 1 == k {
-            return self.lower_same_into(x, pad, map, out);
+            return self.lower_same_into(x, pad, out);
         }
         let period = self.period();
         // The padding columns stay `pad`; each input row overwrites the
@@ -446,9 +380,7 @@ impl ShiftedPlanes {
                     for a in 0..self.phases {
                         let ih = (y * s + a).checked_sub(p).filter(|&ih| ih < h);
                         if let Some(ih) = ih {
-                            for (d, &v) in row[p..p + w].iter_mut().zip(&chan[ih * w..][..w]) {
-                                *d = map(v);
-                            }
+                            row[p..p + w].copy_from_slice(&chan[ih * w..][..w]);
                         }
                         for kw in 0..k {
                             let plane = a * k + kw;
@@ -472,50 +404,162 @@ impl ShiftedPlanes {
 
     /// [`ShiftedPlanes::lower_into`] for a stride-1 conv padded by
     /// `(k - 1) / 2`, which keeps the input's size. Each block of the
-    /// middle plane `kw = p` is then `p` pad rows, the channel's mapped
-    /// input and `p` pad rows, and plane `kw` is the middle plane moved
+    /// middle plane `kw = p` is then `p` pad rows, the channel's input
+    /// and `p` pad rows, and plane `kw` is the middle plane moved
     /// `kw - p` lanes, its columns moved across a row edge set to the
-    /// pad. So the input is mapped in one run per block and every other
-    /// plane is one copy, instead of row by row.
-    fn lower_same_into<S: Copy, T: Copy>(
-        &self,
-        x: &[S],
-        pad: T,
-        map: impl Fn(S) -> T,
-        out: &mut [T],
-    ) {
+    /// pad. So the middle plane is one fill and one copy per block, and
+    /// every other plane one copy, instead of row by row. The edge
+    /// columns take the pad in one strided pass each: at the small maps
+    /// of late convs a fill per row cost more than the plane's copy.
+    fn lower_same_into<T: Copy>(&self, x: &[T], pad: T, out: &mut [T]) {
         let (c, k, p) = (self.geom.in_channels, self.geom.kernel, self.geom.padding);
         let (h, w) = (self.h, self.w);
         let block = self.period();
         let plane_len = c * self.n * block;
         let (head, tail) = out.split_at_mut(p * plane_len);
         let (middle, tail) = tail.split_at_mut(plane_len);
+        middle.fill(pad);
         for (b, dst) in middle.chunks_exact_mut(block).enumerate() {
             let (ci, ni) = (b / self.n, b % self.n);
-            let src = &x[(ni * c + ci) * h * w..][..h * w];
-            let (top, rest) = dst.split_at_mut(p * w);
-            let (body, bottom) = rest.split_at_mut(h * w);
-            top.fill(pad);
-            for (d, &v) in body.iter_mut().zip(src) {
-                *d = map(v);
-            }
-            bottom.fill(pad);
+            dst[p * w..][..h * w].copy_from_slice(&x[(ni * c + ci) * h * w..][..h * w]);
         }
         let planes = head
             .chunks_exact_mut(plane_len)
             .chain(tail.chunks_exact_mut(plane_len));
         for (kw, plane) in (0..k).filter(|&kw| kw != p).zip(planes) {
-            if kw > p {
+            let edge = if kw > p {
                 let d = (kw - p).min(plane_len);
                 plane[..plane_len - d].copy_from_slice(&middle[d..]);
-                for row in plane.chunks_exact_mut(w) {
-                    row[w.saturating_sub(d)..].fill(pad);
-                }
+                w.saturating_sub(d)..w
             } else {
                 let d = (p - kw).min(plane_len);
                 plane[d..].copy_from_slice(&middle[..plane_len - d]);
-                for row in plane.chunks_exact_mut(w) {
-                    row[..d.min(w)].fill(pad);
+                0..d.min(w)
+            };
+            for col in edge {
+                for v in plane[col..].iter_mut().step_by(w) {
+                    *v = pad;
+                }
+            }
+        }
+    }
+}
+
+/// The vector-major im2col rows of a convolution (`out[v * C*k*k + r]`
+/// is patch row `r` of output position `v`, the layout a row-major CiM
+/// conv reads), copied from its input padded once.
+///
+/// The input is first laid out with its `p` rows and columns of padding
+/// written in (none at `p = 0`, where the input itself serves). Every
+/// window then lies inside that map, so each (position, channel, kernel
+/// row) is one `k`-value copy from the padded map, with no per-tap bounds
+/// test. The copies are compiled for a fixed width at the zoo's kernels,
+/// 1 and 3; other kernels take the same walk at a run-time width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PatchRows {
+    geom: Conv2dGeometry,
+    n: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl PatchRows {
+    /// The rows of a conv with geometry `geom` over an `(N, C, H, W)`
+    /// input (`dims` is `[N, H, W]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not fit the padded input.
+    pub fn new(geom: &Conv2dGeometry, dims: [usize; 3]) -> Self {
+        let [n, h, w] = dims;
+        let (oh, ow) = geom.output_hw(h, w);
+        PatchRows {
+            geom: *geom,
+            n,
+            h,
+            w,
+            oh,
+            ow,
+        }
+    }
+
+    /// Values the rows hold: `N * OH * OW * C * k * k`.
+    pub fn codes(&self) -> usize {
+        self.n * self.oh * self.ow * self.geom.patch_len()
+    }
+
+    /// Fills the rows from a raw row-major `(N, C, H, W)` buffer `x` (a
+    /// conv's activation codes, quantized beforehand), writing `pad` for
+    /// padding. Only bytes move. `padded` is scratch for the padded map
+    /// (unused at `p = 0`). Every one of the [`PatchRows::codes`] values
+    /// of `out` is written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `N * C * H * W` long or `out` is not
+    /// [`PatchRows::codes`] long.
+    pub fn lower_into<T: Copy>(&self, x: &[T], pad: T, padded: &mut Vec<T>, out: &mut [T]) {
+        let Conv2dGeometry {
+            in_channels: c,
+            kernel: k,
+            padding: p,
+            ..
+        } = self.geom;
+        let (h, w) = (self.h, self.w);
+        assert_eq!(x.len(), self.n * c * h * w, "input buffer length mismatch");
+        assert_eq!(out.len(), self.codes(), "row buffer length mismatch");
+        let map = if p == 0 {
+            x
+        } else {
+            let wp = w + 2 * p;
+            padded.clear();
+            padded.resize(self.n * c * (h + 2 * p) * wp, pad);
+            for (src, dst) in x
+                .chunks_exact((h * w).max(1))
+                .zip(padded.chunks_exact_mut((h + 2 * p) * wp))
+            {
+                for (row, d) in src.chunks_exact(w).zip(dst[p * wp..].chunks_exact_mut(wp)) {
+                    d[p..p + w].copy_from_slice(row);
+                }
+            }
+            padded
+        };
+        match k {
+            1 => self.copy_windows::<T, 1>(map, out),
+            3 => self.copy_windows::<T, 3>(map, out),
+            _ => self.copy_windows_of(map, out, k),
+        }
+    }
+
+    /// [`PatchRows::copy_windows_of`] at a width fixed at compile time.
+    fn copy_windows<T: Copy, const K: usize>(&self, map: &[T], out: &mut [T]) {
+        self.copy_windows_of(map, out, K);
+    }
+
+    /// Copies every position's window out of the padded map `map`
+    /// (`k` values per channel and kernel row), positions in im2col
+    /// column order.
+    #[inline(always)]
+    fn copy_windows_of<T: Copy>(&self, map: &[T], out: &mut [T], k: usize) {
+        let (c, s, p) = (self.geom.in_channels, self.geom.stride, self.geom.padding);
+        let wp = self.w + 2 * p;
+        let plane = (self.h + 2 * p) * wp;
+        let mut windows = out.chunks_exact_mut(c * k * k);
+        for sample in map.chunks_exact(c * plane) {
+            for oy in 0..self.oh {
+                for ox in 0..self.ow {
+                    let at = oy * s * wp + ox * s;
+                    let window = windows.next().expect("one window per position");
+                    for (chan, rows) in sample
+                        .chunks_exact(plane)
+                        .zip(window.chunks_exact_mut(k * k))
+                    {
+                        for (kh, row) in rows.chunks_exact_mut(k).enumerate() {
+                            row.copy_from_slice(&chan[at + kh * wp..][..k]);
+                        }
+                    }
                 }
             }
         }
@@ -794,8 +838,10 @@ mod tests {
     /// `im2col(x)` quantized element by element, in every layout the
     /// CiM staging uses: the whole matrix patch-major, vector-major and
     /// into a lane panel three lanes wider than the matrix, whose padding
-    /// lanes must stay untouched; and each tap's slice of the
-    /// column-shifted planes, which hold a code in every slot.
+    /// lanes must stay untouched; the vector-major rows copied from the
+    /// padded map; and each tap's slice of the column-shifted planes,
+    /// which hold a code in every slot. The planes and rows are filled
+    /// from scratch buffers holding stale values.
     fn assert_code_lowering_matches(x: &Tensor, cols: &Tensor, g: &Conv2dGeometry) {
         const UNTOUCHED: i32 = -1;
         let (rows, ncols) = (cols.shape()[0], cols.shape()[1]);
@@ -827,9 +873,16 @@ mod tests {
             assert_eq!(lm[r * lanes + ncols..(r + 1) * lanes], [UNTOUCHED; 3]);
         }
 
+        let stale = || vec![UNTOUCHED - 1; 5];
+        let patch_rows = PatchRows::new(g, dims);
+        assert_eq!(patch_rows.codes(), ncols * rows);
+        let mut out = vec![UNTOUCHED; patch_rows.codes()];
+        patch_rows.lower_into(&codes, code(0.0), &mut stale(), &mut out);
+        assert_eq!(out, vm, "{g:?}: rows copied from the padded map");
+
         let planes = ShiftedPlanes::new(g, dims);
         let mut out = vec![UNTOUCHED; planes.codes()];
-        planes.lower_into(x.data(), code(0.0), code, &mut Vec::new(), &mut out);
+        planes.lower_into(&codes, code(0.0), &mut stale(), &mut out);
         assert!(
             !out.contains(&UNTOUCHED),
             "{g:?}: a plane slot left unwritten"
