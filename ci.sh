@@ -120,7 +120,7 @@ cargo run --release -q -p yoloc-bench --bin bench_serve -- --smoke --check-schem
 echo "== kernel-tier smoke gate (bit-identical tiers, speedup >= 1.0)"
 cargo run --release -q -p yoloc-bench --bin bench_kernels -- --smoke
 
-echo "== validate committed BENCH_engine.json (schema v7 gates incl. plan_cache + kernel_tier)"
+echo "== validate committed BENCH_engine.json (schema v8 gates incl. plan_cache + kernel_tier)"
 cargo run --release -q -p yoloc-bench --bin bench_engine -- --check-schema BENCH_engine.json
 cargo run --release -q -p yoloc-bench --bin bench_kernels -- --check-schema BENCH_engine.json
 
@@ -129,7 +129,7 @@ cp BENCH_engine.json target/BENCH_engine.committed.json
 cargo run --release -q -p yoloc-bench --bin bench_engine -- --smoke
 cmp BENCH_engine.json target/BENCH_engine.committed.json
 
-echo "== validate committed BENCH_serve.json (schema yoloc-bench-serve/2 gates)"
+echo "== validate committed BENCH_serve.json (schema yoloc-bench-serve/3 gates)"
 cargo run --release -q -p yoloc-bench --bin bench_serve -- --check-schema BENCH_serve.json
 
 echo "== fault bench smoke + self schema gate"

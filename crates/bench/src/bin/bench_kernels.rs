@@ -15,7 +15,7 @@
 //! `bench_engine`.
 //!
 //! Like `bench_plan_cache`, the full run **patches** the block into an
-//! existing `BENCH_engine.json` (schema bumped to `yoloc-bench-engine/7`,
+//! existing `BENCH_engine.json` (schema bumped to `yoloc-bench-engine/8`,
 //! every other field preserved byte-for-byte) so the committed baseline
 //! can pick up fresh kernel numbers without re-running the whole engine
 //! harness. Under `--smoke`/`YOLOC_SMOKE=1` the committed report is left
@@ -134,7 +134,7 @@ fn main() {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run bench_engine first)"));
     let mut doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
-    set_field(&mut doc, "schema", Json::str("yoloc-bench-engine/7"));
+    set_field(&mut doc, "schema", Json::str("yoloc-bench-engine/8"));
     set_field(&mut doc, "kernel_tier", block);
     let errs = kernel_tier_violations(&doc);
     std::fs::write(&path, doc.render()).expect("write patched engine report");
@@ -142,6 +142,6 @@ fn main() {
         errs.is_empty(),
         "kernel_tier gates failed (block written to {path} anyway): {errs:?}"
     );
-    println!("\npatched {path}: schema yoloc-bench-engine/7, kernel_tier block refreshed");
+    println!("\npatched {path}: schema yoloc-bench-engine/8, kernel_tier block refreshed");
     println!("validate with: bench_engine --check-schema {path}");
 }

@@ -10,7 +10,7 @@
 //! [`yoloc_bench::plan_cache`] and is shared with `bench_engine`.
 //!
 //! The resulting `plan_cache` block is **patched into** an existing
-//! `BENCH_engine.json` (schema bumped to `yoloc-bench-engine/7`,
+//! `BENCH_engine.json` (schema bumped to `yoloc-bench-engine/8`,
 //! every other field preserved byte-for-byte — the shim's renderer
 //! round-trips the committed report exactly), so the committed baseline
 //! can pick up fresh plan-cache numbers without re-running the full
@@ -81,9 +81,9 @@ fn main() {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run bench_engine first)"));
     let mut doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
-    set_field(&mut doc, "schema", Json::str("yoloc-bench-engine/7"));
+    set_field(&mut doc, "schema", Json::str("yoloc-bench-engine/8"));
     set_field(&mut doc, "plan_cache", block);
     std::fs::write(&path, doc.render()).expect("write patched engine report");
-    println!("\npatched {path}: schema yoloc-bench-engine/7, plan_cache block refreshed");
+    println!("\npatched {path}: schema yoloc-bench-engine/8, plan_cache block refreshed");
     println!("validate with: bench_engine --check-schema {path}");
 }

@@ -9,19 +9,14 @@
 //! traffic trace (Poisson + bursty + ramp streams across the resident
 //! models) through the [`Broker`] on the virtual clock and writes the
 //! aggregated [`ServeReport`](yoloc_core::serve::ServeReport) as
-//! `BENCH_serve.json`, schema
-//! `yoloc-bench-serve/2`.
+//! `BENCH_serve.json`, schema `yoloc-bench-serve/3`.
 //!
-//! Every virtual-clock field in the report is a pure function of the
-//! seeds (the simulated timeline never reads the host's clock or
-//! entropy), so those fields regenerate byte-identically on any machine
-//! — sustained QPS included, which is why a kernel-tier speedup cannot
-//! move it. Schema v2 adds the one deliberate exception: a `measured`
-//! block with the host wall-clock of the broker run
-//! (`host_wall_serve_s`, `wall_completed_per_sec`), where the kernel
-//! tier *does* show up. It is validated for presence and positivity
-//! only, never for a specific value; wall-clock deploy timings still go
-//! to stdout only.
+//! Every field in the report is a pure function of the seeds (the
+//! simulated timeline never reads the host's clock or entropy), so the
+//! report regenerates byte-identically on any machine — sustained QPS
+//! included, which is why a kernel-tier speedup cannot move it.
+//! Wall-clock deploy timings go to stdout only; host serving throughput
+//! is the host benchmark's (`benchmark/`, workload `serve-mixed`).
 //!
 //! Usage:
 //!
@@ -51,7 +46,7 @@ use yoloc_core::serve::{
 use yoloc_models::{zoo, NetworkDesc};
 use yoloc_tensor::Tensor;
 
-const SCHEMA: &str = "yoloc-bench-serve/2";
+const SCHEMA: &str = "yoloc-bench-serve/3";
 const COMPILE_SEED: u64 = 2022;
 const LOADGEN_SEED: u64 = 77;
 const INFER_SEED: u64 = 0x5E12_F00D;
@@ -305,19 +300,6 @@ fn schema_violations(doc: &Json) -> Vec<String> {
             format!("serve.models[{name}]: sustained QPS must be positive"),
         );
     }
-    // v2: the host wall-clock block. Host-dependent by design, so the
-    // gate only checks presence and positivity — never a specific value.
-    let measured = doc.get("measured");
-    for k in ["host_wall_serve_s", "wall_completed_per_sec"] {
-        check(
-            &mut errs,
-            measured
-                .and_then(|m| m.get(k))
-                .and_then(Json::as_num)
-                .is_some_and(|v| v > 0.0),
-            format!("measured.{k} must be present and positive"),
-        );
-    }
     errs
 }
 
@@ -388,7 +370,6 @@ fn main() {
         deploys.len(),
         duration_ns()
     );
-    let serve_t0 = Instant::now();
     let out = WorkerPool::with(WORKERS, |pool| {
         let mut broker = Broker::new(
             VirtualClock::new(),
@@ -417,7 +398,6 @@ fn main() {
         }
         broker.run(&trace, pool)
     });
-    let host_wall_serve_s = serve_t0.elapsed().as_secs_f64();
     let r = &out.report;
     print_table(
         "Continuous-batching serving (virtual clock)",
@@ -493,19 +473,6 @@ fn main() {
             ]),
         ),
         ("serve", r.to_json()),
-        // Host wall clock of the broker run — the only host-dependent
-        // fields in the report (see the module docs); everything above
-        // regenerates byte-identically from the seeds.
-        (
-            "measured",
-            Json::obj([
-                ("host_wall_serve_s", Json::Num(host_wall_serve_s)),
-                (
-                    "wall_completed_per_sec",
-                    Json::Num(r.completed as f64 / host_wall_serve_s),
-                ),
-            ]),
-        ),
     ]);
 
     let path = if smoke() {

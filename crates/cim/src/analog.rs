@@ -11,7 +11,7 @@
 use rand::Rng;
 
 use crate::cells::RomCell;
-use crate::faults::{AdcFault, ColumnFaults};
+use crate::faults::ColumnFaults;
 
 /// ADC transfer model for bit-line sensing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,7 +147,8 @@ impl AnalogArray {
         }
     }
 
-    /// Installs per-column ADC transfer faults (see [`AdcFault`]); an
+    /// Installs per-column ADC transfer faults (see
+    /// [`AdcFault`](crate::faults::AdcFault)); an
     /// empty table restores the healthy transfer.
     ///
     /// # Panics
@@ -159,11 +160,6 @@ impl AnalogArray {
             "one fault slot per column"
         );
         self.col_faults = faults;
-    }
-
-    /// The installed ADC transfer fault of `col`, if any.
-    pub fn column_fault(&self, col: usize) -> Option<AdcFault> {
-        self.col_faults.get(col).copied().flatten()
     }
 
     /// The array configuration.

@@ -105,7 +105,8 @@ pub struct MvmScratch {
     /// streamed (padded like `plane_masks`).
     pub(crate) counts: Vec<u64>,
     /// Row-major activation staging for the reverse unpack (a
-    /// transposed caller landing on a path that wants row-major acts).
+    /// transposed caller landing on an engine with no panel-native
+    /// kernel: the analog path or a quantizing ADC).
     pub(crate) acts_rm: Vec<u8>,
     /// The `i32` entries' codes, narrowed to `u8`.
     pub(crate) narrow_acts: Vec<u8>,
@@ -235,8 +236,11 @@ impl RomMvm {
     /// order, and may overlap, so a conv's taps can read its
     /// column-shifted code planes in place. Bit-identical to
     /// [`RomMvm::run_batch`] on the same values, in accumulators *and*
-    /// counters. The batch kernels read the panel through the offsets;
-    /// the per-vector analog path unpacks it first.
+    /// counters. The exact matmul of a noiseless identity-ADC engine
+    /// reads the panel through the offsets; every other engine (the
+    /// per-vector analog path, and a quantizing ADC's popcount stream,
+    /// which packs pulse bit-planes from row-major vectors) unpacks it
+    /// first and runs [`RomMvm::run_batch`].
     ///
     /// Every code of `acts_t` must lie in the activation range, lanes
     /// past `n_vectors` included, since the SIMD tiers read up to
@@ -263,18 +267,13 @@ impl RomMvm {
         let panel = Panel::new(acts_t, rows, n_vectors);
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
         self.validate_u8_codes(acts_t);
-        if self.fast_path_active() {
-            // Panel-native kernels: matmul, counter fold and pulse
-            // packing all read the panel rows in place.
-            if self.adc_is_identity() {
-                self.mvm_batch_exact_t(&panel, out, scratch);
-            } else {
-                self.mvm_batch_fast_t(&panel, out, scratch);
-            }
+        if self.fast_path_active() && self.adc_is_identity() {
+            // Panel-native: the matmul and the counter fold read the
+            // panel rows in place.
+            self.mvm_batch_exact_t(&panel, out, scratch);
         } else {
-            // The noisy reference path is inherently per-vector: unpack
-            // the panel (in `scratch.acts_rm`'s storage, taken out so
-            // `scratch` can be passed on) and run it row-major.
+            // Unpack the panel (in `scratch.acts_rm`'s storage, taken
+            // out so `scratch` can be passed on) and run it row-major.
             let mut acts = std::mem::take(&mut scratch.acts_rm);
             acts.clear();
             acts.resize(n_vectors * ins, 0);
@@ -747,20 +746,24 @@ mod tests {
 
     #[test]
     fn transposed_batch_matches_row_major_under_adc_quantization() {
-        // Overdriven rows engage the panel-native pulse packing +
-        // mask-stream path (`mvm_batch_fast_t`) rather than the exact
-        // matmul; it must still agree with the row-major stream.
+        // Overdriven rows engage the popcount mask stream rather than
+        // the exact matmul, which has no panel-native body: the
+        // transposed entry unpacks the panel into `scratch.acts_rm` and
+        // must still agree with the row-major stream, at block sizes
+        // below, at and past the panel's lane blocks.
         let mut params = MacroParams::rom_paper();
         params.rows_per_activation = 32;
-        let (outs, ins, n) = (5, 200, 9);
+        let (outs, ins) = (5, 200);
         let codes: Vec<i32> = (0..outs * ins)
             .map(|i| ((i * 41) % 255) as i32 - 127)
             .collect();
-        let acts: Vec<i32> = (0..n * ins).map(|i| ((i * 23) % 256) as i32).collect();
         let mut b = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
-        for k in crate::kernels::available_kinds() {
-            b.set_kernel(k);
-            assert_transposed_matches_row_major(&b, &acts, n, 19);
+        for n in [1, 3, 4, 5, 9, 16, 17] {
+            let acts: Vec<i32> = (0..n * ins).map(|i| ((i * 23) % 256) as i32).collect();
+            for k in crate::kernels::available_kinds() {
+                b.set_kernel(k);
+                assert_transposed_matches_row_major(&b, &acts, n, 19);
+            }
         }
     }
 
@@ -924,6 +927,18 @@ mod tests {
                 program_backend(BackendKind::Analog, MacroParams::rom_paper(), &codes, 2, 9);
             analog.set_kernel(simd);
             assert_eq!(analog.batch_layout(64), MatmulLayout::RowMajor);
+        }
+        // A quantizing ADC's popcount stream has only a row-major body,
+        // so its engine stages row-major at every block size and tier.
+        let mut quantizing = MacroParams::rom_paper();
+        quantizing.rows_per_activation = 32;
+        let mut q = program_backend(BackendKind::Popcount, quantizing, &codes, 2, 9);
+        assert!(q.fast_path_active() && !q.adc_is_identity());
+        for kind in crate::kernels::available_kinds() {
+            q.set_kernel(kind);
+            for n in [1, 4, 16, 64] {
+                assert_eq!(q.batch_layout(n), MatmulLayout::RowMajor, "{kind:?} n={n}");
+            }
         }
     }
 

@@ -36,7 +36,6 @@ pub mod cells;
 pub mod faults;
 pub mod kernels;
 pub mod macro_model;
-pub mod rom_image;
 pub mod technology;
 
 pub use analog::{AdcModel, AnalogArray, AnalogConfig};
@@ -48,4 +47,3 @@ pub use kernels::{
     MatmulLayout,
 };
 pub use macro_model::{MacroParams, MacroSpec, MvmStats, RomMvm};
-pub use rom_image::RomImage;

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::analog::{AdcModel, AnalogArray, AnalogConfig};
 use crate::cells::CellKind;
-use crate::faults::{self, AdcFault, ColumnFaults, FaultContext};
+use crate::faults::{self, ColumnFaults, FaultContext};
 use crate::kernels::{self, KernelDispatch, KernelKind};
 use yoloc_quant::bitplane::{signed_plane_weight, unsigned_chunks};
 use yoloc_quant::QuantParams;
@@ -739,14 +739,6 @@ impl RomMvm {
         this
     }
 
-    /// The installed ADC column fault of tile `(row_tile, col_tile)`
-    /// at `col`, if any (primarily for tests and diagnostics).
-    pub fn adc_fault_at(&self, row_tile: usize, col_tile: usize, col: usize) -> Option<AdcFault> {
-        self.adc_faults
-            .as_ref()
-            .and_then(|af| af[row_tile][col_tile].get(col).copied().flatten())
-    }
-
     /// Forces the batched MVM kernels onto a specific tier, overriding
     /// the `program`-time dispatch. Tier choice never changes results
     /// (CI-pinned by the kernel-parity suites); this exists for those
@@ -852,24 +844,6 @@ impl RomMvm {
     /// Total subarrays used.
     pub fn subarrays_used(&self) -> usize {
         self.tiles.iter().map(|r| r.len()).sum()
-    }
-
-    /// Exports the mask bit image the fab would receive for this
-    /// programmed matrix (see [`crate::rom_image`]).
-    pub fn rom_image(&self) -> crate::rom_image::RomImage {
-        let mut img = crate::rom_image::RomImage::new(self.params.rows, self.params.cols);
-        for row in &self.tiles {
-            for array in row {
-                let mut bits = Vec::with_capacity(self.params.rows * self.params.cols);
-                for r in 0..self.params.rows {
-                    for c in 0..self.params.cols {
-                        bits.push(array.bit(r, c));
-                    }
-                }
-                img.push_subarray(bits);
-            }
-        }
-        img
     }
 
     /// Executes `y = W x` on unsigned activation codes (`0..2^act_bits`),
@@ -1009,10 +983,15 @@ impl RomMvm {
     /// [`RomMvm::run_batch_transposed`] (any offsets: a conv's taps read
     /// its column-shifted code planes in place) or
     /// [`RomMvm::mvm_batch_transposed`] (a copied `[ins x n_pad]` panel,
-    /// `n_pad = transposed_pad(n)`). The analog reference path has no
-    /// batched kernel and always stages row-major. The row-major entries
-    /// run the row-major kernels on every shape, so the transposed
-    /// kernels run only for callers that stage the panel.
+    /// `n_pad = transposed_pad(n)`). The row-major entries run the
+    /// row-major kernels on every shape, so the transposed kernels run
+    /// only for callers that stage the panel.
+    ///
+    /// Only the exact matmul of a noiseless identity-ADC engine has a
+    /// panel-native kernel. The analog reference path is per-vector, and
+    /// a quantizing ADC's popcount stream packs its pulse bit-planes from
+    /// row-major vectors, so both always stage row-major (a panel handed
+    /// to them is unpacked first).
     ///
     /// The scalar tier also stays row-major: the panel layout only pays
     /// off when lanes vectorize, and letting the reference tier take its
@@ -1020,16 +999,9 @@ impl RomMvm {
     /// speedup. Scalar's transposed entries remain first-class parity
     /// oracles — the remainder suites drive them with explicit panels.
     pub fn batch_layout(&self, n: usize) -> kernels::MatmulLayout {
-        if !self.fast_path_active() || self.kernel == kernels::KernelKind::Scalar {
-            return kernels::MatmulLayout::RowMajor;
-        }
-        if self.adc_is_identity() {
+        let exact = self.fast_path_active() && self.adc_is_identity();
+        if exact && self.kernel != kernels::KernelKind::Scalar {
             kernels::choose_layout(self.outs, self.ins, n)
-        } else if n >= 4 {
-            // The quantizing popcount stream packs pulse bit-planes
-            // across vectors; the panel layout feeds that packing with
-            // contiguous reads, so it wins whenever lanes fill at all.
-            kernels::MatmulLayout::Transposed
         } else {
             kernels::MatmulLayout::RowMajor
         }
@@ -1208,10 +1180,11 @@ impl RomMvm {
     }
 
     /// Streams one row tile's lane-packed nonzero weight masks against
-    /// the staged pulse bit-planes — the shared inner loop of both fast
-    /// batch entries (`AND`+popcount via [`kernels::group_counts`], then
-    /// ADC transfer and signed-plane accumulation). Every term and sum
-    /// fits the `i32` accumulators by [`MacroParams::accumulators_fit`].
+    /// the staged pulse bit-planes — the inner loop of
+    /// [`RomMvm::mvm_batch_fast`] (`AND`+popcount via
+    /// [`kernels::group_counts`], then ADC transfer and signed-plane
+    /// accumulation). Every term and sum fits the `i32` accumulators by
+    /// [`MacroParams::accumulators_fit`].
     #[allow(clippy::too_many_arguments)]
     fn stream_tile_masks(
         &self,
@@ -1262,85 +1235,6 @@ impl RomMvm {
                         *slot += w_plane * readout;
                     }
                 }
-            }
-        }
-    }
-
-    /// [`RomMvm::mvm_batch_fast`] over a lane-major [`kernels::Panel`].
-    /// The pulse bit-plane packing becomes `rows_per_activation`-aware:
-    /// the wordline bit and group base are hoisted per activation row
-    /// (one `1 << (r % rpa)` per row instead of per `(v, row)` pair) and
-    /// each panel row is read as one contiguous lane run from its
-    /// offset, so the pack is a linear sweep of every row. Values, ADC
-    /// transfer and event counters are bit-identical to the row-major
-    /// entry (same integers in a different traversal order).
-    pub(crate) fn mvm_batch_fast_t(
-        &self,
-        panel: &kernels::Panel<'_>,
-        out: &mut [i32],
-        scratch: &mut crate::backend::MvmScratch,
-    ) {
-        let p = &self.params;
-        let popcount_tiles = self
-            .popcount_tiles
-            .as_ref()
-            .expect("fast path requires popcount tables");
-        let n = panel.n();
-        let rpa = p.rows_per_activation;
-        let n_groups = p.rows.div_ceil(rpa);
-        let n_planes = p.chunk_bits as usize;
-        let n_chunks = p.act_bits.div_ceil(p.chunk_bits) as usize;
-        let chunk_mask = (1u32 << p.chunk_bits) - 1;
-        let adc = p.analog_config().adc;
-        let adc_identity = self.adc_is_identity();
-        out.fill(0);
-        self.fold_counters(kernels::FoldSrc::Panel(*panel), n, scratch);
-        let n_pad = n.next_multiple_of(self.kernel.plane_pad());
-        let group_stride = n_planes * n_pad;
-        scratch.plane_masks.clear();
-        scratch.plane_masks.resize(n_groups * group_stride, 0);
-        scratch.counts.clear();
-        scratch.counts.resize(n_pad, 0);
-        for (rt, tile_row) in popcount_tiles.iter().enumerate() {
-            let row_lo = rt * p.rows;
-            let row_hi = ((rt + 1) * p.rows).min(self.ins);
-            for c_idx in 0..n_chunks {
-                let shift = c_idx as u8 * p.chunk_bits;
-                let act_weight = 1i32 << shift;
-                scratch.plane_masks.fill(0);
-                let mut any_pulse = false;
-                for r in row_lo..row_hi {
-                    let local = r - row_lo;
-                    let bit = 1u64 << (local % rpa);
-                    let base = (local / rpa) * group_stride;
-                    for (v, &a) in panel.lane(r).iter().enumerate() {
-                        let pulse = (u32::from(a) >> shift) & chunk_mask;
-                        if pulse == 0 {
-                            continue;
-                        }
-                        any_pulse = true;
-                        for b in 0..n_planes {
-                            if (pulse >> b) & 1 == 1 {
-                                scratch.plane_masks[base + b * n_pad + v] |= bit;
-                            }
-                        }
-                    }
-                }
-                if !any_pulse {
-                    continue;
-                }
-                self.stream_tile_masks(
-                    rt,
-                    tile_row,
-                    n,
-                    n_pad,
-                    act_weight,
-                    adc_identity,
-                    adc,
-                    &scratch.plane_masks,
-                    &mut scratch.counts,
-                    out,
-                );
             }
         }
     }
@@ -1882,23 +1776,6 @@ mod tests {
         params.weight_bits = 8;
         params.cols = 7;
         assert_eq!(params.weight_code_range(), None, "wider than the columns");
-    }
-
-    #[test]
-    fn rom_image_roundtrip_preserves_programming() {
-        let mut params = MacroParams::rom_paper();
-        params.adc_bits = 16;
-        let (outs, ins) = (10, 64);
-        let codes: Vec<i32> = (0..outs * ins)
-            .map(|i| ((i * 29) % 255) as i32 - 127)
-            .collect();
-        let engine = RomMvm::program(params, &codes, outs, ins);
-        let img = engine.rom_image();
-        assert_eq!(img.len(), engine.subarrays_used());
-        let back = crate::rom_image::RomImage::from_bytes(img.to_bytes()).unwrap();
-        assert_eq!(img, back);
-        // The image is mostly sparse: only strapped '1' cells.
-        assert!(img.fill_ratio() > 0.0 && img.fill_ratio() < 0.8);
     }
 
     proptest! {

@@ -19,7 +19,7 @@
 //! * [`report`] — [`RequestOutcome`] per request and the aggregated
 //!   [`ServeReport`] (p50/p95/p99 latency, sustained QPS, latency
 //!   histograms, accounting identities), renderable as the
-//!   `yoloc-bench-serve/2` JSON the `bench_serve` bin emits.
+//!   `yoloc-bench-serve/3` JSON the `bench_serve` bin emits.
 //!
 //! Everything is seeded through
 //! [`sample_stream_seed`](crate::engine::sample_stream_seed)-derived

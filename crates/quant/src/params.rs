@@ -123,13 +123,6 @@ impl QuantParams {
     pub fn dequantize_value(&self, q: i32) -> f32 {
         (q - self.zero_point) as f32 * self.scale
     }
-
-    /// Quantizes a slice of real values to integer codes (the shape the
-    /// CiM datapath drives: one activation vector per matrix-vector
-    /// product).
-    pub fn quantize_all(&self, values: &[f32]) -> Vec<i32> {
-        values.iter().map(|&v| self.quantize_value(v)).collect()
-    }
 }
 
 /// An integer tensor together with its quantization parameters.

@@ -1,9 +1,12 @@
-//! Convolution lowering primitives: `im2col` / `col2im`, pooling kernels.
+//! Convolution lowering primitives.
 //!
 //! Convolutions in the CiM datapath are executed as matrix-vector products
 //! over unrolled patches (the same lowering the paper's mapping scheme uses
-//! to place weights in 128x256 subarrays), so `im2col` is the shared
-//! geometry for both the training substrate and the hardware mapper.
+//! to place weights in 128x256 subarrays). [`im2col`] builds that patch
+//! matrix in `f32` for the training substrate's convolution, and [`col2im`]
+//! is its adjoint. A CiM conv lowers its quantized input codes into the
+//! same matrix without copying it ([`ShiftedPlanes`]) or as its transpose
+//! ([`PatchRows`]).
 
 use crate::tensor::Tensor;
 
@@ -53,6 +56,13 @@ impl Conv2dGeometry {
 /// Column `n*OH*OW + oh*OW + ow` holds the receptive field of output pixel
 /// `(oh, ow)` of sample `n`; out-of-bounds taps read as zero.
 ///
+/// Patch row `(ci*k + kh)*k + kw` of column `(ni, ohi, owi)` reads
+/// channel `ci` of sample `ni` at `(ohi*s + kh - padding, owi*s + kw -
+/// padding)`. The walk goes tap by tap along output rows: a tap's
+/// in-bounds output columns are the same for every output row, so each
+/// row's in-bounds taps are one run, copied as one slice at stride 1.
+/// Padded taps keep the allocation's zero.
+///
 /// # Panics
 ///
 /// Panics if `x` is not rank-4 or its channel count mismatches `geom`.
@@ -61,180 +71,47 @@ pub fn im2col(x: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
     assert_eq!(x.shape()[1], geom.in_channels, "channel mismatch");
     let (oh, ow) = geom.output_hw(h, w);
+    let Conv2dGeometry {
+        in_channels: c,
+        kernel: k,
+        stride: s,
+        padding: p,
+    } = *geom;
     let (rows, cols) = (geom.patch_len(), n * oh * ow);
+    let x = x.data();
     let mut out = vec![0.0; rows * cols];
-    im2col_into(
-        x.data(),
-        [n, h, w],
-        geom,
-        0.0,
-        PatchWindow::patch_major(cols),
-        &mut out,
-    );
-    Tensor::from_vec(out, &[rows, cols]).expect("im2col shape is consistent")
-}
-
-/// Where [`im2col_into`] writes the `(C*k*k, N*OH*OW)` patch matrix:
-/// element `(row, col)` at `out[row * row_stride + col * col_stride]`.
-///
-/// [`im2col`] lowers patch-major ([`PatchWindow::patch_major`]); the
-/// matrix can also be lowered vector-major (`row_stride == 1`,
-/// `col_stride == rows`) or into a lane-major panel whose rows are
-/// padded past the column count (`row_stride >= cols`,
-/// `col_stride == 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PatchWindow {
-    /// Distance in `out` between consecutive patch rows.
-    pub row_stride: usize,
-    /// Distance in `out` between consecutive columns.
-    pub col_stride: usize,
-}
-
-impl PatchWindow {
-    /// All `cols` columns, patch-major: the layout [`im2col`] returns.
-    pub fn patch_major(cols: usize) -> Self {
-        PatchWindow {
-            row_stride: cols,
-            col_stride: 1,
+    for kw in 0..k {
+        // Output columns whose tap `owi*s + kw - p` lands in `0..w`.
+        let first = p.saturating_sub(kw).div_ceil(s).min(ow);
+        let end = (w + p).saturating_sub(kw).div_ceil(s).clamp(first, ow);
+        let run = end - first;
+        if run == 0 {
+            continue;
         }
-    }
-}
-
-/// Lowers the whole im2col matrix of a raw row-major `(N, C, H, W)`
-/// buffer (`dims` is `[N, H, W]`) into `out`, in the layout `win`
-/// describes. Every element of the matrix is written — out-of-bounds
-/// taps take `pad` — and nothing else in `out` is touched.
-///
-/// Generic over the element so the same lowering serves float maps
-/// ([`im2col`], zero padding) and activation codes (padding with the
-/// code of 0.0). The walk goes tap by tap along output rows, so where
-/// columns are adjacent in `out` a stride-1 run of in-bounds taps is
-/// copied as one slice. (A CiM conv's vector-major rows come from
-/// [`PatchRows`] instead.)
-///
-/// # Panics
-///
-/// Panics if `x.len() != N * in_channels * H * W` or if `out` is too
-/// short for the matrix.
-pub fn im2col_into<T: Copy>(
-    x: &[T],
-    dims: [usize; 3],
-    geom: &Conv2dGeometry,
-    pad: T,
-    win: PatchWindow,
-    out: &mut [T],
-) {
-    let [n, h, w] = dims;
-    assert_eq!(
-        x.len(),
-        n * geom.in_channels * h * w,
-        "input buffer length mismatch"
-    );
-    let (oh, ow) = geom.output_hw(h, w);
-    let cols = n * oh * ow;
-    if cols == 0 {
-        return;
-    }
-    let last = (geom.patch_len() - 1) * win.row_stride + (cols - 1) * win.col_stride;
-    assert!(last < out.len(), "output buffer too short for the matrix");
-    let lowering = Lowering {
-        x,
-        geom,
-        n,
-        h,
-        w,
-        oh,
-        ow,
-        pad,
-        win,
-    };
-    lowering.by_tap(out);
-}
-
-/// One [`im2col_into`] call: the input, its geometry and the layout.
-///
-/// Patch row `(ci*k + kh)*k + kw` of column `(ni, ohi, owi)` reads
-/// channel `ci` of sample `ni` at `(ohi*s + kh - padding, owi*s + kw -
-/// padding)`. Every channel shares a tap's bounds, so the walk works
-/// those out once and steps through the channels by fixed strides.
-struct Lowering<'a, T> {
-    x: &'a [T],
-    geom: &'a Conv2dGeometry,
-    n: usize,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    pad: T,
-    win: PatchWindow,
-}
-
-impl<T: Copy> Lowering<'_, T> {
-    /// The input row kernel row `kh` reads for output row `ohi`, if it
-    /// lies inside the map.
-    fn input_row(&self, ohi: usize, kh: usize) -> Option<usize> {
-        (ohi * self.geom.stride + kh)
-            .checked_sub(self.geom.padding)
-            .filter(|&ih| ih < self.h)
-    }
-
-    /// Per tap, output row by output row: each row's in-bounds taps are
-    /// one run.
-    fn by_tap(&self, out: &mut [T]) {
-        let Conv2dGeometry {
-            in_channels: c,
-            kernel: k,
-            stride: s,
-            padding,
-        } = *self.geom;
-        let PatchWindow {
-            row_stride,
-            col_stride,
-        } = self.win;
-        let (h, w, chan) = (self.h, self.w, self.h * self.w);
-        for kw in 0..k {
-            // Output columns whose tap `owi*s + kw - padding` lands in
-            // `0..w`, the same for every output row.
-            let first = padding.saturating_sub(kw).div_ceil(s).min(self.ow);
-            let end = (w + padding).saturating_sub(kw).div_ceil(s);
-            let (a, b) = (first, end.clamp(first, self.ow));
-            for kh in 0..k {
-                let row = kh * k + kw;
-                for ni in 0..self.n {
-                    for ohi in 0..self.oh {
-                        let col = (ni * self.oh + ohi) * self.ow;
-                        let dst = row * row_stride + col * col_stride;
-                        // Pad, then the in-bounds run `a..b`, then pad.
-                        let ih = self.input_row(ohi, kh);
-                        let (a, b) = if ih.is_some() {
-                            (a, b)
+        for kh in 0..k {
+            for ni in 0..n {
+                for ohi in 0..oh {
+                    let Some(ih) = (ohi * s + kh).checked_sub(p).filter(|&ih| ih < h) else {
+                        continue;
+                    };
+                    let col = (ni * oh + ohi) * ow + first;
+                    for ci in 0..c {
+                        let src = &x[((ni * c + ci) * h + ih) * w + first * s + kw - p..];
+                        let row = (ci * k + kh) * k + kw;
+                        let dst = &mut out[row * cols + col..][..run];
+                        if s == 1 {
+                            dst.copy_from_slice(&src[..run]);
                         } else {
-                            (self.ow, self.ow)
-                        };
-                        let src = ih
-                            .filter(|_| a < b)
-                            .map(|ih| (ni * c * h + ih) * w + a * s + kw - padding);
-                        for ci in 0..c {
-                            let d = dst + ci * k * k * row_stride;
-                            fill(out, d, col_stride, a, self.pad);
-                            let run = d + a * col_stride;
-                            if let Some(src) = src {
-                                let taps = &self.x[src + ci * chan..];
-                                copy(out, run, col_stride, taps, s, b - a);
+                            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                                *d = v;
                             }
-                            fill(
-                                out,
-                                run + (b - a) * col_stride,
-                                col_stride,
-                                self.ow - b,
-                                self.pad,
-                            );
                         }
                     }
                 }
             }
         }
     }
+    Tensor::from_vec(out, &[rows, cols]).expect("im2col shape is consistent")
 }
 
 /// The column-shifted planes of a convolution's input: the layout whose
@@ -445,9 +322,10 @@ impl ShiftedPlanes {
     }
 }
 
-/// The vector-major im2col rows of a convolution (`out[v * C*k*k + r]`
-/// is patch row `r` of output position `v`, the layout a row-major CiM
-/// conv reads), copied from its input padded once.
+/// The vector-major im2col rows of a convolution, copied from its input
+/// padded once: the transpose of [`im2col`]'s patch-major matrix
+/// (`out[v * C*k*k + r]` is patch row `r` of output position `v`), the
+/// layout a row-major CiM conv reads.
 ///
 /// The input is first laid out with its `p` rows and columns of padding
 /// written in (none at `p = 0`, where the input itself serves). Every
@@ -562,37 +440,6 @@ impl PatchRows {
                     }
                 }
             }
-        }
-    }
-}
-
-/// Writes `v` to `count` elements of `out` starting at `start`, `stride`
-/// apart.
-fn fill<T: Copy>(out: &mut [T], start: usize, stride: usize, count: usize, v: T) {
-    if stride == 1 {
-        out[start..start + count].fill(v);
-    } else {
-        for j in 0..count {
-            out[start + j * stride] = v;
-        }
-    }
-}
-
-/// Copies `count` elements of `src`, `src_stride` apart, to `out` from
-/// `start`, `stride` apart.
-fn copy<T: Copy>(
-    out: &mut [T],
-    start: usize,
-    stride: usize,
-    src: &[T],
-    src_stride: usize,
-    count: usize,
-) {
-    if stride == 1 && src_stride == 1 {
-        out[start..start + count].copy_from_slice(&src[..count]);
-    } else {
-        for j in 0..count {
-            out[start + j * stride] = src[j * src_stride];
         }
     }
 }
@@ -835,50 +682,28 @@ mod tests {
     }
 
     /// Lowering the quantized input (padding with the code of 0.0) gives
-    /// `im2col(x)` quantized element by element, in every layout the
-    /// CiM staging uses: the whole matrix patch-major, vector-major and
-    /// into a lane panel three lanes wider than the matrix, whose padding
-    /// lanes must stay untouched; the vector-major rows copied from the
-    /// padded map; and each tap's slice of the column-shifted planes,
-    /// which hold a code in every slot. The planes and rows are filled
-    /// from scratch buffers holding stale values.
+    /// `im2col(x)` quantized element by element: the vector-major rows
+    /// copied from the padded map are its transpose, and each tap's slice
+    /// of the column-shifted planes, which hold a code in every slot, is
+    /// its row. The planes and rows are filled from scratch buffers
+    /// holding stale values.
     fn assert_code_lowering_matches(x: &Tensor, cols: &Tensor, g: &Conv2dGeometry) {
         const UNTOUCHED: i32 = -1;
         let (rows, ncols) = (cols.shape()[0], cols.shape()[1]);
         let want: Vec<i32> = cols.data().iter().map(|&v| code(v)).collect();
         let codes: Vec<i32> = x.data().iter().map(|&v| code(v)).collect();
         let dims = [x.shape()[0], x.shape()[2], x.shape()[3]];
-        let lower = |win: PatchWindow, len: usize| {
-            let mut out = vec![UNTOUCHED; len];
-            im2col_into(&codes, dims, g, code(0.0), win, &mut out);
-            out
-        };
-        assert_eq!(lower(PatchWindow::patch_major(ncols), rows * ncols), want);
-        let vector_major = PatchWindow {
-            row_stride: 1,
-            col_stride: rows,
-        };
-        let lanes = ncols + 3;
-        let panel = PatchWindow {
-            row_stride: lanes,
-            col_stride: 1,
-        };
-        let vm = lower(vector_major, ncols * rows);
-        let lm = lower(panel, rows * lanes);
-        for r in 0..rows {
-            let want_row = &want[r * ncols..(r + 1) * ncols];
-            let vm_row: Vec<i32> = (0..ncols).map(|v| vm[v * rows + r]).collect();
-            assert_eq!(vm_row, want_row, "{g:?} row {r}");
-            assert_eq!(&lm[r * lanes..r * lanes + ncols], want_row);
-            assert_eq!(lm[r * lanes + ncols..(r + 1) * lanes], [UNTOUCHED; 3]);
-        }
+        let vector_major: Vec<i32> = (0..ncols)
+            .flat_map(|v| (0..rows).map(move |r| (r, v)))
+            .map(|(r, v)| want[r * ncols + v])
+            .collect();
 
         let stale = || vec![UNTOUCHED - 1; 5];
         let patch_rows = PatchRows::new(g, dims);
         assert_eq!(patch_rows.codes(), ncols * rows);
         let mut out = vec![UNTOUCHED; patch_rows.codes()];
         patch_rows.lower_into(&codes, code(0.0), &mut stale(), &mut out);
-        assert_eq!(out, vm, "{g:?}: rows copied from the padded map");
+        assert_eq!(out, vector_major, "{g:?}: rows copied from the padded map");
 
         let planes = ShiftedPlanes::new(g, dims);
         let mut out = vec![UNTOUCHED; planes.codes()];
