@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use yoloc_cim::macro_model::{MacroParams, RomMvm};
+use yoloc_cim::backend::{program_backend, BackendKind};
+use yoloc_cim::macro_model::MacroParams;
 use yoloc_core::mapping::map_network;
 use yoloc_models::zoo;
 use yoloc_quant::bitplane::{signed_bitplanes, unsigned_chunks};
@@ -21,14 +22,17 @@ fn bench_macro_mvm(c: &mut Criterion) {
         .collect();
     let acts: Vec<i32> = (0..ins).map(|i| ((i * 13) % 256) as i32).collect();
     // The batch kernels on one vector (what `mvm` runs on a noiseless
-    // macro) vs the cell-accurate analog reference path — the
-    // single-macro view of the engine speedup.
-    let engine = RomMvm::program(MacroParams::rom_paper(), &codes, outs, ins);
+    // macro) vs the cell-accurate analog walk of a twin programmed from
+    // the same codes — the single-macro view of the engine speedup.
+    let params = MacroParams::rom_paper();
+    let engine = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
+    let twin = program_backend(BackendKind::Analog, params, &codes, outs, ins);
+    assert_eq!(engine.mvm(&acts, &mut rng), twin.mvm(&acts, &mut rng));
     c.bench_function("rom_mvm_128x32_8b_fast", |b| {
         b.iter(|| engine.mvm(std::hint::black_box(&acts), &mut rng))
     });
     c.bench_function("rom_mvm_128x32_8b_analog", |b| {
-        b.iter(|| engine.mvm_analog(std::hint::black_box(&acts), &mut rng))
+        b.iter(|| twin.mvm(std::hint::black_box(&acts), &mut rng))
     });
 }
 

@@ -36,7 +36,7 @@
 //! against its parent in alternating runs, so schema v8 carries no
 //! per-inference wall times and no throughput baseline.
 //!
-//! Emits `BENCH_engine.json` (schema `yoloc-bench-engine/8`, documented
+//! Emits `BENCH_engine.json` (schema [`ENGINE_SCHEMA`], documented
 //! in `README.md`); under `--smoke`/`YOLOC_SMOKE=1` the workload shrinks
 //! and the report goes to `target/BENCH_engine.smoke.json` so the
 //! committed baseline is not clobbered by tiny-config numbers.
@@ -56,7 +56,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use yoloc_bench::alloc_track::allocations;
-use yoloc_bench::report::{to_json, Json};
+use yoloc_bench::report::{to_json, Json, ENGINE_SCHEMA};
 use yoloc_bench::{fmt, fmt_x, print_table, smoke, smoke_or, WorkerPool};
 use yoloc_core::compiler::{CompileOptions, CompiledNetwork};
 use yoloc_models::NetworkDesc;
@@ -235,8 +235,8 @@ fn schema_violations(doc: &Json) -> Vec<String> {
         }
     };
     check(
-        doc.get("schema").and_then(Json::as_str) == Some("yoloc-bench-engine/8"),
-        "schema must be \"yoloc-bench-engine/8\"",
+        doc.get("schema").and_then(Json::as_str) == Some(ENGINE_SCHEMA),
+        &format!("schema must be {ENGINE_SCHEMA:?}"),
     );
     for key in ["host_parallelism", "batch"] {
         check(
@@ -393,10 +393,7 @@ fn check_schema(path: &str) -> ! {
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
     let errs = schema_violations(&doc);
     if errs.is_empty() {
-        println!(
-            "{path}: schema yoloc-bench-engine/8 OK ({} bytes)",
-            text.len()
-        );
+        println!("{path}: schema {ENGINE_SCHEMA} OK ({} bytes)", text.len());
         std::process::exit(0);
     }
     eprintln!("{path}: {} schema violation(s):", errs.len());
@@ -482,7 +479,7 @@ fn main() {
     );
 
     let doc = Json::obj([
-        ("schema", Json::str("yoloc-bench-engine/8")),
+        ("schema", Json::str(ENGINE_SCHEMA)),
         ("host_parallelism", to_json(&host)),
         ("smoke", Json::Bool(smoke())),
         ("batch", to_json(&batch())),
@@ -506,7 +503,7 @@ fn main() {
         violations.is_empty(),
         "generated report violates its own schema (written to {path} anyway): {violations:?}"
     );
-    println!("\nwrote {path} (schema yoloc-bench-engine/8, see README.md)");
+    println!("\nwrote {path} (schema {ENGINE_SCHEMA}, see README.md)");
     println!(
         "note: the zoo table runs graph-compiled NetworkDesc architectures \
          end-to-end (epilogue fusion + arena runtime + batched MVM kernel) \

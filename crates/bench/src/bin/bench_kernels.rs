@@ -15,11 +15,12 @@
 //! `bench_engine`.
 //!
 //! Like `bench_plan_cache`, the full run **patches** the block into an
-//! existing `BENCH_engine.json` (schema bumped to `yoloc-bench-engine/8`,
-//! every other field preserved byte-for-byte) so the committed baseline
-//! can pick up fresh kernel numbers without re-running the whole engine
-//! harness. Under `--smoke`/`YOLOC_SMOKE=1` the committed report is left
-//! untouched and the block goes to `target/BENCH_kernels.smoke.json`.
+//! existing `BENCH_engine.json` of the current schema (every other field
+//! preserved byte-for-byte, a report of another schema refused
+//! untouched) so the committed baseline can pick up fresh kernel numbers
+//! without re-running the whole engine harness. Under
+//! `--smoke`/`YOLOC_SMOKE=1` the committed report is left untouched and
+//! the block goes to `target/BENCH_kernels.smoke.json`.
 //!
 //! `--check-schema [PATH]` validates the `kernel_tier` block of an
 //! existing report instead of measuring: selected tier in
@@ -34,22 +35,10 @@
 
 use yoloc_bench::kernel_tier::{kernel_tier_violations, measure_kernel_tier};
 use yoloc_bench::plan_cache::zoo_nets;
-use yoloc_bench::report::Json;
+use yoloc_bench::report::{patch_engine_report, Json};
 use yoloc_bench::{fmt_x, print_table, smoke};
 
 const SEED: u64 = 2022;
-
-/// Sets `key` in a JSON object, replacing an existing entry in place
-/// (preserving its position) or appending a new one.
-fn set_field(doc: &mut Json, key: &str, value: Json) {
-    let Json::Obj(fields) = doc else {
-        panic!("report root must be a JSON object");
-    };
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => fields.push((key.to_string(), value)),
-    }
-}
 
 /// `--check-schema` mode: validate the committed baseline's block.
 fn check_schema(path: &str) -> ! {
@@ -131,17 +120,12 @@ fn main() {
         return;
     }
 
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run bench_engine first)"));
-    let mut doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
-    set_field(&mut doc, "schema", Json::str("yoloc-bench-engine/8"));
-    set_field(&mut doc, "kernel_tier", block);
+    let doc = patch_engine_report(&path, "kernel_tier", block).unwrap_or_else(|e| panic!("{e}"));
     let errs = kernel_tier_violations(&doc);
-    std::fs::write(&path, doc.render()).expect("write patched engine report");
     assert!(
         errs.is_empty(),
         "kernel_tier gates failed (block written to {path} anyway): {errs:?}"
     );
-    println!("\npatched {path}: schema yoloc-bench-engine/8, kernel_tier block refreshed");
+    println!("\npatched {path}: kernel_tier block refreshed");
     println!("validate with: bench_engine --check-schema {path}");
 }

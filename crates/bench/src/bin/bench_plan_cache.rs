@@ -10,34 +10,23 @@
 //! [`yoloc_bench::plan_cache`] and is shared with `bench_engine`.
 //!
 //! The resulting `plan_cache` block is **patched into** an existing
-//! `BENCH_engine.json` (schema bumped to `yoloc-bench-engine/8`,
-//! every other field preserved byte-for-byte — the shim's renderer
-//! round-trips the committed report exactly), so the committed baseline
-//! can pick up fresh plan-cache numbers without re-running the full
-//! engine harness. Under `--smoke`/`YOLOC_SMOKE=1` the committed report
-//! is left untouched: the block goes to
-//! `target/BENCH_plan_cache.smoke.json` instead.
+//! `BENCH_engine.json` of the current schema
+//! ([`yoloc_bench::report::patch_engine_report`]: every other field
+//! preserved byte-for-byte — the shim's renderer round-trips the
+//! committed report exactly — and a report of another schema refused
+//! untouched), so the committed baseline can pick up fresh plan-cache
+//! numbers without re-running the full engine harness. Under
+//! `--smoke`/`YOLOC_SMOKE=1` the committed report is left untouched: the
+//! block goes to `target/BENCH_plan_cache.smoke.json` instead.
 //!
 //! Usage: `bench_plan_cache [--smoke] [PATH]` (default path
 //! `BENCH_engine.json`).
 
 use yoloc_bench::plan_cache::{measure_plan_cache, plan_cache_json, plan_cache_rows, zoo_nets};
-use yoloc_bench::report::Json;
+use yoloc_bench::report::{patch_engine_report, Json};
 use yoloc_bench::{print_table, smoke};
 
 const SEED: u64 = 2022;
-
-/// Sets `key` in a JSON object, replacing an existing entry in place
-/// (preserving its position) or appending a new one.
-fn set_field(doc: &mut Json, key: &str, value: Json) {
-    let Json::Obj(fields) = doc else {
-        panic!("report root must be a JSON object");
-    };
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => fields.push((key.to_string(), value)),
-    }
-}
 
 fn main() {
     let path = std::env::args()
@@ -78,12 +67,7 @@ fn main() {
         return;
     }
 
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run bench_engine first)"));
-    let mut doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
-    set_field(&mut doc, "schema", Json::str("yoloc-bench-engine/8"));
-    set_field(&mut doc, "plan_cache", block);
-    std::fs::write(&path, doc.render()).expect("write patched engine report");
-    println!("\npatched {path}: schema yoloc-bench-engine/8, plan_cache block refreshed");
+    patch_engine_report(&path, "plan_cache", block).unwrap_or_else(|e| panic!("{e}"));
+    println!("\npatched {path}: plan_cache block refreshed");
     println!("validate with: bench_engine --check-schema {path}");
 }

@@ -27,10 +27,79 @@ pub fn to_json(v: &impl serde::Serialize) -> Json {
     v.to_json()
 }
 
+/// The schema of `BENCH_engine.json`: what `bench_engine` writes and
+/// checks, and the one schema the block patchers accept.
+pub const ENGINE_SCHEMA: &str = "yoloc-bench-engine/8";
+
+/// Replaces the top-level `key` block of the engine report at `path`
+/// with `block` (in place, or appended when absent), keeps every other
+/// field as it was, writes the file back and returns the patched
+/// report.
+///
+/// # Errors
+///
+/// Leaves the file untouched and returns an error when it cannot be
+/// read, is not a JSON object, or has a `schema` other than
+/// [`ENGINE_SCHEMA`]: a report of another version carries fields this
+/// one dropped, which no block refresh makes current.
+pub fn patch_engine_report(path: &str, key: &str, block: Json) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e} (run bench_engine first)"))?;
+    let mut doc = Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if schema != Some(ENGINE_SCHEMA) {
+        return Err(format!(
+            "{path} has schema {schema:?}, not {ENGINE_SCHEMA:?}: regenerate it with bench_engine"
+        ));
+    }
+    let Json::Obj(fields) = &mut doc else {
+        unreachable!("a document with a schema field is an object");
+    };
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, v)) => *v = block,
+        None => fields.push((key.to_string(), block)),
+    }
+    std::fs::write(path, doc.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    Ok(doc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde::Serialize;
+
+    #[test]
+    fn patcher_refuses_other_schemas_and_refreshes_its_own() {
+        let path = std::env::temp_dir().join(format!("yoloc-patch-{}.json", std::process::id()));
+        let path = path.to_str().expect("temp path is UTF-8");
+        let report = |schema: &str| {
+            Json::obj([
+                ("schema", Json::str(schema)),
+                ("worker_sweep", Json::Arr(vec![Json::Num(1.0)])),
+                ("plan_cache", Json::Null),
+            ])
+            .render()
+        };
+        // A v7 report is refused byte for byte: stamping v8 on it would
+        // keep the fields v8 dropped.
+        let v7 = report("yoloc-bench-engine/7");
+        std::fs::write(path, &v7).unwrap();
+        let err = patch_engine_report(path, "plan_cache", Json::Bool(true)).unwrap_err();
+        assert!(err.contains("yoloc-bench-engine/7"), "{err}");
+        assert_eq!(std::fs::read_to_string(path).unwrap(), v7);
+        // A current report gets its block replaced in place.
+        std::fs::write(path, report(ENGINE_SCHEMA)).unwrap();
+        let doc = patch_engine_report(path, "plan_cache", Json::Bool(true)).unwrap();
+        let written = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(written, doc.render());
+        let Json::Obj(fields) = doc else {
+            panic!("the patched report is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema", "worker_sweep", "plan_cache"]);
+        assert_eq!(fields[2].1, Json::Bool(true));
+    }
 
     #[test]
     fn renders_nested_structure() {

@@ -32,14 +32,6 @@ pub enum AdcModel {
 }
 
 impl AdcModel {
-    /// The paper's 5-bit column ADC with the given full scale.
-    pub fn paper_5bit(full_scale: u32) -> Self {
-        AdcModel::Sar {
-            bits: 5,
-            full_scale,
-        }
-    }
-
     /// Digitizes a (possibly noisy) discharge count, returning the count
     /// value the digital side will use.
     pub fn digitize(&self, count: f32) -> i64 {
@@ -90,33 +82,6 @@ pub struct AnalogConfig {
     pub adc: AdcModel,
 }
 
-impl AnalogConfig {
-    /// The paper's 128x256 subarray with 5-bit ADCs, noiseless by default.
-    ///
-    /// 10 simultaneous rows x 3 pulses = 30 discharge events, which the
-    /// 31-level 5-bit ADC resolves exactly — the ADC-count/active-rows
-    /// trade-off the paper highlights in §4.3.1.
-    pub fn paper_default() -> Self {
-        let rows_per_activation = 10;
-        AnalogConfig {
-            rows: 128,
-            cols: 256,
-            rows_per_activation,
-            noise_sigma: 0.0,
-            max_pulses: 3,
-            adc: AdcModel::paper_5bit((rows_per_activation as u32) * 3),
-        }
-    }
-
-    /// Same geometry but with an ideal ADC (golden model).
-    pub fn ideal() -> Self {
-        AnalogConfig {
-            adc: AdcModel::Ideal,
-            ..Self::paper_default()
-        }
-    }
-}
-
 /// A subarray of ROM cells with the analog evaluation model.
 #[derive(Debug, Clone)]
 pub struct AnalogArray {
@@ -160,11 +125,6 @@ impl AnalogArray {
             "one fault slot per column"
         );
         self.col_faults = faults;
-    }
-
-    /// The array configuration.
-    pub fn config(&self) -> &AnalogConfig {
-        &self.config
     }
 
     /// The stored bit at `(row, col)`.

@@ -2,15 +2,20 @@
 //!
 //! Every CiM layer runs on one engine: [`RomMvm`], the bit-serial macro
 //! datapath of Fig. 5, programmed as ROM-CiM for the trunk and as
-//! SRAM-CiM for the head and the ReBranch res-convs. [`BackendKind`]
-//! picks, at programming time, the path it executes on:
+//! SRAM-CiM for the head and the ReBranch res-convs. [`BackendKind`] is
+//! one of the inputs [`program_backend`] (and
+//! [`RomMvm::program_with_faults`]) pick the engine's one datapath from
+//! (see *Execution paths* on [`RomMvm`]):
 //!
-//! * [`BackendKind::Analog`] — the cell-accurate analog reference path
+//! * [`BackendKind::Analog`] — the cell-accurate analog reference walk
 //!   (precharge, pulse trains, noise injection, per-group ADC
-//!   digitization). The only path that models bit-line noise.
-//! * [`BackendKind::Popcount`] — the batch kernels (popcount mask stream
-//!   or exact integer matmul), falling back to the analog path on noisy
-//!   macros: bit-identical to the analog path whenever both apply
+//!   digitization). The only path that models bit-line noise, and the
+//!   twin every parity suite checks the batch kernels against.
+//! * [`BackendKind::Popcount`] — the batch kernels: the exact integer
+//!   matmul where the ADC transfer is an identity and no ADC is faulted,
+//!   the quantizing popcount mask stream otherwise, and the analog walk
+//!   on a noisy macro or one whose activation groups exceed a 64-bit
+//!   mask. Bit-identical to an analog twin whenever both apply
 //!   (property-tested), at a fraction of the simulation cost.
 //!
 //! The integer reference both are checked against is
@@ -52,7 +57,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::kernels::{FoldSrc, Panel};
-use crate::macro_model::{MacroParams, MvmStats, RomMvm};
+use crate::macro_model::{MacroParams, MvmStats, RomMvm, Weights};
 
 /// Which execution path a layer's engine is programmed for (see the
 /// module docs).
@@ -60,7 +65,8 @@ use crate::macro_model::{MacroParams, MvmStats, RomMvm};
 pub enum BackendKind {
     /// Cell-accurate analog reference path (models noise).
     Analog,
-    /// Popcount fast path with analog fallback (the default).
+    /// The popcount kernels, with the analog walk where they cannot
+    /// apply (the default).
     Popcount,
 }
 
@@ -106,7 +112,7 @@ pub struct MvmScratch {
     pub(crate) counts: Vec<u64>,
     /// Row-major activation staging for the reverse unpack (a
     /// transposed caller landing on an engine with no panel-native
-    /// kernel: the analog path or a quantizing ADC).
+    /// kernel: the analog walk or the quantizing mask stream).
     pub(crate) acts_rm: Vec<u8>,
     /// The `i32` entries' codes, narrowed to `u8`.
     pub(crate) narrow_acts: Vec<u8>,
@@ -206,27 +212,30 @@ impl RomMvm {
         assert_eq!(acts.len(), n_vectors * ins, "batch activation length");
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
         self.validate_u8_codes(acts);
-        if self.fast_path_active() {
-            // The RNG is untouched, like every noiseless path. At
-            // identity-ADC design points (the paper default) the batch
-            // reduces to an exact integer matmul; otherwise one traversal
-            // of the popcount masks serves the whole block.
-            self.mvm_batch_noiseless(acts, n_vectors, out, scratch);
-        } else {
-            // The reference path is per-vector (each vector consumes its
-            // own RNG draws) over `i32` codes. Noise moves no event
-            // count, so the counters come from the same fold as on every
-            // other path.
-            for v in 0..n_vectors {
-                let av = &acts[v * ins..(v + 1) * ins];
-                let codes: Vec<i32> = av.iter().map(|&a| i32::from(a)).collect();
-                let (y, _) = self.mvm_analog(&codes, rng);
-                for (o, &y) in y.iter().enumerate() {
-                    out[o * n_vectors + v] =
-                        i32::try_from(y).expect("noisy accumulator outside i32");
-                }
+        // The noiseless datapaths leave the RNG untouched.
+        match self.weights() {
+            Weights::Exact { codes, codes16 } => {
+                self.mvm_batch_exact(codes, codes16, acts, n_vectors, out, scratch)
             }
-            self.fold_counters(FoldSrc::Rows { acts, ins }, n_vectors, scratch);
+            Weights::Stream { masks, adc_faults } => {
+                self.mvm_batch_fast(masks, adc_faults.as_deref(), acts, n_vectors, out, scratch)
+            }
+            Weights::Analog(tiles) => {
+                // The reference walk is per-vector (each vector consumes
+                // its own RNG draws) over `i32` codes. Noise moves no
+                // event count, so the counters come from the same fold
+                // as on every other path.
+                for v in 0..n_vectors {
+                    let av = &acts[v * ins..(v + 1) * ins];
+                    let codes: Vec<i32> = av.iter().map(|&a| i32::from(a)).collect();
+                    let (y, _) = self.mvm_analog(tiles, &codes, rng);
+                    for (o, &y) in y.iter().enumerate() {
+                        out[o * n_vectors + v] =
+                            i32::try_from(y).expect("noisy accumulator outside i32");
+                    }
+                }
+                self.fold_counters(FoldSrc::Rows { acts, ins }, n_vectors, scratch);
+            }
         }
     }
 
@@ -236,11 +245,10 @@ impl RomMvm {
     /// order, and may overlap, so a conv's taps can read its
     /// column-shifted code planes in place. Bit-identical to
     /// [`RomMvm::run_batch`] on the same values, in accumulators *and*
-    /// counters. The exact matmul of a noiseless identity-ADC engine
-    /// reads the panel through the offsets; every other engine (the
-    /// per-vector analog path, and a quantizing ADC's popcount stream,
-    /// which packs pulse bit-planes from row-major vectors) unpacks it
-    /// first and runs [`RomMvm::run_batch`].
+    /// counters. The exact matmul reads the panel through the offsets;
+    /// the other datapaths (the per-vector analog walk, and the
+    /// quantizing mask stream, which packs pulse bit-planes from
+    /// row-major vectors) unpack it first and run [`RomMvm::run_batch`].
     ///
     /// Every code of `acts_t` must lie in the activation range, lanes
     /// past `n_vectors` included, since the SIMD tiers read up to
@@ -267,10 +275,10 @@ impl RomMvm {
         let panel = Panel::new(acts_t, rows, n_vectors);
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
         self.validate_u8_codes(acts_t);
-        if self.fast_path_active() && self.adc_is_identity() {
+        if let Weights::Exact { codes, codes16 } = self.weights() {
             // Panel-native: the matmul and the counter fold read the
             // panel rows in place.
-            self.mvm_batch_exact_t(&panel, out, scratch);
+            self.mvm_batch_exact_t(codes, codes16, &panel, out, scratch);
         } else {
             // Unpack the panel (in `scratch.acts_rm`'s storage, taken
             // out so `scratch` can be passed on) and run it row-major.
@@ -426,15 +434,15 @@ impl RomMvm {
 
     /// Stable label of the path this engine executes on.
     pub fn backend_name(&self) -> &'static str {
-        if self.fast_path_active() {
-            BackendKind::Popcount.label()
-        } else {
-            BackendKind::Analog.label()
+        match self.weights() {
+            Weights::Analog(_) => BackendKind::Analog.label(),
+            Weights::Stream { .. } | Weights::Exact { .. } => BackendKind::Popcount.label(),
         }
     }
 }
 
-/// Programs a weight matrix for the requested execution path.
+/// Programs a weight matrix on a pristine fabric, for the datapath
+/// `kind` and `params` pick (see *Execution paths* on [`RomMvm`]).
 ///
 /// # Examples
 ///
@@ -465,11 +473,7 @@ pub fn program_backend(
     outs: usize,
     ins: usize,
 ) -> RomMvm {
-    let mut engine = RomMvm::program(params, codes, outs, ins);
-    if kind == BackendKind::Analog {
-        engine.pin_analog();
-    }
-    engine
+    RomMvm::build(kind, params, codes, outs, ins, None, 1.0)
 }
 
 #[cfg(test)]
@@ -656,9 +660,9 @@ mod tests {
 
     #[test]
     fn mvm_batch_noisy_macro_falls_back_per_vector() {
-        // Noise disables the fast path: the batched entry walks the
-        // analog reference per vector with the same RNG stream a manual
-        // loop would consume.
+        // A noisy popcount engine walks its cells: the batched entry
+        // walks them per vector with the same RNG stream a manual loop
+        // over its analog twin would consume.
         let mut params = MacroParams::rom_paper();
         params.noise_sigma = 0.3;
         let (outs, ins, n) = (3, 100, 3);
@@ -933,7 +937,7 @@ mod tests {
         let mut quantizing = MacroParams::rom_paper();
         quantizing.rows_per_activation = 32;
         let mut q = program_backend(BackendKind::Popcount, quantizing, &codes, 2, 9);
-        assert!(q.fast_path_active() && !q.adc_is_identity());
+        assert!(matches!(q.weights(), Weights::Stream { .. }));
         for kind in crate::kernels::available_kinds() {
             q.set_kernel(kind);
             for n in [1, 4, 16, 64] {

@@ -78,11 +78,6 @@ impl CellKind {
         matches!(self, CellKind::Rom1T)
     }
 
-    /// Whether the cell supports in-memory multiply-accumulate.
-    pub fn compute_capable(self) -> bool {
-        !matches!(self, CellKind::Sram6TCompact)
-    }
-
     /// Density ratio of this cell relative to the ROM cell (>= 1.0 means
     /// the ROM cell is denser).
     pub fn rom_density_advantage(self) -> f64 {

@@ -18,14 +18,16 @@
 //! * **stuck-at bits** rewrite the *effective weight code* — a stuck
 //!   bit-plane bit decodes, by construction of the two's-complement
 //!   bit-plane encoding, to another valid signed code, so every path
-//!   (analog reference, popcount fast, exact matmul, all SIMD tiers)
+//!   (analog reference, popcount stream, exact matmul, all SIMD tiers)
 //!   computes on identical faulty weights with zero kernel changes;
 //! * **dead subarrays** zero the codes of the tile's `(out, in)` range
 //!   (a dead array contributes nothing to the accumulation);
 //! * **ADC faults** install a per-column transfer applied to the
 //!   discharge count *before* digitization, shared verbatim by the
-//!   analog reference path and both popcount streams (both transforms
-//!   map 0 to 0, so the skip-silent-column shortcuts stay exact);
+//!   analog reference walk and the popcount mask stream (both
+//!   transforms map 0 to 0, so the skip-silent-column shortcuts stay
+//!   exact); a faulted ADC moves a popcount engine off the exact matmul
+//!   and onto the stream;
 //! * **link degradation** scales the engine's evaluation latency.
 //!
 //! Event counters ([`crate::macro_model::MvmStats`]) are pure functions

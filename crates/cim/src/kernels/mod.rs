@@ -336,9 +336,8 @@ pub fn choose_layout(outs: usize, ins: usize, n: usize) -> MatmulLayout {
 /// stride rounded up to 16 lanes, tail lanes zero. Built once at
 /// `program` time by [`pack_codes16`] (and by the parity suites — this
 /// type is the single owner of the packing rule). An empty packing
-/// means the codes do not fit `i16` (or the exact kernel is
-/// unreachable), and the row-major SIMD matmuls hand the block to the
-/// scalar tier.
+/// means the codes do not fit `i16`, and the row-major SIMD matmuls
+/// hand the block to the scalar tier.
 #[must_use = "packing codes16 is pointless unless the packed view is stored"]
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedCodes16 {
@@ -636,11 +635,12 @@ mod tests {
     #[test]
     #[ignore = "helper: re-invoked by forced_isa_downgrade_notes_instead_of_panicking"]
     fn forced_isa_probe_helper() {
+        use crate::backend::{program_backend, BackendKind};
         use crate::macro_model::{MacroParams, RomMvm};
         use rand::{rngs::StdRng, SeedableRng};
         // Resolving a forced-but-unavailable tier must downgrade, never
         // panic, and the downgraded engine must still match the
-        // cell-accurate analog reference.
+        // cell-accurate walk of an analog twin.
         let kind = KernelDispatch::from_env().resolve();
         assert!(available_kinds().contains(&kind));
         let params = MacroParams::rom_paper();
@@ -651,9 +651,8 @@ mod tests {
         let acts: Vec<i32> = (0..ins).map(|i| ((i * 11) % 256) as i32).collect();
         let engine = RomMvm::program(params, &codes, outs, ins);
         let mut rng = StdRng::seed_from_u64(9);
-        let (y, _) = engine.mvm(&acts, &mut rng);
-        let (y_ref, _) = engine.mvm_analog(&acts, &mut rng);
-        assert_eq!(y, y_ref);
+        let twin = program_backend(BackendKind::Analog, params, &codes, outs, ins);
+        assert_eq!(engine.mvm(&acts, &mut rng), twin.mvm(&acts, &mut rng));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::analog::{AdcModel, AnalogArray, AnalogConfig};
+use crate::backend::BackendKind;
 use crate::cells::CellKind;
 use crate::faults::{self, ColumnFaults, FaultContext};
 use crate::kernels::{self, KernelDispatch, KernelKind};
@@ -380,11 +381,91 @@ impl MvmStats {
 /// weight tile at a time — and zero-mask columns (sparse codes) cost
 /// nothing.
 #[derive(Debug, Clone)]
-struct PopcountTile {
+pub(crate) struct PopcountTile {
     /// `(meta, mask)` for every nonzero column mask, tile-major.
     nz: Vec<(u32, u64)>,
     /// `groups + 1` prefix offsets into `nz`.
     nz_offsets: Vec<u32>,
+}
+
+impl PopcountTile {
+    /// Straps one subarray's masks from `rows[o]`, the codes output `o`
+    /// of the tile holds on its word lines: bit `j` of a code's
+    /// two's-complement field is the cell in plane column `j`, so the
+    /// mask of `(group, o, j)` packs that bit of every code in the group.
+    fn strap(rows: &[&[i32]], groups: usize, rpa: usize, wb: usize) -> Self {
+        let mut nz = Vec::new();
+        let mut nz_offsets = Vec::with_capacity(groups + 1);
+        nz_offsets.push(0u32);
+        for g in 0..groups {
+            for (o, row) in rows.iter().enumerate() {
+                // A partial row tile's last groups hold no codes.
+                let group = row.get(g * rpa..).unwrap_or_default();
+                let group = &group[..rpa.min(group.len())];
+                for j in 0..wb {
+                    let mask = group.iter().enumerate().fold(0u64, |m, (k, &code)| {
+                        m | (u64::from((code as u32 >> j) & 1) << k)
+                    });
+                    if mask != 0 {
+                        nz.push((((o as u32) << 8) | j as u32, mask));
+                    }
+                }
+            }
+            nz_offsets.push(u32::try_from(nz.len()).expect("nz list fits u32"));
+        }
+        PopcountTile { nz, nz_offsets }
+    }
+}
+
+/// The datapath an engine executes on (see *Execution paths* on
+/// [`RomMvm`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Datapath {
+    Analog,
+    Stream,
+    Exact,
+}
+
+impl Datapath {
+    /// Picks the datapath, once, at programming: the rules of
+    /// *Execution paths* on [`RomMvm`].
+    fn choose(
+        kind: BackendKind,
+        noise_sigma: f32,
+        maskable: bool,
+        adc_identity: bool,
+        adc_faulted: bool,
+    ) -> Self {
+        if kind == BackendKind::Analog || noise_sigma != 0.0 || !maskable {
+            Datapath::Analog
+        } else if adc_identity && !adc_faulted {
+            Datapath::Exact
+        } else {
+            Datapath::Stream
+        }
+    }
+}
+
+/// The weights of one engine, held in the one form its datapath reads.
+pub(crate) enum Weights {
+    /// `[row_tile][col_tile]` cell arrays, each with its ADC faults
+    /// installed, for the analog reference walk.
+    Analog(Vec<Vec<AnalogArray>>),
+    /// `[row_tile][col_tile]` popcount masks for the quantizing mask
+    /// stream, and on a faulted fabric each tile's per-column ADC fault
+    /// table.
+    Stream {
+        masks: Vec<Vec<PopcountTile>>,
+        adc_faults: Option<Vec<Vec<ColumnFaults>>>,
+    },
+    /// The weight codes (`outs x ins`, row-major) for the exact
+    /// matmul, and their lane-packed `i16` copy (see
+    /// [`kernels::pack_codes16`]) for the SIMD `madd` tiers, empty when
+    /// the codes do not fit `i16` (`weight_bits > 16`).
+    Exact {
+        codes: Vec<i32>,
+        codes16: kernels::PackedCodes16,
+    },
 }
 
 /// A quantized weight matrix programmed into ROM-CiM subarrays, executing
@@ -397,44 +478,36 @@ struct PopcountTile {
 ///
 /// # Execution paths
 ///
-/// [`RomMvm::mvm`] and the batch entries ([`RomMvm::mvm_batch`] and
-/// the run and fold steps under it) dispatch between two
-/// implementations that are bit-identical whenever both are applicable
-/// (asserted by tests):
+/// An engine executes on one of three datapaths, chosen once when it is
+/// programmed, and keeps only the weights that datapath reads.
+/// [`RomMvm::mvm`] and the batch entries ([`RomMvm::mvm_batch`] and the
+/// run and fold steps under it) all run it:
 ///
-/// * the **analog reference path** ([`RomMvm::mvm_analog`]) walks every
-///   cell through [`AnalogArray::evaluate`], modelling precharge, pulse
-///   trains, noise injection and per-group ADC digitization explicitly;
-/// * the **batch kernels** use the popcount masks built at
-///   [`RomMvm::program`] time to compute each group's discharge count
+/// * the **analog reference walk** keeps a cell array per subarray and
+///   walks every cell through [`AnalogArray::evaluate`], modelling
+///   precharge, pulse trains, noise injection and per-group ADC
+///   digitization explicitly. It is the only path that models noise.
+///   [`BackendKind::Analog`] engines take it, as do noisy macros
+///   (`noise_sigma != 0`) and activation groups wider than a 64-bit
+///   mask;
+/// * the **quantizing mask stream** keeps the nonzero popcount group
+///   masks of every subarray, computes each group's discharge count
 ///   with `AND`+`popcount` operations per column instead of a per-cell
-///   loop, then apply the *same* ADC transfer function — or, where that
-///   transfer is an identity, run an exact integer matmul over the
-///   stored codes. They serve every block size, `n = 1` included, when
-///   the macro is noiseless (`noise_sigma == 0`, so no RNG stream is
-///   consumed) and `rows_per_activation` fits a 64-bit mask.
+///   loop, then applies the *same* ADC transfer and column faults: a
+///   noiseless engine whose ADC quantizes, or has a faulted column;
+/// * the **exact matmul** keeps the weight codes. Where the ADC
+///   transfer is an identity on every reachable count and no ADC is
+///   faulted, the bit-serial datapath reconstructs the exact integer
+///   product, so an integer matmul over the codes computes it.
 ///
-/// [`BackendKind::Analog`](crate::backend::BackendKind::Analog) engines
-/// are programmed without the popcount state, so they always take the
-/// reference path.
+/// The three are bit-identical in values and [`MvmStats`] wherever more
+/// than one applies: the parity suites check each against an analog
+/// engine programmed from the same codes. Noiseless paths consume no
+/// randomness.
 pub struct RomMvm {
     params: MacroParams,
-    /// `tiles[row_tile][col_tile]` of programmed subarrays.
-    tiles: Vec<Vec<AnalogArray>>,
-    /// Popcount masks parallel to `tiles`; `None` when
-    /// `rows_per_activation` exceeds the 64-bit mask width or the engine
-    /// is pinned to the analog reference path.
-    popcount_tiles: Option<Vec<Vec<PopcountTile>>>,
-    /// The programmed weight codes (`outs x ins`, row-major), kept for
-    /// the exact-matmul batch kernel — only when that kernel is
-    /// reachable (noiseless macro, maskable groups, identity ADC), so
-    /// configurations that can never take it pay no duplicate storage.
-    codes: Vec<i32>,
-    /// Lane-packed `i16` copy of `codes` (see
-    /// [`kernels::pack_codes16`]) for the SIMD `madd` matmuls, built
-    /// only when the exact kernel is reachable and the codes fit `i16`
-    /// (`weight_bits <= 16`); the empty sentinel otherwise.
-    codes16: kernels::PackedCodes16,
+    /// The weights, in the one form this engine's datapath reads.
+    weights: Weights,
     /// Global `(lo, hi)` activation-row range of every analog group in
     /// row order — the precomputed walk the shared event-counter fold
     /// uses (groups never span a row-tile boundary).
@@ -446,14 +519,6 @@ pub struct RomMvm {
     /// input is fixed at `program` time, so the batch entries read this
     /// instead of rebuilding the constants per call.
     finisher: StatsFinisher,
-    /// Cached [`RomMvm::adc_is_identity`] answer — a pure function of
-    /// `params` on a healthy macro (forced `false` when ADC faults are
-    /// installed), queried on every batch entry and layout choice.
-    adc_identity: bool,
-    /// Per-tile ADC column fault tables, parallel to `tiles`; `None`
-    /// on a healthy engine (see
-    /// [`RomMvm::program_with_faults`]).
-    adc_faults: Option<Vec<Vec<ColumnFaults>>>,
     ins: usize,
     outs: usize,
     outs_per_array: usize,
@@ -461,7 +526,9 @@ pub struct RomMvm {
 
 impl RomMvm {
     /// Programs a signed quantized weight matrix (`outs x ins`, row-major
-    /// codes in the signed `weight_bits` range) into subarrays.
+    /// codes in the signed `weight_bits` range) into subarrays of a
+    /// pristine fabric, for the popcount datapaths
+    /// ([`BackendKind::Popcount`]).
     ///
     /// # Panics
     ///
@@ -470,6 +537,106 @@ impl RomMvm {
     /// `act_bits > 8`, or `ins` breaks [`MacroParams::event_counts_fit`]
     /// or [`MacroParams::accumulators_fit`].
     pub fn program(params: MacroParams, codes: &[i32], outs: usize, ins: usize) -> Self {
+        Self::build(BackendKind::Popcount, params, codes, outs, ins, None, 1.0)
+    }
+
+    /// Programs a weight matrix for `kind` onto a *faulty* fabric (see
+    /// [`crate::faults`]): the effective weight codes are rewritten for
+    /// stuck-at cells and dead subarrays, per-column ADC transfer
+    /// faults are installed on every datapath that digitizes, and
+    /// degraded chiplet links scale the evaluation latency.
+    ///
+    /// Guarantees:
+    ///
+    /// * a fault-free context (`plan.is_none()` and unit slowdown)
+    ///   programs the pristine fabric — the engine is structurally
+    ///   identical, bit for bit, in values and statistics;
+    /// * the same [`FaultContext`] always builds the same faulty
+    ///   engine, and every kernel tier and execution path computes
+    ///   identical results on it (the tier-parity suites run under
+    ///   faults);
+    /// * stuck/dead/ADC faults never change [`MvmStats`] (event
+    ///   counters are pure functions of the activations); only
+    ///   `link_slowdown` perturbs latency, deterministically.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`RomMvm::program`] does on the effective codes, or if
+    /// a non-empty `ctx.phys_ids` does not cover the tile grid, or
+    /// `ctx.link_slowdown <= 0`.
+    pub fn program_with_faults(
+        kind: BackendKind,
+        params: MacroParams,
+        codes: &[i32],
+        outs: usize,
+        ins: usize,
+        ctx: &FaultContext,
+    ) -> Self {
+        assert!(ctx.link_slowdown > 0.0, "link slowdown must be positive");
+        if ctx.plan.is_none() && ctx.link_slowdown == 1.0 {
+            return Self::build(kind, params, codes, outs, ins, None, 1.0);
+        }
+        let geom = faults::FabricGeometry::from_params(&params);
+        let row_tiles = ins.div_ceil(params.rows);
+        let col_tiles = outs.div_ceil(geom.outs_per_array());
+        let ids: Vec<u64> = if ctx.phys_ids.is_empty() {
+            (0..(row_tiles * col_tiles) as u64).collect()
+        } else {
+            assert_eq!(
+                ctx.phys_ids.len(),
+                row_tiles * col_tiles,
+                "one physical subarray id per tile"
+            );
+            ctx.phys_ids.to_vec()
+        };
+        // Stuck-at and dead-subarray faults become *effective code*
+        // mutations: every path (analog, popcount, exact matmul, all
+        // SIMD tiers) then computes on identical faulty weights with
+        // no kernel changes at all.
+        let mut eff = codes.to_vec();
+        ctx.plan.apply_code_faults(&mut eff, outs, ins, &geom, &ids);
+        // ADC transfer faults: per-column tables applied to the sensed
+        // discharge count before digitization.
+        let full_scale = params.rows_per_activation as u32 * ((1u32 << params.chunk_bits) - 1);
+        let cols_per_adc = params.cols / params.adcs_per_subarray.max(1);
+        let mut any_adc_fault = false;
+        let tables = tile_grid(row_tiles, col_tiles, |rt, ct| {
+            let phys = ids[rt * col_tiles + ct];
+            let mut table: ColumnFaults = vec![None; params.cols];
+            // A dead subarray already contributes nothing; its ADC
+            // state is unobservable.
+            if !ctx.plan.subarray_dead(phys) {
+                for adc in 0..params.adcs_per_subarray {
+                    if let Some(f) = ctx.plan.adc_fault(phys, adc as u64, full_scale) {
+                        any_adc_fault = true;
+                        for slot in table.iter_mut().skip(adc * cols_per_adc).take(cols_per_adc) {
+                            *slot = Some(f);
+                        }
+                    }
+                }
+            }
+            table
+        });
+        let adc_faults = any_adc_fault.then_some(tables);
+        Self::build(kind, params, &eff, outs, ins, adc_faults, ctx.link_slowdown)
+    }
+
+    /// The one constructor behind [`RomMvm::program`],
+    /// [`RomMvm::program_with_faults`] and
+    /// [`program_backend`](crate::backend::program_backend): checks the
+    /// widths and every code, picks the datapath ([`Datapath::choose`])
+    /// and straps only the weights that datapath reads. `adc_faults`
+    /// holds every tile's column fault table when some ADC is faulted;
+    /// a degraded link stretches every evaluation `link_slowdown` times.
+    pub(crate) fn build(
+        kind: BackendKind,
+        params: MacroParams,
+        codes: &[i32],
+        outs: usize,
+        ins: usize,
+        adc_faults: Option<Vec<Vec<ColumnFaults>>>,
+        link_slowdown: f64,
+    ) -> Self {
         assert_eq!(codes.len(), outs * ins, "weight matrix size mismatch");
         let range = params
             .weight_code_range()
@@ -492,105 +659,77 @@ impl RomMvm {
             "accumulators over {ins} inputs overflow i32"
         );
         let wb = params.weight_bits as usize;
-        let field = (1u32 << wb) - 1;
+        if let Some(code) = codes.iter().find(|c| !range.contains(c)) {
+            panic!("value {code} outside signed {wb}-bit range");
+        }
         let outs_per_array = params.cols / wb;
         let row_tiles = ins.div_ceil(params.rows);
         let col_tiles = outs.div_ceil(outs_per_array);
         let cfg = params.analog_config();
         let rpa = params.rows_per_activation;
-        let groups = params.rows.div_ceil(rpa);
-        let build_popcount = rpa <= 64;
-        let mut tiles = Vec::with_capacity(row_tiles);
-        let mut popcount_tiles = build_popcount.then(|| Vec::with_capacity(row_tiles));
-        // One bit matrix and one dense group-mask table, cleared and
-        // refilled for every subarray; only the nonzero masks are kept.
-        let mut bits = vec![false; params.rows * params.cols];
-        let mut masks = vec![0u64; groups * params.cols];
-        for rt in 0..row_tiles {
-            let mut row = Vec::with_capacity(col_tiles);
-            let mut popcount_row = build_popcount.then(|| Vec::with_capacity(col_tiles));
+        let adc_identity = match cfg.adc {
+            AdcModel::Ideal => true,
+            AdcModel::Sar { bits, full_scale } => full_scale < (1u32 << bits),
+        };
+        let path = Datapath::choose(
+            kind,
+            params.noise_sigma,
+            rpa <= 64,
+            adc_identity,
+            adc_faults.is_some(),
+        );
+        // The codes each output of tile `(rt, ct)` holds, one per word
+        // line.
+        let tile_rows = |rt: usize, ct: usize| -> Vec<&[i32]> {
             let rows_here = params.rows.min(ins - rt * params.rows);
-            for ct in 0..col_tiles {
-                // Strap the bit-plane columns of every output, setting the
-                // popcount group masks in the same pass: bit `j` of a
-                // code's two's-complement field lands in column
-                // `o * weight_bits + j`.
-                bits.fill(false);
-                masks.fill(0);
-                let outs_here = outs_per_array.min(outs - ct * outs_per_array);
-                // Every plane of a code is written, set or not:
-                // `weight_bits` steps per code, with no branch on its bits.
-                for o in 0..outs_here {
+            let outs_here = outs_per_array.min(outs - ct * outs_per_array);
+            (0..outs_here)
+                .map(|o| {
                     let start = (ct * outs_per_array + o) * ins + rt * params.rows;
-                    let planes = o * wb..(o + 1) * wb;
-                    // Row `r`'s activation group and its bit in the
-                    // group's masks, stepped row by row.
-                    let (mut group, mut row_in_group) = (0, 0);
-                    for (r, &code) in codes[start..start + rows_here].iter().enumerate() {
-                        assert!(
-                            range.contains(&code),
-                            "value {code} outside signed {wb}-bit range"
-                        );
-                        let u = (code as u32) & field;
-                        let cells = &mut bits[r * params.cols..][planes.clone()];
-                        for (j, cell) in cells.iter_mut().enumerate() {
-                            *cell = (u >> j) & 1 != 0;
-                        }
-                        if build_popcount {
-                            let bit = 1u64 << row_in_group;
-                            let group_masks = &mut masks[group * params.cols..][planes.clone()];
-                            for (j, mask) in group_masks.iter_mut().enumerate() {
-                                *mask |= bit * u64::from((u >> j) & 1);
-                            }
-                            row_in_group += 1;
-                            if row_in_group == rpa {
-                                (group, row_in_group) = (group + 1, 0);
+                    &codes[start..start + rows_here]
+                })
+                .collect()
+        };
+        let weights = match path {
+            Datapath::Exact => Weights::Exact {
+                codes: codes.to_vec(),
+                // The SIMD `madd` matmuls read a lane-packed i16 copy;
+                // the i32 bound above keeps their lane sums exact.
+                codes16: if wb <= 16 {
+                    kernels::pack_codes16(codes, outs, ins)
+                } else {
+                    kernels::PackedCodes16::empty()
+                },
+            },
+            Datapath::Stream => Weights::Stream {
+                masks: tile_grid(row_tiles, col_tiles, |rt, ct| {
+                    PopcountTile::strap(&tile_rows(rt, ct), params.rows.div_ceil(rpa), rpa, wb)
+                }),
+                adc_faults,
+            },
+            Datapath::Analog => {
+                // One bit matrix, cleared and refilled for every
+                // subarray: bit `j` of a code's two's-complement field
+                // lands in column `o * weight_bits + j`, and every plane
+                // is written, set or not.
+                let mut bits = vec![false; params.rows * params.cols];
+                Weights::Analog(tile_grid(row_tiles, col_tiles, |rt, ct| {
+                    bits.fill(false);
+                    for (o, row) in tile_rows(rt, ct).into_iter().enumerate() {
+                        for (r, &code) in row.iter().enumerate() {
+                            let cells = &mut bits[r * params.cols + o * wb..][..wb];
+                            for (j, cell) in cells.iter_mut().enumerate() {
+                                *cell = (code as u32 >> j) & 1 != 0;
                             }
                         }
                     }
-                }
-                if let Some(pr) = popcount_row.as_mut() {
-                    // Lane-packed tile-major list for the batch stream:
-                    // only nonzero masks, grouped by activation group.
-                    let mut nz = Vec::new();
-                    let mut nz_offsets = Vec::with_capacity(groups + 1);
-                    nz_offsets.push(0u32);
-                    for g in 0..groups {
-                        for o in 0..outs_here {
-                            for j in 0..wb {
-                                let mask = masks[g * params.cols + o * wb + j];
-                                if mask != 0 {
-                                    nz.push((((o as u32) << 8) | j as u32, mask));
-                                }
-                            }
-                        }
-                        nz_offsets.push(u32::try_from(nz.len()).expect("nz list fits u32"));
+                    let mut array = AnalogArray::from_bits(cfg, &bits);
+                    if let Some(faults) = &adc_faults {
+                        array.set_column_faults(faults[rt][ct].clone());
                     }
-                    pr.push(PopcountTile { nz, nz_offsets });
-                }
-                row.push(AnalogArray::from_bits(cfg, &bits));
+                    array
+                }))
             }
-            tiles.push(row);
-            if let (Some(pt), Some(pr)) = (popcount_tiles.as_mut(), popcount_row) {
-                pt.push(pr);
-            }
-        }
-        // Keep a flat copy of the codes only where the exact-matmul
-        // batch kernel can actually run (noiseless, maskable groups,
-        // identity ADC transfer) — noisy or overdriven configurations
-        // would never read it.
-        let exact_reachable = params.noise_sigma == 0.0
-            && build_popcount
-            && match cfg.adc {
-                AdcModel::Ideal => true,
-                AdcModel::Sar { bits, full_scale } => full_scale < (1u32 << bits),
-            };
-        // The SIMD `madd` matmuls read a lane-packed i16 copy; the i32
-        // bound above keeps their lane sums exact.
-        let codes16 = if exact_reachable && params.weight_bits <= 16 {
-            kernels::pack_codes16(codes, outs, ins)
-        } else {
-            kernels::PackedCodes16::empty()
         };
         // Precompute the global activation-group walk for the shared
         // event-counter fold: groups are rpa-row runs that restart at
@@ -606,137 +745,18 @@ impl RomMvm {
                 g = ge;
             }
         }
-        let mut this = RomMvm {
+        // A vector evaluates at most every `(group, chunk)` pair.
+        let max_active = group_bounds.len() * params.act_bits.div_ceil(params.chunk_bits) as usize;
+        RomMvm {
             params,
-            tiles,
-            popcount_tiles,
-            codes: if exact_reachable {
-                codes.to_vec()
-            } else {
-                Vec::new()
-            },
-            codes16,
+            weights,
             group_bounds,
             kernel: KernelDispatch::from_env().resolve(),
-            finisher: StatsFinisher::default(),
-            adc_identity: match cfg.adc {
-                AdcModel::Ideal => true,
-                AdcModel::Sar { bits, full_scale } => full_scale < (1u32 << bits),
-            },
-            adc_faults: None,
+            finisher: StatsFinisher::new(&params, row_tiles, col_tiles, max_active, link_slowdown),
             ins,
             outs,
             outs_per_array,
-        };
-        this.finisher = this.stats_finisher();
-        this
-    }
-
-    /// Programs a weight matrix onto a *faulty* fabric (see
-    /// [`crate::faults`]): the effective weight codes are rewritten for
-    /// stuck-at cells and dead subarrays, per-column ADC transfer
-    /// faults are installed on every execution path, and degraded
-    /// chiplet links scale the evaluation latency.
-    ///
-    /// Guarantees:
-    ///
-    /// * a fault-free context (`plan.is_none()` and unit slowdown)
-    ///   delegates to [`RomMvm::program`] — the engine is structurally
-    ///   identical, bit for bit, in values and statistics;
-    /// * the same [`FaultContext`] always builds the same faulty
-    ///   engine, and every kernel tier and execution path computes
-    ///   identical results on it (the tier-parity suites run under
-    ///   faults);
-    /// * stuck/dead/ADC faults never change [`MvmStats`] (event
-    ///   counters are pure functions of the activations); only
-    ///   `link_slowdown` perturbs latency, deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codes` mismatches `(outs, ins)`, a non-empty
-    /// `ctx.phys_ids` does not cover the tile grid, or
-    /// `ctx.link_slowdown <= 0`.
-    pub fn program_with_faults(
-        params: MacroParams,
-        codes: &[i32],
-        outs: usize,
-        ins: usize,
-        ctx: &FaultContext,
-    ) -> Self {
-        assert!(ctx.link_slowdown > 0.0, "link slowdown must be positive");
-        if ctx.plan.is_none() && ctx.link_slowdown == 1.0 {
-            return Self::program(params, codes, outs, ins);
         }
-        let geom = faults::FabricGeometry::from_params(&params);
-        let opa = geom.outs_per_array();
-        let row_tiles = ins.div_ceil(params.rows);
-        let col_tiles = outs.div_ceil(opa);
-        let ids: Vec<u64> = if ctx.phys_ids.is_empty() {
-            (0..(row_tiles * col_tiles) as u64).collect()
-        } else {
-            assert_eq!(
-                ctx.phys_ids.len(),
-                row_tiles * col_tiles,
-                "one physical subarray id per tile"
-            );
-            ctx.phys_ids.to_vec()
-        };
-        // Stuck-at and dead-subarray faults become *effective code*
-        // mutations: every path (analog, popcount, exact matmul, all
-        // SIMD tiers) then computes on identical faulty weights with
-        // no kernel changes at all.
-        let mut eff = codes.to_vec();
-        ctx.plan.apply_code_faults(&mut eff, outs, ins, &geom, &ids);
-        let mut this = Self::program(params, &eff, outs, ins);
-        // ADC transfer faults: per-column tables applied to the sensed
-        // discharge count before digitization, on every path.
-        let full_scale = params.rows_per_activation as u32 * ((1u32 << params.chunk_bits) - 1);
-        let cols_per_adc = params.cols / params.adcs_per_subarray.max(1);
-        let mut any_adc_fault = false;
-        let mut tables: Vec<Vec<ColumnFaults>> = Vec::with_capacity(row_tiles);
-        for rt in 0..row_tiles {
-            let mut table_row = Vec::with_capacity(col_tiles);
-            for ct in 0..col_tiles {
-                let phys = ids[rt * col_tiles + ct];
-                let mut table: ColumnFaults = vec![None; params.cols];
-                // A dead subarray already contributes nothing; its ADC
-                // state is unobservable.
-                if !ctx.plan.subarray_dead(phys) {
-                    for adc in 0..params.adcs_per_subarray {
-                        if let Some(f) = ctx.plan.adc_fault(phys, adc as u64, full_scale) {
-                            any_adc_fault = true;
-                            for slot in table.iter_mut().skip(adc * cols_per_adc).take(cols_per_adc)
-                            {
-                                *slot = Some(f);
-                            }
-                        }
-                    }
-                }
-                table_row.push(table);
-            }
-            tables.push(table_row);
-        }
-        if any_adc_fault {
-            // A faulted ADC breaks the identity-transfer shortcut:
-            // every batch entry must stream counts through the
-            // per-column transfer, so the exact-matmul caches are
-            // dropped and dispatch falls to the popcount mask stream.
-            this.adc_identity = false;
-            this.codes = Vec::new();
-            this.codes16 = kernels::PackedCodes16::empty();
-            for (rt, row) in this.tiles.iter_mut().enumerate() {
-                for (ct, array) in row.iter_mut().enumerate() {
-                    array.set_column_faults(tables[rt][ct].clone());
-                }
-            }
-            this.adc_faults = Some(tables);
-        }
-        if ctx.link_slowdown != 1.0 {
-            // A degraded chiplet link stretches every evaluation the
-            // engine serializes over it.
-            this.finisher.slow_down(ctx.link_slowdown);
-        }
-        this
     }
 
     /// Forces the batched MVM kernels onto a specific tier, overriding
@@ -817,23 +837,9 @@ impl RomMvm {
         );
     }
 
-    /// Drops the popcount masks and stored codes that only the batch
-    /// kernels read, so every execution takes the cell-accurate analog
-    /// reference path — how [`BackendKind::Analog`] engines are
-    /// programmed.
-    ///
-    /// [`BackendKind::Analog`]: crate::backend::BackendKind::Analog
-    pub fn pin_analog(&mut self) {
-        self.popcount_tiles = None;
-        self.codes = Vec::new();
-        self.codes16 = kernels::PackedCodes16::empty();
-    }
-
-    /// Whether [`RomMvm::mvm`] and the batch entries run the batch
-    /// kernels: noiseless, `rows_per_activation` fits the 64-bit group
-    /// masks, and not pinned to the analog reference path.
-    pub fn fast_path_active(&self) -> bool {
-        self.params.noise_sigma == 0.0 && self.popcount_tiles.is_some()
+    /// The weights this engine's datapath reads.
+    pub(crate) fn weights(&self) -> &Weights {
+        &self.weights
     }
 
     /// Logical dimensions `(outs, ins)`.
@@ -841,27 +847,26 @@ impl RomMvm {
         (self.outs, self.ins)
     }
 
-    /// Total subarrays used.
+    /// Total subarrays used: the row tiles the inputs span times the
+    /// column tiles the outputs span.
     pub fn subarrays_used(&self) -> usize {
-        self.tiles.iter().map(|r| r.len()).sum()
+        self.ins.div_ceil(self.params.rows) * self.outs.div_ceil(self.outs_per_array)
     }
 
     /// Executes `y = W x` on unsigned activation codes (`0..2^act_bits`),
     /// returning the integer results and execution statistics.
     ///
-    /// Runs the batch kernels on a one-vector block (through
-    /// [`RomMvm::mvm_batch`], the checked `i32` boundary) when
-    /// [`RomMvm::fast_path_active`] (the RNG is then untouched — a
-    /// noiseless datapath consumes no randomness on either path), and the
-    /// analog reference path otherwise. Both paths produce identical
-    /// results and statistics whenever both apply.
+    /// An analog engine walks its cells (see *Execution paths*); every
+    /// other engine runs its batch kernel on a one-vector block, through
+    /// [`RomMvm::mvm_batch`], the checked `i32` boundary, and leaves the
+    /// RNG untouched.
     ///
     /// # Panics
     ///
     /// Panics if `acts.len() != ins` or any code is out of range.
     pub fn mvm<R: Rng + ?Sized>(&self, acts: &[i32], rng: &mut R) -> (Vec<i64>, MvmStats) {
-        if !self.fast_path_active() {
-            return self.mvm_analog(acts, rng);
+        if let Weights::Analog(tiles) = &self.weights {
+            return self.mvm_analog(tiles, acts, rng);
         }
         assert_eq!(acts.len(), self.ins, "activation length mismatch");
         let mut out = vec![0i64; self.outs];
@@ -869,25 +874,6 @@ impl RomMvm {
         let mut scratch = crate::backend::MvmScratch::new();
         self.mvm_batch(acts, 1, &mut out, &mut stats, &mut scratch, rng);
         (out, stats)
-    }
-
-    /// The row-major batch kernel of a noiseless engine: the exact
-    /// integer matmul where the ADC transfer is an identity, the
-    /// quantizing popcount mask stream otherwise. Leaves one
-    /// `(active, pulses)` pair per vector in `scratch` for
-    /// [`RomMvm::fold_stats`].
-    pub(crate) fn mvm_batch_noiseless(
-        &self,
-        acts: &[u8],
-        n: usize,
-        out: &mut [i32],
-        scratch: &mut crate::backend::MvmScratch,
-    ) {
-        if self.adc_is_identity() {
-            self.mvm_batch_exact(acts, n, out, scratch);
-        } else {
-            self.mvm_batch_fast(acts, n, out, scratch);
-        }
     }
 
     /// Asserts every activation code is in the unsigned `act_bits` range
@@ -921,55 +907,41 @@ impl RomMvm {
         }
     }
 
-    /// Whether the configured ADC transfer is an identity on every
-    /// reachable discharge count (LSB = 1 count, counts never exceed the
-    /// full scale) — true at the paper design point, where 10 rows per
-    /// activation x 3 pulses fit the 31-level 5-bit ADC. A pure function
-    /// of `params`, computed once at `program` time.
-    pub(crate) fn adc_is_identity(&self) -> bool {
-        self.adc_identity
-    }
-
-    /// Executes a block of `n` activation vectors when the ADC transfer
-    /// is an identity ([`RomMvm::adc_is_identity`]): the bit-serial
-    /// datapath then reconstructs the exact integer product (the repo's
-    /// core equivalence claim, property-tested in both directions), so
-    /// the accumulators come from an integer matmul over the stored
-    /// weight codes — dispatched through the selected kernel tier
+    /// Executes a block of `n` activation vectors on the exact
+    /// datapath: where the ADC transfer is an identity the bit-serial
+    /// datapath reconstructs the exact integer product (the repo's core
+    /// equivalence claim, property-tested in both directions), so the
+    /// accumulators come from an integer matmul over the stored weight
+    /// `codes` — dispatched through the selected kernel tier
     /// ([`RomMvm::kernel`]) — while the per-vector event counters in
     /// `scratch` come from the one shared event-counter fold (see the
-    /// [`kernels`] module). Bit-identical to a per-vector
-    /// [`RomMvm::mvm_analog`] loop in values *and* counters on every
-    /// tier.
+    /// [`kernels`] module). Bit-identical to a per-vector analog walk in
+    /// values *and* counters on every tier.
     pub(crate) fn mvm_batch_exact(
         &self,
+        codes: &[i32],
+        codes16: &kernels::PackedCodes16,
         acts: &[u8],
         n: usize,
         out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        assert!(
-            !self.codes.is_empty() || self.outs == 0 || self.ins == 0,
-            "exact kernel requires the stored code matrix"
-        );
-        kernels::matmul_exact(
-            self.kernel,
-            &self.exact_codes(),
-            acts,
-            n,
-            out,
-            &mut scratch.acts16,
-        );
+        let codes = self.exact_codes(codes, codes16);
+        kernels::matmul_exact(self.kernel, &codes, acts, n, out, &mut scratch.acts16);
         let ins = self.ins;
         self.fold_counters(kernels::FoldSrc::Rows { acts, ins }, n, scratch);
     }
 
     /// The stored codes in every packing the matmul tiers understand.
-    fn exact_codes(&self) -> kernels::ExactCodes<'_> {
+    fn exact_codes<'a>(
+        &self,
+        codes: &'a [i32],
+        codes16: &'a kernels::PackedCodes16,
+    ) -> kernels::ExactCodes<'a> {
         kernels::ExactCodes {
-            codes: &self.codes,
-            codes16: self.codes16.data(),
-            ins16: self.codes16.stride(),
+            codes,
+            codes16: codes16.data(),
+            ins16: codes16.stride(),
             outs: self.outs,
             ins: self.ins,
         }
@@ -987,11 +959,10 @@ impl RomMvm {
     /// row-major kernels on every shape, so the transposed kernels run
     /// only for callers that stage the panel.
     ///
-    /// Only the exact matmul of a noiseless identity-ADC engine has a
-    /// panel-native kernel. The analog reference path is per-vector, and
-    /// a quantizing ADC's popcount stream packs its pulse bit-planes from
-    /// row-major vectors, so both always stage row-major (a panel handed
-    /// to them is unpacked first).
+    /// Only the exact matmul has a panel-native kernel. The analog
+    /// reference walk is per-vector, and the quantizing mask stream packs
+    /// its pulse bit-planes from row-major vectors, so both always stage
+    /// row-major (a panel handed to them is unpacked first).
     ///
     /// The scalar tier also stays row-major: the panel layout only pays
     /// off when lanes vectorize, and letting the reference tier take its
@@ -999,7 +970,7 @@ impl RomMvm {
     /// speedup. Scalar's transposed entries remain first-class parity
     /// oracles — the remainder suites drive them with explicit panels.
     pub fn batch_layout(&self, n: usize) -> kernels::MatmulLayout {
-        let exact = self.fast_path_active() && self.adc_is_identity();
+        let exact = matches!(self.weights, Weights::Exact { .. });
         if exact && self.kernel != kernels::KernelKind::Scalar {
             kernels::choose_layout(self.outs, self.ins, n)
         } else {
@@ -1013,15 +984,14 @@ impl RomMvm {
     /// row-major entry on every tier.
     pub(crate) fn mvm_batch_exact_t(
         &self,
+        codes: &[i32],
+        codes16: &kernels::PackedCodes16,
         panel: &kernels::Panel<'_>,
         out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        assert!(
-            !self.codes.is_empty() || self.outs == 0 || self.ins == 0,
-            "exact kernel requires the stored code matrix"
-        );
-        kernels::matmul_exact_t(self.kernel, &self.exact_codes(), panel, out);
+        let codes = self.exact_codes(codes, codes16);
+        kernels::matmul_exact_t(self.kernel, &codes, panel, out);
         self.fold_counters(kernels::FoldSrc::Panel(*panel), panel.n(), scratch);
     }
 
@@ -1038,7 +1008,7 @@ impl RomMvm {
     /// `pulses * col_tiles` pulses. Each `u32` count converts to `f64`
     /// exactly, and multiplying it by the constant rounds the exact
     /// integer product once, as converting the `u64` product does, so the
-    /// derived `f64` fields are the ones [`RomMvm::mvm_analog`] derives.
+    /// derived `f64` fields are the ones the analog walk derives.
     /// The terms that depend on `active` alone come from a table built
     /// at `program` time; only the pulse term is multiplied here.
     ///
@@ -1070,53 +1040,37 @@ impl RomMvm {
         stats.wl_pulses += wl * f.col_tiles;
     }
 
-    /// Executes a block of `n` activation vectors on the popcount mask
-    /// stream with **one traversal of the popcount masks per block**: the
-    /// pulse bit-planes of every vector are packed once per (row-tile,
-    /// chunk) step into `scratch`, and the per-column weight masks are
-    /// then streamed a single time, each mask `AND`+`popcount`-ed against
-    /// all vectors while it is hot. Bit-identical to a per-vector
-    /// [`RomMvm::mvm_analog`] loop in values *and* event counters: the
-    /// integer accumulation is exact under any traversal order, the same
-    /// ADC transfer is applied per group evaluation, and the per-vector
+    /// Executes a block of `n` activation vectors on the quantizing mask
+    /// stream with **one traversal of the popcount `masks` per block**:
+    /// the pulse bit-planes of every vector are packed once per
+    /// (row-tile, chunk) step into `scratch`, and the per-column weight
+    /// masks are then streamed a single time, each mask
+    /// `AND`+`popcount`-ed against all vectors while it is hot.
+    /// Bit-identical to a per-vector analog walk in values *and* event
+    /// counters: the integer accumulation is exact under any traversal
+    /// order, the same ADC transfer (after the tile's column faults in
+    /// `adc_faults`) is applied per group evaluation, and the per-vector
     /// counters left in `scratch` are the ones the analog walk derives
     /// its statistics from.
-    ///
-    /// At the paper design point the ADC resolves single discharge events
-    /// (`full_scale <= levels`), making the transfer an identity on
-    /// reachable counts; the kernel then skips the per-group `digitize`
-    /// calls entirely, which is where most of the batched speedup on the
-    /// default configuration comes from.
     ///
     /// The `AND`+popcount inner loop and the counter fold dispatch
     /// through the selected kernel tier ([`RomMvm::kernel`]); every tier
     /// computes identical integers, so tier choice is invisible here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths mismatch or the fast path is
-    /// unavailable (`rows_per_activation > 64`).
     pub(crate) fn mvm_batch_fast(
         &self,
+        masks: &[Vec<PopcountTile>],
+        adc_faults: Option<&[Vec<ColumnFaults>]>,
         acts: &[u8],
         n: usize,
         out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
         let p = &self.params;
-        let popcount_tiles = self
-            .popcount_tiles
-            .as_ref()
-            .expect("fast path requires popcount tables");
         let rpa = p.rows_per_activation;
         let n_groups = p.rows.div_ceil(rpa);
         let n_planes = p.chunk_bits as usize;
         let n_chunks = p.act_bits.div_ceil(p.chunk_bits) as usize;
         let chunk_mask = (1u32 << p.chunk_bits) - 1;
-        let adc = p.analog_config().adc;
-        // Identity transfers normally dispatch to `mvm_batch_exact`; the
-        // branch is kept so this kernel stands alone as well.
-        let adc_identity = self.adc_is_identity();
         out.fill(0);
         // Event counters: the one shared fold over the pulse activity
         // (pure function of the pulses, independent of the mask stream).
@@ -1135,9 +1089,10 @@ impl RomMvm {
         scratch.plane_masks.resize(n_groups * group_stride, 0);
         scratch.counts.clear();
         scratch.counts.resize(n_pad, 0);
-        for (rt, tile_row) in popcount_tiles.iter().enumerate() {
+        for (rt, tile_row) in masks.iter().enumerate() {
             let row_lo = rt * p.rows;
             let row_hi = ((rt + 1) * p.rows).min(self.ins);
+            let row_faults = adc_faults.map(|af| &af[rt][..]);
             for c_idx in 0..n_chunks {
                 let shift = c_idx as u8 * p.chunk_bits;
                 let act_weight = 1i32 << shift;
@@ -1164,13 +1119,11 @@ impl RomMvm {
                     continue;
                 }
                 self.stream_tile_masks(
-                    rt,
                     tile_row,
+                    row_faults,
                     n,
                     n_pad,
                     act_weight,
-                    adc_identity,
-                    adc,
                     &scratch.plane_masks,
                     &mut scratch.counts,
                     out,
@@ -1182,19 +1135,18 @@ impl RomMvm {
     /// Streams one row tile's lane-packed nonzero weight masks against
     /// the staged pulse bit-planes — the inner loop of
     /// [`RomMvm::mvm_batch_fast`] (`AND`+popcount via
-    /// [`kernels::group_counts`], then ADC transfer and signed-plane
-    /// accumulation). Every term and sum fits the `i32` accumulators by
+    /// [`kernels::group_counts`], then the tile's column faults from
+    /// `row_faults`, the ADC transfer and signed-plane accumulation).
+    /// Every term and sum fits the `i32` accumulators by
     /// [`MacroParams::accumulators_fit`].
     #[allow(clippy::too_many_arguments)]
     fn stream_tile_masks(
         &self,
-        rt: usize,
         tile_row: &[PopcountTile],
+        row_faults: Option<&[ColumnFaults]>,
         n: usize,
         n_pad: usize,
         act_weight: i32,
-        adc_identity: bool,
-        adc: AdcModel,
         plane_masks: &[u64],
         counts: &mut [u64],
         out: &mut [i32],
@@ -1204,8 +1156,9 @@ impl RomMvm {
         let n_planes = p.chunk_bits as usize;
         let n_groups = p.rows.div_ceil(p.rows_per_activation);
         let group_stride = n_planes * n_pad;
+        let adc = p.analog_config().adc;
         for (ct, tile) in tile_row.iter().enumerate() {
-            let tile_faults = self.adc_faults.as_ref().map(|af| &af[rt][ct]);
+            let tile_faults = row_faults.map(|r| &r[ct]);
             for g in 0..n_groups {
                 let planes = &plane_masks[g * group_stride..(g + 1) * group_stride];
                 let span = tile.nz_offsets[g] as usize..tile.nz_offsets[g + 1] as usize;
@@ -1227,35 +1180,36 @@ impl RomMvm {
                             Some(f) => f.apply_count(count),
                             None => count,
                         };
-                        let readout = if adc_identity {
-                            sensed as i32
-                        } else {
-                            adc.digitize(sensed as f32) as i32
-                        };
-                        *slot += w_plane * readout;
+                        *slot += w_plane * adc.digitize(sensed as f32) as i32;
                     }
                 }
             }
         }
     }
 
-    /// Executes `y = W x` through the cell-accurate analog reference path:
-    /// every group evaluation walks the subarray cells, injects bit-line
-    /// noise when configured, and digitizes through the column ADC model.
-    /// This is the pre-engine implementation, kept as the golden reference
-    /// for the fast path and as the only path that models noise.
+    /// Executes `y = W x` through the cell-accurate analog reference
+    /// walk over the engine's cell arrays `tiles`: every group
+    /// evaluation walks the subarray cells, injects bit-line noise when
+    /// configured, and digitizes through the column ADC model. The
+    /// golden reference for the batch kernels, and the only path that
+    /// models noise.
     ///
     /// # Panics
     ///
     /// Panics if `acts.len() != ins` or any code is out of range.
-    pub fn mvm_analog<R: Rng + ?Sized>(&self, acts: &[i32], rng: &mut R) -> (Vec<i64>, MvmStats) {
+    pub(crate) fn mvm_analog<R: Rng + ?Sized>(
+        &self,
+        tiles: &[Vec<AnalogArray>],
+        acts: &[i32],
+        rng: &mut R,
+    ) -> (Vec<i64>, MvmStats) {
         assert_eq!(acts.len(), self.ins, "activation length mismatch");
         let p = &self.params;
         let chunks = unsigned_chunks(acts, p.act_bits, p.chunk_bits);
         let wb = p.weight_bits as usize;
         let mut out = vec![0i64; self.outs];
         let mut stats = MvmStats::default();
-        for (rt, tile_row) in self.tiles.iter().enumerate() {
+        for (rt, tile_row) in tiles.iter().enumerate() {
             let row_lo = rt * p.rows;
             let row_hi = ((rt + 1) * p.rows).min(self.ins);
             for (c_idx, chunk) in chunks.iter().enumerate() {
@@ -1289,44 +1243,22 @@ impl RomMvm {
         self.finisher.finish(&mut stats);
         (out, stats)
     }
+}
 
-    /// Hoists the constant subexpressions of the stats derivation —
-    /// the subarray walk, the `div_ceil` shape math and the `t_eval`
-    /// division — and tabulates the terms that depend on a vector's
-    /// active count alone, so the per-vector fold pays only a lookup and
-    /// the pulse term. Every precomputed value is the exact float the
-    /// unhoisted expression produced, and [`StatsFinisher::finish`] and
-    /// [`RomMvm::fold_stats`] apply the remaining operations in the
-    /// original order, so the derived fields stay bit-identical to a
-    /// per-vector walk. Built once at `program` time and cached as
-    /// [`RomMvm::finisher`] (every input is fixed after programming).
-    fn stats_finisher(&self) -> StatsFinisher {
-        let p = &self.params;
-        let groups_per_tile = p.rows.div_ceil(p.rows_per_activation) as f64;
-        let n_chunks = p.act_bits.div_ceil(p.chunk_bits);
-        let col_tiles = self.tiles.first().map_or(0, |r| r.len()) as u64;
-        let mut finisher = StatsFinisher {
-            col_tiles,
-            conversions: p.cols as u64 * col_tiles,
-            e_adc_pj: p.e_adc_pj,
-            e_wl_pulse_pj: p.e_wl_pulse_pj,
-            cols_f: p.cols as f64,
-            e_precharge_pj: p.e_precharge_pj,
-            shift_add_term: self.subarrays_used() as f64 * p.e_shift_add_pj,
-            t_eval: p.t_inference_ns / (f64::from(n_chunks) * groups_per_tile),
-            tile_div: self.tiles.first().map_or(1.0, |r| r.len() as f64).max(1.0),
-            by_active: Vec::new(),
-        };
-        // A vector evaluates at most every `(group, chunk)` pair.
-        finisher.tabulate(self.group_bounds.len() * usize::from(n_chunks));
-        finisher
-    }
+/// A `[row_tile][col_tile]` grid of `f(rt, ct)`, built row by row.
+fn tile_grid<T>(
+    row_tiles: usize,
+    col_tiles: usize,
+    mut f: impl FnMut(usize, usize) -> T,
+) -> Vec<Vec<T>> {
+    (0..row_tiles)
+        .map(|rt| (0..col_tiles).map(|ct| f(rt, ct)).collect())
+        .collect()
 }
 
 /// Precomputed constants of the stats derivation (see
 /// [`StatsFinisher::finish`]); built once at `program` time, applied per
 /// vector.
-#[derive(Clone, Default)]
 struct StatsFinisher {
     /// Column tiles every group evaluation fans across.
     col_tiles: u64,
@@ -1338,11 +1270,13 @@ struct StatsFinisher {
     e_precharge_pj: f64,
     /// `subarrays_used() as f64 * e_shift_add_pj`, constant per engine.
     shift_add_term: f64,
-    /// `t_inference_ns / (chunks x groups)`, constant per engine.
+    /// `t_inference_ns / (chunks x groups)`, times the link slowdown,
+    /// constant per engine.
     t_eval: f64,
     /// Column-tile parallelism divisor, constant per engine.
     tile_div: f64,
-    /// For every reachable active count `a` (the index), the
+    /// For every active count `a` up to the most a vector reaches (the
+    /// index), the
     /// `[ADC energy, precharge energy, latency]` terms [`derive`] gives
     /// a vector with `a` live `(group, chunk)` evaluations, which fan
     /// out to `a * col_tiles` evaluations and `a * conversions`
@@ -1353,8 +1287,59 @@ struct StatsFinisher {
 }
 
 impl StatsFinisher {
+    /// Hoists the constant subexpressions of the stats derivation for
+    /// an engine over a `row_tiles x col_tiles` grid — the shape math
+    /// and the `t_eval` division, stretched by a degraded link's
+    /// `link_slowdown` — and tabulates the terms that depend on a
+    /// vector's active count alone, up to `max_active`, so the
+    /// per-vector fold pays only a lookup and the pulse term. Every
+    /// precomputed value is the exact float the unhoisted expression
+    /// produced, and [`StatsFinisher::finish`] and
+    /// [`RomMvm::fold_stats`] apply the remaining operations in the
+    /// original order, so the derived fields stay bit-identical to a
+    /// per-vector walk.
+    fn new(
+        p: &MacroParams,
+        row_tiles: usize,
+        col_tiles: usize,
+        max_active: usize,
+        link_slowdown: f64,
+    ) -> Self {
+        let groups_per_tile = p.rows.div_ceil(p.rows_per_activation) as f64;
+        let n_chunks = p.act_bits.div_ceil(p.chunk_bits);
+        // An engine with no row tile evaluates nothing: no column tile
+        // fans out, and its latency divides by one.
+        let fan_out = if row_tiles == 0 { 0 } else { col_tiles as u64 };
+        let mut finisher = StatsFinisher {
+            col_tiles: fan_out,
+            conversions: p.cols as u64 * fan_out,
+            e_adc_pj: p.e_adc_pj,
+            e_wl_pulse_pj: p.e_wl_pulse_pj,
+            cols_f: p.cols as f64,
+            e_precharge_pj: p.e_precharge_pj,
+            shift_add_term: (row_tiles * col_tiles) as f64 * p.e_shift_add_pj,
+            t_eval: p.t_inference_ns / (f64::from(n_chunks) * groups_per_tile) * link_slowdown,
+            tile_div: (fan_out as f64).max(1.0),
+            by_active: Vec::new(),
+        };
+        // Each term the float `derive` computes for its active count.
+        let f = &finisher;
+        let (col_tiles, conversions) = (f.col_tiles as f64, f.conversions as f64);
+        finisher.by_active = (0..=max_active)
+            .map(|a| {
+                let (adc, evals) = (a as f64 * conversions, a as f64 * col_tiles);
+                [
+                    adc * f.e_adc_pj,
+                    evals * f.cols_f * f.e_precharge_pj,
+                    evals * f.t_eval / f.tile_div,
+                ]
+            })
+            .collect();
+        finisher
+    }
+
     /// Fills in the derived energy and latency fields from the event
-    /// counters, identically for both execution paths.
+    /// counters, identically for every execution path.
     ///
     /// Energy: one `e_adc` per column conversion, `e_wl` per actual
     /// pulse, per-evaluation bit-line precharge, and shift-&-add/control
@@ -1368,30 +1353,6 @@ impl StatsFinisher {
             stats.wl_pulses as f64,
             stats.analog_evaluations as f64,
         );
-    }
-
-    /// Fills [`StatsFinisher::by_active`] for the active counts
-    /// `0..=max_active`, each term the float [`StatsFinisher::derive`]
-    /// computes for it.
-    fn tabulate(&mut self, max_active: usize) {
-        let (col_tiles, conversions) = (self.col_tiles as f64, self.conversions as f64);
-        self.by_active = (0..=max_active)
-            .map(|a| {
-                let (adc, evals) = (a as f64 * conversions, a as f64 * col_tiles);
-                [
-                    adc * self.e_adc_pj,
-                    evals * self.cols_f * self.e_precharge_pj,
-                    evals * self.t_eval / self.tile_div,
-                ]
-            })
-            .collect();
-    }
-
-    /// Stretches every evaluation by `slowdown` (a degraded chiplet
-    /// link) and re-tabulates the latency terms.
-    fn slow_down(&mut self, slowdown: f64) {
-        self.t_eval *= slowdown;
-        self.tabulate(self.by_active.len() - 1);
     }
 
     /// `(energy_pj, latency_ns)` of `adc` conversions, `wl` pulses and
@@ -1425,6 +1386,7 @@ pub fn reference_mvm(codes: &[i32], outs: usize, ins: usize, acts: &[i32]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::program_backend;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1570,36 +1532,95 @@ mod tests {
         assert!(y.iter().all(|&v| v == ins as i64));
     }
 
-    #[test]
-    fn program_straps_signed_bitplanes_with_matching_masks() {
-        // Oracle: the quant crate's plane decomposition. Odd shapes leave
-        // partial row and column tiles; 5-bit codes leave unused columns.
-        use yoloc_quant::bitplane::signed_bitplanes;
-        let mut params = MacroParams::rom_paper();
-        params.weight_bits = 5;
+    /// The datapath `engine` executes on, read off the weights it holds.
+    fn path(engine: &RomMvm) -> Datapath {
+        match engine.weights {
+            Weights::Analog(_) => Datapath::Analog,
+            Weights::Stream { .. } => Datapath::Stream,
+            Weights::Exact { .. } => Datapath::Exact,
+        }
+    }
+
+    /// A 53 x 300 matrix of 5-bit codes: odd shapes leave partial row
+    /// and column tiles, and 5-bit codes leave unused columns.
+    fn five_bit_matrix() -> (MacroParams, Vec<i32>, usize, usize) {
+        let params = MacroParams {
+            weight_bits: 5,
+            ..MacroParams::rom_paper()
+        };
         let (outs, ins) = (53, 300);
-        let codes: Vec<i32> = (0..outs * ins)
+        let codes = (0..outs * ins)
             .map(|i| ((i * 37) % 32) as i32 - 16)
             .collect();
-        let engine = RomMvm::program(params, &codes, outs, ins);
-        let planes = signed_bitplanes(&codes, params.weight_bits);
-        let (rows, cols, rpa) = (params.rows, params.cols, params.rows_per_activation);
-        let opa = engine.outs_per_array;
-        let groups = rows.div_ceil(rpa);
-        let popcount = engine.popcount_tiles.as_ref().expect("maskable groups");
-        for (rt, tile_row) in engine.tiles.iter().enumerate() {
+        (params, codes, outs, ins)
+    }
+
+    /// The cells of tile `(rt, ct)` an `outs x ins` matrix of 5-bit
+    /// `codes` straps (row-major `rows x cols`), by the quant crate's
+    /// plane decomposition: the oracle of both programming tests.
+    fn strapped_cells(
+        params: &MacroParams,
+        codes: &[i32],
+        (outs, ins): (usize, usize),
+        (rt, ct): (usize, usize),
+    ) -> Vec<bool> {
+        use yoloc_quant::bitplane::signed_bitplanes;
+        let planes = signed_bitplanes(codes, params.weight_bits);
+        let opa = params.cols / 5;
+        (0..params.rows * params.cols)
+            .map(|cell| {
+                let (r, c) = (cell / params.cols, cell % params.cols);
+                let (i, o, j) = (rt * params.rows + r, ct * opa + c / 5, c % 5);
+                i < ins && o < outs && c < opa * 5 && planes[j][o * ins + i] == 1
+            })
+            .collect()
+    }
+
+    #[test]
+    fn analog_program_straps_signed_bitplanes() {
+        let (params, codes, outs, ins) = five_bit_matrix();
+        let engine = program_backend(BackendKind::Analog, params, &codes, outs, ins);
+        let Weights::Analog(tiles) = &engine.weights else {
+            panic!("an analog engine holds cell arrays");
+        };
+        assert_eq!((tiles.len(), tiles[0].len()), (3, 2), "tile grid");
+        for (rt, tile_row) in tiles.iter().enumerate() {
             for (ct, array) in tile_row.iter().enumerate() {
+                let want = strapped_cells(&params, &codes, (outs, ins), (rt, ct));
+                for (cell, &want) in want.iter().enumerate() {
+                    let (r, c) = (cell / params.cols, cell % params.cols);
+                    assert_eq!(array.bit(r, c), want, "tile ({rt}, {ct}) cell ({r}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stream_program_packs_the_nonzero_group_masks() {
+        // 32-row groups overdrive the 5-bit ADC onto the mask stream.
+        let (params, codes, outs, ins) = five_bit_matrix();
+        let params = MacroParams {
+            rows_per_activation: 32,
+            ..params
+        };
+        let engine = RomMvm::program(params, &codes, outs, ins);
+        let (cols, rpa) = (params.cols, params.rows_per_activation);
+        let groups = params.rows.div_ceil(rpa);
+        let Weights::Stream {
+            masks: tiles,
+            adc_faults: None,
+        } = &engine.weights
+        else {
+            panic!("a quantizing engine on a healthy fabric holds bare masks");
+        };
+        assert_eq!((tiles.len(), tiles[0].len()), (3, 2), "tile grid");
+        for (rt, tile_row) in tiles.iter().enumerate() {
+            for (ct, tile) in tile_row.iter().enumerate() {
                 let mut masks = vec![0u64; groups * cols];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let (i, o, j) = (rt * rows + r, ct * opa + c / 5, c % 5);
-                        let want =
-                            i < ins && o < outs && c < opa * 5 && planes[j][o * ins + i] == 1;
-                        assert_eq!(array.bit(r, c), want, "tile ({rt}, {ct}) cell ({r}, {c})");
-                        if want {
-                            masks[(r / rpa) * cols + c] |= 1u64 << (r % rpa);
-                        }
-                    }
+                let cells = strapped_cells(&params, &codes, (outs, ins), (rt, ct));
+                for (cell, _) in cells.iter().enumerate().filter(|(_, &set)| set) {
+                    let (r, c) = (cell / cols, cell % cols);
+                    masks[(r / rpa) * cols + c] |= 1u64 << (r % rpa);
                 }
                 // The stored lists hold exactly the nonzero group masks,
                 // group by group, in (output, plane) column order.
@@ -1613,12 +1634,73 @@ mod tests {
                     }
                     nz_offsets.push(nz.len() as u32);
                 }
-                let tile = &popcount[rt][ct];
                 assert_eq!(tile.nz, nz, "nz masks of tile ({rt}, {ct})");
                 assert_eq!(
                     tile.nz_offsets, nz_offsets,
                     "nz offsets of tile ({rt}, {ct})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn each_engine_holds_the_one_datapath_its_inputs_pick() {
+        // Kind x noise x group size x ADC faults: the analog kind, noise
+        // or groups wider than a u64 mask walk the cells; an identity
+        // ADC (10-row groups) on a healthy fabric takes the exact
+        // matmul; a quantizing (32-row) or faulted ADC streams masks.
+        use crate::faults::{FaultPlan, FaultSpec};
+        let (outs, ins) = (6, 100); // one subarray, 16 ADCs
+        let codes: Vec<i32> = (0..outs * ins).map(|i| (i % 255) as i32 - 127).collect();
+        // The first seed that faults exactly one of them.
+        let plan = (0..)
+            .map(|seed| {
+                let spec = FaultSpec::uniform(seed, 0.0);
+                FaultPlan::new(FaultSpec {
+                    adc_fault_rate: 0.05,
+                    ..spec
+                })
+            })
+            .find(|plan| {
+                (0..16)
+                    .filter(|&a| plan.adc_fault(0, a, 30).is_some())
+                    .count()
+                    == 1
+            })
+            .expect("some seed faults one ADC");
+        let ctx = FaultContext::bare(&plan);
+        for kind in [BackendKind::Popcount, BackendKind::Analog] {
+            for (noise_sigma, rpa) in [
+                (0.0, 10),
+                (0.0, 32),
+                (0.0, 65),
+                (0.3, 10),
+                (0.3, 32),
+                (0.3, 65),
+            ] {
+                let params = MacroParams {
+                    noise_sigma,
+                    rows_per_activation: rpa,
+                    ..MacroParams::rom_paper()
+                };
+                let healthy = program_backend(kind, params, &codes, outs, ins);
+                let faulted = RomMvm::program_with_faults(kind, params, &codes, outs, ins, &ctx);
+                let walk = kind == BackendKind::Analog || noise_sigma != 0.0 || rpa > 64;
+                let want = match (walk, rpa) {
+                    (true, _) => [Datapath::Analog; 2],
+                    (false, 10) => [Datapath::Exact, Datapath::Stream],
+                    (false, _) => [Datapath::Stream; 2],
+                };
+                let cell = format!("{kind:?}, sigma {noise_sigma}, {rpa}-row groups");
+                assert_eq!([path(&healthy), path(&faulted)], want, "{cell}");
+                // A stream carries the faulted ADC's columns, and only
+                // on the faulted fabric.
+                for (engine, want) in [(&healthy, 0), (&faulted, params.cols / 16)] {
+                    if let Weights::Stream { adc_faults, .. } = &engine.weights {
+                        let tables = adc_faults.iter().flatten().flatten().flatten();
+                        assert_eq!(tables.flatten().count(), want, "{cell}: faulty columns");
+                    }
+                }
             }
         }
     }
@@ -1730,15 +1812,21 @@ mod tests {
     fn stats_table_matches_the_derivation() {
         // Every tabulated term is the float `derive` computes for its
         // active count, and a vector's terms add up to `derive`'s sums,
-        // in its order, bit for bit: on a multi-tile engine, before and
-        // after a link slowdown re-tabulates the latency.
+        // in its order, bit for bit: on a multi-tile engine, on healthy
+        // links and behind a degraded one.
+        use crate::faults::{FaultPlan, FaultSpec};
         let params = MacroParams::rom_paper();
         let (outs, ins) = (70, 300);
-        let mut f = RomMvm::program(params, &vec![1i32; outs * ins], outs, ins).finisher;
-        for slowdown in [1.0, 3.7] {
-            if slowdown != 1.0 {
-                f.slow_down(slowdown);
-            }
+        let plan = FaultPlan::new(FaultSpec::none());
+        for link_slowdown in [1.0, 3.7] {
+            let ctx = FaultContext {
+                plan: &plan,
+                phys_ids: &[],
+                link_slowdown,
+            };
+            let codes = vec![1i32; outs * ins];
+            let kind = BackendKind::Popcount;
+            let f = RomMvm::program_with_faults(kind, params, &codes, outs, ins, &ctx).finisher;
             let (col_tiles, conversions) = (f.col_tiles as f64, f.conversions as f64);
             // 300 rows: 3 row tiles of 13, 13 and 5 groups, 4 chunks.
             assert_eq!(f.by_active.len(), 31 * 4 + 1);
@@ -1800,13 +1888,14 @@ mod tests {
                 (0..outs * ins).map(|_| rng.gen_range(-128i32..=127)).collect();
             let acts: Vec<i32> = (0..ins).map(|_| rng.gen_range(0i32..=255)).collect();
             let engine = RomMvm::program(params, &codes, outs, ins);
-            prop_assert!(engine.fast_path_active());
+            prop_assert_eq!(path(&engine), Datapath::Exact);
             let (y, stats) = engine.mvm(&acts, &mut rng);
             prop_assert_eq!(&y, &reference_mvm(&codes, outs, ins, &acts));
-            // The popcount fast path must be indistinguishable from the
-            // cell-accurate analog reference path: same outputs, same
-            // event counters, same derived energy/latency.
-            let (y_analog, stats_analog) = engine.mvm_analog(&acts, &mut rng);
+            // The exact matmul must be indistinguishable from the
+            // cell-accurate analog walk of an analog twin: same outputs,
+            // same event counters, same derived energy/latency.
+            let twin = program_backend(BackendKind::Analog, params, &codes, outs, ins);
+            let (y_analog, stats_analog) = twin.mvm(&acts, &mut rng);
             prop_assert_eq!(y, y_analog);
             prop_assert_eq!(stats, stats_analog);
             // Sparsity accounting must stay consistent: evaluations only
@@ -1824,7 +1913,7 @@ mod tests {
             seed in 0u64..10_000,
         ) {
             // Kernel-tier parity: every available dispatch tier must
-            // produce the per-vector analog reference — values AND
+            // produce the per-vector walk of an analog twin — values AND
             // folded stats — on both batch paths (identity-ADC exact
             // matmul and the quantizing popcount stream, toggled by
             // `rpa`).
@@ -1838,10 +1927,11 @@ mod tests {
             let acts: Vec<i32> =
                 (0..n * ins).map(|_| rng.gen_range(0i32..=255)).collect();
             let mut engine = RomMvm::program(params, &codes, outs, ins);
+            let twin = program_backend(BackendKind::Analog, params, &codes, outs, ins);
             let mut golden = vec![0i64; n * outs];
             let mut golden_stats = MvmStats::default();
             for v in 0..n {
-                let (y, s) = engine.mvm_analog(&acts[v * ins..(v + 1) * ins], &mut rng);
+                let (y, s) = twin.mvm(&acts[v * ins..(v + 1) * ins], &mut rng);
                 for (o, &y) in y.iter().enumerate() {
                     golden[o * n + v] = y;
                 }
@@ -1853,7 +1943,7 @@ mod tests {
                 engine.set_kernel(kind);
                 let mut accs = vec![0i32; n * outs];
                 let mut stats = MvmStats::default();
-                engine.mvm_batch_noiseless(&codes8, n, &mut accs, &mut scratch);
+                engine.run_batch(&codes8, n, &mut accs, &mut scratch, &mut rng);
                 engine.fold_stats(&scratch, 0..n, &mut stats);
                 let out: Vec<i64> = accs.iter().map(|&a| a.into()).collect();
                 prop_assert_eq!(&out, &golden, "values diverge on {}", kind.label());
@@ -1875,10 +1965,11 @@ mod tests {
             .collect();
         let acts: Vec<i32> = (0..ins).map(|i| ((i * 23) % 256) as i32).collect();
         let engine = RomMvm::program(params, &codes, outs, ins);
-        assert!(engine.fast_path_active());
+        assert_eq!(path(&engine), Datapath::Stream);
+        let twin = program_backend(BackendKind::Analog, params, &codes, outs, ins);
         let mut rng = StdRng::seed_from_u64(11);
         let (y_fast, s_fast) = engine.mvm(&acts, &mut rng);
-        let (y_analog, s_analog) = engine.mvm_analog(&acts, &mut rng);
+        let (y_analog, s_analog) = twin.mvm(&acts, &mut rng);
         assert_eq!(y_fast, y_analog);
         assert_eq!(s_fast, s_analog);
     }
@@ -1886,7 +1977,7 @@ mod tests {
     #[test]
     fn fast_path_unavailable_beyond_mask_width() {
         // rows_per_activation > 64 cannot pack a group into a u64 mask;
-        // mvm must fall back to the analog path and stay correct.
+        // the engine walks its cells and stays correct.
         let mut params = MacroParams::rom_paper();
         params.adc_bits = 16;
         params.rows_per_activation = 100;
@@ -1896,7 +1987,7 @@ mod tests {
             .collect();
         let acts: Vec<i32> = (0..ins).map(|i| ((i * 5) % 256) as i32).collect();
         let engine = RomMvm::program(params, &codes, outs, ins);
-        assert!(!engine.fast_path_active());
+        assert_eq!(path(&engine), Datapath::Analog);
         let mut rng = StdRng::seed_from_u64(13);
         let (y, _) = engine.mvm(&acts, &mut rng);
         assert_eq!(y, reference_mvm(&codes, outs, ins, &acts));
@@ -1907,7 +1998,7 @@ mod tests {
         let mut params = MacroParams::rom_paper();
         params.noise_sigma = 0.4;
         let engine = RomMvm::program(params, &vec![5i32; 64 * 4], 4, 64);
-        assert!(!engine.fast_path_active());
+        assert_eq!(path(&engine), Datapath::Analog);
         let acts = vec![100i32; 64];
         let mut rng_a = StdRng::seed_from_u64(14);
         let mut rng_b = StdRng::seed_from_u64(14);
@@ -1931,16 +2022,22 @@ mod tests {
         let acts: Vec<i32> = (0..ins).map(|i| ((i * 13) % 256) as i32).collect();
         let clean = RomMvm::program(params, &codes, outs, ins);
         let plan = FaultPlan::new(FaultSpec::none());
-        let faulted =
-            RomMvm::program_with_faults(params, &codes, outs, ins, &FaultContext::bare(&plan));
+        let kind = BackendKind::Popcount;
+        let faulted = RomMvm::program_with_faults(
+            kind,
+            params,
+            &codes,
+            outs,
+            ins,
+            &FaultContext::bare(&plan),
+        );
         let mut rng_a = StdRng::seed_from_u64(1);
         let mut rng_b = StdRng::seed_from_u64(1);
         let (ya, sa) = clean.mvm(&acts, &mut rng_a);
         let (yb, sb) = faulted.mvm(&acts, &mut rng_b);
         assert_eq!(ya, yb);
         assert_eq!(sa, sb);
-        assert!(faulted.adc_is_identity());
-        assert!(!faulted.codes.is_empty());
+        assert_eq!(path(&faulted), Datapath::Exact);
     }
 
     #[test]
@@ -1958,24 +2055,28 @@ mod tests {
             ..FaultSpec::uniform(42, 0.0)
         };
         let plan = FaultPlan::new(spec);
+        let ctx = FaultContext::bare(&plan);
         let engine =
-            RomMvm::program_with_faults(params, &codes, outs, ins, &FaultContext::bare(&plan));
+            RomMvm::program_with_faults(BackendKind::Popcount, params, &codes, outs, ins, &ctx);
         let clean = RomMvm::program(params, &codes, outs, ins);
         let mut rng = StdRng::seed_from_u64(2);
         let (y_fault, s_fault) = engine.mvm(&acts, &mut rng);
         let (y_clean, s_clean) = clean.mvm(&acts, &mut rng);
         assert_ne!(y_fault, y_clean, "faults must be observable");
         assert_eq!(s_fault, s_clean, "code faults never change the stats");
-        // Fast path and cell-accurate analog reference stay bit-identical
-        // under faults.
-        let (y_analog, s_analog) = engine.mvm_analog(&acts, &mut rng);
+        // The exact matmul and the cell walk of an analog twin on the
+        // same faulty fabric stay bit-identical.
+        assert_eq!(path(&engine), Datapath::Exact);
+        let twin =
+            RomMvm::program_with_faults(BackendKind::Analog, params, &codes, outs, ins, &ctx);
+        let (y_analog, s_analog) = twin.mvm(&acts, &mut rng);
         assert_eq!(y_fault, y_analog);
         assert_eq!(s_fault, s_analog);
         // Determinism: reprogramming under the same plan reproduces the
         // exact faulty engine.
-        let twin =
-            RomMvm::program_with_faults(params, &codes, outs, ins, &FaultContext::bare(&plan));
-        assert_eq!(twin.mvm(&acts, &mut rng).0, y_fault);
+        let again =
+            RomMvm::program_with_faults(BackendKind::Popcount, params, &codes, outs, ins, &ctx);
+        assert_eq!(again.mvm(&acts, &mut rng).0, y_fault);
     }
 
     #[test]
@@ -1992,20 +2093,23 @@ mod tests {
             ..FaultSpec::uniform(7, 0.0)
         };
         let plan = FaultPlan::new(spec);
+        let ctx = FaultContext::bare(&plan);
         let engine =
-            RomMvm::program_with_faults(params, &codes, outs, ins, &FaultContext::bare(&plan));
-        assert!(
-            !engine.adc_is_identity(),
+            RomMvm::program_with_faults(BackendKind::Popcount, params, &codes, outs, ins, &ctx);
+        assert_eq!(
+            path(&engine),
+            Datapath::Stream,
             "an ADC fault must break the identity-transfer shortcut"
         );
-        assert!(engine.codes.is_empty(), "exact-matmul cache dropped");
         let clean = RomMvm::program(params, &codes, outs, ins);
         let mut rng = StdRng::seed_from_u64(3);
         let (y_fault, s_fault) = engine.mvm(&acts, &mut rng);
         let (y_clean, s_clean) = clean.mvm(&acts, &mut rng);
         assert_ne!(y_fault, y_clean, "a 50% ADC fault rate must corrupt");
         assert_eq!(s_fault, s_clean, "ADC faults never change the stats");
-        let (y_analog, s_analog) = engine.mvm_analog(&acts, &mut rng);
+        let twin =
+            RomMvm::program_with_faults(BackendKind::Analog, params, &codes, outs, ins, &ctx);
+        let (y_analog, s_analog) = twin.mvm(&acts, &mut rng);
         assert_eq!(y_fault, y_analog);
         assert_eq!(s_fault, s_analog);
     }
@@ -2025,7 +2129,8 @@ mod tests {
             phys_ids: &[],
             link_slowdown: 4.0,
         };
-        let slow = RomMvm::program_with_faults(params, &codes, outs, ins, &ctx);
+        let slow =
+            RomMvm::program_with_faults(BackendKind::Popcount, params, &codes, outs, ins, &ctx);
         let clean = RomMvm::program(params, &codes, outs, ins);
         let mut rng = StdRng::seed_from_u64(4);
         let (y_slow, s_slow) = slow.mvm(&acts, &mut rng);

@@ -204,11 +204,6 @@ impl FaultMap {
     pub fn usable(&self) -> u64 {
         self.total - self.spare
     }
-
-    /// Live (non-dead) subarrays across the whole fabric.
-    pub fn live_count(&self) -> u64 {
-        self.total - self.dead.len() as u64
-    }
 }
 
 /// Why fault-aware placement or repair failed.

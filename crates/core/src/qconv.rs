@@ -3,10 +3,10 @@
 //! This is the deployment path of Fig. 9: a layer's weights are quantized
 //! per-channel to 8 bits, lowered to a `(out_ch, in_ch*k*k)` (conv) or
 //! `(out_features, in_features)` (linear) matrix and programmed onto a
-//! [`RomMvm`] — on the popcount fast path, or pinned to the analog
-//! reference path ([`BackendKind`]). At run time activations are
-//! affine-quantized, driven through the engine, and the results are
-//! dequantized with zero-point correction. With the paper's 5-bit-ADC
+//! [`RomMvm`], whose one datapath its [`BackendKind`] helps pick (the
+//! popcount kernels, or the analog reference walk). At run time
+//! activations are affine-quantized, driven through the engine, and the
+//! results are dequantized with zero-point correction. With the paper's 5-bit-ADC
 //! design point the integer arithmetic is exact, so the only deviation
 //! from a software layer is the quantization itself — the basis for the
 //! paper's "almost no accuracy loss" claim, which the integration tests
@@ -264,9 +264,8 @@ impl ProgramSpec {
         })
     }
 
-    /// Programs the engine through the record's faults (none programs
-    /// the pristine fabric), pinned to the analog reference path for
-    /// [`BackendKind::Analog`].
+    /// Programs the engine for the record's backend kind through its
+    /// faults (none programs the pristine fabric).
     fn program(&self) -> Box<RomMvm> {
         let plan = FaultPlan::new(self.faults.as_ref().map_or(FaultSpec::none(), |lf| lf.spec));
         let ctx = match &self.faults {
@@ -277,17 +276,14 @@ impl ProgramSpec {
                 link_slowdown: lf.link_slowdown,
             },
         };
-        let mut engine = Box::new(RomMvm::program_with_faults(
+        Box::new(RomMvm::program_with_faults(
+            self.kind,
             self.params,
             &self.codes,
             self.outs,
             self.ins,
             &ctx,
-        ));
-        if self.kind == BackendKind::Analog {
-            engine.pin_analog();
-        }
-        engine
+        ))
     }
 }
 

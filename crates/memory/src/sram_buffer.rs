@@ -64,11 +64,6 @@ impl SramBuffer {
     pub fn area_mm2(&self) -> f64 {
         self.capacity_bits as f64 / 1_048_576.0 / self.density_mb_per_mm2
     }
-
-    /// Static leakage power in watts (~1 pW/cell at 28 nm).
-    pub fn leakage_w(&self) -> f64 {
-        self.capacity_bits as f64 * 1.0e-12
-    }
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ impl Param {
 /// error and panics.
 pub trait Layer {
     /// Computes the layer output. `train` selects training-time behaviour
-    /// (e.g. batch statistics in batch-norm).
+    /// in layers that have one.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Propagates `grad_out` (gradient w.r.t. the layer output) backwards,

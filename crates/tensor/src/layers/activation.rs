@@ -1,4 +1,4 @@
-//! Activation layers: ReLU and the leaky ReLU used by the DarkNet family.
+//! The ReLU activation layer.
 
 use crate::layer::Layer;
 use crate::tensor::Tensor;
@@ -32,47 +32,6 @@ impl Layer for Relu {
     }
 }
 
-/// Leaky rectified linear unit, `y = x` for `x > 0`, `y = slope * x`
-/// otherwise. DarkNet-19 (the YOLO backbone) uses `slope = 0.1`.
-#[derive(Debug)]
-pub struct LeakyRelu {
-    slope: f32,
-    cached_input: Option<Tensor>,
-}
-
-impl LeakyRelu {
-    /// Creates a leaky ReLU with the given negative-side slope.
-    pub fn new(slope: f32) -> Self {
-        LeakyRelu {
-            slope,
-            cached_input: None,
-        }
-    }
-
-    /// The DarkNet convention, `slope = 0.1`.
-    pub fn darknet() -> Self {
-        Self::new(0.1)
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.cached_input = Some(x.clone());
-        let s = self.slope;
-        x.map(|v| if v > 0.0 { v } else { s * v })
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        let s = self.slope;
-        grad_out.zip_map(x, |g, v| if v > 0.0 { g } else { s * g })
-    }
-
-    fn name(&self) -> String {
-        format!("LeakyReLU({})", self.slope)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,17 +44,5 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let g = r.backward(&Tensor::ones(&[3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn leaky_relu_forward_backward() {
-        let mut r = LeakyRelu::darknet();
-        let x = Tensor::from_vec(vec![-2.0, 3.0], &[2]).unwrap();
-        let y = r.forward(&x, true);
-        assert!((y.data()[0] + 0.2).abs() < 1e-6);
-        assert_eq!(y.data()[1], 3.0);
-        let g = r.backward(&Tensor::ones(&[2]));
-        assert!((g.data()[0] - 0.1).abs() < 1e-6);
-        assert_eq!(g.data()[1], 1.0);
     }
 }

@@ -2,16 +2,12 @@
 
 mod activation;
 mod conv;
-mod extra;
 mod linear;
-mod norm;
 mod pool;
 mod structural;
 
-pub use activation::{LeakyRelu, Relu};
+pub use activation::Relu;
 pub use conv::Conv2d;
-pub use extra::{AvgPool2d, Dropout, Sigmoid, Tanh};
 pub use linear::Linear;
-pub use norm::BatchNorm2d;
 pub use pool::{GlobalAvgPool, MaxPool2d};
-pub use structural::{Flatten, Residual, Sequential};
+pub use structural::{Flatten, Sequential};

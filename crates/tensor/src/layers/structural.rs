@@ -1,4 +1,4 @@
-//! Structural layers: flatten, sequential container, and residual blocks.
+//! Structural layers: flatten and the sequential container.
 
 use crate::layer::{Layer, Param};
 use crate::tensor::Tensor;
@@ -53,11 +53,6 @@ impl Sequential {
         self
     }
 
-    /// Appends a boxed layer in place.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers in the chain.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -66,11 +61,6 @@ impl Sequential {
     /// Whether the chain is empty.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Access to a layer by position.
-    pub fn layer_mut(&mut self, i: usize) -> &mut dyn Layer {
-        self.layers[i].as_mut()
     }
 }
 
@@ -107,72 +97,6 @@ impl Layer for Sequential {
     }
 }
 
-/// A residual block `y = body(x) + proj(x)` (projection defaults to
-/// identity), the structure of Fig. 3(a) that motivates ReBranch.
-pub struct Residual {
-    body: Sequential,
-    projection: Option<Box<dyn Layer>>,
-}
-
-impl Residual {
-    /// Creates a residual block with an identity skip connection.
-    pub fn new(body: Sequential) -> Self {
-        Residual {
-            body,
-            projection: None,
-        }
-    }
-
-    /// Creates a residual block whose skip path applies `projection`
-    /// (e.g. a strided 1x1 conv when shapes change).
-    pub fn with_projection(body: Sequential, projection: impl Layer + 'static) -> Self {
-        Residual {
-            body,
-            projection: Some(Box::new(projection)),
-        }
-    }
-}
-
-impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let main = self.body.forward(x, train);
-        let skip = match &mut self.projection {
-            Some(p) => p.forward(x, train),
-            None => x.clone(),
-        };
-        main.add(&skip)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let d_main = self.body.backward(grad_out);
-        let d_skip = match &mut self.projection {
-            Some(p) => p.backward(grad_out),
-            None => grad_out.clone(),
-        };
-        d_main.add(&d_skip)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = self.body.params_mut();
-        if let Some(p) = &mut self.projection {
-            v.extend(p.params_mut());
-        }
-        v
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut v = self.body.params();
-        if let Some(p) = &self.projection {
-            v.extend(p.params());
-        }
-        v
-    }
-
-    fn name(&self) -> String {
-        "Residual".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,24 +128,5 @@ mod tests {
         let dx = seq.backward(&Tensor::ones(y.shape()));
         assert_eq!(dx.shape(), x.shape());
         assert_eq!(seq.params().len(), 4);
-    }
-
-    #[test]
-    fn residual_identity_backward_adds_one() {
-        // With an empty body producing f(x) = x (single identity conv is
-        // hard to make exact), use body = 0-weight conv so y = 0 + x = x
-        // and dy/dx = 1 from the skip path.
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut conv = Conv2d::new("c", 1, 1, 3, 1, 1, false, &mut rng);
-        conv.weight.value = Tensor::zeros(&[1, 1, 3, 3]);
-        let mut res = Residual::new(Sequential::new().push(conv));
-        let x = Tensor::randn(&[1, 1, 4, 4], 0.0, 1.0, &mut rng);
-        let y = res.forward(&x, true);
-        for (a, b) in y.data().iter().zip(x.data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        let dx = res.backward(&Tensor::ones(y.shape()));
-        // Zero body weights: gradient w.r.t. input flows only via skip.
-        assert!(dx.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
     }
 }

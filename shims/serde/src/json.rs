@@ -97,12 +97,6 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Converts anything implementing [`crate::Serialize`] into a value
-    /// (the entry point `#[derive(Serialize)]` feeds).
-    pub fn from_serialize(v: &(impl crate::Serialize + ?Sized)) -> Value {
-        v.to_json()
-    }
-
     /// Parses a JSON document into a value tree (object field order is
     /// preserved; integer tokens parse exactly into [`Value::UInt`] /
     /// [`Value::Int`], everything else into [`Value::Num`] — the dual of

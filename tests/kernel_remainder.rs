@@ -228,21 +228,20 @@ proptest! {
 }
 
 /// Runs one block through both batch entries on every tier, each
-/// against a per-vector [`RomMvm::mvm_analog`] loop over the same codes,
-/// in values and `MvmStats`.
-///
-/// [`RomMvm::mvm_analog`]: yoloc::cim::RomMvm::mvm_analog
+/// against a per-vector `mvm` loop over the same codes on an analog
+/// twin (the cell walk), in values and `MvmStats`.
 fn assert_analog_parity(params: MacroParams, outs: usize, ins: usize, n: usize, seed: u64) {
     let codes = seeded_matrix(outs, ins, seed);
     let acts = seeded_codes(n, ins, params.act_bits, seed);
     let (acts_t, n_pad) = to_panel(&acts, n, ins);
     let mut b = program_backend(BackendKind::Popcount, params, &codes, outs, ins);
+    let twin = program_backend(BackendKind::Analog, params, &codes, outs, ins);
     // Noiseless throughout, so no path draws from the RNG.
     let mut rng = StdRng::seed_from_u64(seed);
     let mut golden = vec![0i64; n * outs];
     let mut golden_stats = MvmStats::default();
     for v in 0..n {
-        let (y, s) = b.mvm_analog(&acts[v * ins..(v + 1) * ins], &mut rng);
+        let (y, s) = twin.mvm(&acts[v * ins..(v + 1) * ins], &mut rng);
         for (o, y) in y.into_iter().enumerate() {
             golden[o * n + v] = y;
         }
