@@ -55,10 +55,10 @@ cargo test -q --release -p yoloc-cim --lib -- --ignored --exact \
   kernels::tests::quantizer_tiers_match_quantize_value_on_every_bit_pattern
 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 # The code planes run only in the transposed layout, which the scalar
-# tier never picks for a conv, and under `auto` on an AVX-512 host only
-# blocks of at most 8 lanes reach the AVX2 transposed kernels: pin each
-# SIMD tier too. Each layer quantizes at its engine's tier, so with the
-# scalar run the three pin every tier's quantizer end to end.
+# tier never picks for a conv, and under `auto` on an AVX-512 host the
+# AVX2 transposed kernels never run: pin each SIMD tier too. Each layer
+# quantizes at its engine's tier, so with the scalar run the three pin
+# every tier's quantizer end to end.
 YOLOC_KERNEL=scalar cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 YOLOC_KERNEL=avx2 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
 YOLOC_KERNEL=avx512 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle
@@ -80,7 +80,7 @@ YOLOC_KERNEL=avx2 cargo test -q -p yoloc-cim
 YOLOC_KERNEL=avx2 YOLOC_SMOKE=1 cargo test -q --test arena_parity
 
 echo "== kernel-parity suites under forced AVX-512 tier (YOLOC_KERNEL=avx512)"
-# Hosts without the required subsets (F+BW+VL+VPOPCNTDQ) downgrade to
+# Hosts without the required subsets (F+BW+VL+VPOPCNTDQ+VNNI) downgrade to
 # AVX2 (or scalar) with a note, so this leg runs everywhere.
 YOLOC_KERNEL=avx512 cargo test -q -p yoloc-cim
 YOLOC_KERNEL=avx512 YOLOC_SMOKE=1 cargo test -q --test arena_parity

@@ -87,7 +87,7 @@ pub struct KernelTier {
     /// Whether the host reports AVX2.
     pub avx2_detected: bool,
     /// Whether the host reports the AVX-512 subsets the tier needs
-    /// (F + BW + VL + VPOPCNTDQ).
+    /// (F + BW + VL + VPOPCNTDQ + VNNI).
     pub avx512_detected: bool,
     /// MVM-weighted aggregate kernel speedup over the forced scalar tier.
     pub speedup_vs_scalar: f64,

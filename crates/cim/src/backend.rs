@@ -104,9 +104,12 @@ pub struct MvmScratch {
     /// Each vector's word-line pulses over the last run step, per column
     /// tile.
     pub(crate) pulses: Vec<u32>,
-    /// Staged lane-packed `i16` activation rows for the `madd` matmuls
-    /// of the AVX2 and AVX-512 tiers (unused by the scalar tier).
+    /// Staged lane-packed `i16` activation rows for the AVX2 tier's
+    /// `madd` matmul.
     pub(crate) acts16: Vec<i16>,
+    /// One 16-vector block's interleaved tap quads for the AVX-512
+    /// tier's transposed `vpdpbusd` matmul.
+    pub(crate) taps: Vec<u8>,
     /// Per-vector discharge counts of the column mask currently being
     /// streamed (padded like `plane_masks`).
     pub(crate) counts: Vec<u64>,
@@ -214,8 +217,8 @@ impl RomMvm {
         self.validate_u8_codes(acts);
         // The noiseless datapaths leave the RNG untouched.
         match self.weights() {
-            Weights::Exact { codes, codes16 } => {
-                self.mvm_batch_exact(codes, codes16, acts, n_vectors, out, scratch)
+            Weights::Exact { codes, packed } => {
+                self.mvm_batch_exact(codes, packed, acts, n_vectors, out, scratch)
             }
             Weights::Stream { masks, adc_faults } => {
                 self.mvm_batch_fast(masks, adc_faults.as_deref(), acts, n_vectors, out, scratch)
@@ -275,10 +278,10 @@ impl RomMvm {
         let panel = Panel::new(acts_t, rows, n_vectors);
         assert_eq!(out.len(), n_vectors * outs, "batch output length");
         self.validate_u8_codes(acts_t);
-        if let Weights::Exact { codes, codes16 } = self.weights() {
+        if let Weights::Exact { codes, packed } = self.weights() {
             // Panel-native: the matmul and the counter fold read the
             // panel rows in place.
-            self.mvm_batch_exact_t(codes, codes16, &panel, out, scratch);
+            self.mvm_batch_exact_t(codes, packed, &panel, out, scratch);
         } else {
             // Unpack the panel (in `scratch.acts_rm`'s storage, taken
             // out so `scratch` can be passed on) and run it row-major.

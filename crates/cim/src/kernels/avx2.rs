@@ -15,7 +15,8 @@
 //!   cache-blocked (8 vectors x 4 output rows per block so both the
 //!   staged `i16` activations and the code-row quad stay L1-resident),
 //!   using `_mm256_madd_epi16` on the lane-packed `i16` codes against
-//!   the block's `u8` codes widened to `i16`;
+//!   the block's `u8` codes widened to `i16`, each accumulator reduced
+//!   in registers;
 //! * [`matmul_transposed`] — the batch-transposed matmul over a
 //!   lane-major [`Panel`], vectorizing across 8 vectors per
 //!   `_mm256_mullo_epi32` for the narrow shapes whose rows cannot fill
@@ -35,15 +36,18 @@
 
 use std::arch::x86_64::{
     __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-    _mm256_cvtepu8_epi16, _mm256_cvtepu8_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
-    _mm256_mullo_epi32, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
-    _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_sll_epi64,
-    _mm256_srli_epi16, _mm256_storeu_si256, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128,
+    _mm256_castsi256_si128, _mm256_cvtepu8_epi16, _mm256_cvtepu8_epi32, _mm256_extracti128_si256,
+    _mm256_loadu_si256, _mm256_madd_epi16, _mm256_mullo_epi32, _mm256_sad_epu8, _mm256_set1_epi32,
+    _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256,
+    _mm256_shuffle_epi8, _mm256_sll_epi64, _mm256_srli_epi16, _mm256_storeu_si256,
+    _mm256_unpackhi_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi32, _mm256_unpacklo_epi64,
+    _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128,
+    _mm_shuffle_epi32, _mm_storeu_si128,
 };
 
 use yoloc_quant::QuantParams;
 
-use super::{fold, quant, scalar, ExactCodes, FoldSrc, Panel};
+use super::{fold, quant, scalar, ExactCodes, FoldSrc, PackedCodes, Panel};
 
 /// Vectors staged per cache block of the blocked matmuls: 8 activation
 /// rows of `i16` codes stay well inside L1 alongside a 4-row code quad.
@@ -58,8 +62,8 @@ fn assert_avx2() {
 
 /// AVX2 tier of the exact-path batched matmul. Bit-identical to
 /// [`scalar::matmul_into`]: integer arithmetic only, in `i32` lanes
-/// whose sums `program` proved fit. Codes wider than `i16` (no
-/// `codes16` packing) run on the scalar tier.
+/// whose sums `program` proved fit. Codes with no `i16` packing run on
+/// the scalar tier.
 pub(crate) fn matmul_exact(
     c: &ExactCodes<'_>,
     acts: &[u8],
@@ -70,22 +74,33 @@ pub(crate) fn matmul_exact(
     assert_avx2();
     debug_assert_eq!(acts.len(), n * c.ins);
     debug_assert_eq!(out.len(), n * c.outs);
-    if (c.outs == 1 && c.ins < 8) || c.codes16.is_empty() {
+    match c.packed {
         // One madd row can't amortize the i16 staging below 8 inputs;
         // the scalar reference is bit-identical, so this is pure
         // heuristics.
-        scalar::matmul_into(c.codes, c.outs, c.ins, acts, n, out);
-    } else {
-        // SAFETY: AVX2 support asserted above.
-        unsafe { matmul_i16(c, acts, n, out, acts16) }
+        PackedCodes::I16 { data, stride } if c.outs > 1 || c.ins >= 8 => {
+            // SAFETY: AVX2 support asserted above.
+            unsafe { matmul_i16(data, *stride, c.outs, c.ins, acts, n, out, acts16) }
+        }
+        _ => scalar::matmul_into(c.codes, c.outs, c.ins, acts, n, out),
     }
 }
 
-/// `_mm256_madd_epi16` matmul over the lane-packed `i16` codes.
+/// `_mm256_madd_epi16` matmul over the lane-packed `i16` codes (rows
+/// `ins16` apart).
 #[target_feature(enable = "avx2")]
-fn matmul_i16(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32], acts16: &mut Vec<i16>) {
-    let (ins, ins16, outs) = (c.ins, c.ins16, c.outs);
-    debug_assert_eq!(c.codes16.len(), outs * ins16);
+#[allow(clippy::too_many_arguments)]
+fn matmul_i16(
+    codes16: &[i16],
+    ins16: usize,
+    outs: usize,
+    ins: usize,
+    acts: &[u8],
+    n: usize,
+    out: &mut [i32],
+    acts16: &mut Vec<i16>,
+) {
+    debug_assert_eq!(codes16.len(), outs * ins16);
     // Stage the block's activations as zero-padded i16 rows, 16 codes
     // widened per `_mm256_cvtepu8_epi16`. `clear` first so rows shorter
     // than a previous caller's cannot leak stale nonzero padding into
@@ -130,15 +145,15 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32], acts16
                         let a = _mm256_loadu_si256(av.as_ptr().add(i) as *const __m256i);
                         for (k, ak) in acc.iter_mut().enumerate() {
                             let w = _mm256_loadu_si256(
-                                c.codes16.as_ptr().add((o + k) * ins16 + i) as *const __m256i
+                                codes16.as_ptr().add((o + k) * ins16 + i) as *const __m256i
                             );
                             *ak = _mm256_add_epi32(*ak, _mm256_madd_epi16(a, w));
                         }
                     }
                     i += 16;
                 }
-                for (k, ak) in acc.iter().enumerate() {
-                    out[(o + k) * n + v] = hsum_epi32(*ak);
+                for (k, sum) in reduce4(acc).into_iter().enumerate() {
+                    out[(o + k) * n + v] = sum;
                 }
             }
             o += 4;
@@ -153,7 +168,7 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32], acts16
                     unsafe {
                         let a = _mm256_loadu_si256(av.as_ptr().add(i) as *const __m256i);
                         let w = _mm256_loadu_si256(
-                            c.codes16.as_ptr().add(o * ins16 + i) as *const __m256i
+                            codes16.as_ptr().add(o * ins16 + i) as *const __m256i
                         );
                         acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, w));
                     }
@@ -253,15 +268,34 @@ fn store_lanes(acc: __m256i, dst: &mut [i32]) {
     }
 }
 
-/// Sums the eight `i32` lanes. Every partial sum is a sum of some of
-/// one accumulator's products, so it fits an `i32` whenever the whole
-/// does, which `program` proved.
+/// Sums the eight `i32` lanes in registers: the two 128-bit halves,
+/// then the two 64-bit halves, then the two dwords. Wrapping `i32` adds
+/// in any order give the exact sum whenever it fits, which `program`
+/// proved.
 #[target_feature(enable = "avx2")]
 fn hsum_epi32(v: __m256i) -> i32 {
-    let mut lanes = [0i32; 8];
-    // SAFETY: `lanes` is exactly 32 bytes; unaligned store.
-    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v) };
-    lanes.iter().sum()
+    let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+    let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
+    let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b10_11_00_01>(s));
+    _mm_cvtsi128_si32(s)
+}
+
+/// The lane sums of four accumulators, reduced together in registers by
+/// a two-level unpack-and-add tree, then the two 128-bit halves. Exact
+/// as [`hsum_epi32`] is.
+#[target_feature(enable = "avx2")]
+pub(crate) fn reduce4([b0, b1, b2, b3]: [__m256i; 4]) -> [i32; 4] {
+    let c01 = _mm256_add_epi32(_mm256_unpacklo_epi32(b0, b1), _mm256_unpackhi_epi32(b0, b1));
+    let c23 = _mm256_add_epi32(_mm256_unpacklo_epi32(b2, b3), _mm256_unpackhi_epi32(b2, b3));
+    let d = _mm256_add_epi32(
+        _mm256_unpacklo_epi64(c01, c23),
+        _mm256_unpackhi_epi64(c01, c23),
+    );
+    let s = _mm_add_epi32(_mm256_castsi256_si128(d), _mm256_extracti128_si256::<1>(d));
+    let mut sums = [0i32; 4];
+    // SAFETY: `sums` is exactly 16 bytes; unaligned store.
+    unsafe { _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, s) };
+    sums
 }
 
 /// The portable event-counter fold ([`fold::fold`]) compiled for AVX2.

@@ -3,22 +3,26 @@
 //!
 //! Together with `kernels/avx2.rs` this file is the crate's entire
 //! `unsafe` surface, under the same discipline: a safe wrapper asserts
-//! the required feature subsets (F + BW + VL + VPOPCNTDQ, see
+//! the required feature subsets (F + BW + VL + VPOPCNTDQ + VNNI, see
 //! [`super::avx512_available`]), then enters a `#[target_feature]`
 //! implementation where only raw-pointer loads/stores need `unsafe`
 //! blocks, each carrying its bounds argument.
 //!
 //! What the extra width buys over the AVX2 tier:
 //!
-//! * [`matmul_exact`] — 32-lane `_mm512_madd_epi16` matmuls over the
-//!   lane-packed `i16` codes (two AVX2 registers of work per op), with
-//!   a `_mm512_maskz_loadu_epi16` half-register tail since code rows
-//!   are padded to 16, not 32, lanes;
-//! * [`matmul_transposed`] — the batch-transposed matmul eating 16
-//!   vectors per `_mm512_mullo_epi32`, one 16-byte load of `u8` codes
-//!   widened per activation row, its `i32` lanes stored straight into
-//!   the channel-major accumulator row (a masked store for a block's
-//!   short tail);
+//! * [`matmul_exact`] — the row-major matmul at the macro's operand
+//!   widths: `_mm512_dpbusd_epi32` multiplies 64 `u8` activation codes,
+//!   read straight from the block's rows, by 64 `i8` weight codes and
+//!   adds each 4 adjacent products into one of 16 `i32` lanes, with a
+//!   masked byte load for a row's last partial step; four output
+//!   channels' accumulators reduce together in registers;
+//! * [`matmul_transposed`] — the batch-transposed matmul over 16-vector
+//!   blocks: every quad of 4 taps is interleaved once per block into one
+//!   register of 16 vectors x 4 codes (a dword transpose across the four
+//!   128-bit lanes, then a byte transpose within each), and each output
+//!   channel takes the quad in one `_mm512_dpbusd_epi32` against its 4
+//!   broadcast weight codes; its `i32` lanes store straight into the
+//!   channel-major accumulator row (masked for a block's short tail);
 //! * [`fold`] — the portable event-counter fold of the `fold` module
 //!   compiled with AVX-512 enabled, so the compiler vectorizes its
 //!   64-lane panel blocks one register of codes wide;
@@ -28,32 +32,32 @@
 //!   step;
 //! * [`quantize_codes`] — the portable activation quantizer of the
 //!   `quant` module compiled with AVX-512 enabled, sixteen values per
-//!   op.
+//!   op, a short tail included.
 //!
-//! Shapes outside a kernel's profitable range delegate to the AVX2 or
-//! scalar implementations — any host that can select this tier can run
-//! both (AVX-512 implies AVX2): the row-major matmul without an `i16`
-//! packing, and the transposed matmul at `n <= 8`.
+//! `vpdpbusd` adds without saturating, and every product and partial
+//! sum is exact under the `program`-time bound, so both matmuls are
+//! exact integer arithmetic. Codes wider than `i8` have no packing on
+//! this tier, and both matmuls run the scalar ones.
 
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::{
-    __m128i, __m512i, _mm256_loadu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_and_si512,
-    _mm512_cvtepu8_epi16, _mm512_cvtepu8_epi32, _mm512_loadu_epi16, _mm512_loadu_epi64,
-    _mm512_madd_epi16, _mm512_mask_storeu_epi32, _mm512_maskz_loadu_epi16, _mm512_mullo_epi32,
-    _mm512_popcnt_epi64, _mm512_set1_epi32, _mm512_set1_epi64, _mm512_setzero_si512,
-    _mm512_sll_epi64, _mm512_storeu_epi16, _mm512_storeu_epi32, _mm512_storeu_epi64,
+    __m512i, _mm256_add_epi32, _mm512_add_epi64, _mm512_and_si512, _mm512_castsi128_si512,
+    _mm512_castsi512_si256, _mm512_dpbusd_epi32, _mm512_extracti64x4_epi64, _mm512_inserti32x4,
+    _mm512_loadu_epi64, _mm512_loadu_si512, _mm512_mask_storeu_epi32, _mm512_maskz_loadu_epi8,
+    _mm512_permutexvar_epi32, _mm512_popcnt_epi64, _mm512_reduce_add_epi32, _mm512_set1_epi32,
+    _mm512_set1_epi64, _mm512_set4_epi32, _mm512_setr_epi32, _mm512_setzero_si512,
+    _mm512_shuffle_epi8, _mm512_sll_epi64, _mm512_storeu_epi64, _mm512_storeu_si512,
     _mm_cvtsi32_si128, _mm_loadu_si128,
 };
 
 use yoloc_quant::QuantParams;
 
-use super::{avx2, fold, quant, scalar, ExactCodes, FoldSrc, Panel};
+use super::{avx2, fold, quant, scalar, ExactCodes, FoldSrc, PackedCodes, Panel};
 
-/// Vectors staged per cache block of the blocked matmul (matches the
-/// AVX2 tier: the staged `i16` rows plus a 4-row code quad stay
-/// L1-resident).
+/// Vectors per cache block of the row-major matmul: their rows of `u8`
+/// codes stay L1-resident against a quad of `i8` code rows.
 const V_BLOCK: usize = 8;
 
 fn assert_avx512() {
@@ -64,125 +68,70 @@ fn assert_avx512() {
 }
 
 /// AVX-512 tier of the exact-path batched matmul. Bit-identical to
-/// [`scalar::matmul_into`]; codes wider than `i16` (no `codes16`
-/// packing) and shapes too small to amortize the staging run on the
+/// [`scalar::matmul_into`]; codes with no `i8` packing run on the
 /// scalar tier.
-pub(crate) fn matmul_exact(
-    c: &ExactCodes<'_>,
-    acts: &[u8],
-    n: usize,
-    out: &mut [i32],
-    acts16: &mut Vec<i16>,
-) {
+pub(crate) fn matmul_exact(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32]) {
     assert_avx512();
     debug_assert_eq!(acts.len(), n * c.ins);
     debug_assert_eq!(out.len(), n * c.outs);
-    if (c.outs == 1 && c.ins < 8) || c.codes16.is_empty() {
-        scalar::matmul_into(c.codes, c.outs, c.ins, acts, n, out);
-    } else {
+    match c.packed {
         // SAFETY: AVX-512 support asserted above.
-        unsafe { matmul_i16(c, acts, n, out, acts16) }
+        PackedCodes::I8 { data, stride } => unsafe {
+            matmul_vnni(data, *stride, c.outs, c.ins, acts, n, out)
+        },
+        _ => scalar::matmul_into(c.codes, c.outs, c.ins, acts, n, out),
     }
 }
 
-/// `_mm512_madd_epi16` matmul over the lane-packed `i16` codes: 32
-/// multiply-accumulates per op. Code rows are padded to 16 lanes, so a
-/// half-register masked load finishes rows where `ins16 % 32 == 16`.
-#[target_feature(enable = "avx512f,avx512bw")]
-fn matmul_i16(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32], acts16: &mut Vec<i16>) {
-    let (ins, ins16, outs) = (c.ins, c.ins16, c.outs);
-    debug_assert_eq!(c.codes16.len(), outs * ins16);
-    // Stage the block's activations as zero-padded i16 rows, 32 codes
-    // widened per `_mm512_cvtepu8_epi16`. `clear` first so shorter rows
-    // cannot leak stale nonzero padding.
-    acts16.clear();
-    acts16.resize(n * ins16, 0);
-    for v in 0..n {
-        let av = &acts[v * ins..(v + 1) * ins];
-        let dst = &mut acts16[v * ins16..v * ins16 + ins];
-        let mut i = 0;
-        while i + 32 <= ins {
-            // SAFETY: i + 32 <= ins bounds the 32-byte load from `av`
-            // and the widened 64-byte store into dst[i..i + 32].
-            unsafe {
-                let a = _mm256_loadu_si256(av.as_ptr().add(i) as *const _);
-                _mm512_storeu_epi16(dst.as_mut_ptr().add(i), _mm512_cvtepu8_epi16(a));
-            }
-            i += 32;
-        }
-        for (d, &a) in dst[i..].iter_mut().zip(&av[i..]) {
-            *d = i16::from(a);
-        }
-    }
+/// `_mm512_dpbusd_epi32` matmul of the `u8` rows against the `i8` code
+/// rows (`stride` apart, at least `ins` long): 64 multiply-adds per op,
+/// in tiles of 2 vectors by 4 output channels, so each step loads 6
+/// registers for 8 `vpdpbusd`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn matmul_vnni(
+    codes: &[i8],
+    stride: usize,
+    outs: usize,
+    ins: usize,
+    acts: &[u8],
+    n: usize,
+    out: &mut [i32],
+) {
+    debug_assert!(stride >= ins && codes.len() == outs * stride);
+    let steps = Steps::new(ins);
+    let act = |v: usize| acts[v * ins..(v + 1) * ins].as_ptr();
+    let code = |o: usize| codes[o * stride..o * stride + ins].as_ptr();
     let mut vb = 0;
     while vb < n {
         let vb_end = (vb + V_BLOCK).min(n);
         let mut o = 0;
         while o + 4 <= outs {
-            for v in vb..vb_end {
-                let av = &acts16[v * ins16..(v + 1) * ins16];
-                let mut acc = [_mm512_setzero_si512(); 4];
-                let mut i = 0;
-                while i + 32 <= ins16 {
-                    // SAFETY: i + 32 <= ins16 bounds all five 64-byte
-                    // loads (code rows o..o+4 share the stride).
-                    unsafe {
-                        let a = _mm512_loadu_epi16(av.as_ptr().add(i));
-                        for (k, ak) in acc.iter_mut().enumerate() {
-                            let w = _mm512_loadu_epi16(c.codes16.as_ptr().add((o + k) * ins16 + i));
-                            *ak = _mm512_add_epi32(*ak, _mm512_madd_epi16(a, w));
-                        }
-                    }
-                    i += 32;
+            let w = [code(o), code(o + 1), code(o + 2), code(o + 3)];
+            let mut store = |v: usize, acc: [__m512i; 4]| {
+                for (k, sum) in reduce4(acc).into_iter().enumerate() {
+                    out[(o + k) * n + v] = sum;
                 }
-                if i < ins16 {
-                    // Exactly 16 lanes remain (ins16 is a multiple of
-                    // 16); masked loads zero the upper half, which
-                    // contributes nothing to the madd.
-                    // SAFETY: the low 16 enabled lanes read
-                    // av[i..i + 16] / the matching code row lanes, all
-                    // in bounds.
-                    unsafe {
-                        let a = _mm512_maskz_loadu_epi16(0xffff, av.as_ptr().add(i));
-                        for (k, ak) in acc.iter_mut().enumerate() {
-                            let w = _mm512_maskz_loadu_epi16(
-                                0xffff,
-                                c.codes16.as_ptr().add((o + k) * ins16 + i),
-                            );
-                            *ak = _mm512_add_epi32(*ak, _mm512_madd_epi16(a, w));
-                        }
-                    }
-                }
-                for (k, ak) in acc.iter().enumerate() {
-                    out[(o + k) * n + v] = hsum_epi32(*ak);
-                }
+            };
+            let mut v = vb;
+            while v + 2 <= vb_end {
+                // SAFETY: every row holds `ins` codes (checked slices).
+                let [a0, a1] = unsafe { steps.dots([act(v), act(v + 1)], w) };
+                store(v, a0);
+                store(v + 1, a1);
+                v += 2;
+            }
+            if v < vb_end {
+                // SAFETY: as above.
+                let [a0] = unsafe { steps.dots([act(v)], w) };
+                store(v, a0);
             }
             o += 4;
         }
         while o < outs {
             for v in vb..vb_end {
-                let av = &acts16[v * ins16..(v + 1) * ins16];
-                let mut acc = _mm512_setzero_si512();
-                let mut i = 0;
-                while i + 32 <= ins16 {
-                    // SAFETY: i + 32 <= ins16 as above.
-                    unsafe {
-                        let a = _mm512_loadu_epi16(av.as_ptr().add(i));
-                        let w = _mm512_loadu_epi16(c.codes16.as_ptr().add(o * ins16 + i));
-                        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a, w));
-                    }
-                    i += 32;
-                }
-                if i < ins16 {
-                    // SAFETY: low 16 lanes in bounds as above.
-                    unsafe {
-                        let a = _mm512_maskz_loadu_epi16(0xffff, av.as_ptr().add(i));
-                        let w =
-                            _mm512_maskz_loadu_epi16(0xffff, c.codes16.as_ptr().add(o * ins16 + i));
-                        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a, w));
-                    }
-                }
-                out[o * n + v] = hsum_epi32(acc);
+                // SAFETY: as above.
+                let [[acc]] = unsafe { steps.dots([act(v)], [code(o)]) };
+                out[o * n + v] = _mm512_reduce_add_epi32(acc);
             }
             o += 1;
         }
@@ -190,85 +139,280 @@ fn matmul_i16(c: &ExactCodes<'_>, acts: &[u8], n: usize, out: &mut [i32], acts16
     }
 }
 
-/// Sums the sixteen `i32` lanes. Every partial sum is a sum of some of
-/// one accumulator's products, so it fits an `i32` whenever the whole
-/// does, which `program` proved.
-#[target_feature(enable = "avx512f")]
-fn hsum_epi32(v: __m512i) -> i32 {
-    let mut lanes = [0i32; 16];
-    // SAFETY: `lanes` is exactly 64 bytes; unaligned store.
-    unsafe { _mm512_storeu_epi32(lanes.as_mut_ptr(), v) };
-    lanes.iter().sum()
+/// The 64-code steps of one row of `ins` codes: whole steps up to
+/// `whole`, then, if `ins % 64 != 0`, one step masked to `tail`.
+struct Steps {
+    whole: usize,
+    tail: u64,
 }
 
-/// AVX-512 tier of the batch-transposed matmul: one 16-byte panel load
-/// carries 16 vectors' codes for an activation index, widened to `i32`
-/// lanes and shared across a quad of broadcast code scalars. `i32` lane
-/// accumulation is exact because `program` proved every accumulator
-/// fits. Bit-identical to [`scalar::matmul_transposed`].
-pub(crate) fn matmul_transposed(c: &ExactCodes<'_>, panel: &Panel<'_>, out: &mut [i32]) {
+impl Steps {
+    fn new(ins: usize) -> Self {
+        Steps {
+            whole: ins - ins % 64,
+            tail: (1 << (ins % 64)) - 1,
+        }
+    }
+
+    /// The `vpdpbusd` accumulators of `V` activation rows against `K`
+    /// code rows, `acc[v][k]` for row pair `(a[v], w[k])`. The masked
+    /// last step reads nothing past a row.
+    ///
+    /// # Safety
+    ///
+    /// Every row must hold the `ins` codes this walk was built for.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    #[inline]
+    unsafe fn dots<const V: usize, const K: usize>(
+        &self,
+        a: [*const u8; V],
+        w: [*const i8; K],
+    ) -> [[__m512i; K]; V] {
+        let mut acc = [[_mm512_setzero_si512(); K]; V];
+        let mut i = 0;
+        while i < self.whole {
+            // SAFETY: i + 64 <= whole <= ins bounds every 64-byte load.
+            unsafe {
+                let mut av = [_mm512_setzero_si512(); V];
+                for (x, p) in av.iter_mut().zip(a) {
+                    *x = _mm512_loadu_si512(p.add(i).cast());
+                }
+                for (k, p) in w.into_iter().enumerate() {
+                    let wk = _mm512_loadu_si512(p.add(i).cast());
+                    for (accv, x) in acc.iter_mut().zip(av) {
+                        accv[k] = _mm512_dpbusd_epi32(accv[k], x, wk);
+                    }
+                }
+            }
+            i += 64;
+        }
+        if self.tail != 0 {
+            // SAFETY: the masked loads read only the enabled codes
+            // i..ins of each row.
+            unsafe {
+                let mut av = [_mm512_setzero_si512(); V];
+                for (x, p) in av.iter_mut().zip(a) {
+                    *x = _mm512_maskz_loadu_epi8(self.tail, p.add(i).cast());
+                }
+                for (k, p) in w.into_iter().enumerate() {
+                    let wk = _mm512_maskz_loadu_epi8(self.tail, p.add(i));
+                    for (accv, x) in acc.iter_mut().zip(av) {
+                        accv[k] = _mm512_dpbusd_epi32(accv[k], x, wk);
+                    }
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// The lane sums of four accumulators, reduced in registers: each
+/// halves to 256 bits, then the AVX2 tier's four-way tree. Wrapping
+/// `i32` adds in any order give the exact sum whenever it fits, which
+/// `program` proved.
+#[target_feature(enable = "avx512f")]
+fn reduce4(acc: [__m512i; 4]) -> [i32; 4] {
+    avx2::reduce4(
+        acc.map(|a| _mm256_add_epi32(_mm512_castsi512_si256(a), _mm512_extracti64x4_epi64::<1>(a))),
+    )
+}
+
+/// AVX-512 tier of the batch-transposed matmul: 16 vectors per block,
+/// 4 taps per `_mm512_dpbusd_epi32`. Bit-identical to
+/// [`scalar::matmul_transposed`]; codes with no `i8` packing run on the
+/// scalar tier. `taps` holds one block's interleaved quads.
+pub(crate) fn matmul_transposed(
+    c: &ExactCodes<'_>,
+    panel: &Panel<'_>,
+    out: &mut [i32],
+    taps: &mut Vec<u8>,
+) {
     assert_avx512();
     debug_assert_eq!(panel.ins(), c.ins);
     debug_assert_eq!(out.len(), panel.n() * c.outs);
-    if panel.n() <= 8 {
-        // Half-block batches run at AVX2 width: same op count, better
-        // per-op throughput.
-        return avx2::matmul_transposed(c, panel, out);
+    match c.packed {
+        // SAFETY: AVX-512 support asserted above.
+        PackedCodes::I8 { data, stride } => unsafe {
+            matmul_transposed_vnni(data, *stride, c.outs, panel, out, taps)
+        },
+        _ => scalar::matmul_transposed(c.codes, c.outs, panel, out),
     }
-    // SAFETY: AVX-512 support asserted above.
-    unsafe { matmul_transposed_impl(c.codes, c.outs, panel, out) }
 }
 
-#[target_feature(enable = "avx512f")]
-fn matmul_transposed_impl(codes: &[i32], outs: usize, panel: &Panel<'_>, out: &mut [i32]) {
-    let (acts, rows, n, ins) = (panel.acts(), panel.rows(), panel.n(), panel.ins());
+/// Per 16-vector block, interleaves every quad of 4 taps once and runs
+/// each output channel's accumulator over the quads against its 4
+/// weight codes broadcast to every lane. Up to 4 channels take each
+/// quad straight from registers; more read it back from `taps`, where
+/// the block's quads are stored (quad `q` at `taps[64 * q..]`).
+///
+/// A last quad short of taps repeats its last row, whose codes meet the
+/// packing's zero padding.
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn matmul_transposed_vnni(
+    codes: &[i8],
+    stride: usize,
+    outs: usize,
+    panel: &Panel<'_>,
+    out: &mut [i32],
+    taps: &mut Vec<u8>,
+) {
+    let (acts, rows, n) = (panel.acts(), panel.rows(), panel.n());
+    let (whole, quads) = (rows.len() / 4, rows.len().div_ceil(4));
+    // The stored quads' loads below rely on one code quad per panel
+    // quad.
+    assert_eq!(stride, 4 * quads, "code rows of another depth");
+    let tail: [usize; 4] = match &rows[4 * whole..] {
+        [] => [0; 4],
+        short => std::array::from_fn(|j| short[j.min(short.len() - 1)]),
+    };
+    let t = Transpose::new();
+    // Quad `q` of the block at `vb`, read from the panel.
+    let panel_quad = |vb: usize, q: usize| {
+        let r = if q < whole {
+            rows[4 * q..4 * q + 4].try_into().unwrap()
+        } else {
+            tail
+        };
+        // SAFETY: vb < n and both vb and transposed_pad(n) are multiples
+        // of 16, so vb + 16 <= transposed_pad(n), and every row +
+        // transposed_pad(n) <= acts.len() (`Panel::new`).
+        unsafe { t.quad(acts, r, vb) }
+    };
+    if outs > 4 {
+        taps.clear();
+        taps.resize(64 * quads, 0);
+    }
     let mut vb = 0;
     while vb < n {
-        let lanes_live = (n - vb).min(16);
-        let mut o = 0;
-        while o + 4 <= outs {
-            let mut acc = [_mm512_setzero_si512(); 4];
-            for (i, &row) in rows.iter().enumerate() {
-                // SAFETY: vb < n and both vb and transposed_pad(n) are
-                // multiples of 16, so vb + 16 <= transposed_pad(n);
-                // and row + transposed_pad(n) <= acts.len() (`Panel::new`).
-                let a = unsafe { load16(acts.as_ptr().add(row + vb)) };
-                for (k, ak) in acc.iter_mut().enumerate() {
-                    let w = _mm512_set1_epi32(codes[(o + k) * ins + i]);
-                    *ak = _mm512_add_epi32(*ak, _mm512_mullo_epi32(a, w));
+        let mut at = Block {
+            out: &mut *out,
+            n,
+            vb,
+        };
+        let from_panel = |q: usize| panel_quad(vb, q);
+        match outs {
+            0 => {}
+            1 => at.channels::<1>(codes, stride, 0, from_panel),
+            2 => at.channels::<2>(codes, stride, 0, from_panel),
+            3 => at.channels::<3>(codes, stride, 0, from_panel),
+            4 => at.channels::<4>(codes, stride, 0, from_panel),
+            _ => {
+                for q in 0..quads {
+                    // SAFETY: q < quads bounds the 64-byte store inside
+                    // taps.
+                    unsafe {
+                        _mm512_storeu_si512(taps.as_mut_ptr().add(64 * q).cast(), from_panel(q))
+                    };
+                }
+                // SAFETY: `channels` asks only for q < stride / 4 ==
+                // quads, which bounds the 64-byte load inside taps.
+                let stored =
+                    |q: usize| unsafe { _mm512_loadu_si512(taps.as_ptr().add(64 * q).cast()) };
+                let mut o = 0;
+                while o + 4 <= outs {
+                    at.channels::<4>(codes, stride, o, stored);
+                    o += 4;
+                }
+                while o < outs {
+                    at.channels::<1>(codes, stride, o, stored);
+                    o += 1;
                 }
             }
-            for (k, ak) in acc.iter().enumerate() {
-                let row = (o + k) * n + vb;
-                store_lanes(*ak, &mut out[row..row + lanes_live]);
-            }
-            o += 4;
-        }
-        while o < outs {
-            let mut acc = _mm512_setzero_si512();
-            for (i, &row) in rows.iter().enumerate() {
-                // SAFETY: as above.
-                let a = unsafe { load16(acts.as_ptr().add(row + vb)) };
-                let w = _mm512_set1_epi32(codes[o * ins + i]);
-                acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(a, w));
-            }
-            store_lanes(acc, &mut out[o * n + vb..o * n + vb + lanes_live]);
-            o += 1;
         }
         vb += 16;
     }
 }
 
-/// Loads the 16 codes at `p`, widened to `i32` lanes.
-///
-/// # Safety
-///
-/// `p..p + 16` must be readable.
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn load16(p: *const u8) -> __m512i {
-    // SAFETY: the caller guarantees 16 readable bytes; unaligned load.
-    _mm512_cvtepu8_epi32(unsafe { _mm_loadu_si128(p as *const __m128i) })
+/// The two constant shuffles that interleave a quad of panel rows.
+#[derive(Clone, Copy)]
+struct Transpose {
+    dwords: __m512i,
+    bytes: __m512i,
+}
+
+impl Transpose {
+    /// The shuffle controls, opaque to the optimizer: folded into one
+    /// constant four-source shuffle, LLVM lowered each quad to seventeen
+    /// 256-bit shuffles and blends, which made the kernel about twice as
+    /// slow as the two shuffles written here.
+    #[target_feature(enable = "avx512f")]
+    fn new() -> Self {
+        Transpose {
+            dwords: std::hint::black_box(_mm512_setr_epi32(
+                0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+            )),
+            bytes: std::hint::black_box(_mm512_set4_epi32(
+                0x0f0b_0703,
+                0x0e0a_0602,
+                0x0d09_0501,
+                0x0c08_0400,
+            )),
+        }
+    }
+
+    /// The 16 vectors from `vb` of the panel rows at `rows`,
+    /// interleaved: vector `v`'s code of tap `j` in byte `j` of dword
+    /// `v`. Tap `j` loads into 128-bit lane `j`; the dword transpose
+    /// gathers dword `L` of every tap into lane `L`, and the byte
+    /// transpose within each lane makes its dword `e` the 4 codes of
+    /// vector `4L + e`.
+    ///
+    /// # Safety
+    ///
+    /// Every `rows[j] + vb..rows[j] + vb + 16` must lie inside `acts`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    #[inline]
+    unsafe fn quad(&self, acts: &[u8], rows: [usize; 4], vb: usize) -> __m512i {
+        let [r0, r1, r2, r3] = rows.map(|r| acts.as_ptr().wrapping_add(r + vb).cast());
+        // SAFETY: the caller guarantees 16 readable bytes at each row.
+        let z = unsafe {
+            let z = _mm512_castsi128_si512(_mm_loadu_si128(r0));
+            let z = _mm512_inserti32x4::<1>(z, _mm_loadu_si128(r1));
+            let z = _mm512_inserti32x4::<2>(z, _mm_loadu_si128(r2));
+            _mm512_inserti32x4::<3>(z, _mm_loadu_si128(r3))
+        };
+        _mm512_shuffle_epi8(_mm512_permutexvar_epi32(self.dwords, z), self.bytes)
+    }
+}
+
+/// The block of 16 vectors from `vb` whose channel-major accumulators
+/// one transposed call writes into `out` (`n` vectors per channel row).
+struct Block<'a> {
+    out: &'a mut [i32],
+    n: usize,
+    vb: usize,
+}
+
+impl Block<'_> {
+    /// Runs channels `o..o + K` over the block's tap quads, each quad
+    /// `q < stride / 4` from `quad(q)` against each channel's 4 codes at
+    /// `4 * q` of its `i8` row, and stores their live lanes.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    #[inline]
+    fn channels<const K: usize>(
+        &mut self,
+        codes: &[i8],
+        stride: usize,
+        o: usize,
+        quad: impl Fn(usize) -> __m512i,
+    ) {
+        let w = codes[o * stride..(o + K) * stride].as_ptr();
+        let mut acc = [_mm512_setzero_si512(); K];
+        for q in 0..stride / 4 {
+            let a = quad(q);
+            for (k, ak) in acc.iter_mut().enumerate() {
+                // SAFETY: k < K and 4 * q + 4 <= stride keep the 4-byte
+                // read inside the K code rows at `w`.
+                let wq = unsafe { w.add(k * stride + 4 * q).cast::<i32>().read_unaligned() };
+                *ak = _mm512_dpbusd_epi32(*ak, a, _mm512_set1_epi32(wq));
+            }
+        }
+        let live = (self.n - self.vb).min(16);
+        for (k, ak) in acc.iter().enumerate() {
+            let row = (o + k) * self.n + self.vb;
+            store_lanes(*ak, &mut self.out[row..row + live]);
+        }
+    }
 }
 
 /// Stores the live `i32` lanes of one transposed accumulator into
@@ -303,16 +447,35 @@ fn fold_avx512(src: &FoldSrc<'_>, bounds: &[(u32, u32)], active: &mut [u32], pul
 }
 
 /// The portable activation quantizer ([`quant::quantize_codes`])
-/// compiled for AVX-512.
+/// compiled for AVX-512, its last partial register of values included.
 pub(crate) fn quantize_codes(p: QuantParams, x: &[f32], codes: &mut [u8]) {
     assert_avx512();
     // SAFETY: AVX-512 support asserted above.
     unsafe { quantize_codes_avx512(p, x, codes) }
 }
 
+/// Runs the compiled loop over whole registers of 16 values, then, from
+/// 16 values up, the last 16 again as one register, rewriting the codes
+/// it overlaps with the same codes. Left to the loop, the last `n % 16`
+/// values would take its scalar remainder, one at a time (2.5 times the
+/// per-code cost of a long input at 16 to 63 values); under 16 they
+/// still do.
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
 fn quantize_codes_avx512(p: QuantParams, x: &[f32], codes: &mut [u8]) {
-    quant::quantize_codes(p, x, codes);
+    let n = x.len().min(codes.len());
+    let (x, codes) = (&x[..n], &mut codes[..n]);
+    let whole = n - n % 16;
+    quant::quantize_codes(p, &x[..whole], &mut codes[..whole]);
+    if whole == n {
+        return;
+    }
+    if n >= 16 {
+        let last: &[f32; 16] = x[n - 16..].try_into().unwrap();
+        let codes: &mut [u8; 16] = (&mut codes[n - 16..]).try_into().unwrap();
+        quant::quantize_codes(p, last, codes);
+    } else {
+        quant::quantize_codes(p, x, codes);
+    }
 }
 
 /// AVX-512 tier of the bit-plane popcount stream: the column mask is

@@ -13,8 +13,10 @@
 //!   codes widened to `i16`) and the lane-packed `AND`+popcount mask
 //!   stream via the `vpshufb` nibble-LUT trick.
 //! * [`KernelKind::Avx512`] — the 512-bit tier (the `avx512` module):
-//!   32-lane `_mm512_madd_epi16` matmuls and a native `vpopcntq`
-//!   (`_mm512_popcnt_epi64`) mask stream replacing the nibble LUT.
+//!   `u8 × i8` VNNI matmuls (`_mm512_dpbusd_epi32`, 64 multiply-adds per
+//!   instruction, the macro's own operand widths) in both layouts and a
+//!   native `vpopcntq` (`_mm512_popcnt_epi64`) mask stream replacing the
+//!   nibble LUT.
 //!
 //! The event counters behind [`MvmStats`] come from one fold
 //! (`fold_event_counters`). At the paper chunking it is portable Rust
@@ -37,12 +39,13 @@
 //! `ins`, while the *batch-transposed* layout reads the block as a
 //! lane-major panel — one run of lanes per activation index, found
 //! through a per-row offset table — and vectorizes **across
-//! vectors**, 8 (AVX2) or 16 (AVX-512) activations per SIMD op. That is
-//! what rescues the zoo's narrow conv shapes (`1x9`, `2x9`, `4x18`) whose
-//! 9-wide rows cannot fill lanes in the row-major layout, and the offsets
-//! let a conv's taps read column-shifted code planes in place instead of
-//! a copied im2col panel. The scalar tier implements both layouts too, so
-//! the parity oracle covers every (tier, layout) cell.
+//! vectors**, 8 (AVX2) or 16 (AVX-512, four taps each) activations per
+//! SIMD op. That is what rescues the zoo's narrow conv shapes (`1x9`,
+//! `2x9`, `4x18`) whose 9-wide rows cannot fill lanes in the row-major
+//! layout, and the offsets let a conv's taps read column-shifted code
+//! planes in place instead of a copied im2col panel. The scalar tier
+//! implements both layouts too, so the parity oracle covers every (tier,
+//! layout) cell.
 //!
 //! Which tier runs is decided **once, at [`RomMvm::program`] time**, by
 //! [`KernelDispatch`]: the `YOLOC_KERNEL` environment variable
@@ -91,7 +94,7 @@ pub enum KernelKind {
     /// AVX2 `std::arch` tier (x86_64 with runtime-detected support).
     Avx2,
     /// AVX-512 `std::arch` tier (x86_64 with runtime-detected
-    /// F+BW+VL+VPOPCNTDQ support).
+    /// F+BW+VL+VPOPCNTDQ+VNNI support).
     Avx512,
 }
 
@@ -220,10 +223,11 @@ pub fn avx2_available() -> bool {
 }
 
 /// Whether the AVX-512 tier can run on this host (always `false` off
-/// x86_64). Requires the F, BW and VL subsets (madd matmuls, masked
-/// `i16` loads, 256-bit mixes) plus VPOPCNTDQ for the `vpopcntq` mask
-/// stream. Resolve once and store the [`KernelKind`]; do not call this
-/// in a hot loop.
+/// x86_64). Requires the F, BW and VL subsets (masked byte loads, lane
+/// shuffles, 256-bit mixes), VPOPCNTDQ for the `vpopcntq` mask stream
+/// and VNNI for the `u8 × i8` `vpdpbusd` matmuls; a host without VNNI
+/// resolves `auto` to the AVX2 tier. Resolve once and store the
+/// [`KernelKind`]; do not call this in a hot loop.
 pub fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -231,6 +235,7 @@ pub fn avx512_available() -> bool {
             && std::arch::is_x86_feature_detected!("avx512bw")
             && std::arch::is_x86_feature_detected!("avx512vl")
             && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            && std::arch::is_x86_feature_detected!("avx512vnni")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -282,48 +287,64 @@ pub enum MatmulLayout {
 }
 
 /// Lanes the SIMD tiers may read from each row of a transposed panel:
-/// block size `n` rounded up to 16 (one AVX-512 register of codes
-/// widened to `i32`; two AVX2 registers; the scalar tier reads only the
-/// `n` live lanes). Every row offset plus this must lie inside the
-/// panel's buffer, which [`RomMvm::run_batch_transposed`] asserts once
-/// per call. Lanes past `n` are never read back, but the whole buffer
-/// must stay within the activation code range.
+/// block size `n` rounded up to 16 (one AVX-512 block of 16 vectors,
+/// whose 16 codes per row go into one 128-bit lane of a tap quad; two
+/// AVX2 registers; the scalar tier reads only the `n` live lanes).
+/// Every row offset plus this must lie inside the panel's buffer, which
+/// [`RomMvm::run_batch_transposed`] asserts once per call. Lanes past
+/// `n` are never read back, but the whole buffer must stay within the
+/// activation code range.
 ///
 /// [`RomMvm::run_batch_transposed`]: crate::macro_model::RomMvm::run_batch_transposed
 pub fn transposed_pad(n: usize) -> usize {
     n.next_multiple_of(16).max(16)
 }
 
-/// The shape-driven row-major vs batch-transposed crossover for the
-/// SIMD tiers (the scalar reference tier always dispatches row-major —
-/// its fastest staging — and its transposed entries are exercised as
-/// parity oracles with explicit panels).
+/// The shape-driven row-major vs batch-transposed crossover of tier
+/// `kind`. The scalar reference tier always dispatches row-major, its
+/// fastest staging; its transposed entries are exercised as parity
+/// oracles with explicit panels.
 ///
 /// The transposed matmul vectorizes across vectors, so it pays where a
-/// conv's short rows leave the row-major `madd` (which vectorizes across
-/// `ins`) with idle lanes and the block has vectors to fill its own.
-/// The thresholds come from per-call run steps (matmul plus counter
-/// fold, `run_batch` against `run_batch_transposed`, AVX-512 tier, best
-/// of 7 rounds, 2-lane Xeon):
+/// conv's short rows leave the row-major matmul (which vectorizes across
+/// `ins`) with idle lanes and the block has vectors to fill its own. The
+/// thresholds come from per-call run steps (matmul plus counter fold,
+/// `run_batch` against `run_batch_transposed`, best of 5 to 7 rounds,
+/// 2-lane Xeon), transposed over row-major time, checked against whole
+/// inferences:
 ///
 /// * below 4 vectors the panel is mostly padding: row-major;
-/// * at 4–7 vectors (8-lane blocks, half of them idle) transposed wins
-///   only while the matrix is tiny, `outs * ins <= 72`: 0.39–0.85x the
-///   row-major time from 1x9 to 8x9, while 4x32 was 1.02x, 16x32 1.7x
-///   and 16x72 2.0x;
-/// * at 8–15 vectors, while `outs * ins <= 576`: 4x144 0.76x and 16x36
-///   0.86x, but 16x72 1.25x and 32x72 1.26x;
-/// * from 16 vectors, every shape up to 16 outputs (16x576 was 0.93x)
-///   and 32 outputs up to 144 inputs (0.76x; 32x288 was 1.12x). At
-///   larger `outs` the row-major `madd` fills its lanes across `ins` and
-///   dominates the call.
-pub fn choose_layout(outs: usize, ins: usize, n: usize) -> MatmulLayout {
+/// * at 4–7 vectors (8-lane blocks, half of them idle) transposed only
+///   while the matrix is tiny, `outs * ins <= 72`: on the `madd`/`mullo`
+///   kernels 0.39–0.85 from 1x9 to 8x9, while 4x32 was 1.02, 16x32 1.7
+///   and 16x72 2.0;
+/// * at 8–15 vectors, while `outs * ins <= 576`: 4x144 0.76 and 16x36
+///   0.86, but 16x72 1.25 and 32x72 1.26;
+/// * from 16 vectors, on AVX-512 every shape: with `vpdpbusd` in both
+///   layouts the panel read 0.09–0.52 over PR 22's grid (1 to 64
+///   outputs, 9 to 576 inputs, 16 to 256 vectors) and 0.61–0.77 on
+///   128x1152 to 1024x4608; on AVX2 every shape up to 16 outputs
+///   (16x576 0.93) and 32 outputs up to 144 inputs (0.76; 32x288 1.12),
+///   as its `mullo` panel loses to the `madd` rows on wider matrices.
+///
+/// Below 16 vectors the `vpdpbusd` run steps moved the crossover too
+/// (the panel read 0.59–0.93 at 2 vectors with 9 inputs, 0.38–0.87 at
+/// 4 with up to 36, 0.69–0.92 at 7 with up to 144), but whole
+/// inferences did not follow. Moving every threshold made
+/// resnet18/w16@32x32 10% and tiny-yolo/w32@32x32 6% slower at batch 8
+/// than these thresholds; moving only the 16-vector arm made no zoo net
+/// slower at batch 1 or 8 and vgg8/w16@16x16 16% faster at batch 8 (best
+/// of 42 rounds each). A transposed conv over a few positions also
+/// lowers its code planes and runs their gap lanes, which a run step
+/// leaves out.
+pub fn choose_layout(kind: KernelKind, outs: usize, ins: usize, n: usize) -> MatmulLayout {
     let cells = outs.saturating_mul(ins);
-    let transposed = match n {
-        0..=3 => false,
-        4..=7 => cells <= 72,
-        8..=15 => cells <= 576,
-        _ => outs <= 16 || (outs <= 32 && ins <= 144),
+    let transposed = match (kind, n) {
+        (KernelKind::Scalar, _) | (_, 0..=3) => false,
+        (_, 4..=7) => cells <= 72,
+        (_, 8..=15) => cells <= 576,
+        (KernelKind::Avx512, _) => true,
+        (KernelKind::Avx2, _) => outs <= 16 || (outs <= 32 && ins <= 144),
     };
     if transposed {
         MatmulLayout::Transposed
@@ -332,69 +353,90 @@ pub fn choose_layout(outs: usize, ins: usize, n: usize) -> MatmulLayout {
     }
 }
 
-/// Weight codes lane-packed to `i16` for the madd matmul tiers: row
-/// stride rounded up to 16 lanes, tail lanes zero. Built once at
-/// `program` time by [`pack_codes16`] (and by the parity suites — this
-/// type is the single owner of the packing rule). An empty packing
-/// means the codes do not fit `i16`, and the row-major SIMD matmuls
-/// hand the block to the scalar tier.
-#[must_use = "packing codes16 is pointless unless the packed view is stored"]
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PackedCodes16 {
-    data: Vec<i16>,
-    ins16: usize,
+/// The weight codes of an exact engine packed for its SIMD tier's
+/// matmul lanes, built from the row-major `i32` codes by
+/// [`PackedCodes::for_tier`] when the engine is programmed and again
+/// whenever its tier changes. Each tier keeps only the packing it reads.
+#[derive(Debug)]
+pub(crate) enum PackedCodes {
+    /// No packing: the scalar tier reads the `i32` codes, and so does a
+    /// SIMD tier whose lanes the codes do not fit.
+    None,
+    /// `i16` codes for the AVX2 `madd` matmul: `outs` rows `stride`
+    /// apart, `ins` rounded up to 16 lanes, tail lanes zero.
+    I16 { data: Vec<i16>, stride: usize },
+    /// `i8` codes for the AVX-512 `vpdpbusd` matmuls: `outs` rows
+    /// `stride` apart, `ins` rounded up to a quad of 4 taps, tail taps
+    /// zero.
+    I8 { data: Vec<i8>, stride: usize },
 }
 
-impl PackedCodes16 {
-    /// The no-packing sentinel for shapes outside the overflow proof.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Lane-packed codes, `outs x ins16` row-major; empty if ineligible.
-    pub fn data(&self) -> &[i16] {
-        &self.data
-    }
-
-    /// Row stride of the packing (0 when empty).
-    pub fn stride(&self) -> usize {
-        self.ins16
-    }
-}
-
-/// Packs row-major `i32` codes into the lane-major `i16` layout every
-/// madd tier consumes. The caller proves the codes fit `i16`
-/// (`weight_bits <= 16`); values are asserted to in debug builds. A
-/// madd pair of `u8` codes times `i16` weights then fits an `i32` lane,
-/// and the sums over it fit by [`MacroParams::accumulators_fit`].
-///
-/// [`MacroParams::accumulators_fit`]: crate::macro_model::MacroParams::accumulators_fit
-pub(crate) fn pack_codes16(codes: &[i32], outs: usize, ins: usize) -> PackedCodes16 {
-    assert_eq!(codes.len(), outs * ins, "row-major codes shape mismatch");
-    let ins16 = ins.next_multiple_of(16);
-    let mut data = vec![0i16; outs * ins16];
-    for o in 0..outs {
-        for i in 0..ins {
-            let c = codes[o * ins + i];
-            debug_assert!(i32::from(c as i16) == c, "code {c} exceeds i16");
-            data[o * ins16 + i] = c as i16;
+impl PackedCodes {
+    /// Packs `outs x ins` row-major codes of `weight_bits` bits for
+    /// tier `kind`: `i16` lanes on AVX2 while the codes fit them, `i8`
+    /// lanes on AVX-512 while they fit those, nothing otherwise. Codes
+    /// wider than the tier's lanes (`weight_bits > 16` on AVX2,
+    /// `weight_bits > 8` on AVX-512) leave the engine unpacked, and that
+    /// tier's matmuls run the scalar ones; no zoo net has such codes. A
+    /// `u8 × i8` or `u8 × i16` product, and every sum of them,
+    /// then fits an `i32` lane by [`MacroParams::accumulators_fit`].
+    ///
+    /// [`MacroParams::accumulators_fit`]: crate::macro_model::MacroParams::accumulators_fit
+    pub(crate) fn for_tier(
+        kind: KernelKind,
+        codes: &[i32],
+        outs: usize,
+        ins: usize,
+        weight_bits: u8,
+    ) -> Self {
+        assert_eq!(codes.len(), outs * ins, "row-major codes shape mismatch");
+        match kind {
+            KernelKind::Avx2 if weight_bits <= 16 => {
+                let (data, stride) = pack(codes, outs, ins, 16, |c| c as i16);
+                PackedCodes::I16 { data, stride }
+            }
+            KernelKind::Avx512 if weight_bits <= 8 => {
+                let (data, stride) = pack(codes, outs, ins, 4, |c| c as i8);
+                PackedCodes::I8 { data, stride }
+            }
+            _ => PackedCodes::None,
         }
     }
-    PackedCodes16 { data, ins16 }
 }
 
-/// The stored weight codes of an exact-kernel engine, in every packing
-/// the matmul tiers understand: row-major `i32` (the reference layout,
-/// and the scalars the transposed kernels broadcast) plus the optional
-/// lane-packed `i16` copy (`ins16`-strided, zero padded) built at
-/// `program` time when the codes fit `i16`.
+/// Copies each row of `ins` codes into a row `ins` rounded up to
+/// `lanes` apart, zero padded, narrowed by `narrow`: the caller proves
+/// the codes fit `T` (the engine's code range check), as the debug
+/// assertion repeats.
+fn pack<T: Copy + Default + Into<i32>>(
+    codes: &[i32],
+    outs: usize,
+    ins: usize,
+    lanes: usize,
+    narrow: impl Fn(i32) -> T,
+) -> (Vec<T>, usize) {
+    let stride = ins.next_multiple_of(lanes);
+    let mut data = vec![T::default(); outs * stride];
+    for o in 0..outs {
+        for (d, &c) in data[o * stride..][..ins]
+            .iter_mut()
+            .zip(&codes[o * ins..][..ins])
+        {
+            *d = narrow(c);
+            debug_assert_eq!((*d).into(), c, "code {c} exceeds its lane");
+        }
+    }
+    (data, stride)
+}
+
+/// The stored weight codes of an exact-kernel engine: row-major `i32`
+/// (the reference layout, which the scalar and AVX2 transposed matmuls
+/// read) and the packing of the engine's tier.
 pub(crate) struct ExactCodes<'a> {
     /// Row-major `outs x ins` signed codes.
     pub codes: &'a [i32],
-    /// Lane-packed `i16` codes (`outs x ins16`), empty when ineligible.
-    pub codes16: &'a [i16],
-    /// Row stride of `codes16`: `ins` rounded up to 16 lanes.
-    pub ins16: usize,
+    /// The codes packed for the engine's tier.
+    pub packed: &'a PackedCodes,
     /// Output rows.
     pub outs: usize,
     /// Dot-product depth.
@@ -405,6 +447,7 @@ pub(crate) struct ExactCodes<'a> {
 /// (channel-major accumulators, `out[o * n + v]`), dispatched by tier.
 /// Every tier computes the exact integer product — bit-identical to
 /// [`scalar::matmul_into`] by construction (and by the parity suites).
+/// `acts16` stages the AVX2 tier's widened rows.
 pub(crate) fn matmul_exact(
     kind: KernelKind,
     c: &ExactCodes<'_>,
@@ -418,7 +461,7 @@ pub(crate) fn matmul_exact(
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2 => avx2::matmul_exact(c, acts, n, out, acts16),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 => avx512::matmul_exact(c, acts, n, out, acts16),
+        KernelKind::Avx512 => avx512::matmul_exact(c, acts, n, out),
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("SIMD tiers cannot be selected off x86_64"),
     }
@@ -426,19 +469,21 @@ pub(crate) fn matmul_exact(
 
 /// Batch-transposed integer matmul over a lane-major [`Panel`]:
 /// `out[o][v] = sum_i codes[o][i] * panel[i][v]`. Dispatched by tier;
-/// exact on every tier.
+/// exact on every tier. `taps` stages the AVX-512 tier's interleaved
+/// tap quads.
 pub(crate) fn matmul_exact_t(
     kind: KernelKind,
     c: &ExactCodes<'_>,
     panel: &Panel<'_>,
     out: &mut [i32],
+    taps: &mut Vec<u8>,
 ) {
     match kind {
         KernelKind::Scalar => scalar::matmul_transposed(c.codes, c.outs, panel, out),
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2 => avx2::matmul_transposed(c, panel, out),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 => avx512::matmul_transposed(c, panel, out),
+        KernelKind::Avx512 => avx512::matmul_transposed(c, panel, out, taps),
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("SIMD tiers cannot be selected off x86_64"),
     }
@@ -664,33 +709,37 @@ mod tests {
 
     #[test]
     fn layout_crossover_is_shape_driven() {
-        // Narrow shapes with real batch depth go transposed: im2col
-        // shapes, every mid shape up to 16 outputs, and 32 outputs while
-        // ins stays moderate and the block fills the lanes…
-        assert_eq!(choose_layout(1, 9, 256), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(4, 18, 256), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(16, 72, 256), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(16, 72, 16), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(32, 144, 256), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(32, 144, 16), MatmulLayout::Transposed);
-        // …and below 16 vectors only while the matrix stays small:
-        // 72 cells from 4 vectors, 576 from 8.
-        assert_eq!(choose_layout(1, 32, 4), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(8, 9, 4), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(16, 32, 4), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(16, 72, 4), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(1, 64, 8), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(16, 36, 8), MatmulLayout::Transposed);
-        assert_eq!(choose_layout(16, 72, 8), MatmulLayout::RowMajor);
-        // Matmul-bound shapes stay row-major (madd across ins already
-        // fills lanes, and panel staging scales with ins), as do
-        // degenerate batches.
-        assert_eq!(choose_layout(32, 288, 256), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(32, 144, 4), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(64, 288, 16), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(1, 9, 1), MatmulLayout::RowMajor);
-        assert_eq!(choose_layout(4, 18, 2), MatmulLayout::RowMajor);
-        // Panel padding covers one AVX-512 register even for tiny n.
+        use KernelKind::{Avx2, Avx512, Scalar};
+        use MatmulLayout::{RowMajor, Transposed};
+        // The scalar reference tier always stages row-major.
+        assert_eq!(choose_layout(Scalar, 1, 9, 256), RowMajor);
+        for simd in [Avx2, Avx512] {
+            // Narrow shapes with real batch depth go transposed…
+            assert_eq!(choose_layout(simd, 1, 9, 256), Transposed);
+            assert_eq!(choose_layout(simd, 4, 18, 256), Transposed);
+            assert_eq!(choose_layout(simd, 16, 72, 16), Transposed);
+            assert_eq!(choose_layout(simd, 32, 144, 16), Transposed);
+            // …below 16 vectors only while the matrix stays small: 72
+            // cells from 4 vectors, 576 from 8…
+            assert_eq!(choose_layout(simd, 1, 32, 4), Transposed);
+            assert_eq!(choose_layout(simd, 8, 9, 4), Transposed);
+            assert_eq!(choose_layout(simd, 16, 32, 4), RowMajor);
+            assert_eq!(choose_layout(simd, 16, 72, 4), RowMajor);
+            assert_eq!(choose_layout(simd, 1, 64, 8), Transposed);
+            assert_eq!(choose_layout(simd, 16, 36, 8), Transposed);
+            assert_eq!(choose_layout(simd, 16, 72, 8), RowMajor);
+            assert_eq!(choose_layout(simd, 32, 144, 4), RowMajor);
+            // …and degenerate batches stay row-major.
+            assert_eq!(choose_layout(simd, 1, 9, 1), RowMajor);
+            assert_eq!(choose_layout(simd, 4, 18, 2), RowMajor);
+        }
+        // From 16 vectors the `vpdpbusd` panel wins on every shape, while
+        // wider matrices keep the AVX2 tier's `madd` rows.
+        for (outs, ins, n) in [(32, 288, 256), (64, 288, 16), (1024, 4608, 32)] {
+            assert_eq!(choose_layout(Avx512, outs, ins, n), Transposed);
+            assert_eq!(choose_layout(Avx2, outs, ins, n), RowMajor);
+        }
+        // Panel padding covers one 16-vector block even for tiny n.
         assert_eq!(transposed_pad(1), 16);
         assert_eq!(transposed_pad(16), 16);
         assert_eq!(transposed_pad(17), 32);
@@ -706,20 +755,9 @@ mod tests {
             .map(|i| (i as i32 * 37) % 255 - 127)
             .collect();
         let acts: Vec<u8> = (0..n * ins).map(|i| (i * 13) as u8).collect();
-        let packed = pack_codes16(&codes, outs, ins);
-        let (codes16, ins16) = (packed.data(), packed.stride());
-        assert_eq!(ins16, ins.next_multiple_of(16));
         // The transposed panel carries the same values lane-major, its
         // rows in reverse order and one lane apart more than they need.
-        let n_pad = transposed_pad(n);
-        let stride = n_pad + 1;
-        let mut acts_t = vec![0u8; ins * stride + n_pad];
-        let rows: Vec<usize> = (0..ins).map(|i| (ins - 1 - i) * stride).collect();
-        for v in 0..n {
-            for i in 0..ins {
-                acts_t[rows[i] + v] = acts[v * ins + i];
-            }
-        }
+        let (acts_t, rows) = reversed_panel(&acts, ins, n);
         let panel = Panel::new(&acts_t, &rows, n);
         let mut reference = vec![0i32; n * outs];
         scalar::matmul_into(&codes, outs, ins, &acts, n, &mut reference);
@@ -735,26 +773,24 @@ mod tests {
         let (mut ref_active, mut ref_pulses) = (vec![0u32; n], vec![0u32; n]);
         scalar::fold_event_counters(&acts, ins, &fold, &mut ref_active, &mut ref_pulses);
         for kind in available_kinds() {
-            for with_i16 in [false, true] {
+            // The tier's own packing, and none (codes too wide for its
+            // lanes), which hands both layouts to the scalar matmuls.
+            let own = PackedCodes::for_tier(kind, &codes, outs, ins, 8);
+            for packed in [own, PackedCodes::None] {
                 let c = ExactCodes {
                     codes: &codes,
-                    codes16: if with_i16 { codes16 } else { &[] },
-                    ins16: if with_i16 { ins16 } else { 0 },
+                    packed: &packed,
                     outs,
                     ins,
                 };
+                let what = format!("{} {packed:?}", kind.label());
                 let mut out = vec![0i32; n * outs];
-                let mut acts16 = Vec::new();
+                let (mut acts16, mut taps) = (Vec::new(), Vec::new());
                 matmul_exact(kind, &c, &acts, n, &mut out, &mut acts16);
-                assert_eq!(out, reference, "{} matmul (i16={with_i16})", kind.label());
+                assert_eq!(out, reference, "{what} matmul");
                 out.fill(0);
-                matmul_exact_t(kind, &c, &panel, &mut out);
-                assert_eq!(
-                    out,
-                    reference,
-                    "{} transposed matmul (i16={with_i16})",
-                    kind.label()
-                );
+                matmul_exact_t(kind, &c, &panel, &mut out, &mut taps);
+                assert_eq!(out, reference, "{what} transposed matmul");
             }
             let (mut active, mut pulses) = (Vec::new(), Vec::new());
             for src in [FoldSrc::Rows { acts: &acts, ins }, FoldSrc::Panel(panel)] {
@@ -781,6 +817,131 @@ mod tests {
                 let mut counts = vec![0u64; n_pad];
                 group_counts(kind, mask, &planes, n_planes, n_pad, &mut counts);
                 assert_eq!(counts, ref_counts, "{} group_counts", kind.label());
+            }
+        }
+    }
+
+    /// `acts` (`n` row-major vectors of `ins` codes) as a lane-major
+    /// panel whose rows sit in reverse order, one lane further apart than
+    /// [`transposed_pad`] needs, with the lanes past `n` set to 255.
+    fn reversed_panel(acts: &[u8], ins: usize, n: usize) -> (Vec<u8>, Vec<usize>) {
+        let n_pad = transposed_pad(n);
+        let stride = n_pad + 1;
+        let mut acts_t = vec![255u8; ins * stride + n_pad];
+        let rows: Vec<usize> = (0..ins).map(|i| (ins - 1 - i) * stride).collect();
+        for v in 0..n {
+            for i in 0..ins {
+                acts_t[rows[i] + v] = acts[v * ins + i];
+            }
+        }
+        (acts_t, rows)
+    }
+
+    /// Runs both layouts of `kind` with its own packing over `acts` and
+    /// returns their accumulators, each written over a poisoned buffer so
+    /// that a lane left unwritten shows.
+    fn both_layouts(
+        kind: KernelKind,
+        codes: &[i32],
+        outs: usize,
+        ins: usize,
+        acts: &[u8],
+        n: usize,
+    ) -> [Vec<i32>; 2] {
+        let packed = PackedCodes::for_tier(kind, codes, outs, ins, 8);
+        let c = ExactCodes {
+            codes,
+            packed: &packed,
+            outs,
+            ins,
+        };
+        let (acts_t, rows) = reversed_panel(acts, ins, n);
+        let (mut acts16, mut taps) = (Vec::new(), Vec::new());
+        let mut rm = vec![0x5a5a_5a5a; n * outs];
+        matmul_exact(kind, &c, acts, n, &mut rm, &mut acts16);
+        let mut t = vec![0x5a5a_5a5a; n * outs];
+        matmul_exact_t(kind, &c, &Panel::new(&acts_t, &rows, n), &mut t, &mut taps);
+        [rm, t]
+    }
+
+    #[test]
+    fn matmuls_are_exact_at_the_operand_extremes_and_every_tail() {
+        // Weights of -128 and +127 against activation 255, the largest
+        // `u8 x i8` products, and mixed codes that show a lane or tap
+        // out of place, over depths that leave every remainder of a
+        // 4-tap quad and of a 64-code step, at batch sizes around a
+        // 16-lane block, for channel counts on both sides of the
+        // transposed kernels' 4-channel register path.
+        let hash = |x: usize| x.wrapping_mul(0x9e37_79b9).rotate_left(13) ^ x;
+        for &ins in &[1usize, 3, 4, 5, 63, 64, 65, 129] {
+            for &n in &[1usize, 15, 16, 17, 33] {
+                for &outs in &[1usize, 3, 4, 6] {
+                    let weights: [Vec<i32>; 3] = [
+                        vec![-128; outs * ins],
+                        vec![127; outs * ins],
+                        (0..outs * ins)
+                            .map(|x| if hash(x) & 1 == 0 { -128 } else { 127 })
+                            .collect(),
+                    ];
+                    let acts: [Vec<u8>; 2] = [
+                        vec![255; n * ins],
+                        (0..n * ins)
+                            .map(|x| {
+                                if hash(x + 7) % 3 == 0 {
+                                    hash(x) as u8
+                                } else {
+                                    255
+                                }
+                            })
+                            .collect(),
+                    ];
+                    for codes in &weights {
+                        for acts in &acts {
+                            let mut want = vec![0i32; n * outs];
+                            scalar::matmul_into(codes, outs, ins, acts, n, &mut want);
+                            for kind in available_kinds() {
+                                let [rm, t] = both_layouts(kind, codes, outs, ins, acts, n);
+                                let what = format!("{} {outs}x{ins} n={n}", kind.label());
+                                assert_eq!(rm, want, "{what} row-major");
+                                assert_eq!(t, want, "{what} transposed");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_matmuls_wrap_and_never_saturate() {
+        // Past the `program` bound (`ins * 255 * 128 < 2^31`), which no
+        // engine reaches, every SIMD matmul still returns the sum modulo
+        // 2^32: no instruction in them saturates. A saturating one
+        // (`vpdpbusds`, say) agrees with the exact sum on every input
+        // inside the bound, so only here can a test see it. The scalar
+        // tier's sums are the overflow-checked oracle and stay out.
+        let ins = 66_000;
+        for (outs, n) in [(1usize, 17usize), (5, 2)] {
+            for w in [-128, 127] {
+                let codes = vec![w; outs * ins];
+                let acts = vec![255u8; n * ins];
+                let want = (i64::from(w) * 255 * ins as i64) as i32;
+                for kind in available_kinds() {
+                    if kind == KernelKind::Scalar {
+                        continue;
+                    }
+                    for (layout, got) in ["row-major", "transposed"]
+                        .iter()
+                        .zip(both_layouts(kind, &codes, outs, ins, &acts, n))
+                    {
+                        assert!(
+                            got.iter().all(|&y| y == want),
+                            "{} {layout} {outs}x{ins}: want {want}, got {:?}",
+                            kind.label(),
+                            &got[..2.min(got.len())]
+                        );
+                    }
+                }
             }
         }
     }

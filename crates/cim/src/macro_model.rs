@@ -459,12 +459,12 @@ pub(crate) enum Weights {
         adc_faults: Option<Vec<Vec<ColumnFaults>>>,
     },
     /// The weight codes (`outs x ins`, row-major) for the exact
-    /// matmul, and their lane-packed `i16` copy (see
-    /// [`kernels::pack_codes16`]) for the SIMD `madd` tiers, empty when
-    /// the codes do not fit `i16` (`weight_bits > 16`).
+    /// matmul, and their packing for the engine's kernel tier (see
+    /// [`kernels::PackedCodes::for_tier`]): `i16` lanes on AVX2, `i8`
+    /// lanes on AVX-512, none on the scalar tier.
     Exact {
         codes: Vec<i32>,
-        codes16: kernels::PackedCodes16,
+        packed: kernels::PackedCodes,
     },
 }
 
@@ -690,16 +690,19 @@ impl RomMvm {
                 })
                 .collect()
         };
+        let kernel = KernelDispatch::from_env().resolve();
         let weights = match path {
             Datapath::Exact => Weights::Exact {
                 codes: codes.to_vec(),
-                // The SIMD `madd` matmuls read a lane-packed i16 copy;
-                // the i32 bound above keeps their lane sums exact.
-                codes16: if wb <= 16 {
-                    kernels::pack_codes16(codes, outs, ins)
-                } else {
-                    kernels::PackedCodes16::empty()
-                },
+                // The SIMD matmuls read the codes packed at their lane
+                // width; the i32 bound above keeps their sums exact.
+                packed: kernels::PackedCodes::for_tier(
+                    kernel,
+                    codes,
+                    outs,
+                    ins,
+                    params.weight_bits,
+                ),
             },
             Datapath::Stream => Weights::Stream {
                 masks: tile_grid(row_tiles, col_tiles, |rt, ct| {
@@ -751,7 +754,7 @@ impl RomMvm {
             params,
             weights,
             group_bounds,
-            kernel: KernelDispatch::from_env().resolve(),
+            kernel,
             finisher: StatsFinisher::new(&params, row_tiles, col_tiles, max_active, link_slowdown),
             ins,
             outs,
@@ -762,7 +765,8 @@ impl RomMvm {
     /// Forces the batched MVM kernels onto a specific tier, overriding
     /// the `program`-time dispatch. Tier choice never changes results
     /// (CI-pinned by the kernel-parity suites); this exists for those
-    /// suites and for benchmarking the tiers against each other.
+    /// suites and for benchmarking the tiers against each other. An
+    /// exact engine repacks its codes for the new tier's matmul lanes.
     ///
     /// # Panics
     ///
@@ -778,6 +782,12 @@ impl RomMvm {
                 kernels::avx512_available(),
                 "AVX-512 kernel tier is not available on this host"
             ),
+        }
+        if let Weights::Exact { codes, packed } = &mut self.weights {
+            if kind != self.kernel {
+                let wb = self.params.weight_bits;
+                *packed = kernels::PackedCodes::for_tier(kind, codes, self.outs, self.ins, wb);
+            }
         }
         self.kernel = kind;
     }
@@ -920,28 +930,28 @@ impl RomMvm {
     pub(crate) fn mvm_batch_exact(
         &self,
         codes: &[i32],
-        codes16: &kernels::PackedCodes16,
+        packed: &kernels::PackedCodes,
         acts: &[u8],
         n: usize,
         out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        let codes = self.exact_codes(codes, codes16);
+        let codes = self.exact_codes(codes, packed);
         kernels::matmul_exact(self.kernel, &codes, acts, n, out, &mut scratch.acts16);
         let ins = self.ins;
         self.fold_counters(kernels::FoldSrc::Rows { acts, ins }, n, scratch);
     }
 
-    /// The stored codes in every packing the matmul tiers understand.
+    /// The stored codes and their packing, as the matmul tiers read
+    /// them.
     fn exact_codes<'a>(
         &self,
         codes: &'a [i32],
-        codes16: &'a kernels::PackedCodes16,
+        packed: &'a kernels::PackedCodes,
     ) -> kernels::ExactCodes<'a> {
         kernels::ExactCodes {
             codes,
-            codes16: codes16.data(),
-            ins16: codes16.stride(),
+            packed,
             outs: self.outs,
             ins: self.ins,
         }
@@ -970,9 +980,8 @@ impl RomMvm {
     /// speedup. Scalar's transposed entries remain first-class parity
     /// oracles — the remainder suites drive them with explicit panels.
     pub fn batch_layout(&self, n: usize) -> kernels::MatmulLayout {
-        let exact = matches!(self.weights, Weights::Exact { .. });
-        if exact && self.kernel != kernels::KernelKind::Scalar {
-            kernels::choose_layout(self.outs, self.ins, n)
+        if matches!(self.weights, Weights::Exact { .. }) {
+            kernels::choose_layout(self.kernel, self.outs, self.ins, n)
         } else {
             kernels::MatmulLayout::RowMajor
         }
@@ -985,13 +994,13 @@ impl RomMvm {
     pub(crate) fn mvm_batch_exact_t(
         &self,
         codes: &[i32],
-        codes16: &kernels::PackedCodes16,
+        packed: &kernels::PackedCodes,
         panel: &kernels::Panel<'_>,
         out: &mut [i32],
         scratch: &mut crate::backend::MvmScratch,
     ) {
-        let codes = self.exact_codes(codes, codes16);
-        kernels::matmul_exact_t(self.kernel, &codes, panel, out);
+        let codes = self.exact_codes(codes, packed);
+        kernels::matmul_exact_t(self.kernel, &codes, panel, out, &mut scratch.taps);
         self.fold_counters(kernels::FoldSrc::Panel(*panel), panel.n(), scratch);
     }
 
