@@ -243,7 +243,11 @@ pub(crate) fn matmul_transposed(
 /// each output channel's accumulator over the quads against its 4
 /// weight codes broadcast to every lane. Up to 4 channels take each
 /// quad straight from registers; more read it back from `taps`, where
-/// the block's quads are stored (quad `q` at `taps[64 * q..]`).
+/// the block's quads are stored (quad `q` at `taps[64 * q..]`). The
+/// register path pays: sending 1 to 4 channels through `taps` as well
+/// made this matmul 1.22-1.69x slower on 1x9, 2x9, 3x27, 4x18, 4x36
+/// and 1x32 at 16, 64 and 256 vectors, and 2.0-2.7x on 2x72 (best of
+/// 9 rounds, 2-vCPU Xeon with AVX-512 VNNI).
 ///
 /// A last quad short of taps repeats its last row, whose codes meet the
 /// packing's zero padding.

@@ -717,7 +717,9 @@ mod tests {
             // Narrow shapes with real batch depth go transposed…
             assert_eq!(choose_layout(simd, 1, 9, 256), Transposed);
             assert_eq!(choose_layout(simd, 4, 18, 256), Transposed);
+            assert_eq!(choose_layout(simd, 16, 72, 256), Transposed);
             assert_eq!(choose_layout(simd, 16, 72, 16), Transposed);
+            assert_eq!(choose_layout(simd, 32, 144, 256), Transposed);
             assert_eq!(choose_layout(simd, 32, 144, 16), Transposed);
             // …below 16 vectors only while the matrix stays small: 72
             // cells from 4 vectors, 576 from 8…
