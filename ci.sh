@@ -51,6 +51,9 @@ YOLOC_KERNEL=avx2 cargo test -q --release --test kernel_remainder
 # The quantizer against its truncation reference on all 2^32 inputs,
 # and every kernel tier's compiled quantizer against it on all of them.
 cargo test -q --release -p yoloc-quant -- --ignored
+# The direct convolution that calibrates every compile against the
+# seven-deep loop it replaced, bit for bit, on every small geometry.
+cargo test -q --release -p yoloc-tensor -- --ignored
 cargo test -q --release -p yoloc-cim --lib -- --ignored --exact \
   kernels::tests::quantizer_tiers_match_quantize_value_on_every_bit_pattern
 cargo test -q --release -p yoloc-core --lib qconv::tests::forward_in_matches_staging_oracle

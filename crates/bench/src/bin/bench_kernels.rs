@@ -3,11 +3,12 @@
 //! Measures the tier-3 kernel work (runtime-dispatched SIMD with the
 //! AVX-512 tier and batch-transposed MVM layouts in `yoloc-cim`) on the
 //! lowered im2col shapes of the zoo networks the engine harness runs:
-//! per unique `(outs, ins)` shape, the run step and stats fold inference
-//! dispatches (through `mvm_batch_transposed` on a pre-staged panel
-//! where `batch_layout` asks for it, `mvm_batch` otherwise) is timed
-//! under the forced scalar tier and under the runtime-dispatched tier
-//! (asserting bit-identical values and `MvmStats` between the two), and
+//! per unique `(outs, ins)` shape, the `u8` run step and stats fold a
+//! conv dispatches (`run_batch_transposed` over a pre-staged panel where
+//! `batch_layout` asks for it, `run_batch` otherwise, then `fold_stats`)
+//! is timed under the forced scalar tier and under the runtime-dispatched
+//! tier (asserting bit-identical accumulators and `MvmStats` between the
+//! two), and
 //! the MVM-weighted aggregate `speedup_vs_scalar`, the per-shape time
 //! shares/layouts and the selected ISA are recorded as the schema-v7
 //! `kernel_tier` block. The

@@ -13,12 +13,17 @@
 //! Per unique lowered shape `(outs, ins)` across the zoo (weighted by
 //! how many matrix-vector products per inference the zoo performs at
 //! that shape), the harness programs one `RomMvm` at the paper design
-//! point with seeded random codes and times the run step and stats fold
-//! inference dispatches, through the wrappers over both —
-//! `mvm_batch_transposed` on a pre-staged panel where `batch_layout`
-//! asks for it, `mvm_batch` otherwise — under the forced
-//! scalar tier and under the runtime-dispatched tier, asserting the two
-//! agree bit-for-bit in values **and** `MvmStats` on the way. Samples
+//! point with seeded random codes and times what `CimConv2d::run_in`
+//! dispatches: the `u8` run step `batch_layout` picks —
+//! `run_batch_transposed` over a pre-staged panel and its row offsets,
+//! or `run_batch` over row-major vectors — then `fold_stats`. That is
+//! under the forced scalar tier and under the runtime-dispatched tier,
+//! asserting the two agree bit-for-bit in accumulators **and**
+//! `MvmStats` on the way. The checked `i32` entries (`mvm_batch`,
+//! `mvm_batch_transposed`) stay out of the timing: their range scan,
+//! narrowing and widening are a boundary inference does not cross, and
+//! at 4 vectors their 16-lane panel padding outweighed either kernel.
+//! Samples
 //! of the two tiers are interleaved and each side reports its
 //! best-of-reps minimum — the noise-robust estimator
 //! for a deterministic fixed-work loop on a shared host. The
@@ -140,56 +145,50 @@ pub fn zoo_shapes(descs: &[NetworkDesc]) -> Vec<(usize, usize, u64)> {
     shapes
 }
 
-/// One activation block, staged in both layouts before any timing:
-/// row-major rows and the lane-major `[ins x n_pad]` panel.
+/// One block of `u8` activation codes, staged in both layouts before any
+/// timing: row-major rows, and a lane-major `[ins x n_pad]` panel with
+/// its row offsets (pad lanes hold code 0, as a conv's planes pad theirs).
 struct Block {
-    acts: Vec<i32>,
-    panel: Vec<i32>,
+    rows: Vec<u8>,
+    panel: Vec<u8>,
+    offsets: Vec<usize>,
     n: usize,
-    n_pad: usize,
 }
 
 impl Block {
-    fn new(acts: Vec<i32>, n: usize, ins: usize) -> Self {
+    fn new(rows: Vec<u8>, n: usize, ins: usize) -> Self {
         let n_pad = transposed_pad(n);
-        let mut panel = vec![0i32; ins * n_pad];
-        for (v, row) in acts.chunks_exact(ins).enumerate() {
+        let mut panel = vec![0u8; ins * n_pad];
+        for (v, row) in rows.chunks_exact(ins).enumerate() {
             for (i, &a) in row.iter().enumerate() {
                 panel[i * n_pad + v] = a;
             }
         }
         Block {
-            acts,
+            rows,
             panel,
+            offsets: (0..ins).map(|i| i * n_pad).collect(),
             n,
-            n_pad,
         }
     }
 
-    /// Runs the block through the entry `engine.batch_layout` picks —
-    /// the dispatch inference performs.
+    /// Runs the block as `CimConv2d::run_in` does: the run step
+    /// `engine.batch_layout` picks, then the stats fold.
     fn run(
         &self,
         engine: &RomMvm,
-        out: &mut [i64],
+        out: &mut [i32],
         stats: &mut MvmStats,
         scratch: &mut MvmScratch,
         rng: &mut StdRng,
     ) {
         match engine.batch_layout(self.n) {
-            MatmulLayout::Transposed => engine.mvm_batch_transposed(
-                &self.panel,
-                self.n,
-                self.n_pad,
-                out,
-                stats,
-                scratch,
-                rng,
-            ),
-            MatmulLayout::RowMajor => {
-                engine.mvm_batch(&self.acts, self.n, out, stats, scratch, rng)
+            MatmulLayout::Transposed => {
+                engine.run_batch_transposed(&self.panel, &self.offsets, self.n, out, scratch, rng)
             }
+            MatmulLayout::RowMajor => engine.run_batch(&self.rows, self.n, out, scratch, rng),
         }
+        engine.fold_stats(scratch, 0..self.n, stats);
     }
 }
 
@@ -198,7 +197,7 @@ impl Block {
 fn sample_batch(
     engine: &RomMvm,
     block: &Block,
-    out: &mut [i64],
+    out: &mut [i32],
     scratch: &mut MvmScratch,
     calls: usize,
 ) -> f64 {
@@ -242,16 +241,16 @@ fn measure_shape(
     // output positions at once), capped so one timed call stays cheap
     // on the largest shapes.
     let n = (mvms as usize).clamp(1, 256);
-    let acts: Vec<i32> = (0..n * ins).map(|_| rng.gen_range(0..=255)).collect();
+    let acts: Vec<u8> = (0..n * ins).map(|_| rng.gen_range(0..=255) as u8).collect();
     let block = Block::new(acts, n, ins);
     let mut engine = RomMvm::program(MacroParams::rom_paper(), &codes, outs, ins);
-    let mut out = vec![0i64; n * outs];
+    let mut out = vec![0i32; n * outs];
     let mut scratch = MvmScratch::new();
     let mut dummy = StdRng::seed_from_u64(0);
 
     // Bit-identity first: golden scalar result vs the dispatched tier.
     engine.set_kernel(KernelKind::Scalar);
-    let mut golden = vec![0i64; n * outs];
+    let mut golden = vec![0i32; n * outs];
     let mut golden_stats = MvmStats::default();
     block.run(
         &engine,

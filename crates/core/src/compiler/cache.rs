@@ -251,6 +251,18 @@ mod tests {
     }
 
     #[test]
+    fn content_keys_of_zoo_descriptions_are_pinned() {
+        // A change to `render_compact`'s bytes, or to what a description
+        // or the options serialize, moves every key and strands every
+        // cached plan: it must show here, not only in stale entries.
+        let opts = CompileOptions::paper_default();
+        let vgg8 = zoo::scaled(&zoo::vgg8(10), 16, (16, 16));
+        assert_eq!(content_key(&vgg8, &opts, 1), 0x1eff_1143_32f5_616f);
+        let yolo = zoo::scaled(&zoo::yolo_v2(4, 2), 32, (64, 64));
+        assert_eq!(content_key(&yolo, &opts, 1), 0x1bd6_c5b1_6d91_524f);
+    }
+
+    #[test]
     fn warm_hits_skip_recompilation_and_survive_process_restart() {
         let dir = tmp_dir("warm");
         let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));

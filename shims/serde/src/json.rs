@@ -231,7 +231,7 @@ impl Value {
                 && v.abs() < 9_007_199_254_740_992.0
                 && !(v == 0.0 && v.is_sign_negative())
             {
-                let _ = write!(out, "{}", v as i64);
+                write_int(out, v as i64);
             } else {
                 // `{:?}` is shortest-round-trip: the decimal it prints
                 // parses back to the identical f64 bits.
@@ -249,16 +249,10 @@ impl Value {
     fn write(&self, out: &mut String, indent: usize) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(v) => Self::write_num(out, *v),
-            Value::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Value::UInt(u) => write_uint(out, *u),
+            Value::Int(i) => write_int(out, *i),
             Value::Str(s) => write_escaped(out, s),
             Value::Arr(items) => {
                 if items.is_empty() {
@@ -296,16 +290,10 @@ impl Value {
     fn write_compact(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(v) => Self::write_num(out, *v),
-            Value::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Value::UInt(u) => write_uint(out, *u),
+            Value::Int(i) => write_int(out, *i),
             Value::Str(s) => write_escaped(out, s),
             Value::Arr(items) => {
                 out.push('[');
@@ -333,11 +321,42 @@ impl Value {
     }
 }
 
-/// Writes `depth` two-space indentation steps.
+/// The run of spaces indentation is sliced from: 32 levels.
+const SPACES: &str = "                                                                ";
+
+/// Writes `depth` two-space indentation steps, as one slice of
+/// [`SPACES`] (a run per [`SPACES`] length beyond it).
 fn write_indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+    let mut width = 2 * depth;
+    while width > SPACES.len() {
+        out.push_str(SPACES);
+        width -= SPACES.len();
     }
+    out.push_str(&SPACES[..width]);
+}
+
+/// Writes `v` in decimal, the bytes `{}` formats it to, from a digit
+/// loop into a stack buffer instead of through `fmt`.
+fn write_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// [`write_uint`] for a signed integer: a `-` and the magnitude.
+fn write_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_uint(out, v.unsigned_abs());
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -823,6 +842,93 @@ mod tests {
             Value::Num(9_007_199_254_740_992.0),
             Value::UInt(9_007_199_254_740_992)
         );
+    }
+
+    #[test]
+    fn integers_render_the_bytes_fmt_writes() {
+        let mut state = 0x1A7E_u64;
+        let mut signed = vec![0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100];
+        signed.extend([i64::MIN, i64::MIN + 1, i64::MAX]);
+        signed.extend((0..2000).map(|i| {
+            // Every digit count and both signs: shift the draw down by
+            // 0..63 bits, negate every other one.
+            let v = (splitmix64(&mut state) >> (i / 2 % 64)) as i64;
+            if i % 2 == 0 {
+                v
+            } else {
+                v.wrapping_neg()
+            }
+        }));
+        let mut unsigned: Vec<u64> = signed.iter().map(|v| v.unsigned_abs()).collect();
+        unsigned.extend([u64::MAX, u64::MAX - 1, 1 << 63]);
+        for v in signed {
+            let want = format!("{v}");
+            assert_eq!(Value::Int(v).render_compact(), want);
+            assert_eq!(Value::Int(v).render(), format!("{want}\n"));
+            // Integral floats below 2^53 take the same path.
+            if v.unsigned_abs() < 1 << 53 {
+                assert_eq!(Value::Num(v as f64).render_compact(), want);
+            }
+        }
+        for v in unsigned {
+            let want = format!("{v}");
+            assert_eq!(Value::UInt(v).render_compact(), want);
+            assert_eq!(Value::UInt(v).render(), format!("{want}\n"));
+        }
+        assert_eq!(Value::Bool(true).render_compact(), "true");
+        assert_eq!(Value::Bool(false).render(), "false\n");
+    }
+
+    /// The pretty renderer with indentation pushed one level at a time.
+    fn render_per_level(v: &Value, depth: usize, out: &mut String) {
+        let indent = |out: &mut String, depth: usize| {
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+        };
+        match v {
+            Value::Arr(items) if !items.is_empty() => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    indent(out, depth + 1);
+                    render_per_level(item, depth + 1, out);
+                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                indent(out, depth);
+                out.push(']');
+            }
+            Value::Obj(fields) if !fields.is_empty() => {
+                out.push_str("{\n");
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    indent(out, depth + 1);
+                    out.push_str(&Value::Str(k.clone()).render_compact());
+                    out.push_str(": ");
+                    render_per_level(v, depth + 1, out);
+                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+                }
+                indent(out, depth);
+                out.push('}');
+            }
+            leaf => out.push_str(&leaf.render_compact()),
+        }
+    }
+
+    #[test]
+    fn indentation_renders_as_per_level_pushes_at_any_depth() {
+        // Past the static run of spaces (32 levels) and past twice it.
+        let mut v = Value::Arr(vec![Value::Int(-7), Value::UInt(3)]);
+        for depth in 0..70 {
+            v = if depth % 2 == 0 {
+                Value::Arr(vec![Value::Null, v, Value::Arr(vec![])])
+            } else {
+                Value::obj([("k", v), ("empty", Value::Obj(vec![]))])
+            };
+            let mut want = String::new();
+            render_per_level(&v, 0, &mut want);
+            want.push('\n');
+            assert_eq!(v.render(), want, "nesting depth {depth}");
+        }
+        assert_eq!(Value::parse(&v.render()).unwrap(), v);
     }
 
     #[test]
