@@ -510,10 +510,10 @@ pub fn col2im(cols: &Tensor, input_shape: &[usize], geom: &Conv2dGeometry) -> Te
 /// weight. Within that rule the loop order is free (the reordering of
 /// Zhang, Franchetti and Low, "High Performance Zero-Memory Overhead
 /// Direct Convolutions", ICML 2018). The innermost loop runs across a
-/// row of output columns on wide maps, and across output channels, over
-/// a copy of the weights transposed for the call, on small ones (see
-/// [`columns_innermost`]). Either way it is a run of independent adds
-/// that vectorizes.
+/// row of output columns where the row is more than twice as long as
+/// the output channel count, and across output channels, over a copy of
+/// the weights transposed for the call, otherwise. Either way it is a
+/// run of independent adds that vectorizes.
 ///
 /// # Panics
 ///
