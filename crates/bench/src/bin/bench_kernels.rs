@@ -3,12 +3,13 @@
 //! Measures the tier-3 kernel work (runtime-dispatched SIMD with the
 //! AVX-512 tier and batch-transposed MVM layouts in `yoloc-cim`) on the
 //! lowered im2col shapes of the zoo networks the engine harness runs:
-//! per unique `(outs, ins)` shape, the `u8` run step and stats fold a
-//! conv dispatches (`run_batch_transposed` over a pre-staged panel where
-//! `batch_layout` asks for it, `run_batch` otherwise, then `fold_stats`)
-//! is timed under the forced scalar tier and under the runtime-dispatched
-//! tier (asserting bit-identical accumulators and `MvmStats` between the
-//! two), and
+//! per unique `(outs, ins)` shape, one `u8` run step and one stats fold
+//! (`run_batch_transposed` over a pre-staged panel of contiguous lanes
+//! where `batch_layout` asks for it, `run_batch` otherwise, then one
+//! `fold_stats` over every vector; a conv's plane lowering, gap lanes
+//! and per-tile folds are not timed) is timed under the forced scalar
+//! tier and under the runtime-dispatched tier (asserting bit-identical
+//! accumulators and `MvmStats` between the two), and
 //! the MVM-weighted aggregate `speedup_vs_scalar`, the per-shape time
 //! shares/layouts and the selected ISA are recorded as the schema-v7
 //! `kernel_tier` block. The

@@ -13,16 +13,21 @@
 //! Per unique lowered shape `(outs, ins)` across the zoo (weighted by
 //! how many matrix-vector products per inference the zoo performs at
 //! that shape), the harness programs one `RomMvm` at the paper design
-//! point with seeded random codes and times what `CimConv2d::run_in`
-//! dispatches: the `u8` run step `batch_layout` picks —
-//! `run_batch_transposed` over a pre-staged panel and its row offsets,
-//! or `run_batch` over row-major vectors — then `fold_stats`. That is
-//! under the forced scalar tier and under the runtime-dispatched tier,
-//! asserting the two agree bit-for-bit in accumulators **and**
-//! `MvmStats` on the way. The checked `i32` entries (`mvm_batch`,
-//! `mvm_batch_transposed`) stay out of the timing: their range scan,
-//! narrowing and widening are a boundary inference does not cross, and
-//! at 4 vectors their 16-lane panel padding outweighed either kernel.
+//! point with seeded random codes and times one `u8` run step — the one
+//! `batch_layout` picks, `run_batch_transposed` over a pre-staged panel
+//! of `n` contiguous lanes and its row offsets, or `run_batch` over
+//! row-major vectors — plus one `fold_stats` over those `n` vectors.
+//! That is under the forced scalar tier and under the runtime-dispatched
+//! tier, asserting the two agree bit-for-bit in accumulators **and**
+//! `MvmStats` on the way. It is the kernel work of `CimConv2d::run_in`
+//! without the rest of a conv's cost: a transposed conv also lowers its
+//! input to shifted planes, runs the planes' gap lanes through the
+//! kernel and drops them with `keep_runs`, and every conv folds its
+//! stats once per placement tile and merges them. The checked `i32`
+//! entries (`mvm_batch`, `mvm_batch_transposed`) stay out of the timing:
+//! their range scan, narrowing and widening are a boundary inference
+//! does not cross, and at 4 vectors their 16-lane panel padding
+//! outweighed either kernel.
 //! Samples
 //! of the two tiers are interleaved and each side reports its
 //! best-of-reps minimum — the noise-robust estimator
@@ -172,8 +177,9 @@ impl Block {
         }
     }
 
-    /// Runs the block as `CimConv2d::run_in` does: the run step
-    /// `engine.batch_layout` picks, then the stats fold.
+    /// Runs the block: the `u8` run step `engine.batch_layout` picks,
+    /// then one stats fold over all `n` vectors (no gap lanes and no
+    /// per-tile folds, which `CimConv2d::run_in` adds).
     fn run(
         &self,
         engine: &RomMvm,

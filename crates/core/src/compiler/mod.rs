@@ -1868,37 +1868,23 @@ fn rebranch_reference(
 }
 
 /// Float reference of a linear layer: `y = W x + b` on `(N, ins)`.
-///
-/// Each output sums its products in input order from `0.0` and adds its
-/// bias last. The inner loop runs across outputs, over a copy of `W`
-/// transposed for the call, so it vectorizes without changing any
-/// output's order of additions (as in `conv2d_reference`).
 fn linear_reference(feats: &Tensor, w: &Tensor, bias: Option<&[f32]>) -> Tensor {
     let (n, ins) = (feats.shape()[0], feats.shape()[1]);
     let outs = w.shape()[0];
-    assert_eq!(w.shape()[1], ins, "linear weight width mismatch");
-    // `(ins, outs)`: input `i`'s weight for every output.
-    let mut transposed = vec![0.0f32; ins * outs];
-    for o in 0..outs {
-        for (i, &v) in w.data()[o * ins..][..ins].iter().enumerate() {
-            transposed[i * outs + o] = v;
-        }
-    }
-    let mut out = vec![0.0f32; n * outs];
+    let mut out = Tensor::zeros(&[n, outs]);
     for ni in 0..n {
-        let acc = &mut out[ni * outs..][..outs];
-        for (i, &f) in feats.data()[ni * ins..][..ins].iter().enumerate() {
-            for (a, &wv) in acc.iter_mut().zip(&transposed[i * outs..][..outs]) {
-                *a += wv * f;
+        for o in 0..outs {
+            let mut acc = 0.0f32;
+            for i in 0..ins {
+                acc += w.at(&[o, i]) * feats.at(&[ni, i]);
             }
-        }
-        if let Some(b) = bias {
-            for (a, &bv) in acc.iter_mut().zip(&b[..outs]) {
-                *a += bv;
+            if let Some(b) = bias {
+                acc += b[o];
             }
+            *out.at_mut(&[ni, o]) = acc;
         }
     }
-    Tensor::from_vec(out, &[n, outs]).expect("linear output shape is consistent")
+    out
 }
 
 /// Locates the passthrough reorg source: the latest earlier layer whose
@@ -2029,61 +2015,6 @@ mod tests {
     use crate::engine::WorkerPool;
     use crate::tiny_models::{Family, TinyCnn};
     use yoloc_models::zoo;
-
-    /// The loop `linear_reference` replaced: each output sums `w * x` in
-    /// input order from `0.0`, then adds its bias.
-    fn linear_naive(feats: &Tensor, w: &Tensor, bias: Option<&[f32]>) -> Tensor {
-        let (n, ins) = (feats.shape()[0], feats.shape()[1]);
-        let outs = w.shape()[0];
-        let mut out = Tensor::zeros(&[n, outs]);
-        for ni in 0..n {
-            for o in 0..outs {
-                let mut acc = 0.0f32;
-                for i in 0..ins {
-                    acc += w.at(&[o, i]) * feats.at(&[ni, i]);
-                }
-                if let Some(b) = bias {
-                    acc += b[o];
-                }
-                *out.at_mut(&[ni, o]) = acc;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn linear_reference_gives_the_naive_loops_bits() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
-        for (n, ins, outs) in [(1, 1, 1), (2, 7, 3), (3, 33, 10), (2, 64, 17)] {
-            let mut feats = Tensor::randn(&[n, ins], 0.0, 1.0, &mut rng);
-            let mut w = Tensor::randn(&[outs, ins], 0.0, 1.0, &mut rng);
-            if ins > 4 {
-                for (v, s) in feats.data_mut().iter_mut().step_by(5).zip(specials) {
-                    *v = s;
-                }
-                w.data_mut()[ins + 1] = 0.0;
-            }
-            let bias: Vec<f32> = (0..outs)
-                .map(|o| {
-                    if o % 2 == 0 {
-                        -0.0
-                    } else {
-                        rng.gen_range(-1.0..1.0)
-                    }
-                })
-                .collect();
-            for b in [None, Some(&bias[..])] {
-                let got = linear_reference(&feats, &w, b);
-                let want = linear_naive(&feats, &w, b);
-                assert_eq!(got.shape(), want.shape());
-                for (g, w) in got.data().iter().zip(want.data()) {
-                    // NaN only has to meet NaN: its payload is not pinned.
-                    assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
-                }
-            }
-        }
-    }
 
     fn small_opts() -> CompileOptions {
         CompileOptions::paper_default()

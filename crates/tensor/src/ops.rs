@@ -509,11 +509,10 @@ pub fn col2im(cols: &Tensor, input_shape: &[usize], geom: &Conv2dGeometry) -> Te
 /// which would change the bits of a `-0.0` bias or of a non-finite
 /// weight. Within that rule the loop order is free (the reordering of
 /// Zhang, Franchetti and Low, "High Performance Zero-Memory Overhead
-/// Direct Convolutions", ICML 2018). The innermost loop runs across a
-/// row of output columns where the row is more than twice as long as
-/// the output channel count, and across output channels, over a copy of
-/// the weights transposed for the call, otherwise. Either way it is a
-/// run of independent adds that vectorizes.
+/// Direct Convolutions", ICML 2018): each output position keeps one
+/// accumulator per output channel, and every in-bounds tap adds its
+/// input value times that tap's row of a copy of the weights transposed
+/// for the call, a run of independent adds that vectorizes.
 ///
 /// # Panics
 ///
@@ -525,22 +524,6 @@ pub fn conv2d_reference(
     bias: Option<&Tensor>,
     stride: usize,
     padding: usize,
-) -> Tensor {
-    direct_conv(x, weight, bias, stride, padding, columns_innermost)
-}
-
-/// A pick of [`conv2d_reference`]'s loop order from `(OW, OC)`: `true`
-/// runs the innermost loop across output columns.
-type LoopOrder = fn(usize, usize) -> bool;
-
-/// [`conv2d_reference`] with the loop order picked by `columns`.
-fn direct_conv(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    stride: usize,
-    padding: usize,
-    columns: LoopOrder,
 ) -> Tensor {
     assert_eq!(x.ndim(), 4);
     assert_eq!(weight.ndim(), 4);
@@ -560,166 +543,57 @@ fn direct_conv(
         padding,
     };
     let (oh, ow) = geom.output_hw(h, w);
-    let conv = DirectConv {
-        geom,
-        dims: [n, h, w],
-        out_hw: [oh, ow],
-        oc,
-        bias: bias.map(|b| &b.data()[..oc]),
-    };
-    let mut out = vec![0.0; n * oc * oh * ow];
-    if columns(ow, oc) {
-        conv.by_columns(x.data(), weight.data(), &mut out);
-    } else {
-        conv.by_channels(x.data(), weight.data(), &mut out);
+    let bias = bias.map(|b| &b.data()[..oc]);
+    let patch = c * k * k;
+    // `(C*k*k, OC)`: tap `(ci, kh, kw)`'s weight for every channel.
+    let mut transposed = vec![0.0f32; patch * oc];
+    for oci in 0..oc {
+        for (t, &v) in weight.data()[oci * patch..][..patch].iter().enumerate() {
+            transposed[t * oc + oci] = v;
+        }
+    }
+    let mut out = vec![0.0f32; n * oc * oh * ow];
+    let mut acc = vec![0.0f32; oc];
+    let plane = oh * ow;
+    for ni in 0..n {
+        let sample = &x.data()[ni * c * h * w..][..c * h * w];
+        let outs = &mut out[ni * oc * plane..][..oc * plane];
+        for ohi in 0..oh {
+            let khs = in_bounds_taps(&geom, ohi, h);
+            for owi in 0..ow {
+                let kws = in_bounds_taps(&geom, owi, w);
+                match bias {
+                    Some(b) => acc.copy_from_slice(b),
+                    None => acc.fill(0.0),
+                }
+                for ci in 0..c {
+                    for kh in khs.clone() {
+                        let x_row = &sample[(ci * h + ohi * stride + kh - padding) * w..][..w];
+                        for kw in kws.clone() {
+                            let xv = x_row[owi * stride + kw - padding];
+                            let wts = &transposed[((ci * k + kh) * k + kw) * oc..][..oc];
+                            for (a, &wv) in acc.iter_mut().zip(wts) {
+                                *a += xv * wv;
+                            }
+                        }
+                    }
+                }
+                let at = ohi * ow + owi;
+                for (o, &a) in outs.iter_mut().skip(at).step_by(plane).zip(&acc) {
+                    *o = a;
+                }
+            }
+        }
     }
     Tensor::from_vec(out, &[n, oc, oh, ow]).expect("conv output shape is consistent")
 }
 
-/// Whether [`conv2d_reference`] runs its innermost loop across a row of
-/// `ow` output columns rather than across the `oc` output channels: where
-/// the row is more than twice as long. Over the calibration convs of the
-/// five zoo networks at their bench sizes (2 images, 73 convs; best of 5
-/// per conv on a 2-vCPU x86-64 host), this pick took 1.7 ms against
-/// 3.1 ms for channels only and 6.0 ms for columns only.
-fn columns_innermost(ow: usize, oc: usize) -> bool {
-    ow > 2 * oc
-}
-
-/// The shape of one [`conv2d_reference`] call.
-struct DirectConv<'a> {
-    geom: Conv2dGeometry,
-    /// `[N, H, W]` of the input.
-    dims: [usize; 3],
-    /// `[OH, OW]`.
-    out_hw: [usize; 2],
-    oc: usize,
-    bias: Option<&'a [f32]>,
-}
-
-impl DirectConv<'_> {
-    /// The kernel offsets `t` of output coordinate `o` whose input
-    /// coordinate `o*s + t - p` lies in `0..size`.
-    fn taps(&self, o: usize, size: usize) -> std::ops::Range<usize> {
-        let Conv2dGeometry {
-            kernel: k,
-            stride: s,
-            padding: p,
-            ..
-        } = self.geom;
-        let hi = (size + p).saturating_sub(o * s).min(k);
-        p.saturating_sub(o * s).min(hi)..hi
-    }
-
-    /// Innermost loop across a row of output columns: for each output
-    /// row, every in-bounds tap adds its products to the row's run of
-    /// output columns it reaches.
-    fn by_columns(&self, x: &[f32], weight: &[f32], out: &mut [f32]) {
-        let Conv2dGeometry {
-            in_channels: c,
-            kernel: k,
-            stride: s,
-            padding: p,
-        } = self.geom;
-        let ([n, h, w], [oh, ow]) = (self.dims, self.out_hw);
-        // Output columns tap column `kw` reaches: the same on every row.
-        let cols: Vec<_> = (0..k)
-            .map(|kw| {
-                let first = p.saturating_sub(kw).div_ceil(s).min(ow);
-                first..(w + p).saturating_sub(kw).div_ceil(s).clamp(first, ow)
-            })
-            .collect();
-        let mut rows = out.chunks_exact_mut(ow.max(1));
-        for ni in 0..n {
-            let sample = &x[ni * c * h * w..][..c * h * w];
-            for oci in 0..self.oc {
-                let filter = &weight[oci * c * k * k..][..c * k * k];
-                let b = self.bias.map_or(0.0, |b| b[oci]);
-                for ohi in 0..oh {
-                    let row = rows.next().expect("one row per output row");
-                    row.fill(b);
-                    let khs = self.taps(ohi, h);
-                    for ci in 0..c {
-                        for kh in khs.clone() {
-                            let x_row = &sample[(ci * h + ohi * s + kh - p) * w..][..w];
-                            let taps = &filter[(ci * k + kh) * k..][..k];
-                            for (kw, &wv) in taps.iter().enumerate() {
-                                let run = cols[kw].clone();
-                                if run.is_empty() {
-                                    continue;
-                                }
-                                let from = run.start * s + kw - p;
-                                let dst = &mut row[run];
-                                if s == 1 {
-                                    for (a, &xv) in dst.iter_mut().zip(&x_row[from..]) {
-                                        *a += xv * wv;
-                                    }
-                                } else {
-                                    let src = x_row[from..].iter().step_by(s);
-                                    for (a, &xv) in dst.iter_mut().zip(src) {
-                                        *a += xv * wv;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Innermost loop across output channels: each output position keeps
-    /// one accumulator per channel, and every in-bounds tap adds its
-    /// input value times that tap's row of the transposed weights.
-    fn by_channels(&self, x: &[f32], weight: &[f32], out: &mut [f32]) {
-        let Conv2dGeometry {
-            in_channels: c,
-            kernel: k,
-            stride: s,
-            padding: p,
-        } = self.geom;
-        let ([n, h, w], [oh, ow], oc) = (self.dims, self.out_hw, self.oc);
-        let patch = c * k * k;
-        // `(C*k*k, OC)`: tap `(ci, kh, kw)`'s weight for every channel.
-        let mut transposed = vec![0.0f32; patch * oc];
-        for oci in 0..oc {
-            for (t, &v) in weight[oci * patch..][..patch].iter().enumerate() {
-                transposed[t * oc + oci] = v;
-            }
-        }
-        let mut acc = vec![0.0f32; oc];
-        let plane = oh * ow;
-        for ni in 0..n {
-            let sample = &x[ni * c * h * w..][..c * h * w];
-            let outs = &mut out[ni * oc * plane..][..oc * plane];
-            for ohi in 0..oh {
-                let khs = self.taps(ohi, h);
-                for owi in 0..ow {
-                    let kws = self.taps(owi, w);
-                    match self.bias {
-                        Some(b) => acc.copy_from_slice(b),
-                        None => acc.fill(0.0),
-                    }
-                    for ci in 0..c {
-                        for kh in khs.clone() {
-                            let x_row = &sample[(ci * h + ohi * s + kh - p) * w..][..w];
-                            for kw in kws.clone() {
-                                let xv = x_row[owi * s + kw - p];
-                                let wts = &transposed[((ci * k + kh) * k + kw) * oc..][..oc];
-                                for (a, &wv) in acc.iter_mut().zip(wts) {
-                                    *a += xv * wv;
-                                }
-                            }
-                        }
-                    }
-                    let at = ohi * ow + owi;
-                    for (o, &a) in outs[at..].iter_mut().step_by(plane).zip(&acc) {
-                        *o = a;
-                    }
-                }
-            }
-        }
-    }
+/// The kernel offsets `t` of output coordinate `o` whose input coordinate
+/// `o*stride + t - padding` lies in `0..size`.
+fn in_bounds_taps(geom: &Conv2dGeometry, o: usize, size: usize) -> std::ops::Range<usize> {
+    let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
+    let hi = (size + p).saturating_sub(o * s).min(k);
+    p.saturating_sub(o * s).min(hi)..hi
 }
 
 #[cfg(test)]
@@ -774,10 +648,10 @@ mod tests {
         out
     }
 
-    /// Runs [`conv2d_reference`] and both of its loop orders on one input
-    /// and asserts each gives the oracle's bits. NaN only has to meet
-    /// NaN: neither IEEE 754 nor Rust pins which NaN an operation on NaNs
-    /// returns, so its payload and sign are not part of the contract.
+    /// Runs [`conv2d_reference`] on one input and asserts it gives the
+    /// oracle's bits. NaN only has to meet NaN: neither IEEE 754 nor Rust
+    /// pins which NaN an operation on NaNs returns, so its payload and
+    /// sign are not part of the contract.
     fn assert_direct_matches_naive(
         x: &Tensor,
         weight: &Tensor,
@@ -786,26 +660,19 @@ mod tests {
         padding: usize,
     ) {
         let want = conv2d_naive(x, weight, bias, stride, padding);
-        let orders: [(&str, LoopOrder); 3] = [
-            ("picked", columns_innermost),
-            ("columns", |_, _| true),
-            ("channels", |_, _| false),
-        ];
-        for (order, columns) in orders {
-            let got = direct_conv(x, weight, bias, stride, padding, columns);
-            assert_eq!(got.shape(), want.shape());
-            for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-                assert!(
-                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                    "{order} order, x {:?}, w {:?}, bias {}, s{stride} p{padding}: \
-                     element {i} is {g:?} ({:#010x}), the loop gives {w:?} ({:#010x})",
-                    x.shape(),
-                    weight.shape(),
-                    bias.is_some(),
-                    g.to_bits(),
-                    w.to_bits(),
-                );
-            }
+        let got = conv2d_reference(x, weight, bias, stride, padding);
+        assert_eq!(got.shape(), want.shape());
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "x {:?}, w {:?}, bias {}, s{stride} p{padding}: \
+                 element {i} is {g:?} ({:#010x}), the loop gives {w:?} ({:#010x})",
+                x.shape(),
+                weight.shape(),
+                bias.is_some(),
+                g.to_bits(),
+                w.to_bits(),
+            );
         }
     }
 
@@ -822,46 +689,32 @@ mod tests {
 
     const KERNELS: [usize; 5] = [1, 2, 3, 5, 7];
 
-    /// Output width of a window that fits, or `None`.
-    fn fitting_ow(hw: [usize; 2], k: usize, stride: usize, padding: usize) -> Option<usize> {
-        let fits = hw.iter().all(|&d| d + 2 * padding >= k);
-        fits.then(|| (hw[1] + 2 * padding - k) / stride + 1)
+    /// Whether a `k` window fits an `(H, W)` map padded by `padding`.
+    fn window_fits(hw: [usize; 2], k: usize, padding: usize) -> bool {
+        hw.iter().all(|&d| d + 2 * padding >= k)
     }
 
     #[test]
     fn prop_direct_conv_matches_the_naive_loop() {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(0xC0_4E);
-        let mut picked = [0usize; 2];
         for case in 0..600u64 {
             let (n, c) = (rng.gen_range(1..=3), rng.gen_range(1..=5));
             let (h, w) = (rng.gen_range(1..=9), rng.gen_range(1..=9));
             let k = KERNELS[rng.gen_range(0..KERNELS.len())];
             let stride = rng.gen_range(1..=3);
             let padding = rng.gen_range(0..=k);
-            let Some(ow) = fitting_ow([h, w], k, stride, padding) else {
+            if !window_fits([h, w], k, padding) {
                 continue;
-            };
-            // Output channels on each side of the loop-order switch in
-            // turn (a row of one or two columns only has the channel side).
-            let oc = if case % 2 == 0 && ow > 2 {
-                rng.gen_range(1..=(ow - 1) / 2)
-            } else {
-                rng.gen_range(ow.div_ceil(2).max(1)..=ow + 3)
-            };
-            picked[usize::from(columns_innermost(ow, oc))] += 1;
+            }
+            let oc = rng.gen_range(1..=9);
             let bias = rng.gen_bool(0.5);
             check_geometry([n, c, h, w, k, stride, padding, oc], bias, case);
         }
-        assert!(
-            picked.iter().all(|&p| p >= 100),
-            "cases per loop order (channels, columns): {picked:?}"
-        );
     }
 
-    /// `(H = W, k, padding)` of the fixed cases: maps on both sides of
-    /// the loop-order switch at 3 output channels, and maps smaller than
-    /// the kernel.
+    /// `(H = W, k, padding)` of the fixed cases: maps larger than the
+    /// kernel, and maps smaller than it.
     const FIXED_MAPS: [(usize, usize, usize); 6] = [
         (12, 3, 1),
         (2, 3, 1),
@@ -929,21 +782,21 @@ mod tests {
         }
     }
 
-    /// Every geometry of the property test's ranges, output channels on
-    /// both sides of the loop-order switch, three seeds each (the first
-    /// without a bias), one thread per seed. Run in release by `ci.sh`.
+    /// Every geometry of the property test's ranges at one and at five
+    /// output channels, three seeds each (the first without a bias), one
+    /// thread per seed. Run in release by `ci.sh`.
     #[test]
-    #[ignore = "exhaustive; about half a minute in release"]
+    #[ignore = "exhaustive; about 15 s in release"]
     fn direct_conv_matches_the_naive_loop_on_every_geometry() {
         let grid = |seed: u64| {
             for (n, c) in (1..=3).flat_map(|n| (1..=5).map(move |c| (n, c))) {
                 for (h, w) in (1..=9).flat_map(|h| (1..=9).map(move |w| (h, w))) {
                     for k in KERNELS {
                         for (s, p) in (1..=3).flat_map(|s| (0..=k).map(move |p| (s, p))) {
-                            let Some(ow) = fitting_ow([h, w], k, s, p) else {
+                            if !window_fits([h, w], k, p) {
                                 continue;
-                            };
-                            for oc in [1, ow.div_ceil(2)] {
+                            }
+                            for oc in [1, 5] {
                                 check_geometry([n, c, h, w, k, s, p, oc], seed > 0, seed);
                             }
                         }
