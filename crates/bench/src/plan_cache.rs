@@ -108,8 +108,8 @@ pub fn measure_plan_cache(descs: &[NetworkDesc], seed: u64) -> Vec<PlanCacheEntr
         let cold_compile_s = t0.elapsed().as_secs_f64();
         let compiles_cold = compile_count() - before;
 
-        // A fresh cache on the same directory models a server restart:
-        // nothing in memory, the deploy must come from the disk store.
+        // A fresh cache on the same directory models a server restart;
+        // every hit, this one included, comes from the disk store.
         println!("[plan-cache:{}] warm deploy (disk lookup) ...", desc.name);
         let warm_cache = PlanCache::at(&dir);
         let before = compile_count();

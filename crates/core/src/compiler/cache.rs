@@ -13,10 +13,11 @@
 //!   pure function of the *content* (field order is declaration order,
 //!   floats shortest-round-trip, integers exact), stable across
 //!   processes and hosts.
-//! * **Store** — an in-memory map fronting an optional on-disk
-//!   directory of `<key-hex16>.json` plan documents
+//! * **Store** — a directory of `<key-hex16>.json` plan documents
 //!   (`target/plan-cache/` by default, `YOLOC_PLAN_CACHE_DIR`
-//!   overrides; [`PlanCache::in_memory`] opts out of disk entirely).
+//!   overrides), and nothing else: the cache holds no plan text, so
+//!   every hit, in this process or another, reads, checksums, parses and
+//!   programs its entry.
 //! * **Invalidation** — anything that changes the compile inputs
 //!   changes the key (different file, no collision with the old entry);
 //!   a plan-format bump changes the `schema` tag inside the stored
@@ -30,11 +31,10 @@
 //! round-trip suite and the CI schema gate, not via wall clock, so the
 //! gate is stable on slow hosts.
 
-use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use serde::json::Value as Json;
 use serde::Serialize;
@@ -70,7 +70,7 @@ pub fn content_key(desc: &NetworkDesc, opts: &CompileOptions, seed: u64) -> u64 
     fnv1a(doc.render_compact().as_bytes())
 }
 
-/// An in-memory + on-disk cache of serialized compiled plans, keyed by
+/// An on-disk cache of serialized compiled plans, keyed by
 /// [`content_key`].
 ///
 /// # Examples
@@ -79,21 +79,23 @@ pub fn content_key(desc: &NetworkDesc, opts: &CompileOptions, seed: u64) -> u64 
 /// use yoloc_core::compiler::{cache::PlanCache, compile_count, CompileOptions};
 /// use yoloc_models::zoo;
 ///
-/// let cache = PlanCache::in_memory();
+/// let dir = std::env::temp_dir().join(format!("yoloc-plan-cache-doc-{}", std::process::id()));
+/// # let _ = std::fs::remove_dir_all(&dir);
+/// let cache = PlanCache::at(&dir);
 /// let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
 /// let a = cache.compile_random(&desc, 7, CompileOptions::paper_default())?;
 /// let before = compile_count();
 /// let b = cache.compile_random(&desc, 7, CompileOptions::paper_default())?;
 /// assert_eq!(compile_count(), before, "warm deploy must not recompile");
 /// assert_eq!(a.mapping, b.mapping);
+/// # let _ = std::fs::remove_dir_all(&dir);
 /// # Ok::<(), yoloc_models::NetworkError>(())
 /// ```
 #[derive(Debug)]
 pub struct PlanCache {
-    /// On-disk store; `None` keeps the cache purely in memory.
-    dir: Option<PathBuf>,
-    /// Serialized plan documents by content key.
-    mem: Mutex<HashMap<u64, String>>,
+    /// Directory of `<key-hex16>.json` entries, created on the first
+    /// store.
+    dir: PathBuf,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -118,25 +120,13 @@ impl PlanCache {
     /// first store).
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         PlanCache {
-            dir: Some(dir.into()),
-            mem: Mutex::new(HashMap::new()),
+            dir: dir.into(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// A purely in-memory cache (no disk traffic; hits only within this
-    /// process).
-    pub fn in_memory() -> Self {
-        PlanCache {
-            dir: None,
-            mem: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Cache hits served so far (memory or disk).
+    /// Cache hits served so far, each one read from disk.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -146,20 +136,20 @@ impl PlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    fn entry_path(&self, key: u64) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{key:016x}.json")))
+    fn entry_path(&self, key: u64) -> PathBuf {
+        self.dir.join(format!("{key:016x}.json"))
     }
 
-    /// Frames a plan document for disk: a 16-hex-digit FNV-1a checksum
-    /// line followed by the document. JSON parses most single-bit flips
-    /// just fine (a digit in a weight code, a letter in a name), so
-    /// schema validation alone cannot tell "corrupt" from "stale" — the
-    /// checksum makes any byte damage, including truncation, a clean
-    /// miss instead of a silently wrong deployment.
-    fn encode_entry(text: &str) -> String {
-        format!("{:016x}\n{text}", fnv1a(text.as_bytes()))
+    /// Writes a plan document to disk behind a 16-hex-digit FNV-1a
+    /// checksum line. JSON parses most single-bit flips just fine (a
+    /// digit in a weight code, a letter in a name), so schema validation
+    /// alone cannot tell "corrupt" from "stale" — the checksum makes any
+    /// byte damage, including truncation, a clean miss instead of a
+    /// silently wrong deployment.
+    fn write_entry(path: &Path, text: &str) -> std::io::Result<()> {
+        let mut file = fs::File::create(path)?;
+        file.write_all(format!("{:016x}\n", fnv1a(text.as_bytes())).as_bytes())?;
+        file.write_all(text.as_bytes())
     }
 
     /// Validates and strips the checksum frame; `None` on any damage
@@ -174,12 +164,12 @@ impl PlanCache {
         (sum == fnv1a(body.as_bytes())).then_some(body)
     }
 
-    /// Deploys `desc` through the cache: a hit deserializes the stored
-    /// plan (zero recompilation — bit-identical execution to a fresh
-    /// compile, gated by the round-trip suite); a miss compiles via
-    /// [`CompiledNetwork::compile_random`] and stores the plan in memory
-    /// and (when configured) on disk. Stale or corrupt entries — e.g. a
-    /// schema bump — degrade to a miss and are overwritten.
+    /// Deploys `desc` through the cache: a hit reads, checksums and
+    /// deserializes the stored plan (zero recompilation — bit-identical
+    /// execution to a fresh compile, gated by the round-trip suite); a
+    /// miss compiles via [`CompiledNetwork::compile_random`] and stores
+    /// the plan on disk. Stale or corrupt entries — e.g. a schema bump —
+    /// degrade to a miss and are overwritten.
     ///
     /// # Errors
     ///
@@ -190,37 +180,21 @@ impl PlanCache {
         seed: u64,
         opts: CompileOptions,
     ) -> Result<CompiledNetwork, NetworkError> {
-        let key = content_key(desc, &opts, seed);
-        if let Some(text) = self.mem.lock().expect("plan cache lock").get(&key).cloned() {
-            if let Ok(net) = CompiledNetwork::deserialize_plan(&text) {
+        let path = self.entry_path(content_key(desc, &opts, seed));
+        if let Ok(raw) = fs::read_to_string(&path) {
+            let hit = Self::decode_entry(&raw)
+                .and_then(|text| CompiledNetwork::deserialize_plan(text).ok());
+            if let Some(net) = hit {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(net);
             }
         }
-        if let Some(path) = self.entry_path(key) {
-            if let Ok(raw) = fs::read_to_string(&path) {
-                if let Some(text) = Self::decode_entry(&raw) {
-                    if let Ok(net) = CompiledNetwork::deserialize_plan(text) {
-                        self.mem
-                            .lock()
-                            .expect("plan cache lock")
-                            .insert(key, text.to_string());
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(net);
-                    }
-                }
-            }
-        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let net = CompiledNetwork::compile_random(desc, seed, opts)?;
-        let text = net.serialize_plan();
-        if let Some(path) = self.entry_path(key) {
-            // Best-effort: an unwritable cache directory must never fail
-            // a deploy (the plan is already compiled in hand).
-            let _ = path.parent().map(fs::create_dir_all);
-            let _ = fs::write(&path, Self::encode_entry(&text));
-        }
-        self.mem.lock().expect("plan cache lock").insert(key, text);
+        // Best-effort: an unwritable cache directory must never fail a
+        // deploy (the plan is already compiled in hand).
+        let _ = fs::create_dir_all(&self.dir);
+        let _ = Self::write_entry(&path, &net.serialize_plan());
         Ok(net)
     }
 }
@@ -299,6 +273,26 @@ mod tests {
             "disk hit recompiled"
         );
         assert_eq!(cold.serialize_plan(), from_disk.serialize_plan());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_directory_is_the_only_store() {
+        // With its entry file gone, a deploy through the cache that
+        // stored it finds nothing to serve and compiles again.
+        let dir = tmp_dir("only");
+        let desc = zoo::scaled(&zoo::vgg8(3), 16, (16, 16));
+        let opts = CompileOptions::paper_default();
+        let cache = PlanCache::at(&dir);
+        cache
+            .compile_random(&desc, 11, opts.clone())
+            .expect("cold compile");
+        let key = content_key(&desc, &opts, 11);
+        fs::remove_file(dir.join(format!("{key:016x}.json"))).expect("the miss stored an entry");
+        cache
+            .compile_random(&desc, 11, opts)
+            .expect("recompiles without its entry");
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
         let _ = fs::remove_dir_all(&dir);
     }
 

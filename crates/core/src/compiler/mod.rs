@@ -116,7 +116,7 @@ pub mod serial;
 
 pub use arena::ExecArena;
 pub use buffers::BufferPlan;
-pub use passes::{PassKind, PassPipeline, PassReport};
+pub use passes::{PassPipeline, PassReport};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -502,19 +502,6 @@ pub(crate) fn flatten_2d(x: &Tensor) -> Tensor {
     let n = x.shape()[0];
     let rest: usize = x.shape()[1..].iter().product();
     Tensor::from_vec(x.data().to_vec(), &[n, rest]).expect("flatten preserves length")
-}
-
-/// [`flatten_2d`] for owned tensors: row-major order makes the flatten a
-/// pure reinterpretation, so this moves the buffer instead of copying it
-/// ([`Tensor::into_reshaped`]).
-pub(crate) fn flatten_2d_owned(x: Tensor) -> Tensor {
-    if x.ndim() == 2 {
-        return x;
-    }
-    let n = x.shape()[0];
-    let rest: usize = x.shape()[1..].iter().product();
-    x.into_reshaped(&[n, rest])
-        .expect("flatten preserves length")
 }
 
 /// The parameter-free passthrough reorg of the IR: space-to-depth the
@@ -1419,7 +1406,8 @@ pub struct CompiledNetwork {
 impl CompiledNetwork {
     /// Compiles `desc` with explicit `weights`, calibrating activation
     /// quantization layer by layer on `calibration` (a `(N, C, H, W)`
-    /// batch matching the network input).
+    /// batch matching the network input): each CiM matrix calibrates on
+    /// its input in the float walk [`software_forward`] runs.
     ///
     /// # Errors
     ///
@@ -1503,25 +1491,26 @@ impl CompiledNetwork {
                 link_slowdown: fplan.slowdown_for_links(&[chip]),
             })
         };
+        let walk = float_walk(desc, &reports, weights, calibration)?;
+        let mut branches = walk.branches.iter();
         let mut cim_idx = 0usize;
         let last_cim = desc.layers.iter().rposition(|l| l.is_cim_layer());
         let cal_n = calibration.shape()[0].max(1);
         let mut plan = ExecPlan::new(opts.memory.clone());
-        let mut h = calibration.clone();
-        // Float outputs per layer (residual/passthrough sources and
-        // calibration inputs) and the plan op producing each layer.
-        let mut history: Vec<Tensor> = Vec::with_capacity(desc.layers.len());
+        // The plan op producing each layer's output.
         let mut op_of_layer: Vec<Option<usize>> = Vec::with_capacity(desc.layers.len());
         let mut last_op: Option<usize> = None;
+        let op_source = |op: Option<usize>| op.map_or(OpSource::Input, OpSource::Op);
         for (idx, layer) in desc.layers.iter().enumerate() {
-            match layer {
+            // Each CiM matrix calibrates on its own float input.
+            let h = walk.input(idx, calibration);
+            let op = match layer {
                 LayerSpec::Conv {
                     name,
                     stride,
                     padding,
                     ..
                 } => {
-                    let w = weights.weight(idx, name)?;
                     let (domain, params) = if Some(idx) == last_cim {
                         (MemDomain::Sram, opts.sram)
                     } else {
@@ -1529,23 +1518,19 @@ impl CompiledNetwork {
                     };
                     let conv = CimConv2d::compile_on_with(
                         opts.backend,
-                        w,
+                        weights.weight(idx, name)?,
                         *stride,
                         *padding,
-                        &[&h],
+                        &[h],
                         params,
                         layer_fault_record(cim_idx, &mapping),
                     );
                     cim_idx += 1;
-                    h = conv2d_reference(&h, w, None, *stride, *padding);
-                    last_op = Some(plan.push(
-                        PlanOp::Conv {
-                            conv,
-                            domain,
-                            epilogue: Vec::new(),
-                        },
-                        h.data().len() / cal_n,
-                    ));
+                    Some(PlanOp::Conv {
+                        conv,
+                        domain,
+                        epilogue: Vec::new(),
+                    })
                 }
                 LayerSpec::ReBranch {
                     name,
@@ -1554,12 +1539,11 @@ impl CompiledNetwork {
                     ..
                 } => {
                     let trunk_w = weights.weight(idx, name)?;
-                    let branch = weights.branch(idx, name)?;
-                    let [w1, wb, w2] = branch;
-                    let (c_out, r_out, out) =
-                        rebranch_reference(&h, trunk_w, branch, *stride, *padding);
-                    // Each conv calibrates on its own float input; the
-                    // res-conv is the one trainable (SRAM) part.
+                    let [w1, wb, w2] = weights.branch(idx, name)?;
+                    let [c_out, r_out] = branches
+                        .next()
+                        .expect("the walk keeps each ReBranch's inner outputs");
+                    // The res-conv is the one trainable (SRAM) part.
                     let mut part = |w, stride, padding, input: &Tensor, params| {
                         let faults = layer_fault_record(cim_idx, &mapping);
                         cim_idx += 1;
@@ -1573,135 +1557,88 @@ impl CompiledNetwork {
                             faults,
                         )
                     };
-                    let op = PlanOp::ReBranch {
-                        trunk: part(trunk_w, *stride, *padding, &h, opts.rom),
-                        compress: part(w1, 1, 0, &h, opts.rom),
-                        res_conv: part(wb, *stride, *padding, &c_out, opts.sram),
-                        decompress: part(w2, 1, 0, &r_out, opts.rom),
+                    Some(PlanOp::ReBranch {
+                        trunk: part(trunk_w, *stride, *padding, h, opts.rom),
+                        compress: part(w1, 1, 0, h, opts.rom),
+                        res_conv: part(wb, *stride, *padding, c_out, opts.sram),
+                        decompress: part(w2, 1, 0, r_out, opts.rom),
                         epilogue: Vec::new(),
-                    };
-                    h = out;
-                    last_op = Some(plan.push(op, h.data().len() / cal_n));
+                    })
                 }
                 LayerSpec::Linear { name, .. } => {
-                    let w = weights.weight(idx, name)?;
-                    // The pre-flatten map is dead here: reshape in place.
-                    let feats = flatten_2d_owned(std::mem::take(&mut h));
                     let (domain, params) = if Some(idx) == last_cim {
                         (MemDomain::Sram, opts.sram)
                     } else {
                         (MemDomain::Rom, opts.rom)
                     };
-                    let bias = weights.biases[idx].as_deref();
+                    // Calibration reads only the range of the values, so
+                    // the unflattened map serves.
                     let linear = CimLinear::compile_on_with(
                         opts.backend,
-                        w,
-                        bias,
-                        &[&feats],
+                        weights.weight(idx, name)?,
+                        weights.biases[idx].as_deref(),
+                        &[h],
                         params,
                         layer_fault_record(cim_idx, &mapping),
                     );
                     cim_idx += 1;
-                    h = linear_reference(&feats, w, bias);
-                    last_op = Some(plan.push(
-                        PlanOp::Linear {
-                            linear,
-                            domain,
-                            epilogue: Vec::new(),
-                        },
-                        h.data().len() / cal_n,
-                    ));
+                    Some(PlanOp::Linear {
+                        linear,
+                        domain,
+                        epilogue: Vec::new(),
+                    })
                 }
-                LayerSpec::BatchNorm { .. } => {
-                    // Folded into the preceding conv: identity at
-                    // inference; no op is emitted.
-                }
-                LayerSpec::Activation(kind) => {
-                    h = apply_act(&h, *kind);
-                    last_op = Some(plan.push(PlanOp::Activation(*kind), h.data().len() / cal_n));
-                }
-                LayerSpec::MaxPool { kernel, stride } => {
-                    h = MaxPool2d::new(*kernel, *stride).forward(&h, false);
-                    last_op = Some(plan.push(
-                        PlanOp::MaxPool {
-                            kernel: *kernel,
-                            stride: *stride,
-                        },
-                        h.data().len() / cal_n,
-                    ));
-                }
-                LayerSpec::GlobalAvgPool => {
-                    h = gap(&h);
-                    last_op = Some(plan.push(PlanOp::GlobalAvgPool, h.data().len() / cal_n));
-                }
-                LayerSpec::Passthrough { extra_ch } => {
-                    let src_layer = passthrough_source(&reports, idx)?;
-                    let source = match op_of_layer[src_layer] {
-                        Some(i) => OpSource::Op(i),
-                        None => OpSource::Input,
-                    };
-                    h = passthrough_concat(&history[src_layer], &h, *extra_ch);
-                    last_op = Some(plan.push(
-                        PlanOp::Passthrough {
-                            source,
-                            extra_ch: *extra_ch,
-                        },
-                        h.data().len() / cal_n,
-                    ));
-                }
+                // Folded into the preceding conv: identity at inference;
+                // no op is emitted.
+                LayerSpec::BatchNorm { .. } => None,
+                LayerSpec::Activation(kind) => Some(PlanOp::Activation(*kind)),
+                LayerSpec::MaxPool { kernel, stride } => Some(PlanOp::MaxPool {
+                    kernel: *kernel,
+                    stride: *stride,
+                }),
+                LayerSpec::GlobalAvgPool => Some(PlanOp::GlobalAvgPool),
+                LayerSpec::Passthrough { extra_ch } => Some(PlanOp::Passthrough {
+                    source: op_source(op_of_layer[passthrough_source(&reports, idx)?]),
+                    extra_ch: *extra_ch,
+                }),
                 LayerSpec::ResidualAdd {
                     blocks_back,
                     projection,
                 } => {
-                    let from_input = *blocks_back == idx + 1;
-                    let source = if from_input {
-                        OpSource::Input
-                    } else {
-                        match op_of_layer[idx - blocks_back] {
-                            Some(i) => OpSource::Op(i),
-                            None => OpSource::Input,
-                        }
-                    };
-                    // Shared with software_forward: resolve the skip
-                    // source and apply the projection reference.
-                    let (src_float, skip_float) = residual_skip_reference(
-                        idx,
-                        *blocks_back,
-                        projection.as_ref(),
-                        weights,
-                        &history,
-                        calibration,
-                    )?;
-                    let proj = match projection {
-                        None => None,
-                        Some(p) => {
-                            let w = weights.projections[idx].as_ref().expect("checked above");
-                            let conv = CimConv2d::compile_on_with(
-                                opts.backend,
-                                w,
-                                p.stride,
-                                0,
-                                &[&src_float],
-                                opts.rom,
-                                layer_fault_record(cim_idx, &mapping),
-                            );
-                            cim_idx += 1;
-                            Some(Box::new((conv, MemDomain::Rom)))
-                        }
-                    };
-                    h = h.add(&skip_float);
-                    last_op = Some(plan.push(
-                        PlanOp::ResidualAdd {
-                            source,
-                            projection: proj,
-                        },
-                        h.data().len() / cal_n,
-                    ));
+                    // The skip reads what layer `from` reads: the output of
+                    // the layer `blocks_back` before this one, or the
+                    // network input at `from == 0`.
+                    let from = idx + 1 - blocks_back;
+                    let source = op_source(from.checked_sub(1).and_then(|j| op_of_layer[j]));
+                    let projection = projection.as_ref().map(|p| {
+                        let w = weights.projections[idx]
+                            .as_ref()
+                            .expect("the walk checked the projection weights");
+                        let conv = CimConv2d::compile_on_with(
+                            opts.backend,
+                            w,
+                            p.stride,
+                            0,
+                            &[walk.input(from, calibration)],
+                            opts.rom,
+                            layer_fault_record(cim_idx, &mapping),
+                        );
+                        cim_idx += 1;
+                        Box::new((conv, MemDomain::Rom))
+                    });
+                    Some(PlanOp::ResidualAdd { source, projection })
                 }
+            };
+            if let Some(op) = op {
+                last_op = Some(plan.push(op, walk.outputs[idx].len() / cal_n));
             }
-            history.push(h.clone());
             op_of_layer.push(last_op);
         }
+        // The float maps are dead: free them before the passes and the
+        // arena allocate, so what the deployment keeps reuses their
+        // memory instead of landing above it (held to the end, they
+        // raised the benchmark's `detect-stream` peak RSS by 0.9 MiB).
+        drop(walk);
         // Placement-derived tile fan-out: each layer's single-inference
         // work is split across the macro clusters of its chip's mesh.
         plan.set_tile_hints(opts.memory.clusters());
@@ -1848,25 +1785,6 @@ impl CompiledNetwork {
     }
 }
 
-/// Float reference of a ReBranch layer on `x`: returns the compress and
-/// res-conv outputs (the calibration inputs of the next two convs) and
-/// the layer output, trunk plus decompressed branch. Shared by
-/// compile-time calibration and [`software_forward`] so the two walks
-/// cannot diverge.
-fn rebranch_reference(
-    x: &Tensor,
-    trunk: &Tensor,
-    [w1, wb, w2]: &[Tensor; 3],
-    stride: usize,
-    padding: usize,
-) -> (Tensor, Tensor, Tensor) {
-    let c = conv2d_reference(x, w1, None, 1, 0);
-    let r = conv2d_reference(&c, wb, None, stride, padding);
-    let d = conv2d_reference(&r, w2, None, 1, 0);
-    let out = conv2d_reference(x, trunk, None, stride, padding).add(&d);
-    (c, r, out)
-}
-
 /// Float reference of a linear layer: `y = W x + b` on `(N, ins)`.
 fn linear_reference(feats: &Tensor, w: &Tensor, bias: Option<&[f32]>) -> Tensor {
     let (n, ins) = (feats.shape()[0], feats.shape()[1]);
@@ -1889,8 +1807,6 @@ fn linear_reference(feats: &Tensor, w: &Tensor, bias: Option<&[f32]>) -> Tensor 
 
 /// Locates the passthrough reorg source: the latest earlier layer whose
 /// output map sits at exactly twice the resolution of the current map.
-/// Shared by compile-time calibration and [`software_forward`] so the two
-/// walks cannot diverge.
 fn passthrough_source(
     reports: &[yoloc_models::LayerReport],
     idx: usize,
@@ -1908,39 +1824,105 @@ fn passthrough_source(
         })
 }
 
-/// Resolves a residual skip's float source map and applies the projection
-/// reference (if any), returning `(source, skip)`. Shared by compile-time
-/// calibration and [`software_forward`] so the two walks cannot diverge.
-fn residual_skip_reference(
-    idx: usize,
-    blocks_back: usize,
-    projection: Option<&yoloc_models::ProjectionSpec>,
-    weights: &NetworkWeights,
-    history: &[Tensor],
-    x: &Tensor,
-) -> Result<(Tensor, Tensor), NetworkError> {
-    let src = if blocks_back == idx + 1 {
-        x.clone()
-    } else {
-        history[idx - blocks_back].clone()
-    };
-    let skip = match projection {
-        None => src.clone(),
-        Some(p) => {
-            let w = weights.projections[idx]
-                .as_ref()
-                .ok_or_else(|| NetworkError {
-                    msg: format!("missing projection weights for {}", p.name),
-                })?;
-            conv2d_reference(&src, w, None, p.stride, 0)
-        }
-    };
-    Ok((src, skip))
+/// What the float walk of a network leaves behind: the reference output
+/// of every layer, and what compile-time calibration reads besides.
+struct FloatWalk {
+    /// Each layer's output, in layer order (a folded batch norm repeats
+    /// its input).
+    outputs: Vec<Tensor>,
+    /// Each ReBranch layer's compress and res-conv outputs, in layer
+    /// order: the inputs of its res-conv and decompress.
+    branches: Vec<[Tensor; 2]>,
 }
 
-/// The floating-point software reference of a compiled network: the same
-/// graph walk with float convolutions, used for accuracy comparisons
-/// against the quantized CiM execution.
+impl FloatWalk {
+    /// The input of layer `idx`: the output of the layer before it, or
+    /// the network input `x` at 0.
+    fn input<'a>(&'a self, idx: usize, x: &'a Tensor) -> &'a Tensor {
+        idx.checked_sub(1).map_or(x, |i| &self.outputs[i])
+    }
+}
+
+/// The one floating-point walk of a network on `x`, with float
+/// convolutions: [`software_forward`] returns its last output, and
+/// [`CompiledNetwork::compile`] calibrates every CiM matrix on the input
+/// this walk gives it.
+fn float_walk(
+    desc: &NetworkDesc,
+    reports: &[yoloc_models::LayerReport],
+    weights: &NetworkWeights,
+    x: &Tensor,
+) -> Result<FloatWalk, NetworkError> {
+    let mut walk = FloatWalk {
+        outputs: Vec::with_capacity(desc.layers.len()),
+        branches: Vec::new(),
+    };
+    for (idx, layer) in desc.layers.iter().enumerate() {
+        let h = walk.input(idx, x);
+        let out = match layer {
+            LayerSpec::Conv {
+                name,
+                stride,
+                padding,
+                ..
+            } => conv2d_reference(h, weights.weight(idx, name)?, None, *stride, *padding),
+            LayerSpec::ReBranch {
+                name,
+                stride,
+                padding,
+                ..
+            } => {
+                let trunk = weights.weight(idx, name)?;
+                let [w1, wb, w2] = weights.branch(idx, name)?;
+                let c = conv2d_reference(h, w1, None, 1, 0);
+                let r = conv2d_reference(&c, wb, None, *stride, *padding);
+                let d = conv2d_reference(&r, w2, None, 1, 0);
+                let out = conv2d_reference(h, trunk, None, *stride, *padding).add(&d);
+                walk.branches.push([c, r]);
+                out
+            }
+            LayerSpec::Linear { name, .. } => linear_reference(
+                &flatten_2d(h),
+                weights.weight(idx, name)?,
+                weights.biases[idx].as_deref(),
+            ),
+            LayerSpec::BatchNorm { .. } => h.clone(),
+            LayerSpec::Activation(kind) => apply_act(h, *kind),
+            LayerSpec::MaxPool { kernel, stride } => {
+                MaxPool2d::new(*kernel, *stride).forward(h, false)
+            }
+            LayerSpec::GlobalAvgPool => gap(h),
+            LayerSpec::Passthrough { extra_ch } => passthrough_concat(
+                &walk.outputs[passthrough_source(reports, idx)?],
+                h,
+                *extra_ch,
+            ),
+            LayerSpec::ResidualAdd {
+                blocks_back,
+                projection,
+            } => {
+                let src = walk.input(idx + 1 - blocks_back, x);
+                match projection {
+                    None => h.add(src),
+                    Some(p) => {
+                        let w = weights.projections[idx]
+                            .as_ref()
+                            .ok_or_else(|| NetworkError {
+                                msg: format!("missing projection weights for {}", p.name),
+                            })?;
+                        h.add(&conv2d_reference(src, w, None, p.stride, 0))
+                    }
+                }
+            }
+        };
+        walk.outputs.push(out);
+    }
+    Ok(walk)
+}
+
+/// The floating-point software reference of a compiled network: the
+/// float walk that calibrates [`CompiledNetwork::compile`], used for
+/// accuracy comparisons against the quantized CiM execution.
 ///
 /// # Errors
 ///
@@ -1951,62 +1933,8 @@ pub fn software_forward(
     weights: &NetworkWeights,
     x: &Tensor,
 ) -> Result<Tensor, NetworkError> {
-    let reports = desc.analyze()?;
-    let mut h = x.clone();
-    let mut history: Vec<Tensor> = Vec::with_capacity(desc.layers.len());
-    for (idx, layer) in desc.layers.iter().enumerate() {
-        match layer {
-            LayerSpec::Conv {
-                name,
-                stride,
-                padding,
-                ..
-            } => {
-                let w = weights.weight(idx, name)?;
-                h = conv2d_reference(&h, w, None, *stride, *padding);
-            }
-            LayerSpec::ReBranch {
-                name,
-                stride,
-                padding,
-                ..
-            } => {
-                let (trunk, branch) = (weights.weight(idx, name)?, weights.branch(idx, name)?);
-                h = rebranch_reference(&h, trunk, branch, *stride, *padding).2;
-            }
-            LayerSpec::Linear { name, .. } => {
-                let w = weights.weight(idx, name)?;
-                let feats = flatten_2d_owned(std::mem::take(&mut h));
-                h = linear_reference(&feats, w, weights.biases[idx].as_deref());
-            }
-            LayerSpec::BatchNorm { .. } => {}
-            LayerSpec::Activation(kind) => h = apply_act(&h, *kind),
-            LayerSpec::MaxPool { kernel, stride } => {
-                h = MaxPool2d::new(*kernel, *stride).forward(&h, false);
-            }
-            LayerSpec::GlobalAvgPool => h = gap(&h),
-            LayerSpec::Passthrough { extra_ch } => {
-                let src = passthrough_source(&reports, idx)?;
-                h = passthrough_concat(&history[src], &h, *extra_ch);
-            }
-            LayerSpec::ResidualAdd {
-                blocks_back,
-                projection,
-            } => {
-                let (_, skip) = residual_skip_reference(
-                    idx,
-                    *blocks_back,
-                    projection.as_ref(),
-                    weights,
-                    &history,
-                    x,
-                )?;
-                h = h.add(&skip);
-            }
-        }
-        history.push(h.clone());
-    }
-    Ok(h)
+    let mut walk = float_walk(desc, &desc.analyze()?, weights, x)?;
+    Ok(walk.outputs.pop().unwrap_or_else(|| x.clone()))
 }
 
 #[cfg(test)]

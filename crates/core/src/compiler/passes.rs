@@ -4,25 +4,26 @@
 //! layer, digital ops standing alone between CiM ops. The pass pipeline
 //! then rewrites the plan in place:
 //!
-//! 1. [`PassKind::EpilogueFusion`] folds digital epilogues (activation,
-//!    max-pooling, projection-free residual merges) into the CiM
-//!    conv/linear op that produces their input. The fused intermediate no
-//!    longer round-trips the activation cache or the NoC, which is where
-//!    the measured traffic/energy win comes from. Fusion is purely a
-//!    *scheduling* rewrite: the arithmetic (and hence the logits and
+//! 1. Epilogue fusion folds digital epilogues (activation, max-pooling,
+//!    projection-free residual merges) into the CiM conv/linear op that
+//!    produces their input. The fused intermediate no longer round-trips
+//!    the activation cache or the NoC, which is where the measured
+//!    traffic/energy win comes from. Fusion is purely a *scheduling*
+//!    rewrite: the arithmetic (and hence the logits and
 //!    [`yoloc_cim::macro_model::MvmStats`]) is bit-identical to the
 //!    unfused plan, which the parity tests pin.
-//! 2. [`PassKind::DeadOpElimination`] sweeps the identity `PlanOp::Nop`s
-//!    fusion leaves behind and remaps every `OpSource` onto the
-//!    surviving op indices.
-//! 3. [`PassKind::BufferLiveness`] computes output live ranges and plans
-//!    the slot-reuse activation arena (see [`super::buffers`]), replacing
+//! 2. Dead-op elimination sweeps the identity `PlanOp::Nop`s fusion
+//!    leaves behind and remaps every `OpSource` onto the surviving op
+//!    indices.
+//! 3. Buffer liveness computes output live ranges and plans the
+//!    slot-reuse activation arena (see [`super::buffers`]), replacing
 //!    per-op allocation; the planned and naive footprints surface in every
 //!    `ExecutionReport`.
 //!
-//! Passes implement the `Pass` trait and run through a [`PassPipeline`]
-//! (a value type, so `CompileOptions` stays `Clone`); each run returns a
-//! [`PassReport`] describing what changed.
+//! Each pass is a function over the plan, named by a `PassKind`; a
+//! [`PassPipeline`] (a value type, so `CompileOptions` stays `Clone`)
+//! runs them in order, and each run returns a [`PassReport`] describing
+//! what changed.
 
 use super::{EpilogueOp, ExecPlan, OpSource, PlanOp};
 use crate::compiler::buffers::BufferPlan;
@@ -42,9 +43,9 @@ pub struct PassReport {
 
 /// The pass name is an interned `&'static str`, so serialization is
 /// hand-written: `to_json` emits the fields in declaration order and
-/// `from_value` re-interns the name against the closed pass set (an
-/// unknown name is a clear error, which doubles as format validation
-/// for on-disk plans).
+/// `from_value` re-interns the name against `PassKind::name` over the
+/// closed pass set (an unknown name is a clear error, which doubles as
+/// format validation for on-disk plans).
 impl serde::Serialize for PassReport {
     fn to_json(&self) -> serde::json::Value {
         serde::json::Value::obj([
@@ -59,14 +60,11 @@ impl serde::Serialize for PassReport {
 impl serde::Deserialize for PassReport {
     fn from_value(v: &serde::json::Value) -> Result<Self, String> {
         let name: String = crate::qconv::json_field(v, "pass")?;
-        let pass = [
-            EpilogueFusion.name(),
-            DeadOpElimination.name(),
-            BufferLiveness.name(),
-        ]
-        .into_iter()
-        .find(|n| *n == name)
-        .ok_or_else(|| format!("unknown pass {name:?}"))?;
+        let pass = PassKind::ALL
+            .into_iter()
+            .map(PassKind::name)
+            .find(|n| *n == name)
+            .ok_or_else(|| format!("unknown pass {name:?}"))?;
         Ok(PassReport {
             pass,
             ops_before: crate::qconv::json_field(v, "ops_before")?,
@@ -76,18 +74,10 @@ impl serde::Deserialize for PassReport {
     }
 }
 
-/// A rewrite over the [`ExecPlan`] IR.
-pub(crate) trait Pass {
-    /// Stable pass name.
-    fn name(&self) -> &'static str;
-    /// Rewrites `plan` in place, returning a summary of what changed.
-    fn run(&self, plan: &mut ExecPlan) -> String;
-}
-
 /// The named passes the pipeline can run (a closed, `Copy` set so
 /// `CompileOptions` remains a plain value type).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum PassKind {
+pub(crate) enum PassKind {
     /// Fold digital act/pool/residual epilogues into CiM ops.
     EpilogueFusion,
     /// Sweep `Nop`s and remap sources.
@@ -97,11 +87,28 @@ pub enum PassKind {
 }
 
 impl PassKind {
-    fn instantiate(self) -> Box<dyn Pass> {
+    /// Every pass, in the default pipeline's order.
+    const ALL: [PassKind; 3] = [
+        PassKind::EpilogueFusion,
+        PassKind::DeadOpElimination,
+        PassKind::BufferLiveness,
+    ];
+
+    /// Stable pass name (in [`PassReport`]s and bench reports).
+    fn name(self) -> &'static str {
         match self {
-            PassKind::EpilogueFusion => Box::new(EpilogueFusion),
-            PassKind::DeadOpElimination => Box::new(DeadOpElimination),
-            PassKind::BufferLiveness => Box::new(BufferLiveness),
+            PassKind::EpilogueFusion => "epilogue-fusion",
+            PassKind::DeadOpElimination => "dead-op-elimination",
+            PassKind::BufferLiveness => "buffer-liveness",
+        }
+    }
+
+    /// Rewrites `plan` in place, returning a summary of what changed.
+    fn run(self, plan: &mut ExecPlan) -> String {
+        match self {
+            PassKind::EpilogueFusion => epilogue_fusion(plan),
+            PassKind::DeadOpElimination => dead_op_elimination(plan),
+            PassKind::BufferLiveness => buffer_liveness(plan),
         }
     }
 }
@@ -117,11 +124,7 @@ impl PassPipeline {
     /// arena planning.
     pub fn paper_default() -> Self {
         PassPipeline {
-            kinds: vec![
-                PassKind::EpilogueFusion,
-                PassKind::DeadOpElimination,
-                PassKind::BufferLiveness,
-            ],
+            kinds: PassKind::ALL.to_vec(),
         }
     }
 
@@ -130,28 +133,15 @@ impl PassPipeline {
         PassPipeline { kinds: Vec::new() }
     }
 
-    /// A custom pass list (order is execution order).
-    pub fn of(kinds: impl Into<Vec<PassKind>>) -> Self {
-        PassPipeline {
-            kinds: kinds.into(),
-        }
-    }
-
-    /// The passes this pipeline runs, in order.
-    pub fn kinds(&self) -> &[PassKind] {
-        &self.kinds
-    }
-
     /// Runs every pass over `plan` in order, collecting reports.
     pub fn run(&self, plan: &mut ExecPlan) -> Vec<PassReport> {
         self.kinds
             .iter()
-            .map(|kind| {
-                let pass = kind.instantiate();
+            .map(|&kind| {
                 let ops_before = plan.len();
-                let detail = pass.run(plan);
+                let detail = kind.run(plan);
                 PassReport {
-                    pass: pass.name(),
+                    pass: kind.name(),
                     ops_before,
                     ops_after: plan.len(),
                     detail,
@@ -166,172 +156,148 @@ impl PassPipeline {
 /// output, and a fusion chain stops as soon as a fused op's own output is
 /// still read elsewhere (its `Nop` placeholder must keep yielding exactly
 /// that value).
-struct EpilogueFusion;
-
-impl Pass for EpilogueFusion {
-    fn name(&self) -> &'static str {
-        "epilogue-fusion"
-    }
-
-    fn run(&self, plan: &mut ExecPlan) -> String {
-        let n = plan.ops.len();
-        // How many ops read each op's output through an OpSource.
-        let mut refs = vec![0usize; n];
-        for op in &plan.ops {
-            for src in op.sources() {
-                if let OpSource::Op(i) = src {
-                    refs[i] += 1;
-                }
+fn epilogue_fusion(plan: &mut ExecPlan) -> String {
+    let n = plan.ops.len();
+    // How many ops read each op's output through an OpSource.
+    let mut refs = vec![0usize; n];
+    for op in &plan.ops {
+        for src in op.sources() {
+            if let OpSource::Op(i) = src {
+                refs[i] += 1;
             }
         }
-        let mut fused = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            let fusable_target = matches!(
-                plan.ops[i],
-                PlanOp::Conv { .. } | PlanOp::ReBranch { .. } | PlanOp::Linear { .. }
-            );
-            if !fusable_target || refs[i] > 0 {
-                i += 1;
-                continue;
-            }
-            let spatial = !matches!(plan.ops[i], PlanOp::Linear { .. });
-            loop {
-                // Next op that still does something.
-                let mut j = i + 1;
-                while j < n && matches!(plan.ops[j], PlanOp::Nop) {
-                    j += 1;
-                }
-                if j >= n {
-                    break;
-                }
-                let folded = match &plan.ops[j] {
-                    PlanOp::Activation(kind) => Some(EpilogueOp::Act(*kind)),
-                    PlanOp::MaxPool { kernel, stride } if spatial => Some(EpilogueOp::MaxPool {
-                        kernel: *kernel,
-                        stride: *stride,
-                    }),
-                    PlanOp::ResidualAdd {
-                        source,
-                        projection: None,
-                    } if spatial => {
-                        // The skip source must predate the CiM op: its
-                        // value is unaffected by the fusion.
-                        let ok = match source {
-                            OpSource::Input => true,
-                            OpSource::Op(s) => *s < i,
-                        };
-                        ok.then_some(EpilogueOp::Residual { source: *source })
-                    }
-                    _ => None,
-                };
-                let Some(e) = folded else { break };
-                match &mut plan.ops[i] {
-                    PlanOp::Conv { epilogue, .. }
-                    | PlanOp::ReBranch { epilogue, .. }
-                    | PlanOp::Linear { epilogue, .. } => epilogue.push(e),
-                    _ => unreachable!("fusable target checked above"),
-                }
-                plan.ops[j] = PlanOp::Nop;
-                plan.out_elems[i] = plan.out_elems[j];
-                fused += 1;
-                // If anything still reads op j's output, its Nop must keep
-                // yielding exactly this value: stop the chain here.
-                if refs[j] > 0 {
-                    break;
-                }
-            }
+    }
+    let mut fused = 0usize;
+    let mut i = 0usize;
+    while i < n {
+        let fusable_target = matches!(
+            plan.ops[i],
+            PlanOp::Conv { .. } | PlanOp::ReBranch { .. } | PlanOp::Linear { .. }
+        );
+        if !fusable_target || refs[i] > 0 {
             i += 1;
+            continue;
         }
-        format!("folded {fused} digital op(s) into CiM epilogues")
+        let spatial = !matches!(plan.ops[i], PlanOp::Linear { .. });
+        loop {
+            // Next op that still does something.
+            let mut j = i + 1;
+            while j < n && matches!(plan.ops[j], PlanOp::Nop) {
+                j += 1;
+            }
+            if j >= n {
+                break;
+            }
+            let folded = match &plan.ops[j] {
+                PlanOp::Activation(kind) => Some(EpilogueOp::Act(*kind)),
+                PlanOp::MaxPool { kernel, stride } if spatial => Some(EpilogueOp::MaxPool {
+                    kernel: *kernel,
+                    stride: *stride,
+                }),
+                PlanOp::ResidualAdd {
+                    source,
+                    projection: None,
+                } if spatial => {
+                    // The skip source must predate the CiM op: its
+                    // value is unaffected by the fusion.
+                    let ok = match source {
+                        OpSource::Input => true,
+                        OpSource::Op(s) => *s < i,
+                    };
+                    ok.then_some(EpilogueOp::Residual { source: *source })
+                }
+                _ => None,
+            };
+            let Some(e) = folded else { break };
+            match &mut plan.ops[i] {
+                PlanOp::Conv { epilogue, .. }
+                | PlanOp::ReBranch { epilogue, .. }
+                | PlanOp::Linear { epilogue, .. } => epilogue.push(e),
+                _ => unreachable!("fusable target checked above"),
+            }
+            plan.ops[j] = PlanOp::Nop;
+            plan.out_elems[i] = plan.out_elems[j];
+            fused += 1;
+            // If anything still reads op j's output, its Nop must keep
+            // yielding exactly this value: stop the chain here.
+            if refs[j] > 0 {
+                break;
+            }
+        }
+        i += 1;
     }
+    format!("folded {fused} digital op(s) into CiM epilogues")
 }
 
 /// Sweeps [`PlanOp::Nop`]s and remaps every [`OpSource`] onto the
 /// surviving op indices (a `Nop`'s value is the output of the last
 /// surviving op before it, or the network input when none exists).
-struct DeadOpElimination;
-
-impl Pass for DeadOpElimination {
-    fn name(&self) -> &'static str {
-        "dead-op-elimination"
-    }
-
-    fn run(&self, plan: &mut ExecPlan) -> String {
-        let n = plan.ops.len();
-        // value_map[old] = where old op's value lives after the sweep.
-        let mut value_map = Vec::with_capacity(n);
-        let mut last_kept: Option<usize> = None;
-        let mut kept = 0usize;
-        for op in &plan.ops {
-            if matches!(op, PlanOp::Nop) {
-                value_map.push(match last_kept {
-                    Some(k) => OpSource::Op(k),
-                    None => OpSource::Input,
-                });
-            } else {
-                value_map.push(OpSource::Op(kept));
-                last_kept = Some(kept);
-                kept += 1;
-            }
+fn dead_op_elimination(plan: &mut ExecPlan) -> String {
+    let n = plan.ops.len();
+    // value_map[old] = where old op's value lives after the sweep.
+    let mut value_map = Vec::with_capacity(n);
+    let mut last_kept: Option<usize> = None;
+    let mut kept = 0usize;
+    for op in &plan.ops {
+        if matches!(op, PlanOp::Nop) {
+            value_map.push(match last_kept {
+                Some(k) => OpSource::Op(k),
+                None => OpSource::Input,
+            });
+        } else {
+            value_map.push(OpSource::Op(kept));
+            last_kept = Some(kept);
+            kept += 1;
         }
-        let removed = n - kept;
-        let remap = |src: &mut OpSource| {
-            if let OpSource::Op(s) = src {
-                *src = value_map[*s];
+    }
+    let removed = n - kept;
+    let remap = |src: &mut OpSource| {
+        if let OpSource::Op(s) = src {
+            *src = value_map[*s];
+        }
+    };
+    let mut ops = std::mem::take(&mut plan.ops);
+    let out_elems = std::mem::take(&mut plan.out_elems);
+    let chip_of = std::mem::take(&mut plan.chip_of);
+    for (idx, mut op) in ops.drain(..).enumerate() {
+        if matches!(op, PlanOp::Nop) {
+            continue;
+        }
+        match &mut op {
+            PlanOp::Passthrough { source, .. } | PlanOp::ResidualAdd { source, .. } => {
+                remap(source)
             }
-        };
-        let mut ops = std::mem::take(&mut plan.ops);
-        let out_elems = std::mem::take(&mut plan.out_elems);
-        let chip_of = std::mem::take(&mut plan.chip_of);
-        for (idx, mut op) in ops.drain(..).enumerate() {
-            if matches!(op, PlanOp::Nop) {
-                continue;
-            }
-            match &mut op {
-                PlanOp::Passthrough { source, .. } | PlanOp::ResidualAdd { source, .. } => {
-                    remap(source)
-                }
-                PlanOp::Conv { epilogue, .. }
-                | PlanOp::ReBranch { epilogue, .. }
-                | PlanOp::Linear { epilogue, .. } => {
-                    for e in epilogue {
-                        if let EpilogueOp::Residual { source } = e {
-                            remap(source);
-                        }
+            PlanOp::Conv { epilogue, .. }
+            | PlanOp::ReBranch { epilogue, .. }
+            | PlanOp::Linear { epilogue, .. } => {
+                for e in epilogue {
+                    if let EpilogueOp::Residual { source } = e {
+                        remap(source);
                     }
                 }
-                _ => {}
             }
-            plan.ops.push(op);
-            plan.out_elems.push(out_elems[idx]);
-            plan.chip_of.push(chip_of[idx]);
+            _ => {}
         }
-        format!("removed {removed} dead op(s)")
+        plan.ops.push(op);
+        plan.out_elems.push(out_elems[idx]);
+        plan.chip_of.push(chip_of[idx]);
     }
+    format!("removed {removed} dead op(s)")
 }
 
 /// Computes output live ranges and stores the planned slot-reuse arena on
 /// the plan (see [`BufferPlan`]).
-struct BufferLiveness;
-
-impl Pass for BufferLiveness {
-    fn name(&self) -> &'static str {
-        "buffer-liveness"
-    }
-
-    fn run(&self, plan: &mut ExecPlan) -> String {
-        let bp = BufferPlan::plan(&plan.out_elems, &plan.last_use());
-        let detail = format!(
-            "{} outputs -> {} arena slots; peak {} vs naive {} elems/sample",
-            plan.len(),
-            bp.slots(),
-            bp.peak_elems,
-            bp.naive_elems
-        );
-        plan.buffer_plan = Some(bp);
-        detail
-    }
+fn buffer_liveness(plan: &mut ExecPlan) -> String {
+    let bp = BufferPlan::plan(&plan.out_elems, &plan.last_use());
+    let detail = format!(
+        "{} outputs -> {} arena slots; peak {} vs naive {} elems/sample",
+        plan.len(),
+        bp.slots(),
+        bp.peak_elems,
+        bp.naive_elems
+    );
+    plan.buffer_plan = Some(bp);
+    detail
 }
 
 #[cfg(test)]
@@ -380,11 +346,5 @@ mod tests {
         let raw = compile(PassPipeline::none());
         let fused = compile(PassPipeline::paper_default());
         assert_eq!(raw.programmed_subarrays(), fused.programmed_subarrays());
-    }
-
-    #[test]
-    fn pipeline_of_preserves_order() {
-        let p = PassPipeline::of(vec![PassKind::BufferLiveness]);
-        assert_eq!(p.kinds(), &[PassKind::BufferLiveness]);
     }
 }
