@@ -118,9 +118,6 @@ YOLOC_SMOKE=1 cargo test -q --test serve_parity
 echo "== zero-allocation steady-state gate"
 cargo test -q -p yoloc-bench --test alloc_steady_state
 
-echo "== plan-cache cold/warm gate (zero warm recompiles, by counter)"
-YOLOC_SMOKE=1 cargo run --release -q -p yoloc-bench --bin bench_plan_cache -- --smoke
-
 echo "== serving bench smoke + self schema gate"
 cargo run --release -q -p yoloc-bench --bin bench_serve -- --smoke --check-schema
 

@@ -20,9 +20,9 @@
 //! ([`yoloc_core::compiler::cache`]), with the recompilation count of
 //! each measured via the process-wide compile counter
 //! ([`yoloc_core::compiler::compile_count`]) — the acceptance gate is
-//! `compiles_warm == 0` by counter, not wall clock. The standalone
-//! `bench_plan_cache` binary regenerates just this block and patches it
-//! into the committed report without re-running the full harness.
+//! `compiles_warm == 0` by counter, not wall clock; every run, `--smoke`
+//! included, checks it and bit-identical warm execution on the report
+//! it writes.
 //!
 //! The `kernel_tier` block times, per unique lowered im2col shape across
 //! the zoo, the batch entry inference dispatches under the forced scalar

@@ -16,8 +16,8 @@
 //! measurement lives in [`yoloc_bench::kernel_tier`] and is shared with
 //! `bench_engine`.
 //!
-//! Like `bench_plan_cache`, the full run **patches** the block into an
-//! existing `BENCH_engine.json` of the current schema (every other field
+//! The full run **patches** the block into an existing
+//! `BENCH_engine.json` of the current schema (every other field
 //! preserved byte-for-byte, a report of another schema refused
 //! untouched) so the committed baseline can pick up fresh kernel numbers
 //! without re-running the whole engine harness. Under

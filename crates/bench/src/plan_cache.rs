@@ -1,5 +1,5 @@
-//! Cold-vs-warm plan-cache measurement shared by `bench_engine` and
-//! `bench_plan_cache`.
+//! Cold-vs-warm plan-cache measurement behind `bench_engine`'s
+//! `plan_cache` block.
 //!
 //! For every network the harness performs one **cold** deploy through a
 //! fresh on-disk [`PlanCache`] (a full compile plus a serialized-plan
@@ -26,7 +26,7 @@ use yoloc_tensor::Tensor;
 
 /// The scaled zoo architectures the engine harness measures (smallest to
 /// largest; tiny configurations under [`crate::smoke`]). Shared between
-/// `bench_engine` and `bench_plan_cache` so the standalone plan-cache
+/// `bench_engine` and `bench_kernels` so the standalone kernel-tier
 /// patcher measures exactly the networks the committed report covers.
 pub fn zoo_nets() -> Vec<NetworkDesc> {
     use yoloc_models::zoo;

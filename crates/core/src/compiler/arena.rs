@@ -139,9 +139,9 @@ pub struct ExecArena {
     rb: [Buf; 3],
     /// Shared CiM kernel staging (codes, tap offsets, accumulators,
     /// bit-plane masks). The codes buffer holds a conv's vector-major
-    /// im2col rows or its column-shifted code planes, or a linear's
-    /// lane-major panel, whichever layout the op's engine selects per
-    /// batch ([`RomMvm::batch_layout`]); all stage in place and retain
+    /// im2col rows or its column-shifted code planes (a linear runs as
+    /// a 1x1 conv), whichever layout the op's engine selects per batch
+    /// ([`RomMvm::batch_layout`]); all stage in place and retain
     /// capacity, so layout switches between ops never allocate once
     /// warm.
     ///

@@ -424,8 +424,8 @@ pub(crate) fn op_subarrays(op: &PlanOp) -> (usize, usize) {
             res_conv.subarrays(),
         ),
         PlanOp::Linear { linear, domain, .. } => match domain {
-            MemDomain::Rom => (linear.subarrays(), 0),
-            MemDomain::Sram => (0, linear.subarrays()),
+            MemDomain::Rom => (linear.conv.subarrays(), 0),
+            MemDomain::Sram => (0, linear.conv.subarrays()),
         },
         PlanOp::ResidualAdd {
             projection: Some(p),
@@ -714,7 +714,7 @@ impl ExecPlan {
                         ..
                     } => [trunk, compress, res_conv, decompress][cim_idx - first]
                         .set_fault_ids(phys_ids),
-                    PlanOp::Linear { linear, .. } => linear.set_fault_ids(phys_ids),
+                    PlanOp::Linear { linear, .. } => linear.conv.set_fault_ids(phys_ids),
                     PlanOp::ResidualAdd {
                         projection: Some(p),
                         ..
@@ -2133,7 +2133,7 @@ mod tests {
                 } => {
                     names.extend([trunk, compress, res_conv, decompress].map(|c| c.backend_name()))
                 }
-                PlanOp::Linear { linear, .. } => names.push(linear.backend_name()),
+                PlanOp::Linear { linear, .. } => names.push(linear.conv.backend_name()),
                 PlanOp::ResidualAdd {
                     projection: Some(p),
                     ..

@@ -194,9 +194,34 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    use super::super::cache::fnv1a;
     use super::super::{CompileOptions, CompiledNetwork};
     use yoloc_models::zoo;
     use yoloc_tensor::Tensor;
+
+    #[test]
+    fn plan_documents_are_pinned() {
+        // The bytes of two whole documents, by checksum: vgg8's convs and
+        // linear head, resnet18's residual stages, projections and head.
+        // A round trip still passes when the writer and the reader change
+        // together; these fail on any change to what a plan holds or how
+        // it renders.
+        for (desc, want) in [
+            (
+                zoo::scaled(&zoo::vgg8(10), 16, (16, 16)),
+                0x1c1d_9e2b_7205_c852_u64,
+            ),
+            (
+                zoo::scaled(&zoo::resnet18(10), 16, (32, 32)),
+                0x572d_656f_2b60_de9a,
+            ),
+        ] {
+            let net = CompiledNetwork::compile_random(&desc, 1, CompileOptions::paper_default())
+                .expect("compiles");
+            let got = fnv1a(net.serialize_plan().as_bytes());
+            assert_eq!(got, want, "{}: plan digest {got:#018x}", desc.name);
+        }
+    }
 
     #[test]
     fn serialized_plan_round_trips_bit_identically() {

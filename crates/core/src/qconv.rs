@@ -1,10 +1,12 @@
-//! Quantized convolution and linear layers executed on the CiM macro.
+//! Quantized convolution layers executed on the CiM macro.
 //!
-//! This is the deployment path of Fig. 9: a layer's weights are quantized
-//! per-channel to 8 bits, lowered to a `(out_ch, in_ch*k*k)` (conv) or
-//! `(out_features, in_features)` (linear) matrix and programmed onto a
-//! [`RomMvm`], whose one datapath its [`BackendKind`] helps pick (the
-//! popcount kernels, or the analog reference walk). At run time
+//! This is the deployment path of Fig. 9: a conv's weights are quantized
+//! per-channel to 8 bits as an `(out_ch, in_ch*k*k)` matrix and
+//! programmed onto a [`RomMvm`], whose one datapath its [`BackendKind`]
+//! helps pick (the popcount kernels, or the analog reference walk). A
+//! fully-connected layer ([`CimLinear`]) is the same layer: a 1x1 conv
+//! over a 1x1 map of its input features, whose matrix is its
+//! `(out_features, in_features)` weight as it is, plus a bias. At run time
 //! activations are affine-quantized, driven through the engine, and the
 //! results are dequantized with zero-point correction. With the paper's 5-bit-ADC
 //! design point the integer arithmetic is exact, so the only deviation
@@ -38,9 +40,9 @@ use serde::{Deserialize, Serialize};
 pub struct CimScratch {
     /// The layer's whole input quantized in one pass at the engine's
     /// kernel tier ([`RomMvm::quantize_codes`]), row-major: a conv's
-    /// `(n, C, h, w)` map, or a transposed linear layer's `(n, ins)`
-    /// features. Every lowering after that pass moves bytes. (A
-    /// row-major linear layer quantizes straight into `codes`.)
+    /// `(n, C, h, w)` map (a linear layer's `(n, ins)` features are its
+    /// conv's `(n, ins, 1, 1)` map). Every lowering after that pass moves
+    /// bytes.
     input_codes: Vec<u8>,
     /// The zero-point-padded codes a conv lowering copies from: a
     /// row-major conv's whole padded map ([`PatchRows`]), a transposed
@@ -50,12 +52,11 @@ pub struct CimScratch {
     /// [`RomMvm::batch_layout`] for the block: a conv's im2col rows
     /// vector-major, a transposed conv's column-shifted code planes
     /// ([`ShiftedPlanes`]) plus zero lanes the SIMD tiers may read past
-    /// the last tap's run, or a linear layer's copied lane-major panel.
+    /// the last tap's run.
     codes: Vec<u8>,
     /// Where each tap's lanes start in the planes of a transposed conv:
     /// one offset per im2col row, the row-offset table
-    /// [`RomMvm::run_batch_transposed`] reads the planes through (for a
-    /// linear layer, its panel's contiguous rows).
+    /// [`RomMvm::run_batch_transposed`] reads the planes through.
     tap_offsets: Vec<usize>,
     /// Integer accumulators of every output position, channel-major
     /// (`accs[o * positions + position]`, see [`yoloc_cim::backend`]).
@@ -73,9 +74,8 @@ impl CimScratch {
     }
 }
 
-/// Per-channel dequantization state shared by conv and linear layers:
-/// symmetric weight scales plus weight-code row sums for zero-point
-/// correction.
+/// Per-channel dequantization state of a CiM layer: symmetric weight
+/// scales plus weight-code row sums for zero-point correction.
 struct Dequant {
     channel_scales: Vec<f32>,
     row_sums: Vec<i64>,
@@ -412,38 +412,26 @@ impl CimConv2d {
         calibration: &[&Tensor],
         params: MacroParams,
     ) -> Self {
-        Self::compile_on(
+        Self::compile_on_with(
             BackendKind::Popcount,
             weight,
             stride,
             padding,
             calibration,
             params,
+            None,
         )
     }
 
-    /// Compiles `weight` onto an explicitly chosen backend (the graph
-    /// compiler's [`CompileOptions::backend`]).
+    /// [`CimConv2d::compile`] onto an explicitly chosen backend (the
+    /// graph compiler's [`CompileOptions::backend`]) with an optional
+    /// fault-injection record (when the deployment carries a fault map).
     ///
     /// [`CompileOptions::backend`]: crate::compiler::CompileOptions::backend
     ///
     /// # Panics
     ///
     /// Panics if `weight` is not rank-4.
-    pub fn compile_on(
-        kind: BackendKind,
-        weight: &Tensor,
-        stride: usize,
-        padding: usize,
-        calibration: &[&Tensor],
-        params: MacroParams,
-    ) -> Self {
-        Self::compile_on_with(kind, weight, stride, padding, calibration, params, None)
-    }
-
-    /// [`CimConv2d::compile_on`] with an optional fault-injection
-    /// record (the graph compiler's entry when the deployment carries a
-    /// fault map).
     pub(crate) fn compile_on_with(
         kind: BackendKind,
         weight: &Tensor,
@@ -454,34 +442,76 @@ impl CimConv2d {
         faults: Option<LayerFaults>,
     ) -> Self {
         assert_eq!(weight.ndim(), 4, "weight must be (OC, C, k, k)");
-        let (oc, c, k) = (weight.shape()[0], weight.shape()[1], weight.shape()[2]);
-        let patch = c * k * k;
+        let geom = Conv2dGeometry {
+            in_channels: weight.shape()[1],
+            kernel: weight.shape()[2],
+            stride,
+            padding,
+        };
+        Self::from_weight(kind, weight, geom, calibration, params, faults)
+    }
+
+    /// The one constructor every CiM layer compiles through: quantizes
+    /// `weight` per output channel (its first axis; each channel holds
+    /// one `in_channels * k * k` patch of `geom`, in im2col row order),
+    /// programs the codes onto a `kind` engine under `faults` and
+    /// calibrates the activation range on `calibration`.
+    fn from_weight(
+        kind: BackendKind,
+        weight: &Tensor,
+        geom: Conv2dGeometry,
+        calibration: &[&Tensor],
+        params: MacroParams,
+        faults: Option<LayerFaults>,
+    ) -> Self {
+        let outs = weight.shape()[0];
+        let patch = geom.in_channels * geom.kernel * geom.kernel;
+        assert_eq!(
+            weight.len(),
+            outs * patch,
+            "weight does not fit the geometry"
+        );
         let pc = PerChannelQuant::quantize(weight, params.weight_bits);
-        let dequant = Dequant::from_quant(&pc, oc, patch);
+        let dequant = Dequant::from_quant(&pc, outs, patch);
         let program = ProgramSpec {
             kind,
             params,
-            outs: oc,
+            outs,
             ins: patch,
             codes: pc.values,
             faults,
         };
-        let engine = program.program();
-        let act_params = calibrate_affine(calibration, params.act_bits);
         CimConv2d {
-            engine,
+            engine: program.program(),
             dequant,
-            act_params,
-            geom: Conv2dGeometry {
-                in_channels: c,
-                kernel: k,
-                stride,
-                padding,
-            },
-            out_channels: oc,
+            act_params: calibrate_affine(calibration, params.act_bits),
+            geom,
+            out_channels: outs,
             par_tiles: 1,
             program,
         }
+    }
+
+    /// Rebuilds a layer from its plan entry `v` around its deserialized
+    /// `program`: the dequantization tables and activation parameters
+    /// are proved against the program, which re-programs the engine.
+    fn from_entry(
+        v: &Json,
+        program: ProgramSpec,
+        geom: Conv2dGeometry,
+        par_tiles: usize,
+    ) -> Result<Self, String> {
+        let dequant = program.dequant_from(v)?;
+        let act_params = act_params_from(v, &program)?;
+        Ok(CimConv2d {
+            engine: program.program(),
+            dequant,
+            act_params,
+            geom,
+            out_channels: program.outs,
+            par_tiles,
+            program,
+        })
     }
 
     /// Sets the target tile count the layer decomposes its output
@@ -754,56 +784,38 @@ pub fn split_range_iter(len: usize, parts: usize) -> impl Iterator<Item = (usize
     })
 }
 
-/// A fully-connected layer compiled onto an MVM backend (the prediction
-/// head / classifier path of Fig. 9, always SRAM-CiM in the paper).
+/// The geometry a fully-connected layer of `ins` inputs runs as: a 1x1
+/// stride-1 unpadded conv over a 1x1 map of `ins` channels, whose one
+/// patch is the `(outs, ins)` weight's row.
+fn pointwise(ins: usize) -> Conv2dGeometry {
+    Conv2dGeometry {
+        in_channels: ins,
+        kernel: 1,
+        stride: 1,
+        padding: 0,
+    }
+}
+
+/// A fully-connected layer compiled onto the macro (the classifier head
+/// of Fig. 9, which the paper maps to SRAM-CiM): a 1x1 [`CimConv2d`]
+/// over a 1x1 map of its input features, whose one output position per
+/// sample is the layer's MVM, plus a bias added digitally after
+/// dequantization (biases are never stored in the arrays; see
+/// `mapping.rs`).
 pub struct CimLinear {
-    engine: Box<RomMvm>,
-    dequant: Dequant,
+    pub(crate) conv: CimConv2d,
     bias: Vec<f32>,
-    /// Activation quantization parameters.
-    pub act_params: QuantParams,
-    outs: usize,
-    ins: usize,
-    /// Compile-time programming record, kept for plan serialization.
-    program: ProgramSpec,
 }
 
 impl CimLinear {
-    /// Compiles `weight` (`(outs, ins)`) with an optional bias vector onto
-    /// the default popcount backend; see [`CimLinear::compile_on`].
+    /// Compiles `weight` (`(outs, ins)`, quantized as it is: its rows are
+    /// the conv's output channels) with an optional bias onto `kind`,
+    /// with an optional fault-injection record (the graph compiler's
+    /// entry).
     ///
     /// # Panics
     ///
     /// Panics if `weight` is not rank-2 or the bias length mismatches.
-    pub fn compile(
-        weight: &Tensor,
-        bias: Option<&[f32]>,
-        calibration: &[&Tensor],
-        params: MacroParams,
-    ) -> Self {
-        Self::compile_on(BackendKind::Popcount, weight, bias, calibration, params)
-    }
-
-    /// Compiles onto an explicitly chosen backend. The bias is applied
-    /// digitally after dequantization (biases are never stored in the
-    /// arrays; see `mapping.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not rank-2 or the bias length mismatches.
-    pub fn compile_on(
-        kind: BackendKind,
-        weight: &Tensor,
-        bias: Option<&[f32]>,
-        calibration: &[&Tensor],
-        params: MacroParams,
-    ) -> Self {
-        Self::compile_on_with(kind, weight, bias, calibration, params, None)
-    }
-
-    /// [`CimLinear::compile_on`] with an optional fault-injection
-    /// record (the graph compiler's entry when the deployment carries a
-    /// fault map).
     pub(crate) fn compile_on_with(
         kind: BackendKind,
         weight: &Tensor,
@@ -814,8 +826,6 @@ impl CimLinear {
     ) -> Self {
         assert_eq!(weight.ndim(), 2, "weight must be (outs, ins)");
         let (outs, ins) = (weight.shape()[0], weight.shape()[1]);
-        let pc = PerChannelQuant::quantize(weight, params.weight_bits);
-        let dequant = Dequant::from_quant(&pc, outs, ins);
         let bias = match bias {
             Some(b) => {
                 assert_eq!(b.len(), outs, "bias length mismatch");
@@ -823,55 +833,20 @@ impl CimLinear {
             }
             None => vec![0.0; outs],
         };
-        let program = ProgramSpec {
-            kind,
-            params,
-            outs,
-            ins,
-            codes: pc.values,
-            faults,
-        };
+        let geom = pointwise(ins);
         CimLinear {
-            engine: program.program(),
-            dequant,
+            conv: CimConv2d::from_weight(kind, weight, geom, calibration, params, faults),
             bias,
-            act_params: calibrate_affine(calibration, params.act_bits),
-            outs,
-            ins,
-            program,
         }
     }
 
     /// Output features.
     pub fn outs(&self) -> usize {
-        self.outs
+        self.conv.out_channels
     }
 
-    /// Number of physical subarrays programmed.
-    pub fn subarrays(&self) -> usize {
-        self.engine.subarrays_used()
-    }
-
-    /// The execution path this layer currently runs on.
-    pub fn backend_name(&self) -> &'static str {
-        self.engine.backend_name()
-    }
-
-    /// Moves a fault-aware layer onto new physical subarrays and
-    /// re-programs its engine (the repair path after a subarray dies).
-    /// No-op on layers compiled without a fault record.
-    pub(crate) fn set_fault_ids(&mut self, phys_ids: &[u64]) {
-        if let Some(lf) = &mut self.program.faults {
-            lf.phys_ids = phys_ids.to_vec();
-            self.engine = self.program.program();
-        }
-    }
-
-    /// Runs the layer on `feats` (`(N, ins)`) through the backend's
-    /// tile-granular entry (the whole batch as one tile), returning the
-    /// output and the layer's statistics folded from zero **in sample
-    /// order** — the caller merges them into its accumulator exactly once,
-    /// so serial and batched executions perform the same reduction.
+    /// Runs the layer on `feats` (`(N, ins)`), returning the output and
+    /// the layer's statistics.
     ///
     /// # Panics
     ///
@@ -880,16 +855,16 @@ impl CimLinear {
     pub fn forward<R: Rng + ?Sized>(&self, feats: &Tensor, rng: &mut R) -> (Tensor, MvmStats) {
         assert_eq!(feats.ndim(), 2, "features must be (N, ins)");
         let n = feats.shape()[0];
-        let mut out = Tensor::zeros(&[n, self.outs]);
+        let mut out = Tensor::zeros(&[n, self.outs()]);
         let stats = self.forward_in(feats.data(), n, out.data_mut(), &mut CimScratch::new(), rng);
         (out, stats)
     }
 
-    /// Arena forward: runs the layer on a raw row-major `(n, ins)` buffer,
-    /// writing the biased, dequantized `(n, outs)` result into `out` using
-    /// only `scratch` storage — the allocation-free counterpart of
-    /// [`CimLinear::forward`] (the whole batch as one tile, statistics
-    /// folded from zero in sample order), bit-identical to it.
+    /// Arena forward: runs the layer's conv on a raw row-major `(n, ins)`
+    /// buffer, an `(n, ins, 1, 1)` map, and writes each sample's biased,
+    /// dequantized outputs into `out` (`(n, outs)`) using only `scratch`
+    /// storage — the allocation-free counterpart of
+    /// [`CimLinear::forward`], bit-identical to it.
     ///
     /// # Panics
     ///
@@ -902,52 +877,14 @@ impl CimLinear {
         scratch: &mut CimScratch,
         rng: &mut R,
     ) -> MvmStats {
-        assert_eq!(feats.len(), n * self.ins, "feature width mismatch");
-        assert_eq!(out.len(), n * self.outs, "output length mismatch");
-        let CimScratch {
-            input_codes,
-            codes,
-            tap_offsets,
-            accs,
-            mvm,
-            ..
-        } = scratch;
-        accs.resize(n * self.outs, 0);
-        match self.engine.batch_layout(n) {
-            MatmulLayout::Transposed => {
-                // Features arrive sample-major: quantize them in one
-                // pass, then scatter each sample's codes down its lane
-                // of the panel.
-                input_codes.resize(feats.len(), 0);
-                self.engine
-                    .quantize_codes(&self.act_params, feats, input_codes);
-                let n_pad = transposed_pad(n);
-                codes.clear();
-                codes.resize(self.ins * n_pad, 0);
-                for (v, row) in input_codes.chunks_exact(self.ins).enumerate() {
-                    for (i, &code) in row.iter().enumerate() {
-                        codes[i * n_pad + v] = code;
-                    }
-                }
-                tap_offsets.clear();
-                tap_offsets.extend((0..self.ins).map(|i| i * n_pad));
-                self.engine
-                    .run_batch_transposed(codes, tap_offsets, n, accs, mvm, rng);
-            }
-            MatmulLayout::RowMajor => {
-                codes.resize(feats.len(), 0);
-                self.engine.quantize_codes(&self.act_params, feats, codes);
-                self.engine.run_batch(codes, n, accs, mvm, rng);
-            }
-        }
-        let mut stats = MvmStats::default();
-        self.engine.fold_stats(mvm, 0..n, &mut stats);
-        // Channel-major accumulators: output `o` of every sample is one
-        // contiguous row, written down the sample-major output's column.
-        for (o, accs) in accs.chunks_exact(n.max(1)).enumerate() {
-            let dq = self.dequant.channel(o, &self.act_params);
+        let outs = self.outs();
+        assert_eq!(out.len(), n * outs, "output length mismatch");
+        let stats = self.conv.run_in(feats, n, 1, 1, scratch, rng);
+        // Output `o` of every sample is one channel row, written down the
+        // sample-major output's column.
+        for (o, (accs, dq)) in self.conv.channel_rows(scratch).enumerate() {
             for (ni, &a) in accs.iter().enumerate() {
-                out[ni * self.outs + o] = dq.value(a) + self.bias[o];
+                out[ni * outs + o] = dq.value(a) + self.bias[o];
             }
         }
         stats
@@ -1005,31 +942,24 @@ impl Deserialize for CimConv2d {
         if geom.stride == 0 {
             return Err("geom: stride 0".into());
         }
-        let dequant = program.dequant_from(v)?;
-        let act_params = act_params_from(v, &program)?;
-        Ok(CimConv2d {
-            engine: program.program(),
-            dequant,
-            act_params,
-            geom,
-            out_channels,
-            par_tiles: json_field(v, "par_tiles")?,
-            program,
-        })
+        Self::from_entry(v, program, geom, json_field(v, "par_tiles")?)
     }
 }
 
-/// See the [`CimConv2d`] serialization notes; identical contract.
+/// See the [`CimConv2d`] serialization notes. A linear layer's entry
+/// writes its conv's programming record and dequantization state, its
+/// bias and its `outs` and `ins`; the geometry is implied.
 impl Serialize for CimLinear {
     fn to_json(&self) -> Json {
+        let conv = &self.conv;
         Json::obj([
-            ("program", self.program.to_json()),
-            ("channel_scales", self.dequant.channel_scales.to_json()),
-            ("row_sums", self.dequant.row_sums.to_json()),
+            ("program", conv.program.to_json()),
+            ("channel_scales", conv.dequant.channel_scales.to_json()),
+            ("row_sums", conv.dequant.row_sums.to_json()),
             ("bias", self.bias.to_json()),
-            ("act_params", quant_params_to_json(&self.act_params)),
-            ("outs", self.outs.to_json()),
-            ("ins", self.ins.to_json()),
+            ("act_params", quant_params_to_json(&conv.act_params)),
+            ("outs", conv.program.outs.to_json()),
+            ("ins", conv.program.ins.to_json()),
         ])
     }
 }
@@ -1046,17 +976,10 @@ impl Deserialize for CimLinear {
                 program.outs, program.ins
             ));
         }
-        let dequant = program.dequant_from(v)?;
         let bias = per_output(json_field(v, "bias")?, "bias", outs)?;
-        let act_params = act_params_from(v, &program)?;
         Ok(CimLinear {
-            engine: program.program(),
-            dequant,
+            conv: CimConv2d::from_entry(v, program, pointwise(ins), 1)?,
             bias,
-            act_params,
-            outs,
-            ins,
-            program,
         })
     }
 }
@@ -1159,9 +1082,12 @@ mod tests {
         // samples' code planes. The host block is always the whole conv,
         // so every hint above 1 folds tiles that differ from it, and at
         // n = 3 tiles straddle samples. Inputs dip below zero, so the
-        // zero point — the pad code — is above 0. One scratch serves the
-        // whole grid, as in the arena executor, so stale codes from
-        // earlier layers sit in its buffers.
+        // zero point — the pad code — is above 0. Per backend kind a
+        // classifier head, a linear of 10 outputs over 32 features, runs
+        // at batches 1, 8, 16 and 17 against the same oracle on its conv
+        // plus its bias; the SIMD tiers stage it transposed from 8. One
+        // scratch serves the whole grid, as in the arena executor, so
+        // stale codes from earlier layers sit in its buffers.
         let mut rng = StdRng::seed_from_u64(21);
         let params = MacroParams::rom_paper();
         let c = 2;
@@ -1175,6 +1101,7 @@ mod tests {
         let mut scratch = CimScratch::new();
         let mut layouts = Vec::new();
         let mut transposed = Vec::new();
+        let mut linear_transposed = Vec::new();
         for kind in [BackendKind::Popcount, BackendKind::Analog] {
             for &(kernel, stride, padding) in &geometries {
                 for hw in [1, 2, 7, 8] {
@@ -1190,8 +1117,15 @@ mod tests {
                         // However few values a tiny map draws, one is
                         // negative.
                         x.data_mut()[0] = -0.6;
-                        let mut conv =
-                            CimConv2d::compile_on(kind, &w, stride, padding, &[&x], params);
+                        let mut conv = CimConv2d::compile_on_with(
+                            kind,
+                            &w,
+                            stride,
+                            padding,
+                            &[&x],
+                            params,
+                            None,
+                        );
                         assert!(conv.act_params.quantize_value(0.0) > 0);
                         let label = format!(
                             "{kind:?} k{kernel} s{stride} p{padding} {hw}x{hw} n{n} outs{outs}"
@@ -1202,6 +1136,33 @@ mod tests {
                         }
                         layouts.push(layout);
                     }
+                }
+            }
+            // The classifier head, at batches on both sides of the
+            // 16-lane block.
+            for n in [1, 8, 16, 17] {
+                let w = Tensor::randn(&[10, 32], 0.0, 0.4, &mut rng);
+                let bias: Vec<f32> = (0..10).map(|o| o as f32 * 0.1 - 0.5).collect();
+                let mut x = Tensor::rand_uniform(&[n, 32], -0.6, 1.0, &mut rng);
+                x.data_mut()[0] = -0.6;
+                let linear = CimLinear::compile_on_with(kind, &w, Some(&bias), &[&x], params, None);
+                let mut out = vec![f32::NAN; n * 10];
+                let mut rng = StdRng::seed_from_u64(7);
+                let stats = linear.forward_in(x.data(), n, &mut out, &mut scratch, &mut rng);
+                let map = x.reshape(&[n, 32, 1, 1]).expect("one position per sample");
+                let (want, want_stats) =
+                    forward_reference(&linear.conv, &map, &mut StdRng::seed_from_u64(7));
+                let want: Vec<f32> = want
+                    .data()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| v + bias[i % 10])
+                    .collect();
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "{kind:?} linear n{n}");
+                assert_eq!(stats, want_stats, "{kind:?} linear n{n}");
+                if linear.conv.engine.batch_layout(n) == MatmulLayout::Transposed {
+                    linear_transposed.push(n);
                 }
             }
         }
@@ -1226,6 +1187,12 @@ mod tests {
                 (3, 3, 1, 3),
             ] {
                 assert!(transposed.contains(&want), "{want:?} never ran transposed");
+            }
+            for n in [8, 16, 17] {
+                assert!(
+                    linear_transposed.contains(&n),
+                    "linear n{n} never ran transposed"
+                );
             }
         }
     }
@@ -1283,7 +1250,7 @@ mod tests {
         let outputs: Vec<Tensor> = [BackendKind::Analog, BackendKind::Popcount]
             .into_iter()
             .map(|kind| {
-                let conv = CimConv2d::compile_on(kind, &w, 1, 1, &[&x], params);
+                let conv = CimConv2d::compile_on_with(kind, &w, 1, 1, &[&x], params, None);
                 conv.forward(&x, &mut rng).0
             })
             .collect();
@@ -1296,7 +1263,14 @@ mod tests {
         let w = Tensor::randn(&[5, 24], 0.0, 0.4, &mut rng);
         let x = Tensor::rand_uniform(&[3, 24], 0.0, 1.0, &mut rng);
         let bias: Vec<f32> = (0..5).map(|i| i as f32 * 0.1).collect();
-        let linear = CimLinear::compile(&w, Some(&bias), &[&x], MacroParams::sram_paper());
+        let linear = CimLinear::compile_on_with(
+            BackendKind::Popcount,
+            &w,
+            Some(&bias),
+            &[&x],
+            MacroParams::sram_paper(),
+            None,
+        );
         let (y, stats) = linear.forward(&x, &mut rng);
         assert!(stats.adc_conversions > 0);
         // Float reference: y = W x + b.
@@ -1345,11 +1319,11 @@ mod tests {
             v
         }
         let mut rng = StdRng::seed_from_u64(6);
-        let w = Tensor::randn(&[4, 16], 0.0, 0.4, &mut rng);
-        let x = Tensor::rand_uniform(&[2, 16], 0.0, 1.0, &mut rng);
-        let linear = CimLinear::compile(&w, None, &[&x], MacroParams::rom_paper());
-        let good = linear.program.to_json();
-        assert_eq!(ProgramSpec::from_value(&good), Ok(linear.program.clone()));
+        let w = Tensor::randn(&[4, 16, 1, 1], 0.0, 0.4, &mut rng);
+        let x = Tensor::rand_uniform(&[2, 16, 1, 1], 0.0, 1.0, &mut rng);
+        let conv = CimConv2d::compile(&w, 1, 0, &[&x], MacroParams::rom_paper());
+        let good = conv.program.to_json();
+        assert_eq!(ProgramSpec::from_value(&good), Ok(conv.program.clone()));
         let cases = [
             (
                 edited(&good, "params", |p| {

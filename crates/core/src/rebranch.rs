@@ -152,32 +152,6 @@ impl ReBranchConv {
         }
     }
 
-    /// Creates a randomly-initialized ReBranch conv (for pretraining a
-    /// model that will later be deployed; the trunk is trainable until
-    /// [`ReBranchConv::freeze_trunk`] is called).
-    #[allow(clippy::too_many_arguments)] // mirrors the conv hyper-parameter list
-    pub fn new<R: Rng + ?Sized>(
-        name: &str,
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        padding: usize,
-        ratios: ReBranchRatios,
-        rng: &mut R,
-    ) -> Self {
-        let w =
-            yoloc_tensor::init::kaiming_normal(&[out_channels, in_channels, kernel, kernel], rng);
-        let mut rb = Self::from_pretrained(name, w, None, stride, padding, ratios, rng);
-        rb.trunk.unfreeze_all();
-        rb
-    }
-
-    /// Freezes the trunk (ROM deployment point).
-    pub fn freeze_trunk(&mut self) {
-        self.trunk.freeze_all();
-    }
-
     /// The branch ratios.
     pub fn ratios(&self) -> ReBranchRatios {
         self.ratios

@@ -12,7 +12,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::rebranch::ReBranchRatios;
 use crate::system::SystemParams;
 use yoloc_memory::SramBuffer;
 use yoloc_models::{LayerSpec, NetworkDesc, NetworkError};
@@ -136,9 +135,6 @@ pub fn rebranch_training_saving(net: &NetworkDesc, p: &SystemParams) -> Result<f
     let rb = training_step_cost(net, TrainableSet::ReBranchOnly, p)?;
     Ok(all.total_uj() / rb.total_uj())
 }
-
-/// The ratios type re-exported for binaries that sweep it.
-pub type BranchRatios = ReBranchRatios;
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod augment;
 pub mod classification;
 pub mod detection;
 

@@ -430,19 +430,6 @@ pub fn random_zoo(seed: u64) -> NetworkDesc {
     net
 }
 
-/// The ReBranch generalization experiments also use a "wide" channel
-/// profile table (Fig. 6b): per-conv transferability decays with depth.
-/// This helper exposes the conv layer names of a network in depth order.
-pub fn conv_names(net: &NetworkDesc) -> Vec<String> {
-    net.layers
-        .iter()
-        .filter_map(|l| match l {
-            LayerSpec::Conv { name, .. } => Some(name.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,14 +514,6 @@ mod tests {
             })
             .sum();
         assert!((detect_params as f64) < 0.01 * yolo.param_count() as f64);
-    }
-
-    #[test]
-    fn conv_names_in_order() {
-        let names = conv_names(&darknet19(1000));
-        assert_eq!(names.len(), 19);
-        assert_eq!(names[0], "conv1");
-        assert_eq!(names[18], "conv19");
     }
 
     #[test]

@@ -24,6 +24,5 @@
 
 pub mod bitplane;
 pub mod params;
-pub mod qat;
 
 pub use params::{calibrate_affine, PerChannelQuant, QuantParams, QuantTensor};

@@ -167,11 +167,6 @@ impl QuantTensor {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Total storage footprint in bits at the quantized precision.
-    pub fn storage_bits(&self) -> u64 {
-        self.values.len() as u64 * self.params.bits as u64
-    }
 }
 
 /// Per-output-channel symmetric quantization of a conv weight `(OC, ...)`,
@@ -288,7 +283,6 @@ mod tests {
         for (a, b) in t.data().iter().zip(r.data()) {
             assert!((a - b).abs() <= q.params.scale / 2.0 + 1e-6);
         }
-        assert_eq!(q.storage_bits(), 40);
     }
 
     #[test]

@@ -17,20 +17,6 @@ pub fn kaiming_normal<R: Rng + ?Sized>(shape: &[usize], rng: &mut R) -> Tensor {
     Tensor::randn(shape, 0.0, std, rng)
 }
 
-/// Xavier/Glorot uniform initialization: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-///
-/// # Panics
-///
-/// Panics if `shape` has fewer than 2 dimensions.
-pub fn xavier_uniform<R: Rng + ?Sized>(shape: &[usize], rng: &mut R) -> Tensor {
-    assert!(shape.len() >= 2, "xavier init needs rank >= 2");
-    let fan_in: usize = shape[1..].iter().product();
-    let fan_out = shape[0] * shape[2..].iter().product::<usize>();
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::rand_uniform(shape, -a, a, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,13 +32,5 @@ mod tests {
         let mean = t.mean();
         let std = t.map(|v| (v - mean) * (v - mean)).mean().sqrt();
         assert!((std - expected_std).abs() / expected_std < 0.1);
-    }
-
-    #[test]
-    fn xavier_bounds() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = xavier_uniform(&[32, 64], &mut rng);
-        let a = (6.0f32 / (64.0 + 32.0)).sqrt();
-        assert!(t.max() <= a && t.min() >= -a);
     }
 }

@@ -4,25 +4,19 @@
 
 use crate::layer::Param;
 
-/// Stochastic gradient descent with momentum and decoupled weight decay.
+/// Stochastic gradient descent with momentum.
 #[derive(Debug, Clone, Copy)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
     /// Momentum coefficient (0 disables momentum).
     pub momentum: f32,
-    /// L2 weight decay coefficient applied to non-frozen parameters.
-    pub weight_decay: f32,
 }
 
 impl Sgd {
     /// Plain SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-        }
+        Sgd { lr, momentum: 0.0 }
     }
 
     /// Sets the momentum coefficient.
@@ -31,22 +25,11 @@ impl Sgd {
         self
     }
 
-    /// Sets the weight-decay coefficient.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Applies one update step to every non-frozen parameter and clears all
     /// gradients (including those of frozen parameters).
     pub fn step(&self, params: &mut [&mut Param]) {
         for p in params.iter_mut() {
             if !p.frozen {
-                let wd = self.weight_decay;
-                if wd != 0.0 {
-                    let value = p.value.clone();
-                    p.grad.add_scaled_inplace(&value, wd);
-                }
                 if self.momentum != 0.0 {
                     // v = mu * v + g ; w -= lr * v
                     let mu = self.momentum;
@@ -121,15 +104,6 @@ mod tests {
             sgdm.step(&mut [&mut with_mom]);
         }
         assert!(with_mom.value.data()[0] < plain.value.data()[0]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks() {
-        let mut p = Param::new("w", Tensor::full(&[1], 1.0));
-        let opt = Sgd::new(0.1).with_weight_decay(0.5);
-        // Zero task gradient: only decay acts.
-        opt.step(&mut [&mut p]);
-        assert!((p.value.data()[0] - 0.95).abs() < 1e-6);
     }
 
     #[test]

@@ -199,40 +199,6 @@ impl Tensor {
         })
     }
 
-    /// Consumes the tensor and reinterprets it under a new shape without
-    /// touching the element buffer — the move-based counterpart of
-    /// [`Tensor::reshape`] for owned tensors (row-major order means a
-    /// reshape never has to copy when the source is owned).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use yoloc_tensor::Tensor;
-    ///
-    /// let t = Tensor::zeros(&[2, 3, 4]);
-    /// let flat = t.into_reshaped(&[2, 12]).unwrap();
-    /// assert_eq!(flat.shape(), &[2, 12]);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the element counts differ.
-    pub fn into_reshaped(self, shape: &[usize]) -> Result<Tensor, ShapeError> {
-        if numel(shape) != self.data.len() {
-            return Err(ShapeError::new(format!(
-                "cannot reshape {:?} ({} elements) to {:?} ({} elements)",
-                self.shape,
-                self.data.len(),
-                shape,
-                numel(shape)
-            )));
-        }
-        Ok(Tensor {
-            data: self.data,
-            shape: shape.to_vec(),
-        })
-    }
-
     /// Element access by multi-dimensional index.
     ///
     /// # Panics

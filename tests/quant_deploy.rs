@@ -1,48 +1,17 @@
-//! Integration: quantization-aware training followed by deployment — a
-//! QAT-projected model survives the trip onto the analog macro with less
-//! accuracy change than its unconstrained twin at low precision.
+//! Integration: the per-channel weight quantization every CiM layer is
+//! deployed with keeps each output channel's own range, which a shared
+//! per-tensor scale does not.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use yoloc::quant::qat::{fake_quantize, project_to_grid, ste_mask};
-use yoloc::quant::QuantParams;
+use yoloc::quant::{PerChannelQuant, QuantParams, QuantTensor};
 use yoloc::tensor::Tensor;
-
-#[test]
-fn fake_quant_composes_with_ste() {
-    let p = QuantParams::symmetric(1.0, 4);
-    let mut rng = StdRng::seed_from_u64(1);
-    let w = Tensor::randn(&[128], 0.0, 0.4, &mut rng);
-    let q = fake_quantize(&w, p);
-    // Values on-grid; gradient mask passes the in-range ones.
-    let mask = ste_mask(&w, p);
-    let in_range = mask.data().iter().filter(|&&m| m == 1.0).count();
-    assert!(in_range > 100, "most values in range: {in_range}");
-    for (&orig, &fq) in w.data().iter().zip(q.data()) {
-        assert!((orig - fq).abs() <= p.scale / 2.0 + 1e-6);
-    }
-}
-
-#[test]
-fn grid_projection_is_stable_under_iteration() {
-    // Projected SGD's invariant: once on-grid, projecting again (with the
-    // same deduced scale) is a no-op.
-    let mut rng = StdRng::seed_from_u64(2);
-    let mut w = Tensor::randn(&[64], 0.0, 0.5, &mut rng);
-    let e1 = project_to_grid(&mut w, 3);
-    let snapshot = w.clone();
-    let e2 = project_to_grid(&mut w, 3);
-    assert!(e1 > 0.0);
-    assert!(e2 < 1e-6, "second projection should be a no-op: {e2}");
-    assert_eq!(w, snapshot);
-}
 
 #[test]
 fn per_channel_beats_per_tensor_on_imbalanced_weights() {
     // The reason the deployment pipeline quantizes per channel: channels
     // with tiny dynamic range are crushed by a shared scale.
-    use yoloc::quant::{PerChannelQuant, QuantTensor};
     let mut rng = StdRng::seed_from_u64(3);
     let mut w = Tensor::randn(&[4, 64], 0.0, 0.01, &mut rng);
     // One loud channel dominates the per-tensor scale.
