@@ -18,6 +18,11 @@
 //!   overrides), and nothing else: the cache holds no plan text, so
 //!   every hit, in this process or another, reads, checksums, parses and
 //!   programs its entry.
+//! * **Checksum** — an entry's first line is the [`fnv1a`] of its
+//!   document as 16 lowercase hex digits, and a hit needs exactly that
+//!   line. A rendered document is mostly indentation; [`fnv1a`]
+//!   crosses it eight blanks per multiply-add and still returns
+//!   FNV-1a's output, so lines the byte-serial loop wrote stay valid.
 //! * **Invalidation** — anything that changes the compile inputs
 //!   changes the key (different file, no collision with the old entry);
 //!   a plan-format bump changes the `schema` tag inside the stored
@@ -46,14 +51,72 @@ use yoloc_models::{NetworkDesc, NetworkError};
 /// plan schema so key-space generations never alias).
 const KEY_SCHEMA: &str = "yoloc-plan-key/1";
 
+/// FNV-1a 64's offset basis, the state before any byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64's prime `P`.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step: XOR `byte` into the low 8 bits, multiply by `P`.
+const fn fnv1a_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ byte as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// `P^8`, the multiplier of eight steps.
+const BLANKS_MUL: u64 = FNV_PRIME.wrapping_pow(8);
+
+/// `BLANKS_ADD[l]`: the state eight steps over blanks take `l` to, minus
+/// `P^8·l`; see [`fnv1a`].
+static BLANKS_ADD: [u64; 256] = {
+    let mut add = [0u64; 256];
+    let mut low = 0;
+    while low < 256 {
+        let mut hash = low as u64;
+        let mut i = 0;
+        while i < 8 {
+            hash = fnv1a_step(hash, b' ');
+            i += 1;
+        }
+        add[low] = hash.wrapping_sub(BLANKS_MUL.wrapping_mul(low as u64));
+        low += 1;
+    }
+    add
+};
+
 /// 64-bit FNV-1a over `bytes` — small, dependency-free, and stable
 /// across runs/processes/hosts (unlike `std`'s randomized hasher),
 /// which is what an on-disk cache key needs.
+///
+/// The output is FNV-1a's, byte for byte, but a word of eight blanks
+/// costs one multiply-add instead of eight steps. A step XORs a byte
+/// into the low 8 bits of the state `h` and multiplies by the prime
+/// `P`, and the low 8 bits of a product depend only on the low 8 bits of
+/// its factors. So after any fixed string `s` the state is
+/// `h·P^|s| + c_s(h mod 256)` (mod 2^64), and for eight blanks that is
+/// `h·P^8 + T[h mod 256]`: entry `l` of the 256-entry table `T` is the
+/// byte loop's state after eight blanks from state `l`, minus `P^8·l`,
+/// computed at compile time. Most of a rendered plan document is
+/// indentation, so most of its bytes go eight at a time; every other
+/// byte takes one step.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = FNV_OFFSET;
+    let mut rest = bytes;
+    while let Some((&byte, tail)) = rest.split_first() {
+        // An array compare is one 8-byte compare; a `b"        "`
+        // pattern compiled to eight byte compares and made the whole
+        // checksum about 1.3x slower.
+        match rest.split_first_chunk::<8>() {
+            Some((word, after)) if *word == [b' '; 8] => {
+                hash = hash
+                    .wrapping_mul(BLANKS_MUL)
+                    .wrapping_add(BLANKS_ADD[(hash & 0xff) as usize]);
+                rest = after;
+            }
+            _ => {
+                hash = fnv1a_step(hash, byte);
+                rest = tail;
+            }
+        }
     }
     hash
 }
@@ -140,28 +203,33 @@ impl PlanCache {
         self.dir.join(format!("{key:016x}.json"))
     }
 
-    /// Writes a plan document to disk behind a 16-hex-digit FNV-1a
-    /// checksum line. JSON parses most single-bit flips just fine (a
-    /// digit in a weight code, a letter in a name), so schema validation
-    /// alone cannot tell "corrupt" from "stale" — the checksum makes any
-    /// byte damage, including truncation, a clean miss instead of a
-    /// silently wrong deployment.
+    /// The checksum line of a plan document, newline excluded: its
+    /// FNV-1a as 16 lowercase hex digits, the one spelling an entry is
+    /// written and accepted in.
+    fn checksum_line(text: &str) -> String {
+        format!("{:016x}", fnv1a(text.as_bytes()))
+    }
+
+    /// Writes a plan document to disk behind its checksum line. JSON
+    /// parses most single-bit flips just fine (a digit in a weight code,
+    /// a letter in a name), so schema validation alone cannot tell
+    /// "corrupt" from "stale" — the checksum makes any byte damage,
+    /// including truncation, a clean miss instead of a silently wrong
+    /// deployment.
     fn write_entry(path: &Path, text: &str) -> std::io::Result<()> {
         let mut file = fs::File::create(path)?;
-        file.write_all(format!("{:016x}\n", fnv1a(text.as_bytes())).as_bytes())?;
+        file.write_all(format!("{}\n", Self::checksum_line(text)).as_bytes())?;
         file.write_all(text.as_bytes())
     }
 
     /// Validates and strips the checksum frame; `None` on any damage
-    /// (missing header, bad hex, checksum mismatch — which also covers
-    /// files from the pre-checksum cache format, invalidating them).
+    /// (missing header, a checksum line other than the one
+    /// [`Self::write_entry`] writes, checksum mismatch — which also
+    /// covers files from the pre-checksum cache format, invalidating
+    /// them).
     fn decode_entry(raw: &str) -> Option<&str> {
         let (head, body) = raw.split_once('\n')?;
-        if head.len() != 16 {
-            return None;
-        }
-        let sum = u64::from_str_radix(head, 16).ok()?;
-        (sum == fnv1a(body.as_bytes())).then_some(body)
+        (head == Self::checksum_line(body)).then_some(body)
     }
 
     /// Deploys `desc` through the cache: a hit reads, checksums and
@@ -202,12 +270,109 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use yoloc_models::zoo;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("yoloc-plan-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    /// FNV-1a 64 one byte per step, written apart from [`fnv1a`]'s
+    /// constants: the definition it must reproduce.
+    fn fnv1a_bytewise(bytes: &[u8]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    fn non_blank(rng: &mut StdRng) -> u8 {
+        loop {
+            let b = rng.gen_range(0..=u8::MAX);
+            if b != b' ' {
+                return b;
+            }
+        }
+    }
+
+    #[test]
+    fn fnv1a_jumps_blank_words_to_the_byte_loops_state() {
+        // The published FNV-1a 64 vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+
+        // A blank run of 0..=40 from a state of every low byte, under
+        // seeded high bits (a non-blank prefix per low byte), then one
+        // non-blank byte: every table entry, every tail shorter than 8.
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut prefixes = vec![None; 256];
+        while prefixes.iter().any(Option::is_none) {
+            let prefix: Vec<u8> = (0..8).map(|_| non_blank(&mut rng)).collect();
+            prefixes[(fnv1a_bytewise(&prefix) & 0xff) as usize].get_or_insert(prefix);
+        }
+        for prefix in prefixes.into_iter().flatten() {
+            for run in 0..=40 {
+                let mut bytes = prefix.clone();
+                bytes.resize(prefix.len() + run, b' ');
+                bytes.push(non_blank(&mut rng));
+                assert_eq!(fnv1a(&bytes), fnv1a_bytewise(&bytes), "{bytes:?}");
+            }
+        }
+
+        // Seeded strings of blank runs and other bytes; `seen` records
+        // each maximal run by its start offset and its length, mod 8.
+        let mut seen = [[false; 8]; 8];
+        for len in 0..=300 {
+            for _ in 0..4 {
+                let mut bytes = Vec::with_capacity(len);
+                while bytes.len() < len {
+                    if rng.gen_bool(0.5) {
+                        bytes.resize(bytes.len() + rng.gen_range(1..=20), b' ');
+                    } else {
+                        bytes.push(non_blank(&mut rng));
+                    }
+                }
+                bytes.truncate(len);
+                assert_eq!(fnv1a(&bytes), fnv1a_bytewise(&bytes), "{bytes:?}");
+                let mut at = 0;
+                while at < len {
+                    let run = bytes[at..].iter().take_while(|&&b| b == b' ').count();
+                    seen[at % 8][run % 8] |= run > 0;
+                    at += run.max(1);
+                }
+            }
+        }
+        assert_eq!(seen, [[true; 8]; 8], "runs at every offset and tail");
+    }
+
+    #[test]
+    fn only_the_written_spelling_of_a_checksum_decodes() {
+        // `u64::from_str_radix` also reads a leading `+` and uppercase
+        // digits. A body whose checksum has a zero top nibble lets `+`
+        // and 15 digits fill the line's 16 places.
+        let body = (0..)
+            .map(|i| format!("{{\"n\": {i}}}\n"))
+            .find(|b| {
+                let sum = fnv1a(b.as_bytes());
+                sum >> 60 == 0 && format!("{sum:x}").contains(|c: char| c.is_ascii_lowercase())
+            })
+            .expect("one checksum in 16 has a zero top nibble");
+        let sum = fnv1a(body.as_bytes());
+        let entry = |head: &str| format!("{head}\n{body}");
+        assert_eq!(
+            PlanCache::decode_entry(&entry(&format!("{sum:016x}"))),
+            Some(body.as_str())
+        );
+        for head in [format!("+{sum:015x}"), format!("{sum:016X}")] {
+            assert_eq!(u64::from_str_radix(&head, 16), Ok(sum), "{head}");
+            assert_eq!(PlanCache::decode_entry(&entry(&head)), None, "{head}");
+        }
     }
 
     #[test]

@@ -79,7 +79,10 @@ fn assert_clean_miss(dir: &PathBuf, desc: &NetworkDesc, expected_plan: &str, wha
     );
 }
 
-/// FNV-1a 64, the checksum the cache frames entries with.
+/// FNV-1a 64, the checksum the cache frames entries with, one byte per
+/// step. It stays apart from the library's `cache::fnv1a`, which crosses
+/// blank words in one multiply-add: entries this suite frames check that
+/// jump against the definition, so the library call must not replace it.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -109,6 +112,71 @@ fn first_code_line(body: &str) -> std::ops::Range<usize> {
     let open = "\"codes\": [\n";
     let start = body.find(open).expect("plan stores weight codes") + open.len();
     start..start + body[start..].find('\n').expect("code line") + 1
+}
+
+/// Re-indents the element lines of every `codes` array, the `i`-th such
+/// line overall by `i mod 18` blanks.
+fn reindent_codes(body: &str) -> String {
+    let (mut out, mut in_codes, mut i) = (String::new(), false, 0);
+    for line in body.split_inclusive('\n') {
+        let text = line.trim_start_matches(' ');
+        in_codes &= !text.starts_with(']');
+        if in_codes {
+            out.extend(std::iter::repeat_n(' ', i % 18));
+            out.push_str(text);
+            i += 1;
+        } else {
+            out.push_str(line);
+        }
+        in_codes |= text == "\"codes\": [\n";
+    }
+    out
+}
+
+#[test]
+fn reindented_entry_is_a_hit() {
+    // Blank runs of 0 to 17 before the weight codes, framed by the byte
+    // loop: the checksum's eight-blank jump must reach the same state,
+    // and the parser must read the same plan.
+    let (dir, entry, plan) = seeded_cache("indent", &vgg());
+    reframe(&entry, reindent_codes);
+    let cache = PlanCache::at(&dir);
+    let net = cache
+        .compile_random(&vgg(), 21, CompileOptions::paper_default())
+        .expect("deploys");
+    assert_eq!((cache.hits(), cache.misses()), (1, 0), "re-indented entry");
+    assert_eq!(net.serialize_plan(), plan);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tab_in_a_blank_run_is_a_clean_miss() {
+    // JSON reads a tab as the blank it replaces, so only the checksum
+    // can tell the entry changed.
+    let (dir, entry, plan) = seeded_cache("tab", &vgg());
+    let raw = fs::read_to_string(&entry).unwrap();
+    let run = format!("\n{}-", " ".repeat(16));
+    let at = raw.find(&run).expect("a 16-blank run") + 6;
+    let tabbed = format!("{}\t{}", &raw[..at], &raw[at + 1..]);
+    let (_, body) = tabbed.split_once('\n').expect("framed entry");
+    let parsed = CompiledNetwork::deserialize_plan(body).expect("tabbed plan parses");
+    assert_eq!(parsed.serialize_plan(), plan);
+    fs::write(&entry, tabbed).unwrap();
+    assert_clean_miss(&dir, &vgg(), &plan, "tab in a blank run");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn uppercase_checksum_line_is_a_clean_miss() {
+    // The right checksum in a spelling the cache never writes.
+    let (dir, entry, plan) = seeded_cache("upper", &vgg());
+    let raw = fs::read_to_string(&entry).unwrap();
+    let (head, body) = raw.split_once('\n').expect("framed entry");
+    let upper = head.to_ascii_uppercase();
+    assert_ne!(upper, head, "checksum has a hex letter");
+    fs::write(&entry, format!("{upper}\n{body}")).unwrap();
+    assert_clean_miss(&dir, &vgg(), &plan, "uppercase checksum line");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
